@@ -38,7 +38,7 @@ func main() {
 	steps := flag.Int("steps", 20, "training steps")
 	lr := flag.Float64("lr", 0.5, "learning rate")
 	momentum := flag.Float64("momentum", 0, "heavy-ball momentum coefficient (0 = plain SGD)")
-	sharded := flag.Bool("sharded", false, "ZeRO-shard the optimizer states: owner-major ReduceScatter/AllGatherV step epilogue, ~1/world optimizer memory per rank, bit-identical losses (multi-process modes; the single-process run is its own full shard)")
+	flag.Bool("sharded", false, "accepted, no effect: the owner-major sharded exchange (ReduceScatterV, shard-local update, AllGatherV; ~1/world optimizer memory per rank) is the only distributed step epilogue")
 	schedName := flag.String("schedule", "1f1b", "gpipe or 1f1b")
 	dp := flag.Int("dp", 0, "data-parallel pipeline replicas (0/1 disables)")
 	spmd := flag.Int("spmd", 1, "virtual SPMD devices per actor")
@@ -106,7 +106,7 @@ func main() {
 	}
 	spec := distrun.JobSpec{
 		Stages: *stages, NumMB: *mb, MBRows: *mbRows, Width: *width,
-		Steps: *steps, LR: *lr, Momentum: *momentum, Sharded: *sharded, Schedule: *schedName,
+		Steps: *steps, LR: *lr, Momentum: *momentum, Schedule: *schedName,
 		DataParallel: *dp, SPMD: *spmd, Seed: *seed, StepSleepMs: *stepSleep,
 		CkptDir: *ckptDir, CkptEvery: *ckptEvery,
 		Profile:   *profile || *traceOut != "",

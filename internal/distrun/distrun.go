@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"math"
 	"sort"
 	"time"
 
@@ -27,14 +26,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Step-epilogue profiling scopes: the actor's share of the step, then the
-// exchange wall time split into its loss AllGather and gradient AllReduce
-// halves, then the SGD update. These are envelope scopes (they contain the
-// collective and wire leaf spans), so the breakdown classifier excludes them.
+// Step-epilogue profiling scopes: the actor's share of the step, the loss
+// AllGather, and the optimizer update (the gradient exchange's two collective
+// scopes live with it in shard.go). These are envelope scopes (they contain
+// the collective and wire leaf spans), so the breakdown classifier excludes
+// them.
 var (
 	scStepActor    = obs.Scope("step/actor")
 	scLossGather   = obs.Scope("step/loss_gather")
-	scGradReduce   = obs.Scope("step/grad_allreduce")
 	scSGD          = obs.Scope("step/sgd")
 	cStepsProfiled = obs.Counter("step/count")
 	// scQuantEF times the error-feedback fold + local quantization;
@@ -71,28 +70,22 @@ type JobSpec struct {
 	// nonzero — real optimizer state for checkpoints to carry alongside the
 	// parameters. Zero keeps plain SGD.
 	Momentum float64 `json:"momentum,omitempty"`
-	// Sharded switches the step epilogue from "AllReduce everything, every
-	// rank updates everything" to ZeRO-1-style owner-major sharding: a
-	// bucketed ring ReduceScatter delivers each rank only the gradient slice
-	// it owns, the fused optimizer update runs on that slice against
-	// shard-local optimizer state (~1/world of the replicated footprint), and
-	// a ring AllGatherV of the variable-size updated slices redistributes the
-	// parameters. Bit-identical losses and parameters to the dense path;
-	// checkpoints switch to the owner-major shard layout, which restores
-	// across world-size changes (elastic shrink included).
+	// Sharded is accepted and has no effect: the owner-major sharded exchange
+	// is the only distributed step epilogue (see shardedState.exchange). The
+	// field stays declared only because the benchmark harness still sets it.
 	Sharded      bool   `json:"sharded,omitempty"`
 	Schedule     string `json:"schedule"`      // "gpipe" or "1f1b"
 	DataParallel int    `json:"data_parallel"` // replicas; 0 or 1 disables
 	SPMD         int    `json:"spmd"`          // virtual SPMD devices per actor; 0/1 disables
 	Seed         uint64 `json:"seed"`
 	// CkptDir enables rank-sharded checkpointing when nonempty: every
-	// CkptEvery completed steps each rank writes its owned slice of the
-	// training state (round-robin over the world) as wire-codec frames, a
-	// barrier fences durability, and rank 0 commits the step with a manifest
-	// (see package ckpt). On start, every rank independently restores the
-	// newest consistent checkpoint and the job resumes at its step. The
-	// directory must be reachable by every rank (one host, or a shared
-	// filesystem).
+	// CkptEvery completed steps each rank writes its share of the training
+	// state (parameters round-robin over the world, plus the velocity shard
+	// only it holds) as wire-codec frames, a barrier fences durability, and
+	// rank 0 commits the step with a manifest (see package ckpt). On start,
+	// every rank independently restores the newest consistent checkpoint and
+	// the job resumes at its step. The directory must be reachable by every
+	// rank (one host, or a shared filesystem).
 	CkptDir string `json:"ckpt_dir,omitempty"`
 	// CkptEvery is the checkpoint period in steps (default 0 = only if
 	// CkptDir is set, every 10 steps).
@@ -258,20 +251,14 @@ func armLossyWire(tr any, dt dist.DType, groupID int) bool {
 // to Run, wire-collective verification jobs to RunCollective. It is the
 // single entry point a jaxpp-worker needs — the payload kind, not a CLI
 // flag, selects the work.
-func RunJob(sess *dist.Session) error { return RunJobProfiled(sess, false) }
-
-// RunJobProfiled is RunJob with a rank-local profiling override: when
-// localProfile is set, a training job logs per-step summaries on this rank
-// even if the coordinator's payload did not request profiling. The end-of-job
-// snapshot exchange still follows the payload alone.
-func RunJobProfiled(sess *dist.Session, localProfile bool) error {
-	return RunJobWith(sess, JobOptions{Profile: localProfile})
-}
+func RunJob(sess *dist.Session) error { return RunJobWith(sess, JobOptions{}) }
 
 // JobOptions are rank-local overrides a worker applies on top of the
 // coordinator's payload.
 type JobOptions struct {
-	// Profile logs per-step summaries on this rank (see RunJobProfiled).
+	// Profile logs per-step summaries on this rank even if the coordinator's
+	// payload did not request profiling. The end-of-job snapshot exchange
+	// still follows the payload alone.
 	Profile bool
 	// WireDType overrides the payload's gradient wire encoding on this rank
 	// only. The codec is self-describing per frame, so ranks may legitimately
@@ -441,84 +428,29 @@ func CompileHosted(spec JobSpec, tr runtime.Transport, hostActors []int) (*jaxpp
 	})
 }
 
-// ApplySGD returns params - lr·grads as fresh tensors.
-func ApplySGD(params, grads []*jaxpp.Tensor, lr float64) ([]*jaxpp.Tensor, error) {
-	next := make([]*jaxpp.Tensor, len(params))
-	for i := range params {
-		next[i] = jaxpp.NewTensor(params[i].Shape()...)
-	}
-	if err := ApplySGDInto(next, params, grads, lr); err != nil {
-		return nil, err
-	}
-	return next, nil
-}
-
-// ApplySGDInto writes params - lr·grads into dst elementwise via the shared
-// model.SGDRange kernel. Both the in-process reference and every distributed
-// rank (dense or sharded) run this exact arithmetic, so parameter
-// trajectories agree bit for bit; drivers double-buffer dst and params and
-// swap after each step, so steady-state training allocates no parameter
-// tensors.
-func ApplySGDInto(dst, params, grads []*jaxpp.Tensor, lr float64) error {
-	if len(dst) != len(params) || len(grads) != len(params) {
-		return fmt.Errorf("distrun: SGD arity mismatch: %d dst, %d params, %d grads", len(dst), len(params), len(grads))
+// applyUpdate runs the optimizer step the spec selects over whole tensors:
+// dst receives the updated parameters and, under momentum, vel updates in
+// place (v ← μ·v + g; p ← p − lr·v). It is the in-process reference's update;
+// distributed ranks run the same model range kernels over their owned flat
+// slice (shardedState.exchange), and because the kernels are elementwise the
+// two agree bit for bit. Drivers double-buffer dst and params and swap after
+// each step, so steady-state training allocates no parameter tensors.
+func applyUpdate(spec JobSpec, dst, params, grads, vel []*jaxpp.Tensor) error {
+	if len(dst) != len(params) || len(grads) != len(params) || (spec.Momentum != 0 && len(vel) != len(params)) {
+		return fmt.Errorf("distrun: update arity mismatch: %d dst, %d params, %d grads, %d vel", len(dst), len(params), len(grads), len(vel))
 	}
 	for i := range params {
 		pd, gd, dd := params[i].Data(), grads[i].Data(), dst[i].Data()
 		if len(pd) != len(gd) || len(pd) != len(dd) {
-			return fmt.Errorf("distrun: SGD size mismatch at %d: %d params, %d grads, %d dst", i, len(pd), len(gd), len(dd))
+			return fmt.Errorf("distrun: update size mismatch at %d: %d params, %d grads, %d dst", i, len(pd), len(gd), len(dd))
 		}
-		model.SGDRange(dd, pd, gd, lr)
+		if spec.Momentum != 0 {
+			model.MomentumRange(dd, pd, gd, vel[i].Data(), spec.LR, spec.Momentum)
+		} else {
+			model.SGDRange(dd, pd, gd, spec.LR)
+		}
 	}
 	return nil
-}
-
-// ApplyMomentumInto runs one fused heavy-ball step elementwise via the
-// shared model.MomentumRange kernel: velocity updates in place (v ← mu·v + g)
-// and dst receives params − lr·v. Every rank runs this identical arithmetic
-// over identical inputs, so parameter and velocity trajectories agree bit for
-// bit — the property that lets checkpoints of either be rank-sharded
-// arbitrarily and lets the sharded epilogue update disjoint slices.
-func ApplyMomentumInto(dst, params, grads, vel []*jaxpp.Tensor, lr, mu float64) error {
-	if len(dst) != len(params) || len(grads) != len(params) || len(vel) != len(params) {
-		return fmt.Errorf("distrun: momentum arity mismatch: %d dst, %d params, %d grads, %d vel", len(dst), len(params), len(grads), len(vel))
-	}
-	for i := range params {
-		pd, gd, dd, vd := params[i].Data(), grads[i].Data(), dst[i].Data(), vel[i].Data()
-		if len(pd) != len(gd) || len(pd) != len(dd) || len(pd) != len(vd) {
-			return fmt.Errorf("distrun: momentum size mismatch at %d", i)
-		}
-		model.MomentumRange(dd, pd, gd, vd, lr, mu)
-	}
-	return nil
-}
-
-// ApplyAdamInto runs one fused bias-corrected Adam step elementwise via the
-// shared model.AdamRange kernel: moments m and v update in place and dst
-// receives the updated parameters. step is the 1-based optimizer step. Like
-// the other kernels it is shard-decomposable: applying it to disjoint
-// owner-major slices with shard-local m/v reproduces the full update bit for
-// bit (pinned by TestAdamRangeShardDecomposition).
-func ApplyAdamInto(dst, params, grads, m, v []*jaxpp.Tensor, cfg model.AdamConfig, lr float64, step int) error {
-	if len(dst) != len(params) || len(grads) != len(params) || len(m) != len(params) || len(v) != len(params) {
-		return fmt.Errorf("distrun: adam arity mismatch: %d dst, %d params, %d grads, %d m, %d v", len(dst), len(params), len(grads), len(m), len(v))
-	}
-	for i := range params {
-		pd, gd, dd, md, vd := params[i].Data(), grads[i].Data(), dst[i].Data(), m[i].Data(), v[i].Data()
-		if len(pd) != len(gd) || len(pd) != len(dd) || len(pd) != len(md) || len(pd) != len(vd) {
-			return fmt.Errorf("distrun: adam size mismatch at %d", i)
-		}
-		model.AdamRange(dd, pd, gd, md, vd, cfg, lr, step)
-	}
-	return nil
-}
-
-// applyUpdate dispatches the optimizer step the spec selects.
-func applyUpdate(spec JobSpec, dst, params, grads, vel []*jaxpp.Tensor) error {
-	if spec.Momentum != 0 {
-		return ApplyMomentumInto(dst, params, grads, vel, spec.LR, spec.Momentum)
-	}
-	return ApplySGDInto(dst, params, grads, spec.LR)
 }
 
 // newVelocity allocates zeroed momentum buffers (nil when momentum is off —
@@ -534,22 +466,15 @@ func newVelocity(spec JobSpec, params []*jaxpp.Tensor) []*jaxpp.Tensor {
 	return vel
 }
 
-// stateEntries flattens the driver-held training state into the checkpoint
-// entry list: parameters first, then velocities when momentum is on. The
-// order is part of the on-disk contract (manifest Entries counts it).
-func stateEntries(params, vel []*jaxpp.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, len(params)+len(vel))
-	out = append(out, params...)
-	return append(out, vel...)
-}
-
 // velFlat reassembles a checkpoint's optimizer velocity state into the
 // owner-major flat vector, whichever on-disk layout the manifest uses: a
 // sharded manifest's per-rank flat slices concatenate in rank order (the
 // writing world's partition, recorded in OptShardCounts), a dense manifest's
 // per-tensor velocities pack through the plan's order. Because the flat
 // layout is a function of the compiled program only, this is the pivot that
-// lets any (layout, world) checkpoint restore into any (layout, world) job.
+// lets any (layout, world) checkpoint restore into any job: distributed runs
+// write the sharded layout, RunLocal (and builds that predate the single
+// sharded epilogue) the dense one.
 func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shardPlan, flat []float64) error {
 	if m.Sharded() {
 		off := 0
@@ -581,10 +506,10 @@ func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shar
 // when no usable checkpoint exists — fresh start). Parameters restore
 // directly (replicated in every layout); momentum state pivots through the
 // plan's owner-major flat vector, so dense and sharded checkpoints restore
-// into dense (vel) and sharded (velShard — this rank's slice of the current
-// partition) jobs in any combination and across world-size changes. Every
-// rank calls this independently; the caller is responsible for cross-rank
-// agreement on the returned step.
+// into the in-process runner (vel, per-tensor) and into distributed ranks
+// (velShard — this rank's slice of the current partition) in any combination
+// and across world-size changes. Every rank calls this independently; the
+// caller is responsible for cross-rank agreement on the returned step.
 func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *shardPlan, velShard *tensor.Tensor) (int, error) {
 	m, entries, skipped, err := ckpt.Restore(spec.CkptDir)
 	if err != nil {
@@ -624,128 +549,75 @@ func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *sha
 	return m.Step, nil
 }
 
-// saveCheckpoint writes this rank's shard of the state at the given completed
-// step, barriers so every shard is durable, and has rank 0 commit the step
-// with its manifest and prune old checkpoints. A checkpoint failure is a job
-// failure: half-checkpointing silently would turn the next recovery into a
-// rollback surprise.
-func saveCheckpoint(sess *dist.Session, spec JobSpec, step int, params, vel []*jaxpp.Tensor) error {
-	entries := stateEntries(params, vel)
-	owned := ckpt.Owned(sess.Rank, sess.World, len(entries))
+// saveCheckpointSharded is the distributed checkpoint writer. Each rank's
+// shard carries its round-robin share of the replicated parameters plus,
+// under momentum, the one flat velocity-shard entry only it holds (entry
+// len(params)+rank); rank 0 commits with a manifest recording the writing
+// world's partition, which any future world re-slices on restore. Plain SGD
+// has no optimizer state, so its manifest is params-only. A checkpoint
+// failure is a job failure: half-checkpointing silently would turn the next
+// recovery into a rollback surprise.
+func saveCheckpointSharded(sess *dist.Session, spec JobSpec, step int, params []*jaxpp.Tensor, sh *shardedState) error {
+	entries := append([]*tensor.Tensor(nil), params...)
+	owned := ckpt.Owned(sess.Rank, sess.World, len(params))
+	var optCounts []int
+	if sh.vel != nil {
+		entries = append(entries, make([]*tensor.Tensor, sess.World)...)
+		entries[len(params)+sess.Rank] = sh.vel
+		owned = append(owned, len(params)+sess.Rank)
+		optCounts = sh.plan.counts
+	}
 	if err := ckpt.WriteShard(spec.CkptDir, step, sess.Rank, entries, owned); err != nil {
 		return fmt.Errorf("distrun: rank %d checkpoint step %d: %w", sess.Rank, step, err)
 	}
-	if err := sess.Barrier(); err != nil {
-		return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, step, err)
-	}
-	if sess.Rank != 0 {
-		return nil
-	}
-	m := ckpt.NewManifest(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit checkpoint step %d: %w", step, err)
-	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
-		return fmt.Errorf("distrun: prune checkpoints: %w", err)
-	}
-	return nil
+	return commitCheckpoint(sess, spec.CkptDir,
+		ckpt.NewManifestSharded(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum, optCounts))
 }
 
-// saveCheckpointSharded writes a checkpoint in the owner-major sharded
-// optimizer layout: each rank's shard carries its round-robin share of the
-// replicated parameters plus the one flat velocity-shard entry only it holds
-// (entry len(params)+rank). Rank 0 commits with a sharded manifest recording
-// the writing world's partition, which any future world re-slices on restore.
-func saveCheckpointSharded(sess *dist.Session, spec JobSpec, step int, params []*jaxpp.Tensor, sh *shardedState) error {
-	entries := make([]*tensor.Tensor, len(params)+sh.plan.world)
-	copy(entries, params)
-	entries[len(params)+sess.Rank] = sh.vel
-	owned := append(ckpt.Owned(sess.Rank, sess.World, len(params)), len(params)+sess.Rank)
-	if err := ckpt.WriteShard(spec.CkptDir, step, sess.Rank, entries, owned); err != nil {
-		return fmt.Errorf("distrun: rank %d sharded checkpoint step %d: %w", sess.Rank, step, err)
-	}
-	if err := sess.Barrier(); err != nil {
-		return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, step, err)
-	}
-	if sess.Rank != 0 {
-		return nil
-	}
-	m := ckpt.NewManifestSharded(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum, sh.plan.counts)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit sharded checkpoint step %d: %w", step, err)
-	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
-		return fmt.Errorf("distrun: prune checkpoints: %w", err)
-	}
-	return nil
-}
-
-// saveCheckpointLocal is saveCheckpoint for the single-process runner: one
-// shard (rank 0 owns every entry), immediately committed.
+// saveCheckpointLocal is the single-process runner's writer: one shard (rank
+// 0 owns every entry) in the dense per-tensor layout, immediately committed.
 func saveCheckpointLocal(spec JobSpec, step int, params, vel []*jaxpp.Tensor) error {
-	entries := stateEntries(params, vel)
+	// Parameters first, then velocities: the dense layout's entry order.
+	entries := append(append([]*tensor.Tensor(nil), params...), vel...)
 	if err := ckpt.WriteShard(spec.CkptDir, step, 0, entries, ckpt.Owned(0, 1, len(entries))); err != nil {
 		return fmt.Errorf("distrun: local checkpoint step %d: %w", step, err)
 	}
-	m := ckpt.NewManifest(step, 1, spec.Stages, spec.Width, len(params), spec.Momentum)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit local checkpoint step %d: %w", step, err)
+	return commitCheckpoint(nil, spec.CkptDir,
+		ckpt.NewManifest(step, 1, spec.Stages, spec.Width, len(params), spec.Momentum))
+}
+
+// commitCheckpoint is the tail both writers share: a barrier so every rank's
+// shard is durable (sess is nil for the single-process runner, which has
+// nobody to wait for), then rank 0 commits the step by writing its manifest
+// and prunes old checkpoints.
+func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
+	if sess != nil {
+		if err := sess.Barrier(); err != nil {
+			return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, m.Step, err)
+		}
+		if sess.Rank != 0 {
+			return nil
+		}
 	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
+	if err := ckpt.WriteManifest(dir, m); err != nil {
+		return fmt.Errorf("distrun: commit checkpoint step %d: %w", m.Step, err)
+	}
+	if err := ckpt.Prune(dir, 0); err != nil {
 		return fmt.Errorf("distrun: prune checkpoints: %w", err)
 	}
 	return nil
 }
 
-// negZero fills the slots a rank does not own in the gradient exchange:
-// IEEE-754 addition has x + (-0.0) == x bit for bit for every x (including
-// x == -0.0, which x + (+0.0) would flip to +0.0), so a ring all-reduce over
-// one real contribution and world-1 negative-zero fills reproduces the
-// owner's gradient exactly — in any combine order — and the exchange stays
-// bit-compatible with the in-process reference even for gradients that
-// contain negative zeros (ReLU masking produces them).
-var negZero = math.Copysign(0, -1)
-
-// applyErrorFeedback runs the rank-local half of int8 error-feedback
-// compression on the dense gradient exchange. For each owned gradient with
-// carried residual r and fresh contribution g: the compensated value is
-// c = g + r, the wire carries q = Q(c) (the int8 round trip, applied here so
-// this rank reduces exactly the values remote ranks decode), and the new
-// residual is r' = c − q. Unowned slots hold negative-zero fills, which
-// quantize to themselves, so they need no compensation. The residual L2 norm
-// is observed per step (in nano-units) — bounded norm means the compression
-// error re-enters the sum instead of accumulating as drift.
-func applyErrorFeedback(exch, res []*tensor.Tensor, owned []bool) {
-	var sq float64
-	for gi, r := range res {
-		if r == nil || !owned[gi] {
-			continue
-		}
-		g := exch[gi].Data()
-		rd := r.Data()
-		for i := range g {
-			rd[i] += g[i]
-			g[i] = rd[i]
-		}
-		dist.LossyRoundTrip(dist.DTInt8Q, g)
-		for i := range g {
-			rd[i] -= g[i]
-			sq += rd[i] * rd[i]
-		}
-	}
-	obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
-}
-
 // Run executes the job on this rank of a bootstrapped session: compile the
-// shared program with this rank's actor hosted, run the actor every step,
-// and run the result exchange on the collective engine over the wire
-// transport — losses travel to every rank (rank 0 records them) through one
-// ring AllGather, gradients through one bucketed ring AllReduce whose
-// traffic is the ring's 2·(N−1)/N volume per rank instead of the O(world)
-// point-to-point sends the pre-wire-collective epilogue issued. Every rank
-// then applies the identical SGD update. Blocks until the job completes or
-// the transport is poisoned (a dead peer surfaces here as an error, not a
-// hang).
+// shared program with this rank's actor hosted, restore the newest
+// checkpoint if there is one, then every step run the actor and the result
+// exchange on the collective engine over the wire transport — losses travel
+// to every rank (rank 0 records them) through one ring AllGather, gradients
+// and updated parameters through the owner-major sharded exchange
+// (shardedState.exchange: ReduceScatterV → shard-local update → AllGatherV),
+// which leaves every rank with parameters bit-identical to RunLocal's. Blocks
+// until the job completes or the transport is poisoned (a dead peer surfaces
+// here as an error, not a hang).
 func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if sess.World != spec.World() {
 		return nil, fmt.Errorf("distrun: session world %d, job wants %d (= %d replicas × %d stages)", sess.World, spec.World(), spec.Replicas(), spec.Stages)
@@ -764,7 +636,7 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		tr = shaped
 	}
 	rank := sess.Rank
-	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d sharded=%v telemetry=%v wire=%s shaped=%v", sess.World, spec.Sharded, spec.Telemetry, wireDT, spec.Shape != nil))
+	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d telemetry=%v wire=%s shaped=%v", sess.World, spec.Telemetry, wireDT, spec.Shape != nil))
 	host := []int{rank}
 	if spec.NoHostedFilter {
 		host = nil
@@ -806,9 +678,9 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	// Gradient traffic optionally rides a lossy wire encoding. The transport's
 	// lossy plane is armed per collective tag window, so only frames in the
 	// gradient communicator's window compress — control frames, loss gathers,
-	// checkpoint traffic, and the parameter AllGather of the sharded epilogue
-	// all stay f64 end to end. When no lossy dtype is requested, gradComm is
-	// simply the world communicator and nothing changes on the wire.
+	// checkpoint traffic, and the epilogue's parameter AllGatherV all stay f64
+	// end to end. When no lossy dtype is requested, gradComm is simply the
+	// world communicator and nothing changes on the wire.
 	gradComm := comm
 	if !wireDT.Lossless() {
 		if !armLossyWire(sess.Transport, wireDT, gradGroupID) {
@@ -824,28 +696,18 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		return nil, fmt.Errorf("distrun: program has %d gradients for %d parameters", len(prog.Grads), len(params))
 	}
 	// The owner-major shard plan is derived from program metadata on every
-	// rank identically. Built even for dense jobs: the restore path pivots
-	// momentum state through it, so dense jobs resume from sharded
-	// checkpoints (and vice versa).
+	// rank identically; the epilogue's steady-state buffers (flat gradient and
+	// parameter vectors, this rank's shards, shard-local optimizer state) are
+	// allocated once here and reused every step.
 	plan, err := planForStep(ts, params, sess.World)
 	if err != nil {
 		return nil, err
 	}
-	var sh *shardedState
-	var vel []*jaxpp.Tensor
-	if spec.Sharded {
-		sh = newShardedState(spec, plan, rank)
-		defer sh.release()
-	} else {
-		vel = newVelocity(spec, params)
-	}
+	sh := newShardedState(spec, plan, rank)
+	defer sh.release()
 	startStep := 0
 	if spec.CkptDir != "" {
-		var velShard *tensor.Tensor
-		if sh != nil {
-			velShard = sh.vel
-		}
-		if startStep, err = restoreState(spec, rank, params, vel, plan, velShard); err != nil {
+		if startStep, err = restoreState(spec, rank, params, nil, plan, sh.vel); err != nil {
 			return nil, err
 		}
 		// Start-step agreement: every rank restored independently from disk,
@@ -873,48 +735,11 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			flight.Log("restore", rank, startStep, "resumed from checkpoint")
 		}
 	}
-	// Gradient owners are the replica-0 actors, whose global IDs equal
-	// their per-replica IDs — derived from metadata once, so the per-step
-	// fill below skips the tensors this rank overwrites with real payloads.
-	ownedGrad := make([]bool, len(prog.Grads))
-	for gi, g := range prog.Grads {
-		ownedGrad[gi] = g.Actor == rank
+	if wireDT == dist.DTInt8Q {
+		sh.armErrorFeedback()
 	}
-	// Steady-state buffers, reused every step: the SGD double buffer and the
-	// gradient-exchange tensors the ring reduces in place (dense path only —
-	// the sharded epilogue carries its own flat buffer set in shardedState,
-	// with the update landing in a persistent ~1/world shard buffer instead
-	// of a full-size double buffer), the loss shard and gather destination,
-	// and the per-step result struct.
-	var next []*jaxpp.Tensor
-	var exch []*tensor.Tensor
-	var efRes []*tensor.Tensor
-	if sh == nil {
-		next = make([]*jaxpp.Tensor, len(params))
-		exch = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			next[i] = jaxpp.NewTensor(p.Shape()...)
-			exch[i] = tensor.GetScratchShaped(p.Shape()...)
-		}
-		if wireDT == dist.DTInt8Q {
-			// Error-feedback residuals, one per owned gradient, zeroed at the
-			// start: each step the carried residual folds into the contribution
-			// before quantization and retains the new quantization error after,
-			// so what the wire drops this step re-enters the sum next step.
-			// Residuals are strictly rank-local — they never travel and never
-			// enter checkpoints.
-			efRes = make([]*tensor.Tensor, len(params))
-			for gi, p := range params {
-				if ownedGrad[gi] {
-					efRes[gi] = tensor.GetScratchShaped(p.Shape()...)
-					clear(efRes[gi].Data())
-				}
-			}
-		}
-	} else {
-		sh.syncParams(params)
-		sh.armErrorFeedback(wireDT == dist.DTInt8Q)
-	}
+	// The loss shard, gather destination, and per-step result struct are
+	// reused every step too.
 	shard := tensor.GetScratch(lossSlots)
 	gathered := tensor.GetScratch(sess.World * lossSlots)
 	defer func() {
@@ -922,14 +747,6 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		// that retries jobs keeps its scratch pool warm.
 		tensor.Recycle(shard)
 		tensor.Recycle(gathered)
-		for _, t := range exch {
-			tensor.Recycle(t)
-		}
-		for _, t := range efRes {
-			if t != nil {
-				tensor.Recycle(t)
-			}
-		}
 	}()
 	res := &jaxpp.ActorResults{}
 
@@ -986,56 +803,11 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			}
 		}
 
-		if sh != nil {
-			// Sharded epilogue: ReduceScatterV → shard-local update →
-			// AllGatherV, bit-identical to the dense path (see exchange).
-			if err := sh.exchange(comm, gradComm, spec, res, ownedGrad, params); err != nil {
-				return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
-			}
-		} else {
-			// Gradients: the owning ranks (replica-0 actors) hold the already
-			// DP-all-reduced sums; everyone else contributes negative zeros,
-			// the IEEE additive identity (see negZero), so the bucketed ring
-			// AllReduce delivers every gradient to every rank bit-exactly.
-			for gi, t := range exch {
-				if ownedGrad[gi] {
-					continue // overwritten with the real payload below
-				}
-				d := t.Data()
-				for i := range d {
-					d[i] = negZero
-				}
-			}
-			for i, gi := range res.GradIdx {
-				exch[gi].CopyFrom(res.Grads[i].Data())
-				tensor.Recycle(res.Grads[i])
-			}
-			if efRes != nil {
-				hq := obs.TrackTid(scQuantEF, rank)
-				applyErrorFeedback(exch, efRes, ownedGrad)
-				hq.Stop()
-			}
-			hg := obs.TrackTid(scGradReduce, rank)
-			err = gradComm.AllReduceBucketsInPlace(exch, collective.OpSum, 0)
-			hg.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("distrun: rank %d step %d grad all-reduce: %w", rank, step, err)
-			}
-
-			hs := obs.TrackTid(scSGD, rank)
-			err = applyUpdate(spec, next, params, exch, vel)
-			hs.Stop()
-			if err != nil {
-				return nil, err
-			}
-			params, next = next, params
+		if err := sh.exchange(comm, gradComm, spec, res, params); err != nil {
+			return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
 		}
 		if every := spec.ckptEvery(); every > 0 && (step+1)%every == 0 && step+1 < spec.Steps {
-			if sh != nil && sh.vel != nil {
-				if err := saveCheckpointSharded(sess, spec, step+1, params, sh); err != nil {
-					return nil, err
-				}
-			} else if err := saveCheckpoint(sess, spec, step+1, params, vel); err != nil {
+			if err := saveCheckpointSharded(sess, spec, step+1, params, sh); err != nil {
 				return nil, err
 			}
 			flight.Log("ckpt_commit", rank, step+1, "")

@@ -96,9 +96,9 @@ func RunElasticCoordinator(spec JobSpec, opt ElasticOptions, prevAttempts int) (
 		log.Printf("distrun: elastic attempt %d: world %d (%d replicas × %d stages)", attempt, sess.World, cur.Replicas(), cur.Stages)
 		flight.Log("rendezvous", -1, -1, fmt.Sprintf("attempt %d world %d (%d replicas × %d stages)", attempt, sess.World, cur.Replicas(), cur.Stages))
 		rep, runErr := Run(sess, cur)
-		world := sess.World
-		sess.Close()
 		if runErr == nil {
+			world := sess.World
+			sess.Close()
 			// A world that finished below full strength may have left a
 			// survivor mid-rejoin (it missed the join-grace window when the
 			// world reformed). Linger on the control address long enough to
@@ -116,6 +116,11 @@ func RunElasticCoordinator(spec JobSpec, opt ElasticOptions, prevAttempts int) (
 			flight.Log("job_done", -1, -1, fmt.Sprintf("attempt %d complete", attempt))
 			return rep, nil
 		}
+		// No graceful goodbye after a failed attempt: a survivor that was not
+		// receiving from the dead rank learns of the failure only from the
+		// coordinator, and a bye would leave it blocked until its receive
+		// timeout — past the re-rendezvous window.
+		sess.Abort()
 		lastErr = runErr
 		flight.Log("attempt_fail", -1, -1, fmt.Sprintf("attempt %d: %v", attempt, runErr))
 		log.Printf("distrun: elastic attempt %d failed: %v; returning to rendezvous at %s", attempt, runErr, opt.CtrlAddr)

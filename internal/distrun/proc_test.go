@@ -170,11 +170,12 @@ func TestFourOSProcessesMatchInProcessLosses(t *testing.T) {
 	}
 }
 
-// TestShardedFourOSProcessesMatchInProcessLosses is the sharded-epilogue
-// variant of the 4-process acceptance test: the same 2×2 DP×PP job with
-// momentum trains with -sharded (ReduceScatterV → shard-local update →
-// AllGatherV over real sockets) and every per-microbatch loss must stay
-// bit-identical to the dense single-process run.
+// TestShardedFourOSProcessesMatchInProcessLosses is the momentum variant of
+// the 4-process acceptance test: the same 2×2 DP×PP job with shard-local
+// optimizer state trains through the sharded exchange (ReduceScatterV → shard-local
+// update → AllGatherV over real sockets) and every per-microbatch loss must
+// stay bit-identical to the dense single-process run. -sharded is passed to
+// pin that the CLI still accepts the (now ignored) flag.
 func TestShardedFourOSProcessesMatchInProcessLosses(t *testing.T) {
 	bins, err := buildCmds()
 	if err != nil {

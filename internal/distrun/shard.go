@@ -14,10 +14,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Sharded-epilogue profiling scopes: the two collectives that replace the
-// dense gradient AllReduce when JobSpec.Sharded is on. Envelope scopes (they
-// contain the collective and wire leaf spans), so the breakdown classifier
-// excludes them; step/sgd still times the (now shard-local) update.
+// Gradient-exchange profiling scopes: the two collectives of the step
+// epilogue. Envelope scopes (they contain the collective and wire leaf spans),
+// so the breakdown classifier excludes them; step/sgd times the shard-local
+// update between them.
 var (
 	scGradRS  = obs.Scope("step/grad_reducescatter")
 	scParamAG = obs.Scope("step/param_allgatherv")
@@ -35,6 +35,8 @@ var (
 type shardPlan struct {
 	world int
 	total int
+	// owners[gi] is the actor that produces gradient gi.
+	owners []int
 	// order[k] is the gradient index occupying flat range [off[k], off[k+1]).
 	order []int
 	off   []int
@@ -60,6 +62,7 @@ func newShardPlan(owners, sizes []int, world int) (*shardPlan, error) {
 	}
 	p := &shardPlan{
 		world:   world,
+		owners:  owners,
 		order:   make([]int, len(owners)),
 		off:     make([]int, len(owners)+1),
 		gradOff: make([]int, len(owners)),
@@ -98,11 +101,21 @@ func planForStep(ts *jaxpp.TrainStep, params []*jaxpp.Tensor, world int) (*shard
 	return newShardPlan(ts.GradOwners(), sizes, world)
 }
 
-// gather packs the tensor list into the owner-major flat vector.
-func (p *shardPlan) gather(flat []float64, ts []*jaxpp.Tensor) {
+// ownerRange returns the flat range [lo, hi) holding every gradient the
+// actor produces — one contiguous range, because the layout sorts by owner —
+// or an empty range for an actor that produces none (replicas above 0).
+func (p *shardPlan) ownerRange(actor int) (lo, hi int) {
+	first := true
 	for k, gi := range p.order {
-		copy(flat[p.off[k]:p.off[k+1]], ts[gi].Data())
+		if p.owners[gi] != actor {
+			continue
+		}
+		if first {
+			lo, first = p.off[k], false
+		}
+		hi = p.off[k+1]
 	}
+	return lo, hi
 }
 
 // scatter unpacks the owner-major flat vector into the tensor list.
@@ -112,18 +125,18 @@ func (p *shardPlan) scatter(ts []*jaxpp.Tensor, flat []float64) {
 	}
 }
 
-// shardedState is the steady-state buffer set of the sharded epilogue, all
+// shardedState is the steady-state buffer set of the step epilogue, all
 // allocated once per job and reused every step (the step-alloc ceiling
 // counts on it):
 //
-//	flatG  — packed per-rank gradient contribution, consumed by the RS-V ring
+//	flatG  — packed per-rank gradient contribution, consumed by the RS-V ring;
+//	         only [contribLo, contribHi) is ever written or read here
 //	gShard — this rank's fully reduced owned gradient slice
-//	uShard — this rank's updated parameter slice (the persistent shard buffer
-//	         that replaces the dense path's full-size double buffer)
-//	flatP  — the full flat parameter vector: AGV destination and the update's
-//	         parameter source, kept in sync with the param tensors
-//	vel    — shard-local optimizer state (momentum velocities), the ~1/world
-//	         memory win; nil for plain SGD
+//	uShard — this rank's updated parameter slice
+//	flatP  — the full flat parameter vector: the AGV destination the param
+//	         tensors are refreshed from
+//	vel    — shard-local optimizer state (momentum velocities), ~1/world of
+//	         the replicated footprint; nil for plain SGD
 type shardedState struct {
 	plan   *shardPlan
 	rank   int
@@ -132,29 +145,32 @@ type shardedState struct {
 	uShard *tensor.Tensor
 	flatP  *tensor.Tensor
 	vel    *tensor.Tensor
-	// ef arms int8 error-feedback compression of the gradient ReduceScatterV;
-	// efRes carries the rank-local quantization residual over this rank's
-	// contributed flat range (allocated lazily on the first exchange, sized to
-	// the contribution — not plan.total — to preserve the sharded memory win).
-	// Like the dense path's residuals, it never travels and is not
-	// checkpointed: a restore restarts compensation from zero.
-	ef     bool
-	efRes  *tensor.Tensor
-	efBase int
+	// contribLo/contribHi is the flat range of the gradients this rank's
+	// actor produces (plan.ownerRange).
+	contribLo, contribHi int
+	// efRes, when non-nil, arms int8 error-feedback compression of the
+	// gradient ReduceScatterV: it carries the rank-local quantization residual
+	// over the contributed range (sized to the contribution, not plan.total).
+	// It never travels and is not checkpointed: a restore restarts
+	// compensation from zero.
+	efRes *tensor.Tensor
 }
 
 // newShardedState allocates the epilogue buffers for this rank and logs the
 // per-rank optimizer-state footprint (the line the CI memory assertion
-// greps).
+// greps). Only vel needs zeros: every other buffer is overwritten before it
+// is read, so they skip the clear (and, on a cold pool, the page faults that
+// come with it).
 func newShardedState(spec JobSpec, plan *shardPlan, rank int) *shardedState {
 	s := &shardedState{
 		plan:   plan,
 		rank:   rank,
-		flatG:  tensor.GetScratchZero(plan.total),
-		gShard: tensor.GetScratchZero(plan.counts[rank]),
-		uShard: tensor.GetScratchZero(plan.counts[rank]),
-		flatP:  tensor.GetScratchZero(plan.total),
+		flatG:  tensor.GetScratchShaped(plan.total),
+		gShard: tensor.GetScratchShaped(plan.counts[rank]),
+		uShard: tensor.GetScratchShaped(plan.counts[rank]),
+		flatP:  tensor.GetScratchShaped(plan.total),
 	}
+	s.contribLo, s.contribHi = plan.ownerRange(rank)
 	shardBytes, denseBytes := 0, 0
 	if spec.Momentum != 0 {
 		s.vel = tensor.GetScratchZero(plan.counts[rank])
@@ -172,109 +188,64 @@ func newShardedState(spec JobSpec, plan *shardPlan, rank int) *shardedState {
 // release recycles the buffer set (keeps a job-retrying process's scratch
 // pool warm).
 func (s *shardedState) release() {
-	tensor.Recycle(s.flatG)
-	tensor.Recycle(s.gShard)
-	tensor.Recycle(s.uShard)
-	tensor.Recycle(s.flatP)
-	if s.vel != nil {
-		tensor.Recycle(s.vel)
-	}
-	if s.efRes != nil {
-		tensor.Recycle(s.efRes)
+	for _, t := range []*tensor.Tensor{s.flatG, s.gShard, s.uShard, s.flatP, s.vel, s.efRes} {
+		if t != nil {
+			tensor.Recycle(t)
+		}
 	}
 }
 
-// armErrorFeedback turns the int8 error-feedback transform on (or off) for
-// subsequent exchanges.
-func (s *shardedState) armErrorFeedback(on bool) { s.ef = on }
-
-// syncParams refreshes the flat parameter mirror from the param tensors.
-// Called once after init/restore; every subsequent step's AllGatherV writes
-// the updated vector straight into flatP.
-func (s *shardedState) syncParams(params []*jaxpp.Tensor) {
-	s.plan.gather(s.flatP.Data(), params)
+// armErrorFeedback turns the int8 error-feedback transform on for subsequent
+// exchanges (a rank that contributes no gradients has nothing to compensate).
+func (s *shardedState) armErrorFeedback() {
+	if s.contribHi > s.contribLo {
+		s.efRes = tensor.GetScratchZero(s.contribHi - s.contribLo)
+	}
 }
 
-// exchange runs one sharded step epilogue: pack this rank's gradient
-// contribution (owned gradients real, everything else the −0.0 additive
-// identity), ReduceScatterV so each rank receives only the slice it owns,
-// run the fused optimizer update on that slice against shard-local state,
-// AllGatherV the updated slices back into the full flat vector, and scatter
-// it into the param tensors. Because −0.0 filler reduces to the owner's bits
+// exchange runs one step epilogue: pack this rank's gradients into its
+// contributed range of the flat vector, ReduceScatterV so each rank receives
+// only the slice it owns, run the fused optimizer update on that slice
+// against shard-local state, AllGatherV the updated slices back into the full
+// flat vector, and scatter it into the param tensors. The sparse RS-V ships a
+// zero-length identity marker — no −0.0 filler, no wire traffic — for every
+// shard this rank contributes nothing to; since x + (−0.0) == x bit for bit
 // in any combine order and the update kernels are elementwise, the resulting
-// parameters are bit-identical to the dense AllReduce path.
+// parameters are bit-identical to RunLocal's whole-tensor update.
 //
 // The gradient ReduceScatterV runs on gradComm — the communicator whose tag
 // window the transport may mark lossy — while the parameter AllGatherV stays
 // on comm: parameters must never quantize, or every rank's weights would
 // degrade once per step regardless of error feedback.
-func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec JobSpec, res *jaxpp.ActorResults, ownedGrad []bool, params []*jaxpp.Tensor) error {
+func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec JobSpec, res *jaxpp.ActorResults, params []*jaxpp.Tensor) error {
 	p := s.plan
 	fg := s.flatG.Data()
-	// Contributed flat range: the union of this rank's owned gradient
-	// segments. The owner-major layout makes the union contiguous, so the
-	// sparse ReduceScatterV can skip the −0.0 filler writes — and the wire
-	// traffic — for every shard this rank contributes nothing to, sending a
-	// zero-length identity marker instead. If the owner table is ever
-	// non-contiguous (or a payload lands outside it), fall back to the dense
-	// filler path; both produce bit-identical shards.
-	contribLo, contribHi, ownedElems := p.total, 0, 0
-	for k, gi := range p.order {
-		if !ownedGrad[gi] {
-			continue
-		}
-		if p.off[k] < contribLo {
-			contribLo = p.off[k]
-		}
-		if p.off[k+1] > contribHi {
-			contribHi = p.off[k+1]
-		}
-		ownedElems += p.off[k+1] - p.off[k]
-	}
-	if contribLo > contribHi {
-		contribLo, contribHi = 0, 0
-	}
-	sparse := ownedElems == contribHi-contribLo
-	for _, gi := range res.GradIdx {
-		if !ownedGrad[gi] {
-			sparse = false
-			break
-		}
-	}
-	if !sparse {
-		for k, gi := range p.order {
-			if ownedGrad[gi] {
-				continue // overwritten with the real payload below
-			}
-			seg := fg[p.off[k]:p.off[k+1]]
-			for i := range seg {
-				seg[i] = negZero
-			}
-		}
-	}
 	for i, gi := range res.GradIdx {
+		if p.owners[gi] != s.rank {
+			// Outside the contributed range the RS-V would never ship it:
+			// the gradient would silently drop out of the sum.
+			return fmt.Errorf("grad pack: rank %d handed gradient %d, which actor %d owns", s.rank, gi, p.owners[gi])
+		}
 		gd := res.Grads[i].Data()
 		copy(fg[p.gradOff[gi]:p.gradOff[gi]+len(gd)], gd)
 		tensor.Recycle(res.Grads[i])
 	}
-	if s.ef && contribHi > contribLo {
-		// Error feedback over the contributed segments, per owned gradient
-		// (matching the dense path's per-tensor quantization grid): fold the
-		// carried residual in, replace the contribution with its own int8
-		// round trip, keep the new error for next step.
+	if s.efRes != nil {
+		// Error feedback over the contributed range, one quantization grid
+		// per gradient tensor: fold the carried residual in, replace the
+		// contribution with its own int8 round trip (so this rank reduces
+		// exactly the values remote ranks decode), keep the new error for next
+		// step. The residual L2 norm is observed per step — bounded norm means
+		// the compression error re-enters the sum instead of accumulating.
 		hq := obs.TrackTid(scQuantEF, s.rank)
-		if s.efRes == nil {
-			s.efRes = tensor.GetScratchZero(contribHi - contribLo)
-			s.efBase = contribLo
-		}
 		var sq float64
 		rd := s.efRes.Data()
 		for k, gi := range p.order {
-			if !ownedGrad[gi] {
+			if p.owners[gi] != s.rank {
 				continue
 			}
 			g := fg[p.off[k]:p.off[k+1]]
-			r := rd[p.off[k]-s.efBase : p.off[k+1]-s.efBase]
+			r := rd[p.off[k]-s.contribLo : p.off[k+1]-s.contribLo]
 			for i := range g {
 				r[i] += g[i]
 				g[i] = r[i]
@@ -290,24 +261,30 @@ func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec Jo
 	}
 
 	hg := obs.TrackTid(scGradRS, s.rank)
-	var err error
-	if sparse {
-		err = gradComm.ReduceScatterVSparseInto(s.gShard, s.flatG, p.counts, contribLo, contribHi, collective.OpSum, 0)
-	} else {
-		err = gradComm.ReduceScatterVInto(s.gShard, s.flatG, p.counts, collective.OpSum, 0)
-	}
+	err := gradComm.ReduceScatterVSparseInto(s.gShard, s.flatG, p.counts, s.contribLo, s.contribHi, collective.OpSum, 0)
 	hg.Stop()
 	if err != nil {
 		return fmt.Errorf("grad reduce-scatter: %w", err)
 	}
 
+	// The owned range reads its parameters straight from the param tensors,
+	// one kernel call per tensor it spans: the kernels are elementwise, so
+	// that is the whole-range update.
 	lo := p.starts[s.rank]
 	hi := lo + p.counts[s.rank]
+	upd, red := s.uShard.Data(), s.gShard.Data()
 	hs := obs.TrackTid(scSGD, s.rank)
-	if spec.Momentum != 0 {
-		model.MomentumRange(s.uShard.Data(), s.flatP.Data()[lo:hi], s.gShard.Data(), s.vel.Data(), spec.LR, spec.Momentum)
-	} else {
-		model.SGDRange(s.uShard.Data(), s.flatP.Data()[lo:hi], s.gShard.Data(), spec.LR)
+	for k, gi := range p.order {
+		a, b := max(p.off[k], lo), min(p.off[k+1], hi)
+		if a >= b {
+			continue
+		}
+		src := params[gi].Data()[a-p.off[k] : b-p.off[k]]
+		if spec.Momentum != 0 {
+			model.MomentumRange(upd[a-lo:b-lo], src, red[a-lo:b-lo], s.vel.Data()[a-lo:b-lo], spec.LR, spec.Momentum)
+		} else {
+			model.SGDRange(upd[a-lo:b-lo], src, red[a-lo:b-lo], spec.LR)
+		}
 	}
 	hs.Stop()
 

@@ -35,7 +35,8 @@ func TestHostedFilterMatchesUnfiltered2Ranks(t *testing.T) {
 }
 
 // TestNegZeroFillIsExactAdditiveIdentity pins the IEEE identity the gradient
-// exchange rests on: an all-reduce where one rank contributes the payload
+// exchange rests on (the sparse ReduceScatterV's identity markers and
+// boundary fills stand for −0.0): an all-reduce where one rank contributes the payload
 // and every other rank contributes negative zeros must reproduce the
 // owner's bits exactly — including for payload elements that are themselves
 // ±0.0, denormal, or negative (a +0.0 fill would flip -0.0 payloads to +0.0
@@ -47,6 +48,7 @@ func TestNegZeroFillIsExactAdditiveIdentity(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, 1e-300, -3.75,
 	}
 	const n = 4
+	negZero := math.Copysign(0, -1)
 	tr := runtime.NewChanTransport()
 	ranks := make([]int, n)
 	for i := range ranks {
