@@ -72,6 +72,10 @@ func validateCollective() (*collectiveValidation, error) {
 // executed-vs-analytic ratio, so kernel regressions and model drift are
 // distinguishable in the snapshot diff.
 type kernelStats struct {
+	// MatMulKernel is the micro-kernel the number below was measured on:
+	// "avx2" (assembly) or "generic" (pure Go) — a snapshot taken on a
+	// machine or build without the assembly is not a regression.
+	MatMulKernel    string  `json:"matmul_kernel"`
 	MatMul256GFLOPs float64 `json:"matmul_256_gflops"`
 	InterpStepUs    float64 `json:"interp_step_us"`
 }
@@ -134,6 +138,7 @@ func measureKernels() (*kernelStats, error) {
 		}
 	}
 	return &kernelStats{
+		MatMulKernel:    tensor.MatMulKernel(),
 		MatMul256GFLOPs: flops / mmSecs / 1e9,
 		InterpStepUs:    time.Since(t1).Seconds() / iters * 1e6,
 	}, nil

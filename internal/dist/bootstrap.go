@@ -170,6 +170,9 @@ type ctrlConn struct {
 
 	// replies receives non-ping protocol messages (barrier_ok, bye, ...).
 	replies chan ctrlMsg
+	// served is closed when the conn's serve loop — its only reader once the
+	// rendezvous is over — has exited. Nil until a serve loop is started.
+	served chan struct{}
 	// lastHeard is guarded by hmu; the heartbeat monitor reads it.
 	hmu       sync.Mutex
 	lastHeard time.Time
@@ -188,6 +191,14 @@ func (cc *ctrlConn) send(m ctrlMsg) error {
 	defer cc.wmu.Unlock()
 	_, err = cc.c.Write(append(data, '\n'))
 	return err
+}
+
+// closeWrite half-closes the conn: the peer reads everything sent so far,
+// then EOF, while this side can still receive.
+func (cc *ctrlConn) closeWrite() {
+	if tc, ok := cc.c.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
 }
 
 func (cc *ctrlConn) read() (ctrlMsg, error) {
@@ -247,14 +258,18 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 	if opts.MinWorld <= 0 || minJoin > maxWorld-1 {
 		minJoin = maxWorld - 1
 	}
-	tr, err := NewTransport(0, opts.Transport)
-	if err != nil {
-		return nil, err
-	}
+	// The control address is bound before the data plane asks the kernel for
+	// an ephemeral port: the other way round, a caller that picked ctrlAddr
+	// by probing ":0" could see that very port handed to the data plane and
+	// lose the control listen to "address already in use".
 	ln, err := net.Listen("tcp", ctrlAddr)
 	if err != nil {
-		tr.Close()
 		return nil, fmt.Errorf("dist: coordinator listen %s: %w", ctrlAddr, err)
+	}
+	tr, err := NewTransport(0, opts.Transport)
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
 	s := &Session{Rank: 0, Transport: tr, opts: opts, ctrlLn: ln}
 	deadline := time.Now().Add(opts.RendezvousTimeout)
@@ -406,6 +421,7 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 	s.workers = pending
 	tr.Connect(book)
 	for _, cc := range pending {
+		cc.served = make(chan struct{})
 		go s.coordinatorServe(cc)
 	}
 	go s.coordinatorMonitor()
@@ -480,6 +496,7 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	s := &Session{Rank: m.Rank, World: m.World, Transport: tr, Job: m.Job, opts: opts, coord: cc}
+	cc.served = make(chan struct{})
 	go s.workerServe()
 	go s.workerMonitor()
 	return s, nil
@@ -495,13 +512,16 @@ func (t *Transport) setRank(rank int) {
 // liveness, everything else lands in the reply channel. A broken conn (the
 // worker process died) poisons the data plane immediately.
 func (s *Session) coordinatorServe(cc *ctrlConn) {
+	defer close(cc.served)
 	cc.touch() // heartbeat accounting starts now, not at conn creation
 	stopPing := startPinger(cc, s.opts.HeartbeatInterval, nil)
 	defer stopPing()
 	for {
 		m, err := cc.read()
 		if err != nil {
-			if !s.closing.Load() && !s.Transport.isClosed() {
+			if cc.departed.Load() {
+				cc.closeWrite() // answer the departed worker's FIN so its close stops waiting
+			} else if !s.closing.Load() && !s.Transport.isClosed() {
 				s.fail(fmt.Errorf("dist: worker rank %d control connection broke: %v", cc.rank, err))
 			}
 			return
@@ -515,8 +535,9 @@ func (s *Session) coordinatorServe(cc *ctrlConn) {
 			cc.send(ctrlMsg{Type: "pong"})
 		case "pong":
 		case "bye":
+			// Keep reading to the end of the stream: the peer half-closes
+			// after its bye and waits for our side to drain (Session.close).
 			cc.departed.Store(true)
-			return
 		default:
 			select {
 			case cc.replies <- m:
@@ -558,13 +579,16 @@ func (s *Session) coordinatorMonitor() {
 // workerServe pumps the coordinator conn on a worker.
 func (s *Session) workerServe() {
 	cc := s.coord
+	defer close(cc.served)
 	cc.touch() // heartbeat accounting starts now, not at conn creation
 	stopPing := startPinger(cc, s.opts.HeartbeatInterval, s.collectMetrics)
 	defer stopPing()
 	for {
 		m, err := cc.read()
 		if err != nil {
-			if !s.closing.Load() && !s.Transport.isClosed() {
+			if cc.departed.Load() {
+				cc.closeWrite() // answer the departed coordinator's FIN
+			} else if !s.closing.Load() && !s.Transport.isClosed() {
 				s.Transport.Poison(fmt.Errorf("dist: coordinator connection broke: %v", err))
 			}
 			return
@@ -580,8 +604,7 @@ func (s *Session) workerServe() {
 			// without a direct data-plane stream from it.
 			s.Transport.Poison(fmt.Errorf("dist: coordinator reported failure: %s", m.Err))
 		case "bye":
-			cc.departed.Store(true)
-			return
+			cc.departed.Store(true) // and read on to EOF, as coordinatorServe does
 		default:
 			select {
 			case cc.replies <- m:
@@ -778,13 +801,34 @@ func (s *Session) Abort() {
 	})
 }
 
+// closeDrainTimeout bounds how long a graceful close waits for the peers to
+// finish reading and close their side; a wedged peer costs this much, once.
+const closeDrainTimeout = time.Second
+
+// close says goodbye on every control conn without resetting any of them.
+// Closing a TCP socket that still holds unread bytes — a heartbeat ping that
+// arrived after the serve loop's last read is enough — makes the kernel send
+// a reset instead of a FIN and throw away whatever this side had written but
+// the peer had not yet received: the tail of a profile, the bye itself. So
+// each conn is half-closed after its bye, its serve loop keeps consuming what
+// the peer sends until the peer's FIN arrives (a serve loop answers a
+// departed peer's FIN with its own, so this is one round trip) or the drain
+// deadline passes, and only then is the socket released.
 func (s *Session) close(cause error) error {
+	conns := s.workers
 	if s.coord != nil {
-		s.coord.send(ctrlMsg{Type: "bye"})
-		s.coord.c.Close()
+		conns = []*ctrlConn{s.coord}
 	}
-	for _, cc := range s.workers {
+	deadline := time.Now().Add(closeDrainTimeout)
+	for _, cc := range conns {
 		cc.send(ctrlMsg{Type: "bye"})
+		cc.closeWrite()
+		cc.c.SetDeadline(deadline) // ends the serve loop's read if the peer never answers
+	}
+	for _, cc := range conns {
+		if cc.served != nil {
+			<-cc.served
+		}
 		cc.c.Close()
 	}
 	if s.ctrlLn != nil {

@@ -6,24 +6,43 @@ import (
 	"testing"
 )
 
-// BenchmarkMatMul measures the (possibly parallel) matmul kernel across the
-// size range the pipeline microbatches and calibration models span. Run with
-// -benchmem so allocation regressions in the kernel path are visible.
+// BenchmarkMatMul measures the (possibly parallel) matmul kernel: square
+// sizes across the range the pipeline microbatches and calibration models
+// span, then the (m, k, n) shapes the benchmark workloads issue — forward
+// and dx (rows x width x width) and dW (width x rows x width) of pp4-compute,
+// pp4-small and the dp2x2 pair — each with a dense a and with half of a's
+// entries zero, about what ReLU leaves (TestMatMulOperandZeroFraction in
+// internal/distrun measures 41% over a pp4-compute step). GFLOP/s counts the
+// dense 2mkn either way, so the zero50 rows read as effective throughput. Run
+// with -benchmem so allocation regressions in the kernel path are visible.
 func BenchmarkMatMul(b *testing.B) {
-	for _, size := range []int{64, 128, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+	run := func(name string, m, k, n int, zeroFrac float64) {
+		b.Run(name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
-			x := rnd(r, size, size)
-			y := rnd(r, size, size)
-			dst := New(size, size)
-			b.SetBytes(int64(8 * size * size))
+			x := rnd(r, m, k)
+			for i := range x.data {
+				if r.Float64() < zeroFrac {
+					x.data[i] = 0
+				}
+			}
+			y := rnd(r, k, n)
+			dst := New(m, n)
+			b.SetBytes(int64(8 * m * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, x, y)
 			}
-			flops := 2 * float64(size) * float64(size) * float64(size)
+			flops := 2 * float64(m) * float64(k) * float64(n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
+	}
+	for _, size := range []int{64, 128, 256, 512} {
+		run(fmt.Sprintf("n=%d", size), size, size, size, 0)
+	}
+	for _, s := range [][3]int{{128, 256, 256}, {256, 128, 256}, {8, 32, 32}, {4, 512, 512}, {512, 4, 512}} {
+		name := fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])
+		run(name+"/dense", s[0], s[1], s[2], 0)
+		run(name+"/zero50", s[0], s[1], s[2], 0.5)
 	}
 }
 
@@ -74,4 +93,38 @@ func BenchmarkElementwise(b *testing.B) {
 			AxpyInto(dst, x, 0.5)
 		}
 	})
+}
+
+// BenchmarkReLU measures the two ReLU loops on half-negative data, where a
+// compare-and-branch per element mispredicts half the time.
+func BenchmarkReLU(b *testing.B) {
+	const n = 128 * 256
+	x := rnd(rand.New(rand.NewSource(1)), n)
+	dst := New(n)
+	for _, k := range []struct {
+		name string
+		into func(dst, a *Tensor)
+	}{{"ReLUInto", ReLUInto}, {"ReLUMaskInto", ReLUMaskInto}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				k.into(dst, x)
+			}
+		})
+	}
+}
+
+// BenchmarkTranspose measures TransposeInto on the activation and weight
+// shapes the backward pass transposes every microbatch.
+func BenchmarkTranspose(b *testing.B) {
+	for _, s := range [][2]int{{128, 256}, {256, 256}, {4, 512}, {512, 512}} {
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			x := rnd(rand.New(rand.NewSource(1)), s[0], s[1])
+			dst := New(s[1], s[0])
+			b.SetBytes(int64(8 * s[0] * s[1]))
+			for i := 0; i < b.N; i++ {
+				TransposeInto(dst, x)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -214,4 +215,57 @@ func TestReshapeViewOfScratch(t *testing.T) {
 		t.Fatal("ReshapeCopy shares storage")
 	}
 	Recycle(base)
+}
+
+// TestReLUAndTransposeMatchOldLoops holds the branch-free ReLU loops and the
+// tiled transpose to the loops they replaced, bit for bit: both are pure
+// selects and copies, so nothing may differ — including NaN (not > 0, so 0),
+// both zeros (+0 out), infinities and subnormals, and transposes whose edges
+// are not a multiple of the tile.
+func TestReLUAndTransposeMatchOldLoops(t *testing.T) {
+	oldReLU := func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	}
+	oldMask := func(x float64) float64 {
+		if x > 0 {
+			return 1
+		}
+		return 0
+	}
+	r := rand.New(rand.NewSource(3))
+	a := rnd(r, 37, 29)
+	copy(a.data, []float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Float64frombits(0xFFF8000000000000),
+		math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64})
+	relu, mask := New(37, 29), New(37, 29)
+	ReLUInto(relu, a)
+	ReLUMaskInto(mask, a)
+	for i, x := range a.data {
+		if got, want := relu.data[i], oldReLU(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ReLUInto(%v) = %v (%x), old loop %v", x, got, math.Float64bits(got), want)
+		}
+		if got, want := mask.data[i], oldMask(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ReLUMaskInto(%v) = %v (%x), old loop %v", x, got, math.Float64bits(got), want)
+		}
+	}
+
+	for _, s := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 40}, {40, 1}, {15, 17}, {16, 16}, {33, 31}, {128, 256}, {70, 3}} {
+		m, n := s[0], s[1]
+		src := rnd(r, m, n)
+		got := GetScratchShaped(n, m)
+		for i := range got.data {
+			got.data[i] = math.NaN() // every element must be overwritten
+		}
+		TransposeInto(got, src)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if g, w := got.data[j*m+i], src.data[i*n+j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("TransposeInto %dx%d: dst[%d][%d] = %v, want %v", m, n, j, i, g, w)
+				}
+			}
+		}
+		Recycle(got)
+	}
 }

@@ -1,0 +1,226 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// naiveMatMul is the reference the kernels are held to: the scalar ikj loop
+// with its zero skip, every product rounded before it is added.
+func naiveMatMul(dst, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		o := dst[i*n : (i+1)*n]
+		clear(o)
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := range o {
+				o[j] = o[j] + float64(av*b[p*n+j])
+			}
+		}
+	}
+}
+
+// Bits of kernelCase.flags.
+const (
+	caseSpecials = 1 << iota // -0 and subnormals in a; ±Inf, NaN in b, opposite zero and non-zero a
+	caseViews                // operands are borrowed views at odd element offsets
+	caseZeroRows             // every other row of a is all zero
+)
+
+// kernelCase describes one differential input; the fuzz target's arguments
+// map onto it one to one.
+type kernelCase struct {
+	m, k, n int
+	seed    int64
+	zeroPct int // share of a's entries that are zero
+	flags   int
+}
+
+func (c kernelCase) String() string {
+	return fmt.Sprintf("m=%d k=%d n=%d seed=%d zero=%d%% flags=%b", c.m, c.k, c.n, c.seed, c.zeroPct, c.flags)
+}
+
+// operand returns a rows x cols tensor with fill's values: freshly owned, or
+// (caseViews) a borrowed view starting off elements into a larger buffer, so
+// that its rows sit at addresses no vector load would call aligned.
+func (c kernelCase) operand(rows, cols, off int, fill func(i int) float64) *Tensor {
+	if c.flags&caseViews == 0 {
+		t := New(rows, cols)
+		for i := range t.data {
+			t.data[i] = fill(i)
+		}
+		return t
+	}
+	flat := New(off + rows*cols + 3)
+	for i := range flat.data {
+		flat.data[i] = math.NaN() // a read outside the view poisons the product
+	}
+	v := Reshape(ViewRange0(flat, off, off+rows*cols), rows, cols)
+	for i := range v.data {
+		v.data[i] = fill(i)
+	}
+	return v
+}
+
+// build materialises the operands of c.
+func (c kernelCase) build() (a, b *Tensor) {
+	r := rand.New(rand.NewSource(c.seed))
+	special := c.flags&caseSpecials != 0
+	a = c.operand(c.m, c.k, 1, func(i int) float64 {
+		if c.flags&caseZeroRows != 0 && c.k > 0 && (i/c.k)%2 == 0 {
+			return 0
+		}
+		if r.Intn(100) < c.zeroPct {
+			if special && r.Intn(2) == 0 {
+				return math.Copysign(0, -1)
+			}
+			return 0
+		}
+		if special && r.Intn(16) == 0 {
+			return 5e-324 * float64(1+r.Intn(1000))
+		}
+		return r.NormFloat64()
+	})
+	b = c.operand(c.k, c.n, 3, func(int) float64 {
+		if special {
+			switch r.Intn(24) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			case 2:
+				return math.NaN()
+			case 3:
+				return 1e-310
+			}
+		}
+		return r.NormFloat64()
+	})
+	return a, b
+}
+
+// sameBits compares two results bit for bit. Every NaN is one value here:
+// which payload survives when two NaNs meet depends on operand order inside
+// an instruction, which the Go compiler does not pin down for the reference.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+// checkKernelCase runs c through every kernel this build has and compares
+// each against naiveMatMul.
+func checkKernelCase(t testing.TB, c kernelCase) {
+	t.Helper()
+	a, b := c.build()
+	want := make([]float64, c.m*c.n)
+	naiveMatMul(want, a.data, b.data, c.m, c.k, c.n)
+	forEachKernel(func(kernel string) {
+		dst := New(c.m, c.n)
+		for i := range dst.data {
+			dst.data[i] = math.NaN() // the kernel must overwrite every element
+		}
+		MatMulInto(dst, a, b)
+		for i, w := range want {
+			if !sameBits(dst.data[i], w) {
+				t.Fatalf("%s kernel, %v: element %d = %x (%v), reference %x (%v)",
+					kernel, c, i, math.Float64bits(dst.data[i]), dst.data[i], math.Float64bits(w), w)
+			}
+		}
+	})
+}
+
+// TestMatMulKernelBitIdentical holds the assembly kernel and the pure-Go
+// kernel to the naive reference bit for bit: every k and n up to 70 (all
+// n%8 column tails, all nnz%4 list tails), every m up to 70 (inline and
+// row-block-parallel), k across the compaction-chunk boundaries, all-zero
+// rows, signed zeros, subnormals, non-finite b under the zero skip, and
+// unaligned borrowed views.
+func TestMatMulKernelBitIdentical(t *testing.T) {
+	var cases []kernelCase
+	id := 0
+	add := func(m, k, n int) {
+		id++
+		cases = append(cases, kernelCase{
+			m: m, k: k, n: n, seed: int64(id),
+			zeroPct: []int{0, 50, 90, 100}[id%4],
+			flags:   (id / 4) % 8,
+		})
+	}
+	for k := 0; k <= 70; k++ {
+		for n := 0; n <= 70; n++ {
+			add(1, k, n)
+			add(3, k, n)
+		}
+	}
+	for m := 0; m <= 70; m++ {
+		for _, kn := range [][2]int{{0, 5}, {5, 0}, {7, 9}, {33, 31}, {64, 64}, {70, 70}} {
+			add(m, kn[0], kn[1])
+		}
+	}
+	for _, k := range []int{127, 128, 129, 511, 512, 513, 1030} {
+		for _, n := range []int{1, 8, 13, 40} {
+			for rep := 0; rep < 8; rep++ { // every zero share and flag set
+				add(2, k, n)
+			}
+		}
+	}
+	for _, c := range cases {
+		checkKernelCase(t, c)
+	}
+}
+
+// TestMatMulFusedRouteThroughKernel pins that the fused entry points are the
+// same kernel plus their epilogue, on shapes large enough to split into row
+// blocks.
+func TestMatMulFusedRouteThroughKernel(t *testing.T) {
+	c := kernelCase{m: 96, k: 70, n: 67, seed: 5, zeroPct: 50}
+	a, b := c.build()
+	bias := rnd(rand.New(rand.NewSource(6)), c.m, c.n)
+	want := New(c.m, c.n)
+	naiveMatMul(want.data, a.data, b.data, c.m, c.k, c.n)
+	forEachKernel(func(kernel string) {
+		got := GetScratchShaped(c.m, c.n)
+		MatMulReLUInto(got, a, b)
+		if !AllClose(got, ReLU(want), 0, 0) {
+			t.Errorf("%s kernel: MatMulReLUInto differs from relu(reference)", kernel)
+		}
+		MatMulAddReLUInto(got, a, b, bias)
+		if !AllClose(got, ReLU(Add(want, bias)), 0, 0) {
+			t.Errorf("%s kernel: MatMulAddReLUInto differs from relu(reference + c)", kernel)
+		}
+		Recycle(got)
+	})
+}
+
+// TestMatMulInlinePathAllocFree pins 0 allocs/op for matmuls that run on the
+// calling goroutine: the non-zero list lives on the stack and never escapes
+// into the assembly call.
+func TestMatMulInlinePathAllocFree(t *testing.T) {
+	for _, s := range [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24}} {
+		c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: 50}
+		a, b := c.build()
+		dst := New(c.m, c.n)
+		forEachKernel(func(kernel string) {
+			if n := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, b) }); n != 0 {
+				t.Errorf("%s kernel: MatMulInto %v allocates %v times per call", kernel, s, n)
+			}
+		})
+	}
+}
+
+// FuzzMatMulKernel is the differential test driven by the fuzzer; the
+// committed corpus under testdata/fuzz holds the boundary cases.
+func FuzzMatMulKernel(f *testing.F) {
+	f.Add(uint8(3), uint16(5), uint8(9), int64(1), uint8(50), uint8(0))
+	f.Add(uint8(2), uint16(513), uint8(13), int64(2), uint8(50), uint8(caseSpecials|caseViews))
+	f.Fuzz(func(t *testing.T, m uint8, k uint16, n uint8, seed int64, zeroPct, flags uint8) {
+		checkKernelCase(t, kernelCase{
+			m: int(m) % 72, k: int(k) % 1100, n: int(n) % 72,
+			seed: seed, zeroPct: int(zeroPct) % 101, flags: int(flags) % 8,
+		})
+	})
+}

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // Elementwise kernels are specialized per operator (no closure dispatch in
@@ -232,15 +234,27 @@ func ReLU(a *Tensor) *Tensor {
 	return out
 }
 
+// positiveBits reports x > 0 from x's IEEE bits without a floating-point
+// compare: true for (0, +Inf], false for ±0, negatives and every NaN — bits-1
+// wraps +0 to the top of the range and pushes NaNs past +Inf. The ReLU loops
+// select on it with a conditional move, where `if x > 0` on half-positive
+// data mispredicts every other element.
+func positiveBits(bits uint64) bool {
+	const posInf = 0x7FF0000000000000
+	return bits-1 < posInf
+}
+
 // ReLUInto stores max(a, 0) into dst (dst may alias a).
 func ReLUInto(dst, a *Tensor) {
 	checkDst("ReLUInto", dst, a.shape)
+	out := dst.data[:len(a.data)]
 	for i, x := range a.data {
-		if x > 0 {
-			dst.data[i] = x
-		} else {
-			dst.data[i] = 0
+		bits := math.Float64bits(x)
+		var r uint64
+		if positiveBits(bits) {
+			r = bits
 		}
+		out[i] = math.Float64frombits(r)
 	}
 }
 
@@ -254,12 +268,14 @@ func ReLUMask(a *Tensor) *Tensor {
 // ReLUMaskInto stores the ReLU derivative mask of a into dst (dst may alias a).
 func ReLUMaskInto(dst, a *Tensor) {
 	checkDst("ReLUMaskInto", dst, a.shape)
+	const one = 0x3FF0000000000000
+	out := dst.data[:len(a.data)]
 	for i, x := range a.data {
-		if x > 0 {
-			dst.data[i] = 1
-		} else {
-			dst.data[i] = 0
+		var r uint64
+		if positiveBits(math.Float64bits(x)) {
+			r = one
 		}
+		out[i] = math.Float64frombits(r)
 	}
 }
 
@@ -283,33 +299,39 @@ func matMulShapes(a, b *Tensor) (m, k, n int) {
 	return a.shape[0], a.shape[1], b.shape[1]
 }
 
-// matMulRows computes rows [lo, hi) of dst = a @ b (ikj loop order), zeroing
-// the destination rows first so dst may hold scratch garbage.
+// matMulRows computes rows [lo, hi) of dst = a @ b, zeroing the destination
+// rows first so dst may hold scratch garbage. Each row of a is compacted to
+// its non-zeros, which axpyList then accumulates in ascending p (the kernel
+// contract is in matmul_kernel.go): bit for bit the scalar ikj loop with its
+// `a[i][p] == 0` skip.
 func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
+	if n == 0 {
+		return
+	}
+	b = b[:k*n] // every list offset p*n, p < k, addresses a whole row of b
+	var nzs [nzChunk]nzEnt
+	nonZeros := 0
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
+		clear(orow)
+		for p0 := 0; p0 < k; p0 += nzChunk {
+			if nz := compactNonZeros(&nzs, arow[p0:], p0, n); nz > 0 {
+				axpyList(orow, b, nzs[:nz])
+				nonZeros += nz
 			}
 		}
 	}
+	obs.Add(cMatMulElems, int64((hi-lo)*k))
+	obs.Add(cMatMulNonZeros, int64(nonZeros))
 }
 
 // matMulGrain returns the minimum row-block size worth shipping to a worker:
-// roughly 64k flops per block, so small matmuls stay on the calling
-// goroutine.
+// roughly 256k flops per block — about 20 µs of the vectorised kernel at its
+// measured ~13 GFLOP/s, the same block duration the scalar kernel's 64k
+// flops bought — so small matmuls stay on the calling goroutine.
 func matMulGrain(k, n int) int {
-	g := 32768 / (k*n + 1)
+	g := 131072 / (k*n + 1)
 	if g < 1 {
 		g = 1
 	}
@@ -427,6 +449,14 @@ func Transpose(a *Tensor) *Tensor {
 	return out
 }
 
+// transposeTile is the edge of the square tiles TransposeInto moves. A tile
+// reads transposeTile row segments and writes transposeTile column segments,
+// few enough cache lines that the strided side stays in L1: the untiled loop
+// walked a whole column per element, and a power-of-two height maps a column
+// onto a handful of cache sets. 16 measured best of 8/16/32 on the 128x256
+// and 256x256 operands the backward pass transposes.
+const transposeTile = 16
+
 // TransposeInto stores the rank-2 transpose of a into dst. dst must not
 // alias a.
 func TransposeInto(dst, a *Tensor) {
@@ -435,10 +465,16 @@ func TransposeInto(dst, a *Tensor) {
 	}
 	m, n := a.shape[0], a.shape[1]
 	checkDst2("TransposeInto", dst, n, m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		for j, v := range row {
-			dst.data[j*m+i] = v
+	for i0 := 0; i0 < m; i0 += transposeTile {
+		i1 := min(i0+transposeTile, m)
+		for j0 := 0; j0 < n; j0 += transposeTile {
+			j1 := min(j0+transposeTile, n)
+			for i := i0; i < i1; i++ {
+				col := dst.data[j0*m+i:]
+				for j, v := range a.data[i*n+j0 : i*n+j1] {
+					col[j*m] = v
+				}
+			}
 		}
 	}
 }
