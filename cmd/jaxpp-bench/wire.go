@@ -13,6 +13,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Wire throughput benchmark: tagged tensor ping-pongs between two actors on
@@ -120,15 +121,14 @@ const wireTagOut, wireTagBack = 1 << 16, 1<<16 + 1
 
 // pingPongSender runs the timing half of a ping-pong against actor 1 on any
 // transport: send wireElems-float64 tensors under tagOut, receive the echo
-// under tagBack, report payload GB/s both directions. senderOwns selects
-// the transport's Send ownership contract: false for ChanTransport (the
-// tensor reference moves to the receiver), true for the dist wire tiers
-// (Send serializes; the caller keeps the pool-owned tensor and must Recycle
-// it — skipping that would flood the timed loop with 4 MiB garbage and
-// measure GC pressure instead of the wire). The echo peer runs elsewhere: a
-// goroutine for the in-process tiers, a child process for the cross-process
-// tier.
-func pingPongSender(tr runtime.Transport, iters int, senderOwns bool) (float64, error) {
+// under tagBack, report payload GB/s both directions. On a serializing
+// transport (SenderOwnsSent) the caller keeps the pool-owned tensor and must
+// Recycle it — skipping that would flood the timed loop with 4 MiB garbage
+// and measure GC pressure instead of the wire. The echo peer runs elsewhere:
+// a goroutine for the in-process tiers, a child process for the
+// cross-process tier.
+func pingPongSender(tr transport.Transport, iters int) (float64, error) {
+	senderOwns := tr.SenderOwnsSent()
 	payload := make([]float64, wireElems)
 	for i := range payload {
 		payload[i] = float64(i)
@@ -156,7 +156,8 @@ func pingPongSender(tr runtime.Transport, iters int, senderOwns bool) (float64, 
 }
 
 // pingPong is pingPongSender with an in-process echo peer on actor 1.
-func pingPong(tr runtime.Transport, iters int, senderOwns bool) (float64, error) {
+func pingPong(tr transport.Transport, iters int) (float64, error) {
+	senderOwns := tr.SenderOwnsSent()
 	errCh := make(chan error, 1)
 	go func() {
 		for i := 0; i < iters; i++ {
@@ -172,7 +173,7 @@ func pingPong(tr runtime.Transport, iters int, senderOwns bool) (float64, error)
 		}
 		errCh <- nil
 	}()
-	gbs, err := pingPongSender(tr, iters, senderOwns)
+	gbs, err := pingPongSender(tr, iters)
 	if err != nil {
 		return 0, err
 	}
@@ -244,7 +245,7 @@ func measureMultiProc() (float64, error) {
 			lastErr = err
 			continue
 		}
-		gbs, err := pingPongSender(sess.Transport, wireIters, true)
+		gbs, err := pingPongSender(sess.Transport, wireIters)
 		if err == nil {
 			err = sess.Barrier()
 		}
@@ -292,14 +293,14 @@ func measureWireCollective(n, elems int) (float64, error) {
 func measureWire() (*wireStats, error) {
 	s := &wireStats{}
 	var err error
-	if s.ChanTransportGBs, err = pingPong(runtime.NewChanTransport(), wireIters, false); err != nil {
+	if s.ChanTransportGBs, err = pingPong(runtime.NewChanTransport(), wireIters); err != nil {
 		return nil, fmt.Errorf("chan transport: %w", err)
 	}
 	mesh, err := dist.NewLocalMesh(2, dist.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s.TCPLocalGBs, err = pingPong(mesh, wireIters, true)
+	s.TCPLocalGBs, err = pingPong(mesh, wireIters)
 	mesh.Close()
 	if err != nil {
 		return nil, fmt.Errorf("tcp local mesh: %w", err)
@@ -336,10 +337,11 @@ type shapedValidation struct {
 }
 
 // shapedMesh routes each actor's sends through its own link shaper over a
-// shared LocalMesh, so a whole in-process world sees the modeled network.
+// shared LocalMesh (which still serves Recv, Err and Poison), so a whole
+// in-process world sees the modeled network.
 type shapedMesh struct {
-	mesh *dist.LocalMesh
-	eps  []*dist.ShapedTransport
+	*dist.LocalMesh
+	eps []*dist.ShapedTransport
 }
 
 func newShapedMesh(n int, opts dist.ShapeOpts) (*shapedMesh, error) {
@@ -347,7 +349,7 @@ func newShapedMesh(n int, opts dist.ShapeOpts) (*shapedMesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &shapedMesh{mesh: mesh}
+	m := &shapedMesh{LocalMesh: mesh}
 	for r := 0; r < n; r++ {
 		m.eps = append(m.eps, dist.NewShapedTransport(mesh.Endpoint(r), opts))
 	}
@@ -355,17 +357,12 @@ func newShapedMesh(n int, opts dist.ShapeOpts) (*shapedMesh, error) {
 }
 
 func (m *shapedMesh) Send(from, to, tag int, t *tensor.Tensor) { m.eps[from].Send(from, to, tag, t) }
-func (m *shapedMesh) Recv(to, from, tag int) (*tensor.Tensor, error) {
-	return m.mesh.Recv(to, from, tag)
-}
-func (m *shapedMesh) SenderOwnsSent() bool { return true }
-func (m *shapedMesh) Err() error           { return m.mesh.Err() }
-func (m *shapedMesh) Poison(err error)     { m.mesh.Poison(err) }
+
 func (m *shapedMesh) Close() {
 	for _, ep := range m.eps {
 		ep.Stop()
 	}
-	m.mesh.Close()
+	m.LocalMesh.Close()
 }
 
 // validateShaped calibrates a shaped link pair, measures a bucketed ring

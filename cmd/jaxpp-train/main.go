@@ -52,7 +52,7 @@ func main() {
 	netLatency := flag.Duration("net-latency", 0, "degraded-network mode: one-way latency added to every cross-rank frame (-distributed; distributed to workers via the job payload)")
 	netJitter := flag.Duration("net-jitter", 0, "degraded-network mode: uniform ±jitter on -net-latency")
 	netBW := flag.Float64("net-bw-gbs", 0, "degraded-network mode: per-link bandwidth cap in GB/s (0 = uncapped)")
-	netLoss := flag.Float64("net-loss", 0, "degraded-network mode: per-frame loss probability (no retransmit: the receive side times out and poisons)")
+	netLoss := flag.Float64("net-loss", 0, "degraded-network mode: per-frame loss probability (no retransmit: the receiver's Recv returns a timeout error and the job fails)")
 	netSeed := flag.Uint64("net-seed", 1, "degraded-network mode: deterministic per-link jitter/loss seed")
 	lossesOut := flag.String("losses-out", "", "write per-step losses as JSON to this path (rank 0 / local only)")
 	profile := flag.Bool("profile", false, "arm the obs registry and log a one-line per-step compute/wire/idle summary")
@@ -119,21 +119,23 @@ func main() {
 		HeartbeatMisses:   *hbMisses,
 		JoinGrace:         *joinGrace,
 	}
-	tl, telDone := setupTelemetry(*metricsAddr, *flightDir)
+	tl, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, false)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer telDone()
 	if tl != nil {
 		sessOpts.OnMetrics = tl.IngestFrame
 	}
 
 	var rep *distrun.Report
-	var err error
 	switch {
 	case *resume != "":
 		rep, err = runResumed(*resume, sessOpts, *minReplicas, *maxAttempts)
 	case *distributed && *elastic:
 		rep, err = runElastic(spec, *rank, *coordinator, sessOpts, *minReplicas, *maxAttempts)
 	case *distributed:
-		rep, err = runDistributed(spec, *rank, *coordinator, *crc, sessOpts)
+		rep, err = runDistributed(spec, *rank, *coordinator, sessOpts)
 	case *tcp:
 		var mesh *dist.LocalMesh
 		mesh, err = dist.NewLocalMesh(spec.World(), dist.Options{CRC: *crc})
@@ -200,6 +202,17 @@ func writeTrace(path string, rep *distrun.Report) error {
 	return nil
 }
 
+// bootstrap brings this process into a -distributed world: rank 0 coordinates
+// and distributes job as the rendezvous payload, any other rank joins exactly
+// like a jaxpp-worker would and finds the payload in Session.Job.
+func bootstrap(rank int, coordinator string, world int, job []byte, opts dist.SessionOptions) (*dist.Session, error) {
+	opts.WantRank = rank
+	if rank == 0 {
+		return dist.Coordinate(coordinator, world, job, opts)
+	}
+	return dist.Join(coordinator, opts)
+}
+
 // runCollective runs the wire-collective verification: across OS processes
 // when -distributed (rank 0 coordinates, peers are jaxpp-worker daemons —
 // the job payload's kind routes them into the collective runner), otherwise
@@ -208,22 +221,16 @@ func runCollective(cs distrun.CollectiveSpec, distributed bool, rank int, coordi
 	if !distributed {
 		return distrun.RunCollectiveLocal(cs, dist.Options{CRC: crc})
 	}
-	opts := dist.SessionOptions{Transport: dist.Options{CRC: crc}, WantRank: rank}
-	if rank == 0 {
-		sess, err := dist.Coordinate(coordinator, cs.World, cs.Marshal(), opts)
-		if err != nil {
-			return err
-		}
-		defer sess.Close()
-		fmt.Printf("coordinator up: collective world %d at %s\n", cs.World, coordinator)
-		return distrun.RunCollective(sess, cs)
-	}
-	sess, err := dist.Join(coordinator, opts)
+	sess, err := bootstrap(rank, coordinator, cs.World, cs.Marshal(), dist.SessionOptions{Transport: dist.Options{CRC: crc}})
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
-	return distrun.RunJob(sess)
+	if rank != 0 {
+		return distrun.RunJob(sess)
+	}
+	fmt.Printf("coordinator up: collective world %d at %s\n", cs.World, coordinator)
+	return distrun.RunCollective(sess, cs)
 }
 
 // runElastic runs the coordinator's rendezvous–train–recover loop (rank 0) —
@@ -272,26 +279,20 @@ func runResumed(statePath string, sessOpts dist.SessionOptions, minReplicas, max
 	return distrun.RunElasticCoordinator(spec, opt, st.Attempt)
 }
 
-// runDistributed bootstraps this process's rank: rank 0 coordinates (and
-// hosts actor 0), other ranks join exactly like a jaxpp-worker would.
-func runDistributed(spec distrun.JobSpec, rank int, coordinator string, crc bool, opts dist.SessionOptions) (*distrun.Report, error) {
-	opts.Transport = dist.Options{CRC: crc}
-	opts.WantRank = rank
-	if rank == 0 {
-		sess, err := dist.Coordinate(coordinator, spec.World(), spec.Marshal(), opts)
-		if err != nil {
-			return nil, err
-		}
-		defer sess.Close()
-		fmt.Printf("coordinator up: world %d (%d replicas × %d stages) at %s\n",
-			spec.World(), spec.Replicas(), spec.Stages, coordinator)
-		return distrun.Run(sess, spec)
-	}
-	sess, err := dist.Join(coordinator, opts)
+// runDistributed runs this process's rank of the training job: rank 0 hosts
+// actor 0 and runs the spec it distributed, other ranks run the spec they
+// received.
+func runDistributed(spec distrun.JobSpec, rank int, coordinator string, opts dist.SessionOptions) (*distrun.Report, error) {
+	sess, err := bootstrap(rank, coordinator, spec.World(), spec.Marshal(), opts)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
+	if rank == 0 {
+		fmt.Printf("coordinator up: world %d (%d replicas × %d stages) at %s\n",
+			spec.World(), spec.Replicas(), spec.Stages, coordinator)
+		return distrun.Run(sess, spec)
+	}
 	got, err := distrun.UnmarshalJobSpec(sess.Job)
 	if err != nil {
 		return nil, err

@@ -45,7 +45,10 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "record this rank's job/failure events into a crash-surviving flight-recorder ring in this directory (replay with jaxpp-viz -flight)")
 	flag.Parse()
 
-	telDone := setupTelemetry(*metricsAddr, *flightDir)
+	_, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer telDone()
 
 	opts := dist.SessionOptions{

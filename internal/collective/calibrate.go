@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/perf"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // calibTagBase is a reserved tag window for calibration traffic, below the
@@ -28,7 +29,7 @@ const calibTagBase = TagSpaceBase / 2
 // The returned perf.Link feeds the same analytic formulas the simulator's
 // dpSync cost model uses, which is what makes executed-vs-analytic
 // validation apples-to-apples.
-func Calibrate(tr Transport, a, b int) perf.Link {
+func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	const (
 		pingIters = 200
 		bwWarmup  = 2
@@ -189,7 +190,7 @@ const (
 // the slowest rank's duration from a barrier-aligned start, averaged over
 // several timed iterations after warmup rounds that populate the scratch
 // pools — plus the reduced tensor from rank 0 for correctness checks.
-func MeasureAllReduce(tr Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
+func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
 	const warmups, iters = measureWarmups, measureIters
 	ranks := make([]int, n)
 	for i := range ranks {

@@ -21,16 +21,8 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
-
-// Transport is the point-to-point substrate collectives run over. It is
-// structurally identical to runtime.Transport so any runtime transport
-// (in-process channels, rendezvous, TCP) satisfies it without importing this
-// package — and package runtime can import collective without a cycle.
-type Transport interface {
-	Send(from, to, tag int, t *tensor.Tensor)
-	Recv(to, from, tag int) (*tensor.Tensor, error)
-}
 
 // Op is a reduction operator.
 type Op int
@@ -114,7 +106,7 @@ const (
 // Group is a process group: an ordered set of transport actor IDs that
 // perform collectives together, plus a private tag window.
 type Group struct {
-	tr      Transport
+	tr      transport.Transport
 	ranks   []int // actor IDs; position in the slice is the rank
 	tagBase int
 	// senderOwns caches the transport's Send ownership contract: true for
@@ -138,7 +130,7 @@ func GroupTagRange(groupID int) (lo, hi int) {
 // the group's tag window and must be unique among groups that could share a
 // (sender, receiver) actor pair; groups over disjoint actor sets may reuse
 // IDs. Rank order is the order of `ranks`.
-func NewGroup(tr Transport, ranks []int, groupID int) (*Group, error) {
+func NewGroup(tr transport.Transport, ranks []int, groupID int) (*Group, error) {
 	if len(ranks) == 0 {
 		return nil, fmt.Errorf("collective: empty group")
 	}
@@ -158,15 +150,11 @@ func NewGroup(tr Transport, ranks []int, groupID int) (*Group, error) {
 		}
 		seen[r] = true
 	}
-	senderOwns := false
-	if so, ok := tr.(interface{ SenderOwnsSent() bool }); ok {
-		senderOwns = so.SenderOwnsSent()
-	}
 	return &Group{
 		tr:         tr,
 		ranks:      append([]int(nil), ranks...),
 		tagBase:    TagSpaceBase + groupID*GroupTagWindow,
-		senderOwns: senderOwns,
+		senderOwns: tr.SenderOwnsSent(),
 	}, nil
 }
 
@@ -300,12 +288,12 @@ func (c *Communicator) self() int { return c.g.ranks[c.rank] }
 // World derives process groups from a device mesh: actor IDs are the mesh's
 // row-major device IDs, exactly how the runtime lays out DP×PP actor grids.
 type World struct {
-	tr   Transport
+	tr   transport.Transport
 	mesh *mesh.Mesh
 }
 
 // NewWorld binds a mesh to a transport.
-func NewWorld(tr Transport, m *mesh.Mesh) *World {
+func NewWorld(tr transport.Transport, m *mesh.Mesh) *World {
 	return &World{tr: tr, mesh: m}
 }
 

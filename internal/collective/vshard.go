@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Variable-shard collectives: ReduceScatterVInto and AllGatherVInto operate
@@ -363,7 +364,7 @@ func (c *Communicator) AllGatherVInto(dst, shard *tensor.Tensor, counts []int) e
 // cover the tag-reuse cycle, and the slowest rank's duration averaged over
 // the timed iterations. Returns the steady-state duration of the pair and
 // rank 0's gathered tensor for correctness checks.
-func MeasureShardedExchange(tr Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
+func MeasureShardedExchange(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
 	const warmups, iters = 24, 5
 	ranks := make([]int, n)
 	for i := range ranks {

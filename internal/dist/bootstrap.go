@@ -700,7 +700,7 @@ func (s *Session) Barrier() error {
 				if m.Type != "barrier" {
 					return fmt.Errorf("dist: barrier: rank %d sent %q", cc.rank, m.Type)
 				}
-			case <-s.Transport.dead:
+			case <-s.Transport.inbox.Dead():
 				return s.Transport.Err()
 			case <-time.After(timeout):
 				return fmt.Errorf("dist: barrier: rank %d silent for %v", cc.rank, timeout)
@@ -722,7 +722,7 @@ func (s *Session) Barrier() error {
 			return fmt.Errorf("dist: barrier: coordinator sent %q", m.Type)
 		}
 		return nil
-	case <-s.Transport.dead:
+	case <-s.Transport.inbox.Dead():
 		return s.Transport.Err()
 	case <-time.After(timeout):
 		return fmt.Errorf("dist: barrier: coordinator silent for %v", timeout)
@@ -761,7 +761,7 @@ func (s *Session) GatherProfiles() ([][]byte, error) {
 				return nil, fmt.Errorf("dist: gather profiles: rank %d sent %q", cc.rank, m.Type)
 			}
 			out = append(out, m.Prof)
-		case <-s.Transport.dead:
+		case <-s.Transport.inbox.Dead():
 			return nil, s.Transport.Err()
 		case <-time.After(timeout):
 			return nil, fmt.Errorf("dist: gather profiles: rank %d silent for %v", cc.rank, timeout)

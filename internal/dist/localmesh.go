@@ -7,7 +7,7 @@ import (
 // LocalMesh hosts n dist endpoints inside one process, wired over real
 // localhost TCP sockets — the single-binary multi-actor topology the old
 // gob-based rpcx transport served, now on the binary wire protocol. It
-// implements the runtime's Transport contract for a whole cluster by routing
+// implements transport.Transport for a whole cluster by routing
 // each call to the owning endpoint, so `jaxpp-train -tcp` exercises the
 // exact frame encode/decode and sender-worker path the multi-process runtime
 // uses, without a coordinator.
@@ -55,15 +55,15 @@ func (m *LocalMesh) SetLossyTagWindow(lo, hi int) {
 	}
 }
 
-// Send implements runtime.Transport.
+// Send implements transport.Transport.
 func (m *LocalMesh) Send(from, to, tag int, t *tensor.Tensor) {
 	m.eps[from].Send(from, to, tag, t)
 }
 
-// SenderOwnsSent mirrors Transport.SenderOwnsSent: every send serializes.
+// SenderOwnsSent implements transport.Transport: every send serializes.
 func (m *LocalMesh) SenderOwnsSent() bool { return true }
 
-// Recv implements runtime.Transport.
+// Recv implements transport.Transport.
 func (m *LocalMesh) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return m.eps[to].Recv(to, from, tag)
 }

@@ -9,13 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// ShapedTransport wraps any Transport-shaped endpoint and degrades its send
-// path the way a real network would: a bandwidth cap serializes frames onto
+// ShapedTransport wraps a dist endpoint and degrades its send path the way a
+// real network would: a bandwidth cap serializes frames onto
 // the link, a one-way latency (± uniform jitter) delays arrival, and a
 // probabilistic frame loss silently drops frames. It exists so the degraded
 // -network CI tier and the calibration model's off-localhost validation run
-// without root/netem — the wrapped transport still moves real bytes (over
-// TCP or channels); shaping only controls *when* they move, and whether.
+// without root/netem — the wrapped transport still moves real bytes over
+// TCP; shaping only controls *when* they move, and whether.
 //
 // Semantics preserved from the wrapped transport:
 //   - Send returns once the payload is captured (SenderOwnsSent is true: the
@@ -24,26 +24,18 @@ import (
 //   - Per-(src,dst) FIFO: frames serialize through a per-link pacer and
 //     arrival times are clamped monotone, so jitter never reorders a link.
 //   - Loss is retransmit-free: a dropped frame is simply never delivered,
-//     so the receiver's Recv times out and poisons its transport — the same
-//     poison-not-hang contract every other failure follows.
+//     so the receiver's Recv returns a timeout error after RecvTimeout. The
+//     timeout does not poison the transport (see transport.Transport.Recv);
+//     the job fails on the error, never hangs.
 //
 // Self-sends bypass shaping (loopback never crosses the modeled network).
 type ShapedTransport struct {
-	inner ShapeableTransport
+	inner *Transport
 	opts  ShapeOpts
 
 	mu     sync.Mutex
 	links  map[int]*shapedLink
 	closed bool
-}
-
-// ShapeableTransport is what a transport must provide to be wrapped; the
-// dist TCP Transport, LocalMesh endpoints, and the in-process ChanTransport
-// all satisfy it.
-type ShapeableTransport interface {
-	Send(from, to, tag int, ten *tensor.Tensor)
-	Recv(to, from, tag int) (*tensor.Tensor, error)
-	Rank() int
 }
 
 // ShapeOpts configures the modeled network.
@@ -58,8 +50,8 @@ type ShapeOpts struct {
 	// delay grow linearly — the behavior the calibration model predicts.
 	BandwidthGBs float64
 	// LossProb drops each frame independently with this probability. No
-	// retransmit: the receive side times out and poisons, as with any lost
-	// message.
+	// retransmit: the receive side's Recv returns a timeout error (without
+	// poisoning), as with any message that never arrives.
 	LossProb float64
 	// Seed makes the jitter/loss sequence deterministic per link (each link
 	// derives its own stream from Seed, from, and to).
@@ -91,14 +83,14 @@ type shapedLink struct {
 
 // NewShapedTransport wraps inner. Stop the returned transport (before
 // closing inner) to drain in-flight frames.
-func NewShapedTransport(inner ShapeableTransport, opts ShapeOpts) *ShapedTransport {
+func NewShapedTransport(inner *Transport, opts ShapeOpts) *ShapedTransport {
 	return &ShapedTransport{inner: inner, opts: opts, links: map[int]*shapedLink{}}
 }
 
 func (s *ShapedTransport) Rank() int { return s.inner.Rank() }
 
-// SenderOwnsSent: the shaper copies the payload before Send returns, so the
-// caller keeps its tensor regardless of the wrapped transport's contract.
+// SenderOwnsSent implements transport.Transport: the shaper copies the
+// payload before Send returns, so the caller keeps its tensor.
 func (s *ShapedTransport) SenderOwnsSent() bool { return true }
 
 // Send captures the payload and routes it through the link shaper. from must
@@ -123,24 +115,12 @@ func (s *ShapedTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return s.inner.Recv(to, from, tag)
 }
 
-func (s *ShapedTransport) Err() error {
-	if e, ok := s.inner.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
+func (s *ShapedTransport) Err() error { return s.inner.Err() }
 
-func (s *ShapedTransport) Poison(err error) {
-	if p, ok := s.inner.(interface{ Poison(error) }); ok {
-		p.Poison(err)
-	}
-}
+func (s *ShapedTransport) Poison(err error) { s.inner.Poison(err) }
 
 func (s *ShapedTransport) QueueDepth() int {
-	depth := 0
-	if q, ok := s.inner.(interface{ QueueDepth() int }); ok {
-		depth = q.QueueDepth()
-	}
+	depth := s.inner.QueueDepth()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, l := range s.links {
@@ -151,12 +131,7 @@ func (s *ShapedTransport) QueueDepth() int {
 	return depth
 }
 
-func (s *ShapedTransport) SendCount() (int, int64) {
-	if c, ok := s.inner.(interface{ SendCount() (int, int64) }); ok {
-		return c.SendCount()
-	}
-	return 0, 0
-}
+func (s *ShapedTransport) SendCount() (int, int64) { return s.inner.SendCount() }
 
 // link returns (creating on first use) the shaper for one destination.
 func (s *ShapedTransport) link(to int) *shapedLink {
@@ -174,10 +149,6 @@ func (s *ShapedTransport) link(to int) *shapedLink {
 	rng := rand.New(rand.NewSource(int64(s.opts.Seed ^ uint64(s.inner.Rank())<<20 ^ uint64(to))))
 	opts := s.opts
 	inner := s.inner
-	innerOwns := false
-	if so, ok := inner.(interface{ SenderOwnsSent() bool }); ok {
-		innerOwns = so.SenderOwnsSent()
-	}
 	// Delivery stage: sleep until the stamped arrival, then perform the real
 	// send (or drop). Runs strictly FIFO per link.
 	l.fly = NewMailbox[shapedFrame](0, func(f shapedFrame) {
@@ -188,10 +159,8 @@ func (s *ShapedTransport) link(to int) *shapedLink {
 			tensor.Recycle(f.ten)
 			return
 		}
-		inner.Send(f.from, f.to, f.tag, f.ten)
-		if innerOwns {
-			tensor.Recycle(f.ten)
-		}
+		inner.Send(f.from, f.to, f.tag, f.ten) // serializes: the copy is ours again
+		tensor.Recycle(f.ten)
 	})
 	// Pacer stage: model serialization onto the link at the bandwidth cap,
 	// stamp the arrival time (latency ± jitter, clamped monotone so the link

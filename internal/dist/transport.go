@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Wire-layer profiling: frame/byte counters on both directions, encode and
@@ -34,10 +35,6 @@ var (
 	cCoalesced = obs.Counter("wire/frames_coalesced")
 )
 
-// DefaultRecvTimeout mirrors runtime.DefaultRecvTimeout: a receive whose tag
-// no peer ever matches errors out instead of hanging the process.
-const DefaultRecvTimeout = 30 * time.Second
-
 // closeWriteGrace bounds how long a graceful Close waits for queued frames
 // to drain to each peer. A wedged-but-alive peer (stopped reading, TCP
 // buffers full) would otherwise block the sender worker inside a socket
@@ -50,8 +47,8 @@ type Options struct {
 	// Listen is the data-plane listen address ("127.0.0.1:0" when empty, so
 	// the kernel picks a free port; the chosen address is Addr()).
 	Listen string
-	// RecvTimeout bounds every Recv; zero uses DefaultRecvTimeout, negative
-	// waits forever.
+	// RecvTimeout bounds every Recv; zero uses transport.DefaultRecvTimeout,
+	// negative waits forever.
 	RecvTimeout time.Duration
 	// CRC appends a CRC32 trailer to every outgoing data frame; incoming
 	// frames are verified whenever the sender set the flag regardless.
@@ -66,17 +63,17 @@ type Options struct {
 }
 
 // Transport is one process's endpoint of the multi-process data plane: a
-// runtime.Transport whose peers live in other OS processes. Each endpoint
+// transport.Transport whose peers live in other OS processes. Each endpoint
 // owns a TCP listener; outgoing links dial lazily and are serviced by one
 // persistent sender worker per destination (a Mailbox of encoded frames), so
 // asynchronous sends never block the caller and never head-of-line block
 // traffic to other peers. Incoming frames decode into pooled tensors
 // (receivers Recycle after use).
 //
-// Send serializes the payload before returning: the moment Send returns, the
-// caller may recycle or mutate the tensor — the same completion semantics as
-// the in-process ChanTransport, which is what lets the runtime's
-// store-deletion protocol (§4.3) work unchanged across processes.
+// Send serializes the payload before returning (SenderOwnsSent is true): the
+// moment Send returns, the caller may recycle or mutate the tensor, which is
+// what lets the runtime's store-deletion protocol (§4.3) work unchanged
+// across processes.
 type Transport struct {
 	// rank is atomic because Join listens (starting reader goroutines)
 	// before the coordinator assigns the final rank.
@@ -90,7 +87,10 @@ type Transport struct {
 	conns  []net.Conn
 	closed bool
 
-	shards [numInboxShards]inboxShard
+	// inbox holds the tag mailboxes decoded frames land in, and the poison
+	// state: the first transport-level failure (peer died, corrupt stream,
+	// coordinator-reported death, stalled mailbox).
+	inbox *transport.Inbox
 
 	// Lossy-encoding plane: wireDType is the encoding for lossy-eligible data
 	// frames; lossyLo/lossyHi bound the half-open tag window those frames
@@ -100,13 +100,6 @@ type Transport struct {
 	wireDType atomic.Uint32
 	lossyLo   atomic.Int64
 	lossyHi   atomic.Int64
-
-	// err is the poison state: the first transport-level failure (peer died,
-	// corrupt stream, coordinator-reported death). Every pending and future
-	// Recv fails with it, because after a lost or dropped message, tag reuse
-	// could silently match a later payload to an earlier receive.
-	err  atomic.Pointer[error]
-	dead chan struct{} // closed when poisoned
 
 	sent      atomic.Int64
 	sentBytes atomic.Int64
@@ -123,12 +116,6 @@ type peerLink struct {
 	pending      [][]byte
 	pendingBytes int
 }
-
-type inboxKey struct {
-	from, tag int
-}
-
-const numInboxShards = 32
 
 // zeroShape is the payload-free shape control frames carry (a rank-0 shape
 // would denote a scalar, which has one element).
@@ -153,18 +140,6 @@ const (
 	coalesceFlushBytes = 1 << 16
 )
 
-type inboxShard struct {
-	mu  sync.Mutex
-	chs map[inboxKey]chan *tensor.Tensor
-	_   [48]byte // pad to a cache line; see runtime.ChanTransport
-}
-
-func (k inboxKey) shard() int {
-	h := uint64(k.from)*0x9e3779b97f4a7c15 ^ uint64(k.tag)*0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	return int(h & (numInboxShards - 1))
-}
-
 // NewTransport opens the data-plane listener for one rank. Peers are
 // unreachable until Connect installs the address book (rendezvous provides
 // it).
@@ -173,7 +148,7 @@ func NewTransport(rank int, opts Options) (*Transport, error) {
 		opts.Listen = "127.0.0.1:0"
 	}
 	if opts.RecvTimeout == 0 {
-		opts.RecvTimeout = DefaultRecvTimeout
+		opts.RecvTimeout = transport.DefaultRecvTimeout
 	}
 	if opts.DType == 0 {
 		opts.DType = DTF64
@@ -186,16 +161,13 @@ func NewTransport(rank int, opts Options) (*Transport, error) {
 		opts:  opts,
 		ln:    ln,
 		peers: map[int]*peerLink{},
-		dead:  make(chan struct{}),
+		inbox: transport.NewInbox(1),
 	}
 	t.rank.Store(int32(rank))
 	t.wireDType.Store(uint32(opts.DType))
 	if opts.DType != DTF64 {
 		t.lossyLo.Store(math.MinInt64)
 		t.lossyHi.Store(math.MaxInt64)
-	}
-	for i := range t.shards {
-		t.shards[i].chs = map[inboxKey]chan *tensor.Tensor{}
 	}
 	go t.acceptLoop()
 	return t, nil
@@ -297,7 +269,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 				t.Poison(fmt.Errorf("dist: rank %d received frame addressed to %d (corrupt routing)", t.Rank(), h.To))
 				return
 			}
-			if !t.deliver(inboxKey{h.From, h.Tag}, ten) {
+			if !t.deliver(h.From, h.Tag, ten) {
 				tensor.Recycle(ten) // poisoned while delivering; undelivered payload goes back to the pool
 				return
 			}
@@ -307,48 +279,15 @@ func (t *Transport) readLoop(conn net.Conn) {
 }
 
 // deliver places a decoded tensor into its tag mailbox, blocking (bounded by
-// RecvTimeout) if the previous message under the same tag is unconsumed —
-// the same cap-1 backpressure discipline as the in-process transport. A
-// delivery that cannot drain within the timeout poisons the transport.
-func (t *Transport) deliver(k inboxKey, ten *tensor.Tensor) bool {
-	ch := t.ch(k)
-	select {
-	case ch <- ten:
-		return true
-	default:
-	}
-	timeout := t.opts.RecvTimeout
-	if timeout <= 0 {
-		select {
-		case ch <- ten:
-			return true
-		case <-t.dead:
-			return false
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case ch <- ten:
-		return true
-	case <-t.dead:
-		return false
-	case <-timer.C:
-		t.Poison(fmt.Errorf("dist: rank %d: mailbox (from %d, tag %d) full for %v: receiver stalled or tag aliased", t.Rank(), k.from, k.tag, timeout))
+// RecvTimeout) while the previous message under the same tag is unconsumed. A
+// delivery that cannot drain in time has lost a message, so it poisons the
+// transport; the caller keeps (and recycles) the undelivered tensor.
+func (t *Transport) deliver(from, tag int, ten *tensor.Tensor) bool {
+	if err := t.inbox.Put(transport.Key{From: from, To: t.Rank(), Tag: tag}, ten, t.opts.RecvTimeout); err != nil {
+		t.Poison(err)
 		return false
 	}
-}
-
-func (t *Transport) ch(k inboxKey) chan *tensor.Tensor {
-	s := &t.shards[k.shard()]
-	s.mu.Lock()
-	ch, ok := s.chs[k]
-	if !ok {
-		ch = make(chan *tensor.Tensor, 1)
-		s.chs[k] = ch
-	}
-	s.mu.Unlock()
-	return ch
+	return true
 }
 
 // link returns the sender worker for a destination, dialing on first use.
@@ -435,10 +374,10 @@ func (t *Transport) link(to int) (*peerLink, error) {
 	return pl, nil
 }
 
-// Send implements runtime.Transport. from must be this endpoint's rank
+// Send implements transport.Transport. from must be this endpoint's rank
 // (every caller is an actor hosted by this process); a send to self
 // short-circuits through the local inbox. The payload is fully serialized
-// before Send returns, so ownership transfer follows the in-process rules.
+// before Send returns.
 func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 	self := t.Rank()
 	if from != self {
@@ -456,7 +395,7 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 		if dt != DTF64 {
 			LossyRoundTrip(dt, cp.Data())
 		}
-		if !t.deliver(inboxKey{from, tag}, cp) {
+		if !t.deliver(from, tag, cp) {
 			tensor.Recycle(cp)
 		}
 		return
@@ -487,52 +426,21 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 	}
 }
 
-// Recv implements runtime.Transport. to must be this endpoint's rank. The
+// Recv implements transport.Transport. to must be this endpoint's rank. The
 // returned tensor is pool-owned: Recycle it (or hand ownership onward) after
-// consuming, per the serialized-tensor ownership rule.
+// consuming.
 func (t *Transport) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	if to != t.Rank() {
 		panic(fmt.Sprintf("dist: rank %d asked to receive as rank %d (one actor per process)", t.Rank(), to))
 	}
-	if err := t.Err(); err != nil {
-		return nil, err
-	}
-	ch := t.ch(inboxKey{from, tag})
-	select {
-	case ten := <-ch:
-		return ten, nil
-	default:
-	}
-	timeout := t.opts.RecvTimeout
-	if timeout <= 0 {
-		select {
-		case ten := <-ch:
-			return ten, nil
-		case <-t.dead:
-			return nil, t.Err()
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case ten := <-ch:
-		return ten, nil
-	case <-t.dead:
-		return nil, t.Err()
-	case <-timer.C:
-		return nil, fmt.Errorf("dist: recv on rank %d from %d tag %d timed out after %v: no matching send (mismatched tag, peer stall, or communication deadlock)", to, from, tag, timeout)
-	}
+	return t.inbox.Get(transport.Key{From: from, To: to, Tag: tag}, t.opts.RecvTimeout)
 }
 
-// Poison records the first transport-level failure and fails every pending
-// and future Recv with it. Idempotent; later errors are dropped.
+// Poison implements transport.Transport, logging the first cause to the
+// flight recorder.
 func (t *Transport) Poison(err error) {
-	if err == nil {
-		return
-	}
-	if t.err.CompareAndSwap(nil, &err) {
+	if t.inbox.Poison(err) {
 		flight.Log("poison", t.Rank(), -1, err.Error())
-		close(t.dead)
 	}
 }
 
@@ -554,13 +462,8 @@ func (t *Transport) QueueDepth() int {
 	return depth
 }
 
-// Err returns the poison error, or nil while the transport is healthy.
-func (t *Transport) Err() error {
-	if p := t.err.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// Err implements transport.Transport.
+func (t *Transport) Err() error { return t.inbox.Err() }
 
 func (t *Transport) isClosed() bool {
 	t.mu.Lock()
@@ -573,12 +476,9 @@ func (t *Transport) SendCount() (int, int64) {
 	return int(t.sent.Load()), t.sentBytes.Load()
 }
 
-// SenderOwnsSent reports the Send ownership contract: this transport
-// serializes the payload before returning, so the caller keeps the tensor
-// and may recycle it immediately — unlike ChanTransport, whose Send hands
-// the reference itself to the receiver. Pooled-buffer producers (collective
-// ring chunks, calibration echoes) probe for this capability to recycle
-// sender-side scratch that would otherwise be orphaned to GC.
+// SenderOwnsSent implements transport.Transport: Send serializes, so the
+// caller keeps the tensor. Pooled-buffer producers (collective ring chunks,
+// calibration echoes) recycle sender-side scratch on the strength of it.
 func (t *Transport) SenderOwnsSent() bool { return true }
 
 // Close stops the listener, drains sender workers (goodbye frames flush

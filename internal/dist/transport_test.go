@@ -471,3 +471,34 @@ func TestHeartbeatMetricsPiggyback(t *testing.T) {
 		t.Fatalf("idle heartbeats re-delivered %d samples", after-before)
 	}
 }
+
+// TestBlockedRecvDoesNotAllocate pins the pooled timeout timers on the wire
+// transport's inbox (measured below the decoder: the helper delivers an
+// already-decoded tensor the way readLoop does): a Recv that blocks briefly
+// before the matching delivery performs no allocation.
+func TestBlockedRecvDoesNotAllocate(t *testing.T) {
+	mesh, err := NewLocalMesh(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	ep := mesh.Endpoint(0)
+	ten := tensor.Scalar(1)
+	kick := make(chan struct{})
+	defer close(kick)
+	go func() {
+		for range kick {
+			time.Sleep(200 * time.Microsecond)
+			ep.deliver(1, 5, ten)
+		}
+	}()
+	allocs := testing.AllocsPerRun(50, func() {
+		kick <- struct{}{}
+		if _, err := ep.Recv(0, 1, 5); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("blocking Recv allocates %.0f objects per call, want 0", allocs)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/dist"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // The wire-collective verification job: every rank of a bootstrapped world
@@ -100,6 +101,12 @@ func RunCollective(sess *dist.Session, spec CollectiveSpec) error {
 	if sess.World != spec.World {
 		return fmt.Errorf("distrun: session world %d, collective job wants %d", sess.World, spec.World)
 	}
+	// Unlike a training job, every collective here is the thing under test, so
+	// the world communicator's whole tag window rides the requested encoding.
+	if dt, _ := dist.ParseDType(spec.WireDType); !dt.Lossless() { // Validate vetted the name
+		sess.Transport.SetLossyTagWindow(collective.GroupTagRange(worldGroupID))
+		sess.Transport.SetWireDType(dt)
+	}
 	if err := RunCollectiveOn(sess.Transport, sess.Rank, spec); err != nil {
 		return err
 	}
@@ -122,6 +129,10 @@ func RunCollectiveLocal(spec CollectiveSpec, opts dist.Options) error {
 		return err
 	}
 	defer mesh.Close()
+	if dt, _ := dist.ParseDType(spec.WireDType); !dt.Lossless() { // as in RunCollective
+		mesh.SetLossyTagWindow(collective.GroupTagRange(worldGroupID))
+		mesh.SetWireDType(dt)
+	}
 	errs := make([]error, spec.World)
 	done := make(chan int, spec.World)
 	for r := 0; r < spec.World; r++ {
@@ -177,19 +188,9 @@ func rankValue(spec CollectiveSpec, rank, i, iter int) float64 {
 
 // RunCollectiveOn is the transport-level core of the verification job,
 // shared by the multi-process path (dist.Transport) and the LocalMesh
-// rehearsal. rank is this caller's actor ID; every actor 0..World-1 must
-// run it concurrently.
-func RunCollectiveOn(tr collective.Transport, rank int, spec CollectiveSpec) error {
-	if dt, err := dist.ParseDType(spec.WireDType); err != nil {
-		return err
-	} else if !dt.Lossless() {
-		// Mark the world communicator's whole tag window lossy: unlike a
-		// training job, every collective here is the thing under test, so all
-		// of them ride the requested encoding.
-		if !armLossyWire(tr, dt, worldGroupID) {
-			return fmt.Errorf("distrun: transport %T cannot carry wire dtype %s", tr, dt)
-		}
-	}
+// rehearsal, each of which arms spec.WireDType on its transport first. rank
+// is this caller's actor ID; every actor 0..World-1 must run it concurrently.
+func RunCollectiveOn(tr transport.Transport, rank int, spec CollectiveSpec) error {
 	comm, err := worldComm(tr, spec.World, rank)
 	if err != nil {
 		return err

@@ -22,8 +22,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/runtime"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Step-epilogue profiling scopes: the actor's share of the step, the loss
@@ -42,15 +42,6 @@ var (
 	// quantization error stays bounded or drifts.
 	scQuantEF       = obs.Scope("step/quant_ef")
 	scQuantResidual = obs.Scope("wire/quant_residual_norm")
-)
-
-// The collective engine runs directly over the multi-process wire transport:
-// dist endpoints (and the single-process LocalMesh) satisfy the collective
-// point-to-point contract, including the SenderOwnsSent capability that lets
-// ring chunks recycle on serializing transports.
-var (
-	_ collective.Transport = (*dist.Transport)(nil)
-	_ collective.Transport = (*dist.LocalMesh)(nil)
 )
 
 // JobSpec is the coordinator-distributed description of one training job.
@@ -208,13 +199,13 @@ const gradGroupID = worldGroupID + 1
 // (ranks 0..world-1 under worldGroupID) — the single construction both the
 // training epilogue and the collective verification job use, so the two
 // paths can never drift onto different tag windows.
-func worldComm(tr collective.Transport, world, rank int) (*collective.Communicator, error) {
+func worldComm(tr transport.Transport, world, rank int) (*collective.Communicator, error) {
 	return worldCommID(tr, world, rank, worldGroupID)
 }
 
 // worldCommID is worldComm on an explicit group ID (the lossy gradient
 // exchange runs on gradGroupID's window).
-func worldCommID(tr collective.Transport, world, rank, groupID int) (*collective.Communicator, error) {
+func worldCommID(tr transport.Transport, world, rank, groupID int) (*collective.Communicator, error) {
 	ranks := make([]int, world)
 	for i := range ranks {
 		ranks[i] = i
@@ -224,27 +215,6 @@ func worldCommID(tr collective.Transport, world, rank, groupID int) (*collective
 		return nil, err
 	}
 	return group.Comm(rank)
-}
-
-// lossyWireConfigurer is the transport capability the lossy plane needs;
-// the dist TCP Transport and LocalMesh implement it. A transport without it
-// (in-process channels) simply trains lossless.
-type lossyWireConfigurer interface {
-	SetWireDType(dist.DType)
-	SetLossyTagWindow(lo, hi int)
-}
-
-// armLossyWire marks groupID's collective tag window lossy with the given
-// dtype on a capable transport. Reports whether the transport accepted it.
-func armLossyWire(tr any, dt dist.DType, groupID int) bool {
-	lw, ok := tr.(lossyWireConfigurer)
-	if !ok {
-		return false
-	}
-	lo, hi := collective.GroupTagRange(groupID)
-	lw.SetLossyTagWindow(lo, hi)
-	lw.SetWireDType(dt)
-	return true
 }
 
 // RunJob dispatches a rendezvous job payload to its runner: training jobs go
@@ -378,7 +348,7 @@ func InitModel(spec JobSpec) (params, batch []*jaxpp.Tensor) {
 
 // Compile builds the training step for a spec over the given transport
 // (nil compiles onto a fresh in-process cluster), materializing every actor.
-func Compile(spec JobSpec, tr runtime.Transport) (*jaxpp.TrainStep, error) {
+func Compile(spec JobSpec, tr transport.Transport) (*jaxpp.TrainStep, error) {
 	return CompileHosted(spec, tr, nil)
 }
 
@@ -388,7 +358,7 @@ func Compile(spec JobSpec, tr runtime.Transport) (*jaxpp.TrainStep, error) {
 // loss/gradient owners are derived from the shared program metadata, which
 // every rank compiles identically, so nothing about peers needs to exist
 // locally. nil hosts every actor.
-func CompileHosted(spec JobSpec, tr runtime.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
+func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
 	var sched *jaxpp.Schedule
 	switch spec.Schedule {
 	case "gpipe":
@@ -626,14 +596,15 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tr runtime.Transport = sess.Transport
+	var tr transport.Transport = sess.Transport
+	queueDepth := sess.Transport.QueueDepth
 	if spec.Shape != nil {
 		// Degraded-network mode: every cross-rank frame rides the link shaper.
 		// The shaper sits above the dist transport, so the wire codec (and the
 		// lossy dtype plane below) is unchanged — only delivery timing is.
 		shaped := dist.NewShapedTransport(sess.Transport, spec.Shape.Opts())
 		defer shaped.Stop()
-		tr = shaped
+		tr, queueDepth = shaped, shaped.QueueDepth
 	}
 	rank := sess.Rank
 	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d telemetry=%v wire=%s shaped=%v", sess.World, spec.Telemetry, wireDT, spec.Shape != nil))
@@ -683,9 +654,8 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	// world communicator and nothing changes on the wire.
 	gradComm := comm
 	if !wireDT.Lossless() {
-		if !armLossyWire(sess.Transport, wireDT, gradGroupID) {
-			return nil, fmt.Errorf("distrun: transport %T cannot carry lossy wire dtype %s", sess.Transport, wireDT)
-		}
+		sess.Transport.SetLossyTagWindow(collective.GroupTagRange(gradGroupID))
+		sess.Transport.SetWireDType(wireDT)
 		if gradComm, err = worldCommID(tr, sess.World, rank, gradGroupID); err != nil {
 			return nil, err
 		}
@@ -760,7 +730,7 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if spec.Telemetry {
 		defer beginTelemetry()()
 	}
-	sampler := newStepSampler(rank, tr)
+	sampler := newStepSampler(rank, queueDepth)
 	var stepPrev [3]time.Duration
 	rep := &Report{Rank: rank, World: sess.World, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
@@ -878,7 +848,7 @@ func RunLocal(spec JobSpec) (*Report, error) { return RunLocalOn(spec, nil) }
 // driver runs the allocation-lean dispatch path: results land in reused
 // StepInto buffers, exchanged tensors are recycled once consumed, and the
 // SGD update writes into a double-buffered parameter set.
-func RunLocalOn(spec JobSpec, tr runtime.Transport) (*Report, error) {
+func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 	ts, err := Compile(spec, tr)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package distrun
 
 import (
+	"fmt"
 	"runtime/metrics"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // Per-step telemetry sampling: at each step boundary the sampler reads the
@@ -24,14 +26,10 @@ var (
 	ctPoolMiss   = obs.Counter("pool/miss")
 )
 
-// queueDepther is the optional transport probe: the TCP transport reports
-// its deepest sender mailbox; transports without queues report nothing.
-type queueDepther interface{ QueueDepth() int }
-
 // stepSampler differences cumulative aggregates into per-step deltas.
 type stepSampler struct {
 	rank int
-	qd   queueDepther // nil when the transport has no sender queues
+	qd   func() int // the transport's deepest sender queue
 
 	prevCompute, prevWire, prevIdle int64
 	prevSent, prevRecvd             int64
@@ -41,11 +39,9 @@ type stepSampler struct {
 }
 
 // newStepSampler primes the baselines so the first step's deltas do not
-// absorb bootstrap-time traffic. tr may be anything; only transports
-// implementing QueueDepth are probed.
-func newStepSampler(rank int, tr any) *stepSampler {
-	s := &stepSampler{rank: rank}
-	s.qd, _ = tr.(queueDepther)
+// absorb bootstrap-time traffic.
+func newStepSampler(rank int, queueDepth func() int) *stepSampler {
+	s := &stepSampler{rank: rank, qd: queueDepth}
 	s.allocSamples = []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
 	if obs.StepsEnabled() {
 		s.prime()
@@ -76,10 +72,6 @@ func (s *stepSampler) record(step int, wall time.Duration) {
 	miss := obs.CounterNow(ctPoolMiss)
 	metrics.Read(s.allocSamples)
 	allocs := s.allocSamples[0].Value.Uint64()
-	depth := 0
-	if s.qd != nil {
-		depth = s.qd.QueueDepth()
-	}
 	obs.RecordStep(obs.StepSample{
 		Rank:       int64(s.rank),
 		Step:       int64(step),
@@ -89,7 +81,7 @@ func (s *stepSampler) record(step int, wall time.Duration) {
 		IdleNs:     idle - s.prevIdle,
 		BytesSent:  sent - s.prevSent,
 		BytesRecvd: recvd - s.prevRecvd,
-		QueueDepth: int64(depth),
+		QueueDepth: int64(s.qd()),
 		PoolHit:    hit - s.prevHit,
 		PoolMiss:   miss - s.prevMiss,
 		Allocs:     int64(allocs - s.prevAllocs),
@@ -117,4 +109,50 @@ func beginTelemetry() (restore func()) {
 			obs.Disable()
 		}
 	}
+}
+
+// SetupTelemetry wires one process's slice of the live telemetry plane for
+// jaxpp-train and jaxpp-worker: a crash-surviving flight recorder when
+// flightDir is set (installed globally, so distrun/dist event sites log into
+// it), and an HTTP metrics listener backed by a ClusterTimeline when
+// metricsAddr is set; the process's own step ring drains into it through
+// SyncLocal on every scrape. On the coordinator (worker false) the returned
+// timeline — non-nil iff the listener is up — is also what
+// SessionOptions.OnMetrics feeds heartbeat-piggybacked worker frames into, so
+// it is the cluster view. A worker serves only its local view, and because it
+// takes its JobSpec from the coordinator, a local metricsAddr arms the step
+// gates directly so that view works even when the coordinator did not request
+// telemetry. cleanup tears both down in reverse order.
+func SetupTelemetry(metricsAddr, flightDir string, worker bool) (tl *obs.ClusterTimeline, cleanup func(), err error) {
+	var closers []func()
+	cleanup = func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	if flightDir != "" {
+		rec, err := flight.Open(flightDir, flight.Options{})
+		if err != nil {
+			return nil, nil, fmt.Errorf("flight recorder %s: %v", flightDir, err)
+		}
+		flight.Install(rec)
+		closers = append(closers, func() { rec.Close() })
+	}
+	if metricsAddr != "" {
+		prefix := ""
+		if worker {
+			prefix = "jaxpp-worker: "
+			obs.Enable()
+			obs.EnableSteps()
+		}
+		tl = obs.NewClusterTimeline(obs.StragglerConfig{})
+		srv, err := obs.StartMetricsServer(metricsAddr, tl)
+		if err != nil {
+			cleanup()
+			return nil, nil, fmt.Errorf("metrics listener %s: %v", metricsAddr, err)
+		}
+		fmt.Printf("%smetrics: http://%s/metrics\n", prefix, srv.Addr())
+		closers = append(closers, func() { srv.Close() })
+	}
+	return tl, cleanup, nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Ablations runs the design-choice ablations of DESIGN.md §7 on the *real*
@@ -55,7 +56,7 @@ func Ablations(w io.Writer) error {
 		}
 	}
 
-	run := func(opts taskgraph.Options, splitOpts stage.Options, load runtime.LoadOptions, tr runtime.Transport, timeout time.Duration) (peak int64, sends int, completed bool, err error) {
+	run := func(opts taskgraph.Options, splitOpts stage.Options, load runtime.LoadOptions, tr transport.Transport, timeout time.Duration) (peak int64, sends int, completed bool, err error) {
 		g, err := buildTied()
 		if err != nil {
 			return 0, 0, false, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Profiling scopes for the actor step loop. Spans are attributed to the
@@ -31,7 +32,7 @@ type Actor struct {
 	// the Fig. 5 deadlock demonstration.
 	SyncSends bool
 
-	transport Transport
+	transport transport.Transport
 	prog      []taskgraph.Instr
 	segs      []*segmentExecutable
 
@@ -75,7 +76,7 @@ type segmentExecutable struct {
 }
 
 // NewActor builds an actor bound to a transport.
-func NewActor(id int, tr Transport) *Actor {
+func NewActor(id int, tr transport.Transport) *Actor {
 	return &Actor{ID: id, Store: NewStore(), transport: tr}
 }
 

@@ -10,13 +10,14 @@ import (
 	"repro/internal/spmd"
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Cluster is the set of long-lived actors managed by the single controller
 // (the driver). In the paper the driver provisions Ray actors over hosts;
 // here actors are goroutines over a Transport.
 type Cluster struct {
-	Transport Transport
+	Transport transport.Transport
 	Actors    []*Actor
 }
 
@@ -31,7 +32,7 @@ func NewCluster(n int) *Cluster {
 }
 
 // NewClusterWithTransport provisions n actors over a custom transport.
-func NewClusterWithTransport(n int, tr Transport) *Cluster {
+func NewClusterWithTransport(n int, tr transport.Transport) *Cluster {
 	c := &Cluster{Transport: tr}
 	for i := 0; i < n; i++ {
 		c.Actors = append(c.Actors, NewActor(i, tr))
@@ -183,16 +184,13 @@ func (c *Cluster) Load(prog *taskgraph.Program, opts LoadOptions) (*Executable, 
 // Replicas returns the data-parallel replica count.
 func (e *Executable) Replicas() int { return e.replicas }
 
-// transportErr probes the cluster transport for poisoning before a step
-// begins. Poisonable transports (the dist wire transport after a peer death)
-// expose Err(); failing fast here turns "every send and recv of the doomed
-// step times out one by one" into an immediate, attributable step error —
-// the drain an elastic recovery needs before it can re-rendezvous.
+// transportErr checks the cluster transport for poisoning before a step
+// begins: failing fast here turns "every send and recv of the doomed step
+// times out one by one" into an immediate, attributable step error — the
+// drain an elastic recovery needs before it can re-rendezvous.
 func (e *Executable) transportErr() error {
-	if p, ok := e.cluster.Transport.(interface{ Err() error }); ok {
-		if err := p.Err(); err != nil {
-			return fmt.Errorf("runtime: transport poisoned: %w", err)
-		}
+	if err := e.cluster.Transport.Err(); err != nil {
+		return fmt.Errorf("runtime: transport poisoned: %w", err)
 	}
 	return nil
 }

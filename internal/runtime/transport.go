@@ -1,107 +1,19 @@
 package runtime
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
-// Transport is the point-to-point communication layer between actors — the
-// role NCCL P2P plays in the paper. Sends are asynchronous and tag-matched;
-// receives block until the matching send arrives.
-type Transport interface {
-	// Send delivers t from actor `from` to actor `to` under tag. It must not
-	// block indefinitely on the receiver.
-	Send(from, to, tag int, t *tensor.Tensor)
-	// Recv blocks until the matching Send and returns its payload, or an
-	// error if the transport gives up (e.g. a receive timeout fires because
-	// no send with a matching tag ever arrives).
-	Recv(to, from, tag int) (*tensor.Tensor, error)
-}
-
-// DefaultRecvTimeout bounds how long the in-process transports wait for a
-// matching send before reporting a mismatched tag / deadlock as an error.
-// At in-process scale no legitimate receive waits anywhere near this long;
-// a receive that does is a tag-allocation bug or a communication deadlock,
-// and an error beats a hung process.
-const DefaultRecvTimeout = 30 * time.Second
-
-// recvTimeoutErr formats the diagnostic for a receive that never matched.
-func recvTimeoutErr(timeout time.Duration, to, from, tag int) error {
-	return fmt.Errorf("runtime: recv on actor %d from %d tag %d timed out after %v: no matching send (mismatched tag or communication deadlock)", to, from, tag, timeout)
-}
-
-// timerPool recycles the timeout timers blocking Sends and Recvs arm,
-// keeping both hot paths allocation-free (Go 1.23+ timer semantics make
-// Reset-after-fire safe without draining).
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if v := timerPool.Get(); v != nil {
-		timer := v.(*time.Timer)
-		timer.Reset(d)
-		return timer
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(timer *time.Timer) {
-	timer.Stop()
-	timerPool.Put(timer)
-}
-
-// recvWithTimeout waits on ch up to timeout (forever if timeout <= 0).
-func recvWithTimeout(ch chan *tensor.Tensor, timeout time.Duration, to, from, tag int) (*tensor.Tensor, error) {
-	if timeout <= 0 {
-		return <-ch, nil
-	}
-	select {
-	case t := <-ch:
-		return t, nil
-	default:
-	}
-	timer := getTimer(timeout)
-	defer putTimer(timer)
-	select {
-	case t := <-ch:
-		return t, nil
-	case <-timer.C:
-		return nil, recvTimeoutErr(timeout, to, from, tag)
-	}
-}
-
-type chanKey struct{ from, to, tag int }
-
-// numShards spreads the mailbox registry over independently locked shards so
-// concurrent actors' Send/Recv never serialize on one global mutex. Must be a
-// power of two.
-const numShards = 32
-
-type chanShard struct {
-	mu  sync.Mutex
-	chs map[chanKey]chan *tensor.Tensor
-	// Pad shards to a full 64-byte cache line (8B mutex + 8B map + 48B) so
-	// neighbouring locks don't false-share under contention.
-	_ [48]byte
-}
-
-func (k chanKey) shard() int {
-	h := uint64(k.from)*0x9e3779b97f4a7c15 ^ uint64(k.to)*0xbf58476d1ce4e5b9 ^ uint64(k.tag)*0x94d049bb133111eb
-	h ^= h >> 29
-	return int(h & (numShards - 1))
-}
-
-// ChanTransport is the in-process Transport: one buffered channel per
-// (sender, receiver, tag) triple, created lazily by whichever side arrives
-// first and kept registered as a persistent mailbox — tag reuse (the
-// collective engine's windows wrap, the pipeline reuses its tags every step)
-// rebinds the same channel, so steady-state traffic allocates nothing.
-// Buffering size 1 plus unique live tags make sends non-blocking.
+// ChanTransport is the in-process transport.Transport: a transport.Inbox of
+// capacity-1 mailboxes, one per (sender, receiver, tag) triple. The buffer
+// slot plus unique live tags make steady-state sends non-blocking, and Send
+// moves the tensor reference itself (SenderOwnsSent is false).
 type ChanTransport struct {
-	shards [numShards]chanShard
+	inbox *transport.Inbox
 
 	// RecvTimeout bounds every Recv; when it fires, Recv returns an error
 	// instead of hanging forever on a tag no sender will ever match.
@@ -111,17 +23,9 @@ type ChanTransport struct {
 	// SendTimeout bounds a Send into a mailbox whose previous message was
 	// never consumed — reachable when the receiving actor aborted its
 	// program, or (pathologically) when it stalls longer than the timeout.
-	// When it fires, the payload is dropped and the transport is poisoned:
-	// every subsequent Recv errors, because after a drop, tag reuse could
-	// otherwise match a later same-shape message to an earlier receive and
-	// corrupt data silently. Zero or negative waits indefinitely. Set before
-	// actors start.
+	// When it fires, the payload is dropped and the transport is poisoned.
+	// Zero or negative waits indefinitely. Set before actors start.
 	SendTimeout time.Duration
-
-	// dropped is set when a timed-out Send discarded its payload; the
-	// transport is then permanently poisoned (re-provision the cluster, the
-	// same recovery Step errors already require).
-	dropped atomic.Bool
 
 	sent      atomic.Int64
 	sentElems atomic.Int64
@@ -130,115 +34,57 @@ type ChanTransport struct {
 // NewChanTransport returns an empty in-process transport with the default
 // timeouts.
 func NewChanTransport() *ChanTransport {
-	c := &ChanTransport{RecvTimeout: DefaultRecvTimeout, SendTimeout: DefaultRecvTimeout}
-	for i := range c.shards {
-		c.shards[i].chs = map[chanKey]chan *tensor.Tensor{}
-	}
-	return c
+	return &ChanTransport{inbox: transport.NewInbox(1), RecvTimeout: transport.DefaultRecvTimeout, SendTimeout: transport.DefaultRecvTimeout}
 }
 
-func (c *ChanTransport) ch(k chanKey) chan *tensor.Tensor {
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	ch, ok := s.chs[k]
-	if !ok {
-		ch = make(chan *tensor.Tensor, 1)
-		s.chs[k] = ch
-	}
-	s.mu.Unlock()
-	return ch
-}
-
-// Send implements Transport. Steady-state sends are non-blocking (a live
-// tag's mailbox is empty by the tag-reuse discipline); a send that finds the
-// mailbox still full backpressures up to SendTimeout for the receiver to
-// drain it, then drops the payload and poisons the transport so the failure
-// surfaces as errors on every rank instead of wedging this one or silently
-// skewing tag matching.
+// Send implements transport.Transport. A send that finds the mailbox still
+// full backpressures up to SendTimeout for the receiver to drain it, then
+// drops the payload and poisons the transport so the failure surfaces as
+// errors on every actor instead of wedging this one or silently skewing tag
+// matching. Dropped payloads are not counted as sent.
 func (c *ChanTransport) Send(from, to, tag int, t *tensor.Tensor) {
-	// Ownership of t transfers to the receiver the moment the channel send
-	// completes (it may recycle the tensor immediately), so read the size
-	// up front.
+	// Ownership of t transfers to the receiver the moment it is queued (it
+	// may recycle the tensor immediately), so read the size up front.
 	size := int64(t.Size())
-	ch := c.ch(chanKey{from, to, tag})
-	select {
-	case ch <- t:
-		c.sent.Add(1)
-		c.sentElems.Add(size)
-		return
-	default:
-	}
-	if c.SendTimeout <= 0 {
-		ch <- t
-		c.sent.Add(1)
-		c.sentElems.Add(size)
+	if err := c.inbox.Put(transport.Key{From: from, To: to, Tag: tag}, t, c.SendTimeout); err != nil {
+		c.inbox.Poison(err)
 		return
 	}
-	timer := getTimer(c.SendTimeout)
-	defer putTimer(timer)
-	select {
-	case ch <- t:
-		c.sent.Add(1)
-		c.sentElems.Add(size)
-	case <-timer.C:
-		c.dropped.Store(true)
-	}
+	c.sent.Add(1)
+	c.sentElems.Add(size)
 }
 
-// Recv implements Transport. The mailbox stays registered after delivery
-// (and after a timeout, so a late sender still completes against it instead
-// of blocking forever); a future reuse of the tag matches the same channel.
+// Recv implements transport.Transport.
 func (c *ChanTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
-	if c.dropped.Load() {
-		return nil, fmt.Errorf("runtime: transport poisoned: a send timed out and dropped its payload; re-provision the cluster")
-	}
-	return recvWithTimeout(c.ch(chanKey{from, to, tag}), c.RecvTimeout, to, from, tag)
+	return c.inbox.Get(transport.Key{From: from, To: to, Tag: tag}, c.RecvTimeout)
 }
+
+// Err implements transport.Transport.
+func (c *ChanTransport) Err() error { return c.inbox.Err() }
+
+// Poison implements transport.Transport.
+func (c *ChanTransport) Poison(err error) { c.inbox.Poison(err) }
+
+// SenderOwnsSent implements transport.Transport: the receiver gets the very
+// tensor that was sent.
+func (c *ChanTransport) SenderOwnsSent() bool { return false }
 
 // SendCount returns the number of sends and total elements moved.
 func (c *ChanTransport) SendCount() (int, int64) {
 	return int(c.sent.Load()), c.sentElems.Load()
 }
 
-// RendezvousTransport is a Transport whose sends block until the matching
-// receive executes — the synchronous point-to-point semantics whose deadlock
-// hazard §4.2 (Fig. 5) analyzes. Used by tests to demonstrate that the naive
+// RendezvousTransport is a ChanTransport over capacity-0 mailboxes with no
+// send timeout: a send blocks until the matching receive executes — the
+// synchronous point-to-point semantics whose deadlock hazard §4.2 (Fig. 5)
+// analyzes. Used by tests and the ablation to demonstrate that the naive
 // communication ordering deadlocks while JaxPP's topological ordering and
-// asynchronous sends do not.
-type RendezvousTransport struct {
-	mu  sync.Mutex
-	chs map[chanKey]chan *tensor.Tensor
-
-	// RecvTimeout mirrors ChanTransport.RecvTimeout: a receive whose tag no
-	// sender ever matches errors out instead of hanging forever. Sends keep
-	// their deliberately blocking rendezvous semantics — that hazard is the
-	// point of this transport.
-	RecvTimeout time.Duration
-}
+// asynchronous sends do not. Receives still time out, so a deadlocked run
+// reports an error instead of hanging.
+type RendezvousTransport struct{ ChanTransport }
 
 // NewRendezvousTransport returns an empty rendezvous transport with the
 // default receive timeout.
 func NewRendezvousTransport() *RendezvousTransport {
-	return &RendezvousTransport{chs: map[chanKey]chan *tensor.Tensor{}, RecvTimeout: DefaultRecvTimeout}
-}
-
-func (r *RendezvousTransport) ch(k chanKey) chan *tensor.Tensor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ch, ok := r.chs[k]
-	if !ok {
-		ch = make(chan *tensor.Tensor) // unbuffered: send blocks on receive
-		r.chs[k] = ch
-	}
-	return ch
-}
-
-// Send implements Transport, blocking until the receiver arrives.
-func (r *RendezvousTransport) Send(from, to, tag int, t *tensor.Tensor) {
-	r.ch(chanKey{from, to, tag}) <- t
-}
-
-// Recv implements Transport.
-func (r *RendezvousTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
-	return recvWithTimeout(r.ch(chanKey{from, to, tag}), r.RecvTimeout, to, from, tag)
+	return &RendezvousTransport{ChanTransport{inbox: transport.NewInbox(0), RecvTimeout: transport.DefaultRecvTimeout}}
 }

@@ -51,3 +51,30 @@ func TestSendAfterConsumeDoesNotBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestSendTimeoutWakesBlockedRecv pins the shared poison state: a receive
+// already blocked when a send times out and drops its payload fails with the
+// poison error at once, not at its own (30 s default) RecvTimeout.
+func TestSendTimeoutWakesBlockedRecv(t *testing.T) {
+	c := NewChanTransport()
+	c.SendTimeout = 20 * time.Millisecond
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.Recv(3, 2, 1) // a healthy mailbox nobody has sent to yet
+		blocked <- err
+	}()
+	c.Send(0, 1, 7, tensor.Scalar(1)) // fills the mailbox; the receiver aborted
+	c.Send(0, 1, 7, tensor.Scalar(2)) // times out, drops, poisons
+	poisoned := time.Now()
+	select {
+	case err := <-blocked:
+		if err == nil || err != c.Err() {
+			t.Fatalf("blocked Recv returned %v, want the poison error %v", err, c.Err())
+		}
+		if late := time.Since(poisoned); late > 100*time.Millisecond {
+			t.Fatalf("blocked Recv woke %v after the poisoning send-timeout, want < 100ms", late)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocked Recv slept through the poisoning send-timeout")
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Value is a symbolic tensor handle produced during tracing.
@@ -158,7 +159,7 @@ func NewRemoteMesh(actors int) *RemoteMesh {
 
 // NewRemoteMeshWithTransport provisions actors over a custom transport
 // (e.g. a dist TCP endpoint or LocalMesh for wire-protocol runs).
-func NewRemoteMeshWithTransport(actors int, tr runtime.Transport) *RemoteMesh {
+func NewRemoteMeshWithTransport(actors int, tr transport.Transport) *RemoteMesh {
 	return &RemoteMesh{cluster: runtime.NewClusterWithTransport(actors, tr)}
 }
 
@@ -249,7 +250,7 @@ var scDPSync = obs.Scope("step/dp_sync")
 // [("data", R), ("pipe", P)] actor mesh. Each actor starts its all-reduce as
 // soon as its own program finishes, overlapping the sync with pipeline
 // cooldown on later stages.
-func (t *TrainStep) installDPSync(tr runtime.Transport) error {
+func (t *TrainStep) installDPSync(tr transport.Transport) error {
 	replicas := t.exe.Replicas()
 	pp := t.exe.ActorsPerReplica()
 	t.dpSyncNanos = make([]int64, replicas*pp)
