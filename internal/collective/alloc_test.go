@@ -144,7 +144,8 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestAllReduceIntoMatchesAllReduce pins the in-place path to the pure one.
+// TestAllReduceIntoMatchesAllReduce checks one in-place round of the harness
+// against the locally computed sum.
 func TestAllReduceIntoMatchesAllReduce(t *testing.T) {
 	const n, elems = 3, 1000
 	h := newRingHarness(t, n, elems)

@@ -84,19 +84,6 @@ func (c *Communicator) AllReduceBucketsInPlace(ts []*tensor.Tensor, op Op, bucke
 	return nil
 }
 
-// AllReduceBuckets is the pure form of AllReduceBucketsInPlace: inputs are
-// left untouched and freshly allocated reduced tensors are returned.
-func (c *Communicator) AllReduceBuckets(ts []*tensor.Tensor, op Op, bucketBytes int) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	if err := c.AllReduceBucketsInPlace(out, op, bucketBytes); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // NumBuckets reports how many buckets AllReduceBucketsInPlace would form for
 // the given tensor sizes — exposed so cost models and tests can predict the
 // latency term without running the collective.

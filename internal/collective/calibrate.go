@@ -18,17 +18,16 @@ const calibTagBase = TagSpaceBase / 2
 // Calibrate measures the effective per-hop link of a transport as the ring
 // collectives experience it, between actor IDs a and b: per-hop latency from
 // small-message ping-pongs, and bandwidth from bulk transfers that perform
-// the same per-hop work the executed ring performs in steady state. A ring
-// all-reduce spends half its hops in the reduce-scatter phase (receiver
-// folds the chunk in: combineChunk) and half in the all-gather phase
-// (receiver copies the chunk over: copyChunk), with a sender-side copy into
-// a pooled chunk on every hop — so the calibration alternates combine and
-// copy on the receiving side hop for hop. (Modeling every hop as a combine,
-// as the pre-PR4 profile did, overstates per-hop cost and drove the
-// executed-vs-analytic ratio to ~0.91 once the PR 3 chunk path landed.)
-// The returned perf.Link feeds the same analytic formulas the simulator's
-// dpSync cost model uses, which is what makes executed-vs-analytic
-// validation apples-to-apples.
+// the same per-hop work the ring engine (ring.go) performs in steady state.
+// A ring all-reduce spends half its hops in reducePass — the sender stages a
+// pooled copy of its segment, the receiver folds the chunk in and recycles
+// it — and half in gatherPass — the receiver copies the chunk over its
+// segment and relays the chunk object it received, so only a pass's first
+// hop stages. The calibration alternates the two profiles round trip for
+// round trip; a gather round trip is a staged first hop out and a relay
+// back. The returned perf.Link feeds the same analytic formulas the
+// simulator's dpSync cost model uses, which is what makes
+// executed-vs-analytic validation apples-to-apples.
 func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	const (
 		pingIters = 200
@@ -48,6 +47,10 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 		tagEcho = calibTagBase + 3
 	)
 
+	// As in Communicator.send: over a serializing transport the sender keeps
+	// the chunk it sent and recycles it.
+	senderOwns := tr.SenderOwnsSent()
+
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// Responder.
@@ -66,19 +69,20 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 			if err != nil {
 				return
 			}
-			// Alternate the two receive-side hop profiles of a ring
-			// all-reduce: reduce-scatter hops fold the chunk in, all-gather
-			// hops copy it over.
 			if i%2 == 0 {
+				// Reduce hop: fold, recycle, stage the echo.
 				OpSum.combine(acc, t.Data())
+				tensor.Recycle(t)
+				t = tensor.GetScratch(bwElems)
+				t.CopyFrom(acc)
 			} else {
+				// Gather hop: copy over, echo the chunk received.
 				copy(acc, t.Data())
 			}
-			tensor.Recycle(t)
-			// Echo with the sender-side work profile (pooled copy + send).
-			back := tensor.GetScratch(bwElems)
-			back.CopyFrom(acc)
-			tr.Send(b, a, tagEcho, back)
+			tr.Send(b, a, tagEcho, t)
+			if senderOwns {
+				tensor.Recycle(t)
+			}
 		}
 	}()
 
@@ -93,8 +97,9 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	}
 	latency := time.Since(t0).Seconds() / float64(2*pingIters)
 
-	// Bandwidth: bulk round trips with reduce work on the receiving side.
-	// Warmup iterations populate the scratch pool so the timed ones measure
+	// Bandwidth: bulk round trips with the ring's work on both sides. The
+	// outbound hop always stages, as a reduce hop and a gather pass's first hop
+	// do. Warmup iterations populate the scratch pool so the timed ones measure
 	// steady state.
 	payload := make([]float64, bwElems)
 	for i := range payload {
@@ -109,6 +114,9 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 		out := tensor.GetScratch(bwElems)
 		out.CopyFrom(payload)
 		tr.Send(a, b, tagBulk, out)
+		if senderOwns {
+			tensor.Recycle(out)
+		}
 		back, err := tr.Recv(a, b, tagEcho)
 		if err != nil {
 			return perf.Link{BwGBs: 1, Latency: latency}
@@ -172,8 +180,8 @@ func PredictBucketedAllReduce(l perf.Link, sizes []int, n, bucketBytes int) floa
 	return total
 }
 
-// Each MeasureAllReduce iteration consumes two op tag windows (barrier +
-// all-reduce); opReuseWindows/2 iterations walk the whole tag-reuse cycle, so
+// Each measured round consumes at least two op tag windows (barrier +
+// collective); opReuseWindows/2 rounds walk the whole tag-reuse cycle, so
 // these warmups cover it almost three times over — the timed iterations run
 // entirely on warm mailboxes and pooled chunks.
 const (
@@ -185,13 +193,15 @@ const (
 	MeasureAllReduceRounds = measureWarmups + measureIters
 )
 
-// MeasureAllReduce runs bucketed all-reduces of elems float64 elements over
-// n ranks (actor IDs 0..n-1 on tr) and returns the steady-state wall time —
-// the slowest rank's duration from a barrier-aligned start, averaged over
-// several timed iterations after warmup rounds that populate the scratch
-// pools — plus the reduced tensor from rank 0 for correctness checks.
-func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
-	const warmups, iters = measureWarmups, measureIters
+// measure is the harness behind the Measure functions: n ranks (actor IDs
+// 0..n-1 on tr), each holding an elems-element contribution of the constant
+// rank+1 in work, run measureWarmups+measureIters rounds. A round refills
+// work (collectives may consume it as scratch), aligns the ranks on a
+// barrier, and times the round function setup returned for the rank. The
+// result is the steady-state wall time — per timed round the slowest rank's
+// duration, averaged over the rounds — and the tensor rank 0's setup named
+// as its output.
+func measure(tr transport.Transport, n, elems int, setup func(comm *Communicator, work *tensor.Tensor) (round func() error, out *tensor.Tensor)) (time.Duration, *tensor.Tensor, error) {
 	ranks := make([]int, n)
 	for i := range ranks {
 		ranks[i] = i
@@ -201,7 +211,7 @@ func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.D
 		return 0, nil, err
 	}
 
-	durs := make([][iters]time.Duration, n)
+	durs := make([][measureIters]time.Duration, n)
 	outs := make([]*tensor.Tensor, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -214,33 +224,26 @@ func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.D
 				errs[r] = err
 				return
 			}
-			data := make([]float64, elems)
-			for i := range data {
-				data[i] = float64(r + 1)
+			in := tensor.New(elems)
+			for i := range in.Data() {
+				in.Data()[i] = float64(r + 1)
 			}
-			in, err := tensor.FromSlice(data, elems)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			work := in.Clone()
-			bufs := []*tensor.Tensor{work}
-			for it := 0; it < warmups+iters; it++ {
+			work := tensor.New(elems)
+			round, out := setup(comm, work)
+			for it := 0; it < measureWarmups+measureIters; it++ {
 				work.CopyFrom(in.Data())
-				if err := comm.Barrier(); err != nil {
-					errs[r] = err
+				if errs[r] = comm.Barrier(); errs[r] != nil {
 					return
 				}
 				start := time.Now()
-				if err := comm.AllReduceBucketsInPlace(bufs, OpSum, bucketBytes); err != nil {
-					errs[r] = err
+				if errs[r] = round(); errs[r] != nil {
 					return
 				}
-				if it >= warmups {
-					durs[r][it-warmups] = time.Since(start)
+				if it >= measureWarmups {
+					durs[r][it-measureWarmups] = time.Since(start)
 				}
 			}
-			outs[r] = work
+			outs[r] = out
 		}(r)
 	}
 	wg.Wait()
@@ -249,17 +252,42 @@ func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.D
 			return 0, nil, fmt.Errorf("collective: measure rank %d: %w", r, err)
 		}
 	}
-	// Per iteration, the collective's wall time is the slowest rank's;
-	// average those maxima over the timed iterations.
 	var total time.Duration
-	for it := 0; it < iters; it++ {
-		max := durs[0][it]
+	for it := 0; it < measureIters; it++ {
+		slowest := durs[0][it]
 		for r := 1; r < n; r++ {
-			if durs[r][it] > max {
-				max = durs[r][it]
-			}
+			slowest = max(slowest, durs[r][it])
 		}
-		total += max
+		total += slowest
 	}
-	return total / iters, outs[0], nil
+	return total / measureIters, outs[0], nil
+}
+
+// MeasureAllReduce runs bucketed all-reduces of elems float64 elements over
+// n ranks on tr and returns the steady-state wall time (see measure) plus
+// the reduced tensor from rank 0 for correctness checks.
+func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
+	return measure(tr, n, elems, func(comm *Communicator, work *tensor.Tensor) (func() error, *tensor.Tensor) {
+		bufs := []*tensor.Tensor{work}
+		return func() error { return comm.AllReduceBucketsInPlace(bufs, OpSum, bucketBytes) }, work
+	})
+}
+
+// MeasureShardedExchange times the ZeRO epilogue's collective pair — a
+// bucketed ReduceScatterV of elems float64 elements into balanced per-rank
+// shards followed by an AllGatherV of those shards — over n ranks on tr.
+// Returns the steady-state duration of the pair (see measure) and rank 0's
+// gathered tensor for correctness checks.
+func MeasureShardedExchange(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
+	counts := EvenCounts(elems, n)
+	return measure(tr, n, elems, func(comm *Communicator, work *tensor.Tensor) (func() error, *tensor.Tensor) {
+		shard := tensor.New(counts[comm.Rank()])
+		out := tensor.New(elems)
+		return func() error {
+			if err := comm.ReduceScatterVInto(shard, work, counts, OpSum, bucketBytes); err != nil {
+				return err
+			}
+			return comm.AllGatherVInto(out, shard, counts)
+		}, out
+	})
 }

@@ -1,9 +1,48 @@
 // Package collective is the executable collective-communication engine: the
 // role NCCL collectives play for JaxPP's data-parallel dimension, layered on
 // the runtime's tag-matched point-to-point transport. It provides process
-// groups derived from mesh.Mesh axes and ring-based AllReduce, ReduceScatter,
-// AllGather, Broadcast, and Barrier with chunked transfers and bucketed
-// gradient fusion.
+// groups derived from mesh.Mesh axes and in-place ring collectives over
+// rank-private buffers: AllReduceInto, bucketed gradient fusion
+// (AllReduceBucketsInPlace), ReduceScatterVInto and its sparse form,
+// AllGatherVInto, AllGatherInto, BroadcastInto, and Barrier.
+//
+// One ring engine (ring.go). Every reducing or gathering collective is a
+// composition of two passes over a buffer cut into Size() segments by an
+// offsets table, each Size()-1 steps of "send one segment to the next rank,
+// receive one from the previous":
+//
+//   - reducePass(first): step s sends segment first-s and folds the incoming
+//     segment first-s-1 into the buffer; the rank ends up holding the fully
+//     reduced segment first+1.
+//   - gatherPass(first): step s sends segment first-s and copies the incoming
+//     segment first-s-1 over the buffer; every rank ends up holding every
+//     segment.
+//
+// first fixes which rank starts each segment's accumulation, and with it the
+// floating-point association of every element. Two layouts are in use and
+// must stay distinct, since moving a start rank moves the bits of every sum
+// over three or more ranks:
+//
+//   - all-reduce (AllReduceInto, each AllReduceBucketsInPlace bucket):
+//     reducePass(first = rank) then gatherPass(first = rank+1). Balanced
+//     chunk i starts at rank i and walks up the ring to rank i-1, which then
+//     circulates it.
+//   - reduce-scatter (ReduceScatterVInto, ReduceScatterVSparseInto, per
+//     bucket): reducePass(first = rank-1). Segment r starts at rank r+1 and
+//     ends on rank r, its owner.
+//
+// The all-gathers are gatherPass(first = rank) alone; BroadcastInto and
+// Barrier are not rings but go through the passes' send and recv helpers
+// (except Barrier's shared token, which send would recycle).
+//
+// Chunk discipline: what travels is always a pooled scratch tensor, never
+// caller storage. A reduce hop stages a pooled copy of the segment it sends
+// and the receiver folds it in and recycles it; a gather hop copies the
+// chunk it received into the buffer and relays that same chunk object on the
+// next hop, and the rank that receives a chunk last recycles it. Ownership
+// moves with the message (or stays with the sender over a serializing
+// transport, which recycles after Send), so steady-state collectives perform
+// zero heap allocations — the per-hop profile Calibrate measures.
 //
 // Tag discipline: pipeline P2P traffic uses the small sequential tags the
 // taskgraph compiler allocates (0..NumTags). Collective tags live in a
@@ -79,8 +118,7 @@ const (
 	// GroupTagWindow is the tag window owned by one group. Its size caps
 	// group membership: every operation's tag window (2n+2 tags) must fit at
 	// least twice, so 1<<12 admits groups of up to 1023 ranks — sized for
-	// the multi-process dist transport, whose process groups can outgrow the
-	// 63-rank ceiling the previous 1<<8 window imposed.
+	// the multi-process dist transport's process groups.
 	//
 	// Tag reuse within the window is governed separately by opReuseWindows:
 	// operation windows wrap quickly regardless of how wide the group window
@@ -205,12 +243,11 @@ type Communicator struct {
 	planBounds [][2]int
 	planBytes  int
 
-	// vcounts is the reusable per-bucket shard-counts scratch of the
-	// variable-shard collectives (vshard.go); vvalid is the segment-validity
-	// scratch of the sparse reduce-scatter (2×group size: global validity
-	// plus the per-bucket working copy).
-	vcounts []int
-	vvalid  []bool
+	// off is the reusable segment-offsets table of the ring passes
+	// (ring.go); vvalid is the segment-validity scratch of the reduce-scatter
+	// (2×group size: global validity plus the per-bucket working copy).
+	off    []int
+	vvalid []bool
 }
 
 // bucketPlan returns the fusion-bucket boundaries for ts, recomputing only

@@ -2,49 +2,20 @@ package collective
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
 
-// runGroup executes fn concurrently on every rank of a fresh n-rank group
-// over an in-process transport and returns the per-rank results.
+// runGroup is runGroupOn over a fresh in-process transport.
 func runGroup(t *testing.T, n int, fn func(c *Communicator) (*tensor.Tensor, error)) []*tensor.Tensor {
 	t.Helper()
-	tr := runtime.NewChanTransport()
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	g, err := NewGroup(tr, ranks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := make([]*tensor.Tensor, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := g.Comm(r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			outs[r], errs[r] = fn(c)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return outs
+	return runGroupOn(t, runtime.NewChanTransport(), n, fn)
 }
 
 // rankTensor builds a deterministic per-rank tensor.
@@ -71,7 +42,8 @@ func TestAllReduceSumMatchesLocalSum(t *testing.T) {
 					}
 				}
 				outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-					return c.AllReduce(rankTensor(c.Rank(), elems), OpSum)
+					out := tensor.New(elems)
+					return out, c.AllReduceInto(out, rankTensor(c.Rank(), elems), OpSum)
 				})
 				wantT, _ := tensor.FromSlice(want, elems)
 				for r, got := range outs {
@@ -87,7 +59,8 @@ func TestAllReduceSumMatchesLocalSum(t *testing.T) {
 func TestAllReduceMaxMin(t *testing.T) {
 	const n, elems = 5, 23
 	outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		return c.AllReduce(rankTensor(c.Rank(), elems), OpMax)
+		out := rankTensor(c.Rank(), elems)
+		return out, c.AllReduceInto(out, out, OpMax)
 	})
 	want := rankTensor(n-1, elems)
 	for r, got := range outs {
@@ -96,7 +69,8 @@ func TestAllReduceMaxMin(t *testing.T) {
 		}
 	}
 	outs = runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		return c.AllReduce(rankTensor(c.Rank(), elems), OpMin)
+		out := rankTensor(c.Rank(), elems)
+		return out, c.AllReduceInto(out, out, OpMin)
 	})
 	want = rankTensor(0, elems)
 	for r, got := range outs {
@@ -107,16 +81,19 @@ func TestAllReduceMaxMin(t *testing.T) {
 }
 
 // TestReduceScatterThenAllGatherEqualsAllReduce exercises the composition
-// identity the balanced chunk partition guarantees.
+// identity over the balanced partition: reduce-scattering into EvenCounts
+// shards and gathering them back reassembles the full reduction.
 func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 	for _, n := range []int{2, 3, 7} {
 		for _, elems := range []int{8, 29} {
+			counts := EvenCounts(elems, n)
 			outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-				shard, err := c.ReduceScatter(rankTensor(c.Rank(), elems), OpSum)
-				if err != nil {
+				shard := tensor.New(counts[c.Rank()])
+				if err := c.ReduceScatterVInto(shard, rankTensor(c.Rank(), elems), counts, OpSum, 0); err != nil {
 					return nil, err
 				}
-				return c.AllGather(shard)
+				out := tensor.New(elems)
+				return out, c.AllGatherVInto(out, shard, counts)
 			})
 			want := make([]float64, elems)
 			for r := 0; r < n; r++ {
@@ -139,37 +116,16 @@ func TestBroadcastFromEveryRoot(t *testing.T) {
 	for root := 0; root < n; root++ {
 		want := rankTensor(root, 37)
 		outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-			var in *tensor.Tensor
+			buf := tensor.New(37)
 			if c.Rank() == root {
-				in = want
+				buf = rankTensor(root, 37)
 			}
-			return c.Broadcast(in, root)
+			return buf, c.BroadcastInto(buf, root)
 		})
 		for r, got := range outs {
 			if !tensor.AllClose(got, want, 0, 0) {
 				t.Fatalf("root %d rank %d mismatch", root, r)
 			}
-		}
-	}
-}
-
-// TestBroadcastPreservesShape checks the shape prologue for rank-2 payloads.
-func TestBroadcastPreservesShape(t *testing.T) {
-	const n = 3
-	src := tensor.MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		var in *tensor.Tensor
-		if c.Rank() == 1 {
-			in = src
-		}
-		return c.Broadcast(in, 1)
-	})
-	for r, got := range outs {
-		if !tensor.ShapeEq(got.Shape(), []int{2, 3}) {
-			t.Fatalf("rank %d shape %v", r, got.Shape())
-		}
-		if !tensor.AllClose(got, src, 0, 0) {
-			t.Fatalf("rank %d data mismatch", r)
 		}
 	}
 }
@@ -183,33 +139,12 @@ func TestBarrierCompletesAndOpsStayInLockstep(t *testing.T) {
 				return nil, err
 			}
 		}
-		return c.AllReduce(tensor.Scalar(float64(c.Rank())), OpSum)
+		out := tensor.Scalar(float64(c.Rank()))
+		return out, c.AllReduceInto(out, out, OpSum)
 	})
 	for r, got := range outs {
 		if got.Data()[0] != 15 { // 0+1+..+5
 			t.Fatalf("rank %d: %v", r, got)
-		}
-	}
-}
-
-func TestAllGatherUnequalShards(t *testing.T) {
-	// Rank r contributes r+1 rows of width 2; sizes travel with payloads.
-	const n = 4
-	outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		rows := c.Rank() + 1
-		data := make([]float64, rows*2)
-		for i := range data {
-			data[i] = float64(c.Rank()*1000 + i)
-		}
-		shard, _ := tensor.FromSlice(data, rows, 2)
-		return c.AllGather(shard)
-	})
-	for r, got := range outs {
-		if !tensor.ShapeEq(got.Shape(), []int{1 + 2 + 3 + 4, 2}) {
-			t.Fatalf("rank %d shape %v", r, got.Shape())
-		}
-		if got.At(0, 0) != 0 || got.At(1, 0) != 1000 || got.At(3, 0) != 2000 || got.At(6, 0) != 3000 {
-			t.Fatalf("rank %d wrong rank-order concat: %v", r, got)
 		}
 	}
 }
@@ -246,7 +181,8 @@ func TestBucketedAllReduce(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				c, _ := g.Comm(r)
-				results[r], errs[r] = c.AllReduceBuckets(mk(r), OpSum, bucketBytes)
+				results[r] = mk(r)
+				errs[r] = c.AllReduceBucketsInPlace(results[r], OpSum, bucketBytes)
 			}(r)
 		}
 		wg.Wait()
@@ -362,12 +298,11 @@ func TestCollectivesCoexistWithPipelineP2P(t *testing.T) {
 			c, _ := g.Comm(r)
 			// Interleave several collectives to stress the tag sequencing.
 			for i := 0; i < 3; i++ {
-				out, err := c.AllReduce(rankTensor(r, elems), OpSum)
-				if err != nil {
+				outs[r] = rankTensor(r, elems)
+				if err := c.AllReduceInto(outs[r], outs[r], OpSum); err != nil {
 					collErrs[r] = err
 					return
 				}
-				outs[r] = out
 			}
 		}(r)
 	}
@@ -411,5 +346,78 @@ func TestCollectivesCoexistWithPipelineP2P(t *testing.T) {
 		if !tensor.AllClose(outs[r], wantT, 1e-12, 1e-12) {
 			t.Fatalf("rank %d collective result corrupted by P2P traffic", r)
 		}
+	}
+}
+
+// wrongSizeTransport is a stub peer: it swallows every Send and answers every
+// Recv with a pooled chunk of elems elements, whatever was expected.
+type wrongSizeTransport struct{ elems int }
+
+func (wrongSizeTransport) Send(from, to, tag int, t *tensor.Tensor) {}
+func (w wrongSizeTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
+	return tensor.GetScratch(w.elems), nil
+}
+func (wrongSizeTransport) Err() error           { return nil }
+func (wrongSizeTransport) Poison(error)         {}
+func (wrongSizeTransport) SenderOwnsSent() bool { return false }
+
+// TestWrongSizeChunkIsRecycled pins the receive helper's failure path on
+// every collective that receives: a chunk of the wrong size is an error
+// naming the rank and both sizes, and the received pooled tensor goes back to
+// the pool instead of being dropped to the garbage collector.
+func TestWrongSizeChunkIsRecycled(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	recycled := obs.Counter("pool/recycle")
+	counts := []int{4, 4}
+	cases := []struct {
+		name string
+		want int // elements the first receive expects
+		call func(c *Communicator) error
+	}{
+		{"AllReduceInto", 4, func(c *Communicator) error {
+			buf := tensor.New(8)
+			return c.AllReduceInto(buf, buf, OpSum)
+		}},
+		{"AllReduceBucketsInPlace", 4, func(c *Communicator) error {
+			return c.AllReduceBucketsInPlace([]*tensor.Tensor{tensor.New(8)}, OpSum, 0)
+		}},
+		{"ReduceScatterVInto", 4, func(c *Communicator) error {
+			return c.ReduceScatterVInto(tensor.New(4), tensor.New(8), counts, OpSum, 0)
+		}},
+		{"ReduceScatterVSparseInto", 4, func(c *Communicator) error {
+			return c.ReduceScatterVSparseInto(tensor.New(4), tensor.New(8), counts, 0, 8, OpSum, 0)
+		}},
+		{"AllGatherVInto", 4, func(c *Communicator) error {
+			return c.AllGatherVInto(tensor.New(8), tensor.New(4), counts)
+		}},
+		{"AllGatherInto", 4, func(c *Communicator) error {
+			return c.AllGatherInto(tensor.New(8), tensor.New(4))
+		}},
+		{"BroadcastInto", 4, func(c *Communicator) error {
+			return c.BroadcastInto(tensor.New(8), 0)
+		}},
+		{"Barrier", 1, func(c *Communicator) error { return c.Barrier() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewGroup(wrongSizeTransport{elems: 3}, []int{0, 1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := g.Comm(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := obs.CounterNow(recycled)
+			err = tc.call(c)
+			wantMsg := fmt.Sprintf("rank 1 received chunk of 3 elements, expected %d", tc.want)
+			if err == nil || !strings.Contains(err.Error(), wantMsg) {
+				t.Fatalf("error %v, want one containing %q", err, wantMsg)
+			}
+			if got := obs.CounterNow(recycled) - before; got != 1 {
+				t.Fatalf("pool/recycle advanced by %d, want 1 (the wrong-size chunk)", got)
+			}
+		})
 	}
 }

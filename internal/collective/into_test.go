@@ -11,8 +11,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestAllGatherIntoMatchesAllGather pins the pooled-chunk in-place gather to
-// the relay-based reference across ring sizes and shard sizes.
+// TestAllGatherIntoMatchesAllGather checks AllGatherInto against the
+// definition of an all-gather — dst is the rank-order concatenation of the
+// shards along axis 0 — across ring sizes and shard sizes.
 func TestAllGatherIntoMatchesAllGather(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		for _, rows := range []int{1, 2, 7} {
@@ -25,19 +26,17 @@ func TestAllGatherIntoMatchesAllGather(t *testing.T) {
 					}
 					return s
 				}
-				want := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-					return c.AllGather(shard(c.Rank()))
-				})
+				want := tensor.New(n*rows, width)
+				for r := 0; r < n; r++ {
+					copy(want.Data()[r*rows*width:], shard(r).Data())
+				}
 				got := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 					dst := tensor.New(n*rows, width)
-					if err := c.AllGatherInto(dst, shard(c.Rank())); err != nil {
-						return nil, err
-					}
-					return dst, nil
+					return dst, c.AllGatherInto(dst, shard(c.Rank()))
 				})
 				for r := range got {
-					if !tensor.AllClose(got[r], want[r], 0, 0) {
-						t.Fatalf("rank %d: AllGatherInto %v != AllGather %v", r, got[r], want[r])
+					if !tensor.AllClose(got[r], want, 0, 0) {
+						t.Fatalf("rank %d: AllGatherInto %v, want %v", r, got[r], want)
 					}
 				}
 			})
@@ -78,8 +77,8 @@ func TestAllGatherIntoLeavesShardOwned(t *testing.T) {
 	}
 }
 
-// TestBroadcastIntoMatchesBroadcast pins the preallocated-destination path
-// to the shape-prologue reference.
+// TestBroadcastIntoMatchesBroadcast checks that every rank ends up with the
+// root's payload, for every ring size 1..5 and every root.
 func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		for root := 0; root < n; root++ {
@@ -196,8 +195,8 @@ func (h *intoHarness) round() error {
 }
 
 // TestIntoCollectivesZeroAllocSteadyState extends the allocation gate to the
-// new in-place collectives: once mailboxes and chunk pools are warm, a round
-// of AllGatherInto + BroadcastInto must not allocate.
+// gather and broadcast: once mailboxes and chunk pools are warm, a round of
+// AllGatherInto + BroadcastInto must not allocate.
 func TestIntoCollectivesZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; count is only meaningful without -race")

@@ -18,13 +18,6 @@ var (
 	scCollCopy   = obs.Scope("coll/copy")
 )
 
-// Chunk transfer discipline: every chunked collective ships pooled scratch
-// tensors (tensor.GetScratch) and reduces or copies incoming chunks directly
-// into the rank-private accumulator. Ownership of a chunk transfers with the
-// message — the sender never touches it again and the receiver recycles it
-// after consuming — so steady-state collectives perform zero heap
-// allocations and exactly one copy per hop (the profile Calibrate measures).
-
 // chunkRange returns the [lo, hi) element range of chunk i when n elements
 // are balanced over parts chunks: the first n%parts chunks get one extra
 // element, so any length (including zero and odd sizes) and any ring size
@@ -40,138 +33,177 @@ func chunkRange(n, parts, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// sendChunk ships data[lo:hi] as a flat pooled tensor. Over a
+// Segment offsets. Both passes walk a table off of Size()+1 entries in which
+// segment i of the buffer is [off[i], off[i+1]). The table is communicator
+// scratch, grown once and refilled per ring pass (zero allocations at steady
+// state); a fill invalidates the previous one.
+func (c *Communicator) offsets() []int {
+	if n := c.Size() + 1; cap(c.off) < n {
+		c.off = make([]int, n)
+	}
+	return c.off[:c.Size()+1]
+}
+
+// evenOffsets is the balanced chunkRange partition of L elements.
+func (c *Communicator) evenOffsets(L int) []int {
+	off := c.offsets()
+	for i := range off {
+		off[i], _ = chunkRange(L, c.Size(), i)
+	}
+	return off
+}
+
+// countsOffsets is the partition a per-rank counts table induces on the
+// window [lo, hi) of the flat range it covers, relative to lo: segment r is
+// the overlap of rank r's shard with the window, empty when they are
+// disjoint. The whole range [0, sum(counts)) gives the plain prefix sum.
+func (c *Communicator) countsOffsets(counts []int, lo, hi int) []int {
+	off := c.offsets()
+	start := 0
+	for r, cnt := range counts {
+		off[r] = min(max(start, lo), hi) - lo
+		start += cnt
+	}
+	off[len(counts)] = hi - lo
+	return off
+}
+
+// send ships one chunk to actor `to` under tag: chunk itself when the caller
+// holds one to pass on (a gather hop relays what it received), otherwise a
+// pooled copy of seg staged here (a reduce hop, a ring's first hop — the
+// buffer seg points into keeps changing, so it cannot travel). Over a
 // reference-passing transport the receiver owns (and recycles) the chunk;
 // over a serializing transport (dist) the sender keeps it and recycles it
 // here — otherwise every ring hop would orphan a pooled chunk to GC and the
 // scratch pool could never warm on the distributed gradient-sync path.
-func (c *Communicator) sendChunk(to, tag int, data []float64, lo, hi int) {
+// Either way the caller must not touch chunk again.
+func (c *Communicator) send(to, tag int, chunk *tensor.Tensor, seg []float64) {
 	h := obs.TrackTid(scCollSend, c.self())
-	chunk := tensor.GetScratch(hi - lo)
-	chunk.CopyFrom(data[lo:hi])
+	if chunk == nil {
+		chunk = tensor.GetScratch(len(seg))
+		chunk.CopyFrom(seg)
+	}
+	bytes := int64(chunk.Size()) * 8 // read before Recycle: the pool may rehome chunk instantly
 	c.g.tr.Send(c.self(), to, tag, chunk)
 	if c.g.senderOwns {
 		tensor.Recycle(chunk)
 	}
-	h.StopBytes(int64(hi-lo) * 8)
+	h.StopBytes(bytes)
 }
 
-// combineChunk receives a chunk, reduces it into dst with op, and recycles
-// the chunk's storage.
-func (c *Communicator) combineChunk(from, tag int, dst []float64, op Op) error {
-	hw := obs.TrackTid(scCollWait, c.self())
+// recv blocks for the chunk actor `from` sent under tag and checks that it
+// carries want elements — or none at all when marker is set, the sparse
+// reduce-scatter's identity marker. The caller owns the returned chunk
+// (recycle it or relay it); a chunk of the wrong size is recycled here.
+func (c *Communicator) recv(from, tag, want int, marker bool) (*tensor.Tensor, error) {
+	h := obs.TrackTid(scCollWait, c.self())
 	t, err := c.g.tr.Recv(c.self(), from, tag)
-	hw.Stop()
+	h.Stop()
 	if err != nil {
-		return err
-	}
-	if t.Size() != len(dst) {
-		return fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, t.Size(), len(dst))
-	}
-	hr := obs.TrackTid(scCollReduce, c.self())
-	op.combine(dst, t.Data())
-	hr.StopBytes(int64(len(dst)) * 8)
-	tensor.Recycle(t)
-	return nil
-}
-
-// combineChunkSparse is combineChunk for the identity-marker protocol of
-// ReduceScatterVSparseInto: a zero-length incoming chunk where data was
-// expected is an identity marker (the sender had accumulated nothing for the
-// segment) and leaves dst untouched. A full-size chunk is reduced into dst
-// when the local accumulation is valid, or copied over it when not —
-// bit-identical to reducing into an identity-filled buffer, without ever
-// materializing one. Returns whether real data arrived.
-func (c *Communicator) combineChunkSparse(from, tag int, dst []float64, dstValid bool, op Op) (bool, error) {
-	hw := obs.TrackTid(scCollWait, c.self())
-	t, err := c.g.tr.Recv(c.self(), from, tag)
-	hw.Stop()
-	if err != nil {
-		return false, err
-	}
-	if t.Size() == 0 && len(dst) > 0 {
-		tensor.Recycle(t) // identity marker: accumulated value unchanged
-		return false, nil
-	}
-	if t.Size() != len(dst) {
-		tensor.Recycle(t)
-		return false, fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, t.Size(), len(dst))
-	}
-	if dstValid {
-		hr := obs.TrackTid(scCollReduce, c.self())
-		op.combine(dst, t.Data())
-		hr.StopBytes(int64(len(dst)) * 8)
-	} else {
-		hc := obs.TrackTid(scCollCopy, c.self())
-		copy(dst, t.Data())
-		hc.StopBytes(int64(len(dst)) * 8)
-	}
-	tensor.Recycle(t)
-	return true, nil
-}
-
-// copyChunk receives a chunk, copies it over dst, and recycles its storage.
-func (c *Communicator) copyChunk(from, tag int, dst []float64) error {
-	hw := obs.TrackTid(scCollWait, c.self())
-	t, err := c.g.tr.Recv(c.self(), from, tag)
-	hw.Stop()
-	if err != nil {
-		return err
-	}
-	if t.Size() != len(dst) {
-		return fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, t.Size(), len(dst))
-	}
-	hc := obs.TrackTid(scCollCopy, c.self())
-	copy(dst, t.Data())
-	hc.StopBytes(int64(len(dst)) * 8)
-	tensor.Recycle(t)
-	return nil
-}
-
-// allReduceData ring-all-reduces data in place across the group: a
-// reduce-scatter pass (n-1 steps) leaves each rank with one fully reduced
-// chunk, and an all-gather pass (n-1 steps) circulates the reduced chunks —
-// the bandwidth-optimal 2(n-1)/n·bytes schedule the simulator's
-// perf.RingAllReduceTime models. data must be rank-private storage.
-func (c *Communicator) allReduceData(base int, data []float64, op Op) error {
-	n := c.Size()
-	L := len(data)
-
-	// Reduce-scatter: at step s, send the chunk you most recently reduced
-	// (rank-s) and fold the incoming chunk (rank-s-1) into the accumulator.
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((c.rank-s)%n + n) % n
-		recvIdx := ((c.rank-s-1)%n + n) % n
-		slo, shi := chunkRange(L, n, sendIdx)
-		rlo, rhi := chunkRange(L, n, recvIdx)
-		c.sendChunk(c.next(), base+s, data, slo, shi)
-		if err := c.combineChunk(c.prev(), base+s, data[rlo:rhi], op); err != nil {
-			return err
-		}
-	}
-
-	// All-gather: circulate the fully reduced chunks.
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((c.rank+1-s)%n + n) % n
-		recvIdx := ((c.rank-s)%n + n) % n
-		slo, shi := chunkRange(L, n, sendIdx)
-		rlo, rhi := chunkRange(L, n, recvIdx)
-		c.sendChunk(c.next(), base+n-1+s, data, slo, shi)
-		if err := c.copyChunk(c.prev(), base+n-1+s, data[rlo:rhi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AllReduce performs a ring all-reduce of t with the given operator and
-// returns the result as a fresh tensor (same shape on every rank).
-func (c *Communicator) AllReduce(t *tensor.Tensor, op Op) (*tensor.Tensor, error) {
-	out := t.Clone()
-	if err := c.AllReduceInto(out, out, op); err != nil {
 		return nil, err
 	}
-	return out, nil
+	if got := t.Size(); got != want && !(marker && got == 0) {
+		tensor.Recycle(t)
+		return nil, fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, got, want)
+	}
+	return t, nil
+}
+
+// copyIn copies a received chunk over its segment of the buffer.
+func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
+	h := obs.TrackTid(scCollCopy, c.self())
+	copy(dst, t.Data())
+	h.StopBytes(int64(len(dst)) * 8)
+}
+
+// reducePass is the reduce half of a ring: Size()-1 steps over the segments
+// off cuts data into, using tags base..base+Size()-2. At step s this rank
+// stages and sends segment first-s (indices mod Size()) and folds the
+// incoming segment first-s-1 into data with op, so a segment's partial
+// result travels up the ring picking up one rank's contribution per hop, and
+// when the pass returns this rank holds the fully reduced segment first+1
+// (every other segment of data is a partial sum). Per element the combine
+// order is fixed by first alone — see the package comment for the two
+// layouts in use.
+//
+// valid != nil selects the identity-marker protocol of the sparse
+// reduce-scatter: valid[i] says whether data holds anything for segment i. A
+// segment this rank has accumulated nothing for travels as a zero-length
+// marker chunk (tags stay in lockstep), a marker received leaves the segment
+// as it was, and the first real chunk to reach an invalid segment is copied
+// over it rather than folded in — bit-identical to folding into an
+// identity-filled buffer, without ever materializing one. valid is updated
+// in place.
+func (c *Communicator) reducePass(base int, data []float64, off []int, first int, valid []bool, op Op) error {
+	n := c.Size()
+	si := (first%n + n) % n
+	for s := 0; s < n-1; s++ {
+		ri := (si + n - 1) % n
+		seg := data[off[si]:off[si+1]]
+		if valid != nil && !valid[si] {
+			seg = seg[:0]
+		}
+		c.send(c.next(), base+s, nil, seg)
+		dst := data[off[ri]:off[ri+1]]
+		t, err := c.recv(c.prev(), base+s, len(dst), valid != nil)
+		if err != nil {
+			return err
+		}
+		switch {
+		case t.Size() != len(dst): // identity marker: accumulated value unchanged
+		case valid == nil || valid[ri]:
+			h := obs.TrackTid(scCollReduce, c.self())
+			op.combine(dst, t.Data())
+			h.StopBytes(int64(len(dst)) * 8)
+		default:
+			c.copyIn(dst, t)
+			valid[ri] = true
+		}
+		tensor.Recycle(t)
+		si = ri
+	}
+	return nil
+}
+
+// gatherPass is the gather half of a ring: Size()-1 steps using tags
+// base..base+Size()-2 that leave every segment of data filled in on every
+// rank, given that each rank enters holding the final value of segment first
+// (and the first values of neighbouring ranks differ by one, as they do
+// after a reducePass). The first hop stages a pooled copy of segment first;
+// from then on the chunk received at step s (segment first-s-1) is copied
+// into data and the chunk object itself is sent on at step s+1, so no hop
+// after the first copies on the sending side. Chunks move with ownership:
+// the rank that receives one last recycles it.
+func (c *Communicator) gatherPass(base int, data []float64, off []int, first int) error {
+	n := c.Size()
+	si := (first%n + n) % n
+	var cur *tensor.Tensor // nil: nothing received yet, send stages segment first
+	for s := 0; s < n-1; s++ {
+		c.send(c.next(), base+s, cur, data[off[si]:off[si+1]])
+		si = (si + n - 1) % n
+		dst := data[off[si]:off[si+1]]
+		in, err := c.recv(c.prev(), base+s, len(dst), false)
+		if err != nil {
+			return err
+		}
+		c.copyIn(dst, in)
+		cur = in
+	}
+	tensor.Recycle(cur) // final hop: this rank is the chunk's last reader
+	return nil
+}
+
+// allReduceData ring-all-reduces data in place across the group: a reduce
+// pass leaves each rank with one fully reduced chunk and a gather pass
+// circulates the reduced chunks — the bandwidth-optimal 2(n-1)/n·bytes
+// schedule the simulator's perf.RingAllReduceTime models, on 2(n-1) tags
+// from base. data must be rank-private storage; callers handle Size() == 1.
+func (c *Communicator) allReduceData(base int, data []float64, op Op) error {
+	off := c.evenOffsets(len(data))
+	if err := c.reducePass(base, data, off, c.rank, nil, op); err != nil {
+		return err
+	}
+	return c.gatherPass(base+c.Size()-1, data, off, c.rank+1)
 }
 
 // AllReduceInto reduces src across the group into dst, which must have the
@@ -195,95 +227,12 @@ func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor, op Op) error {
 	return c.allReduceData(base, dst.Data(), op)
 }
 
-// ReduceScatter reduces t across the group and returns this rank's chunk of
-// the result as a flat tensor (chunk boundaries follow the balanced
-// partition chunkRange uses everywhere, so AllGather(ReduceScatter(t))
-// reassembles the full AllReduce result).
-func (c *Communicator) ReduceScatter(t *tensor.Tensor, op Op) (*tensor.Tensor, error) {
-	n := c.Size()
-	base := c.opWindow()
-	L := t.Size()
-	if n == 1 {
-		return tensor.FromSlice(t.Data(), L)
-	}
-	w := tensor.GetScratch(L)
-	w.CopyFrom(t.Data())
-	data := w.Data()
-	// Shifted ring indices relative to AllReduce so that after n-1 steps
-	// rank r owns fully reduced chunk r (the NCCL ReduceScatter layout).
-	for s := 0; s < n-1; s++ {
-		sendIdx := ((c.rank-s-1)%n + 2*n) % n
-		recvIdx := ((c.rank-s-2)%n + 2*n) % n
-		slo, shi := chunkRange(L, n, sendIdx)
-		rlo, rhi := chunkRange(L, n, recvIdx)
-		c.sendChunk(c.next(), base+s, data, slo, shi)
-		if err := c.combineChunk(c.prev(), base+s, data[rlo:rhi], op); err != nil {
-			return nil, err
-		}
-	}
-	lo, hi := chunkRange(L, n, c.rank)
-	out, err := tensor.FromSlice(data[lo:hi], hi-lo)
-	tensor.Recycle(w)
-	return out, err
-}
-
-// AllGather concatenates every rank's shard along axis 0 in rank order.
-// Shards may have different leading dimensions (sizes travel with the
-// payloads around the ring) but must share trailing dimensions. Shard
-// tensors are forwarded zero-copy: each hop relays the received tensor
-// object itself, so no rank may mutate its shard until the gather returns on
-// every rank.
-func (c *Communicator) AllGather(shard *tensor.Tensor) (*tensor.Tensor, error) {
-	n := c.Size()
-	base := c.opWindow()
-	if n == 1 {
-		return shard.Clone(), nil
-	}
-	if shard.Rank() == 0 {
-		return nil, fmt.Errorf("collective: AllGather needs rank >= 1 shards (got a scalar)")
-	}
-	parts := make([]*tensor.Tensor, n)
-	parts[c.rank] = shard
-	// Ring circulation: at step s forward the shard originally owned by
-	// rank-s, receive the one owned by rank-s-1.
-	cur := shard
-	for s := 0; s < n-1; s++ {
-		hs := obs.TrackTid(scCollSend, c.self())
-		c.g.tr.Send(c.self(), c.next(), base+s, cur)
-		hs.StopBytes(int64(cur.Size()) * 8)
-		hw := obs.TrackTid(scCollWait, c.self())
-		in, err := c.g.tr.Recv(c.self(), c.prev(), base+s)
-		hw.Stop()
-		if err != nil {
-			return nil, err
-		}
-		owner := ((c.rank-s-1)%n + n) % n
-		parts[owner] = in
-		cur = in
-	}
-	out := tensor.Concat0(parts)
-	if c.g.senderOwns {
-		// Serializing transport: received parts are rank-private pooled
-		// decodes, not shared relay objects — return them after the concat
-		// copies them out. (Over a reference-passing transport the same
-		// objects live on other ranks; recycling would corrupt them.)
-		for i, p := range parts {
-			if i != c.rank {
-				tensor.Recycle(p)
-			}
-		}
-	}
-	return out, nil
-}
-
 // AllGatherInto gathers equal-shape shards from every rank into dst along
 // axis 0 in rank order: dst row block r holds rank r's shard. dst must have
 // leading dimension Size()×shard.Dim(0), identical trailing dimensions, and
-// be rank-private mutable storage. Unlike AllGather, shards are never relayed
-// as caller tensors: each rank copies its shard into a pooled chunk before
-// the first hop, chunks move around the ring with ownership (the final
-// receiver recycles them), and the caller's shard may be reused the moment
-// the call returns. Zero heap allocations at steady state.
+// be rank-private mutable storage. The caller's shard is only read — what
+// travels is a pooled copy — so it may be reused the moment the call
+// returns. Zero heap allocations at steady state.
 func (c *Communicator) AllGatherInto(dst, shard *tensor.Tensor) error {
 	n := c.Size()
 	base := c.opWindow() // consumed even on fast paths to keep ranks in lockstep
@@ -303,48 +252,20 @@ func (c *Communicator) AllGatherInto(dst, shard *tensor.Tensor) error {
 	}
 	stride := shard.Size()
 	data := dst.Data()
-	copy(data[c.rank*stride:(c.rank+1)*stride], shard.Data())
+	copy(data[c.rank*stride:], shard.Data())
 	if n == 1 || stride == 0 {
 		return nil
 	}
-	// Seed the ring with a pooled copy of the local shard, then circulate:
-	// at step s forward the chunk originally owned by rank-s and keep the
-	// incoming chunk (owned by rank-s-1) for the next hop.
-	cur := tensor.GetScratch(stride)
-	cur.CopyFrom(shard.Data())
-	for s := 0; s < n-1; s++ {
-		hs := obs.TrackTid(scCollSend, c.self())
-		c.g.tr.Send(c.self(), c.next(), base+s, cur)
-		if c.g.senderOwns {
-			tensor.Recycle(cur) // serialized; the relayed chunk stays ours
-		}
-		hs.StopBytes(int64(stride) * 8)
-		hw := obs.TrackTid(scCollWait, c.self())
-		in, err := c.g.tr.Recv(c.self(), c.prev(), base+s)
-		hw.Stop()
-		if err != nil {
-			return err
-		}
-		if in.Size() != stride {
-			return fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, in.Size(), stride)
-		}
-		owner := ((c.rank-s-1)%n + n) % n
-		hc := obs.TrackTid(scCollCopy, c.self())
-		copy(data[owner*stride:(owner+1)*stride], in.Data())
-		hc.StopBytes(int64(stride) * 8)
-		cur = in
-	}
-	tensor.Recycle(cur) // final hop: this rank is the chunk's last reader
-	return nil
+	return c.gatherPass(base, data, c.evenOffsets(n*stride), c.rank)
 }
 
 // BroadcastInto distributes root's tensor in place: on the root, t is the
 // source; on every other rank, t is rank-private mutable storage of the same
-// shape that receives the payload. The transfer is the same chunked pipelined
-// ring as Broadcast, but with the destination preallocated there is no shape
-// prologue and no allocation: intermediate ranks copy each incoming pooled
-// chunk into t and forward the chunk object itself, and the last rank in the
-// chain recycles it.
+// shape that receives the payload. The transfer is a chunked pipelined ring:
+// the root streams Size() chunks to its successor and each intermediate rank
+// copies an incoming chunk into t and forwards the chunk object itself (the
+// last rank in the chain recycles it), so total time approaches one tensor
+// transfer instead of Size()-1 sequential hops.
 func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 	n := c.Size()
 	base := c.opWindow() // consumed even on fast paths to keep ranks in lockstep
@@ -357,117 +278,29 @@ func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 	if n == 1 {
 		return nil
 	}
-	L := t.Size()
-	data := t.Data()
 	dist := ((c.rank-root)%n + n) % n
-	if dist == 0 {
-		for k := 0; k < n; k++ {
-			lo, hi := chunkRange(L, n, k)
-			c.sendChunk(c.next(), base+k, data, lo, hi)
-		}
-		return nil
-	}
-	if t.Borrowed() {
+	if dist > 0 && t.Borrowed() {
 		return fmt.Errorf("collective: BroadcastInto destination is a borrowed view")
 	}
-	last := dist == n-1
+	data := t.Data()
 	for k := 0; k < n; k++ {
-		lo, hi := chunkRange(L, n, k)
-		hw := obs.TrackTid(scCollWait, c.self())
-		in, err := c.g.tr.Recv(c.self(), c.prev(), base+k)
-		hw.Stop()
+		lo, hi := chunkRange(len(data), n, k)
+		if dist == 0 {
+			c.send(c.next(), base+k, nil, data[lo:hi])
+			continue
+		}
+		in, err := c.recv(c.prev(), base+k, hi-lo, false)
 		if err != nil {
 			return err
 		}
-		if in.Size() != hi-lo {
-			return fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, in.Size(), hi-lo)
-		}
-		hc := obs.TrackTid(scCollCopy, c.self())
-		copy(data[lo:hi], in.Data())
-		hc.StopBytes(int64(hi-lo) * 8)
-		if !last {
-			// Forward the chunk object itself; over a reference-passing
-			// transport ownership moves on, over a serializing one we keep
-			// (and recycle) it.
-			c.g.tr.Send(c.self(), c.next(), base+k, in)
-			if c.g.senderOwns {
-				tensor.Recycle(in)
-			}
+		c.copyIn(data[lo:hi], in)
+		if dist < n-1 {
+			c.send(c.next(), base+k, in, nil)
 		} else {
 			tensor.Recycle(in)
 		}
 	}
 	return nil
-}
-
-// Broadcast distributes root's tensor to every rank (ranks other than root
-// pass t == nil or any placeholder; the root's value wins). The transfer is
-// a chunked pipelined ring: the root streams n chunks to its successor and
-// each intermediate rank forwards chunks as they arrive, so total time
-// approaches one tensor transfer instead of n-1 sequential hops.
-func (c *Communicator) Broadcast(t *tensor.Tensor, root int) (*tensor.Tensor, error) {
-	n := c.Size()
-	base := c.opWindow()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: broadcast root %d out of range for group of %d", root, n)
-	}
-	if n == 1 {
-		return t.Clone(), nil
-	}
-	dist := ((c.rank-root)%n + n) % n
-	if dist == 0 {
-		if t == nil {
-			return nil, fmt.Errorf("collective: broadcast root has nil tensor")
-		}
-		data := t.Data()
-		L := len(data)
-		// Shape prologue so receivers can rebuild the tensor; then chunks.
-		shape := t.Shape()
-		st := tensor.GetScratch(len(shape))
-		for i, d := range shape {
-			st.Data()[i] = float64(d)
-		}
-		c.g.tr.Send(c.self(), c.next(), base+n, st)
-		if c.g.senderOwns {
-			tensor.Recycle(st)
-		}
-		for k := 0; k < n; k++ {
-			lo, hi := chunkRange(L, n, k)
-			c.sendChunk(c.next(), base+k, data, lo, hi)
-		}
-		return t.Clone(), nil
-	}
-	st, err := c.g.tr.Recv(c.self(), c.prev(), base+n)
-	if err != nil {
-		return nil, err
-	}
-	shape := make([]int, st.Size())
-	for i, v := range st.Data() {
-		shape[i] = int(v)
-	}
-	last := dist == n-1
-	if !last {
-		// Forward the shape prologue tensor itself (see BroadcastInto's
-		// relay ownership note).
-		c.g.tr.Send(c.self(), c.next(), base+n, st)
-		if c.g.senderOwns {
-			tensor.Recycle(st)
-		}
-	} else {
-		tensor.Recycle(st)
-	}
-	L := tensor.NumElements(shape)
-	data := make([]float64, L)
-	for k := 0; k < n; k++ {
-		lo, hi := chunkRange(L, n, k)
-		if err := c.copyChunk(c.prev(), base+k, data[lo:hi]); err != nil {
-			return nil, err
-		}
-		if !last {
-			c.sendChunk(c.next(), base+k, data, lo, hi)
-		}
-	}
-	return tensor.View(data, shape...), nil
 }
 
 // barrierToken is the shared payload of every barrier message: barriers
@@ -480,17 +313,14 @@ var barrierToken = tensor.Scalar(1)
 func (c *Communicator) Barrier() error {
 	n := c.Size()
 	base := c.opWindow()
-	if n == 1 {
-		return nil
-	}
 	round := 0
 	for d := 1; d < n; d *= 2 {
 		to := c.g.ranks[(c.rank+d)%n]
 		from := c.g.ranks[((c.rank-d)%n+n)%n]
+		// Not c.send: the token is shared by every rank and every barrier,
+		// and must never be recycled.
 		c.g.tr.Send(c.self(), to, base+round, barrierToken)
-		hw := obs.TrackTid(scCollWait, c.self())
-		tok, err := c.g.tr.Recv(c.self(), from, base+round)
-		hw.Stop()
+		tok, err := c.recv(from, base+round, 1, false)
 		if err != nil {
 			return err
 		}

@@ -66,8 +66,9 @@ func TestReduceScatterVIntoMatchesLocalSum(t *testing.T) {
 						err := c.ReduceScatterVInto(dst, rankTensor(c.Rank(), elems), counts, OpSum, bucketBytes)
 						return dst, err
 					})
+					starts := shardStarts(counts)
 					for r, got := range outs {
-						lo, hi := vRange(counts, r)
+						lo, hi := starts[r], starts[r+1]
 						for i, v := range got.Data() {
 							if math.Float64bits(v) != math.Float64bits(want[lo+i]) {
 								t.Fatalf("rank %d shard [%d,%d) elem %d = %v, want %v", r, lo, hi, i, v, want[lo+i])
@@ -92,15 +93,15 @@ func TestAllGatherVIntoReassemblesShards(t *testing.T) {
 				counts = unevenCounts(elems, n)
 			}
 			t.Run(fmt.Sprintf("ranks=%d/%s", n, layout), func(t *testing.T) {
+				starts := shardStarts(counts)
 				want := make([]float64, elems)
 				for r := 0; r < n; r++ {
-					lo, hi := vRange(counts, r)
-					for i := lo; i < hi; i++ {
+					for i := starts[r]; i < starts[r+1]; i++ {
 						want[i] = float64(r+1)*1000 + float64(i)
 					}
 				}
 				outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-					lo, hi := vRange(counts, c.Rank())
+					lo, hi := starts[c.Rank()], starts[c.Rank()+1]
 					shard := tensor.New(hi - lo)
 					for i := lo; i < hi; i++ {
 						shard.Data()[i-lo] = float64(c.Rank()+1)*1000 + float64(i)
@@ -136,7 +137,8 @@ func TestReduceScatterVThenAllGatherVEqualsAllReduce(t *testing.T) {
 		counts := unevenCounts(elems, n)
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			dense := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-				return c.AllReduce(rankTensor(c.Rank(), elems), OpSum)
+				out := rankTensor(c.Rank(), elems)
+				return out, c.AllReduceInto(out, out, OpSum)
 			})
 			sharded := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 				shard := tensor.New(counts[c.Rank()])
