@@ -187,21 +187,16 @@ func PredictBucketedAllReduce(l perf.Link, sizes []int, n, bucketBytes int) floa
 const (
 	measureWarmups = 24
 	measureIters   = 5
-	// MeasureAllReduceRounds is the total number of all-reduce rounds one
-	// MeasureAllReduce call runs (warmups + timed iterations), exported so
-	// byte accounting around a measurement can normalize per round.
-	MeasureAllReduceRounds = measureWarmups + measureIters
 )
 
-// measure is the harness behind the Measure functions: n ranks (actor IDs
-// 0..n-1 on tr), each holding an elems-element contribution of the constant
-// rank+1 in work, run measureWarmups+measureIters rounds. A round refills
-// work (collectives may consume it as scratch), aligns the ranks on a
-// barrier, and times the round function setup returned for the rank. The
-// result is the steady-state wall time — per timed round the slowest rank's
-// duration, averaged over the rounds — and the tensor rank 0's setup named
-// as its output.
-func measure(tr transport.Transport, n, elems int, setup func(comm *Communicator, work *tensor.Tensor) (round func() error, out *tensor.Tensor)) (time.Duration, *tensor.Tensor, error) {
+// MeasureAllReduce runs bucketed all-reduces of elems float64 elements over
+// n ranks on tr (actor IDs 0..n-1), rank r contributing the constant r+1, for
+// measureWarmups+measureIters rounds. A round refills the rank's buffer,
+// aligns the ranks on a barrier, and times the all-reduce. The result is the
+// steady-state wall time — per timed round the slowest rank's duration,
+// averaged over the rounds — plus the reduced tensor from rank 0 for
+// correctness checks.
+func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
 	ranks := make([]int, n)
 	for i := range ranks {
 		ranks[i] = i
@@ -229,21 +224,21 @@ func measure(tr transport.Transport, n, elems int, setup func(comm *Communicator
 				in.Data()[i] = float64(r + 1)
 			}
 			work := tensor.New(elems)
-			round, out := setup(comm, work)
+			bufs := []*tensor.Tensor{work}
 			for it := 0; it < measureWarmups+measureIters; it++ {
 				work.CopyFrom(in.Data())
 				if errs[r] = comm.Barrier(); errs[r] != nil {
 					return
 				}
 				start := time.Now()
-				if errs[r] = round(); errs[r] != nil {
+				if errs[r] = comm.AllReduceBucketsInPlace(bufs, OpSum, bucketBytes); errs[r] != nil {
 					return
 				}
 				if it >= measureWarmups {
 					durs[r][it-measureWarmups] = time.Since(start)
 				}
 			}
-			outs[r] = out
+			outs[r] = work
 		}(r)
 	}
 	wg.Wait()
@@ -261,33 +256,4 @@ func measure(tr transport.Transport, n, elems int, setup func(comm *Communicator
 		total += slowest
 	}
 	return total / measureIters, outs[0], nil
-}
-
-// MeasureAllReduce runs bucketed all-reduces of elems float64 elements over
-// n ranks on tr and returns the steady-state wall time (see measure) plus
-// the reduced tensor from rank 0 for correctness checks.
-func MeasureAllReduce(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
-	return measure(tr, n, elems, func(comm *Communicator, work *tensor.Tensor) (func() error, *tensor.Tensor) {
-		bufs := []*tensor.Tensor{work}
-		return func() error { return comm.AllReduceBucketsInPlace(bufs, OpSum, bucketBytes) }, work
-	})
-}
-
-// MeasureShardedExchange times the ZeRO epilogue's collective pair — a
-// bucketed ReduceScatterV of elems float64 elements into balanced per-rank
-// shards followed by an AllGatherV of those shards — over n ranks on tr.
-// Returns the steady-state duration of the pair (see measure) and rank 0's
-// gathered tensor for correctness checks.
-func MeasureShardedExchange(tr transport.Transport, n, elems, bucketBytes int) (time.Duration, *tensor.Tensor, error) {
-	counts := EvenCounts(elems, n)
-	return measure(tr, n, elems, func(comm *Communicator, work *tensor.Tensor) (func() error, *tensor.Tensor) {
-		shard := tensor.New(counts[comm.Rank()])
-		out := tensor.New(elems)
-		return func() error {
-			if err := comm.ReduceScatterVInto(shard, work, counts, OpSum, bucketBytes); err != nil {
-				return err
-			}
-			return comm.AllGatherVInto(out, shard, counts)
-		}, out
-	})
 }

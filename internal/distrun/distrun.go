@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"sort"
 	"time"
 
@@ -170,13 +171,65 @@ func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 	if s.Kind != "" && s.Kind != KindTrain {
 		return s, fmt.Errorf("distrun: payload kind %q is not a training job", s.Kind)
 	}
-	if s.Stages < 1 || s.NumMB < 1 || s.Steps < 0 {
-		return s, fmt.Errorf("distrun: invalid job spec %+v", s)
+	return s, s.validate()
+}
+
+// validate rejects a spec no rank can run, naming the field (as the payload
+// spells it) and its value. A spec enters the program from outside — the
+// rendezvous payload and the -resume state file through UnmarshalJobSpec,
+// jaxpp-train's flags and RunLocal's callers through CompileHosted — and both
+// call this first, so a bad value fails the job with an error instead of
+// dividing by zero in InitModel, training to NaN, or running silently as a
+// different job. Steps 0 is legal: the benchmark times set-up (join, mesh
+// connect, compile) with such jobs.
+func (s JobSpec) validate() error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("distrun: invalid job spec: %s = %v, want %s", field, v, want)
+	}
+	for _, f := range []struct {
+		field  string
+		v, min int
+	}{
+		{"stages", s.Stages, 1}, {"num_mb", s.NumMB, 1}, {"mb_rows", s.MBRows, 1}, {"width", s.Width, 1},
+		{"steps", s.Steps, 0}, {"data_parallel", s.DataParallel, 0}, {"spmd", s.SPMD, 0},
+		{"ckpt_every", s.CkptEvery, 0}, {"step_sleep_ms", s.StepSleepMs, 0},
+	} {
+		if f.v < f.min {
+			return bad(f.field, f.v, fmt.Sprintf(">= %d", f.min))
+		}
+	}
+	if s.World()/s.Stages != s.Replicas() {
+		return bad("data_parallel", s.DataParallel, fmt.Sprintf("a world of that many replicas x %d stages to fit an int", s.Stages))
+	}
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"lr", s.LR}, {"momentum", s.Momentum}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return bad(f.field, f.v, "a finite number")
+		}
+	}
+	switch s.Schedule {
+	case "", "1f1b", "gpipe":
+	default:
+		return bad("schedule", fmt.Sprintf("%q", s.Schedule), `"1f1b" or "gpipe"`)
 	}
 	if _, err := dist.ParseDType(s.WireDType); err != nil {
-		return s, err
+		return err
 	}
-	return s, nil
+	if sh := s.Shape; sh != nil {
+		switch {
+		case sh.LatencyUs < 0:
+			return bad("shape.latency_us", sh.LatencyUs, ">= 0")
+		case sh.JitterUs < 0:
+			return bad("shape.jitter_us", sh.JitterUs, ">= 0")
+		case !(sh.BandwidthGBs >= 0): // NaN fails too
+			return bad("shape.bandwidth_gbs", sh.BandwidthGBs, ">= 0")
+		case !(sh.LossProb >= 0 && sh.LossProb <= 1):
+			return bad("shape.loss_prob", sh.LossProb, "within [0, 1]")
+		}
+	}
+	return nil
 }
 
 // worldGroupID selects the tag window of the all-ranks process group the
@@ -359,14 +412,12 @@ func Compile(spec JobSpec, tr transport.Transport) (*jaxpp.TrainStep, error) {
 // every rank compiles identically, so nothing about peers needs to exist
 // locally. nil hosts every actor.
 func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
-	var sched *jaxpp.Schedule
-	switch spec.Schedule {
-	case "gpipe":
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	sched := jaxpp.OneFOneB(spec.Stages, spec.NumMB)
+	if spec.Schedule == "gpipe" {
 		sched = jaxpp.GPipe(spec.Stages, spec.NumMB)
-	case "", "1f1b":
-		sched = jaxpp.OneFOneB(spec.Stages, spec.NumMB)
-	default:
-		return nil, fmt.Errorf("distrun: unknown schedule %q", spec.Schedule)
 	}
 	paramShapes := make([][]int, spec.Stages)
 	for i := range paramShapes {

@@ -41,12 +41,3 @@ func axpyList(o, b []float64, nzs []nzEnt) {
 	}
 	axpyListAVX2(&o[0], &b[0], len(o), &nzs[0], len(nzs))
 }
-
-// MatMulKernel names the matmul micro-kernel this process runs: "avx2" or
-// "generic".
-func MatMulKernel() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "generic"
-}

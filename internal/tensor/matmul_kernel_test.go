@@ -140,6 +140,9 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 // rows, signed zeros, subnormals, non-finite b under the zero skip, and
 // unaligned borrowed views.
 func TestMatMulKernelBitIdentical(t *testing.T) {
+	var kernels []string
+	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
+	t.Logf("kernels held to the reference: %v; this process picked %s", kernels, kernels[0])
 	var cases []kernelCase
 	id := 0
 	add := func(m, k, n int) {
