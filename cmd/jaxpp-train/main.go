@@ -38,7 +38,7 @@ func main() {
 	steps := flag.Int("steps", 20, "training steps")
 	lr := flag.Float64("lr", 0.5, "learning rate")
 	momentum := flag.Float64("momentum", 0, "heavy-ball momentum coefficient (0 = plain SGD)")
-	flag.Bool("sharded", false, "accepted, no effect: the owner-major sharded exchange (ReduceScatterV, shard-local update, AllGatherV; ~1/world optimizer memory per rank) is the only distributed step epilogue")
+	flag.Bool("sharded", false, "accepted, no effect: optimizer state is always sharded by the one distributed step epilogue (inside each stage's replica group: reduce the gradients, update the ranges this rank reduced, gather the stage's parameters; ~1/world optimizer memory per rank, full parameters only on rank 0 at the end and in checkpoints)")
 	schedName := flag.String("schedule", "1f1b", "gpipe or 1f1b")
 	dp := flag.Int("dp", 0, "data-parallel pipeline replicas (0/1 disables)")
 	spmd := flag.Int("spmd", 1, "virtual SPMD devices per actor")

@@ -4,8 +4,8 @@
 //	<dir>/step-00000042/shard-000.ckpt   one file per rank, wire-codec frames
 //	<dir>/step-00000042/manifest.json    written last, by rank 0, after a barrier
 //
-// Each rank serializes the state entries it owns (round-robin over the world)
-// as dist wire frames — CRC32 trailers always on, the frame tag carrying the
+// Each rank serializes the state entries the manifest's ownership map gives
+// it as dist wire frames — CRC32 trailers always on, the frame tag carrying the
 // entry index — into a temp file renamed into place, so a crash mid-write
 // never leaves a half shard under a published name. The manifest records the
 // step, the world size, and the entry→rank ownership map; it is only written
@@ -16,11 +16,13 @@
 // consistent one instead of poisoning recovery.
 //
 // State entries are the driver-held training state, which in this runtime is
-// the single source of truth the actors are stepped with: the replicated
-// parameter tensors, followed by the optimizer velocity tensors when momentum
-// is enabled. Actor object stores are transient within a step (buffers are
-// reserved at load and consumed by the step's own instructions), so exporting
-// driver state is exporting actor state.
+// the single source of truth the actors are stepped with: the parameter
+// tensors, followed by the optimizer velocity state when momentum is enabled.
+// Actor object stores are transient within a step (buffers are reserved at
+// load and consumed by the step's own instructions), so exporting driver
+// state is exporting actor state. The in-process runner holds all of it and
+// writes one shard; a distributed rank holds the current parameters of the
+// stage it hosts and the velocity of the ranges it updates, and writes those.
 package ckpt
 
 import (
@@ -62,21 +64,23 @@ type Manifest struct {
 	Params int `json:"params"`
 	// Entries is the total serialized tensor count: Params parameters,
 	// followed by the optimizer state — Params velocity tensors in the dense
-	// layout, or len(OptShardCounts) flat velocity shards in the owner-major
-	// sharded layout.
+	// layout, or len(OptShardCounts) consecutive pieces of the flat velocity
+	// vector in the owner-major sharded layout.
 	Entries  int     `json:"entries"`
 	Momentum float64 `json:"momentum,omitempty"`
 	// OptShardCounts, when non-empty, marks the owner-major sharded optimizer
-	// layout: entry Params+r is rank r's slice of the owner-major flat
-	// velocity vector (OptShardCounts[r] elements, the balanced partition of
-	// the writing world). The flat vector itself — gradient tensors
-	// concatenated in producing-actor order — is a function of the compiled
-	// program only, so a reader of any world size reassembles it and re-slices
-	// (or unpacks to dense per-tensor state) for its own layout: sharded
-	// checkpoints restore across world-size changes and across layout changes
-	// in both directions.
+	// layout: entry Params+k is the k-th piece of the owner-major flat
+	// velocity vector (OptShardCounts[k] elements), written by the rank that
+	// held it — the pieces concatenate, in entry order, to the whole vector.
+	// How the writing world cut it is its own business (one balanced slice per
+	// rank before the stage-local epilogue, each stage's replica-group chunks
+	// since). The flat vector itself — gradient tensors concatenated in
+	// producing-actor order — is a function of the compiled program only, so
+	// a reader of any world size reassembles it and re-slices (or unpacks to
+	// dense per-tensor state) for its own layout: sharded checkpoints restore
+	// across world-size changes and across layout changes in both directions.
 	OptShardCounts []int `json:"opt_shard_counts,omitempty"`
-	// Owners[e] is the rank that wrote entry e (round-robin: e mod World).
+	// Owners[e] is the rank that wrote entry e.
 	Owners []int `json:"owners"`
 	// Shards lists every rank's shard file and the entries it carries.
 	Shards      []ShardInfo `json:"shards"`
@@ -90,10 +94,8 @@ type ShardInfo struct {
 	Entries []int  `json:"entries"`
 }
 
-// OwnerOf is the ownership map: entry e is written by rank e mod world.
-// Parameters are replicated on every rank, so any assignment is correct;
-// round-robin spreads checkpoint I/O across the world instead of serializing
-// it through the gradient owners.
+// OwnerOf is the ownership map of the dense layout: entry e is written by
+// rank e mod world.
 func OwnerOf(entry, world int) int { return entry % world }
 
 // Owned returns the entry indices rank writes under the round-robin map.
@@ -138,32 +140,26 @@ func NewManifest(step, world, stages, width, params int, momentum float64) *Mani
 }
 
 // NewManifestSharded fills a manifest for the owner-major sharded optimizer
-// layout: Params replicated parameter entries (round-robin ownership, as in
-// the dense layout) followed by one flat velocity-shard entry per writing
-// rank — entry Params+r is written by rank r alone, since rank r is the only
-// process that holds that slice of the optimizer state.
-func NewManifestSharded(step, world, stages, width, params int, momentum float64, optCounts []int) *Manifest {
-	entries := params + len(optCounts)
+// layout under an explicit ownership map: Params parameter entries followed
+// by one entry per piece of the flat velocity vector (optCounts, in vector
+// order; none for an optimizer without state), owners[e] being the rank that
+// holds entry e and therefore writes it. Every rank gets a shard file, a rank
+// that owns nothing an empty one.
+func NewManifestSharded(step, world, stages, width, params int, momentum float64, optCounts, owners []int) *Manifest {
 	m := &Manifest{
 		Version: Version, Step: step, World: world,
 		Stages: stages, Width: width, Params: params,
-		Entries: entries, Momentum: momentum,
+		Entries: params + len(optCounts), Momentum: momentum,
 		OptShardCounts: append([]int(nil), optCounts...),
-		Owners:         make([]int, entries),
+		Owners:         append([]int(nil), owners...),
 		SavedAtUnix:    time.Now().Unix(),
+		Shards:         make([]ShardInfo, world),
 	}
-	for e := 0; e < params; e++ {
-		m.Owners[e] = OwnerOf(e, world)
+	for r := range m.Shards {
+		m.Shards[r] = ShardInfo{Rank: r, File: ShardFile(r), Entries: []int{}}
 	}
-	for r := range optCounts {
-		m.Owners[params+r] = r
-	}
-	for r := 0; r < world; r++ {
-		ents := Owned(r, world, params)
-		if r < len(optCounts) {
-			ents = append(ents, params+r)
-		}
-		m.Shards = append(m.Shards, ShardInfo{Rank: r, File: ShardFile(r), Entries: ents})
+	for e, r := range m.Owners {
+		m.Shards[r].Entries = append(m.Shards[r].Entries, e)
 	}
 	return m
 }

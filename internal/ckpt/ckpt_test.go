@@ -278,36 +278,44 @@ func TestClusterStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOwnerMajorShardedManifestRoundTrip pins the PR-8 sharded optimizer
-// layout: each rank's shard carries its round-robin parameter share plus the
-// single flat velocity-shard entry only it holds (entry params+rank, sparse
-// in every other rank's entry list), and Restore reassembles the full entry
+// TestOwnerMajorShardedManifestRoundTrip pins the owner-major sharded
+// optimizer layout: each rank's shard carries the parameter entries and the
+// pieces of the flat velocity vector the ownership map gives it (every entry
+// sparse in every other rank's list), and Restore reassembles the full entry
 // list bit-identically with the manifest advertising the writing partition.
 func TestOwnerMajorShardedManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	const params, world, step = 4, 3, 17
 	pstate := testState(params, 10)
-	// Uneven flat velocity partition, one shard per rank.
-	counts := []int{9, 0, 5}
-	vshards := make([]*tensor.Tensor, world)
-	for r, c := range counts {
+	// Four uneven pieces of the flat velocity vector over three ranks, in
+	// vector order: rank 2 holds two of them, and parameters sit with ranks 0
+	// and 1 only — ownership is whatever the map says, not entry mod world.
+	counts := []int{9, 5, 3, 2}
+	owners := []int{0, 1, 1, 0 /* velocity: */, 2, 0, 2, 1}
+	pieces := make([]*tensor.Tensor, len(counts))
+	for k, c := range counts {
 		v := tensor.New(c)
 		for i := range v.Data() {
-			v.Data()[i] = float64(r*100+i) - 0.5
+			v.Data()[i] = float64(k*100+i) - 0.5
 		}
-		vshards[r] = v
+		pieces[k] = v
 	}
+	want := append(append([]*tensor.Tensor(nil), pstate...), pieces...)
 
 	for r := 0; r < world; r++ {
-		entries := make([]*tensor.Tensor, params+world)
-		copy(entries, pstate)
-		entries[params+r] = vshards[r] // the only velocity entry this rank holds
-		owned := append(Owned(r, world, params), params+r)
+		entries := make([]*tensor.Tensor, len(want))
+		var owned []int
+		for e, o := range owners {
+			if o == r {
+				entries[e] = want[e] // a rank holds only what it owns
+				owned = append(owned, e)
+			}
+		}
 		if err := WriteShard(dir, step, r, entries, owned); err != nil {
 			t.Fatalf("shard %d: %v", r, err)
 		}
 	}
-	m := NewManifestSharded(step, world, 2, 16, params, 0.9, counts)
+	m := NewManifestSharded(step, world, 2, 16, params, 0.9, counts, owners)
 	if !m.Sharded() {
 		t.Fatal("sharded manifest does not report Sharded()")
 	}
@@ -322,18 +330,19 @@ func TestOwnerMajorShardedManifestRoundTrip(t *testing.T) {
 	if len(skipped) != 0 {
 		t.Fatalf("skipped %v on a clean restore", skipped)
 	}
-	if got == nil || !got.Sharded() || got.Entries != params+world {
+	if got == nil || !got.Sharded() || got.Entries != len(want) {
 		t.Fatalf("manifest %+v", got)
 	}
-	for r, c := range counts {
-		if got.OptShardCounts[r] != c {
+	for k, c := range counts {
+		if got.OptShardCounts[k] != c {
 			t.Fatalf("OptShardCounts %v, want %v", got.OptShardCounts, counts)
 		}
-		if got.Owners[params+r] != r {
-			t.Fatalf("velocity entry %d owned by %d, want %d", params+r, got.Owners[params+r], r)
+	}
+	for e, o := range owners {
+		if got.Owners[e] != o {
+			t.Fatalf("entry %d owned by %d, want %d", e, got.Owners[e], o)
 		}
 	}
-	want := append(append([]*tensor.Tensor(nil), pstate...), vshards...)
 	requireBitEqual(t, entries, want)
 	for _, e := range entries {
 		tensor.Recycle(e)

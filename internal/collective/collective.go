@@ -3,8 +3,9 @@
 // the runtime's tag-matched point-to-point transport. It provides process
 // groups derived from mesh.Mesh axes and in-place ring collectives over
 // rank-private buffers: AllReduceInto, bucketed gradient fusion
-// (AllReduceBucketsInPlace), ReduceScatterVInto and its sparse form,
-// AllGatherVInto, AllGatherInto, BroadcastInto, and Barrier.
+// (AllReduceBucketsInPlace and its two halves, ReduceBucketsInPlace and
+// GatherBucketsInPlace), ReduceScatterVInto, AllGatherVInto, AllGatherInto,
+// BroadcastInto, and Barrier.
 //
 // One ring engine (ring.go). Every reducing or gathering collective is a
 // composition of two passes over a buffer cut into Size() segments by an
@@ -27,9 +28,19 @@
 //     reducePass(first = rank) then gatherPass(first = rank+1). Balanced
 //     chunk i starts at rank i and walks up the ring to rank i-1, which then
 //     circulates it.
-//   - reduce-scatter (ReduceScatterVInto, ReduceScatterVSparseInto, per
-//     bucket): reducePass(first = rank-1). Segment r starts at rank r+1 and
-//     ends on rank r, its owner.
+//   - reduce-scatter (ReduceScatterVInto, per bucket): reducePass(first =
+//     rank-1). Segment r starts at rank r+1 and ends on rank r, its owner.
+//
+// The bucketed all-reduce is also available as its two halves, and is nothing
+// but their composition: ReduceBucketsInPlace runs every bucket's reduce pass
+// and leaves rank r holding the fully reduced chunk r+1 of each bucket —
+// OwnedRanges names those elements without running anything — and
+// GatherBucketsInPlace runs every bucket's gather pass from exactly that
+// state. A caller that puts elementwise work between the halves (distrun's
+// step epilogue: reduce the gradients, update the owned ranges of the
+// parameters, gather the parameters) therefore ends with the bits the full
+// all-reduce followed by the same work on every element would have produced,
+// for any group size and bucket cut, having sent the same bytes.
 //
 // The all-gathers are gatherPass(first = rank) alone; BroadcastInto and
 // Barrier are not rings but go through the passes' send and recv helpers
@@ -231,9 +242,9 @@ type Communicator struct {
 	rank int
 	seq  int
 
-	// flat is the reusable gradient-fusion scratch AllReduceBucketsInPlace
-	// coalesces bucket tensors into; it grows to the largest bucket seen and
-	// is then reused every step.
+	// flat is the reusable gradient-fusion scratch the bucketed halves
+	// coalesce a fused bucket's tensors into; it grows to the largest bucket
+	// seen and is then reused every step.
 	flat []float64
 
 	// Cached fusion plan: the gradient list's sizes are invariant across
@@ -243,11 +254,8 @@ type Communicator struct {
 	planBounds [][2]int
 	planBytes  int
 
-	// off is the reusable segment-offsets table of the ring passes
-	// (ring.go); vvalid is the segment-validity scratch of the reduce-scatter
-	// (2×group size: global validity plus the per-bucket working copy).
-	off    []int
-	vvalid []bool
+	// off is the reusable segment-offsets table of the ring passes (ring.go).
+	off []int
 }
 
 // bucketPlan returns the fusion-bucket boundaries for ts, recomputing only

@@ -385,8 +385,8 @@ func TestWrongSizeChunkIsRecycled(t *testing.T) {
 		{"ReduceScatterVInto", 4, func(c *Communicator) error {
 			return c.ReduceScatterVInto(tensor.New(4), tensor.New(8), counts, OpSum, 0)
 		}},
-		{"ReduceScatterVSparseInto", 4, func(c *Communicator) error {
-			return c.ReduceScatterVSparseInto(tensor.New(4), tensor.New(8), counts, 0, 8, OpSum, 0)
+		{"GatherBucketsInPlace", 4, func(c *Communicator) error {
+			return c.GatherBucketsInPlace([]*tensor.Tensor{tensor.New(8)}, 0)
 		}},
 		{"AllGatherVInto", 4, func(c *Communicator) error {
 			return c.AllGatherVInto(tensor.New(8), tensor.New(4), counts)

@@ -79,8 +79,14 @@ func shardStarts(counts []int) []int {
 // accumulation starts at rank start and walks up the ring, every rank adding
 // its own value to the partial sum it received.
 func ringFold(val func(rank int) float64, n, start int) float64 {
+	return ringFoldFirst(val, n, start, n)
+}
+
+// ringFoldFirst is ringFold stopped after the first terms ranks: the partial
+// sum the terms-th rank up the ring from start holds.
+func ringFoldFirst(val func(rank int) float64, n, start, terms int) float64 {
 	acc := val(start % n)
-	for k := 1; k < n; k++ {
+	for k := 1; k < terms; k++ {
 		acc = val((start+k)%n) + acc
 	}
 	return acc
@@ -106,9 +112,14 @@ func wantBits(t *testing.T, what string, rank int, got, want []float64) {
 //
 //   - all-reduce (AllReduceInto, every AllReduceBucketsInPlace bucket): the
 //     balanced chunk i starts folding at rank i and walks up the ring;
-//   - reduce-scatter (ReduceScatterVInto, ReduceScatterVSparseInto): the
-//     segment rank r ends up owning starts at rank r+1 and ends on r, and a
-//     rank that contributes nothing to an element counts as −0.0.
+//   - reduce-scatter (ReduceScatterVInto): the segment rank r ends up owning
+//     starts at rank r+1 and ends on r.
+//
+// The bucketed all-reduce is pinned as its two halves as well: after
+// ReduceBucketsInPlace every element holds the partial fold the ring has
+// carried to this rank, which is the complete one exactly on OwnedRanges, and
+// GatherBucketsInPlace from that state — everything outside the owned ranges
+// overwritten with NaN first — ends on AllReduceBucketsInPlace's bits.
 //
 // Both Send ownership contracts are covered: the reference-passing
 // ChanTransport and the serializing dist.LocalMesh.
@@ -176,21 +187,10 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 			shardOf = append(shardOf, r)
 		}
 	}
-	negZero := math.Copysign(0, -1)
-	rsWant := func(val func(rank, e int) float64) []float64 {
-		want := make([]float64, rsLen)
-		for e := range want {
-			want[e] = ringFold(func(r int) float64 { return val(r, e) }, n, shardOf[e]+1)
-		}
-		return want
+	rsWant := make([]float64, rsLen)
+	for e := range rsWant {
+		rsWant[e] = ringFold(func(r int) float64 { return orderPayload(r, e) }, n, shardOf[e]+1)
 	}
-	denseWant := rsWant(orderPayload)
-	sparseWant := rsWant(func(r, e int) float64 {
-		if lo, hi := sparseContrib(rsLen, n, r); e < lo || e >= hi {
-			return negZero // what the dense filler path would contribute
-		}
-		return orderPayload(r, e)
-	})
 
 	fill := func(rank, elems, tag int) *tensor.Tensor {
 		out := tensor.New(elems)
@@ -199,7 +199,18 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 		}
 		return out
 	}
-	type result struct{ ar, fusedFlat, solo, dense, sparse []float64 }
+	flatten := func(ts []*tensor.Tensor) (out []float64) {
+		for _, t := range ts {
+			out = append(out, t.Data()...)
+		}
+		return out
+	}
+	bucketed := func(r int) []*tensor.Tensor {
+		// The fused tensors carry one contiguous payload from index 1000 on,
+		// the single-tensor bucket its own from 2000.
+		return []*tensor.Tensor{fill(r, 5, 1000), fill(r, 7, 1005), fill(r, 3, 1012), fill(r, soloLen, 2000)}
+	}
+	type result struct{ ar, buckets, reduced, split, dense []float64 }
 	results := make([]result, n)
 	runGroupOn(t, tr, n, func(c *Communicator) (*tensor.Tensor, error) {
 		r := c.Rank()
@@ -211,46 +222,85 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 		}
 		res.ar = ar.Data()
 
-		// The fused tensors carry one contiguous payload from index 1000 on,
-		// the single-tensor bucket its own from 2000.
-		ts := []*tensor.Tensor{fill(r, 5, 1000), fill(r, 7, 1005), fill(r, 3, 1012), fill(r, soloLen, 2000)}
+		ts := bucketed(r)
 		if err := c.AllReduceBucketsInPlace(ts, OpSum, bucketCap); err != nil {
 			return nil, err
 		}
-		for _, fused := range ts[:3] {
-			res.fusedFlat = append(res.fusedFlat, fused.Data()...)
+		res.buckets = flatten(ts)
+
+		// The same list through the two halves.
+		ts = bucketed(r)
+		if err := c.ReduceBucketsInPlace(ts, OpSum, bucketCap); err != nil {
+			return nil, err
 		}
-		res.solo = ts[3].Data()
+		res.reduced = flatten(ts)
+		owned := OwnedRanges(sizes, bucketCap, n, r)
+		off := 0
+		for _, half := range ts {
+			for i := range half.Data() {
+				if e := off + i; !inRanges(owned, e) {
+					half.Data()[i] = math.NaN()
+				}
+			}
+			off += half.Size()
+		}
+		if err := c.GatherBucketsInPlace(ts, bucketCap); err != nil {
+			return nil, err
+		}
+		res.split = flatten(ts)
 
 		dense := tensor.New(counts[r])
 		if err := c.ReduceScatterVInto(dense, fill(r, rsLen, 0), counts, OpSum, rsBucketBytes); err != nil {
 			return nil, err
 		}
 		res.dense = dense.Data()
-
-		// Sparse: payload only inside the contribution range, NaN canaries
-		// everywhere else.
-		lo, hi := sparseContrib(rsLen, n, r)
-		data := tensor.New(rsLen)
-		for i := range data.Data() {
-			data.Data()[i] = math.NaN()
-		}
-		for i := lo; i < hi; i++ {
-			data.Data()[i] = orderPayload(r, i)
-		}
-		sparse := tensor.New(counts[r])
-		if err := c.ReduceScatterVSparseInto(sparse, data, counts, lo, hi, OpSum, rsBucketBytes); err != nil {
-			return nil, err
-		}
-		res.sparse = sparse.Data()
 		return nil, nil
 	})
 
+	// What the reduce half leaves on rank r. On its owned ranges, the
+	// all-reduce's bits. Anywhere else in a single-tensor bucket (reduced in
+	// the tensor's own storage), the fold the ring had carried to r when the
+	// pass ended: chunk i folded by ranks i, i+1, … up to r, which is every
+	// rank exactly where r ends the walk — chunk r+1, the owned one. (What a
+	// fused bucket's tensors hold outside the owned chunk is not specified.)
+	bucketsWant := append(allReduceWant(fusedLen, 1000), allReduceWant(soloLen, 2000)...)
+	ownedBy := make([]int, fusedLen+soloLen)
 	for r, res := range results {
 		wantBits(t, "AllReduceInto", r, res.ar, allReduceWant(arLen, 0))
-		wantBits(t, "AllReduceBucketsInPlace fused bucket", r, res.fusedFlat, allReduceWant(fusedLen, 1000))
-		wantBits(t, "AllReduceBucketsInPlace single-tensor bucket", r, res.solo, allReduceWant(soloLen, 2000))
-		wantBits(t, "ReduceScatterVInto", r, res.dense, denseWant[starts[r]:starts[r+1]])
-		wantBits(t, "ReduceScatterVSparseInto", r, res.sparse, sparseWant[starts[r]:starts[r+1]])
+		wantBits(t, "AllReduceBucketsInPlace (fused bucket, single-tensor bucket)", r, res.buckets, bucketsWant)
+		wantBits(t, "ReduceBucketsInPlace then GatherBucketsInPlace", r, res.split, res.buckets)
+		wantBits(t, "ReduceScatterVInto", r, res.dense, rsWant[starts[r]:starts[r+1]])
+
+		owned := OwnedRanges(sizes, bucketCap, n, r)
+		for _, o := range owned {
+			wantBits(t, fmt.Sprintf("ReduceBucketsInPlace owned range %v", o), r, res.reduced[o.Lo:o.Hi], bucketsWant[o.Lo:o.Hi])
+			for e := o.Lo; e < o.Hi; e++ {
+				ownedBy[e]++
+			}
+		}
+		soloWant := make([]float64, soloLen)
+		for e := range soloWant {
+			i := chunkOf(soloLen, e)
+			terms := (r-i+n)%n + 1
+			soloWant[e] = ringFoldFirst(func(r int) float64 { return orderPayload(r, 2000+e) }, n, i, terms)
+			if inRanges(owned, fusedLen+e) != (terms == n) {
+				t.Fatalf("rank %d: single-tensor bucket elem %d folded %d of %d ranks, OwnedRanges %v", r, e, terms, n, owned)
+			}
+		}
+		wantBits(t, "ReduceBucketsInPlace single-tensor bucket", r, res.reduced[fusedLen:], soloWant)
 	}
+	for e, owners := range ownedBy {
+		if owners != 1 {
+			t.Fatalf("elem %d is owned by %d ranks, want exactly one", e, owners)
+		}
+	}
+}
+
+func inRanges(rs []Range, e int) bool {
+	for _, r := range rs {
+		if r.Lo <= e && e < r.Hi {
+			return true
+		}
+	}
+	return false
 }

@@ -92,17 +92,16 @@ func (c *Communicator) send(to, tag int, chunk *tensor.Tensor, seg []float64) {
 }
 
 // recv blocks for the chunk actor `from` sent under tag and checks that it
-// carries want elements — or none at all when marker is set, the sparse
-// reduce-scatter's identity marker. The caller owns the returned chunk
-// (recycle it or relay it); a chunk of the wrong size is recycled here.
-func (c *Communicator) recv(from, tag, want int, marker bool) (*tensor.Tensor, error) {
+// carries want elements. The caller owns the returned chunk (recycle it or
+// relay it); a chunk of the wrong size is recycled here.
+func (c *Communicator) recv(from, tag, want int) (*tensor.Tensor, error) {
 	h := obs.TrackTid(scCollWait, c.self())
 	t, err := c.g.tr.Recv(c.self(), from, tag)
 	h.Stop()
 	if err != nil {
 		return nil, err
 	}
-	if got := t.Size(); got != want && !(marker && got == 0) {
+	if got := t.Size(); got != want {
 		tensor.Recycle(t)
 		return nil, fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, got, want)
 	}
@@ -125,40 +124,20 @@ func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
 // (every other segment of data is a partial sum). Per element the combine
 // order is fixed by first alone — see the package comment for the two
 // layouts in use.
-//
-// valid != nil selects the identity-marker protocol of the sparse
-// reduce-scatter: valid[i] says whether data holds anything for segment i. A
-// segment this rank has accumulated nothing for travels as a zero-length
-// marker chunk (tags stay in lockstep), a marker received leaves the segment
-// as it was, and the first real chunk to reach an invalid segment is copied
-// over it rather than folded in — bit-identical to folding into an
-// identity-filled buffer, without ever materializing one. valid is updated
-// in place.
-func (c *Communicator) reducePass(base int, data []float64, off []int, first int, valid []bool, op Op) error {
+func (c *Communicator) reducePass(base int, data []float64, off []int, first int, op Op) error {
 	n := c.Size()
 	si := (first%n + n) % n
 	for s := 0; s < n-1; s++ {
 		ri := (si + n - 1) % n
-		seg := data[off[si]:off[si+1]]
-		if valid != nil && !valid[si] {
-			seg = seg[:0]
-		}
-		c.send(c.next(), base+s, nil, seg)
+		c.send(c.next(), base+s, nil, data[off[si]:off[si+1]])
 		dst := data[off[ri]:off[ri+1]]
-		t, err := c.recv(c.prev(), base+s, len(dst), valid != nil)
+		t, err := c.recv(c.prev(), base+s, len(dst))
 		if err != nil {
 			return err
 		}
-		switch {
-		case t.Size() != len(dst): // identity marker: accumulated value unchanged
-		case valid == nil || valid[ri]:
-			h := obs.TrackTid(scCollReduce, c.self())
-			op.combine(dst, t.Data())
-			h.StopBytes(int64(len(dst)) * 8)
-		default:
-			c.copyIn(dst, t)
-			valid[ri] = true
-		}
+		h := obs.TrackTid(scCollReduce, c.self())
+		op.combine(dst, t.Data())
+		h.StopBytes(int64(len(dst)) * 8)
 		tensor.Recycle(t)
 		si = ri
 	}
@@ -182,7 +161,7 @@ func (c *Communicator) gatherPass(base int, data []float64, off []int, first int
 		c.send(c.next(), base+s, cur, data[off[si]:off[si+1]])
 		si = (si + n - 1) % n
 		dst := data[off[si]:off[si+1]]
-		in, err := c.recv(c.prev(), base+s, len(dst), false)
+		in, err := c.recv(c.prev(), base+s, len(dst))
 		if err != nil {
 			return err
 		}
@@ -200,7 +179,7 @@ func (c *Communicator) gatherPass(base int, data []float64, off []int, first int
 // from base. data must be rank-private storage; callers handle Size() == 1.
 func (c *Communicator) allReduceData(base int, data []float64, op Op) error {
 	off := c.evenOffsets(len(data))
-	if err := c.reducePass(base, data, off, c.rank, nil, op); err != nil {
+	if err := c.reducePass(base, data, off, c.rank, op); err != nil {
 		return err
 	}
 	return c.gatherPass(base+c.Size()-1, data, off, c.rank+1)
@@ -289,7 +268,7 @@ func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 			c.send(c.next(), base+k, nil, data[lo:hi])
 			continue
 		}
-		in, err := c.recv(c.prev(), base+k, hi-lo, false)
+		in, err := c.recv(c.prev(), base+k, hi-lo)
 		if err != nil {
 			return err
 		}
@@ -320,7 +299,7 @@ func (c *Communicator) Barrier() error {
 		// Not c.send: the token is shared by every rank and every barrier,
 		// and must never be recycled.
 		c.g.tr.Send(c.self(), to, base+round, barrierToken)
-		tok, err := c.recv(from, base+round, 1, false)
+		tok, err := c.recv(from, base+round, 1)
 		if err != nil {
 			return err
 		}

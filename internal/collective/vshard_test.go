@@ -318,159 +318,3 @@ func TestVShardZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
-
-// sparseContrib builds rank r's contiguous contribution range for the sparse
-// reduce-scatter tests: deliberately misaligned with the counts partition
-// (so range boundaries cut through shard segments), with rank 1 contributing
-// nothing and a gap nobody covers at the very end of the flat range.
-func sparseContrib(elems, n, r int) (lo, hi int) {
-	if r == 1 && n > 2 {
-		return 0, 0 // empty contribution: the rank still rides the ring
-	}
-	span := elems / (n + 1) // leaves [n*span, elems) uncovered by anyone
-	lo = r * span
-	hi = lo + span
-	if hi > elems {
-		hi = elems
-	}
-	return lo, hi
-}
-
-// TestReduceScatterVSparseBitIdenticalToFiller is the satellite pin: a rank
-// that owns no producers for a region contributes a zero-length shard
-// instead of a materialized −0.0 buffer, and the result must be
-// bit-identical to the dense filler path — including the signs of zeros in
-// regions nobody contributed to, denormals, and ±0.0 payloads.
-func TestReduceScatterVSparseBitIdenticalToFiller(t *testing.T) {
-	const elems = 1003
-	negZero := math.Copysign(0, -1)
-	payload := func(r, i int) float64 {
-		switch i % 5 {
-		case 0:
-			return negZero
-		case 1:
-			return 0.0
-		case 2:
-			return 5e-324 // smallest denormal
-		case 3:
-			return -float64(r+1) * 1.5
-		default:
-			return float64(r+1)*100 + float64(i)
-		}
-	}
-	for n := 2; n <= 5; n++ {
-		for _, layout := range []string{"even", "uneven"} {
-			for _, bucketBytes := range []int{0, 512} {
-				counts := EvenCounts(elems, n)
-				if layout == "uneven" {
-					counts = unevenCounts(elems, n)
-				}
-				t.Run(fmt.Sprintf("ranks=%d/%s/bucket=%d", n, layout, bucketBytes), func(t *testing.T) {
-					// Dense filler path: full −0.0 buffer with the payload
-					// written into the contribution range.
-					dense := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-						data := tensor.New(elems)
-						d := data.Data()
-						for i := range d {
-							d[i] = negZero
-						}
-						lo, hi := sparseContrib(elems, n, c.Rank())
-						for i := lo; i < hi; i++ {
-							d[i] = payload(c.Rank(), i)
-						}
-						dst := tensor.New(counts[c.Rank()])
-						err := c.ReduceScatterVInto(dst, data, counts, OpSum, bucketBytes)
-						return dst, err
-					})
-					// Sparse path: payload only; everything outside the
-					// contribution range is a NaN canary — if the collective
-					// ever reads unfilled garbage, the result shows it.
-					sparse := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-						data := tensor.New(elems)
-						d := data.Data()
-						for i := range d {
-							d[i] = math.NaN()
-						}
-						lo, hi := sparseContrib(elems, n, c.Rank())
-						for i := lo; i < hi; i++ {
-							d[i] = payload(c.Rank(), i)
-						}
-						dst := tensor.New(counts[c.Rank()])
-						err := c.ReduceScatterVSparseInto(dst, data, counts, lo, hi, OpSum, bucketBytes)
-						return dst, err
-					})
-					for r := 0; r < n; r++ {
-						dd, sd := dense[r].Data(), sparse[r].Data()
-						if len(dd) != len(sd) {
-							t.Fatalf("rank %d shard sizes differ: %d vs %d", r, len(dd), len(sd))
-						}
-						for i := range dd {
-							if math.Float64bits(dd[i]) != math.Float64bits(sd[i]) {
-								t.Fatalf("rank %d elem %d: dense %v (%016x) vs sparse %v (%016x)",
-									r, i, dd[i], math.Float64bits(dd[i]), sd[i], math.Float64bits(sd[i]))
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestReduceScatterVSparseSingleRank pins the n==1 fast path: the valid range
-// copies through, the rest is the sum identity.
-func TestReduceScatterVSparseSingleRank(t *testing.T) {
-	const elems = 64
-	outs := runGroup(t, 1, func(c *Communicator) (*tensor.Tensor, error) {
-		data := tensor.New(elems)
-		for i := range data.Data() {
-			data.Data()[i] = math.NaN()
-		}
-		for i := 10; i < 20; i++ {
-			data.Data()[i] = float64(i)
-		}
-		dst := tensor.New(elems)
-		err := c.ReduceScatterVSparseInto(dst, data, []int{elems}, 10, 20, OpSum, 0)
-		return dst, err
-	})
-	d := outs[0].Data()
-	for i := range d {
-		switch {
-		case i >= 10 && i < 20:
-			if d[i] != float64(i) {
-				t.Fatalf("elem %d = %v, want %v", i, d[i], float64(i))
-			}
-		default:
-			if math.Float64bits(d[i]) != math.Float64bits(math.Copysign(0, -1)) {
-				t.Fatalf("elem %d = %v (%016x), want -0.0", i, d[i], math.Float64bits(d[i]))
-			}
-		}
-	}
-}
-
-// TestReduceScatterVSparseValidation covers the sparse-specific error paths.
-func TestReduceScatterVSparseValidation(t *testing.T) {
-	tr := runtime.NewChanTransport()
-	g, err := NewGroup(tr, []int{0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := g.Comm(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := tensor.New(10)
-	dst := tensor.New(10)
-	if err := c.ReduceScatterVSparseInto(dst, data, []int{10}, 0, 10, OpMax, 0); err == nil {
-		t.Fatal("non-sum op accepted")
-	}
-	if err := c.ReduceScatterVSparseInto(dst, data, []int{10}, -1, 5, OpSum, 0); err == nil {
-		t.Fatal("negative contribLo accepted")
-	}
-	if err := c.ReduceScatterVSparseInto(dst, data, []int{10}, 5, 11, OpSum, 0); err == nil {
-		t.Fatal("out-of-range contribHi accepted")
-	}
-	if err := c.ReduceScatterVSparseInto(dst, data, []int{10}, 7, 3, OpSum, 0); err == nil {
-		t.Fatal("inverted contribution range accepted")
-	}
-}

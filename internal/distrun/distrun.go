@@ -1,11 +1,12 @@
 // Package distrun executes a training job across OS processes on the dist
 // runtime: every rank compiles the identical program from a shared JobSpec
 // (deterministic replication — same seeds, same schedule), runs its own
-// actor's share of each step over the wire transport, and exchanges step
-// results through the collective engine so parameters evolve bit-identically
-// on every rank. It is the glue between the jaxpp compiler/runtime and the
-// dist coordinator/worker topology that cmd/jaxpp-train -distributed and
-// cmd/jaxpp-worker share.
+// actor's share of each step over the wire transport, and keeps the
+// parameters of the stage it hosts — reducing their gradients, updating and
+// re-gathering them inside the stage's replica group on the collective
+// engine — bit-identical to the in-process reference. It is the glue between
+// the jaxpp compiler/runtime and the dist coordinator/worker topology that
+// cmd/jaxpp-train -distributed and cmd/jaxpp-worker share.
 package distrun
 
 import (
@@ -27,11 +28,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Step-epilogue profiling scopes: the actor's share of the step, the loss
-// AllGather, and the optimizer update (the gradient exchange's two collective
-// scopes live with it in shard.go). These are envelope scopes (they contain
-// the collective and wire leaf spans), so the breakdown classifier excludes
-// them.
+// Step profiling scopes: the actor's share of the step, the loss AllGather,
+// and the optimizer update (the epilogue's two collective scopes live with it
+// in shard.go). These are envelope scopes (they contain the collective and
+// wire leaf spans), so the breakdown classifier excludes them.
 var (
 	scStepActor    = obs.Scope("step/actor")
 	scLossGather   = obs.Scope("step/loss_gather")
@@ -62,8 +62,8 @@ type JobSpec struct {
 	// nonzero — real optimizer state for checkpoints to carry alongside the
 	// parameters. Zero keeps plain SGD.
 	Momentum float64 `json:"momentum,omitempty"`
-	// Sharded is accepted and has no effect: the owner-major sharded exchange
-	// is the only distributed step epilogue (see shardedState.exchange). The
+	// Sharded is accepted and has no effect: optimizer state is always sharded,
+	// by the one distributed step epilogue there is (see stageEpilogue). The
 	// field stays declared only because the benchmark harness still sets it.
 	Sharded      bool   `json:"sharded,omitempty"`
 	Schedule     string `json:"schedule"`      // "gpipe" or "1f1b"
@@ -72,12 +72,12 @@ type JobSpec struct {
 	Seed         uint64 `json:"seed"`
 	// CkptDir enables rank-sharded checkpointing when nonempty: every
 	// CkptEvery completed steps each rank writes its share of the training
-	// state (parameters round-robin over the world, plus the velocity shard
-	// only it holds) as wire-codec frames, a barrier fences durability, and
-	// rank 0 commits the step with a manifest (see package ckpt). On start,
-	// every rank independently restores the newest consistent checkpoint and
-	// the job resumes at its step. The directory must be reachable by every
-	// rank (one host, or a shared filesystem).
+	// state (its stage's parameters if it is the stage's first replica, plus
+	// the velocity ranges only it holds) as wire-codec frames, a barrier
+	// fences durability, and rank 0 commits the step with a manifest (see
+	// package ckpt). On start, every rank independently restores the newest
+	// consistent checkpoint and the job resumes at its step. The directory
+	// must be reachable by every rank (one host, or a shared filesystem).
 	CkptDir string `json:"ckpt_dir,omitempty"`
 	// CkptEvery is the checkpoint period in steps (default 0 = only if
 	// CkptDir is set, every 10 steps).
@@ -232,42 +232,37 @@ func (s JobSpec) validate() error {
 	return nil
 }
 
-// worldGroupID selects the tag window of the all-ranks process group the
-// result exchange runs on. DP-sync groups derived from the actor mesh use
-// IDs 0..pp-1 (data axis) and pp..pp+replicas-1 (pipe axis, if anyone builds
-// them), so a constant far above any realistic stage or replica count keeps
-// the windows disjoint. The calibration window (TagSpaceBase/2) and pipeline
-// P2P tags (small sequential ints) are below every group window by
-// construction.
+// worldGroupID selects the tag window of the all-ranks process group the loss
+// gather and the start-step agreement run on. DP-sync groups derived from the
+// actor mesh use IDs 0..pp-1 (data axis) and pp..pp+replicas-1 (pipe axis, if
+// anyone builds them), so a constant far above any realistic stage or replica
+// count keeps the windows disjoint; the step epilogue's replica groups
+// (gradGroupID, paramGroupID) and the end-of-job parameter collection
+// (finalGroupID) sit right above it. The calibration window (TagSpaceBase/2)
+// and pipeline P2P tags (small sequential ints) are below every group window
+// by construction.
 const worldGroupID = 1 << 10
 
-// gradGroupID is the dedicated all-ranks group the gradient exchange moves
-// to when a lossy wire dtype is armed: its tag window is disjoint from
-// worldGroupID's, so marking it lossy on the transport compresses exactly
-// the gradient collectives — the loss AllGather, start-step agreement, and
-// every other world-group operation stay on the lossless window.
-const gradGroupID = worldGroupID + 1
+// commOn returns the communicator of the transport actor `rank` on a process
+// group over the given actors.
+func commOn(tr transport.Transport, actors []int, groupID, rank int) (*collective.Communicator, error) {
+	group, err := collective.NewGroup(tr, actors, groupID)
+	if err != nil {
+		return nil, err
+	}
+	return group.CommForActor(rank)
+}
 
 // worldComm returns this rank's communicator on the all-ranks process group
 // (ranks 0..world-1 under worldGroupID) — the single construction both the
-// training epilogue and the collective verification job use, so the two
-// paths can never drift onto different tag windows.
+// training loop and the collective verification job use, so the two paths
+// can never drift onto different tag windows.
 func worldComm(tr transport.Transport, world, rank int) (*collective.Communicator, error) {
-	return worldCommID(tr, world, rank, worldGroupID)
-}
-
-// worldCommID is worldComm on an explicit group ID (the lossy gradient
-// exchange runs on gradGroupID's window).
-func worldCommID(tr transport.Transport, world, rank, groupID int) (*collective.Communicator, error) {
 	ranks := make([]int, world)
 	for i := range ranks {
 		ranks[i] = i
 	}
-	group, err := collective.NewGroup(tr, ranks, groupID)
-	if err != nil {
-		return nil, err
-	}
-	return group.Comm(rank)
+	return commOn(tr, ranks, worldGroupID, rank)
 }
 
 // RunJob dispatches a rendezvous job payload to its runner: training jobs go
@@ -348,8 +343,8 @@ type Report struct {
 	MBLosses [][]float64
 	// StepLosses[step] is the mean microbatch loss (rank 0 only).
 	StepLosses []float64
-	// FinalParams are the post-training parameters (identical on every
-	// rank; recorded everywhere for verification).
+	// FinalParams are the post-training parameters (rank 0 only: a worker's
+	// parameter list is current for the stage it hosts alone).
 	FinalParams []*jaxpp.Tensor
 	// Profiles holds every rank's end-of-job obs snapshot in rank order when
 	// the spec requested profiling. Populated on rank 0 (workers ship theirs
@@ -412,6 +407,12 @@ func Compile(spec JobSpec, tr transport.Transport) (*jaxpp.TrainStep, error) {
 // every rank compiles identically, so nothing about peers needs to exist
 // locally. nil hosts every actor.
 func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
+	return compile(spec, tr, hostActors, nil)
+}
+
+// compile is CompileHosted with the gradient epilogue Run puts in the DP
+// all-reduce's place (jaxpp.CompileSpec.GradSync; nil keeps the all-reduce).
+func compile(spec JobSpec, tr transport.Transport, hostActors []int, gradSync func(actor int, grads []*jaxpp.Tensor) error) (*jaxpp.TrainStep, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -444,6 +445,8 @@ func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jax
 		BatchShapes:         [][]int{{spec.MBRows, spec.Width}, {spec.MBRows, spec.Width}},
 		Schedule:            sched,
 		DataParallel:        spec.DataParallel,
+		DPBucketBytes:       dpBucketBytes,
+		GradSync:            gradSync,
 		SPMDDevicesPerActor: spec.SPMD,
 		HostActors:          hostActors,
 	})
@@ -452,10 +455,10 @@ func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jax
 // applyUpdate runs the optimizer step the spec selects over whole tensors:
 // dst receives the updated parameters and, under momentum, vel updates in
 // place (v ← μ·v + g; p ← p − lr·v). It is the in-process reference's update;
-// distributed ranks run the same model range kernels over their owned flat
-// slice (shardedState.exchange), and because the kernels are elementwise the
-// two agree bit for bit. Drivers double-buffer dst and params and swap after
-// each step, so steady-state training allocates no parameter tensors.
+// distributed ranks run the same model range kernels over the ranges they
+// hold (stageEpilogue.finish), and because the kernels are elementwise the
+// two agree bit for bit. RunLocal double-buffers dst and params and swaps
+// after each step, so steady-state training allocates no parameter tensors.
 func applyUpdate(spec JobSpec, dst, params, grads, vel []*jaxpp.Tensor) error {
 	if len(dst) != len(params) || len(grads) != len(params) || (spec.Momentum != 0 && len(vel) != len(params)) {
 		return fmt.Errorf("distrun: update arity mismatch: %d dst, %d params, %d grads, %d vel", len(dst), len(params), len(grads), len(vel))
@@ -489,8 +492,8 @@ func newVelocity(spec JobSpec, params []*jaxpp.Tensor) []*jaxpp.Tensor {
 
 // velFlat reassembles a checkpoint's optimizer velocity state into the
 // owner-major flat vector, whichever on-disk layout the manifest uses: a
-// sharded manifest's per-rank flat slices concatenate in rank order (the
-// writing world's partition, recorded in OptShardCounts), a dense manifest's
+// sharded manifest's pieces concatenate in entry order (however the writing
+// world cut the vector, recorded in OptShardCounts), a dense manifest's
 // per-tensor velocities pack through the plan's order. Because the flat
 // layout is a function of the compiled program only, this is the pivot that
 // lets any (layout, world) checkpoint restore into any job: distributed runs
@@ -499,10 +502,10 @@ func newVelocity(spec JobSpec, params []*jaxpp.Tensor) []*jaxpp.Tensor {
 func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shardPlan, flat []float64) error {
 	if m.Sharded() {
 		off := 0
-		for r, cnt := range m.OptShardCounts {
-			t := entries[nparams+r]
-			if t.Size() != cnt {
-				return fmt.Errorf("distrun: checkpoint velocity shard %d has %d elements, manifest promises %d", r, t.Size(), cnt)
+		for k, cnt := range m.OptShardCounts {
+			t := entries[nparams+k]
+			if t.Size() != cnt || off+cnt > plan.total {
+				return fmt.Errorf("distrun: checkpoint velocity piece %d has %d elements at offset %d, manifest promises %d of a %d-element vector", k, t.Size(), off, cnt, plan.total)
 			}
 			copy(flat[off:off+cnt], t.Data())
 			off += cnt
@@ -524,14 +527,15 @@ func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shar
 
 // restoreState loads the newest consistent checkpoint under spec.CkptDir into
 // the already-allocated training state and returns the step to resume at (0
-// when no usable checkpoint exists — fresh start). Parameters restore
-// directly (replicated in every layout); momentum state pivots through the
-// plan's owner-major flat vector, so dense and sharded checkpoints restore
-// into the in-process runner (vel, per-tensor) and into distributed ranks
-// (velShard — this rank's slice of the current partition) in any combination
+// when no usable checkpoint exists — fresh start). Every parameter restores
+// directly on every rank (a checkpoint holds them all, whoever wrote which);
+// momentum state pivots through the plan's owner-major flat vector, which
+// setVel takes what it keeps from — so dense and sharded checkpoints restore
+// into the in-process runner (per-tensor velocities) and into distributed
+// ranks (the ranges the rank holds in the current world) in any combination
 // and across world-size changes. Every rank calls this independently; the
 // caller is responsible for cross-rank agreement on the returned step.
-func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *shardPlan, velShard *tensor.Tensor) (int, error) {
+func restoreState(spec JobSpec, rank int, params []*jaxpp.Tensor, plan *shardPlan, setVel func(flat []float64)) (int, error) {
 	m, entries, skipped, err := ckpt.Restore(spec.CkptDir)
 	if err != nil {
 		return 0, fmt.Errorf("distrun: rank %d restore: %w", rank, err)
@@ -559,40 +563,53 @@ func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *sha
 		if err := velFlat(m, entries, len(params), plan, flat.Data()); err != nil {
 			return 0, fmt.Errorf("distrun: rank %d: %w", rank, err)
 		}
-		if velShard != nil {
-			lo := plan.starts[rank]
-			copy(velShard.Data(), flat.Data()[lo:lo+plan.counts[rank]])
-		} else {
-			plan.scatter(vel, flat.Data())
-		}
+		setVel(flat.Data())
 	}
 	log.Printf("distrun: rank %d restored checkpoint step %d (world %d wrote it, sharded=%v)", rank, m.Step, m.World, m.Sharded())
 	return m.Step, nil
 }
 
-// saveCheckpointSharded is the distributed checkpoint writer. Each rank's
-// shard carries its round-robin share of the replicated parameters plus,
-// under momentum, the one flat velocity-shard entry only it holds (entry
-// len(params)+rank); rank 0 commits with a manifest recording the writing
-// world's partition, which any future world re-slices on restore. Plain SGD
-// has no optimizer state, so its manifest is params-only. A checkpoint
-// failure is a job failure: half-checkpointing silently would turn the next
-// recovery into a rollback surprise.
-func saveCheckpointSharded(sess *dist.Session, spec JobSpec, step int, params []*jaxpp.Tensor, sh *shardedState) error {
-	entries := append([]*tensor.Tensor(nil), params...)
-	owned := ckpt.Owned(sess.Rank, sess.World, len(params))
+// saveCheckpointSharded is the distributed checkpoint writer. A rank writes
+// what it alone is sure to hold current: the replica-0 rank of a stage that
+// stage's parameters, every rank the velocity of the ranges it updates — one
+// entry per range, in flat-vector order, so the entries concatenate to the
+// owner-major vector any future world re-slices on restore. Rank 0 commits
+// with a manifest recording that ownership. Plain SGD has no optimizer state,
+// so its manifest is params-only. A checkpoint failure is a job failure:
+// half-checkpointing silently would turn the next recovery into a rollback
+// surprise.
+func saveCheckpointSharded(sess *dist.Session, spec JobSpec, step int, params []*jaxpp.Tensor, ep *stageEpilogue) error {
+	entries := make([]*tensor.Tensor, len(params), len(params)+len(ep.all))
+	owners := append(make([]int, 0, cap(entries)), ep.plan.owners...)
 	var optCounts []int
-	if sh.vel != nil {
-		entries = append(entries, make([]*tensor.Tensor, sess.World)...)
-		entries[len(params)+sess.Rank] = sh.vel
-		owned = append(owned, len(params)+sess.Rank)
-		optCounts = sh.plan.counts
+	for gi, owner := range owners {
+		if owner == sess.Rank {
+			entries[gi] = params[gi]
+		}
+	}
+	if ep.mu != 0 {
+		mine := ep.vel
+		for _, h := range ep.all {
+			var v *tensor.Tensor
+			if h.rank == sess.Rank {
+				v, mine = mine[0], mine[1:]
+			}
+			entries = append(entries, v)
+			owners = append(owners, h.rank)
+			optCounts = append(optCounts, h.hi-h.lo)
+		}
+	}
+	var owned []int
+	for e, t := range entries {
+		if t != nil {
+			owned = append(owned, e)
+		}
 	}
 	if err := ckpt.WriteShard(spec.CkptDir, step, sess.Rank, entries, owned); err != nil {
 		return fmt.Errorf("distrun: rank %d checkpoint step %d: %w", sess.Rank, step, err)
 	}
 	return commitCheckpoint(sess, spec.CkptDir,
-		ckpt.NewManifestSharded(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum, optCounts))
+		ckpt.NewManifestSharded(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum, optCounts, owners))
 }
 
 // saveCheckpointLocal is the single-process runner's writer: one shard (rank
@@ -631,12 +648,15 @@ func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 
 // Run executes the job on this rank of a bootstrapped session: compile the
 // shared program with this rank's actor hosted, restore the newest
-// checkpoint if there is one, then every step run the actor and the result
-// exchange on the collective engine over the wire transport — losses travel
-// to every rank (rank 0 records them) through one ring AllGather, gradients
-// and updated parameters through the owner-major sharded exchange
-// (shardedState.exchange: ReduceScatterV → shard-local update → AllGatherV),
-// which leaves every rank with parameters bit-identical to RunLocal's. Blocks
+// checkpoint if there is one, then every step run the actor — whose step
+// epilogue is the reduce half of the gradient all-reduce inside the stage's
+// replica group — gather the losses (the one world-wide collective of a step,
+// and its fence; rank 0 records them), and finish the stage-local epilogue
+// (stageEpilogue: update the ranges this rank reduced, gather the stage's
+// parameters from the replica group). Between steps a rank's parameter list
+// is current for the stage it hosts and stale elsewhere: nothing reads the
+// rest. Rank 0 collects the other stages' parameters once, after the last
+// step, for Report.FinalParams, which are bit-identical to RunLocal's. Blocks
 // until the job completes or the transport is poisoned (a dead peer surfaces
 // here as an error, not a hang).
 func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
@@ -663,7 +683,10 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if spec.NoHostedFilter {
 		host = nil
 	}
-	ts, err := CompileHosted(spec, tr, host)
+	// The epilogue is built from the compiled program, which is compiled with
+	// the epilogue's reduce half as its gradient hook.
+	var ep *stageEpilogue
+	ts, err := compile(spec, tr, host, func(actor int, grads []*jaxpp.Tensor) error { return ep.reduce(actor, grads) })
 	if err != nil {
 		return nil, err
 	}
@@ -690,45 +713,40 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		lossSlots = max(lossSlots, len(mbs))
 	}
 
-	// The all-ranks process group the epilogue collectives run on. The dist
-	// transport serializes sends (SenderOwnsSent), so ring chunks come from
-	// and return to this process's scratch pool.
+	// The all-ranks process group the loss gather runs on. The dist transport
+	// serializes sends (SenderOwnsSent), so ring chunks come from and return
+	// to this process's scratch pool.
 	comm, err := worldComm(tr, sess.World, rank)
 	if err != nil {
 		return nil, err
 	}
 	// Gradient traffic optionally rides a lossy wire encoding. The transport's
-	// lossy plane is armed per collective tag window, so only frames in the
-	// gradient communicator's window compress — control frames, loss gathers,
-	// checkpoint traffic, and the epilogue's parameter AllGatherV all stay f64
-	// end to end. When no lossy dtype is requested, gradComm is simply the
-	// world communicator and nothing changes on the wire.
-	gradComm := comm
+	// lossy plane is armed per collective tag window, so only the reduce
+	// half's frames compress — control frames, loss gathers, checkpoint
+	// traffic, and the epilogue's parameter gather all stay f64 end to end.
 	if !wireDT.Lossless() {
 		sess.Transport.SetLossyTagWindow(collective.GroupTagRange(gradGroupID))
 		sess.Transport.SetWireDType(wireDT)
-		if gradComm, err = worldCommID(tr, sess.World, rank, gradGroupID); err != nil {
-			return nil, err
-		}
 	}
 
 	params, batch := InitModel(spec)
 	if len(prog.Grads) != len(params) {
 		return nil, fmt.Errorf("distrun: program has %d gradients for %d parameters", len(prog.Grads), len(params))
 	}
-	// The owner-major shard plan is derived from program metadata on every
-	// rank identically; the epilogue's steady-state buffers (flat gradient and
-	// parameter vectors, this rank's shards, shard-local optimizer state) are
-	// allocated once here and reused every step.
-	plan, err := planForStep(ts, params, sess.World)
+	// The owner-major plan is derived from program metadata on every rank
+	// identically; the epilogue's steady-state state (communicators, held
+	// ranges, their optimizer state) is built once here and reused every step.
+	plan, err := planForStep(ts, params)
 	if err != nil {
 		return nil, err
 	}
-	sh := newShardedState(spec, plan, rank)
-	defer sh.release()
+	if ep, err = newStageEpilogue(spec, tr, plan, params, rank, dpBucketBytes); err != nil {
+		return nil, err
+	}
+	defer ep.release()
 	startStep := 0
 	if spec.CkptDir != "" {
-		if startStep, err = restoreState(spec, rank, params, nil, plan, sh.vel); err != nil {
+		if startStep, err = restoreState(spec, rank, params, plan, ep.setVelocity); err != nil {
 			return nil, err
 		}
 		// Start-step agreement: every rank restored independently from disk,
@@ -757,7 +775,7 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		}
 	}
 	if wireDT == dist.DTInt8Q {
-		sh.armErrorFeedback()
+		ep.armErrorFeedback()
 	}
 	// The loss shard, gather destination, and per-step result struct are
 	// reused every step too.
@@ -798,9 +816,9 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 
 		// Losses: every rank packs its owned microbatch losses into a
 		// fixed-size shard (padded — shard sizes must match around the
-		// ring) and one AllGather hands rank 0 the full set. The gather
-		// doubles as the step-exchange ordering fence the point-to-point
-		// path got from its grad-receipt barrier.
+		// ring) and one AllGather hands rank 0 the full set. It is the
+		// step's one world-wide collective, and so its fence: no rank is more
+		// than a step ahead of any other.
 		sd := shard.Data()
 		clear(sd)
 		for i, l := range res.Losses {
@@ -824,11 +842,11 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			}
 		}
 
-		if err := sh.exchange(comm, gradComm, spec, res, params); err != nil {
+		if err := ep.finish(res); err != nil {
 			return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
 		}
 		if every := spec.ckptEvery(); every > 0 && (step+1)%every == 0 && step+1 < spec.Steps {
-			if err := saveCheckpointSharded(sess, spec, step+1, params, sh); err != nil {
+			if err := saveCheckpointSharded(sess, spec, step+1, params, ep); err != nil {
 				return nil, err
 			}
 			flight.Log("ckpt_commit", rank, step+1, "")
@@ -848,6 +866,14 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		}
 		if spec.StepSleepMs > 0 {
 			time.Sleep(time.Duration(spec.StepSleepMs) * time.Millisecond)
+		}
+	}
+	// Rank 0 reports the whole model. A job that ran no step (Steps 0, or a
+	// resume at the last step) has it already: initial or restored parameters
+	// are complete on every rank, and nothing is sent.
+	if startStep < spec.Steps {
+		if err := collectParams(tr, plan, params, rank); err != nil {
+			return nil, err
 		}
 	}
 	// End-of-job barrier: no rank tears its session down while a slower peer
@@ -886,7 +912,9 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			}
 		}
 	}
-	rep.FinalParams = params
+	if rank == 0 {
+		rep.FinalParams = params
+	}
 	return rep, nil
 }
 
@@ -916,13 +944,14 @@ func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 	vel := newVelocity(spec, params)
 	startStep := 0
 	if spec.CkptDir != "" {
-		// World-1 plan: the owner-major flat order is world-independent, so
-		// the single-process runner restores sharded checkpoints too.
-		plan, perr := planForStep(ts, params, 1)
+		// The owner-major flat order is world-independent, so the
+		// single-process runner restores sharded checkpoints too.
+		plan, perr := planForStep(ts, params)
 		if perr != nil {
 			return nil, perr
 		}
-		if startStep, err = restoreState(spec, 0, params, vel, plan, nil); err != nil {
+		setVel := func(flat []float64) { plan.scatter(vel, flat) }
+		if startStep, err = restoreState(spec, 0, params, plan, setVel); err != nil {
 			return nil, err
 		}
 	}

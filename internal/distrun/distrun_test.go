@@ -17,6 +17,20 @@ import (
 // job on each, returning rank 0's report.
 func launchWorld(t *testing.T, spec JobSpec) *Report {
 	t.Helper()
+	rep, _ := launchWorldCounting(t, spec)
+	return rep
+}
+
+// sendCount is one rank's dist.Transport.SendCount() when its Run returned.
+type sendCount struct {
+	frames int
+	bytes  int64
+}
+
+// launchWorldCounting is launchWorld that also returns what every rank's data
+// plane had sent, by rank, when its job ended.
+func launchWorldCounting(t *testing.T, spec JobSpec) (*Report, []sendCount) {
+	t.Helper()
 	world := spec.World()
 	opts := dist.SessionOptions{
 		RendezvousTimeout: 30 * time.Second,
@@ -32,6 +46,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 	ln.Close()
 
 	reports := make([]*Report, world)
+	sent := make([]sendCount, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -44,6 +59,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 		}
 		defer sess.Close()
 		reports[0], errs[0] = Run(sess, spec)
+		sent[0].frames, sent[0].bytes = sess.Transport.SendCount()
 	}()
 	for w := 1; w < world; w++ {
 		wg.Add(1)
@@ -69,6 +85,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 				return
 			}
 			reports[sess.Rank], errs[sess.Rank] = Run(sess, got)
+			sent[sess.Rank].frames, sent[sess.Rank].bytes = sess.Transport.SendCount()
 		}(w)
 	}
 	wg.Wait()
@@ -77,7 +94,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return reports[0]
+	return reports[0], sent
 }
 
 // requireBitIdentical compares two reports' loss trajectories and final

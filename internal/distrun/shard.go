@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"sort"
 
 	jaxpp "repro"
@@ -12,28 +13,48 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
-// Gradient-exchange profiling scopes: the two collectives of the step
-// epilogue. Envelope scopes (they contain the collective and wire leaf spans),
-// so the breakdown classifier excludes them; step/sgd times the shard-local
-// update between them.
+// Gradient-exchange profiling scopes: the two collective halves of the step
+// epilogue (the names predate the stage-local epilogue and are kept for the
+// benchmark's per-layer metrics: reduce half, gather half). Envelope scopes
+// (they contain the collective and wire leaf spans), so the breakdown
+// classifier excludes them; step/sgd times the update between them.
 var (
 	scGradRS  = obs.Scope("step/grad_reducescatter")
 	scParamAG = obs.Scope("step/param_allgatherv")
 )
 
-// shardPlan is the owner-major flat layout of the gradient/parameter vector
-// and its balanced partition over the world — the owner tables of the
-// ZeRO-1-style epilogue. The layout orders gradient tensors by producing
-// actor (the replica-0 stage actors, from program metadata every rank
-// compiles identically), then by gradient index, and concatenates them into
-// one flat vector. The ordering depends only on the compiled program — not
-// on the world size — which is what makes it the canonical representation
-// owner-major checkpoints restore through across world-size changes; only
-// the counts partition is a function of the world.
+// dpBucketBytes is the gradient-fusion bucket cap of both runners: RunLocal's
+// DP all-reduce and the two halves of Run's epilogue must cut a stage's
+// gradient list identically, or their per-element combine orders part ways.
+// Zero is collective.DefaultBucketBytes.
+const dpBucketBytes = 0
+
+// gradGroupID and paramGroupID are the tag windows of a stage's replica group
+// for the reduce half and the gather half of the epilogue. Only the first is
+// ever marked lossy on the transport, so a compressed wire dtype touches
+// gradient frames and nothing else: parameters must never quantize, or every
+// rank's weights would degrade once per step regardless of error feedback.
+// Replica groups of different stages share no rank and reuse the two IDs.
+// finalGroupID is the window of the end-of-job parameter collection: the
+// two-rank groups {a stage's replica-0 rank, rank 0}.
+const (
+	gradGroupID  = worldGroupID + 1
+	paramGroupID = worldGroupID + 2
+	finalGroupID = worldGroupID + 3
+)
+
+// shardPlan is the owner-major flat layout of the gradient/parameter vector:
+// gradient tensors ordered by producing actor (the replica-0 stage actors,
+// from program metadata every rank compiles identically), then by gradient
+// index, and concatenated into one flat vector, so a stage's tensors are one
+// contiguous span of it in program order. The layout depends only on the
+// compiled program — not on the world size — which is what makes it the
+// canonical form optimizer state takes in checkpoints: any world cuts it into
+// the pieces its ranks hold (held), and any world reassembles it.
 type shardPlan struct {
-	world int
 	total int
 	// owners[gi] is the actor that produces gradient gi.
 	owners []int
@@ -42,26 +63,16 @@ type shardPlan struct {
 	off   []int
 	// gradOff[gi] is the flat offset of gradient gi (inverse of order/off).
 	gradOff []int
-	// counts/starts is the balanced per-rank partition of [0, total): rank r
-	// owns (updates) flat range [starts[r], starts[r]+counts[r]). Shards are
-	// uneven whenever world does not divide total, and empty when the world
-	// outnumbers the elements.
-	counts []int
-	starts []int
 }
 
 // newShardPlan derives the plan from the gradient owner table and tensor
 // sizes (owners[gi] is the producing actor of gradient gi, sizes[gi] its
 // element count).
-func newShardPlan(owners, sizes []int, world int) (*shardPlan, error) {
+func newShardPlan(owners, sizes []int) (*shardPlan, error) {
 	if len(owners) != len(sizes) {
 		return nil, fmt.Errorf("distrun: shard plan wants %d owners for %d tensors", len(owners), len(sizes))
 	}
-	if world < 1 {
-		return nil, fmt.Errorf("distrun: shard plan world %d", world)
-	}
 	p := &shardPlan{
-		world:   world,
 		owners:  owners,
 		order:   make([]int, len(owners)),
 		off:     make([]int, len(owners)+1),
@@ -82,40 +93,18 @@ func newShardPlan(owners, sizes []int, world int) (*shardPlan, error) {
 		p.gradOff[gi] = p.off[k]
 	}
 	p.total = p.off[len(p.order)]
-	p.counts = collective.EvenCounts(p.total, world)
-	p.starts = make([]int, world)
-	for r := 1; r < world; r++ {
-		p.starts[r] = p.starts[r-1] + p.counts[r-1]
-	}
 	return p, nil
 }
 
-// planForStep builds the plan for a compiled step over the given world:
-// owners come from the shared program metadata (TrainStep.GradOwners), sizes
-// from the replicated parameters the gradients mirror.
-func planForStep(ts *jaxpp.TrainStep, params []*jaxpp.Tensor, world int) (*shardPlan, error) {
+// planForStep builds the plan for a compiled step: owners come from the
+// shared program metadata (TrainStep.GradOwners), sizes from the parameters
+// the gradients mirror.
+func planForStep(ts *jaxpp.TrainStep, params []*jaxpp.Tensor) (*shardPlan, error) {
 	sizes := make([]int, len(params))
 	for i, p := range params {
 		sizes[i] = p.Size()
 	}
-	return newShardPlan(ts.GradOwners(), sizes, world)
-}
-
-// ownerRange returns the flat range [lo, hi) holding every gradient the
-// actor produces — one contiguous range, because the layout sorts by owner —
-// or an empty range for an actor that produces none (replicas above 0).
-func (p *shardPlan) ownerRange(actor int) (lo, hi int) {
-	first := true
-	for k, gi := range p.order {
-		if p.owners[gi] != actor {
-			continue
-		}
-		if first {
-			lo, first = p.off[k], false
-		}
-		hi = p.off[k+1]
-	}
-	return lo, hi
+	return newShardPlan(ts.GradOwners(), sizes)
 }
 
 // scatter unpacks the owner-major flat vector into the tensor list.
@@ -125,127 +114,168 @@ func (p *shardPlan) scatter(ts []*jaxpp.Tensor, flat []float64) {
 	}
 }
 
-// shardedState is the steady-state buffer set of the step epilogue, all
-// allocated once per job and reused every step (the step-alloc ceiling
-// counts on it):
-//
-//	flatG  — packed per-rank gradient contribution, consumed by the RS-V ring;
-//	         only [contribLo, contribHi) is ever written or read here
-//	gShard — this rank's fully reduced owned gradient slice
-//	uShard — this rank's updated parameter slice
-//	flatP  — the full flat parameter vector: the AGV destination the param
-//	         tensors are refreshed from
-//	vel    — shard-local optimizer state (momentum velocities), ~1/world of
-//	         the replicated footprint; nil for plain SGD
-type shardedState struct {
-	plan   *shardPlan
-	rank   int
-	flatG  *tensor.Tensor
-	gShard *tensor.Tensor
-	uShard *tensor.Tensor
-	flatP  *tensor.Tensor
-	vel    *tensor.Tensor
-	// contribLo/contribHi is the flat range of the gradients this rank's
-	// actor produces (plan.ownerRange).
-	contribLo, contribHi int
-	// efRes, when non-nil, arms int8 error-feedback compression of the
-	// gradient ReduceScatterV: it carries the rank-local quantization residual
-	// over the contributed range (sized to the contribution, not plan.total).
-	// It never travels and is not checkpointed: a restore restarts
-	// compensation from zero.
-	efRes *tensor.Tensor
+// heldRange is one range [lo, hi) of the flat vector and the rank that
+// updates it, and so holds its optimizer state.
+type heldRange struct{ lo, hi, rank int }
+
+// held cuts the flat vector into the ranges the ranks of a replicas × pp
+// world update, ascending: inside stage a's span, what the reduce half of the
+// bucketed all-reduce leaves fully reduced (collective.OwnedRanges) on each
+// rank r·pp+a of the stage's replica group.
+func (p *shardPlan) held(replicas, pp, bucketBytes int) []heldRange {
+	var out []heldRange
+	for k := 0; k < len(p.order); {
+		stage := p.owners[p.order[k]]
+		base := p.off[k]
+		var sizes []int
+		for ; k < len(p.order) && p.owners[p.order[k]] == stage; k++ {
+			sizes = append(sizes, p.off[k+1]-p.off[k])
+		}
+		for r := 0; r < replicas; r++ {
+			for _, o := range collective.OwnedRanges(sizes, bucketBytes, replicas, r) {
+				out = append(out, heldRange{base + o.Lo, base + o.Hi, r*pp + stage})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].lo < out[j].lo })
+	return out
 }
 
-// newShardedState allocates the epilogue buffers for this rank and logs the
-// per-rank optimizer-state footprint (the line the CI memory assertion
-// greps). Only vel needs zeros: every other buffer is overwritten before it
-// is read, so they skip the clear (and, on a cold pool, the page faults that
-// come with it).
-func newShardedState(spec JobSpec, plan *shardPlan, rank int) *shardedState {
-	s := &shardedState{
-		plan:   plan,
-		rank:   rank,
-		flatG:  tensor.GetScratchShaped(plan.total),
-		gShard: tensor.GetScratchShaped(plan.counts[rank]),
-		uShard: tensor.GetScratchShaped(plan.counts[rank]),
-		flatP:  tensor.GetScratchShaped(plan.total),
+// stageEpilogue is one rank's share of the distributed step epilogue, which
+// never leaves the replica group of the stage the rank hosts (the ranks
+// a, pp+a, 2·pp+a, … running pipeline position a):
+//
+//	reduce — the reduce half of the bucketed ring all-reduce over the stage's
+//	         gradient accumulators, installed as the actor's step epilogue so
+//	         it starts when the actor's program ends;
+//	update — the optimizer kernel over exactly the ranges that half left
+//	         fully reduced here, straight from the gradient tensors into the
+//	         parameter tensors, against velocity kept for those ranges alone;
+//	gather — the gather half over the stage's parameter tensors.
+//
+// Per element the reduce half combines in the order RunLocal's full
+// all-reduce does, the kernels are elementwise and the gather copies bits, so
+// the stage's parameters end every step bit-identical to RunLocal's. With one
+// replica both halves are empty and the epilogue is a local update. Nothing
+// here is allocated per step.
+type stageEpilogue struct {
+	rank        int
+	lr, mu      float64
+	bucketBytes int
+	plan        *shardPlan
+	// all is every rank's share of the flat vector (plan.held) — the piece
+	// table of a checkpoint's optimizer state; mine are this rank's.
+	all, mine []heldRange
+	// gradIdx lists the gradients (= parameters) of the hosted stage in
+	// program order; params are the tensors the stage's actor is stepped
+	// with. Between steps these — and only these — of a rank's parameter
+	// list are current.
+	gradIdx []int
+	params  []*tensor.Tensor
+	// grads and gather are the replica group's communicators on gradGroupID
+	// and paramGroupID.
+	grads, gather *collective.Communicator
+	// vel[j] is the momentum velocity of mine[j]: 1/replicas of the stage,
+	// 1/world of the model when stages are equal. nil for plain SGD.
+	vel []*tensor.Tensor
+	// efRes, when non-nil, arms int8 error feedback: efRes[k] carries the
+	// quantization residual of the stage's k-th gradient. It never travels
+	// and is not checkpointed: a restore restarts compensation from zero.
+	efRes []*tensor.Tensor
+}
+
+// newStageEpilogue builds the epilogue of the stage this rank hosts in a
+// spec.Replicas() × spec.Stages world over tr, and logs the rank's
+// optimizer-state footprint (the line the CI memory assertion greps).
+func newStageEpilogue(spec JobSpec, tr transport.Transport, plan *shardPlan, params []*jaxpp.Tensor, rank, bucketBytes int) (*stageEpilogue, error) {
+	pp, replicas := spec.Stages, spec.Replicas()
+	e := &stageEpilogue{
+		rank: rank, lr: spec.LR, mu: spec.Momentum, bucketBytes: bucketBytes,
+		plan: plan, all: plan.held(replicas, pp, bucketBytes),
 	}
-	s.contribLo, s.contribHi = plan.ownerRange(rank)
-	shardBytes, denseBytes := 0, 0
-	if spec.Momentum != 0 {
-		s.vel = tensor.GetScratchZero(plan.counts[rank])
-		shardBytes, denseBytes = 8*plan.counts[rank], 8*plan.total
+	for gi, owner := range plan.owners {
+		if owner == rank%pp {
+			e.gradIdx = append(e.gradIdx, gi)
+			e.params = append(e.params, params[gi])
+		}
 	}
-	pct := 0.0
-	if denseBytes > 0 {
-		pct = 100 * float64(shardBytes) / float64(denseBytes)
+	peers := make([]int, replicas)
+	for r := range peers {
+		peers[r] = r*pp + rank%pp
+	}
+	var err error
+	if e.grads, err = commOn(tr, peers, gradGroupID, rank); err != nil {
+		return nil, err
+	}
+	if e.gather, err = commOn(tr, peers, paramGroupID, rank); err != nil {
+		return nil, err
+	}
+	heldBytes := 0
+	for _, h := range e.all {
+		if h.rank != rank {
+			continue
+		}
+		e.mine = append(e.mine, h)
+		if e.mu != 0 {
+			e.vel = append(e.vel, tensor.GetScratchZero(h.hi-h.lo))
+			heldBytes += 8 * (h.hi - h.lo)
+		}
+	}
+	denseBytes, pct := 0, 0.0
+	if e.mu != 0 {
+		denseBytes = 8 * plan.total
+		pct = 100 * float64(heldBytes) / float64(denseBytes)
 	}
 	log.Printf("distrun: rank %d sharded optimizer state %d/%d bytes (%.1f%% of replicated, world %d)",
-		rank, shardBytes, denseBytes, pct, plan.world)
-	return s
+		rank, heldBytes, denseBytes, pct, replicas*pp)
+	return e, nil
 }
 
-// release recycles the buffer set (keeps a job-retrying process's scratch
-// pool warm).
-func (s *shardedState) release() {
-	for _, t := range []*tensor.Tensor{s.flatG, s.gShard, s.uShard, s.flatP, s.vel, s.efRes} {
-		if t != nil {
-			tensor.Recycle(t)
-		}
+// release recycles the epilogue's buffers (keeps a job-retrying process's
+// scratch pool warm).
+func (e *stageEpilogue) release() {
+	for _, t := range slices.Concat(e.vel, e.efRes) {
+		tensor.Recycle(t)
 	}
 }
 
 // armErrorFeedback turns the int8 error-feedback transform on for subsequent
-// exchanges (a rank that contributes no gradients has nothing to compensate).
-func (s *shardedState) armErrorFeedback() {
-	if s.contribHi > s.contribLo {
-		s.efRes = tensor.GetScratchZero(s.contribHi - s.contribLo)
+// steps. A stage with one replica sends no gradient, so it has no
+// quantization error to compensate and its gradients are left alone.
+func (e *stageEpilogue) armErrorFeedback() {
+	if e.grads.Size() == 1 {
+		return
+	}
+	for _, p := range e.params {
+		e.efRes = append(e.efRes, tensor.GetScratchZero(p.Size()))
 	}
 }
 
-// exchange runs one step epilogue: pack this rank's gradients into its
-// contributed range of the flat vector, ReduceScatterV so each rank receives
-// only the slice it owns, run the fused optimizer update on that slice
-// against shard-local state, AllGatherV the updated slices back into the full
-// flat vector, and scatter it into the param tensors. The sparse RS-V ships a
-// zero-length identity marker — no −0.0 filler, no wire traffic — for every
-// shard this rank contributes nothing to; since x + (−0.0) == x bit for bit
-// in any combine order and the update kernels are elementwise, the resulting
-// parameters are bit-identical to RunLocal's whole-tensor update.
-//
-// The gradient ReduceScatterV runs on gradComm — the communicator whose tag
-// window the transport may mark lossy — while the parameter AllGatherV stays
-// on comm: parameters must never quantize, or every rank's weights would
-// degrade once per step regardless of error feedback.
-func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec JobSpec, res *jaxpp.ActorResults, params []*jaxpp.Tensor) error {
-	p := s.plan
-	fg := s.flatG.Data()
-	for i, gi := range res.GradIdx {
-		if p.owners[gi] != s.rank {
-			// Outside the contributed range the RS-V would never ship it:
-			// the gradient would silently drop out of the sum.
-			return fmt.Errorf("grad pack: rank %d handed gradient %d, which actor %d owns", s.rank, gi, p.owners[gi])
-		}
-		gd := res.Grads[i].Data()
-		copy(fg[p.gradOff[gi]:p.gradOff[gi]+len(gd)], gd)
-		tensor.Recycle(res.Grads[i])
+// setVelocity loads this rank's share of a restored flat velocity vector.
+func (e *stageEpilogue) setVelocity(flat []float64) {
+	for j, v := range e.vel {
+		v.CopyFrom(flat[e.mine[j].lo:e.mine[j].hi])
 	}
-	if s.efRes != nil {
-		// Error feedback over the contributed range, one quantization grid
-		// per gradient tensor: fold the carried residual in, replace the
-		// contribution with its own int8 round trip (so this rank reduces
-		// exactly the values remote ranks decode), keep the new error for next
-		// step. The residual L2 norm is observed per step — bounded norm means
-		// the compression error re-enters the sum instead of accumulating.
-		hq := obs.TrackTid(scQuantEF, s.rank)
+}
+
+// reduce is the reduce half, in the form CompileSpec.GradSync wants it: it
+// runs on the actor's goroutine when the actor's program ends, over the
+// stage's gradient accumulators in program order.
+func (e *stageEpilogue) reduce(actor int, grads []*tensor.Tensor) error {
+	if actor != e.rank || len(grads) != len(e.params) {
+		return fmt.Errorf("distrun: rank %d (%d stage gradients) asked to reduce %d gradients of actor %d", e.rank, len(e.params), len(grads), actor)
+	}
+	if e.efRes != nil {
+		// Error feedback, one quantization grid per gradient tensor: fold the
+		// carried residual in, replace the contribution with its own int8
+		// round trip (so this rank reduces exactly the values its peers
+		// decode), keep the new error for next step. The residual L2 norm is
+		// observed per step — a bounded norm means the compression error
+		// re-enters the sum instead of accumulating.
+		hq := obs.TrackTid(scQuantEF, e.rank)
 		var sq float64
-		rd := s.efRes.Data()
-		for k, gi := range p.order {
-			if p.owners[gi] != s.rank {
-				continue
-			}
-			g := fg[p.off[k]:p.off[k+1]]
-			r := rd[p.off[k]-s.contribLo : p.off[k+1]-s.contribLo]
+		for k, t := range grads {
+			g, r := t.Data(), e.efRes[k].Data()
 			for i := range g {
 				r[i] += g[i]
 				g[i] = r[i]
@@ -259,42 +289,74 @@ func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec Jo
 		obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
 		hq.Stop()
 	}
-
-	hg := obs.TrackTid(scGradRS, s.rank)
-	err := gradComm.ReduceScatterVSparseInto(s.gShard, s.flatG, p.counts, s.contribLo, s.contribHi, collective.OpSum, 0)
+	hg := obs.TrackTid(scGradRS, e.rank)
+	err := e.grads.ReduceBucketsInPlace(grads, collective.OpSum, e.bucketBytes)
 	hg.Stop()
 	if err != nil {
-		return fmt.Errorf("grad reduce-scatter: %w", err)
+		return fmt.Errorf("distrun: rank %d grad reduce: %w", e.rank, err)
 	}
+	return nil
+}
 
-	// The owned range reads its parameters straight from the param tensors,
-	// one kernel call per tensor it spans: the kernels are elementwise, so
-	// that is the whole-range update.
-	lo := p.starts[s.rank]
-	hi := lo + p.counts[s.rank]
-	upd, red := s.uShard.Data(), s.gShard.Data()
-	hs := obs.TrackTid(scSGD, s.rank)
-	for k, gi := range p.order {
-		a, b := max(p.off[k], lo), min(p.off[k+1], hi)
-		if a >= b {
-			continue
-		}
-		src := params[gi].Data()[a-p.off[k] : b-p.off[k]]
-		if spec.Momentum != 0 {
-			model.MomentumRange(upd[a-lo:b-lo], src, red[a-lo:b-lo], s.vel.Data()[a-lo:b-lo], spec.LR, spec.Momentum)
-		} else {
-			model.SGDRange(upd[a-lo:b-lo], src, red[a-lo:b-lo], spec.LR)
+// finish completes the step from the actor's results: update the ranges this
+// rank holds from its reduced gradients, then gather the stage's parameters
+// from the replica group. The gradient tensors are consumed.
+func (e *stageEpilogue) finish(res *jaxpp.ActorResults) error {
+	if !slices.Equal(res.GradIdx, e.gradIdx) {
+		// A gradient of another stage would silently miss its update, and a
+		// missing one leave a stale parameter range behind.
+		return fmt.Errorf("rank %d handed gradients %v, its stage produces %v", e.rank, res.GradIdx, e.gradIdx)
+	}
+	hs := obs.TrackTid(scSGD, e.rank)
+	for j, h := range e.mine {
+		for k, p := range e.params {
+			off := e.plan.gradOff[e.gradIdx[k]]
+			a, b := max(h.lo, off), min(h.hi, off+p.Size())
+			if a >= b {
+				continue
+			}
+			pd, gd := p.Data()[a-off:b-off], res.Grads[k].Data()[a-off:b-off]
+			if e.mu != 0 {
+				model.MomentumRange(pd, pd, gd, e.vel[j].Data()[a-h.lo:b-h.lo], e.lr, e.mu)
+			} else {
+				model.SGDRange(pd, pd, gd, e.lr)
+			}
 		}
 	}
 	hs.Stop()
-
-	ha := obs.TrackTid(scParamAG, s.rank)
-	err = comm.AllGatherVInto(s.flatP, s.uShard, p.counts)
+	for _, g := range res.Grads {
+		tensor.Recycle(g)
+	}
+	ha := obs.TrackTid(scParamAG, e.rank)
+	err := e.gather.GatherBucketsInPlace(e.params, e.bucketBytes)
 	ha.Stop()
 	if err != nil {
-		return fmt.Errorf("param all-gatherv: %w", err)
+		return fmt.Errorf("param gather: %w", err)
 	}
-	// The param tensors the actors are stepped with mirror the flat vector.
-	p.scatter(params, s.flatP.Data())
+	return nil
+}
+
+// collectParams brings rank 0's parameter list up to date after the last
+// step: for every stage rank 0 does not host, that stage's replica-0 rank
+// streams the stage's parameters to it (a two-rank broadcast per tensor).
+// Every other rank has nothing to do.
+func collectParams(tr transport.Transport, plan *shardPlan, params []*jaxpp.Tensor, rank int) error {
+	comms := map[int]*collective.Communicator{}
+	for gi, owner := range plan.owners {
+		if owner == 0 || (rank != 0 && rank != owner) {
+			continue
+		}
+		comm := comms[owner]
+		if comm == nil {
+			var err error
+			if comm, err = commOn(tr, []int{owner, 0}, finalGroupID, rank); err != nil {
+				return err
+			}
+			comms[owner] = comm
+		}
+		if err := comm.BroadcastInto(params[gi], 0); err != nil {
+			return fmt.Errorf("distrun: rank %d collecting parameter %d from rank %d: %w", rank, gi, owner, err)
+		}
+	}
 	return nil
 }

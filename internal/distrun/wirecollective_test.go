@@ -34,13 +34,15 @@ func TestHostedFilterMatchesUnfiltered2Ranks(t *testing.T) {
 	requireBitIdentical(t, filtered, unfiltered)
 }
 
-// TestNegZeroFillIsExactAdditiveIdentity pins the IEEE identity the gradient
-// exchange rests on (the sparse ReduceScatterV's identity markers and
-// boundary fills stand for −0.0): an all-reduce where one rank contributes the payload
-// and every other rank contributes negative zeros must reproduce the
-// owner's bits exactly — including for payload elements that are themselves
-// ±0.0, denormal, or negative (a +0.0 fill would flip -0.0 payloads to +0.0
-// and break bit-for-bit parity with the in-process reference).
+// TestNegZeroFillIsExactAdditiveIdentity pins the IEEE identity a rank with
+// nothing to contribute to a sum can stand on: an all-reduce where one rank
+// contributes the payload and every other rank contributes negative zeros
+// must reproduce the owner's bits exactly — including for payload elements
+// that are themselves ±0.0, denormal, or negative (a +0.0 fill would flip
+// -0.0 payloads to +0.0 and break bit-for-bit parity with the in-process
+// reference). The step epilogue no longer depends on it — every rank of a
+// replica group contributes a real gradient — so this is a property of the
+// ring's OpSum, kept for whoever next lets a rank sit a sum out.
 func TestNegZeroFillIsExactAdditiveIdentity(t *testing.T) {
 	payload := []float64{
 		math.Copysign(0, -1), 0.0, 1.5, -1.5,

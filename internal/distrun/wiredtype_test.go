@@ -9,16 +9,18 @@ import (
 )
 
 // TestInt8QErrorFeedbackBoundedDivergence trains 200 steps with int8q
-// gradient compression and error feedback over real TCP ranks and pins the
-// loss divergence against the f64 in-process reference: quantization noise
-// must stay bounded (the residuals re-inject what each lossy send dropped)
-// and must not stop the model from converging. Only the gradient
-// ReduceScatterV quantizes; the parameter AllGatherV must stay lossless. This is the acceptance test
-// for the lossy wire plane — without error feedback the quantization bias
-// accumulates and the divergence grows without bound.
+// gradient compression and error feedback over real TCP ranks (two replicas
+// of two stages: a stage with one replica sends no gradient and would not
+// quantize anything) and pins the loss divergence against the f64 in-process
+// reference: quantization noise must stay bounded (the residuals re-inject
+// what each lossy send dropped) and must not stop the model from converging.
+// Only the epilogue's reduce half quantizes; its parameter gather must stay
+// lossless. This is the acceptance test for the lossy wire plane — without
+// error feedback the quantization bias accumulates and the divergence grows
+// without bound.
 func TestInt8QErrorFeedbackBoundedDivergence(t *testing.T) {
 	spec := JobSpec{
-		Stages: 2, NumMB: 4, MBRows: 4, Width: 16,
+		Stages: 2, NumMB: 4, MBRows: 4, Width: 16, DataParallel: 2,
 		Steps: 200, LR: 0.1, Schedule: "1f1b", Seed: 1,
 	}
 	ref, err := RunLocal(spec)
@@ -50,10 +52,12 @@ func TestInt8QErrorFeedbackBoundedDivergence(t *testing.T) {
 	if maxRel > tol {
 		t.Fatalf("loss divergence %.4g exceeds pinned bound %v", maxRel, tol)
 	}
-	// The quantized run must still train, not merely track the reference.
-	first, last := got.StepLosses[0], got.StepLosses[len(got.StepLosses)-1]
-	if !(last < 0.5*first) {
-		t.Fatalf("int8q run failed to converge: loss %v -> %v", first, last)
+	// The quantized run must still train, not merely track the reference:
+	// it has to make at least nine tenths of the reference's progress.
+	drop := got.StepLosses[0] - got.StepLosses[len(got.StepLosses)-1]
+	refDrop := ref.StepLosses[0] - ref.StepLosses[len(ref.StepLosses)-1]
+	if !(refDrop > 1 && drop >= 0.9*refDrop) {
+		t.Fatalf("int8q run failed to converge: loss fell by %v, the reference's by %v", drop, refDrop)
 	}
 }
 
@@ -63,7 +67,7 @@ func TestInt8QErrorFeedbackBoundedDivergence(t *testing.T) {
 // far tighter than the int8q band.
 func TestF32WireStaysConvergentAndClose(t *testing.T) {
 	spec := JobSpec{
-		Stages: 2, NumMB: 4, MBRows: 4, Width: 16,
+		Stages: 2, NumMB: 4, MBRows: 4, Width: 16, DataParallel: 2,
 		Steps: 50, LR: 0.1, Schedule: "1f1b", Seed: 1,
 	}
 	ref, err := RunLocal(spec)

@@ -493,10 +493,11 @@ func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 }
 
 // ActorResults are the step outputs owned by one global actor: losses by
-// global microbatch index (replica-major, as Step orders them) and final
-// gradients by parameter-gradient index. Gradients are reported only by
-// replica-0 actors — after the DP epilogue all-reduce every replica holds
-// identical sums, and Step's contract returns replica 0's.
+// global microbatch index (replica-major, as Step orders them) and its
+// gradient accumulators by parameter-gradient index, as the actor's step
+// epilogue left them. Every replica's actor reports its own: after a DP
+// all-reduce they hold identical sums (Step returns replica 0's), after a
+// reduce-only epilogue each holds the part it reduced.
 type ActorResults struct {
 	LossMB  []int
 	Losses  []*tensor.Tensor
@@ -544,18 +545,16 @@ func (e *Executable) TakeActorResultsInto(actor int, res *ActorResults) error {
 		res.LossMB = append(res.LossMB, r*numMB+mb)
 		res.Losses = append(res.Losses, t)
 	}
-	if r == 0 {
-		for gi, g := range prog.Grads {
-			if g.Actor != a {
-				continue
-			}
-			t, err := store.Take(g.Buf)
-			if err != nil {
-				return fmt.Errorf("runtime: actor %d grad %d: %w", actor, gi, err)
-			}
-			res.GradIdx = append(res.GradIdx, gi)
-			res.Grads = append(res.Grads, t)
+	for gi, g := range prog.Grads {
+		if g.Actor != a {
+			continue
 		}
+		t, err := store.Take(g.Buf)
+		if err != nil {
+			return fmt.Errorf("runtime: actor %d grad %d: %w", actor, gi, err)
+		}
+		res.GradIdx = append(res.GradIdx, gi)
+		res.Grads = append(res.Grads, t)
 	}
 	return nil
 }

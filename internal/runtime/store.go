@@ -182,7 +182,9 @@ func (s *Store) Delete(id taskgraph.BufID) {
 // read by the transport, and a borrowed view (a zero-copy batch row) is
 // caller-owned storage — both fall back to an out-of-place add (the same
 // reason deletions defer, §4.3). A missing buffer is initialized to a copy of
-// src, which is what makes every later accumulation exclusively store-owned.
+// src, which is what makes every later accumulation exclusively store-owned;
+// the copy's storage comes from the scratch pool, where the driver's Recycle
+// of last step's accumulator put it.
 func (s *Store) Accumulate(id taskgraph.BufID, src *tensor.Tensor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -197,7 +199,8 @@ func (s *Store) Accumulate(id taskgraph.BufID, src *tensor.Tensor) {
 		out = tensor.Add(dst, src)
 		s.liveBytes -= bytesOf(dst)
 	} else {
-		out = src.Clone()
+		out = tensor.GetScratchShaped(src.Shape()...)
+		out.CopyFrom(src.Data())
 		s.liveBufs++
 	}
 	sl.t = out

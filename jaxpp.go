@@ -137,6 +137,16 @@ type CompileSpec struct {
 	// DPBucketBytes caps the gradient-fusion bucket size of the DP
 	// all-reduce (default collective.DefaultBucketBytes).
 	DPBucketBytes int
+	// GradSync, when set, runs in place of the DP all-reduce as the step
+	// epilogue of every hosted actor that produces gradients, for any replica
+	// count (one included): on the actor's own goroutine as soon as its
+	// program ends, so it overlaps pipeline cooldown on other actors, with
+	// the actor's global ID and its gradient accumulators in program order.
+	// The accumulators are the actor's to mutate; TakeActorResults hands them
+	// out as GradSync left them, and Step's returned gradients are replica
+	// 0's in that state. distrun installs the reduce half of its stage-local
+	// step epilogue here.
+	GradSync func(actor int, grads []*Tensor) error
 	// HostActors restricts which global actors this process materializes
 	// (stores, compiled segment programs, sender workers, DP-sync
 	// communicators). nil hosts all. A distributed rank passes its own
@@ -241,34 +251,36 @@ func (m *RemoteMesh) Compile(spec CompileSpec) (*TrainStep, error) {
 }
 
 // scDPSync times each actor's data-parallel gradient all-reduce epilogue,
-// attributed to the actor's global ID as the trace lane.
+// attributed to the actor's global ID as the trace lane. A GradSync epilogue
+// is its owner's to time.
 var scDPSync = obs.Scope("step/dp_sync")
 
-// installDPSync attaches the end-of-step data-parallel gradient all-reduce:
-// for every pipeline actor that owns gradient accumulators, a bucketed ring
-// AllReduce across its replica peers, derived from the "data" axis of the
-// [("data", R), ("pipe", P)] actor mesh. Each actor starts its all-reduce as
-// soon as its own program finishes, overlapping the sync with pipeline
-// cooldown on later stages.
+// installDPSync attaches the end-of-step gradient epilogue: for every
+// pipeline actor that owns gradient accumulators, a bucketed ring AllReduce
+// across its replica peers, derived from the "data" axis of the
+// [("data", R), ("pipe", P)] actor mesh — or, in its place, the spec's
+// GradSync. Each actor starts its epilogue as soon as its own program
+// finishes, overlapping it with pipeline cooldown on later stages.
 func (t *TrainStep) installDPSync(tr transport.Transport) error {
 	replicas := t.exe.Replicas()
 	pp := t.exe.ActorsPerReplica()
 	t.dpSyncNanos = make([]int64, replicas*pp)
-	if replicas <= 1 {
-		return nil
+	var groups []*collective.Group
+	if t.spec.GradSync == nil {
+		if replicas <= 1 {
+			return nil
+		}
+		m, err := mesh.New(mesh.Axis{Name: "data", Size: replicas}, mesh.Axis{Name: "pipe", Size: pp})
+		if err != nil {
+			return err
+		}
+		// Row-major device IDs of the mesh coincide with the runtime's global
+		// actor layout, so groups along "data" are exactly the replica peers
+		// of each pipeline position.
+		if groups, err = collective.NewWorld(tr, m).GroupsAlong("data"); err != nil {
+			return err
+		}
 	}
-	m, err := mesh.New(mesh.Axis{Name: "data", Size: replicas}, mesh.Axis{Name: "pipe", Size: pp})
-	if err != nil {
-		return err
-	}
-	// Row-major device IDs of the mesh coincide with the runtime's global
-	// actor layout, so groups along "data" are exactly the replica peers of
-	// each pipeline position.
-	groups, err := collective.NewWorld(tr, m).GroupsAlong("data")
-	if err != nil {
-		return err
-	}
-	bucketBytes := t.spec.DPBucketBytes
 	for a := 0; a < pp; a++ {
 		var bufs []taskgraph.BufID
 		for _, g := range t.prog.Grads {
@@ -287,32 +299,37 @@ func (t *TrainStep) installDPSync(tr transport.Transport) error {
 				// promise (no per-peer state for unhosted actors) holds.
 				continue
 			}
-			comm, err := groups[a].Comm(r)
-			if err != nil {
-				return err
-			}
-			bufs := bufs
-			ts := make([]*tensor.Tensor, len(bufs))
-			err = t.exe.SetStepEpilogue(global, func(store *runtime.Store) error {
-				start := time.Now()
-				h := obs.TrackTid(scDPSync, global)
-				for i, b := range bufs {
-					g, err := store.Get(b)
-					if err != nil {
-						return fmt.Errorf("jaxpp: dp sync: %w", err)
-					}
-					ts[i] = g
+			epilogue := func(ts []*tensor.Tensor) error { return t.spec.GradSync(global, ts) }
+			if groups != nil {
+				comm, err := groups[a].Comm(r)
+				if err != nil {
+					return err
 				}
-				// Gradient accumulators are store-private (the runtime clones
+				// Gradient accumulators are store-private (the runtime copies
 				// on first accumulation), so the bucketed all-reduce runs in
 				// place through the communicator's persistent scratch: no
 				// per-step result tensors, no store churn.
-				if err := comm.AllReduceBucketsInPlace(ts, collective.OpSum, bucketBytes); err != nil {
-					return fmt.Errorf("jaxpp: dp sync: %w", err)
+				epilogue = func(ts []*tensor.Tensor) error {
+					start := time.Now()
+					h := obs.TrackTid(scDPSync, global)
+					if err := comm.AllReduceBucketsInPlace(ts, collective.OpSum, t.spec.DPBucketBytes); err != nil {
+						return fmt.Errorf("jaxpp: dp sync: %w", err)
+					}
+					h.Stop()
+					t.dpSyncNanos[global] = time.Since(start).Nanoseconds()
+					return nil
 				}
-				h.Stop()
-				t.dpSyncNanos[global] = time.Since(start).Nanoseconds()
-				return nil
+			}
+			ts := make([]*tensor.Tensor, len(bufs))
+			err := t.exe.SetStepEpilogue(global, func(store *runtime.Store) error {
+				for i, b := range bufs {
+					g, err := store.Get(b)
+					if err != nil {
+						return fmt.Errorf("jaxpp: step epilogue: %w", err)
+					}
+					ts[i] = g
+				}
+				return epilogue(ts)
 			})
 			if err != nil {
 				return err
@@ -437,7 +454,7 @@ func (t *TrainStep) MemoryStats() []runtime.StoreStats { return t.exe.StoreStats
 func (t *TrainStep) Program() *taskgraph.Program { return t.prog }
 
 // GradOwners returns the producing actor of each gradient output in program
-// order — the owner table the ZeRO-sharded step epilogue derives its
-// owner-major layout from. Available on every rank under the hosted-actor
-// filter (it reads shared program metadata, not peer state).
+// order — the owner table distrun's step epilogue and checkpoint layout are
+// derived from. Available on every rank under the hosted-actor filter (it
+// reads shared program metadata, not peer state).
 func (t *TrainStep) GradOwners() []int { return t.exe.GradOwners() }

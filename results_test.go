@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
 
@@ -168,6 +169,48 @@ func TestStepAllocsBounded(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("steady-state %s step allocates %.0f objects, want <= %d", tier.name, allocs, maxAllocs)
 		}
+	}
+}
+
+// TestAccumulatorStorageCyclesThroughPool holds the first accumulation of a
+// gradient buffer to the scratch pool: the accumulator a driver takes and
+// recycles is storage the next first accumulation finds there, so the cycle
+// neither misses the pool nor allocates a tensor's worth of memory (the copy
+// used to be a fresh make, cleared and then overwritten, every step).
+func TestAccumulatorStorageCyclesThroughPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under the race detector")
+	}
+	const width = 256
+	src := tensor.New(width, width)
+	store := runtime.NewStore()
+	cycle := func() {
+		store.Accumulate(0, src)
+		acc, err := store.Take(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.Recycle(acc)
+	}
+	resume := pauseGC()
+	defer resume()
+	cycle() // after the pause's collection, which empties the pool
+	obs.Enable()
+	defer obs.Disable()
+	miss := obs.Counter("pool/miss")
+	missesBefore := obs.CounterNow(miss)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	const cycles = 20
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	goruntime.ReadMemStats(&after)
+	if got := obs.CounterNow(miss) - missesBefore; got != 0 {
+		t.Errorf("%d pool misses in %d accumulate/take/recycle cycles, want 0", got, cycles)
+	}
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle > width*width*8/4 {
+		t.Errorf("a cycle allocates %d bytes: the %d-byte accumulator is not coming from the pool", perCycle, width*width*8)
 	}
 }
 
