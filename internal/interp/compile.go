@@ -16,7 +16,10 @@ import (
 //     last consumer runs (steady-state steps allocate almost nothing),
 //   - execute elementwise ops (including gradient-accumulation adds) in
 //     place on dying operands it owns,
-//   - fuse MatMul→ReLU and MatMul→Add→ReLU chains into single kernels.
+//   - fuse MatMul→ReLU and MatMul→Add→ReLU chains into single kernels,
+//   - never materialise a Transpose whose one consumer is the right operand
+//     of a MatMul: the pair runs as tensor.MatMulNTInto on the untransposed
+//     operand (the ct·Wᵀ of every backward pass).
 //
 // Aliasing is tracked per storage root: Reshape views and in-place results
 // share their operand's root, and a root is recycled only after every value
@@ -48,18 +51,20 @@ type pinstr struct {
 // compiler carries the per-graph analysis state while closures are emitted.
 type compiler struct {
 	g        *ir.Graph
-	slotOf   map[int]int // value ID -> dense env slot
-	lastUse  []int       // per slot: last consuming eqn index (-1 unused, len(Eqns) output)
-	root     []int       // per slot: storage-root slot (aliases share a root)
-	owned    []bool      // per root slot: storage is program-owned (recyclable)
-	rootLast []int       // per root slot: last eqn index at which any alias is live
-	freed    []bool      // per root slot: a recycle has been scheduled
+	slotOf   map[int]int   // value ID -> dense env slot
+	lastUse  []int         // per slot: last consuming eqn index (-1 unused, len(Eqns) output)
+	root     []int         // per slot: storage-root slot (aliases share a root)
+	owned    []bool        // per root slot: storage is program-owned (recyclable)
+	rootLast []int         // per root slot: last eqn index at which any alias is live
+	freed    []bool        // per root slot: a recycle has been scheduled
+	uses     map[int][]int // value ID -> consuming eqn indices (ir.Graph.Uses)
+	ntSrc    map[int]int   // slot of a fused-away Transpose -> slot of its operand
 	instrs   []pinstr
 }
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
-	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns))}
+	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), ntSrc: map[int]int{}}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -207,10 +212,24 @@ func (c *compiler) emit(i int) int {
 		return i
 
 	case ir.OpMatMul:
+		a, b := args[0], args[1]
+		if src, ok := c.ntSrc[b]; ok {
+			// b is a Transpose that was never run: multiply against its
+			// operand's rows where they lie. This wins over the ReLU fusions
+			// below — a following ReLU then runs in place on the product,
+			// one pass over (m,n) against a pass over the whole of b.
+			c.freshOut(i, out)
+			c.push(i, func(env []*tensor.Tensor) error {
+				dst := tensor.GetScratchShaped(outShape...)
+				tensor.MatMulNTInto(dst, env[a], env[src])
+				env[out] = dst
+				return nil
+			}, []int{a, src, out})
+			return i
+		}
 		if j, fused := c.tryFuseMatMul(i, e, args, out); fused {
 			return j
 		}
-		a, b := args[0], args[1]
 		c.freshOut(i, out)
 		c.push(i, func(env []*tensor.Tensor) error {
 			dst := tensor.GetScratchShaped(outShape...)
@@ -317,6 +336,14 @@ func (c *compiler) emit(i int) int {
 
 	case ir.OpTranspose:
 		a := args[0]
+		if j := c.soleRightOperandOf(e.Outputs[0]); j >= 0 {
+			// Fused into MatMul j (see there): nothing runs here, the slot
+			// stays empty and unowned, and the operand's storage — which
+			// might have died at this equation — lives on until j reads it.
+			c.ntSrc[out] = a
+			c.raiseRootLast(c.root[a], j)
+			return i
+		}
 		c.freshOut(i, out)
 		c.push(i, func(env []*tensor.Tensor) error {
 			dst := tensor.GetScratchShaped(outShape...)
@@ -366,6 +393,20 @@ func (c *compiler) emit(i int) int {
 		}, involved)
 		return i
 	}
+}
+
+// soleRightOperandOf returns the index of the MatMul whose right operand is
+// v's one and only use, or -1: a second consumer, a graph output, the left
+// operand or MatMul(v, v) all need v itself.
+func (c *compiler) soleRightOperandOf(v *ir.Value) int {
+	u := c.uses[v.ID]
+	if len(u) != 1 || u[0] == len(c.g.Eqns) {
+		return -1
+	}
+	if e := c.g.Eqns[u[0]]; e.Op == ir.OpMatMul && e.Inputs[1].ID == v.ID {
+		return u[0]
+	}
+	return -1
 }
 
 // tryFuseMatMul fuses MatMul→ReLU and MatMul→Add→ReLU chains when the

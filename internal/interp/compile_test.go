@@ -2,10 +2,14 @@ package interp
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/autodiff"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -191,6 +195,195 @@ func TestProgramFusionSelfAdd(t *testing.T) {
 	}
 }
 
+// stageGrad is the value-and-grad graph of one MLP stage differentiated with
+// respect to its input and its weight — the graph the benchmark's interp
+// probe times, and every backward product a pipeline segment holds: dW =
+// xᵀ·ct keeps its small transpose, dx = ct·wᵀ is the pair the compiler fuses.
+func stageGrad(tb testing.TB, rows, width int) (*ir.Graph, []*tensor.Tensor) {
+	tb.Helper()
+	var wrt []*ir.Value
+	g, err := trace.Trace("stage", func(b *trace.Builder) []*ir.Value {
+		x, y, w := b.Input("x", rows, width), b.Input("y", rows, width), b.Input("w", width, width)
+		wrt = []*ir.Value{x, w}
+		return []*ir.Value{b.CrossEntropy(b.ReLU(b.MatMul(x, w)), y)}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gg, err := autodiff.ValueAndGrad(g, wrt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := tensor.NewRNG(5)
+	return gg, []*tensor.Tensor{rng.Normal(1, rows, width), rng.OneHotBatch(rows, width), rng.Xavier(width, width)}
+}
+
+// transposedElems runs p once and returns its outputs with the number of
+// elements TransposeInto moved meanwhile (the exact transpose/elems counter).
+func transposedElems(t *testing.T, p *Program, inputs []*tensor.Tensor) ([]*tensor.Tensor, int64) {
+	t.Helper()
+	obs.Enable()
+	defer obs.Disable()
+	c := obs.Counter("transpose/elems")
+	before := obs.CounterNow(c)
+	got, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, obs.CounterNow(c) - before
+}
+
+// sameBitsAsEval holds a program's outputs to the reference evaluator bit
+// for bit.
+func sameBitsAsEval(t *testing.T, g *ir.Graph, inputs, got []*tensor.Tensor) {
+	t.Helper()
+	want, err := Eval(g, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !got[i].HasShape(want[i].Shape()) {
+			t.Fatalf("output %d has shape %v, Eval gives %v", i, got[i].Shape(), want[i].Shape())
+		}
+		for j, w := range want[i].Data() {
+			if v := got[i].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("output %d element %d: program %v, Eval %v", i, j, v, w)
+			}
+		}
+	}
+}
+
+// TestTransposeMatMulFusion: a Transpose read by nothing but the right
+// operand of one MatMul is never materialised, the result is Eval's bit for
+// bit, and a Transpose anything else reads still runs.
+func TestTransposeMatMulFusion(t *testing.T) {
+	const rows, width = 4, 512
+	g, inputs := stageGrad(t, rows, width)
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only xᵀ is left of the step's two transposes: no (width, width) one.
+	got, moved := transposedElems(t, p, inputs)
+	if moved != rows*width {
+		t.Errorf("the stage program transposed %d elements, want %d (xᵀ alone; wᵀ is %d)", moved, rows*width, width*width)
+	}
+	sameBitsAsEval(t, g, inputs, got)
+
+	// The outputs are the caller's own: dx came out of MatMulNTInto's
+	// destination, not out of anything the next run reuses.
+	again, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if len(got[i].Data()) > 0 && &got[i].Data()[0] == &again[i].Data()[0] {
+			t.Fatalf("output %d of two runs shares storage", i)
+		}
+	}
+	sameBitsAsEval(t, g, inputs, got)
+	sameBitsAsEval(t, g, inputs, again)
+
+	// Steady state: the fused pair draws its destination and its non-zero
+	// lists from pools, so the program allocates exactly what it does with
+	// dx cut out of it (the loss primitives' reference fallbacks).
+	if !raceEnabled {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		allocs := func(p *Program) float64 {
+			outs := make([]*tensor.Tensor, p.NumOutputs())
+			step := func() {
+				if err := p.RunInto(outs, inputs); err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range outs {
+					tensor.Recycle(o)
+				}
+			}
+			step()
+			return testing.AllocsPerRun(20, step)
+		}
+		noDx := g.Clone()
+		noDx.SetOutputs(noDx.Outputs[0], noDx.Outputs[2])
+		if noDx.DCE() != 2 {
+			t.Fatal("dx is a transpose and a matmul")
+		}
+		base, err := NewProgram(noDx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if with, without := allocs(p), allocs(base); with != without {
+			t.Errorf("a steady-state RunInto allocates %v times, %v without the fused pair", with, without)
+		}
+	}
+
+	rng := tensor.NewRNG(11)
+	for _, c := range []struct {
+		name  string
+		build func(b *trace.Builder, a, w *ir.Value) []*ir.Value
+		moved int64 // elements TransposeInto must still move; w is (6, 5)
+	}{
+		{"sole right operand", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			return []*ir.Value{b.MatMul(a, b.Transpose(w))}
+		}, 0},
+		{"fused pair ahead of a relu", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			// NT wins over MatMul→ReLU; the ReLU runs in place on the product.
+			return []*ir.Value{b.ReLU(b.MatMul(a, b.Transpose(w)))}
+		}, 0},
+		{"operand dead before the matmul", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			// s has no reader after its transpose: its storage must outlive
+			// the equations between the pair, in-place ones included.
+			s := b.Scale(w, 2)
+			st := b.Transpose(s)
+			a2 := b.ReLU(b.Scale(a, -3))
+			return []*ir.Value{b.MatMul(a2, st)}
+		}, 0},
+		{"second consumer before the matmul", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			wt := b.Transpose(w)
+			return []*ir.Value{b.MatMul(a, b.Scale(wt, 2)), b.MatMul(a, wt)}
+		}, 30},
+		{"second consumer after the matmul", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			wt := b.Transpose(w)
+			return []*ir.Value{b.MatMul(a, wt), b.Scale(wt, 2)}
+		}, 30},
+		{"graph output", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			wt := b.Transpose(w)
+			return []*ir.Value{b.MatMul(a, wt), wt}
+		}, 30},
+		{"left operand", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			return []*ir.Value{b.MatMul(b.Transpose(w), w)}
+		}, 30},
+		{"both operands", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			st := b.Transpose(b.MatMul(b.Transpose(w), w)) // (5, 5)
+			return []*ir.Value{b.MatMul(st, st)}
+		}, 30 + 25},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := trace.Trace("nt", func(b *trace.Builder) []*ir.Value {
+				return c.build(b, b.Input("a", 3, 5), b.Input("w", 6, 5))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewProgram(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := []*tensor.Tensor{rng.Normal(1, 3, 5), rng.Normal(1, 6, 5)}
+			for run := 0; run < 3; run++ { // pooled storage comes back dirty
+				got, moved := transposedElems(t, p, inputs)
+				if moved != c.moved {
+					t.Fatalf("run %d: %d elements transposed, want %d", run, moved, c.moved)
+				}
+				sameBitsAsEval(t, g, inputs, got)
+				for _, o := range got {
+					tensor.Recycle(o)
+				}
+			}
+		})
+	}
+}
+
 // TestProgramConcurrentRuns exercises one shared Program from several
 // goroutines (data-parallel replicas share compiled segments); run under
 // -race.
@@ -235,18 +428,30 @@ func TestProgramConcurrentRuns(t *testing.T) {
 // the pooling win).
 func BenchmarkInterpStep(b *testing.B) {
 	g, inputs := mlpGrad(b, 4, 8, 32)
+	benchProgram(b, "", g, inputs)
+	// One stage at the dp2x2 workloads' shape, where ct·wᵀ against a 2 MiB
+	// weight is the step: the compiled side runs it on w's own rows.
+	g, inputs = stageGrad(b, 4, 512)
+	benchProgram(b, "stage4x512/", g, inputs)
+}
+
+func benchProgram(b *testing.B, prefix string, g *ir.Graph, inputs []*tensor.Tensor) {
 	p, err := NewProgram(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("compiled", func(b *testing.B) {
+	outs := make([]*tensor.Tensor, p.NumOutputs())
+	b.Run(prefix+"compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Run(inputs); err != nil {
+			if err := p.RunInto(outs, inputs); err != nil {
 				b.Fatal(err)
+			}
+			for _, o := range outs {
+				tensor.Recycle(o)
 			}
 		}
 	})
-	b.Run("reference", func(b *testing.B) {
+	b.Run(prefix+"reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := Eval(g, inputs); err != nil {
 				b.Fatal(err)

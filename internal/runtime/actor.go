@@ -209,16 +209,14 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		return nil
 
 	case taskgraph.OpAccum:
-		src, err := a.Store.Get(in.Buf)
-		if err != nil {
-			return err
-		}
 		// In-place gradient accumulation: the store mutates its private
-		// accumulator instead of allocating a fresh sum every microbatch.
+		// accumulator instead of allocating a fresh sum every microbatch,
+		// and the first microbatch's gradient moves in when this is its
+		// last use.
 		h := obs.TrackTid(scAccum, a.ID)
-		a.Store.Accumulate(in.Dst, src)
+		err := a.Store.Accumulate(in.Dst, in.Buf, in.Last)
 		h.Stop()
-		return nil
+		return err
 
 	case taskgraph.OpAdd:
 		x, err := a.Store.Get(in.A)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/autodiff"
@@ -387,6 +388,76 @@ func TestDeletionBoundsMemory(t *testing.T) {
 	withoutDel := peak(true)
 	if withDel >= withoutDel {
 		t.Fatalf("deletion pass did not reduce peak memory: %d vs %d", withDel, withoutDel)
+	}
+}
+
+// TestFirstGradientMovesIntoAccumulator runs one program twice, as compiled
+// and with its Last marks cleared (the copying path a program without
+// deletions keeps): the gradients agree bit for bit and no store peaks
+// higher. With a single microbatch of one row every actor's store peaks most
+// of a gradient lower, the copy that is no longer made less the activations
+// the backward task held at its own high-water mark; with more microbatches
+// a later one holds accumulator and fresh gradient side by side either way.
+func TestFirstGradientMovesIntoAccumulator(t *testing.T) {
+	stages, width, mbRows := 3, 16, 1
+	g := buildMLPGrad(t, stages, mbRows, width)
+	split, err := stage.SplitGraph(g, stage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, numMB := range []int{1, 6} {
+		rng := tensor.NewRNG(43)
+		params := make([]*tensor.Tensor, stages)
+		for i := range params {
+			params[i] = rng.Normal(0.5, width, width)
+		}
+		inputs := append([]*tensor.Tensor{rng.Normal(1, numMB*mbRows, width), rng.OneHotBatch(numMB*mbRows, width)}, params...)
+		run := func(move bool) ([]*tensor.Tensor, []StoreStats) {
+			prog, err := taskgraph.Compile(split, schedule.OneFOneB(stages, numMB), taskgraph.Options{BatchInputs: []int{0, 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			marked := 0
+			for _, list := range prog.Actors {
+				for i := range list {
+					if list[i].Last {
+						marked++
+						list[i].Last = move
+					}
+				}
+			}
+			if marked != stages*numMB {
+				t.Fatalf("%d accumulates marked Last, want %d", marked, stages*numMB)
+			}
+			// Inline sends: no deletion waits on a sender worker, so the
+			// peaks are the program's and not the scheduler's.
+			exe, err := NewCluster(stages).Load(prog, LoadOptions{SyncSends: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer exe.Close()
+			_, grads, err := exe.Step(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return grads, exe.StoreStatsAll()
+		}
+		copied, copyStats := run(false)
+		moved, moveStats := run(true)
+		for i := range copied {
+			for j, v := range copied[i].Data() {
+				if math.Float64bits(v) != math.Float64bits(moved[i].Data()[j]) {
+					t.Fatalf("%d microbatches, grad %d element %d: %v copied, %v moved", numMB, i, j, v, moved[i].Data()[j])
+				}
+			}
+		}
+		gradBytes := int64(width * width * 8)
+		for a := range copyStats {
+			got, was := moveStats[a].PeakBytes, copyStats[a].PeakBytes
+			if got > was || (numMB == 1 && got > was-gradBytes/2) {
+				t.Errorf("%d microbatches, actor %d: store peak %d B with the move, %d B with the copy (a gradient is %d B)", numMB, a, got, was, gradBytes)
+			}
+		}
 	}
 }
 

@@ -177,40 +177,50 @@ func (s *Store) Delete(id taskgraph.BufID) {
 	s.reclaim(sl)
 }
 
-// Accumulate adds src into the buffer, in place when the store owns the
-// accumulator exclusively: a buffer with in-flight sends may be concurrently
-// read by the transport, and a borrowed view (a zero-copy batch row) is
-// caller-owned storage — both fall back to an out-of-place add (the same
-// reason deletions defer, §4.3). A missing buffer is initialized to a copy of
-// src, which is what makes every later accumulation exclusively store-owned;
-// the copy's storage comes from the scratch pool, where the driver's Recycle
-// of last step's accumulator put it.
-func (s *Store) Accumulate(id taskgraph.BufID, src *tensor.Tensor) {
+// Accumulate adds buffer src into buffer dst (OpAccum), in place when the
+// store owns the accumulator exclusively: a buffer with in-flight sends may be
+// concurrently read by the transport, and a borrowed view (a zero-copy batch
+// row) is caller-owned storage — both fall back to an out-of-place add (the
+// same reason deletions defer, §4.3). An empty dst is initialized from src,
+// which is what makes every later accumulation exclusively store-owned. last
+// says this is src's last use: if the store holds src outright — no send
+// reading it, not a borrowed view — src's tensor itself becomes the
+// accumulator and the OpDelete of src that follows finds an empty slot.
+// Otherwise dst gets a copy, on storage from the scratch pool, where the
+// driver's Recycle of last step's accumulator put it.
+func (s *Store) Accumulate(dst, src taskgraph.BufID, last bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sl := s.slotFor(id)
-	dst := sl.t
-	if dst != nil && sl.inflight == 0 && !dst.Borrowed() && tensor.SameShape(dst, src) {
-		tensor.AddInto(dst, dst, src)
-		return
+	if int(src) >= len(s.slots) || s.slots[src].t == nil {
+		return fmt.Errorf("runtime: buffer %d not in store", src)
 	}
-	var out *tensor.Tensor
-	if dst != nil {
-		out = tensor.Add(dst, src)
-		s.liveBytes -= bytesOf(dst)
-	} else {
-		out = tensor.GetScratchShaped(src.Shape()...)
-		out.CopyFrom(src.Data())
+	to := s.slotFor(dst) // may grow the table: take src's slot after it
+	from := &s.slots[src]
+	acc, t := to.t, from.t
+	switch {
+	case acc != nil && to.inflight == 0 && !acc.Borrowed() && tensor.SameShape(acc, t):
+		tensor.AddInto(acc, acc, t)
+		return nil
+	case acc != nil:
+		to.t = tensor.Add(acc, t)
+		s.liveBytes -= bytesOf(acc)
+	case last && from.inflight == 0 && !t.Borrowed():
+		// One slot empties as the other fills: occupancy does not change.
+		to.t, from.t = t, nil
+		return nil
+	default:
+		to.t = tensor.GetScratchShaped(t.Shape()...)
+		to.t.CopyFrom(t.Data())
 		s.liveBufs++
 	}
-	sl.t = out
-	s.liveBytes += bytesOf(out)
+	s.liveBytes += bytesOf(to.t)
 	if s.liveBytes > s.peakBytes {
 		s.peakBytes = s.liveBytes
 	}
 	if s.liveBufs > s.peakBufs {
 		s.peakBufs = s.liveBufs
 	}
+	return nil
 }
 
 // reclaim drops the slot's buffer. Callers hold s.mu.

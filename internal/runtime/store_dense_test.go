@@ -78,18 +78,31 @@ func (m *modelStore) sendDone(id taskgraph.BufID) {
 	}
 }
 
-func (m *modelStore) accumulate(id taskgraph.BufID, src *tensor.Tensor) {
-	dst, ok := m.bufs[id]
-	var out *tensor.Tensor
-	if ok {
-		out = tensor.Add(dst, src)
-		m.liveBytes -= bytesOf(dst)
-	} else {
-		out = src.Clone()
+// accumulate models Accumulate: a last use of a buffer no send is reading
+// moves it into an empty destination, anything else adds into the
+// destination or initializes it to a copy.
+func (m *modelStore) accumulate(dst, src taskgraph.BufID, last bool) bool {
+	t, ok := m.bufs[src]
+	if !ok {
+		return false
 	}
-	m.bufs[id] = out
+	acc, has := m.bufs[dst]
+	var out *tensor.Tensor
+	switch {
+	case has:
+		out = tensor.Add(acc, t)
+		m.liveBytes -= bytesOf(acc)
+	case last && m.inflight[src] == 0:
+		delete(m.bufs, src)
+		m.bufs[dst] = t
+		return true
+	default:
+		out = t.Clone()
+	}
+	m.bufs[dst] = out
 	m.liveBytes += bytesOf(out)
 	m.bump()
+	return true
 }
 
 func (m *modelStore) take(id taskgraph.BufID) (*tensor.Tensor, bool) {
@@ -156,13 +169,14 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 				s.SendDone(id)
 				m.sendDone(id)
 			}
-		case 4: // Accumulate
-			v := val(id)
-			// The in-place/out-of-place split is an implementation detail;
-			// values must match either way. Clone into the model so the two
-			// stores never share storage.
-			s.Accumulate(id, v)
-			m.accumulate(id, v.Clone())
+		case 4: // Accumulate a buffer of the same shape, at its last use or not
+			// The in-place/out-of-place/move split is an implementation
+			// detail; values and occupancy must match either way.
+			src, last := (id+3)%ids, rng.Intn(2) == 0
+			err := s.Accumulate(id, src, last)
+			if ok := m.accumulate(id, src, last); ok != (err == nil) {
+				t.Fatalf("op %d: Accumulate(%d, %d) err=%v, model present=%v", op, id, src, err, ok)
+			}
 		case 5: // Get
 			got, err := s.Get(id)
 			want, ok := m.bufs[id]
@@ -186,6 +200,72 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 		if gs != ms {
 			t.Fatalf("op %d: stats diverged: dense %+v, model %+v", op, gs, ms)
 		}
+	}
+}
+
+// TestAccumulateMovesLastUse pins when the first accumulation takes the
+// source tensor itself: only at the source's last use, into an empty
+// accumulator, with no send reading the source and the source not a borrowed
+// view. Every other case leaves the source where it was and the accumulator
+// on storage of its own.
+func TestAccumulateMovesLastUse(t *testing.T) {
+	const acc, src = 0, 1
+	vals := func() *tensor.Tensor { return tensor.MustFromSlice([]float64{1, 2, 3}, 3) }
+	for _, c := range []struct {
+		name  string
+		prep  func(s *Store)
+		last  bool
+		moved bool
+	}{
+		{"last use", func(s *Store) { s.Put(src, vals()) }, true, true},
+		{"not the last use", func(s *Store) { s.Put(src, vals()) }, false, false},
+		{"send in flight", func(s *Store) { s.Put(src, vals()); s.SendStarted(src) }, true, false},
+		{"borrowed view", func(s *Store) { s.Put(src, tensor.ViewRange0(vals(), 0, 3)) }, true, false},
+		{"accumulator present", func(s *Store) { s.Put(src, vals()); s.Put(acc, vals()) }, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewStore()
+			c.prep(s)
+			before, _ := s.Get(src)
+			had, _ := s.Get(acc)
+			bufs := s.Stats().LiveBufs
+			if err := s.Accumulate(acc, src, c.last); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := s.Get(src)
+			if c.moved {
+				if got != before || after != nil {
+					t.Fatalf("source was not moved into the empty accumulator")
+				}
+				if st := s.Stats(); st.LiveBufs != bufs || st.PeakBufs != bufs || st.PeakBytes != bytesOf(got) {
+					t.Fatalf("a move changed occupancy: %+v", st)
+				}
+				s.Delete(src) // the OpDelete that follows finds an empty slot
+				if st := s.Stats(); st.LiveBufs != 1 {
+					t.Fatalf("deleting the moved-from slot reclaimed something: %+v", st)
+				}
+				return
+			}
+			if got == before || after != before {
+				t.Fatalf("source must stay in place and unaliased")
+			}
+			want := []float64{1, 2, 3}
+			if had != nil {
+				want = []float64{2, 4, 6}
+			}
+			for i, w := range want {
+				if got.Data()[i] != w || before.Data()[i] != float64(i+1) {
+					t.Fatalf("accumulator %v, source %v", got.Data(), before.Data())
+				}
+			}
+		})
+	}
+	if err := NewStore().Accumulate(acc, src, true); err == nil {
+		t.Fatal("accumulating from a missing buffer must fail")
 	}
 }
 
@@ -236,7 +316,10 @@ func TestStoreTakeTransfersOwnership(t *testing.T) {
 		t.Fatalf("buffer still present after Take")
 	}
 	s.Delete(0) // must be a no-op, not a panic
-	s.Accumulate(0, tensor.MustFromSlice([]float64{10, 10, 10}, 3))
+	s.Put(1, tensor.MustFromSlice([]float64{10, 10, 10}, 3))
+	if err := s.Accumulate(0, 1, false); err != nil {
+		t.Fatal(err)
+	}
 	if got.Data()[0] != 1 {
 		t.Fatalf("accumulate after Take mutated the taken tensor: %v", got)
 	}

@@ -11,7 +11,7 @@ import (
 // are ordered as: original graph inputs used by the segment (ParamIn), then
 // cross-segment activations (ActIn). Segment outputs are every value
 // produced in the segment consumed by a later segment, by a commuted partial,
-// or by the loop outputs.
+// or by the loop outputs; equations that reach none of them are dropped.
 func (s *Split) extractSegments() error {
 	g := s.Source
 	numSegs := 2*s.NumStages - 1
@@ -162,6 +162,13 @@ func (s *Split) extractSegments() error {
 			outs[i] = lv
 		}
 		sub.SetOutputs(outs...)
+		// Autodiff emits the cotangent of every operand, wanted or not — the
+		// input gradient of the batch, a transpose and a matmul per
+		// microbatch — and only now is it fixed what this segment owes anyone.
+		// Per segment, not on the source graph: there DCE takes the backward
+		// yield of a parameter-free first stage and the split no longer
+		// pairs its yields. Inputs stay, so no buffer, send or tag moves.
+		sub.DCE()
 		if err := sub.Verify(); err != nil {
 			return fmt.Errorf("stage: segment %d invalid: %w", si, err)
 		}

@@ -364,3 +364,37 @@ func TestSegmentGraphsVerify(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentsHoldNoDeadCode: autodiff's graph computes the input gradient
+// of the batch (a transpose and a matmul in stage 0's backward) that no
+// output is; no segment keeps such an equation, with and without loop
+// commuting, and every equation dropped is one the source graph's own DCE
+// drops too — nothing a later segment or a gradient needs goes missing
+// (TestSplitMatchesWholeGraph and TestLoopCommutingPreservesNumerics run the
+// segments).
+func TestSegmentsHoldNoDeadCode(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		g       *ir.Graph
+		commute bool
+	}{
+		{"mlp", traceGradMLP(t, 4, 6), false},
+		{"tied", traceTiedGrad(t), false},
+		{"tied, commuted", traceTiedGrad(t), true},
+	} {
+		s, err := SplitGraph(c.g, Options{CommuteGradAccumulation: c.commute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := s.CommutedAdds
+		for _, seg := range s.Segments {
+			if dead := seg.Graph.Clone().DCE(); dead != 0 {
+				t.Errorf("%s: segment %d holds %d dead equations:\n%s", c.name, seg.Index, dead, seg.Graph)
+			}
+			kept += len(seg.Graph.Eqns)
+		}
+		if dropped, dead := len(c.g.Eqns)-kept, c.g.Clone().DCE(); dropped == 0 || dropped != dead {
+			t.Errorf("%s: segments dropped %d equations, the source graph has %d dead", c.name, dropped, dead)
+		}
+	}
+}

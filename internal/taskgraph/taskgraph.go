@@ -70,6 +70,11 @@ type Instr struct {
 	A, B BufID // OpAdd operands
 	Peer int   // OpSend destination actor / OpRecv source actor
 	Tag  int   // unique send/recv matching tag
+
+	// Last marks an OpAccum that is Buf's last use — the liveness pass put
+	// Buf's OpDelete right behind it — so the runtime may move Buf into a
+	// still-empty Dst instead of copying it there.
+	Last bool
 }
 
 func (in Instr) String() string {
@@ -81,6 +86,9 @@ func (in Instr) String() string {
 	case OpRecv:
 		return fmt.Sprintf("recv(buf=%d, from=%d, tag=%d)", in.Buf, in.Peer, in.Tag)
 	case OpAccum:
+		if in.Last {
+			return fmt.Sprintf("accum(dst=%d, src=%d, last)", in.Dst, in.Buf)
+		}
 		return fmt.Sprintf("accum(dst=%d, src=%d)", in.Dst, in.Buf)
 	case OpDelete:
 		return fmt.Sprintf("delete(buf=%d)", in.Buf)

@@ -243,6 +243,38 @@ func TestDeletionPassFreesTransients(t *testing.T) {
 	}
 }
 
+// TestAccumLastUseMarked: an accumulate is marked Last exactly when the
+// liveness pass deletes its source right behind it — which, for the MLP, is
+// every accumulate — and never when the pass is off.
+func TestAccumLastUseMarked(t *testing.T) {
+	split := buildSplit(t, 3, 4, false)
+	for _, disable := range []bool{false, true} {
+		p := compile(t, split, schedule.OneFOneB(3, 6), Options{DisableDeletion: disable})
+		accums := 0
+		for a, list := range p.Actors {
+			for i, in := range list {
+				if in.Kind != OpAccum {
+					continue
+				}
+				accums++
+				deleted := false
+				for _, next := range list[i+1:] {
+					if next.Kind != OpDelete {
+						break
+					}
+					deleted = deleted || next.Buf == in.Buf
+				}
+				if in.Last != deleted || in.Last == disable {
+					t.Errorf("actor %d, deletion off=%v: %s, source deleted behind it: %v", a, disable, in, deleted)
+				}
+			}
+		}
+		if accums != 3*6 {
+			t.Fatalf("%d accumulates, want one per stage per microbatch", accums)
+		}
+	}
+}
+
 func TestGradAndLossPlacements(t *testing.T) {
 	split := buildSplit(t, 3, 4, false)
 	p := compile(t, split, schedule.OneFOneB(3, 6), Options{})

@@ -240,7 +240,7 @@ func (c *compiler) finalMerges() {
 // insertDeletions runs the buffer-liveness pass (§4.3): after each buffer's
 // last local use, an OpDelete reclaims it. Long-lived buffers (weights and
 // their replicas, final gradients, losses) are exempt; the driver owns their
-// lifetime.
+// lifetime. An OpAccum that is its source's last use is marked Last.
 func (c *compiler) insertDeletions() {
 	persistent := map[BufID]bool{}
 	for _, p := range c.prog.Params {
@@ -313,10 +313,14 @@ func (c *compiler) insertDeletions() {
 		}
 		out := make([]Instr, 0, len(list))
 		for i, in := range list {
+			at := len(out)
 			out = append(out, in)
 			cands := byIndex[i]
 			sort.Slice(cands, func(x, y int) bool { return cands[x] < cands[y] })
 			for _, b := range cands {
+				if in.Kind == OpAccum && b == in.Buf {
+					out[at].Last = true
+				}
 				out = append(out, Instr{Kind: OpDelete, Buf: b})
 			}
 		}

@@ -46,6 +46,44 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulNT is what fixes ntDotRows: a @ bᵀ through MatMulNTInto
+// ("nt") against what it replaced, TransposeInto into a reused buffer and
+// then MatMulInto ("transpose+matmul" — the form MatMulNTInto itself takes
+// above ntDotRows, so the two read alike there), at the dx shape of each
+// benchmark workload and at 16, 32 and 64 rows of width 512 around the
+// crossover. Dense and half-zero a, as in BenchmarkMatMul.
+func BenchmarkMatMulNT(b *testing.B) {
+	for _, s := range [][3]int{{4, 512, 512}, {128, 256, 256}, {8, 32, 32}, {16, 512, 512}, {32, 512, 512}, {64, 512, 512}} {
+		m, k, n := s[0], s[1], s[2]
+		for _, zero := range []struct {
+			name string
+			frac float64
+		}{{"dense", 0}, {"zero50", 0.5}} {
+			r := rand.New(rand.NewSource(1))
+			x := rnd(r, m, k)
+			for i := range x.data {
+				if r.Float64() < zero.frac {
+					x.data[i] = 0
+				}
+			}
+			w := rnd(r, n, k)
+			dst, wt := New(m, n), New(k, n)
+			name := fmt.Sprintf("%dx%dx%d/%s/", m, k, n, zero.name)
+			b.Run(name+"nt", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulNTInto(dst, x, w)
+				}
+			})
+			b.Run(name+"transpose+matmul", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					TransposeInto(wt, w)
+					MatMulInto(dst, x, wt)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMatMulFused compares the fused matmul+bias+relu kernel against
 // its unfused composition.
 func BenchmarkMatMulFused(b *testing.B) {

@@ -2,13 +2,14 @@ package tensor
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/obs"
 )
 
 // The matmul micro-kernel. matMulRows compacts the non-zero entries of one
-// row of a into a list of {row offset into b, value} pairs and hands the
-// list to axpyList, which exists twice: axpyListAVX2 (Go assembly, amd64
+// row of a, nzChunk (64) columns at a time, into a list of {row offset into
+// b, value} pairs and hands each list to axpyList, which exists twice: axpyListAVX2 (Go assembly, amd64
 // with AVX2, selected once at init) and axpyListGeneric (pure Go; every
 // other GOARCH, amd64 without AVX2, and the purego build tag). Both are the
 // same function bit for bit, because both keep the kernel contract:
@@ -22,6 +23,10 @@ import (
 //     compiler may not fuse either;
 //   - a[i][p] == 0 contributes nothing at all (not 0*b, which would turn an
 //     Inf or NaN in b into NaN).
+//
+// matMulNTDot, the few-row form of a @ bᵀ, keeps the same contract with the
+// loops turned round: it vectorises nothing, and an output element is one
+// ascending-p chain over two contiguous rows.
 
 // Left-operand traffic of every matmul, counted where the compaction already
 // knows it: elements of a visited and how many of them were non-zero. Their
@@ -95,4 +100,80 @@ func axpyListGeneric(o, b []float64, nzs []nzEnt) {
 			o[j] = v + float64(e.val*brow[j])
 		}
 	}
+}
+
+// ntDotRows is the most rows of a for which MatMulNTInto reads b in place.
+// The dot form is bound by the latency of its four add chains, about one
+// term a cycle whatever the shape; materialising bᵀ costs k*n element moves
+// once (1.1-1.4 ns each while source and copy fit L2, 5.3 at 512x512) and
+// then buys the vector kernel, several terms a cycle, for every row. So the
+// choice belongs to the row count: the two cross near 4-6 rows while b is
+// cache-resident and near 40 at width 512. BenchmarkMatMulNT holds both
+// forms at the benchmark workloads' shapes and at 16/32/64 rows of width
+// 512: 16 takes the 2.5x (dense) to 5x (half-zero a) of 4x512x512, gives up
+// 1-3 us a product at 8x32x32 (1.3-1.9x), and leaves 128x256x256, which the
+// dot form would run 2.4x slower, where it was.
+const ntDotRows = 16
+
+// ntLists recycles the non-zero lists of matMulNTDot: up to ntDotRows*k
+// entries, too many for the stack matMulRows keeps its one chunk on.
+var ntLists = sync.Pool{New: func() any { return new([]nzEnt) }}
+
+// matMulNTDot computes dst = a @ bᵀ for an a of m <= ntDotRows rows, b given
+// row-major (n, k): dst[i][q] is the dot product of row i of a and row q of
+// b, so nothing is transposed. Every row of a is compacted once; four rows
+// of b at a time are then read once, front to back, and dotted with each
+// list — four independent add chains, b leaves memory once for all of a.
+// Each chain starts at +0 and takes its terms in ascending p with the
+// product rounded before the add, which is matMulRows on Transpose(b) bit for
+// bit.
+func matMulNTDot(dst, a, b []float64, m, k, n int) {
+	// A row's list is compactNonZeros chunk by chunk with n = 1 — off is the
+	// column p itself, an index into a row of b — each chunk written where
+	// the last one's non-zeros ended; the store of a whole chunk there needs
+	// nzChunk entries of slack behind the k a row can fill.
+	stride := k + nzChunk
+	lp := ntLists.Get().(*[]nzEnt)
+	if cap(*lp) < m*stride {
+		*lp = make([]nzEnt, m*stride)
+	}
+	lists := (*lp)[:m*stride]
+	var count [ntDotRows]int
+	nonZeros := 0
+	for i := 0; i < m; i++ {
+		arow, list := a[i*k:(i+1)*k], lists[i*stride:(i+1)*stride]
+		for p0 := 0; p0 < k; p0 += nzChunk {
+			count[i] += compactNonZeros((*[nzChunk]nzEnt)(list[count[i]:]), arow[p0:], p0, 1)
+		}
+		nonZeros += count[i]
+	}
+	q := 0
+	for ; q+4 <= n; q += 4 {
+		// Equal lengths let one bounds check on e.off serve all four rows.
+		b0, b1, b2, b3 := b[q*k:][:k], b[(q+1)*k:][:k], b[(q+2)*k:][:k], b[(q+3)*k:][:k]
+		for i := 0; i < m; i++ {
+			var s0, s1, s2, s3 float64
+			for _, e := range lists[i*stride:][:count[i]] {
+				s0 = s0 + float64(e.val*b0[e.off])
+				s1 = s1 + float64(e.val*b1[e.off])
+				s2 = s2 + float64(e.val*b2[e.off])
+				s3 = s3 + float64(e.val*b3[e.off])
+			}
+			o := dst[i*n+q:][:4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+	}
+	for ; q < n; q++ {
+		bq := b[q*k:][:k]
+		for i := 0; i < m; i++ {
+			var s float64
+			for _, e := range lists[i*stride:][:count[i]] {
+				s = s + float64(e.val*bq[e.off])
+			}
+			dst[i*n+q] = s
+		}
+	}
+	ntLists.Put(lp)
+	obs.Add(cMatMulElems, int64(m*k))
+	obs.Add(cMatMulNonZeros, int64(nonZeros))
 }

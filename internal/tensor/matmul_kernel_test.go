@@ -112,22 +112,34 @@ func sameBits(x, y float64) bool {
 }
 
 // checkKernelCase runs c through every kernel this build has and compares
-// each against naiveMatMul.
+// each against naiveMatMul, then MatMulNTInto on the untransposed b — (n, k),
+// built like the other operands, so a borrowed view when c says so — against
+// that MatMulInto(a, Transpose(bn)) result.
 func checkKernelCase(t testing.TB, c kernelCase) {
 	t.Helper()
 	a, b := c.build()
+	bt := Transpose(b)
+	bn := c.operand(c.n, c.k, 5, func(i int) float64 { return bt.data[i] })
 	want := make([]float64, c.m*c.n)
 	naiveMatMul(want, a.data, b.data, c.m, c.k, c.n)
 	forEachKernel(func(kernel string) {
-		dst := New(c.m, c.n)
-		for i := range dst.data {
-			dst.data[i] = math.NaN() // the kernel must overwrite every element
-		}
-		MatMulInto(dst, a, b)
-		for i, w := range want {
-			if !sameBits(dst.data[i], w) {
-				t.Fatalf("%s kernel, %v: element %d = %x (%v), reference %x (%v)",
-					kernel, c, i, math.Float64bits(dst.data[i]), dst.data[i], math.Float64bits(w), w)
+		for _, leg := range []struct {
+			name string
+			run  func(dst *Tensor)
+		}{
+			{"MatMulInto", func(dst *Tensor) { MatMulInto(dst, a, b) }},
+			{"MatMulNTInto", func(dst *Tensor) { MatMulNTInto(dst, a, bn) }},
+		} {
+			dst := New(c.m, c.n)
+			for i := range dst.data {
+				dst.data[i] = math.NaN() // the kernel must overwrite every element
+			}
+			leg.run(dst)
+			for i, w := range want {
+				if !sameBits(dst.data[i], w) {
+					t.Fatalf("%s kernel, %s, %v: element %d = %x (%v), reference %x (%v)",
+						kernel, leg.name, c, i, math.Float64bits(dst.data[i]), dst.data[i], math.Float64bits(w), w)
+				}
 			}
 		}
 	})
@@ -176,6 +188,54 @@ func TestMatMulKernelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMatMulNTBitIdentical holds MatMulNTInto to MatMulInto(a, Transpose(b))
+// bit for bit where its two forms and their tails lie: the benchmark
+// workloads' three backward shapes, every n%4 column tail against every k%64
+// around a list-chunk boundary, row counts on both sides of ntDotRows, and at
+// each of them all-zero rows of a, signed zeros, subnormals, Inf and NaN in b
+// under a zero of a, and borrowed views for both operands. A destination that
+// is borrowed or has the transposed shape is refused like any *Into kernel's.
+func TestMatMulNTBitIdentical(t *testing.T) {
+	var cases []kernelCase
+	id := 0
+	add := func(m, k, n int) {
+		for flags := 0; flags < 8; flags++ {
+			id++
+			cases = append(cases, kernelCase{m: m, k: k, n: n, seed: int64(id), zeroPct: []int{0, 50, 90, 100}[id%4], flags: flags})
+		}
+	}
+	add(4, 512, 512)
+	add(128, 256, 256)
+	add(8, 32, 32)
+	for n := 0; n <= 9; n++ {
+		for _, k := range []int{0, 1, 63, 64, 65, 130} {
+			add(3, k, n)
+		}
+	}
+	for m := ntDotRows - 1; m <= ntDotRows+1; m++ {
+		add(m, 70, 13)
+		add(m, 5, 131)
+	}
+	for _, c := range cases {
+		checkKernelCase(t, c)
+	}
+
+	a, b := New(3, 5), New(4, 5)
+	for name, dst := range map[string]*Tensor{
+		"borrowed":   ViewRange0(New(6, 4), 0, 3),
+		"transposed": New(4, 3),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MatMulNTInto wrote into a %s destination", name)
+				}
+			}()
+			MatMulNTInto(dst, a, b)
+		}()
+	}
+}
+
 // TestMatMulFusedRouteThroughKernel pins that the fused entry points are the
 // same kernel plus their epilogue, on shapes large enough to split into row
 // blocks.
@@ -201,25 +261,32 @@ func TestMatMulFusedRouteThroughKernel(t *testing.T) {
 
 // TestMatMulInlinePathAllocFree pins 0 allocs/op for matmuls that run on the
 // calling goroutine: the non-zero list lives on the stack and never escapes
-// into the assembly call.
+// into the assembly call, and the few-row a @ bᵀ recycles its lists.
 func TestMatMulInlinePathAllocFree(t *testing.T) {
 	for _, s := range [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24}} {
 		c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: 50}
 		a, b := c.build()
 		dst := New(c.m, c.n)
+		bn := Transpose(b)
 		forEachKernel(func(kernel string) {
 			if n := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, b) }); n != 0 {
 				t.Errorf("%s kernel: MatMulInto %v allocates %v times per call", kernel, s, n)
+			}
+			// The dot form's lists come from a pool of their own.
+			if n := testing.AllocsPerRun(50, func() { MatMulNTInto(dst, a, bn) }); n != 0 {
+				t.Errorf("%s kernel: MatMulNTInto %v allocates %v times per call", kernel, s, n)
 			}
 		})
 	}
 }
 
-// FuzzMatMulKernel is the differential test driven by the fuzzer; the
-// committed corpus under testdata/fuzz holds the boundary cases.
+// FuzzMatMulKernel is the differential test driven by the fuzzer, over
+// MatMulInto and MatMulNTInto alike; the committed corpus under testdata/fuzz
+// holds the boundary cases (nt-* those of the a @ bᵀ forms).
 func FuzzMatMulKernel(f *testing.F) {
 	f.Add(uint8(3), uint16(5), uint8(9), int64(1), uint8(50), uint8(0))
 	f.Add(uint8(2), uint16(513), uint8(13), int64(2), uint8(50), uint8(caseSpecials|caseViews))
+	f.Add(uint8(ntDotRows), uint16(65), uint8(7), int64(3), uint8(50), uint8(caseSpecials))
 	f.Fuzz(func(t *testing.T, m uint8, k uint16, n uint8, seed int64, zeroPct, flags uint8) {
 		checkKernelCase(t, kernelCase{
 			m: int(m) % 72, k: int(k) % 1100, n: int(n) % 72,

@@ -362,6 +362,31 @@ func MatMulInto(dst, a, b *Tensor) {
 	})
 }
 
+// MatMulNTInto stores a @ bᵀ into dst with b given untransposed: a is (m,k),
+// b is (n,k), dst is (m,n). The result is MatMulInto(dst, a, Transpose(b))
+// bit for bit, under the kernel contract of matmul_kernel.go. An a of at most
+// ntDotRows rows is multiplied against the rows of b where they lie
+// (matMulNTDot); above that b is transposed into pooled scratch once and the
+// vector kernel runs over it. dst must not alias a or b.
+func MatMulNTInto(dst, a, b *Tensor) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulNT wants rank-2 operands, got %v x %v", a.shape, b.shape))
+	}
+	if a.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulNT inner dims differ: %v x %vᵀ", a.shape, b.shape))
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	checkDst2("MatMulNTInto", dst, m, n)
+	if m <= ntDotRows {
+		matMulNTDot(dst.data, a.data, b.data, m, k, n)
+		return
+	}
+	bt := GetScratchShaped(k, n)
+	TransposeInto(bt, b)
+	MatMulInto(dst, a, bt)
+	Recycle(bt)
+}
+
 // MatMulReLUInto stores relu(a @ b) into dst — the fused matmul+activation
 // kernel the interpreter emits when the IR permits. dst must not alias a or b.
 func MatMulReLUInto(dst, a, b *Tensor) {
@@ -457,6 +482,10 @@ func Transpose(a *Tensor) *Tensor {
 // and 256x256 operands the backward pass transposes.
 const transposeTile = 16
 
+// cTransposeElems counts the elements TransposeInto moves: an exact account
+// of which transposes a compiled program still materialises.
+var cTransposeElems = obs.Counter("transpose/elems")
+
 // TransposeInto stores the rank-2 transpose of a into dst. dst must not
 // alias a.
 func TransposeInto(dst, a *Tensor) {
@@ -465,6 +494,7 @@ func TransposeInto(dst, a *Tensor) {
 	}
 	m, n := a.shape[0], a.shape[1]
 	checkDst2("TransposeInto", dst, n, m)
+	obs.Add(cTransposeElems, int64(m*n))
 	for i0 := 0; i0 < m; i0 += transposeTile {
 		i1 := min(i0+transposeTile, m)
 		for j0 := 0; j0 < n; j0 += transposeTile {

@@ -176,10 +176,9 @@ func NewRemoteMeshWithTransport(actors int, tr transport.Transport) *RemoteMesh 
 // TrainStep is a compiled distributed training step (the step_fn returned by
 // mesh.distributed in the paper).
 type TrainStep struct {
-	exe   *runtime.Executable
-	prog  *taskgraph.Program
-	spec  CompileSpec
-	graph *ir.Graph
+	exe  *runtime.Executable
+	prog *taskgraph.Program
+	spec CompileSpec
 
 	// dpSyncNanos[actor] is the wall time the actor's last DP gradient
 	// all-reduce took (0 for actors without gradients or when DP is off).
@@ -243,7 +242,7 @@ func (m *RemoteMesh) Compile(spec CompileSpec) (*TrainStep, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TrainStep{exe: exe, prog: prog, spec: spec, graph: gg}
+	t := &TrainStep{exe: exe, prog: prog, spec: spec}
 	if err := t.installDPSync(m.cluster.Transport); err != nil {
 		return nil, err
 	}
@@ -305,10 +304,11 @@ func (t *TrainStep) installDPSync(tr transport.Transport) error {
 				if err != nil {
 					return err
 				}
-				// Gradient accumulators are store-private (the runtime copies
-				// on first accumulation), so the bucketed all-reduce runs in
-				// place through the communicator's persistent scratch: no
-				// per-step result tensors, no store churn.
+				// Gradient accumulators are store-private (the first
+				// accumulation takes over or copies a segment's own output),
+				// so the bucketed all-reduce runs in place through the
+				// communicator's persistent scratch: no per-step result
+				// tensors, no store churn.
 				epilogue = func(ts []*tensor.Tensor) error {
 					start := time.Now()
 					h := obs.TrackTid(scDPSync, global)

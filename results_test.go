@@ -182,10 +182,12 @@ func TestAccumulatorStorageCyclesThroughPool(t *testing.T) {
 		t.Skip("sync.Pool drops a share of its Puts under the race detector")
 	}
 	const width = 256
-	src := tensor.New(width, width)
 	store := runtime.NewStore()
+	store.Put(1, tensor.New(width, width))
 	cycle := func() {
-		store.Accumulate(0, src)
+		if err := store.Accumulate(0, 1, false); err != nil {
+			t.Fatal(err)
+		}
 		acc, err := store.Take(0)
 		if err != nil {
 			t.Fatal(err)
