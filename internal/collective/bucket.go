@@ -16,10 +16,10 @@ const bytesPerElem = 8 // float64
 // bucketBoundaries partitions consecutive tensor sizes into fusion buckets
 // of at most bucketBytes (an oversized tensor forms its own bucket) and
 // returns the [start, end) tensor-index range of each bucket. It is the
-// single source of truth for the fusion rule: the executing path
-// (the two halves of AllReduceBucketsInPlace, OwnedRanges) and the analytic
-// paths (NumBuckets, PredictBucketedAllReduce) must agree on boundaries for the
-// executed-vs-analytic validation to stay meaningful.
+// single source of truth for the fusion rule: the executing path (the two
+// halves of AllReduceBucketsInPlace, OwnedRanges, FirstSentRanges) and the
+// analytic paths (NumBuckets, PredictBucketedAllReduce) must agree on
+// boundaries for the executed-vs-analytic validation to stay meaningful.
 func bucketBoundaries(sizes []int, bucketBytes int) [][2]int {
 	if bucketBytes <= 0 {
 		bucketBytes = DefaultBucketBytes
@@ -143,6 +143,23 @@ func fuse(ts []*tensor.Tensor, flat []float64, lo, hi int, pack bool) {
 // tensor list, in list order.
 type Range struct{ Lo, Hi int }
 
+// bucketChunks calls f with the range, in the concatenation of a tensor list
+// of the given sizes, of balanced chunk `chunk` of every fusion bucket, in
+// list order. It reads the boundaries and the chunking the executing halves
+// do, so what it names and what the ring moves cannot disagree.
+func bucketChunks(sizes []int, bucketBytes, n, chunk int, f func(lo, hi int)) {
+	off := 0
+	for _, b := range bucketBoundaries(sizes, bucketBytes) {
+		elems := 0
+		for _, sz := range sizes[b[0]:b[1]] {
+			elems += sz
+		}
+		lo, hi := chunkRange(elems, n, chunk)
+		f(off+lo, off+hi)
+		off += elems
+	}
+}
+
 // OwnedRanges returns the ranges of a tensor list (sizes, in list order)
 // that the reduce half leaves fully reduced on the given rank of an n-rank
 // group and that the gather half takes from it: in every fusion bucket, the
@@ -151,15 +168,7 @@ type Range struct{ Lo, Hi int }
 // ranks they partition the list.
 func OwnedRanges(sizes []int, bucketBytes, n, rank int) []Range {
 	var out []Range
-	off := 0
-	for _, b := range bucketBoundaries(sizes, bucketBytes) {
-		elems := 0
-		for _, sz := range sizes[b[0]:b[1]] {
-			elems += sz
-		}
-		lo, hi := chunkRange(elems, n, (rank+1)%n)
-		lo, hi = off+lo, off+hi
-		off += elems
+	bucketChunks(sizes, bucketBytes, n, (rank+1)%n, func(lo, hi int) {
 		switch {
 		case lo == hi:
 		case len(out) > 0 && out[len(out)-1].Hi == lo:
@@ -167,7 +176,27 @@ func OwnedRanges(sizes []int, bucketBytes, n, rank int) []Range {
 		default:
 			out = append(out, Range{lo, hi})
 		}
+	})
+	return out
+}
+
+// FirstSentRanges returns what the reduce half sends first from the given
+// rank of an n-rank group: in every fusion bucket the balanced chunk rank,
+// the segment reducePass(first = rank) stages at step 0 — the only one that
+// leaves the rank as the rank's own values rather than as a partial sum.
+// One Range per bucket and so per wire frame, never merged across buckets,
+// empty chunks skipped; over the n ranks they partition the list, as the
+// OwnedRanges do. A lone rank sends nothing.
+func FirstSentRanges(sizes []int, bucketBytes, n, rank int) []Range {
+	if n < 2 {
+		return nil
 	}
+	var out []Range
+	bucketChunks(sizes, bucketBytes, n, rank, func(lo, hi int) {
+		if lo < hi {
+			out = append(out, Range{lo, hi})
+		}
+	})
 	return out
 }
 

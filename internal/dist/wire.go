@@ -42,7 +42,10 @@ import (
 //	                        flipped payload bit)
 //
 // Payloads are raw little-endian tensor bytes — no reflection, no gob type
-// streams — so a frame's cost is one memcpy per side plus the header.
+// streams. A frame costs one pass over the elements on each side plus the
+// header: the sender encodes into a pooled frame buffer, the receiver reads
+// the payload into its staging buffer and decodes that into a pooled tensor
+// (a staged read and a decode pass, not a read into the tensor's storage).
 const (
 	wireMagic   = 0xA7
 	wireVersion = 1
@@ -72,7 +75,7 @@ const (
 
 // KindData is the data-frame kind, exported for non-transport users of the
 // codec (checkpoint shard files reuse the wire format verbatim, so a shard
-// gets the same CRC coverage and zero-copy pooled decode as a socket frame).
+// gets the same CRC coverage and pooled decode as a socket frame).
 const KindData = frameData
 
 // WriteFrame encodes header + data and writes the complete frame to w in one
@@ -101,9 +104,13 @@ const (
 	// element: k = round(v/scale) clamped to [-127, 127], scale = maxabs/127
 	// over the frame (0 for an all-zero frame). NaN encodes as 0 and ±Inf
 	// clamps to ±127 — gradient-only traffic, paired with rank-local
-	// error-feedback residuals at the distrun layer. Re-quantizing an already
-	// quantized frame is value-stable (the max element maps back to ±127), so
-	// multi-hop ring traffic degrades once, not per hop.
+	// error-feedback residuals at the distrun layer. A frame re-quantizes
+	// values that are already on a grid to themselves only when it covers the
+	// extent that grid's scale was taken over (QuantizeWithFeedback arranges
+	// exactly that for the chunk a rank sends first); any other cut of the
+	// elements has its own maximum, hence its own grid, and rounds again.
+	// So in a ring, hop 0 is exact and each later hop — a partial sum,
+	// wherever a replica group has three or more ranks — is quantized afresh.
 	DTInt8Q DType = 2
 )
 
@@ -156,36 +163,133 @@ func ParseDType(s string) (DType, error) {
 	return DTF64, fmt.Errorf("dist: unknown wire dtype %q (want f64, f32, or int8q)", s)
 }
 
-// quantScale returns the DTInt8Q scale for a payload: max finite |v| / 127,
-// or 0 when every element is zero or non-finite.
+// The int8q codec is three slice kernels over one element function, shared by
+// EncodeFrame, LossyRoundTrip (and through it transport loopback) and the
+// step epilogue's error feedback: a scale pass (quantScale), a quantize pass
+// (quantizeBytes to wire codes, quantizeValues to decoded values in place) and
+// QuantizeWithFeedback, which folds a carried residual in before the first and
+// keeps the new one after the second. A frame's decoded element is
+// float64(code)·scale — +0 for a zero code whatever the input's sign.
+
+// quantMax folds v into maxAbs, the largest finite magnitude seen so far: NaN
+// fails the first compare, ±Inf the second.
+func quantMax(maxAbs, v float64) float64 {
+	if a := math.Abs(v); a > maxAbs && a <= math.MaxFloat64 {
+		return a
+	}
+	return maxAbs
+}
+
+// quantScale is the scale pass: the DTInt8Q scale for a payload, max finite
+// |v| / 127, or 0 when every element is zero or non-finite (or so small that
+// the quotient underflows).
 func quantScale(data []float64) float64 {
 	maxAbs := 0.0
 	for _, v := range data {
-		if a := math.Abs(v); a > maxAbs && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			maxAbs = a
-		}
+		maxAbs = quantMax(maxAbs, v)
 	}
 	return maxAbs / 127
 }
 
-func quantElem(v, scale float64) int8 {
-	if math.IsNaN(v) || scale == 0 {
-		return 0
+// quantCode is the code of v on the grid of a positive scale: v/scale rounded
+// half away from zero and clamped to ±127 (±Inf survives the divide and
+// clamps), NaN → 0. Inside the clamp the rounding is two truncations, both
+// exact: t = trunc(x), then trunc(2·(x−t)) is ±1 exactly when the fraction
+// reaches a half.
+func quantCode(v, scale float64) int32 {
+	x := v / scale
+	if !(math.Abs(x) < 127) {
+		switch {
+		case x != x:
+			return 0
+		case x > 0:
+			return 127
+		}
+		return -127
 	}
-	q := math.Round(v / scale) // ±Inf survives the divide and clamps below
-	if q > 127 {
-		q = 127
-	} else if q < -127 {
-		q = -127
+	t := int32(x)
+	f := x - float64(t)
+	return t + int32(f+f)
+}
+
+// quantizeBytes is the quantize pass of the encoder: dst[i] is the code of
+// src[i] on scale's grid. A zero scale encodes every element as 0.
+func quantizeBytes(dst []byte, src []float64, scale float64) {
+	dst = dst[:len(src)]
+	if scale == 0 {
+		clear(dst)
+		return
 	}
-	return int8(q)
+	for i, v := range src {
+		dst[i] = byte(quantCode(v, scale))
+	}
+}
+
+// quantizeValues is the quantize pass followed by the decoder's multiply, in
+// place: what a receiver of data on scale's grid would hold.
+func quantizeValues(data []float64, scale float64) {
+	if scale == 0 {
+		clear(data)
+		return
+	}
+	for i, v := range data {
+		data[i] = float64(quantCode(v, scale)) * scale
+	}
+}
+
+// QuantizeWithFeedback is int8q error feedback over the extent of one wire
+// frame, handed over as consecutive pieces (a fused bucket's chunk crosses
+// tensors): g[k] is a piece of the values about to be sent and r[k], of the
+// same length, the matching piece of the residual the previous step left.
+// Pass one folds the residual in (v = r + g, kept in r) under a running max;
+// pass two, on the one grid that max gives the whole extent, replaces g with
+// the decoded values q·s and r with what they drop, v − q·s. It returns Σ r²
+// summed in ascending order.
+//
+// The grid is the frame's own: EncodeFrame over exactly these elements finds
+// max |q·s| = 127·s and divides it by 127, and fl(fl(127·s)/127) = s for
+// every s that is itself a float divided by 127 (the trip could only move an
+// s that lies more than half an ulp from max/127). So the frame ships the
+// same scale and the same codes, the receiver decodes g bit for bit, and r is
+// everything the frame lost. (For scales in the normal range: a range whose
+// largest magnitude is below 1e-305 is quantized on the few bits a subnormal
+// scale has and can move again in the frame.)
+func QuantizeWithFeedback(g, r [][]float64) float64 {
+	maxAbs := 0.0
+	for k, rk := range r {
+		gk := g[k][:len(rk)]
+		for i, e := range rk {
+			v := e + gk[i]
+			rk[i] = v
+			maxAbs = quantMax(maxAbs, v)
+		}
+	}
+	scale := maxAbs / 127
+	var sq float64
+	for k, rk := range r {
+		gk := g[k][:len(rk)]
+		if scale == 0 {
+			clear(gk)
+			for _, e := range rk {
+				sq += e * e
+			}
+			continue
+		}
+		for i, v := range rk {
+			d := float64(quantCode(v, scale)) * scale
+			gk[i] = d
+			e := v - d
+			rk[i] = e
+			sq += e * e
+		}
+	}
+	return sq
 }
 
 // LossyRoundTrip applies dt's encode→decode value mapping to data in place —
 // exactly what a receiver would see had the slice crossed the wire as one
-// dt-encoded frame. The distrun error-feedback path uses it to compute the
-// residual a lossy send leaves behind, and transport loopback uses it so a
-// self-send observes the same values remote ranks do. DTF64 is the identity.
+// dt-encoded frame. Transport loopback uses it so a self-send observes the
+// same values remote ranks do. DTF64 is the identity.
 func LossyRoundTrip(dt DType, data []float64) {
 	switch dt {
 	case DTF32:
@@ -193,10 +297,7 @@ func LossyRoundTrip(dt DType, data []float64) {
 			data[i] = float64(float32(v))
 		}
 	case DTInt8Q:
-		scale := quantScale(data)
-		for i, v := range data {
-			data[i] = float64(quantElem(v, scale)) * scale
-		}
+		quantizeValues(data, quantScale(data))
 	}
 }
 
@@ -262,10 +363,8 @@ func EncodeFrame(h *Header, data []float64, withCRC bool) []byte {
 		scale := quantScale(data)
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(scale))
 		off += 8
-		for _, v := range data {
-			buf[off] = byte(quantElem(v, scale))
-			off++
-		}
+		quantizeBytes(buf[off:], data, scale)
+		off += len(data)
 	}
 	if withCRC {
 		crc := crc32.ChecksumIEEE(buf[4:off]) // header + dims + payload
@@ -575,8 +674,8 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	if h.Kind != frameData {
 		return h, nil, nil
 	}
-	// Zero-copy into the scratch pool: the payload lands directly in a pooled
-	// tensor's storage, which the consumer recycles after use.
+	// The payload is decoded out of the staging buffer into a pooled tensor,
+	// which the consumer recycles after use.
 	t := tensor.GetScratchShaped(dims...)
 	dst := t.Data()
 	switch h.DType {

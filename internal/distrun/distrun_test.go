@@ -31,6 +31,13 @@ type sendCount struct {
 // plane had sent, by rank, when its job ended.
 func launchWorldCounting(t *testing.T, spec JobSpec) (*Report, []sendCount) {
 	t.Helper()
+	return launchWorldRunning(t, spec, Run)
+}
+
+// launchWorldRunning is launchWorldCounting with the function every rank runs
+// its session through in Run's place (a rank-local override goes here).
+func launchWorldRunning(t *testing.T, spec JobSpec, run func(*dist.Session, JobSpec) (*Report, error)) (*Report, []sendCount) {
+	t.Helper()
 	world := spec.World()
 	opts := dist.SessionOptions{
 		RendezvousTimeout: 30 * time.Second,
@@ -58,7 +65,7 @@ func launchWorldCounting(t *testing.T, spec JobSpec) (*Report, []sendCount) {
 			return
 		}
 		defer sess.Close()
-		reports[0], errs[0] = Run(sess, spec)
+		reports[0], errs[0] = run(sess, spec)
 		sent[0].frames, sent[0].bytes = sess.Transport.SendCount()
 	}()
 	for w := 1; w < world; w++ {
@@ -84,7 +91,7 @@ func launchWorldCounting(t *testing.T, spec JobSpec) (*Report, []sendCount) {
 				errs[w] = err
 				return
 			}
-			reports[sess.Rank], errs[sess.Rank] = Run(sess, got)
+			reports[sess.Rank], errs[sess.Rank] = run(sess, got)
 			sent[sess.Rank].frames, sent[sess.Rank].bytes = sess.Transport.SendCount()
 		}(w)
 	}
