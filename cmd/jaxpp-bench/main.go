@@ -168,8 +168,8 @@ func validateShaped(w io.Writer) error {
 }
 
 // shapedMesh routes each actor's sends through its own link shaper over a
-// shared LocalMesh (which still serves Recv, Err and Poison), so a whole
-// in-process world sees the modeled network.
+// shared LocalMesh (which still serves Recv, Settle, Err and Poison), so a
+// whole in-process world sees the modeled network.
 type shapedMesh struct {
 	*dist.LocalMesh
 	eps []*dist.ShapedTransport
@@ -188,6 +188,10 @@ func newShapedMesh(n int, opts dist.ShapeOpts) (*shapedMesh, error) {
 }
 
 func (m *shapedMesh) Send(from, to, tag int, t *tensor.Tensor) { m.eps[from].Send(from, to, tag, t) }
+
+func (m *shapedMesh) SendLent(from, to, tag int, payload []float64) {
+	m.eps[from].SendLent(from, to, tag, payload)
+}
 
 func (m *shapedMesh) Close() {
 	for _, ep := range m.eps {

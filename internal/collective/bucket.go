@@ -182,7 +182,7 @@ func OwnedRanges(sizes []int, bucketBytes, n, rank int) []Range {
 
 // FirstSentRanges returns what the reduce half sends first from the given
 // rank of an n-rank group: in every fusion bucket the balanced chunk rank,
-// the segment reducePass(first = rank) stages at step 0 — the only one that
+// the segment reducePass(first = rank) sends at step 0 — the only one that
 // leaves the rank as the rank's own values rather than as a partial sum.
 // One Range per bucket and so per wire frame, never merged across buckets,
 // empty chunks skipped; over the n ranks they partition the list, as the

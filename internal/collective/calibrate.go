@@ -19,13 +19,11 @@ const calibTagBase = TagSpaceBase / 2
 // collectives experience it, between actor IDs a and b: per-hop latency from
 // small-message ping-pongs, and bandwidth from bulk transfers that perform
 // the same per-hop work the ring engine (ring.go) performs in steady state.
-// A ring all-reduce spends half its hops in reducePass — the sender stages a
-// pooled copy of its segment, the receiver folds the chunk in and recycles
-// it — and half in gatherPass — the receiver copies the chunk over its
-// segment and relays the chunk object it received, so only a pass's first
-// hop stages. The calibration alternates the two profiles round trip for
-// round trip; a gather round trip is a staged first hop out and a relay
-// back. The returned perf.Link feeds the same analytic formulas the
+// A ring all-reduce spends half its hops in reducePass — the sender lends its
+// segment to the transport, the receiver folds the chunk in and recycles it —
+// and half in gatherPass, where the receiver copies the chunk over its
+// segment instead. The calibration alternates the two profiles round trip for
+// round trip. The returned perf.Link feeds the same analytic formulas the
 // simulator's dpSync cost model uses, which is what makes
 // executed-vs-analytic validation apples-to-apples.
 func Calibrate(tr transport.Transport, a, b int) perf.Link {
@@ -47,10 +45,6 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 		tagEcho = calibTagBase + 3
 	)
 
-	// As in Communicator.send: over a serializing transport the sender keeps
-	// the chunk it sent and recycles it.
-	senderOwns := tr.SenderOwnsSent()
-
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// Responder.
@@ -70,18 +64,15 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 				return
 			}
 			if i%2 == 0 {
-				// Reduce hop: fold, recycle, stage the echo.
-				OpSum.combine(acc, t.Data())
-				tensor.Recycle(t)
-				t = tensor.GetScratch(bwElems)
-				t.CopyFrom(acc)
+				OpSum.combine(acc, t.Data()) // reduce hop
 			} else {
-				// Gather hop: copy over, echo the chunk received.
-				copy(acc, t.Data())
+				copy(acc, t.Data()) // gather hop
 			}
-			tr.Send(b, a, tagEcho, t)
-			if senderOwns {
-				tensor.Recycle(t)
+			tensor.Recycle(t)
+			// As in Communicator.send, and settled before acc is next written.
+			tr.SendLent(b, a, tagEcho, acc)
+			if tr.Settle(b, a) != nil {
+				return
 			}
 		}
 	}()
@@ -97,10 +88,9 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	}
 	latency := time.Since(t0).Seconds() / float64(2*pingIters)
 
-	// Bandwidth: bulk round trips with the ring's work on both sides. The
-	// outbound hop always stages, as a reduce hop and a gather pass's first hop
-	// do. Warmup iterations populate the scratch pool so the timed ones measure
-	// steady state.
+	// Bandwidth: bulk round trips with the ring's work on both sides. Warmup
+	// iterations populate the scratch pool so the timed ones measure steady
+	// state. payload is lent every round and never written.
 	payload := make([]float64, bwElems)
 	for i := range payload {
 		payload[i] = float64(i)
@@ -111,12 +101,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 		if i == bwWarmup {
 			t1 = time.Now()
 		}
-		out := tensor.GetScratch(bwElems)
-		out.CopyFrom(payload)
-		tr.Send(a, b, tagBulk, out)
-		if senderOwns {
-			tensor.Recycle(out)
-		}
+		tr.SendLent(a, b, tagBulk, payload)
 		back, err := tr.Recv(a, b, tagEcho)
 		if err != nil {
 			return perf.Link{BwGBs: 1, Latency: latency}
@@ -130,6 +115,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	}
 	elapsed := time.Since(t1).Seconds()
 	wg.Wait()
+	_ = tr.Settle(a, b) // every echo is in, so payload was written out long ago; a failure has nothing more to say
 
 	hops := float64(2 * bwIters)
 	bytesPerHop := float64(bwElems * bytesPerElem)

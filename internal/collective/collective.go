@@ -44,15 +44,17 @@
 //
 // The all-gathers are gatherPass(first = rank) alone; BroadcastInto and
 // Barrier are not rings but go through the passes' send and recv helpers
-// (except Barrier's shared token, which send would recycle).
+// (except Barrier's shared one-element token, which is sent, not lent).
 //
-// Chunk discipline: what travels is always a pooled scratch tensor, never
-// caller storage. A reduce hop stages a pooled copy of the segment it sends
-// and the receiver folds it in and recycles it; a gather hop copies the
-// chunk it received into the buffer and relays that same chunk object on the
-// next hop, and the rank that receives a chunk last recycles it. Ownership
-// moves with the message (or stays with the sender over a serializing
-// transport, which recycles after Send), so steady-state collectives perform
+// Chunk discipline: a pass lends the transport the segment of the buffer it
+// sends (Transport.SendLent) and receives pooled scratch tensors, which it
+// folds or copies into the buffer and recycles at once. What is on loan is
+// not written until the pass has settled (Transport.Settle), which every pass
+// and BroadcastInto do before returning, on error paths too: a reduce hop
+// folds only into a segment it has yet to send, a gather hop writes each
+// segment once, before sending it on. Whether a lent segment reaches the wire
+// from where it lies (dist) or as a pooled copy the receiver recycles (chan)
+// is the transport's business; either way steady-state collectives perform
 // zero heap allocations — the per-hop profile Calibrate measures.
 //
 // Tag discipline: pipeline P2P traffic uses the small sequential tags the
@@ -158,11 +160,6 @@ type Group struct {
 	tr      transport.Transport
 	ranks   []int // actor IDs; position in the slice is the rank
 	tagBase int
-	// senderOwns caches the transport's Send ownership contract: true for
-	// serializing transports (dist), where the sender keeps its pooled chunk
-	// after Send and must recycle it, false for reference-passing transports
-	// (runtime.ChanTransport), where the receiver recycles.
-	senderOwns bool
 }
 
 // GroupTagRange returns the half-open wire-tag window [lo, hi) that a group
@@ -200,10 +197,9 @@ func NewGroup(tr transport.Transport, ranks []int, groupID int) (*Group, error) 
 		seen[r] = true
 	}
 	return &Group{
-		tr:         tr,
-		ranks:      append([]int(nil), ranks...),
-		tagBase:    TagSpaceBase + groupID*GroupTagWindow,
-		senderOwns: tr.SenderOwnsSent(),
+		tr:      tr,
+		ranks:   append([]int(nil), ranks...),
+		tagBase: TagSpaceBase + groupID*GroupTagWindow,
 	}, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/transport"
 )
 
-// sentChunk is one Send a recordingTransport saw.
+// sentChunk is one Send or SendLent a recordingTransport saw.
 type sentChunk struct {
 	from, tag int
 	data      []float64
@@ -23,11 +23,20 @@ type recordingTransport struct {
 	sent []sentChunk
 }
 
-func (r *recordingTransport) Send(from, to, tag int, t *tensor.Tensor) {
+func (r *recordingTransport) record(from, tag int, data []float64) {
 	r.mu.Lock()
-	r.sent = append(r.sent, sentChunk{from, tag, append([]float64(nil), t.Data()...)})
+	r.sent = append(r.sent, sentChunk{from, tag, append([]float64(nil), data...)})
 	r.mu.Unlock()
+}
+
+func (r *recordingTransport) Send(from, to, tag int, t *tensor.Tensor) {
+	r.record(from, tag, t.Data())
 	r.Transport.Send(from, to, tag, t)
+}
+
+func (r *recordingTransport) SendLent(from, to, tag int, payload []float64) {
+	r.record(from, tag, payload)
+	r.Transport.SendLent(from, to, tag, payload)
 }
 
 // TestFirstSentRangesMatchRing holds FirstSentRanges to the ring it

@@ -7,10 +7,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Profiling scopes for the ring phases: send is chunk staging + transport
-// handoff, wait is the blocking receive (ring skew + wire latency), reduce
-// and copy are the arithmetic/memcpy consuming a received chunk. Spans carry
-// the rank as their trace lane.
+// Profiling scopes for the ring phases: send is the handoff of a segment to
+// the transport, wait is the blocking receive and a pass's closing settle
+// (ring skew + wire latency), reduce and copy are the arithmetic/memcpy
+// consuming a received chunk. Spans carry the rank as their trace lane.
 var (
 	scCollSend   = obs.Scope("coll/send")
 	scCollWait   = obs.Scope("coll/wait")
@@ -68,32 +68,38 @@ func (c *Communicator) countsOffsets(counts []int, lo, hi int) []int {
 	return off
 }
 
-// send ships one chunk to actor `to` under tag: chunk itself when the caller
-// holds one to pass on (a gather hop relays what it received), otherwise a
-// pooled copy of seg staged here (a reduce hop, a ring's first hop — the
-// buffer seg points into keeps changing, so it cannot travel). Over a
-// reference-passing transport the receiver owns (and recycles) the chunk;
-// over a serializing transport (dist) the sender keeps it and recycles it
-// here — otherwise every ring hop would orphan a pooled chunk to GC and the
-// scratch pool could never warm on the distributed gradient-sync path.
-// Either way the caller must not touch chunk again.
-func (c *Communicator) send(to, tag int, chunk *tensor.Tensor, seg []float64) {
+// send lends seg, a segment of the buffer a pass or a broadcast is walking,
+// to the transport for delivery to actor `to` under tag: over a serializing
+// transport the bytes go to the socket from seg itself, over a
+// reference-passing one a pooled copy travels — the transport's choice, made
+// behind SendLent. Either way seg is still on loan when send returns: it must
+// not be written until settle has returned, which is why both passes fold and
+// copy only into segments they have not sent yet.
+func (c *Communicator) send(to, tag int, seg []float64) {
 	h := obs.TrackTid(scCollSend, c.self())
-	if chunk == nil {
-		chunk = tensor.GetScratch(len(seg))
-		chunk.CopyFrom(seg)
+	c.g.tr.SendLent(c.self(), to, tag, seg)
+	h.StopBytes(int64(len(seg)) * 8)
+}
+
+// settle ends a pass or a broadcast, on success and on failure alike: it
+// waits until the transport has let go of every segment lent to the next
+// rank, so that the caller — eachBucket refilling its flat scratch, the step
+// epilogue updating or recycling a gradient — may write the buffer again. It
+// returns err, the pass's own failure, if there is one, and the transport's
+// otherwise.
+func (c *Communicator) settle(err error) error {
+	h := obs.TrackTid(scCollWait, c.self())
+	serr := c.g.tr.Settle(c.self(), c.next())
+	h.Stop()
+	if err != nil {
+		return err
 	}
-	bytes := int64(chunk.Size()) * 8 // read before Recycle: the pool may rehome chunk instantly
-	c.g.tr.Send(c.self(), to, tag, chunk)
-	if c.g.senderOwns {
-		tensor.Recycle(chunk)
-	}
-	h.StopBytes(bytes)
+	return serr
 }
 
 // recv blocks for the chunk actor `from` sent under tag and checks that it
-// carries want elements. The caller owns the returned chunk (recycle it or
-// relay it); a chunk of the wrong size is recycled here.
+// carries want elements. The caller owns the returned chunk and recycles it
+// once consumed; a chunk of the wrong size is recycled here.
 func (c *Communicator) recv(from, tag, want int) (*tensor.Tensor, error) {
 	h := obs.TrackTid(scCollWait, c.self())
 	t, err := c.g.tr.Recv(c.self(), from, tag)
@@ -117,23 +123,24 @@ func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
 
 // reducePass is the reduce half of a ring: Size()-1 steps over the segments
 // off cuts data into, using tags base..base+Size()-2. At step s this rank
-// stages and sends segment first-s (indices mod Size()) and folds the
+// lends segment first-s (indices mod Size()) to the transport and folds the
 // incoming segment first-s-1 into data with op, so a segment's partial
 // result travels up the ring picking up one rank's contribution per hop, and
 // when the pass returns this rank holds the fully reduced segment first+1
-// (every other segment of data is a partial sum). Per element the combine
-// order is fixed by first alone — see the package comment for the two
-// layouts in use.
+// (every other segment of data is a partial sum). A segment is folded into at
+// the step before it is sent and never after, so nothing on loan is written;
+// the pass settles before it returns. Per element the combine order is fixed
+// by first alone — see the package comment for the two layouts in use.
 func (c *Communicator) reducePass(base int, data []float64, off []int, first int, op Op) error {
 	n := c.Size()
 	si := (first%n + n) % n
 	for s := 0; s < n-1; s++ {
 		ri := (si + n - 1) % n
-		c.send(c.next(), base+s, nil, data[off[si]:off[si+1]])
+		c.send(c.next(), base+s, data[off[si]:off[si+1]])
 		dst := data[off[ri]:off[ri+1]]
 		t, err := c.recv(c.prev(), base+s, len(dst))
 		if err != nil {
-			return err
+			return c.settle(err)
 		}
 		h := obs.TrackTid(scCollReduce, c.self())
 		op.combine(dst, t.Data())
@@ -141,35 +148,33 @@ func (c *Communicator) reducePass(base int, data []float64, off []int, first int
 		tensor.Recycle(t)
 		si = ri
 	}
-	return nil
+	return c.settle(nil)
 }
 
 // gatherPass is the gather half of a ring: Size()-1 steps using tags
 // base..base+Size()-2 that leave every segment of data filled in on every
 // rank, given that each rank enters holding the final value of segment first
 // (and the first values of neighbouring ranks differ by one, as they do
-// after a reducePass). The first hop stages a pooled copy of segment first;
-// from then on the chunk received at step s (segment first-s-1) is copied
-// into data and the chunk object itself is sent on at step s+1, so no hop
-// after the first copies on the sending side. Chunks move with ownership:
-// the rank that receives one last recycles it.
+// after a reducePass). At step s the rank lends segment first-s and copies
+// the incoming chunk over segment first-s-1, which it lends in turn at step
+// s+1: every segment is written once, before it is sent on, and the received
+// chunk goes back to the pool as soon as it is copied. The pass settles
+// before it returns.
 func (c *Communicator) gatherPass(base int, data []float64, off []int, first int) error {
 	n := c.Size()
 	si := (first%n + n) % n
-	var cur *tensor.Tensor // nil: nothing received yet, send stages segment first
 	for s := 0; s < n-1; s++ {
-		c.send(c.next(), base+s, cur, data[off[si]:off[si+1]])
+		c.send(c.next(), base+s, data[off[si]:off[si+1]])
 		si = (si + n - 1) % n
 		dst := data[off[si]:off[si+1]]
 		in, err := c.recv(c.prev(), base+s, len(dst))
 		if err != nil {
-			return err
+			return c.settle(err)
 		}
 		c.copyIn(dst, in)
-		cur = in
+		tensor.Recycle(in)
 	}
-	tensor.Recycle(cur) // final hop: this rank is the chunk's last reader
-	return nil
+	return c.settle(nil)
 }
 
 // allReduceData ring-all-reduces data in place across the group: a reduce
@@ -187,8 +192,8 @@ func (c *Communicator) allReduceData(base int, data []float64, op Op) error {
 
 // AllReduceInto reduces src across the group into dst, which must have the
 // same shape and be rank-private mutable storage (dst == src reduces in
-// place). At steady state the operation performs no heap allocations: chunks
-// come from the scratch pool and return to it on the receiving rank.
+// place). At steady state the operation performs no heap allocations:
+// received chunks come from the scratch pool and return to it on this rank.
 func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor, op Op) error {
 	if !tensor.SameShape(dst, src) {
 		return fmt.Errorf("collective: AllReduceInto shape mismatch %v vs %v", dst.Shape(), src.Shape())
@@ -210,7 +215,7 @@ func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor, op Op) error {
 // axis 0 in rank order: dst row block r holds rank r's shard. dst must have
 // leading dimension Size()×shard.Dim(0), identical trailing dimensions, and
 // be rank-private mutable storage. The caller's shard is only read — what
-// travels is a pooled copy — so it may be reused the moment the call
+// is lent to the transport is dst — so it may be reused the moment the call
 // returns. Zero heap allocations at steady state.
 func (c *Communicator) AllGatherInto(dst, shard *tensor.Tensor) error {
 	n := c.Size()
@@ -241,10 +246,11 @@ func (c *Communicator) AllGatherInto(dst, shard *tensor.Tensor) error {
 // BroadcastInto distributes root's tensor in place: on the root, t is the
 // source; on every other rank, t is rank-private mutable storage of the same
 // shape that receives the payload. The transfer is a chunked pipelined ring:
-// the root streams Size() chunks to its successor and each intermediate rank
-// copies an incoming chunk into t and forwards the chunk object itself (the
-// last rank in the chain recycles it), so total time approaches one tensor
-// transfer instead of Size()-1 sequential hops.
+// the root lends Size() chunks of t to its successor and each intermediate
+// rank copies an incoming chunk into t and lends that part of t onward (the
+// last rank in the chain only copies), so total time approaches one tensor
+// transfer instead of Size()-1 sequential hops. t is not written after a
+// chunk of it is lent, and the call settles before it returns.
 func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 	n := c.Size()
 	base := c.opWindow() // consumed even on fast paths to keep ranks in lockstep
@@ -264,22 +270,19 @@ func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 	data := t.Data()
 	for k := 0; k < n; k++ {
 		lo, hi := chunkRange(len(data), n, k)
-		if dist == 0 {
-			c.send(c.next(), base+k, nil, data[lo:hi])
-			continue
-		}
-		in, err := c.recv(c.prev(), base+k, hi-lo)
-		if err != nil {
-			return err
-		}
-		c.copyIn(data[lo:hi], in)
-		if dist < n-1 {
-			c.send(c.next(), base+k, in, nil)
-		} else {
+		if dist > 0 {
+			in, err := c.recv(c.prev(), base+k, hi-lo)
+			if err != nil {
+				return c.settle(err)
+			}
+			c.copyIn(data[lo:hi], in)
 			tensor.Recycle(in)
 		}
+		if dist < n-1 {
+			c.send(c.next(), base+k, data[lo:hi])
+		}
 	}
-	return nil
+	return c.settle(nil)
 }
 
 // barrierToken is the shared payload of every barrier message: barriers
@@ -296,16 +299,16 @@ func (c *Communicator) Barrier() error {
 	for d := 1; d < n; d *= 2 {
 		to := c.g.ranks[(c.rank+d)%n]
 		from := c.g.ranks[((c.rank-d)%n+n)%n]
-		// Not c.send: the token is shared by every rank and every barrier,
-		// and must never be recycled.
+		// Not c.send: nothing of a token is worth lending, and a plain Send
+		// may pass the shared object itself.
 		c.g.tr.Send(c.self(), to, base+round, barrierToken)
 		tok, err := c.recv(from, base+round, 1)
 		if err != nil {
 			return err
 		}
-		if c.g.senderOwns {
-			// Serializing transport: the received token is a pooled decode,
-			// not the shared barrierToken object.
+		if tok != barrierToken {
+			// A serializing transport delivered a pooled decode; the shared
+			// token itself, every rank's and every barrier's, is never recycled.
 			tensor.Recycle(tok)
 		}
 		round++

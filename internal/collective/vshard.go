@@ -100,7 +100,7 @@ func (c *Communicator) ReduceScatterVInto(dst, data *tensor.Tensor, counts []int
 // an explicit counts partition: rank r contributes shard (counts[r] elements)
 // and dst (sum(counts) elements, rank-private mutable storage) receives every
 // rank's shard at its counts offset. Like AllGatherInto, the caller's shard
-// is only read — a pooled copy travels — so the shard buffer may be reused
+// is only read — what the ring lends is dst — so the shard buffer may be reused
 // the moment the call returns. Shards may be uneven or empty (empty shards
 // travel as zero-size chunks so the ring stays in lockstep). Zero heap
 // allocations at steady state.

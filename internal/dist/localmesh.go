@@ -60,6 +60,14 @@ func (m *LocalMesh) Send(from, to, tag int, t *tensor.Tensor) {
 	m.eps[from].Send(from, to, tag, t)
 }
 
+// SendLent implements transport.Transport.
+func (m *LocalMesh) SendLent(from, to, tag int, payload []float64) {
+	m.eps[from].SendLent(from, to, tag, payload)
+}
+
+// Settle implements transport.Transport.
+func (m *LocalMesh) Settle(from, to int) error { return m.eps[from].Settle(from, to) }
+
 // SenderOwnsSent implements transport.Transport: every send serializes.
 func (m *LocalMesh) SenderOwnsSent() bool { return true }
 

@@ -103,6 +103,29 @@ func (s *ShapedTransport) Send(from, to, tag int, ten *tensor.Tensor) {
 	}
 	cp := tensor.GetScratchShaped(ten.Shape()...)
 	cp.CopyFrom(ten.Data())
+	s.shape(from, to, tag, cp)
+}
+
+// SendLent implements transport.Transport. A shaped frame waits out its
+// modeled delay long after the caller has moved on, so it cannot borrow: what
+// waits is the pooled copy Send would have made.
+func (s *ShapedTransport) SendLent(from, to, tag int, payload []float64) {
+	if !s.opts.enabled() || to == from {
+		s.inner.SendLent(from, to, tag, payload)
+		return
+	}
+	cp := tensor.GetScratch(len(payload))
+	cp.CopyFrom(payload)
+	s.shape(from, to, tag, cp)
+}
+
+// Settle implements transport.Transport: shaped frames are copies, so only
+// what went straight to the wrapped endpoint can be outstanding.
+func (s *ShapedTransport) Settle(from, to int) error { return s.inner.Settle(from, to) }
+
+// shape hands a captured payload, which the shaper now owns, to the link's
+// pacer.
+func (s *ShapedTransport) shape(from, to, tag int, cp *tensor.Tensor) {
 	l := s.link(to)
 	if l == nil || !l.tx.TryPut(shapedFrame{from: from, to: to, tag: tag, ten: cp}) {
 		tensor.Recycle(cp) // raced teardown; the frame can never be delivered

@@ -73,7 +73,9 @@ type Options struct {
 // Send serializes the payload before returning (SenderOwnsSent is true): the
 // moment Send returns, the caller may recycle or mutate the tensor, which is
 // what lets the runtime's store-deletion protocol (§4.3) work unchanged
-// across processes.
+// across processes. SendLent skips that copy for a large f64 payload: the
+// sender worker writes header and payload to the socket with one vectored
+// write straight from the caller's storage, and Settle waits for it.
 type Transport struct {
 	// rank is atomic because Join listens (starting reader goroutines)
 	// before the coordinator assigns the final rank.
@@ -108,13 +110,44 @@ type Transport struct {
 
 // peerLink is one outgoing connection: a lazily dialed conn plus the sender
 // worker that owns all writes to it. pending/pendingBytes are the worker's
-// coalescing buffer — touched only on the worker goroutine.
+// coalescing buffer, lentHdr and vec its vectored-write scratch — touched
+// only on the worker goroutine.
 type peerLink struct {
-	mb           *Mailbox[[]byte]
+	mb           *Mailbox[outFrame]
 	w            *bufio.Writer
 	c            net.Conn
 	pending      [][]byte
 	pendingBytes int
+	lentHdr      [lentHdrLen]byte
+	vecStore     [3][]byte
+	vec          net.Buffers
+
+	// Lent-send accounting. lent counts payloads queued by SendLent, released
+	// the ones the worker no longer references (written, failed, or dropped at
+	// teardown); each release leaves a token in settled. settleMu makes one
+	// Settle at a time the token's consumer.
+	lent, released atomic.Int64
+	settled        chan struct{}
+	settleMu       sync.Mutex
+}
+
+// outFrame is one item of a sender worker's queue: an encoded frame in a
+// pooled buffer, which the worker may coalesce and recycles once written, or
+// a lent frame — payload borrowed from SendLent's caller until the worker
+// releases it, hdr what goes around it on the wire (lendFrame).
+type outFrame struct {
+	frame   []byte
+	payload []byte
+	hdr     [lentHdrLen]byte
+}
+
+// release marks one lent payload as no longer referenced by the worker.
+func (pl *peerLink) release() {
+	pl.released.Add(1)
+	select {
+	case pl.settled <- struct{}{}:
+	default: // a token is already waiting
+	}
 }
 
 // zeroShape is the payload-free shape control frames carry (a rank-0 shape
@@ -313,19 +346,26 @@ func (t *Transport) link(to int) (*peerLink, error) {
 		return existing, nil
 	}
 	w := bufio.NewWriterSize(conn, 1<<16)
-	pl := &peerLink{w: w, c: conn}
+	pl := &peerLink{w: w, c: conn, settled: make(chan struct{}, 1)}
 	// The sender worker owns all writes to this conn: frames arrive encoded,
 	// the worker writes them and recycles the buffers, and the drain hook
 	// flushes once per burst (after the last queued frame) — one syscall per
 	// burst, not one per frame. Small frames additionally coalesce: they
 	// accumulate in pending (worker-local, no locking) and ship as one batch
 	// frame when a large frame, the flush threshold, or the end of the burst
-	// arrives — one header + write for a flurry of losses and scalars. FIFO
-	// holds because pending always drains before anything later is written.
-	write := func(frame []byte) {
-		if _, err := w.Write(frame); err != nil && !t.isClosed() {
-			t.Poison(fmt.Errorf("dist: rank %d write to peer %d: %w", t.Rank(), to, err))
+	// arrives — one header + write for a flurry of losses and scalars. A lent
+	// frame bypasses the buffered writer: whatever is buffered is flushed, then
+	// header, borrowed payload and trailer go out in one vectored write. FIFO
+	// holds because pending, and then the buffer, always drain before anything
+	// later is written.
+	failed := func(what string, err error) {
+		if err != nil && !t.isClosed() {
+			t.Poison(fmt.Errorf("dist: rank %d %s peer %d: %w", t.Rank(), what, to, err))
 		}
+	}
+	write := func(frame []byte) {
+		_, err := w.Write(frame)
+		failed("write to", err)
 		recycleFrameBuf(frame)
 	}
 	flushPending := func() {
@@ -346,28 +386,43 @@ func (t *Transport) link(to int) (*peerLink, error) {
 		pl.pending = pl.pending[:0]
 		pl.pendingBytes = 0
 	}
-	pl.mb = NewMailboxDrain(0, func(frame []byte) {
-		if len(frame) <= coalesceMaxFrame {
-			pl.pending = append(pl.pending, frame)
-			pl.pendingBytes += len(frame)
+	pl.mb = NewMailboxDrain(0, func(f outFrame) {
+		switch {
+		case f.payload != nil:
+			flushPending()
+			err := w.Flush()
+			if err == nil {
+				// The header moves out of the queue item into storage that
+				// outlives this call; WriteTo consumes vec as it writes, so vec
+				// is re-cut from its backing array every time.
+				pl.lentHdr = f.hdr
+				head, tail := lentHdrParts(&pl.lentHdr, t.opts.CRC)
+				pl.vecStore = [3][]byte{head, f.payload, tail}
+				pl.vec = pl.vecStore[:]
+				_, err = pl.vec.WriteTo(conn)
+				pl.vecStore = [3][]byte{} // drop the borrowed reference
+			}
+			failed("write to", err)
+			pl.release()
+		case len(f.frame) <= coalesceMaxFrame:
+			pl.pending = append(pl.pending, f.frame)
+			pl.pendingBytes += len(f.frame)
 			if pl.pendingBytes >= coalesceFlushBytes {
 				flushPending()
 			}
-			return
+		default:
+			flushPending()
+			write(f.frame)
 		}
-		flushPending()
-		write(frame)
 	}, func() {
 		flushPending()
-		if err := w.Flush(); err != nil && !t.isClosed() {
-			t.Poison(fmt.Errorf("dist: rank %d flush to peer %d: %w", t.Rank(), to, err))
-		}
+		failed("flush to", w.Flush())
 	})
 	// Identify ourselves so the peer's readLoop can attribute the stream. The
 	// hello must be queued before the link is published: a concurrent Send
 	// that finds the link in t.peers could otherwise enqueue a data frame
 	// ahead of the hello, and the peer drops un-attributed streams.
-	pl.mb.Put(controlFrame(frameHello, t.Rank(), to))
+	pl.mb.Put(outFrame{frame: controlFrame(frameHello, t.Rank(), to)})
 	t.peers[to] = pl
 	t.conns = append(t.conns, conn)
 	t.mu.Unlock()
@@ -379,19 +434,35 @@ func (t *Transport) link(to int) (*peerLink, error) {
 // short-circuits through the local inbox. The payload is fully serialized
 // before Send returns.
 func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
+	t.send(from, to, tag, ten.Shape(), ten.Data(), false)
+}
+
+// SendLent implements transport.Transport. A payload that ships f64 in a
+// frame too large to coalesce is queued as a pooled header plus the caller's
+// own bytes, which the peer's sender worker writes with one vectored write
+// and Settle waits for; everything else — a lossy dtype, a small frame, a
+// self-send, a build without a memory image of []float64 — is copied exactly
+// as Send copies it and needs no settling. The frame on the wire is the same
+// either way.
+func (t *Transport) SendLent(from, to, tag int, payload []float64) {
+	shape := [1]int{len(payload)}
+	t.send(from, to, tag, shape[:], payload, true)
+}
+
+func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bool) {
 	self := t.Rank()
 	if from != self {
 		panic(fmt.Sprintf("dist: rank %d asked to send as rank %d (one actor per process)", self, from))
 	}
 	dt := t.wireDTypeFor(tag)
 	t.sent.Add(1)
-	t.sentBytes.Add(int64(dt.payloadBytes(ten.Size())))
+	t.sentBytes.Add(int64(dt.payloadBytes(len(data))))
 	if to == self {
 		// Loopback: match in-process semantics — the receiver owns a pooled
 		// copy, the caller keeps the original. A lossy dtype applies here too,
 		// so a self-send observes the same values remote ranks decode.
-		cp := tensor.GetScratchShaped(ten.Shape()...)
-		cp.CopyFrom(ten.Data())
+		cp := tensor.GetScratchShaped(shape...)
+		cp.CopyFrom(data)
 		if dt != DTF64 {
 			LossyRoundTrip(dt, cp.Data())
 		}
@@ -405,25 +476,78 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 		t.Poison(err)
 		return
 	}
-	h := Header{Kind: frameData, From: from, To: to, Tag: tag, DType: dt, Shape: ten.Shape()}
+	h := Header{Kind: frameData, From: from, To: to, Tag: tag, DType: dt, Shape: shape}
 	he := obs.TrackTid(scWireEncode, self)
-	frame := EncodeFrame(&h, ten.Data(), t.opts.CRC)
-	he.StopBytes(int64(len(frame)))
-	obs.Add(cFramesSent, 1)
-	obs.Add(cBytesSent, int64(len(frame)))
-	if dt != DTF64 {
-		obs.Add(cCompressedBytes, int64(len(frame)))
+	var f outFrame
+	n := frameSize(&h, len(data), t.opts.CRC)
+	if img := f64Image(data); lend && dt == DTF64 && img != nil && n > coalesceMaxFrame {
+		f.payload = img
+		lendFrame(&f.hdr, &h, img, t.opts.CRC)
+		pl.lent.Add(1)
+	} else {
+		f.frame = EncodeFrame(&h, data, t.opts.CRC)
 	}
-	if !pl.mb.TryPut(frame) {
+	he.StopBytes(int64(n))
+	obs.Add(cFramesSent, 1)
+	obs.Add(cBytesSent, int64(n))
+	if dt != DTF64 {
+		obs.Add(cCompressedBytes, int64(n))
+	}
+	if !pl.mb.TryPut(f) {
 		// Teardown raced this send: the endpoint is shutting down and the
 		// frame can never reach the wire. Drop it — the peer's broken stream
 		// (or the poison that triggered the close) carries the failure.
-		recycleFrameBuf(frame)
+		if f.payload != nil {
+			pl.release()
+		} else {
+			recycleFrameBuf(f.frame)
+		}
 		return
 	}
 	if obs.Enabled() {
 		obs.Observe(scSendQueue, int64(pl.mb.Len()))
 	}
+}
+
+// Settle implements transport.Transport: it returns once the peer's sender
+// worker has let go of every payload lent to it so far — written it, failed
+// to, or dropped it at teardown. A healthy wait is the socket write itself. A
+// poisoned transport, or a peer that takes nothing for RecvTimeout (which
+// poisons, as a stalled mailbox does), fails the worker's blocked write with
+// a deadline in the past, so the wait that remains is the worker's return
+// from it.
+func (t *Transport) Settle(from, to int) error {
+	if self := t.Rank(); from != self {
+		panic(fmt.Sprintf("dist: rank %d asked to settle as rank %d (one actor per process)", self, from))
+	}
+	t.mu.Lock()
+	pl := t.peers[to]
+	t.mu.Unlock()
+	if pl != nil && pl.released.Load() < pl.lent.Load() {
+		pl.settleMu.Lock()
+		target := pl.lent.Load()
+		for pl.released.Load() < target {
+			err := t.inbox.Await(pl.settled, t.opts.RecvTimeout)
+			if err == nil {
+				continue
+			}
+			if err == transport.ErrAwaitTimeout {
+				t.Poison(fmt.Errorf("dist: rank %d: peer %d took nothing of a lent send for %v (peer stalled or wedged)", t.Rank(), to, t.opts.RecvTimeout))
+			}
+			pl.c.SetWriteDeadline(time.Unix(1, 0))
+			for pl.released.Load() < target {
+				<-pl.settled
+			}
+		}
+		pl.settleMu.Unlock()
+	}
+	if err := t.Err(); err != nil {
+		return err
+	}
+	if t.isClosed() {
+		return fmt.Errorf("dist: rank %d: transport closed", t.Rank())
+	}
+	return nil
 }
 
 // Recv implements transport.Transport. to must be this endpoint's rank. The
@@ -519,7 +643,7 @@ func (t *Transport) shutdown(graceful bool) {
 		deadline := time.Now().Add(closeWriteGrace)
 		for _, pl := range peers {
 			pl.c.SetWriteDeadline(deadline)
-			pl.mb.Put(controlFrame(frameGoodbye, t.Rank(), -1))
+			pl.mb.Put(outFrame{frame: controlFrame(frameGoodbye, t.Rank(), -1)})
 		}
 		for _, pl := range peers {
 			pl.mb.Stop()

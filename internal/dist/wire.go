@@ -42,10 +42,13 @@ import (
 //	                        flipped payload bit)
 //
 // Payloads are raw little-endian tensor bytes — no reflection, no gob type
-// streams. A frame costs one pass over the elements on each side plus the
-// header: the sender encodes into a pooled frame buffer, the receiver reads
-// the payload into its staging buffer and decodes that into a pooled tensor
-// (a staged read and a decode pass, not a read into the tensor's storage).
+// streams. An f64 payload is the memory image of the []float64 on
+// little-endian builds (f64image_le.go): EncodeFrame copies it into a pooled
+// frame buffer, a lent send (Transport.SendLent) hands the socket the
+// caller's storage itself, and the decoder reads it off the stream straight
+// into the pooled tensor it returns. f32 and int8q payloads, and every
+// payload of a purego or big-endian build, cost one pass over the elements on
+// each side through the decoder's staging buffer.
 const (
 	wireMagic   = 0xA7
 	wireVersion = 1
@@ -341,19 +344,12 @@ func EncodeFrame(h *Header, data []float64, withCRC bool) []byte {
 	if len(h.Shape) > maxWireRank {
 		panic(fmt.Sprintf("dist: encode rank %d exceeds wire limit %d", len(h.Shape), maxWireRank))
 	}
-	payload := h.DType.payloadBytes(len(data))
-	total := headerFixed + 4*len(h.Shape) + payload
-	if withCRC {
-		total += 4
-	}
+	total := frameSize(h, len(data), withCRC)
 	buf := getFrameBuf(total)
 	off := putFrameHeader(buf, h, withCRC, total)
 	switch h.DType {
 	case DTF64:
-		for _, v := range data {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
-		}
+		off += encodeF64s(buf[off:], data)
 	case DTF32:
 		for _, v := range data {
 			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
@@ -371,6 +367,42 @@ func EncodeFrame(h *Header, data []float64, withCRC bool) []byte {
 		binary.LittleEndian.PutUint32(buf[off:], crc)
 	}
 	return buf
+}
+
+// frameSize is the encoded size of a frame of elems elements, length prefix
+// included.
+func frameSize(h *Header, elems int, withCRC bool) int {
+	total := headerFixed + 4*len(h.Shape) + h.DType.payloadBytes(elems)
+	if withCRC {
+		total += 4
+	}
+	return total
+}
+
+// lentHdrLen is what surrounds a lent payload on the wire: length prefix,
+// fixed header and the one dim of a flat shape, then the CRC trailer.
+const lentHdrLen = headerFixed + 4 + 4
+
+// lendFrame is EncodeFrame for a flat DTF64 frame whose payload stays where
+// it is: it fills hdr so that hdr's head, img, and hdr's tail (lentHdrParts),
+// written back to back, are byte for byte the frame EncodeFrame returns for
+// the same header and elements.
+func lendFrame(hdr *[lentHdrLen]byte, h *Header, img []byte, withCRC bool) {
+	off := putFrameHeader(hdr[:], h, withCRC, frameSize(h, len(img)/8, withCRC))
+	if withCRC {
+		crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:off]), crc32.IEEETable, img)
+		binary.LittleEndian.PutUint32(hdr[off:], crc)
+	}
+}
+
+// lentHdrParts cuts a lendFrame header into what precedes the payload and
+// what follows it (nothing without a CRC).
+func lentHdrParts(hdr *[lentHdrLen]byte, withCRC bool) (head, tail []byte) {
+	const cut = lentHdrLen - 4
+	if withCRC {
+		return hdr[:cut], hdr[cut:]
+	}
+	return hdr[:cut], nil
 }
 
 // putFrameHeader writes the length prefix, fixed header, and dims into buf,
@@ -435,8 +467,15 @@ func recycleFrameBuf(b []byte) { putFrameBuf(b) }
 // Decoder reads frames from a stream, reusing one staging buffer across
 // calls. Not safe for concurrent use (one Decoder per connection).
 type Decoder struct {
-	r   io.Reader
+	r io.Reader
+	// buf stages every payload that is not read in place: f32, int8q, batch
+	// and control frames (and f64 ones in builds without a memory image).
 	buf []byte
+	// hdr and word are the header and the length-prefix / CRC-trailer read
+	// buffers: fields rather than locals because they are read through the
+	// io.Reader interface and would otherwise escape to the heap every frame.
+	hdr  [headerFixed - 4 + 4*maxWireRank]byte
+	word [4]byte
 	// dims is the reusable shape scratch handed out via Header.Shape; callers
 	// must not retain it across ReadFrame calls.
 	dims [maxWireRank]int
@@ -498,11 +537,10 @@ func (d *Decoder) ReadFrame() (Header, *tensor.Tensor, error) {
 		h.Shape = f.dims[:f.rank]
 		return h, f.t, nil
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(d.r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(d.r, d.word[:]); err != nil {
 		return Header{}, nil, err // io.EOF at a frame boundary is clean
 	}
-	frameLen := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	frameLen := int(binary.LittleEndian.Uint32(d.word[:]))
 	// The decode span opens after the length prefix arrives: blocking on an
 	// idle stream is wait, not decode; once a frame has started, the rest
 	// follows in the same burst.
@@ -570,6 +608,15 @@ func (d *Decoder) recycleQueued() {
 	d.qPos = 0
 }
 
+// truncated wraps a short read inside a frame: the stream ended, or broke,
+// after the length prefix promised more.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("dist: truncated frame: %w", err)
+}
+
 func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	const fixed = headerFixed - 4 // header bytes after the length prefix
 	if frameLen < fixed {
@@ -578,12 +625,9 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	if frameLen > maxFrameElems*8+headerFixed+4*maxWireRank {
 		return Header{}, nil, corrupt("frame length %d exceeds limit", frameLen)
 	}
-	var hdr [fixed + 4*maxWireRank]byte
+	hdr := d.hdr[:]
 	if _, err := io.ReadFull(d.r, hdr[:fixed]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Header{}, nil, fmt.Errorf("dist: truncated frame: %w", err)
+		return Header{}, nil, truncated(err)
 	}
 	if hdr[0] != wireMagic {
 		return Header{}, nil, corrupt("bad magic 0x%02x", hdr[0])
@@ -591,7 +635,7 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	if hdr[1] != wireVersion {
 		return Header{}, nil, corrupt("unsupported wire version %d", hdr[1])
 	}
-	flags := hdr[2]
+	withCRC := hdr[2]&flagCRC != 0
 	h := Header{
 		Kind:  hdr[3],
 		From:  int(int32(binary.LittleEndian.Uint32(hdr[4:]))),
@@ -610,11 +654,9 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 		return Header{}, nil, corrupt("frame too short for %d dims", rank)
 	}
 	if _, err := io.ReadFull(d.r, hdr[fixed:fixed+4*rank]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Header{}, nil, fmt.Errorf("dist: truncated frame: %w", err)
+		return Header{}, nil, truncated(err)
 	}
+	hdr = hdr[:fixed+4*rank]
 	elems := 1
 	dims := d.dims[:rank]
 	for i := range dims {
@@ -641,30 +683,47 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 		payloadLen = elems
 	}
 	rest := payloadLen // payload (+ CRC trailer) still on the stream
-	if flags&flagCRC != 0 {
+	if withCRC {
 		rest += 4
 	}
-	if frameLen != fixed+4*rank+rest {
-		return Header{}, nil, corrupt("frame length %d does not match header (want %d)", frameLen, fixed+4*rank+rest)
+	if frameLen != len(hdr)+rest {
+		return Header{}, nil, corrupt("frame length %d does not match header (want %d)", frameLen, len(hdr)+rest)
+	}
+	if d.short(rest) {
+		return Header{}, nil, truncated(io.ErrUnexpectedEOF)
+	}
+	if h.Kind == frameData && h.DType == DTF64 {
+		// Read in place: the payload lands in the storage of the pooled tensor
+		// the consumer will recycle, the trailer after it. Every error path
+		// below owns t and hands it back to the pool.
+		t := tensor.GetScratchShaped(dims...)
+		payload, err := decodeF64s(d.r, t.Data(), &d.buf)
+		if err == nil && withCRC {
+			_, err = io.ReadFull(d.r, d.word[:])
+		}
+		if err != nil {
+			tensor.Recycle(t)
+			return Header{}, nil, truncated(err)
+		}
+		if withCRC {
+			if err := checkCRC(hdr, payload, d.word[:]); err != nil {
+				tensor.Recycle(t)
+				return Header{}, nil, err
+			}
+		}
+		return h, t, nil
 	}
 	if cap(d.buf) < rest {
 		d.buf = make([]byte, rest)
 	}
 	buf := d.buf[:rest]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Header{}, nil, fmt.Errorf("dist: truncated frame: %w", err)
+		return Header{}, nil, truncated(err)
 	}
 	payload := buf[:payloadLen]
-	if flags&flagCRC != 0 {
-		got := binary.LittleEndian.Uint32(buf[payloadLen:])
-		crc := crc32.ChecksumIEEE(hdr[:fixed+4*rank])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != got {
-			obs.Add(cCRCFail, 1)
-			return Header{}, nil, corrupt("frame CRC mismatch: computed %08x, frame carries %08x", crc, got)
+	if withCRC {
+		if err := checkCRC(hdr, payload, buf[payloadLen:]); err != nil {
+			return Header{}, nil, err
 		}
 	}
 	if h.Kind == frameBatch {
@@ -679,10 +738,6 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	t := tensor.GetScratchShaped(dims...)
 	dst := t.Data()
 	switch h.DType {
-	case DTF64:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		}
 	case DTF32:
 		for i := range dst {
 			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
@@ -699,4 +754,25 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 		}
 	}
 	return h, t, nil
+}
+
+// short reports that the stream is known to end within the next n bytes. A
+// batch payload, like any in-memory image, knows its length, so an inner
+// frame that overruns it is truncated before a buffer is sized for what it
+// claims; a socket only finds out by reading.
+func (d *Decoder) short(n int) bool {
+	br, ok := d.r.(*bytes.Reader)
+	return ok && br.Len() < n
+}
+
+// checkCRC verifies a frame's CRC32 trailer over everything after the length
+// prefix: hdr (fixed header + dims) and the payload bytes as they crossed the
+// wire.
+func checkCRC(hdr, payload, trailer []byte) error {
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload)
+	if got := binary.LittleEndian.Uint32(trailer); crc != got {
+		obs.Add(cCRCFail, 1)
+		return corrupt("frame CRC mismatch: computed %08x, frame carries %08x", crc, got)
+	}
+	return nil
 }

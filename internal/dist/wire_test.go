@@ -92,19 +92,43 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 // TestFrameRoundTripF64BitExact pins the lossless guarantee bit-for-bit loss
 // equality across process counts rests on: DTF64 payloads survive the wire
-// with identical bit patterns, including negative zero and denormals.
+// with identical bit patterns — negative zero, subnormals, infinities and NaNs
+// with their payload bits and sign included — from any sub-slice of a buffer
+// (odd element offsets, so not the allocation's alignment) and out of a
+// stream that starts at an odd byte, CRC on and off.
 func TestFrameRoundTripF64BitExact(t *testing.T) {
-	special := []float64{0, -0.0, 1.0 / 3.0, 5e-324, -5e-324, 1e308, -1e-308}
-	h := Header{Kind: frameData, From: 1, To: 2, Tag: 3, DType: DTF64, Shape: []int{len(special)}}
-	var stream bytes.Buffer
-	encodeToStream(t, &stream, &h, special, true)
-	_, ten, err := NewDecoder(&stream).ReadFrame()
-	if err != nil {
-		t.Fatal(err)
+	special := []float64{
+		0, math.Copysign(0, -1), 1.0 / 3.0, 5e-324, -5e-324, 1e308, -1e-308,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+		math.Inf(1), math.Inf(-1),
+		math.NaN(),
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN, smallest payload
+		math.Float64frombits(0xfff8_dead_beef_cafe), // negative quiet NaN with a payload
+		math.Float64frombits(0x7ff7_ffff_ffff_ffff), // signalling NaN, largest payload
+		math.MaxFloat64, -math.SmallestNonzeroFloat64,
 	}
-	for i, v := range ten.Data() {
-		if math.Float64bits(v) != math.Float64bits(special[i]) {
-			t.Fatalf("elem %d: bits %x, want %x", i, math.Float64bits(v), math.Float64bits(special[i]))
+	for _, crc := range []bool{false, true} {
+		for lo := 0; lo < 4; lo++ {
+			for hi := len(special); hi > len(special)-3; hi-- {
+				in := special[lo:hi]
+				h := Header{Kind: frameData, From: 1, To: 2, Tag: 3, DType: DTF64, Shape: []int{len(in)}}
+				stream := bytes.NewBuffer([]byte{0xEE}) // the frame starts at an odd address
+				encodeToStream(t, stream, &h, in, crc)
+				stream.ReadByte()
+				_, ten, err := NewDecoder(stream).ReadFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ten.Size() != len(in) {
+					t.Fatalf("[%d:%d] crc %v: %d elements back, sent %d", lo, hi, crc, ten.Size(), len(in))
+				}
+				for i, v := range ten.Data() {
+					if math.Float64bits(v) != math.Float64bits(in[i]) {
+						t.Fatalf("[%d:%d] crc %v elem %d: bits %x, want %x", lo, hi, crc, i, math.Float64bits(v), math.Float64bits(in[i]))
+					}
+				}
+				tensor.Recycle(ten)
+			}
 		}
 	}
 }
@@ -300,4 +324,56 @@ func TestMailboxLenConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// BenchmarkFrameCodec times the frame codec at the chunk a dp2x2 rank ships
+// (131 072 elements), f64 and int8q: EncodeFrame into a pooled buffer,
+// WriteFrame to a discarding writer (encode plus the buffer's round trip
+// through the pool, as on the send path), and ReadFrame from memory into a
+// pooled tensor the loop recycles. It reports ns/element and allocations; an
+// f64 decode allocates nothing once the pool is warm.
+func BenchmarkFrameCodec(b *testing.B) {
+	const n = 131072
+	rng := rand.New(rand.NewSource(1))
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = rng.NormFloat64() * 0.01
+	}
+	perElem := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+	}
+	for _, dt := range []DType{DTF64, DTInt8Q} {
+		h := Header{Kind: frameData, From: 0, To: 1, Tag: 1, DType: dt, Shape: []int{n}}
+		b.Run("encode/"+dt.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				recycleFrameBuf(EncodeFrame(&h, data, false))
+			}
+			perElem(b)
+		})
+		b.Run("writeframe/"+dt.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := WriteFrame(io.Discard, &h, data, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perElem(b)
+		})
+		b.Run("decode/"+dt.String(), func(b *testing.B) {
+			frame := bytes.Clone(EncodeFrame(&h, data, false))
+			rd := bytes.NewReader(nil)
+			dec := NewDecoder(rd)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame)
+				_, t, err := dec.ReadFrame()
+				if err != nil {
+					b.Fatal(err)
+				}
+				tensor.Recycle(t)
+			}
+			perElem(b)
+		})
+	}
 }

@@ -660,6 +660,12 @@ func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 // until the job completes or the transport is poisoned (a dead peer surfaces
 // here as an error, not a hang).
 func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
+	return runOver(sess, sess.Transport, spec)
+}
+
+// runOver is Run with the session's data plane passed in: sess.Transport
+// itself, or a test's checking wrapper around it.
+func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report, error) {
 	if sess.World != spec.World() {
 		return nil, fmt.Errorf("distrun: session world %d, job wants %d (= %d replicas × %d stages)", sess.World, spec.World(), spec.Replicas(), spec.Stages)
 	}
@@ -667,7 +673,6 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tr transport.Transport = sess.Transport
 	queueDepth := sess.Transport.QueueDepth
 	if spec.Shape != nil {
 		// Degraded-network mode: every cross-rank frame rides the link shaper.
@@ -713,9 +718,9 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		lossSlots = max(lossSlots, len(mbs))
 	}
 
-	// The all-ranks process group the loss gather runs on. The dist transport
-	// serializes sends (SenderOwnsSent), so ring chunks come from and return
-	// to this process's scratch pool.
+	// The all-ranks process group the loss gather runs on. Every chunk a ring
+	// receives over the dist transport is decoded into this process's scratch
+	// pool and recycled here; what a ring sends it lends from its own buffer.
 	comm, err := worldComm(tr, sess.World, rank)
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/transport/transporttest"
 )
 
 // launchWorld bootstraps spec.World() sessions over real localhost TCP
@@ -281,4 +282,30 @@ func TestWorkerDeathSurfacesPoisonNotHang(t *testing.T) {
 		}
 	}
 	mu.Unlock()
+}
+
+// TestJobHonoursTheLendingRule runs a 2×2 DP×PP job with every rank's data
+// plane watched by a LendChecker: across the actor's sends, the reduce half,
+// the update, the recycling of the gradients and the gather half, nothing a
+// ring pass has lent to the transport is written or recycled before the pass
+// has settled, and every loan is settled when the job ends. Width 64 puts
+// every gradient chunk past the wire's coalescing threshold, so they really
+// are lent; the losses and parameters stay RunLocal's bit for bit.
+func TestJobHonoursTheLendingRule(t *testing.T) {
+	spec := JobSpec{
+		Stages: 2, NumMB: 2, MBRows: 4, Width: 64,
+		Steps: 4, LR: 0.05, Momentum: 0.9, Schedule: "1f1b", DataParallel: 2, Seed: 5,
+	}
+	local, err := RunLocal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := transporttest.NewLendChecker(t)
+	got, _ := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
+		return runOver(sess, check.Wrap(sess.Transport), spec)
+	})
+	requireBitIdentical(t, got, local)
+	if check.Lends() == 0 {
+		t.Fatal("the job lent nothing")
+	}
 }

@@ -14,8 +14,8 @@ import (
 	"repro/internal/transport"
 )
 
-// wireEvent is one payload an actor handed to Send (before any encoding) or
-// got back from Recv (after decoding).
+// wireEvent is one payload an actor handed to Send or SendLent (before any
+// encoding) or got back from Recv (after decoding).
 type wireEvent struct {
 	sent bool
 	data []float64
@@ -29,21 +29,26 @@ type wireLog struct {
 	by map[int][]wireEvent
 }
 
-func (w *wireLog) record(actor int, sent bool, t *tensor.Tensor) {
+func (w *wireLog) record(actor int, sent bool, data []float64) {
 	w.mu.Lock()
-	w.by[actor] = append(w.by[actor], wireEvent{sent, append([]float64(nil), t.Data()...)})
+	w.by[actor] = append(w.by[actor], wireEvent{sent, append([]float64(nil), data...)})
 	w.mu.Unlock()
 }
 
 func (w *wireLog) Send(from, to, tag int, t *tensor.Tensor) {
-	w.record(from, true, t)
+	w.record(from, true, t.Data())
 	w.Transport.Send(from, to, tag, t)
+}
+
+func (w *wireLog) SendLent(from, to, tag int, payload []float64) {
+	w.record(from, true, payload)
+	w.Transport.SendLent(from, to, tag, payload)
 }
 
 func (w *wireLog) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	t, err := w.Transport.Recv(to, from, tag)
 	if err == nil {
-		w.record(to, false, t)
+		w.record(to, false, t.Data())
 	}
 	return t, err
 }

@@ -54,6 +54,19 @@ func (c *ChanTransport) Send(from, to, tag int, t *tensor.Tensor) {
 	c.sentElems.Add(size)
 }
 
+// SendLent implements transport.Transport: a reference-passing mailbox cannot
+// borrow, so what travels is a pooled copy the receiver owns, made before the
+// call returns.
+func (c *ChanTransport) SendLent(from, to, tag int, payload []float64) {
+	cp := tensor.GetScratch(len(payload))
+	cp.CopyFrom(payload)
+	c.Send(from, to, tag, cp)
+}
+
+// Settle implements transport.Transport: SendLent keeps no reference to what
+// it was lent, so there is nothing to wait for.
+func (c *ChanTransport) Settle(from, to int) error { return c.inbox.Err() }
+
 // Recv implements transport.Transport.
 func (c *ChanTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return c.inbox.Get(transport.Key{From: from, To: to, Tag: tag}, c.RecvTimeout)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -97,11 +98,35 @@ func getScratchCap(n int) *Tensor {
 	return t
 }
 
+// recycleHook, when set, is shown every tensor handed to Recycle before the
+// pool takes it. It is a seam for ownership checkers in tests
+// (transporttest.LendChecker fails a test that recycles storage still on loan
+// to a transport); nothing outside tests sets it.
+var recycleHook atomic.Pointer[func(*Tensor)]
+
+// SetRecycleHook installs f as the recycle hook (nil removes it) and returns
+// the hook it replaced, for the caller to put back.
+func SetRecycleHook(f func(*Tensor)) (prev func(*Tensor)) {
+	var old *func(*Tensor)
+	if f == nil {
+		old = recycleHook.Swap(nil)
+	} else {
+		old = recycleHook.Swap(&f)
+	}
+	if old == nil {
+		return nil
+	}
+	return *old
+}
+
 // Recycle returns t's storage to the scratch pool. The caller must own the
 // only reference to t and to its backing array (no live views). Any tensor
 // may be recycled, not just ones from GetScratch; undersized or oversized
 // storage is simply dropped.
 func Recycle(t *Tensor) {
+	if hook := recycleHook.Load(); hook != nil && t != nil {
+		(*hook)(t)
+	}
 	if t == nil || t.borrowed {
 		// Borrowed views never own their storage; pooling it would hand the
 		// owner's live data out as scratch. Silently dropping the view is the

@@ -216,6 +216,69 @@ var properties = []struct {
 			t.Fatalf("payload corrupted: %v", d)
 		}
 	}},
+	// A lent payload arrives as a flat copy in FIFO order with the pair's
+	// Sends, is never the receiver's, and is the lender's to write again once
+	// Settle has returned — whether it was small enough to be copied or large
+	// enough for a serializing transport to hand the socket the lender's own
+	// storage.
+	{"a lent payload arrives as a copy and is the lender's again after Settle", func(t *testing.T, im impl) {
+		tr, peer := im.open(t, 10*time.Second)
+		for _, n := range []int{0, 3, 1 << 15} {
+			lent := make([]float64, n)
+			for i := range lent {
+				lent[i] = float64(i + 1)
+			}
+			settled := make(chan error, 1)
+			go func() { // async: a rendezvous send blocks until received
+				tr.SendLent(0, 1, 12, lent)
+				tr.Send(0, 1, 12, tensor.Scalar(-1))
+				err := tr.Settle(0, 1)
+				for i := range lent {
+					lent[i] = -7 // the lender's again
+				}
+				settled <- err
+			}()
+			got, err := peer.Recv(1, 0, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := peer.Recv(1, 0, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-settled; err != nil {
+				t.Fatalf("Settle on a healthy transport: %v", err)
+			}
+			if !got.HasShape([]int{n}) {
+				t.Fatalf("lent payload of %d elements arrived with shape %v", n, got.Shape())
+			}
+			for i, v := range got.Data() {
+				if v != float64(i+1) {
+					t.Fatalf("%d elements: element %d arrived as %v, want %v", n, i, v, float64(i+1))
+				}
+			}
+			if n > 0 && &got.Data()[0] == &lent[0] {
+				t.Fatal("the receiver was handed the lender's storage")
+			}
+			if after.Size() != 1 || after.Data()[0] != -1 {
+				t.Fatalf("the Send after a SendLent overtook it: %v", after)
+			}
+			tensor.Recycle(got)
+		}
+		if err := tr.Settle(0, 1); err != nil {
+			t.Fatalf("Settle with nothing lent: %v", err)
+		}
+	}},
+	{"Settle on a poisoned transport returns the poison error", func(t *testing.T, im impl) {
+		tr, _ := im.open(t, 10*time.Second)
+		cause := errors.New("the cause")
+		tr.Poison(cause)
+		within(t, 5*time.Second, "Settle after Poison", func() {
+			if err := tr.Settle(0, 1); !errors.Is(err, cause) {
+				t.Errorf("Settle returned %v, want the poison error", err)
+			}
+		})
+	}},
 }
 
 // TestConformance runs every property of the Transport contract against

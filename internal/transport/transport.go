@@ -5,16 +5,19 @@
 // package tensor, so runtime, collective, dist and distrun all share this
 // declaration without cycles.
 //
-// Implementations, all asserted in conformance_test.go:
+// Implementations, all asserted in conformance_test.go, by what Send does
+// with the tensor and what SendLent does with the payload it is lent (Settle
+// has something to wait for only where a payload is borrowed):
 //
-//	runtime.ChanTransport        in-process, capacity-1 mailboxes, passes references
-//	runtime.RendezvousTransport  in-process, capacity-0 mailboxes (Fig. 5 hazard), passes references
-//	dist.Transport               one TCP endpoint per process, serializes
-//	dist.LocalMesh               n dist.Transport endpoints in one process, serializes
-//	dist.ShapedTransport         degraded-network model over a dist.Transport, copies
+//	runtime.ChanTransport        in-process, capacity-1 mailboxes   passes the reference   sends a pooled copy
+//	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    passes the reference   sends a pooled copy
+//	dist.Transport               one TCP endpoint per process       serializes             borrows: a large f64 payload goes to the socket from where it lies
+//	dist.LocalMesh               n dist.Transport in one process    serializes             borrows, as its endpoints do
+//	dist.ShapedTransport         delay model over a dist.Transport  copies                 delays a pooled copy
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,6 +40,24 @@ type Transport interface {
 	// blocks indefinitely on a healthy receiver. Who owns t afterwards is
 	// SenderOwnsSent's answer.
 	Send(from, to, tag int, t *tensor.Tensor)
+	// SendLent delivers the elements of payload, as a flat tensor the receiver
+	// owns, from actor `from` to actor `to` under tag, in FIFO order with that
+	// pair's Sends. Like Send it does not wait for the receiver; unlike Send it
+	// takes no ownership and need not copy: payload stays the caller's
+	// storage, and the transport may go on reading it — a socket write straight
+	// from it may still be in flight — until a Settle(from, to) called after
+	// this SendLent returns. Until then the caller must not write payload,
+	// recycle it, or hand it to anything that would; reading it, or lending it
+	// again, is fine.
+	SendLent(from, to, tag int, payload []float64)
+	// Settle blocks until the transport no longer references any payload lent
+	// from `from` to `to` before the call, and returns nil, or the poison
+	// error if the transport has failed. A dead or wedged peer cannot hold a
+	// lender: on a poisoned or closed transport Settle gives up on the
+	// transfers and returns as soon as the payloads are out of the transport's
+	// hands. Whenever it returns, they are the caller's to write again. With
+	// nothing outstanding it costs a few loads.
+	Settle(from, to int) error
 	// Recv blocks until the matching Send and returns its payload, which the
 	// receiver now owns (Recycle it or hand it on). It fails with the poison
 	// error once the transport is poisoned, and with a timeout error naming
@@ -197,6 +218,32 @@ func (b *Inbox) Get(k Key, timeout time.Duration) (*tensor.Tensor, error) {
 		return nil, b.Err()
 	case <-expired:
 		return nil, fmt.Errorf("transport: recv on actor %d from %d tag %d timed out after %v: no matching send (mismatched tag, peer stall, or communication deadlock)", k.To, k.From, k.Tag, timeout)
+	}
+}
+
+// ErrAwaitTimeout is Await's report that neither the event nor a poison
+// arrived in time.
+var ErrAwaitTimeout = errors.New("transport: await timed out")
+
+// Await blocks until event delivers (nil), the inbox is poisoned (the poison
+// error), or timeout passes (ErrAwaitTimeout; forever if timeout <= 0). It is
+// the wait of Put and Get — pooled timer, woken by poison — for a condition
+// other than a mailbox: a serializing transport's Settle waits on its sender
+// worker with it.
+func (b *Inbox) Await(event <-chan struct{}, timeout time.Duration) error {
+	var expired <-chan time.Time // nil: never fires
+	if timeout > 0 {
+		timer := getTimer(timeout)
+		defer putTimer(timer)
+		expired = timer.C
+	}
+	select {
+	case <-event:
+		return nil
+	case <-b.dead:
+		return b.Err()
+	case <-expired:
+		return ErrAwaitTimeout
 	}
 }
 
