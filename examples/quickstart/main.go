@@ -79,8 +79,7 @@ func main() {
 	}
 
 	for a, st := range step.MemoryStats() {
-		fmt.Printf("actor %d: peak %d buffers, %.1f KiB; %d deferred deletions\n",
-			a, st.PeakBufs, float64(st.PeakBytes)/1024, st.DeferredDeletes)
+		fmt.Printf("actor %d: peak %d buffers, %.1f KiB\n", a, st.PeakBufs, float64(st.PeakBytes)/1024)
 	}
 	fmt.Println("done: loss decreased under MPMD 1F1B pipeline execution")
 }

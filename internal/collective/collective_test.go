@@ -359,9 +359,8 @@ func (wrongSizeTransport) Settle(from, to int) error                     { retur
 func (w wrongSizeTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return tensor.GetScratch(w.elems), nil
 }
-func (wrongSizeTransport) Err() error           { return nil }
-func (wrongSizeTransport) Poison(error)         {}
-func (wrongSizeTransport) SenderOwnsSent() bool { return false }
+func (wrongSizeTransport) Err() error   { return nil }
+func (wrongSizeTransport) Poison(error) {}
 
 // TestWrongSizeChunkIsRecycled pins the receive helper's failure path on
 // every collective that receives: a chunk of the wrong size is an error

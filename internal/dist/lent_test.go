@@ -57,6 +57,16 @@ func lentOutstanding(tr *Transport) int64 {
 	return lent - released
 }
 
+// goroutinesBackTo gives goroutines that are on their way out five seconds to
+// go, and returns the count it is left with (at most before, when none leaked).
+func goroutinesBackTo(before int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return goruntime.NumGoroutine()
+}
+
 // TestLentFrameIsEncodeFrameOnTheWire is the byte-identity of the two send
 // paths: a payload that goes out header + borrowed image + trailer in one
 // vectored write puts on the socket exactly the bytes EncodeFrame returns for
@@ -233,11 +243,7 @@ func TestSettleSurvivesAnAbortedPeer(t *testing.T) {
 		clear(p)
 	}
 	a.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := goruntime.NumGoroutine(); after > before {
+	if after := goroutinesBackTo(before); after > before {
 		t.Fatalf("%d goroutines before, %d after Close: a sender worker or reader leaked", before, after)
 	}
 }

@@ -68,9 +68,6 @@ func (m *LocalMesh) SendLent(from, to, tag int, payload []float64) {
 // Settle implements transport.Transport.
 func (m *LocalMesh) Settle(from, to int) error { return m.eps[from].Settle(from, to) }
 
-// SenderOwnsSent implements transport.Transport: every send serializes.
-func (m *LocalMesh) SenderOwnsSent() bool { return true }
-
 // Recv implements transport.Transport.
 func (m *LocalMesh) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return m.eps[to].Recv(to, from, tag)

@@ -18,9 +18,9 @@ import (
 // TCP; shaping only controls *when* they move, and whether.
 //
 // Semantics preserved from the wrapped transport:
-//   - Send returns once the payload is captured (SenderOwnsSent is true: the
-//     shaper copies into a pooled tensor immediately, so callers recycle
-//     or mutate their tensor the moment Send returns).
+//   - Send returns once the payload is captured: the shaper copies into a
+//     pooled tensor immediately, so nothing reads the caller's tensor while
+//     the frame waits out its modeled delay.
 //   - Per-(src,dst) FIFO: frames serialize through a per-link pacer and
 //     arrival times are clamped monotone, so jitter never reorders a link.
 //   - Loss is retransmit-free: a dropped frame is simply never delivered,
@@ -88,10 +88,6 @@ func NewShapedTransport(inner *Transport, opts ShapeOpts) *ShapedTransport {
 }
 
 func (s *ShapedTransport) Rank() int { return s.inner.Rank() }
-
-// SenderOwnsSent implements transport.Transport: the shaper copies the
-// payload before Send returns, so the caller keeps its tensor.
-func (s *ShapedTransport) SenderOwnsSent() bool { return true }
 
 // Send captures the payload and routes it through the link shaper. from must
 // be the wrapped endpoint's rank (same single-actor contract as the TCP

@@ -65,17 +65,18 @@ type Options struct {
 // Transport is one process's endpoint of the multi-process data plane: a
 // transport.Transport whose peers live in other OS processes. Each endpoint
 // owns a TCP listener; outgoing links dial lazily and are serviced by one
-// persistent sender worker per destination (a Mailbox of encoded frames), so
-// asynchronous sends never block the caller and never head-of-line block
-// traffic to other peers. Incoming frames decode into pooled tensors
-// (receivers Recycle after use).
+// persistent sender worker per destination (a Mailbox of encoded frames) —
+// the one queue between an actor's OpSend and the socket, and the §4.2
+// guarantee across processes: a send never blocks the caller and never
+// head-of-line blocks traffic to other peers. Incoming frames decode into
+// pooled tensors (receivers Recycle after use).
 //
-// Send serializes the payload before returning (SenderOwnsSent is true): the
-// moment Send returns, the caller may recycle or mutate the tensor, which is
-// what lets the runtime's store-deletion protocol (§4.3) work unchanged
-// across processes. SendLent skips that copy for a large f64 payload: the
-// sender worker writes header and payload to the socket with one vectored
-// write straight from the caller's storage, and Settle waits for it.
+// Send serializes the payload before returning: nothing reads the caller's
+// tensor afterwards, which is why an actor's store deletes a sent buffer the
+// moment liveness says so (§4.3) with no transfer to wait for. SendLent skips
+// that copy for a large f64 payload: the sender worker writes header and
+// payload to the socket with one vectored write straight from the caller's
+// storage, and Settle waits for it.
 type Transport struct {
 	// rank is atomic because Join listens (starting reader goroutines)
 	// before the coordinator assigns the final rank.
@@ -599,11 +600,6 @@ func (t *Transport) isClosed() bool {
 func (t *Transport) SendCount() (int, int64) {
 	return int(t.sent.Load()), t.sentBytes.Load()
 }
-
-// SenderOwnsSent implements transport.Transport: Send serializes, so the
-// caller keeps the tensor. Pooled-buffer producers (collective ring chunks,
-// calibration echoes) recycle sender-side scratch on the strength of it.
-func (t *Transport) SenderOwnsSent() bool { return true }
 
 // Close stops the listener, drains sender workers (goodbye frames flush
 // behind any queued data), and closes every connection. Peers treat a

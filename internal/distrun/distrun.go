@@ -401,11 +401,11 @@ func Compile(spec JobSpec, tr transport.Transport) (*jaxpp.TrainStep, error) {
 }
 
 // CompileHosted is Compile with a hosted-actor filter: a distributed rank
-// passes its own actor ID so the process materializes one actor's store,
-// compiled programs, and sender workers instead of all World()'s — actor and
-// loss/gradient owners are derived from the shared program metadata, which
-// every rank compiles identically, so nothing about peers needs to exist
-// locally. nil hosts every actor.
+// passes its own actor ID so the process materializes one actor's store and
+// compiled programs instead of all World()'s — actor and loss/gradient owners
+// are derived from the shared program metadata, which every rank compiles
+// identically, so nothing about peers needs to exist locally. nil hosts every
+// actor.
 func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
 	return compile(spec, tr, hostActors, nil)
 }
@@ -695,7 +695,6 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	defer ts.Close()
 	prog := ts.Program()
 	pp := ts.NumActors() / ts.NumReplicas()
 	numMB := ts.NumMicrobatches()
@@ -937,7 +936,6 @@ func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ts.Close()
 	params, batch := InitModel(spec)
 	totalMB := ts.NumReplicas() * ts.NumMicrobatches()
 	next := make([]*jaxpp.Tensor, len(params))

@@ -56,7 +56,7 @@ func Ablations(w io.Writer) error {
 		}
 	}
 
-	run := func(opts taskgraph.Options, splitOpts stage.Options, load runtime.LoadOptions, tr transport.Transport, timeout time.Duration) (peak int64, sends int, completed bool, err error) {
+	run := func(opts taskgraph.Options, splitOpts stage.Options, tr transport.Transport, timeout time.Duration) (peak int64, sends int, completed bool, err error) {
 		g, err := buildTied()
 		if err != nil {
 			return 0, 0, false, err
@@ -76,7 +76,7 @@ func Ablations(w io.Writer) error {
 		} else {
 			cl = runtime.NewCluster(stages)
 		}
-		exe, err := cl.Load(prog, load)
+		exe, err := cl.Load(prog, runtime.LoadOptions{})
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -111,11 +111,11 @@ func Ablations(w io.Writer) error {
 	fmt.Fprintln(w, "Ablations (functional runtime, tied-weight model, 1F1B, 3 actors, 8 microbatches)")
 
 	// 1. Buffer deletion.
-	pOn, _, _, err := run(taskgraph.Options{}, stage.Options{}, runtime.LoadOptions{}, nil, 10*time.Second)
+	pOn, _, _, err := run(taskgraph.Options{}, stage.Options{}, nil, 10*time.Second)
 	if err != nil {
 		return err
 	}
-	pOff, _, _, err := run(taskgraph.Options{DisableDeletion: true}, stage.Options{}, runtime.LoadOptions{}, nil, 10*time.Second)
+	pOff, _, _, err := run(taskgraph.Options{DisableDeletion: true}, stage.Options{}, nil, 10*time.Second)
 	if err != nil {
 		return err
 	}
@@ -123,23 +123,23 @@ func Ablations(w io.Writer) error {
 		float64(pOn)/1024, float64(pOff)/1024, float64(pOff)/float64(pOn))
 
 	// 2. Loop commuting.
-	_, sOff, _, err := run(taskgraph.Options{}, stage.Options{}, runtime.LoadOptions{}, nil, 10*time.Second)
+	_, sOff, _, err := run(taskgraph.Options{}, stage.Options{}, nil, 10*time.Second)
 	if err != nil {
 		return err
 	}
-	_, sOn, _, err := run(taskgraph.Options{}, stage.Options{CommuteGradAccumulation: true}, runtime.LoadOptions{}, nil, 10*time.Second)
+	_, sOn, _, err := run(taskgraph.Options{}, stage.Options{CommuteGradAccumulation: true}, nil, 10*time.Second)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  loop commuting (§3.4):   on: %d sends/step     off: %d sends/step\n", sOn, sOff)
 
 	// 3. Fig. 5 communication ordering under rendezvous sends.
-	_, _, okTopo, err := run(taskgraph.Options{}, stage.Options{}, runtime.LoadOptions{SyncSends: true},
+	_, _, okTopo, err := run(taskgraph.Options{}, stage.Options{},
 		runtime.NewRendezvousTransport(), 5*time.Second)
 	if err != nil {
 		return err
 	}
-	_, _, okNaive, err := run(taskgraph.Options{NaiveCommOrdering: true}, stage.Options{}, runtime.LoadOptions{SyncSends: true},
+	_, _, okNaive, err := run(taskgraph.Options{NaiveCommOrdering: true}, stage.Options{},
 		runtime.NewRendezvousTransport(), 500*time.Millisecond)
 	if err != nil {
 		return err

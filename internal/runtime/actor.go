@@ -2,9 +2,7 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
@@ -27,11 +25,6 @@ type Actor struct {
 	ID    int
 	Store *Store
 
-	// SyncSends executes sends inline on the actor's thread instead of
-	// asynchronously — the blocking behaviour JaxPP avoids (§4.2). Used for
-	// the Fig. 5 deadlock demonstration.
-	SyncSends bool
-
 	transport transport.Transport
 	prog      []taskgraph.Instr
 	segs      []*segmentExecutable
@@ -42,25 +35,6 @@ type Actor struct {
 	// slice allocation.
 	argBuf []*tensor.Tensor
 	outBuf []*tensor.Tensor
-
-	// senders holds one persistent sender worker per destination actor,
-	// created at Load from the program's OpSend peers. Asynchronous sends
-	// enqueue into the destination's non-blocking mailbox instead of
-	// spawning a goroutine per send: the §4.2 guarantee (initiating a send
-	// never blocks the actor, a slow peer stalls only its own queue) is
-	// preserved by the per-destination fan-out, and the per-send goroutine
-	// + closure allocations disappear from the steady-state step.
-	senders map[int]*dist.Mailbox[sendItem]
-
-	sendWG sync.WaitGroup
-}
-
-// sendItem is one queued asynchronous send: the payload plus the store
-// buffer whose deferred deletion unblocks when the transfer completes.
-type sendItem struct {
-	tag int
-	t   *tensor.Tensor
-	buf taskgraph.BufID
 }
 
 // segmentExecutable is a "compiled" pipeline segment: in this reproduction
@@ -81,7 +55,7 @@ func NewActor(id int, tr transport.Transport) *Actor {
 }
 
 // Load installs the actor's slice of the program and its segment
-// executables, and (re)provisions one sender worker per OpSend destination.
+// executables.
 func (a *Actor) Load(prog []taskgraph.Instr, segs []*segmentExecutable) {
 	a.prog = prog
 	a.segs = segs
@@ -91,7 +65,6 @@ func (a *Actor) Load(prog []taskgraph.Instr, segs []*segmentExecutable) {
 		}
 	}
 	maxIns, maxOuts := 0, 0
-	peers := map[int]bool{}
 	for _, in := range prog {
 		if len(in.Ins) > maxIns {
 			maxIns = len(in.Ins)
@@ -99,31 +72,9 @@ func (a *Actor) Load(prog []taskgraph.Instr, segs []*segmentExecutable) {
 		if len(in.Outs) > maxOuts {
 			maxOuts = len(in.Outs)
 		}
-		if in.Kind == taskgraph.OpSend {
-			peers[in.Peer] = true
-		}
 	}
 	a.argBuf = make([]*tensor.Tensor, maxIns)
 	a.outBuf = make([]*tensor.Tensor, maxOuts)
-	a.Close() // retire workers from a previous Load
-	a.senders = make(map[int]*dist.Mailbox[sendItem], len(peers))
-	for peer := range peers {
-		peer := peer
-		a.senders[peer] = dist.NewMailbox(0, func(it sendItem) {
-			a.transport.Send(a.ID, peer, it.tag, it.t)
-			a.Store.SendDone(it.buf)
-			a.sendWG.Done()
-		})
-	}
-}
-
-// Close retires the actor's sender workers, draining any queued sends.
-// A closed actor can be re-armed by another Load.
-func (a *Actor) Close() {
-	for _, mb := range a.senders {
-		mb.Stop()
-	}
-	a.senders = nil
 }
 
 func (a *Actor) segment(idx int) (*segmentExecutable, error) {
@@ -144,9 +95,6 @@ func (a *Actor) RunStep() error {
 			return fmt.Errorf("runtime: actor %d pc %d (%s): %w", a.ID, pc, in, err)
 		}
 	}
-	// Step boundary: all sends must have drained before the driver reads
-	// results.
-	a.sendWG.Wait()
 	return nil
 }
 
@@ -184,16 +132,13 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		if err != nil {
 			return err
 		}
-		if a.SyncSends {
-			a.transport.Send(a.ID, in.Peer, in.Tag, t)
-			return nil
-		}
-		// Asynchronous send: the instruction only *initiates* the transfer;
-		// the store defers deletion until completion (§4.3). The enqueue
-		// into the destination's persistent sender worker never blocks.
-		a.Store.SendStarted(in.Buf)
-		a.sendWG.Add(1)
-		a.senders[in.Peer].Put(sendItem{tag: in.Tag, t: t, buf: in.Buf})
+		// The instruction only *initiates* the transfer (§4.2): not waiting
+		// for the receiver is the transport's property — a capacity-1
+		// mailbox in process, a per-peer sender worker on the wire — and
+		// only the Fig. 5 rendezvous transport blocks here, by design. When
+		// Send returns the transport has moved or captured t, so the
+		// OpDelete liveness places after this send needs no deferral (§4.3).
+		a.transport.Send(a.ID, in.Peer, in.Tag, t)
 		return nil
 
 	case taskgraph.OpRecv:

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -40,14 +41,6 @@ func NewClusterWithTransport(n int, tr transport.Transport) *Cluster {
 	return c
 }
 
-// Close retires every actor's sender workers. The cluster can be reloaded
-// afterwards; in-flight steps must have completed.
-func (c *Cluster) Close() {
-	for _, a := range c.Actors {
-		a.Close()
-	}
-}
-
 // LoadOptions configures how segments are "compiled" onto actors.
 type LoadOptions struct {
 	// SPMDDevices > 1 executes each segment SPMD-sharded over that many
@@ -55,9 +48,6 @@ type LoadOptions struct {
 	// a [("intra", n)] mesh), demonstrating the MPMD-of-SPMD structure: XLA
 	// SPMD within a task, JaxPP MPMD across tasks.
 	SPMDDevices int
-
-	// SyncSends makes every actor block on sends (Fig. 5 ablation).
-	SyncSends bool
 
 	// DataParallel loads the program onto this many pipeline replicas over
 	// disjoint actor ranges: replica r owns actors [r·P, (r+1)·P) where P is
@@ -69,11 +59,11 @@ type LoadOptions struct {
 	DataParallel int
 
 	// HostActors restricts which global actors this load materializes: only
-	// the listed actors get compiled segment programs, reserved store slots,
-	// instruction streams, and sender workers. nil hosts every actor (the
-	// single-process driver). A distributed rank passes its own actor ID, so
-	// a world-N process carries one actor's state instead of N copies —
-	// peers are reachable through the transport, not materialized locally.
+	// the listed actors get compiled segment programs, reserved store slots
+	// and instruction streams. nil hosts every actor (the single-process
+	// driver). A distributed rank passes its own actor ID, so a world-N
+	// process carries one actor's state instead of N copies — peers are
+	// reachable through the transport, not materialized locally.
 	// A filtered executable steps only hosted actors (StepActor); the full
 	// Step/StepInto path refuses to run.
 	HostActors []int
@@ -166,7 +156,6 @@ func (c *Cluster) Load(prog *taskgraph.Program, opts LoadOptions) (*Executable, 
 					}
 				}
 			}
-			c.Actors[base+a].SyncSends = opts.SyncSends
 			c.Actors[base+a].Store.Reserve(prog.NumBufs)
 			c.Actors[base+a].Load(local, segsByActor[a])
 		}
@@ -214,11 +203,6 @@ func (e *Executable) GradOwners() []int {
 func (e *Executable) Hosts(actor int) bool {
 	return e.hosted == nil || (actor >= 0 && actor < len(e.hosted) && e.hosted[actor])
 }
-
-// Close retires the cluster's per-actor sender workers. Call it when the
-// executable is done stepping (steps must have completed); the cluster can
-// be reloaded afterwards.
-func (e *Executable) Close() { e.cluster.Close() }
 
 // ActorsPerReplica returns the pipeline actor count of one replica.
 func (e *Executable) ActorsPerReplica() int { return e.pp }
@@ -287,10 +271,12 @@ func makeRunner(g *ir.Graph, opts LoadOptions) (func(outs, inputs []*tensor.Tens
 // replica 0 (after any epilogue collectives, so with a DP gradient
 // all-reduce installed these are the globally synchronized gradients).
 //
-// A Step error poisons the transport: peers of the failed actor may have
-// already buffered sends under tags the next step reuses, so a retried Step
-// could consume a stale payload (the same reason NCCL aborts a communicator
-// after a collective error). Re-provision the cluster instead of retrying.
+// A Step error poisons the transport (runActor does, with the cause): peers of
+// the failed actor may have already buffered sends under tags the next step
+// reuses, so a retried Step could consume a stale payload (the same reason
+// NCCL aborts a communicator after a collective error), and peers blocked on
+// the failed actor return at once instead of sitting out RecvTimeout receive
+// by receive. Re-provision the cluster instead of retrying.
 func (e *Executable) Step(inputs []*tensor.Tensor) (losses []*tensor.Tensor, grads []*tensor.Tensor, err error) {
 	losses = make([]*tensor.Tensor, e.replicas*e.prog.Schedule.NumMB)
 	grads = make([]*tensor.Tensor, len(e.prog.Grads))
@@ -342,10 +328,17 @@ func (e *Executable) StepInto(inputs, losses, grads []*tensor.Tensor) error {
 		}(i, a)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("runtime: actor %d failed: %w", i, err)
+	// Every failure poisons and the first poison sticks: report the actor
+	// whose error it carries, not a peer the poison woke.
+	poison := e.cluster.Transport.Err()
+	var failed error
+	for _, err := range errs {
+		if err != nil && (failed == nil || errors.Is(poison, err)) {
+			failed = err
 		}
+	}
+	if failed != nil {
+		return failed
 	}
 
 	// Fetch results: losses replica-major, gradients from replica 0.
@@ -453,15 +446,19 @@ func (e *Executable) place(r, only int, inputs []*tensor.Tensor) {
 	}
 }
 
-// runActor executes one global actor's program and step epilogue.
+// runActor executes one global actor's program and step epilogue. A failure
+// poisons the transport with the cause before returning, so every peer
+// waiting on this actor fails now and the next Step is refused.
 func (e *Executable) runActor(global int, a *Actor) error {
-	if err := a.RunStep(); err != nil {
-		return err
+	err := a.RunStep()
+	if fn := e.epilogues[global]; err == nil && fn != nil {
+		err = fn(a.Store)
 	}
-	if fn := e.epilogues[global]; fn != nil {
-		return fn(a.Store)
+	if err != nil {
+		err = fmt.Errorf("runtime: actor %d failed: %w", global, err)
+		e.cluster.Transport.Poison(err)
 	}
-	return nil
+	return err
 }
 
 // StepActor runs one global actor's share of a step: placement, program,
@@ -486,10 +483,7 @@ func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 		return err
 	}
 	e.place(actor/e.pp, actor%e.pp, inputs)
-	if err := e.runActor(actor, e.cluster.Actors[actor]); err != nil {
-		return fmt.Errorf("runtime: actor %d failed: %w", actor, err)
-	}
-	return nil
+	return e.runActor(actor, e.cluster.Actors[actor])
 }
 
 // ActorResults are the step outputs owned by one global actor: losses by

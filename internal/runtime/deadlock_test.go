@@ -29,7 +29,7 @@ func stepOutcome(t *testing.T, naive bool, timeout time.Duration) (completed boo
 		t.Fatal(err)
 	}
 	cl := NewClusterWithTransport(stages, NewRendezvousTransport())
-	exe, err := cl.Load(prog, LoadOptions{SyncSends: true})
+	exe, err := cl.Load(prog, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -429,13 +429,10 @@ func TestFirstGradientMovesIntoAccumulator(t *testing.T) {
 			if marked != stages*numMB {
 				t.Fatalf("%d accumulates marked Last, want %d", marked, stages*numMB)
 			}
-			// Inline sends: no deletion waits on a sender worker, so the
-			// peaks are the program's and not the scheduler's.
-			exe, err := NewCluster(stages).Load(prog, LoadOptions{SyncSends: true})
+			exe, err := NewCluster(stages).Load(prog, LoadOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer exe.Close()
 			_, grads, err := exe.Step(inputs)
 			if err != nil {
 				t.Fatal(err)
@@ -470,21 +467,6 @@ func TestStoreBasics(t *testing.T) {
 	s.Delete(1)
 	if _, err := s.Get(1); err == nil {
 		t.Fatal("deleted buffer still present")
-	}
-	// Pending deletion while send in flight.
-	s.Put(2, tensor.New(4))
-	s.SendStarted(2)
-	s.Delete(2)
-	if _, err := s.Get(2); err != nil {
-		t.Fatal("buffer reclaimed while send in flight")
-	}
-	s.SendDone(2)
-	if _, err := s.Get(2); err == nil {
-		t.Fatal("buffer not reclaimed after send completion")
-	}
-	st := s.Stats()
-	if st.DeferredDeletes != 1 {
-		t.Fatalf("deferred deletes %d", st.DeferredDeletes)
 	}
 }
 

@@ -1,10 +1,14 @@
 // Package runtime implements JaxPP's single-controller MPMD runtime (§4):
 // long-lived SPMD actors each own an object store of device buffers and
 // execute one fused instruction program per training step, communicating
-// exclusively through asynchronous point-to-point sends and receives. Actors
-// run as goroutines over an in-process transport or as TCP peers across OS
-// processes (package dist), playing the role Ray workers + NCCL play for
-// JaxPP.
+// exclusively through point-to-point sends and receives on a
+// transport.Transport. A send is the transport's Send and nothing else: that
+// it never waits for the receiver (§4.2) is the transport's property — a
+// capacity-1 mailbox here, a per-peer sender worker in package dist — so the
+// runtime keeps no queue, no goroutine between steps, and no record of
+// transfers in flight. Actors run as goroutines over an in-process transport
+// or as TCP peers across OS processes (package dist, which this package does
+// not import), playing the role Ray workers + NCCL play for JaxPP.
 package runtime
 
 import (
@@ -17,27 +21,24 @@ import (
 
 // slot is one dense store entry. BufIDs are allocated compactly per program
 // (taskgraph.Program.NumBufs), so a slice of slots indexed directly by BufID
-// replaces the three maps the store used to keep — no hashing, no bucket
-// churn, and the per-buffer bookkeeping bits live next to the buffer pointer.
+// replaces the maps the store used to keep — no hashing, no bucket churn.
 type slot struct {
-	t        *tensor.Tensor
-	inflight int32 // sends in progress reading this buffer
-	pending  bool  // deletion deferred until inflight drains (§4.3)
+	t *tensor.Tensor
 }
 
-// Store is an actor's on-device object store (§4.1). Deletions of buffers
-// with in-flight sends are deferred and performed when the send completes
-// (§4.3).
+// Store is an actor's on-device object store (§4.1). Only the actor's own
+// goroutine touches a slot during a step, and a transport has moved or
+// captured a sent buffer by the time Send returns, so a deletion never has a
+// transfer to wait for (§4.3); mu orders the driver's placement, result
+// fetches and Stats against the step.
 type Store struct {
 	mu    sync.Mutex
 	slots []slot
 
-	liveBufs     int
-	pendingCount int
-	liveBytes    int64
-	peakBytes    int64
-	peakBufs     int
-	deferred     int // deletions that had to wait on a send at least once
+	liveBufs  int
+	liveBytes int64
+	peakBytes int64
+	peakBufs  int
 }
 
 // NewStore returns an empty store.
@@ -111,9 +112,7 @@ func (s *Store) Get(id taskgraph.BufID) (*tensor.Tensor, error) {
 // Take removes the buffer from the store and transfers ownership of it to the
 // caller: the runtime holds no further reference, so nothing the next step
 // does (deletes, accumulations, in-place collectives) can touch the returned
-// tensor. A buffer with sends still in flight is cloned instead — the
-// transport may still be reading the original — and the original stays in the
-// store under its deferred-deletion discipline.
+// tensor.
 func (s *Store) Take(id taskgraph.BufID) (*tensor.Tensor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -121,9 +120,6 @@ func (s *Store) Take(id taskgraph.BufID) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("runtime: buffer %d not in store", id)
 	}
 	sl := &s.slots[id]
-	if sl.inflight > 0 {
-		return sl.t.Clone(), nil
-	}
 	t := sl.t
 	sl.t = nil
 	s.liveBufs--
@@ -131,60 +127,21 @@ func (s *Store) Take(id taskgraph.BufID) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// SendStarted marks one in-flight send of the buffer.
-func (s *Store) SendStarted(id taskgraph.BufID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slotFor(id).inflight++
-}
-
-// SendDone marks completion of one send; if a deletion was pending and no
-// sends remain, the buffer is reclaimed now. An unmatched SendDone panics:
-// letting the count go negative would silently corrupt the deferred-deletion
-// accounting (a later SendStarted/Delete pair would reclaim the buffer while
-// the transport still reads it).
-func (s *Store) SendDone(id taskgraph.BufID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.slots) || s.slots[id].inflight <= 0 {
-		panic(fmt.Sprintf("runtime: SendDone(%d) without matching SendStarted", id))
-	}
-	sl := &s.slots[id]
-	sl.inflight--
-	if sl.inflight == 0 && sl.pending {
-		sl.pending = false
-		s.pendingCount--
-		s.reclaim(sl)
-	}
-}
-
-// Delete reclaims the buffer, deferring while sends are in flight (§4.3).
+// Delete reclaims the buffer; deleting an absent buffer is a no-op.
 func (s *Store) Delete(id taskgraph.BufID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if int(id) >= len(s.slots) {
-		return
+	if int(id) < len(s.slots) {
+		s.reclaim(&s.slots[id])
 	}
-	sl := &s.slots[id]
-	if sl.inflight > 0 {
-		if !sl.pending {
-			sl.pending = true
-			s.pendingCount++
-		}
-		s.deferred++
-		return
-	}
-	s.reclaim(sl)
 }
 
 // Accumulate adds buffer src into buffer dst (OpAccum), in place when the
-// store owns the accumulator exclusively: a buffer with in-flight sends may be
-// concurrently read by the transport, and a borrowed view (a zero-copy batch
-// row) is caller-owned storage — both fall back to an out-of-place add (the
-// same reason deletions defer, §4.3). An empty dst is initialized from src,
-// which is what makes every later accumulation exclusively store-owned. last
-// says this is src's last use: if the store holds src outright — no send
-// reading it, not a borrowed view — src's tensor itself becomes the
+// store owns the accumulator: a borrowed view (a zero-copy batch row) is
+// caller-owned storage and falls back to an out-of-place add. An empty dst is
+// initialized from src, which is what makes every later accumulation
+// store-owned. last says this is src's last use: if the store holds src
+// outright — not a borrowed view — src's tensor itself becomes the
 // accumulator and the OpDelete of src that follows finds an empty slot.
 // Otherwise dst gets a copy, on storage from the scratch pool, where the
 // driver's Recycle of last step's accumulator put it.
@@ -198,13 +155,13 @@ func (s *Store) Accumulate(dst, src taskgraph.BufID, last bool) error {
 	from := &s.slots[src]
 	acc, t := to.t, from.t
 	switch {
-	case acc != nil && to.inflight == 0 && !acc.Borrowed() && tensor.SameShape(acc, t):
+	case acc != nil && !acc.Borrowed() && tensor.SameShape(acc, t):
 		tensor.AddInto(acc, acc, t)
 		return nil
 	case acc != nil:
 		to.t = tensor.Add(acc, t)
 		s.liveBytes -= bytesOf(acc)
-	case last && from.inflight == 0 && !t.Borrowed():
+	case last && !t.Borrowed():
 		// One slot empties as the other fills: occupancy does not change.
 		to.t, from.t = t, nil
 		return nil
@@ -234,12 +191,10 @@ func (s *Store) reclaim(sl *slot) {
 
 // Stats reports live/peak occupancy.
 type StoreStats struct {
-	LiveBufs         int
-	LiveBytes        int64
-	PeakBufs         int
-	PeakBytes        int64
-	DeferredDeletes  int
-	PendingDeletions int
+	LiveBufs  int
+	LiveBytes int64
+	PeakBufs  int
+	PeakBytes int64
 }
 
 // Stats returns a snapshot of occupancy counters.
@@ -247,12 +202,10 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		LiveBufs:         s.liveBufs,
-		LiveBytes:        s.liveBytes,
-		PeakBufs:         s.peakBufs,
-		PeakBytes:        s.peakBytes,
-		DeferredDeletes:  s.deferred,
-		PendingDeletions: s.pendingCount,
+		LiveBufs:  s.liveBufs,
+		LiveBytes: s.liveBytes,
+		PeakBufs:  s.peakBufs,
+		PeakBytes: s.peakBytes,
 	}
 }
 

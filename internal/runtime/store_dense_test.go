@@ -9,26 +9,19 @@ import (
 )
 
 // modelStore is a reference implementation of the store contract with the
-// original three-map layout, used to property-test the dense slice store: any
+// original map layout, used to property-test the dense slice store: any
 // divergence in Get results, Take results, or Stats under a random operation
 // sequence is a regression in the dense rewrite.
 type modelStore struct {
-	bufs     map[taskgraph.BufID]*tensor.Tensor
-	inflight map[taskgraph.BufID]int
-	pending  map[taskgraph.BufID]bool
+	bufs map[taskgraph.BufID]*tensor.Tensor
 
 	liveBytes int64
 	peakBytes int64
 	peakBufs  int
-	deferred  int
 }
 
 func newModelStore() *modelStore {
-	return &modelStore{
-		bufs:     map[taskgraph.BufID]*tensor.Tensor{},
-		inflight: map[taskgraph.BufID]int{},
-		pending:  map[taskgraph.BufID]bool{},
-	}
+	return &modelStore{bufs: map[taskgraph.BufID]*tensor.Tensor{}}
 }
 
 func (m *modelStore) bump() {
@@ -49,38 +42,16 @@ func (m *modelStore) put(id taskgraph.BufID, t *tensor.Tensor) {
 	m.bump()
 }
 
-func (m *modelStore) reclaim(id taskgraph.BufID) {
+func (m *modelStore) del(id taskgraph.BufID) {
 	if t, ok := m.bufs[id]; ok {
 		m.liveBytes -= bytesOf(t)
 		delete(m.bufs, id)
 	}
 }
 
-func (m *modelStore) del(id taskgraph.BufID) {
-	if m.inflight[id] > 0 {
-		m.pending[id] = true
-		m.deferred++
-		return
-	}
-	m.reclaim(id)
-}
-
-func (m *modelStore) sendStarted(id taskgraph.BufID) { m.inflight[id]++ }
-
-func (m *modelStore) sendDone(id taskgraph.BufID) {
-	m.inflight[id]--
-	if m.inflight[id] <= 0 {
-		delete(m.inflight, id)
-		if m.pending[id] {
-			delete(m.pending, id)
-			m.reclaim(id)
-		}
-	}
-}
-
-// accumulate models Accumulate: a last use of a buffer no send is reading
-// moves it into an empty destination, anything else adds into the
-// destination or initializes it to a copy.
+// accumulate models Accumulate: a last use moves the buffer into an empty
+// destination, anything else adds into the destination or initializes it to a
+// copy.
 func (m *modelStore) accumulate(dst, src taskgraph.BufID, last bool) bool {
 	t, ok := m.bufs[src]
 	if !ok {
@@ -92,7 +63,7 @@ func (m *modelStore) accumulate(dst, src taskgraph.BufID, last bool) bool {
 	case has:
 		out = tensor.Add(acc, t)
 		m.liveBytes -= bytesOf(acc)
-	case last && m.inflight[src] == 0:
+	case last:
 		delete(m.bufs, src)
 		m.bufs[dst] = t
 		return true
@@ -110,9 +81,6 @@ func (m *modelStore) take(id taskgraph.BufID) (*tensor.Tensor, bool) {
 	if !ok {
 		return nil, false
 	}
-	if m.inflight[id] > 0 {
-		return t.Clone(), true
-	}
 	m.liveBytes -= bytesOf(t)
 	delete(m.bufs, id)
 	return t, true
@@ -120,12 +88,10 @@ func (m *modelStore) take(id taskgraph.BufID) (*tensor.Tensor, bool) {
 
 func (m *modelStore) stats() StoreStats {
 	return StoreStats{
-		LiveBufs:         len(m.bufs),
-		LiveBytes:        m.liveBytes,
-		PeakBufs:         m.peakBufs,
-		PeakBytes:        m.peakBytes,
-		DeferredDeletes:  m.deferred,
-		PendingDeletions: len(m.pending),
+		LiveBufs:  len(m.bufs),
+		LiveBytes: m.liveBytes,
+		PeakBufs:  m.peakBufs,
+		PeakBytes: m.peakBytes,
 	}
 }
 
@@ -151,7 +117,7 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 
 	for op := 0; op < ops; op++ {
 		id := taskgraph.BufID(rng.Intn(ids))
-		switch rng.Intn(7) {
+		switch rng.Intn(5) {
 		case 0: // Put
 			v := val(id)
 			s.Put(id, v)
@@ -159,17 +125,7 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 		case 1: // Delete
 			s.Delete(id)
 			m.del(id)
-		case 2: // SendStarted (only on present buffers, as the actor does)
-			if _, err := s.Get(id); err == nil {
-				s.SendStarted(id)
-				m.sendStarted(id)
-			}
-		case 3: // SendDone, matched — unmatched ones are a panic, tested below
-			if m.inflight[id] > 0 {
-				s.SendDone(id)
-				m.sendDone(id)
-			}
-		case 4: // Accumulate a buffer of the same shape, at its last use or not
+		case 2: // Accumulate a buffer of the same shape, at its last use or not
 			// The in-place/out-of-place/move split is an implementation
 			// detail; values and occupancy must match either way.
 			src, last := (id+3)%ids, rng.Intn(2) == 0
@@ -177,7 +133,7 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 			if ok := m.accumulate(id, src, last); ok != (err == nil) {
 				t.Fatalf("op %d: Accumulate(%d, %d) err=%v, model present=%v", op, id, src, err, ok)
 			}
-		case 5: // Get
+		case 3: // Get
 			got, err := s.Get(id)
 			want, ok := m.bufs[id]
 			if ok != (err == nil) {
@@ -186,7 +142,7 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 			if ok && !tensor.AllClose(got, want, 0, 0) {
 				t.Fatalf("op %d: Get(%d) = %v, model %v", op, id, got, want)
 			}
-		case 6: // Take
+		case 4: // Take
 			got, err := s.Take(id)
 			want, ok := m.take(id)
 			if ok != (err == nil) {
@@ -205,8 +161,7 @@ func TestDenseStoreMatchesMapSemantics(t *testing.T) {
 
 // TestAccumulateMovesLastUse pins when the first accumulation takes the
 // source tensor itself: only at the source's last use, into an empty
-// accumulator, with no send reading the source and the source not a borrowed
-// view. Every other case leaves the source where it was and the accumulator
+// accumulator, with the source not a borrowed view. Every other case leaves the source where it was and the accumulator
 // on storage of its own.
 func TestAccumulateMovesLastUse(t *testing.T) {
 	const acc, src = 0, 1
@@ -219,7 +174,6 @@ func TestAccumulateMovesLastUse(t *testing.T) {
 	}{
 		{"last use", func(s *Store) { s.Put(src, vals()) }, true, true},
 		{"not the last use", func(s *Store) { s.Put(src, vals()) }, false, false},
-		{"send in flight", func(s *Store) { s.Put(src, vals()); s.SendStarted(src) }, true, false},
 		{"borrowed view", func(s *Store) { s.Put(src, tensor.ViewRange0(vals(), 0, 3)) }, true, false},
 		{"accumulator present", func(s *Store) { s.Put(src, vals()); s.Put(acc, vals()) }, true, false},
 	} {
@@ -269,35 +223,6 @@ func TestAccumulateMovesLastUse(t *testing.T) {
 	}
 }
 
-// TestSendDoneUnderflowPanics is the regression test for the silent
-// inflight-count corruption: an unmatched SendDone must fail loudly instead
-// of writing a negative count that poisons deferred-deletion accounting.
-func TestSendDoneUnderflowPanics(t *testing.T) {
-	check := func(name string, f func(s *Store)) {
-		t.Run(name, func(t *testing.T) {
-			s := NewStore()
-			s.Put(3, tensor.Scalar(1))
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("unmatched SendDone did not panic")
-				}
-			}()
-			f(s)
-		})
-	}
-	check("never-started", func(s *Store) {
-		s.SendDone(3)
-	})
-	check("double-done", func(s *Store) {
-		s.SendStarted(3)
-		s.SendDone(3)
-		s.SendDone(3)
-	})
-	check("unknown-buffer", func(s *Store) {
-		s.SendDone(99)
-	})
-}
-
 // TestStoreTakeTransfersOwnership pins the fetch contract Executable.Step
 // relies on: after Take, the buffer is gone from the store and later deletes
 // or accumulations build fresh storage instead of touching the taken tensor.
@@ -310,7 +235,7 @@ func TestStoreTakeTransfersOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != v {
-		t.Fatalf("Take without in-flight sends should return the stored tensor itself")
+		t.Fatalf("Take should return the stored tensor itself")
 	}
 	if _, err := s.Get(0); err == nil {
 		t.Fatalf("buffer still present after Take")
@@ -323,25 +248,4 @@ func TestStoreTakeTransfersOwnership(t *testing.T) {
 	if got.Data()[0] != 1 {
 		t.Fatalf("accumulate after Take mutated the taken tensor: %v", got)
 	}
-
-	// With a send in flight the transport may still read the buffer, so Take
-	// must return an independent clone and leave the original stored.
-	s2 := NewStore()
-	w := tensor.MustFromSlice([]float64{5, 6}, 2)
-	s2.Put(1, w)
-	s2.SendStarted(1)
-	got2, err := s2.Take(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == w {
-		t.Fatalf("Take during an in-flight send must clone, not transfer")
-	}
-	if !tensor.AllClose(got2, w, 0, 0) {
-		t.Fatalf("clone mismatch: %v vs %v", got2, w)
-	}
-	if _, err := s2.Get(1); err != nil {
-		t.Fatalf("original must remain stored while the send drains: %v", err)
-	}
-	s2.SendDone(1)
 }

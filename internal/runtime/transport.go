@@ -10,8 +10,9 @@ import (
 
 // ChanTransport is the in-process transport.Transport: a transport.Inbox of
 // capacity-1 mailboxes, one per (sender, receiver, tag) triple. The buffer
-// slot plus unique live tags make steady-state sends non-blocking, and Send
-// moves the tensor reference itself (SenderOwnsSent is false).
+// slot plus unique live tags make steady-state sends non-blocking — the §4.2
+// asynchrony of an in-process actor's send — and Send moves the tensor
+// reference itself: the receiver gets the very tensor that was sent.
 type ChanTransport struct {
 	inbox *transport.Inbox
 
@@ -78,10 +79,6 @@ func (c *ChanTransport) Err() error { return c.inbox.Err() }
 // Poison implements transport.Transport.
 func (c *ChanTransport) Poison(err error) { c.inbox.Poison(err) }
 
-// SenderOwnsSent implements transport.Transport: the receiver gets the very
-// tensor that was sent.
-func (c *ChanTransport) SenderOwnsSent() bool { return false }
-
 // SendCount returns the number of sends and total elements moved.
 func (c *ChanTransport) SendCount() (int, int64) {
 	return int(c.sent.Load()), c.sentElems.Load()
@@ -92,8 +89,9 @@ func (c *ChanTransport) SendCount() (int, int64) {
 // synchronous point-to-point semantics whose deadlock hazard §4.2 (Fig. 5)
 // analyzes. Used by tests and the ablation to demonstrate that the naive
 // communication ordering deadlocks while JaxPP's topological ordering and
-// asynchronous sends do not. Receives still time out, so a deadlocked run
-// reports an error instead of hanging.
+// asynchronous sends do not: whether an actor's sends block is which
+// transport its cluster was built on, nothing else. Receives still time out,
+// so a deadlocked run reports an error instead of hanging.
 type RendezvousTransport struct{ ChanTransport }
 
 // NewRendezvousTransport returns an empty rendezvous transport with the

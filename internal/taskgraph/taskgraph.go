@@ -23,14 +23,17 @@ type InstrKind int
 const (
 	// OpRun executes a compiled segment graph.
 	OpRun InstrKind = iota
-	// OpSend asynchronously sends a buffer to a peer actor.
+	// OpSend sends a buffer to a peer actor: it initiates the transfer and
+	// does not wait for the receiver (§4.2) — the transport's doing, not the
+	// actor's; only the Fig. 5 rendezvous transport blocks.
 	OpSend
 	// OpRecv receives a buffer from a peer actor.
 	OpRecv
 	// OpAccum adds Src into Dst (initializing Dst on first use).
 	OpAccum
-	// OpDelete drops a buffer from the object store (deferred while sends of
-	// it are in flight, per §4.3).
+	// OpDelete drops a buffer from the object store where liveness says it
+	// is dead (§4.3). A send ahead of it has nothing left to read: the
+	// transport moved or captured the buffer before OpSend returned.
 	OpDelete
 	// OpAdd computes Dst = A + B (post-loop merge of commuted partials).
 	OpAdd

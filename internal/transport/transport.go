@@ -37,8 +37,13 @@ import (
 // compiler's communication ordering and the collective contract both do).
 type Transport interface {
 	// Send delivers t from actor `from` to actor `to` under tag. It never
-	// blocks indefinitely on a healthy receiver. Who owns t afterwards is
-	// SenderOwnsSent's answer.
+	// blocks indefinitely on a healthy receiver, and by the time it returns
+	// the transport has moved or captured t — nothing reads t on the sender's
+	// behalf afterwards. From Send on, t is read-only to the sender until the
+	// step ends, and never the sender's to recycle: it may be the receiver's
+	// object (a reference-passing transport delivers the very tensor, a
+	// serializing one a copy, and a sender does not get to know which). A
+	// sender that wants its storage back lends it: SendLent + Settle.
 	Send(from, to, tag int, t *tensor.Tensor)
 	// SendLent delivers the elements of payload, as a flat tensor the receiver
 	// owns, from actor `from` to actor `to` under tag, in FIFO order with that
@@ -74,12 +79,6 @@ type Transport interface {
 	// later errors are dropped. A poisoned transport never recovers — the
 	// cluster is re-provisioned.
 	Poison(err error)
-	// SenderOwnsSent reports the Send ownership contract. False for
-	// reference-passing transports: the tensor itself moves to the receiver,
-	// and the sender must not touch it after Send. True for serializing or
-	// copying transports: the payload is captured before Send returns, so the
-	// sender keeps the tensor and may mutate or recycle it at once.
-	SenderOwnsSent() bool
 }
 
 // DefaultRecvTimeout bounds how long a receive waits for its matching send

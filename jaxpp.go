@@ -148,11 +148,10 @@ type CompileSpec struct {
 	// step epilogue here.
 	GradSync func(actor int, grads []*Tensor) error
 	// HostActors restricts which global actors this process materializes
-	// (stores, compiled segment programs, sender workers, DP-sync
-	// communicators). nil hosts all. A distributed rank passes its own
-	// actor ID so memory and compile time stay O(1) in the world size; the
-	// resulting TrainStep steps only hosted actors (StepActor) — the full
-	// Step path refuses to run.
+	// (stores, compiled segment programs, DP-sync communicators). nil hosts
+	// all. A distributed rank passes its own actor ID so memory and compile
+	// time stay O(1) in the world size; the resulting TrainStep steps only
+	// hosted actors (StepActor) — the full Step path refuses to run.
 	HostActors []int
 }
 
@@ -418,12 +417,10 @@ func (t *TrainStep) TakeActorResultsInto(actor int, res *ActorResults) error {
 // (always true without CompileSpec.HostActors).
 func (t *TrainStep) Hosts(actor int) bool { return t.exe.Hosts(actor) }
 
-// Close retires the step's per-actor sender workers. A compiled TrainStep
-// owns long-lived goroutines (one per actor-to-peer link); a process that
-// compiles many transient steps — benchmarks, sweeps, tests — should Close
-// each one once its steps have completed, or the workers accumulate for the
-// process lifetime. A closed step must not Step again.
-func (t *TrainStep) Close() { t.exe.Close() }
+// Close does nothing: a TrainStep owns no goroutine between steps. It is kept
+// only because bench/probes.go calls it; ROADMAP direction 6(a) removes that
+// call, and then this method.
+func (t *TrainStep) Close() {}
 
 // NumMicrobatches returns the gradient accumulation count per replica.
 func (t *TrainStep) NumMicrobatches() int { return t.prog.Schedule.NumMB }
