@@ -20,7 +20,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/runtime"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -150,11 +149,12 @@ const (
 func validateShaped(w io.Writer) error {
 	shape := dist.ShapeOpts{Latency: 2 * time.Millisecond, Jitter: 500 * time.Microsecond, BandwidthGBs: 1, Seed: 7}
 	const ranks = 4
-	m, err := newShapedMesh(ranks, shape)
+	m, err := dist.NewLocalMesh(ranks, dist.Options{})
 	if err != nil {
 		return err
 	}
 	defer m.Close()
+	m.SetShape(shape)
 	fmt.Fprintf(w, "Shaped-network validation: executed bucketed ring AllReduce vs analytic, links shaped %s\n", shape)
 	ratio, err := validate(w, m, ranks, 1<<18)
 	if err != nil {
@@ -165,37 +165,4 @@ func validateShaped(w io.Writer) error {
 		return fmt.Errorf("shaped validation: executed/analytic ratio %.2f outside [%.1f, %.1f] — the calibration model no longer tracks a degraded network", ratio, shapedRatioLo, shapedRatioHi)
 	}
 	return nil
-}
-
-// shapedMesh routes each actor's sends through its own link shaper over a
-// shared LocalMesh (which still serves Recv, Settle, Err and Poison), so a
-// whole in-process world sees the modeled network.
-type shapedMesh struct {
-	*dist.LocalMesh
-	eps []*dist.ShapedTransport
-}
-
-func newShapedMesh(n int, opts dist.ShapeOpts) (*shapedMesh, error) {
-	mesh, err := dist.NewLocalMesh(n, dist.Options{})
-	if err != nil {
-		return nil, err
-	}
-	m := &shapedMesh{LocalMesh: mesh}
-	for r := 0; r < n; r++ {
-		m.eps = append(m.eps, dist.NewShapedTransport(mesh.Endpoint(r), opts))
-	}
-	return m, nil
-}
-
-func (m *shapedMesh) Send(from, to, tag int, t *tensor.Tensor) { m.eps[from].Send(from, to, tag, t) }
-
-func (m *shapedMesh) SendLent(from, to, tag int, payload []float64) {
-	m.eps[from].SendLent(from, to, tag, payload)
-}
-
-func (m *shapedMesh) Close() {
-	for _, ep := range m.eps {
-		ep.Stop()
-	}
-	m.LocalMesh.Close()
 }

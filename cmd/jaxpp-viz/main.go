@@ -85,7 +85,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := timeline.WriteChromeTrace(f, s, *bwd); err != nil {
+			if err := timeline.WriteChromeTraceEvents(f, timeline.Build(s, *bwd)); err != nil {
 				log.Fatal(err)
 			}
 			f.Close()

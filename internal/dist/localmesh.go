@@ -37,9 +37,16 @@ func NewLocalMesh(actors int, opts Options) (*LocalMesh, error) {
 // Addr returns the listen address of one actor's endpoint.
 func (m *LocalMesh) Addr(actor int) string { return m.eps[actor].Addr() }
 
-// Endpoint exposes one actor's transport (bench harnesses wrap individual
-// endpoints in shapers).
+// Endpoint exposes one actor's transport (tests arm a wire dtype or a shape
+// on individual endpoints).
 func (m *LocalMesh) Endpoint(actor int) *Transport { return m.eps[actor] }
+
+// SetShape forwards the modeled network to every endpoint.
+func (m *LocalMesh) SetShape(opts ShapeOpts) {
+	for _, ep := range m.eps {
+		ep.SetShape(opts)
+	}
+}
 
 // SetWireDType forwards the lossy data-frame encoding to every endpoint.
 func (m *LocalMesh) SetWireDType(dt DType) {

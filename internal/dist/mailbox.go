@@ -10,8 +10,7 @@ import (
 // guarantee at process scale: one persistent worker goroutine drains a
 // non-blocking multi-producer queue, so initiating a send never blocks the
 // caller (the actor's compute thread) no matter how slow the destination is.
-// One mailbox serves one outgoing connection (or one stage of a shaped link),
-// so a stalled destination backpressures only its own queue, never
+// One mailbox serves one outgoing connection, so a stalled destination backpressures only its own queue, never
 // head-of-line blocking traffic to other peers.
 //
 // Put never blocks: items append to a growable queue whose backing arrays

@@ -77,6 +77,10 @@ type Options struct {
 // that copy for a large f64 payload: the sender worker writes header and
 // payload to the socket with one vectored write straight from the caller's
 // storage, and Settle waits for it.
+//
+// A shaped endpoint (SetShape) models a degraded network in the same worker:
+// it holds each encoded data frame until the frame's modeled arrival, then
+// writes or drops it (shaping.go).
 type Transport struct {
 	// rank is atomic because Join listens (starting reader goroutines)
 	// before the coordinator assigns the final rank.
@@ -89,6 +93,8 @@ type Transport struct {
 	peers  map[int]*peerLink
 	conns  []net.Conn
 	closed bool
+	// shape is what every link dialed from now on models (SetShape).
+	shape ShapeOpts
 
 	// inbox holds the tag mailboxes decoded frames land in, and the poison
 	// state: the first transport-level failure (peer died, corrupt stream,
@@ -111,10 +117,12 @@ type Transport struct {
 
 // peerLink is one outgoing connection: a lazily dialed conn plus the sender
 // worker that owns all writes to it. pending/pendingBytes are the worker's
-// coalescing buffer, lentHdr and vec its vectored-write scratch — touched
-// only on the worker goroutine.
+// coalescing buffer, lentHdr and vec its vectored-write scratch, pacer its
+// shaping model (nil on an unshaped link, fixed at dial) — touched only on
+// the worker goroutine.
 type peerLink struct {
 	mb           *Mailbox[outFrame]
+	pacer        *pacer
 	w            *bufio.Writer
 	c            net.Conn
 	pending      [][]byte
@@ -135,11 +143,13 @@ type peerLink struct {
 // outFrame is one item of a sender worker's queue: an encoded frame in a
 // pooled buffer, which the worker may coalesce and recycles once written, or
 // a lent frame — payload borrowed from SendLent's caller until the worker
-// releases it, hdr what goes around it on the wire (lendFrame).
+// releases it, hdr what goes around it on the wire (lendFrame). enqueued is
+// when Send queued a data frame on a shaped link, zero otherwise.
 type outFrame struct {
-	frame   []byte
-	payload []byte
-	hdr     [lentHdrLen]byte
+	frame    []byte
+	payload  []byte
+	hdr      [lentHdrLen]byte
+	enqueued time.Time
 }
 
 // release marks one lent payload as no longer referenced by the worker.
@@ -225,6 +235,16 @@ func (t *Transport) SetWireDType(dt DType) {
 func (t *Transport) SetLossyTagWindow(lo, hi int) {
 	t.lossyLo.Store(int64(lo))
 	t.lossyHi.Store(int64(hi))
+}
+
+// SetShape makes every link dialed from now on a modeled network link (see
+// ShapeOpts) — workers learn the job's shape from the rendezvous payload,
+// after the transport exists. Links dial on first send, so call it before
+// traffic: a link keeps the shape it was dialed with.
+func (t *Transport) SetShape(opts ShapeOpts) {
+	t.mu.Lock()
+	t.shape = opts
+	t.mu.Unlock()
 }
 
 // wireDTypeFor picks the encoding for one outgoing data frame.
@@ -348,6 +368,9 @@ func (t *Transport) link(to int) (*peerLink, error) {
 	}
 	w := bufio.NewWriterSize(conn, 1<<16)
 	pl := &peerLink{w: w, c: conn, settled: make(chan struct{}, 1)}
+	if t.shape.enabled() {
+		pl.pacer = newPacer(t.shape, t.Rank(), to)
+	}
 	// The sender worker owns all writes to this conn: frames arrive encoded,
 	// the worker writes them and recycles the buffers, and the drain hook
 	// flushes once per burst (after the last queued frame) — one syscall per
@@ -358,7 +381,9 @@ func (t *Transport) link(to int) (*peerLink, error) {
 	// frame bypasses the buffered writer: whatever is buffered is flushed, then
 	// header, borrowed payload and trailer go out in one vectored write. FIFO
 	// holds because pending, and then the buffer, always drain before anything
-	// later is written.
+	// later is written. On a shaped link the worker first waits out each data
+	// frame's modeled arrival — having put on the wire what arrived before it —
+	// and then writes the frame as above, or drops it.
 	failed := func(what string, err error) {
 		if err != nil && !t.isClosed() {
 			t.Poison(fmt.Errorf("dist: rank %d %s peer %d: %w", t.Rank(), what, to, err))
@@ -388,6 +413,18 @@ func (t *Transport) link(to int) (*peerLink, error) {
 		pl.pendingBytes = 0
 	}
 	pl.mb = NewMailboxDrain(0, func(f outFrame) {
+		if !f.enqueued.IsZero() {
+			at, drop := pl.pacer.arrival(f.enqueued, len(f.frame))
+			if d := time.Until(at); d > 0 {
+				flushPending()
+				failed("flush to", w.Flush())
+				time.Sleep(d)
+			}
+			if drop {
+				recycleFrameBuf(f.frame)
+				return
+			}
+		}
 		switch {
 		case f.payload != nil:
 			flushPending()
@@ -443,8 +480,9 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 // own bytes, which the peer's sender worker writes with one vectored write
 // and Settle waits for; everything else — a lossy dtype, a small frame, a
 // self-send, a build without a memory image of []float64 — is copied exactly
-// as Send copies it and needs no settling. The frame on the wire is the same
-// either way.
+// as Send copies it and needs no settling, and so is every payload bound for
+// a shaped link, which holds its frames long after the caller has moved on.
+// The frame on the wire is the same either way.
 func (t *Transport) SendLent(from, to, tag int, payload []float64) {
 	shape := [1]int{len(payload)}
 	t.send(from, to, tag, shape[:], payload, true)
@@ -481,12 +519,15 @@ func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bo
 	he := obs.TrackTid(scWireEncode, self)
 	var f outFrame
 	n := frameSize(&h, len(data), t.opts.CRC)
-	if img := f64Image(data); lend && dt == DTF64 && img != nil && n > coalesceMaxFrame {
+	if img := f64Image(data); lend && pl.pacer == nil && dt == DTF64 && img != nil && n > coalesceMaxFrame {
 		f.payload = img
 		lendFrame(&f.hdr, &h, img, t.opts.CRC)
 		pl.lent.Add(1)
 	} else {
 		f.frame = EncodeFrame(&h, data, t.opts.CRC)
+	}
+	if pl.pacer != nil {
+		f.enqueued = time.Now()
 	}
 	he.StopBytes(int64(n))
 	obs.Add(cFramesSent, 1)

@@ -114,10 +114,10 @@ type JobSpec struct {
 	// activations, control frames, and checkpoints always ship f64. Travels
 	// in the rendezvous payload so one coordinator flag arms the world.
 	WireDType string `json:"wire_dtype,omitempty"`
-	// Shape, when set, wraps every rank's data plane in a dist.ShapedTransport
-	// modeling a degraded network (latency/jitter/bandwidth/loss) — the CI
-	// tier that validates multi-host behavior without netem. Travels in the
-	// payload so all ranks shape identically.
+	// Shape, when set, shapes every link of every rank's data plane
+	// (dist.Transport.SetShape) into a degraded network (latency/jitter/
+	// bandwidth/loss) — the CI tier that validates multi-host behavior
+	// without netem. Travels in the payload so all ranks shape identically.
 	Shape *ShapeSpec `json:"shape,omitempty"`
 }
 
@@ -131,7 +131,7 @@ type ShapeSpec struct {
 	Seed         uint64  `json:"seed,omitempty"`
 }
 
-// Opts converts the payload form into the shaper's options.
+// Opts converts the payload form into the link shaping options.
 func (s *ShapeSpec) Opts() dist.ShapeOpts {
 	return dist.ShapeOpts{
 		Latency:      time.Duration(s.LatencyUs) * time.Microsecond,
@@ -367,15 +367,14 @@ func beginProfiling() (restore func()) {
 }
 
 // logStepSummary emits the one-line per-step profile: wall time plus the
-// compute/wire/idle delta since the previous step, read via Peek (no reset —
-// the end-of-job snapshot keeps the full job's spans).
-func logStepSummary(rank, step int, wall time.Duration, prev *[3]time.Duration) {
-	p := obs.Peek()
-	c, w, i := p.Breakdown()
+// compute/wire/idle delta since the previous step, read via BreakdownNow (no
+// reset, no allocation — the end-of-job snapshot keeps the full job's spans).
+func logStepSummary(rank, step int, wall time.Duration, prev *[3]int64) {
+	c, w, i := obs.BreakdownNow()
 	log.Printf("profile rank %d step %d: wall %.3fms compute %.3fms wire %.3fms idle %.3fms",
 		rank, step, wall.Seconds()*1e3,
-		(c-prev[0]).Seconds()*1e3, (w-prev[1]).Seconds()*1e3, (i-prev[2]).Seconds()*1e3)
-	*prev = [3]time.Duration{c, w, i}
+		float64(c-prev[0])/1e6, float64(w-prev[1])/1e6, float64(i-prev[2])/1e6)
+	*prev = [3]int64{c, w, i}
 }
 
 // InitModel builds the deterministic initial parameters and global batch
@@ -673,14 +672,11 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	queueDepth := sess.Transport.QueueDepth
 	if spec.Shape != nil {
-		// Degraded-network mode: every cross-rank frame rides the link shaper.
-		// The shaper sits above the dist transport, so the wire codec (and the
-		// lossy dtype plane below) is unchanged — only delivery timing is.
-		shaped := dist.NewShapedTransport(sess.Transport, spec.Shape.Opts())
-		defer shaped.Stop()
-		tr, queueDepth = shaped, shaped.QueueDepth
+		// Degraded-network mode: every link's sender worker delays the frames
+		// it has encoded, so the codec and the lossy dtype plane are unchanged
+		// — only delivery timing is. Armed before the first send dials a link.
+		sess.Transport.SetShape(spec.Shape.Opts())
 	}
 	rank := sess.Rank
 	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d telemetry=%v wire=%s shaped=%v", sess.World, spec.Telemetry, wireDT, spec.Shape != nil))
@@ -803,8 +799,8 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	if spec.Telemetry {
 		defer beginTelemetry()()
 	}
-	sampler := newStepSampler(rank, queueDepth)
-	var stepPrev [3]time.Duration
+	sampler := newStepSampler(rank, sess.Transport.QueueDepth)
+	var stepPrev [3]int64
 	rep := &Report{Rank: rank, World: sess.World, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
 		stepStart := time.Now()
@@ -961,7 +957,7 @@ func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 	if spec.Profile {
 		defer beginProfiling()()
 	}
-	var stepPrev [3]time.Duration
+	var stepPrev [3]int64
 	rep := &Report{Rank: 0, World: 1, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
 		stepStart := time.Now()

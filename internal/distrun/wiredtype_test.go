@@ -143,7 +143,7 @@ func TestF32WireStaysConvergentAndClose(t *testing.T) {
 	}
 }
 
-// TestShapedRunStaysBitIdentical runs the DP×PP job through ShapedTransport
+// TestShapedRunStaysBitIdentical runs the DP×PP job over shaped links
 // (latency, jitter, and a bandwidth cap) and requires losses and final
 // parameters bit-identical to the in-process reference: shaping delays
 // frames but must never alter payload bits or delivery order.

@@ -21,8 +21,8 @@
 // are parked. The returned Snapshot is caller-owned, detached from registry
 // state. Spans recorded concurrently with the reset may be attributed to
 // either side or dropped (never corrupted: slots are claim-stamped), so
-// drivers snapshot between steps, not during them. Peek reads aggregate
-// totals without resetting and is safe at any time.
+// drivers snapshot between steps, not during them. BreakdownNow and
+// CounterNow read live totals without resetting and are safe at any time.
 package obs
 
 import (
@@ -408,34 +408,6 @@ func SnapshotAndReset() *Snapshot {
 	return s
 }
 
-// Peek copies the scope aggregates and counters without resetting anything —
-// the per-step-summary read, safe concurrent with recording (values may be
-// mid-update torn across scopes, never within one atomic).
-func Peek() *Snapshot {
-	s := &Snapshot{WallNs: int64(time.Since(epoch)) - lastNs.Load()}
-	regMu.Lock()
-	names := scopeNames
-	cnames := counterNames
-	regMu.Unlock()
-	for id := 1; id < len(names); id++ {
-		a := &scopes[id]
-		count := a.count.Load()
-		if count == 0 {
-			continue
-		}
-		s.Scopes = append(s.Scopes, ScopeStats{
-			Name: names[id], Count: count, Total: a.total.Load(),
-			Min: a.min.Load(), Max: a.max.Load(), Bytes: a.bytes.Load(),
-		})
-	}
-	for id := 1; id < len(cnames); id++ {
-		if v := counters[id].Load(); v != 0 {
-			s.Counters = append(s.Counters, CounterStat{Name: cnames[id], Value: v})
-		}
-	}
-	return s
-}
-
 func wallUs(ns int64) float64 { return float64(epochWallNs+ns) / 1e3 }
 
 // Classification: scope names follow a layer/phase convention, and the
@@ -488,10 +460,10 @@ func classCode(name string) int {
 
 // BreakdownNow sums the live scope aggregates into the compute/wire/idle
 // classes without snapshotting: no lock, no string work, zero allocations.
-// It is the per-step telemetry read (RecordStep deltas two of these), where
-// Peek+Breakdown would allocate a Snapshot every step. Values are cumulative
-// since the last reset and may be mid-update across scopes (never within
-// one atomic) — the same concurrency contract as Peek.
+// It is the per-step read of the telemetry sampler and the profile summary
+// (each differences two of these). Values are cumulative since the last
+// reset, safe concurrent with recording, and may be mid-update across scopes
+// (never within one atomic).
 func BreakdownNow() (computeNs, wireNs, idleNs int64) {
 	n := int(numScopes.Load())
 	for id := 1; id < n; id++ {

@@ -134,23 +134,6 @@ func TestObserve(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotReset(t *testing.T) {
-	reset()
-	s := Scope("test/peek")
-	Enable()
-	defer reset()
-	h := Track(s)
-	h.Stop()
-	p := Peek()
-	if _, ok := p.ScopeByName("test/peek"); !ok {
-		t.Fatal("Peek missed the recorded scope")
-	}
-	snap := SnapshotAndReset()
-	if st, ok := snap.ScopeByName("test/peek"); !ok || st.Count != 1 {
-		t.Fatalf("Peek consumed state: %+v ok=%v", snap, ok)
-	}
-}
-
 func TestSpanRingDropsWhenFull(t *testing.T) {
 	reset()
 	s := Scope("test/ring_full")

@@ -16,7 +16,8 @@ import (
 // rank-local recorder) lane, so a merged multi-process trace reads as one
 // machine-wide step timeline.
 
-// Event is one executed span in Chrome trace-event terms (ts/dur in µs).
+// Event is one span — executed, or a simulated schedule's task — in Chrome
+// trace-event terms (ts/dur in µs).
 type Event struct {
 	Name string  `json:"name"`
 	Ph   string  `json:"ph"`
@@ -44,9 +45,9 @@ func EventsFromSnapshots(snaps []*obs.Snapshot) []Event {
 	return events
 }
 
-// WriteChromeTraceEvents writes events as a Chrome trace-event JSON document
-// (chrome://tracing / Perfetto compatible), mirroring WriteChromeTrace for
-// simulated schedules.
+// WriteChromeTraceEvents writes events — executed, or a simulated schedule's
+// from Build — as a Chrome trace-event JSON document (chrome://tracing /
+// Perfetto compatible).
 func WriteChromeTraceEvents(w io.Writer, events []Event) error {
 	if events == nil {
 		events = []Event{} // an empty trace is still valid JSON

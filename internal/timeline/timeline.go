@@ -1,10 +1,10 @@
 // Package timeline renders pipeline schedules as per-actor timelines — the
 // Fig. 2 style GPipe vs 1F1B comparison — in ASCII, and exports Chrome
-// trace-event JSON for visual inspection.
+// trace-event JSON for visual inspection. Simulated schedules and executed
+// traces share one schema, Event.
 package timeline
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -13,18 +13,11 @@ import (
 	"repro/internal/schedule"
 )
 
-// Span is one executed task on an actor's timeline.
-type Span struct {
-	Actor int
-	Start float64
-	End   float64
-	Label string
-	Bwd   bool
-}
-
 // Build simulates the schedule under unit task durations (forward = 1,
-// backward = bwdRatio) and returns the resulting spans.
-func Build(s *schedule.Schedule, bwdRatio float64) []Span {
+// backward = bwdRatio) and returns one event per task in the executed trace's
+// schema: Name F<mb> or B<mb> (microbatches numbered from 1), Tid the actor,
+// Ts and Dur in µs of a unit that lasts 1 ms.
+func Build(s *schedule.Schedule, bwdRatio float64) []Event {
 	type key struct {
 		mb, stage int
 		ty        schedule.TaskType
@@ -32,7 +25,7 @@ func Build(s *schedule.Schedule, bwdRatio float64) []Span {
 	doneAt := map[key]float64{}
 	heads := make([]int, s.NumActors)
 	now := make([]float64, s.NumActors)
-	var spans []Span
+	var events []Event
 
 	readyAt := func(e schedule.Entry) (float64, bool) {
 		switch e.Type {
@@ -77,36 +70,33 @@ func Build(s *schedule.Schedule, bwdRatio float64) []Span {
 			if r > start {
 				start = r
 			}
-			dur := 1.0
+			dur, name := 1.0, "F"
 			if e.Type == schedule.Backward {
-				dur = bwdRatio
+				dur, name = bwdRatio, "B"
 			}
 			end := start + dur
 			doneAt[key{e.MB, e.Stage, e.Type}] = end
 			now[a] = end
 			heads[a]++
-			spans = append(spans, Span{
-				Actor: a, Start: start, End: end,
-				Label: fmt.Sprintf("%d", e.MB+1),
-				Bwd:   e.Type == schedule.Backward,
+			events = append(events, Event{
+				Name: fmt.Sprintf("%s%d", name, e.MB+1), Ph: "X",
+				Ts: start * 1e3, Dur: (end - start) * 1e3, Tid: a,
 			})
 			progressed = true
 		}
 		if finished || !progressed {
-			return spans
+			return events
 		}
 	}
 }
 
-// RenderASCII draws the spans as one row per actor. Forward tasks print
-// their microbatch number; backward tasks print it bracketed.
+// RenderASCII draws the schedule as one row per actor. Forward tasks print
+// their microbatch number; backward tasks print it as a letter.
 func RenderASCII(w io.Writer, s *schedule.Schedule, bwdRatio float64, width int) {
-	spans := Build(s, bwdRatio)
+	events := Build(s, bwdRatio)
 	makespan := 0.0
-	for _, sp := range spans {
-		if sp.End > makespan {
-			makespan = sp.End
-		}
+	for _, e := range events {
+		makespan = max(makespan, (e.Ts+e.Dur)/1e3)
 	}
 	if makespan == 0 || width <= 0 {
 		return
@@ -116,23 +106,22 @@ func RenderASCII(w io.Writer, s *schedule.Schedule, bwdRatio float64, width int)
 	for a := range rows {
 		rows[a] = []byte(strings.Repeat(".", width))
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	for _, sp := range spans {
-		lo := int(sp.Start * scale)
-		hi := int(sp.End * scale)
+	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
+	for _, e := range events {
+		lo := int(e.Ts / 1e3 * scale)
+		hi := int((e.Ts + e.Dur) / 1e3 * scale)
 		if hi <= lo {
 			hi = lo + 1
 		}
 		if hi > width {
 			hi = width
 		}
-		ch := sp.Label[len(sp.Label)-1]
+		ch := e.Name[len(e.Name)-1]
+		if e.Name[0] == 'B' {
+			ch += 'a' - '0' // backward: letters; forward: digits
+		}
 		for x := lo; x < hi; x++ {
-			if sp.Bwd {
-				rows[sp.Actor][x] = 'a' + ch - '0' // backward: letters
-			} else {
-				rows[sp.Actor][x] = ch // forward: digits
-			}
+			rows[e.Tid][x] = ch
 		}
 	}
 	fmt.Fprintf(w, "%s  (fwd = microbatch digit, bwd = letter; bubble = '.')\n", s.Name)
@@ -140,34 +129,4 @@ func RenderASCII(w io.Writer, s *schedule.Schedule, bwdRatio float64, width int)
 		fmt.Fprintf(w, "actor %d |%s|\n", a, string(row))
 	}
 	fmt.Fprintf(w, "bubble fraction: %.3f\n", s.BubbleFraction(bwdRatio))
-}
-
-// traceEvent is one Chrome trace-event entry.
-type traceEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// WriteChromeTrace exports the schedule as Chrome trace-event JSON
-// (chrome://tracing / Perfetto compatible).
-func WriteChromeTrace(w io.Writer, s *schedule.Schedule, bwdRatio float64) error {
-	spans := Build(s, bwdRatio)
-	events := make([]traceEvent, 0, len(spans))
-	for _, sp := range spans {
-		name := "F" + sp.Label
-		if sp.Bwd {
-			name = "B" + sp.Label
-		}
-		events = append(events, traceEvent{
-			Name: name, Ph: "X",
-			Ts: sp.Start * 1e3, Dur: (sp.End - sp.Start) * 1e3,
-			Pid: 0, Tid: sp.Actor,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
 }

@@ -11,32 +11,32 @@ import (
 
 func TestBuildSpansComplete(t *testing.T) {
 	s := schedule.OneFOneB(3, 6)
-	spans := Build(s, 2)
+	events := Build(s, 2)
 	// 3 stages × 6 mb × (fwd + bwd).
-	if len(spans) != 3*6*2 {
-		t.Fatalf("spans %d, want 36", len(spans))
+	if len(events) != 3*6*2 {
+		t.Fatalf("events %d, want 36", len(events))
 	}
-	for _, sp := range spans {
-		if sp.End <= sp.Start {
-			t.Fatalf("empty span %+v", sp)
+	for _, e := range events {
+		if e.Dur <= 0 || e.Ph != "X" {
+			t.Fatalf("empty or non-span event %+v", e)
 		}
-		if sp.Actor < 0 || sp.Actor >= 3 {
-			t.Fatalf("bad actor %d", sp.Actor)
+		if e.Tid < 0 || e.Tid >= 3 {
+			t.Fatalf("bad actor %d", e.Tid)
+		}
+		if e.Name[0] != 'F' && e.Name[0] != 'B' {
+			t.Fatalf("event %q is neither a forward nor a backward", e.Name)
 		}
 	}
 }
 
 func TestSpansNonOverlappingPerActor(t *testing.T) {
 	s := schedule.GPipe(4, 8)
-	spans := Build(s, 2)
 	last := make([]float64, 4)
-	for _, sp := range spans {
-		if sp.Start < last[sp.Actor]-1e-12 {
-			t.Fatalf("actor %d spans overlap at %v", sp.Actor, sp.Start)
+	for _, e := range Build(s, 2) {
+		if e.Ts < last[e.Tid]-1e-9 {
+			t.Fatalf("actor %d spans overlap at %v", e.Tid, e.Ts)
 		}
-		if sp.End > last[sp.Actor] {
-			last[sp.Actor] = sp.End
-		}
+		last[e.Tid] = max(last[e.Tid], e.Ts+e.Dur)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestRenderDegenerate(t *testing.T) {
 func TestChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
 	s := schedule.GPipe(2, 3)
-	if err := WriteChromeTrace(&buf, s, 2); err != nil {
+	if err := WriteChromeTraceEvents(&buf, Build(s, 2)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -14,20 +14,17 @@ import (
 
 // Every implementation of the contract. The leaf package cannot import its
 // implementers, so the assertions live in its test tree, which `go vet` and
-// `go test` compile. (cmd/jaxpp-bench's shapedMesh, in package main, is
-// checked where it is passed to collective.Calibrate.)
+// `go test` compile.
 var (
 	_ transport.Transport = (*runtime.ChanTransport)(nil)
 	_ transport.Transport = (*runtime.RendezvousTransport)(nil)
 	_ transport.Transport = (*dist.Transport)(nil)
 	_ transport.Transport = (*dist.LocalMesh)(nil)
-	_ transport.Transport = (*dist.ShapedTransport)(nil)
 )
 
 // impl opens a two-actor world with the given receive timeout. tr is the
 // transport under test as actor 0 uses it; peer is actor 1's handle on the
-// same world (the same object, except for the shaper, which wraps one
-// endpoint).
+// same world (the same object on every row).
 type impl struct {
 	name       string
 	senderOwns bool // Send captures a copy (transport.go's table); false: it passes the reference
@@ -61,9 +58,8 @@ var impls = []impl{
 	}},
 	{name: "shaped", senderOwns: true, open: func(t *testing.T, d time.Duration) (transport.Transport, transport.Transport) {
 		mesh := openMesh(t, d)
-		st := dist.NewShapedTransport(mesh.Endpoint(0), dist.ShapeOpts{Latency: time.Millisecond, Seed: 1})
-		t.Cleanup(st.Stop)
-		return st, mesh
+		mesh.Endpoint(0).SetShape(dist.ShapeOpts{Latency: time.Millisecond, Seed: 1})
+		return mesh, mesh
 	}},
 }
 

@@ -13,7 +13,10 @@
 //	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    passes the reference   sends a pooled copy
 //	dist.Transport               one TCP endpoint per process       serializes             borrows: a large f64 payload goes to the socket from where it lies
 //	dist.LocalMesh               n dist.Transport in one process    serializes             borrows, as its endpoints do
-//	dist.ShapedTransport         delay model over a dist.Transport  copies                 delays a pooled copy
+//
+// A dist.Transport link shaped into a modeled network (SetShape) still
+// serializes; its sender worker then delays the encoded frame, and it copies
+// what it is lent instead of borrowing.
 package transport
 
 import (
