@@ -56,6 +56,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 				return
 			}
 			tr.Send(b, a, tagPong, t)
+			tensor.Recycle(t) // Send captured it
 		}
 		acc := make([]float64, bwElems)
 		for i := 0; i < bwWarmup+bwIters; i++ {
@@ -82,9 +83,11 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 	t0 := time.Now()
 	for i := 0; i < pingIters; i++ {
 		tr.Send(a, b, tagPing, ping)
-		if _, err := tr.Recv(a, b, tagPong); err != nil {
+		pong, err := tr.Recv(a, b, tagPong)
+		if err != nil {
 			return perf.Link{BwGBs: 1, Latency: 1e-6}
 		}
+		tensor.Recycle(pong)
 	}
 	latency := time.Since(t0).Seconds() / float64(2*pingIters)
 

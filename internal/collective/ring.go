@@ -70,11 +70,11 @@ func (c *Communicator) countsOffsets(counts []int, lo, hi int) []int {
 
 // send lends seg, a segment of the buffer a pass or a broadcast is walking,
 // to the transport for delivery to actor `to` under tag: over a serializing
-// transport the bytes go to the socket from seg itself, over a
-// reference-passing one a pooled copy travels — the transport's choice, made
-// behind SendLent. Either way seg is still on loan when send returns: it must
-// not be written until settle has returned, which is why both passes fold and
-// copy only into segments they have not sent yet.
+// transport the bytes go to the socket from seg itself, over an in-process
+// one a pooled copy travels — the transport's choice, made behind SendLent.
+// Either way seg is still on loan when send returns: it must not be written
+// until settle has returned, which is why both passes fold and copy only into
+// segments they have not sent yet.
 func (c *Communicator) send(to, tag int, seg []float64) {
 	h := obs.TrackTid(scCollSend, c.self())
 	c.g.tr.SendLent(c.self(), to, tag, seg)
@@ -286,7 +286,8 @@ func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 }
 
 // barrierToken is the shared payload of every barrier message: barriers
-// carry no data, so all ranks send the same immutable tensor.
+// carry no data, and Send only reads what it captures, so all ranks send the
+// same immutable tensor.
 var barrierToken = tensor.Scalar(1)
 
 // Barrier blocks until every rank of the group has entered it. It is a
@@ -299,18 +300,13 @@ func (c *Communicator) Barrier() error {
 	for d := 1; d < n; d *= 2 {
 		to := c.g.ranks[(c.rank+d)%n]
 		from := c.g.ranks[((c.rank-d)%n+n)%n]
-		// Not c.send: nothing of a token is worth lending, and a plain Send
-		// may pass the shared object itself.
+		// Not c.send: nothing of a token is worth lending.
 		c.g.tr.Send(c.self(), to, base+round, barrierToken)
 		tok, err := c.recv(from, base+round, 1)
 		if err != nil {
 			return err
 		}
-		if tok != barrierToken {
-			// A serializing transport delivered a pooled decode; the shared
-			// token itself, every rank's and every barrier's, is never recycled.
-			tensor.Recycle(tok)
-		}
+		tensor.Recycle(tok) // the transport's copy, never the shared token
 		round++
 	}
 	return nil

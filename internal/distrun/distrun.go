@@ -381,15 +381,42 @@ func logStepSummary(rank, step int, wall time.Duration, prev *[3]int64) {
 // every rank derives from the spec's seed — byte-identical across
 // processes, which is what lets ranks replicate driver state instead of
 // shipping it.
-func InitModel(spec JobSpec) (params, batch []*jaxpp.Tensor) {
+func InitModel(spec JobSpec) (params, batch []*jaxpp.Tensor) { return initModel(spec, -1) }
+
+// initModel is InitModel for the actor at pipeline position stage, or for
+// every actor when stage is negative. It draws only what that actor reads —
+// the stage's weight, the inputs x if it is the first stage, the targets y if
+// it is the last — bit-identical to InitModel's, and skips every other draw
+// without computing it. The tensors it does not draw are zero, at their
+// shapes, which is all a step checks of them.
+func initModel(spec JobSpec, stage int) (params, batch []*jaxpp.Tensor) {
+	reads := func(s int) bool { return stage < 0 || stage == s }
 	rng := jaxpp.NewRNG(spec.Seed)
 	params = make([]*jaxpp.Tensor, spec.Stages)
 	for i := range params {
-		params[i] = rng.Xavier(spec.Width, spec.Width)
+		if reads(i) {
+			params[i] = rng.Xavier(spec.Width, spec.Width)
+		} else {
+			params[i] = jaxpp.NewTensor(spec.Width, spec.Width)
+			rng.Skip(spec.Width * spec.Width)
+		}
 	}
 	rows := spec.Replicas() * spec.NumMB * spec.MBRows
-	x := rng.Normal(1, rows, spec.Width)
-	y := rng.OneHotBatch(rows, spec.Width)
+	last := spec.Stages - 1
+	var x, y *jaxpp.Tensor
+	if reads(0) {
+		x = rng.Normal(1, rows, spec.Width)
+	} else {
+		x = jaxpp.NewTensor(rows, spec.Width)
+		if reads(last) {
+			rng.SkipNorm(rows * spec.Width)
+		}
+	}
+	if reads(last) {
+		y = rng.OneHotBatch(rows, spec.Width)
+	} else {
+		y = jaxpp.NewTensor(rows, spec.Width)
+	}
 	return params, []*jaxpp.Tensor{x, y}
 }
 
@@ -729,7 +756,14 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 		sess.Transport.SetWireDType(wireDT)
 	}
 
-	params, batch := InitModel(spec)
+	// A rank draws only what its actor reads. Rank 0 draws everything: it
+	// reports every stage's parameters, and on a job that runs no step those
+	// are the initial ones.
+	stage := rank % pp
+	if rank == 0 {
+		stage = -1
+	}
+	params, batch := initModel(spec, stage)
 	if len(prog.Grads) != len(params) {
 		return nil, fmt.Errorf("distrun: program has %d gradients for %d parameters", len(prog.Grads), len(params))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,14 @@ import (
 	"repro/internal/dist"
 	"repro/internal/transport/transporttest"
 )
+
+// TestMain runs the package — Run against RunLocal bit for bit, the stage
+// epilogue against the replicated update — with recycled storage NaN-filled,
+// so a tensor read after its recycle turns those comparisons red.
+func TestMain(m *testing.M) {
+	transporttest.PoisonRecycled()
+	os.Exit(m.Run())
+}
 
 // launchWorld bootstraps spec.World() sessions over real localhost TCP
 // (control and data planes) with one goroutine per "process" and runs the
@@ -107,9 +116,12 @@ func launchWorldRunning(t *testing.T, spec JobSpec, run func(*dist.Session, JobS
 
 // requireBitIdentical compares two reports' loss trajectories and final
 // parameters bit for bit — the acceptance bar for the multi-process
-// runtime: real sockets and binary frames must not perturb a single ULP.
+// runtime: real sockets and binary frames must not perturb a single ULP. The
+// reference must also be finite: a NaN both runs agree on is a defect they
+// share, such as a read of recycled storage, which TestMain NaN-fills.
 func requireBitIdentical(t *testing.T, got, want *Report) {
 	t.Helper()
+	requireFinite(t, want)
 	if len(got.MBLosses) != len(want.MBLosses) {
 		t.Fatalf("steps: %d vs %d", len(got.MBLosses), len(want.MBLosses))
 	}
@@ -137,6 +149,26 @@ func requireBitIdentical(t *testing.T, got, want *Report) {
 	first, last := want.StepLosses[0], want.StepLosses[len(want.StepLosses)-1]
 	if !(last < first) {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)
+	}
+}
+
+// requireFinite fails the test on a NaN or an infinity among a report's
+// losses and final parameters.
+func requireFinite(t *testing.T, rep *Report) {
+	t.Helper()
+	for s, losses := range rep.MBLosses {
+		for mb, l := range losses {
+			if math.IsNaN(l) || math.IsInf(l, 0) {
+				t.Fatalf("step %d mb %d: loss %v", s, mb, l)
+			}
+		}
+	}
+	for i, p := range rep.FinalParams {
+		for j, v := range p.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("param %d elem %d: %v", i, j, v)
+			}
+		}
 	}
 }
 

@@ -136,8 +136,9 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		// for the receiver is the transport's property — a capacity-1
 		// mailbox in process, a per-peer sender worker on the wire — and
 		// only the Fig. 5 rendezvous transport blocks here, by design. When
-		// Send returns the transport has moved or captured t, so the
-		// OpDelete liveness places after this send needs no deferral (§4.3).
+		// Send returns the transport has captured t and the store still owns
+		// it, so the OpDelete liveness places after this send recycles it with
+		// no transfer to wait for (§4.3).
 		a.transport.Send(a.ID, in.Peer, in.Tag, t)
 		return nil
 

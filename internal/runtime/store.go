@@ -6,9 +6,13 @@
 // it never waits for the receiver (§4.2) is the transport's property — a
 // capacity-1 mailbox here, a per-peer sender worker in package dist — so the
 // runtime keeps no queue, no goroutine between steps, and no record of
-// transfers in flight. Actors run as goroutines over an in-process transport
-// or as TCP peers across OS processes (package dist, which this package does
-// not import), playing the role Ray workers + NCCL play for JaxPP.
+// transfers in flight. Every transport's Send captures what it is handed, so
+// a sent buffer stays the sender's store's, and the liveness delete after its
+// last use (§4.3) recycles it into the scratch pool the next microbatch draws
+// from: a steady-state step allocates no tensor storage. Actors run as
+// goroutines over an in-process transport or as TCP peers across OS processes
+// (package dist, which this package does not import), playing the role Ray
+// workers + NCCL play for JaxPP.
 package runtime
 
 import (
@@ -27,10 +31,17 @@ type slot struct {
 }
 
 // Store is an actor's on-device object store (§4.1). Only the actor's own
-// goroutine touches a slot during a step, and a transport has moved or
-// captured a sent buffer by the time Send returns, so a deletion never has a
-// transfer to wait for (§4.3); mu orders the driver's placement, result
+// goroutine touches a slot during a step, and a transport has captured a sent
+// buffer by the time Send returns, so a deletion never has a transfer to wait
+// for (§4.3) and the buffer it reclaims is the store's alone: it goes back to
+// the scratch pool for the next microbatch. mu orders placement, result
 // fetches and Stats against the step.
+//
+// A slot owns its tensor — a segment output, a received payload, an
+// accumulator — except for two kinds Executable.place puts there:
+// parameters, which liveness never deletes and Put replaces each step, and
+// borrowed batch views, which reclaim drops without pooling. Results leave by
+// Take.
 type Store struct {
 	mu    sync.Mutex
 	slots []slot
@@ -127,7 +138,9 @@ func (s *Store) Take(id taskgraph.BufID) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// Delete reclaims the buffer; deleting an absent buffer is a no-op.
+// Delete reclaims the buffer (see reclaim): OpDelete at a buffer's last use,
+// and Executable.place at the start of a step for results nobody took.
+// Deleting an absent buffer is a no-op.
 func (s *Store) Delete(id taskgraph.BufID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,8 +179,7 @@ func (s *Store) Accumulate(dst, src taskgraph.BufID, last bool) error {
 		to.t, from.t = t, nil
 		return nil
 	default:
-		to.t = tensor.GetScratchShaped(t.Shape()...)
-		to.t.CopyFrom(t.Data())
+		to.t = tensor.CloneScratch(t)
 		s.liveBufs++
 	}
 	s.liveBytes += bytesOf(to.t)
@@ -180,13 +192,19 @@ func (s *Store) Accumulate(dst, src taskgraph.BufID, last bool) error {
 	return nil
 }
 
-// reclaim drops the slot's buffer. Callers hold s.mu.
+// reclaim empties the slot and recycles its tensor into the scratch pool; a
+// borrowed view is only dropped, its storage being the caller's. Callers hold
+// s.mu.
 func (s *Store) reclaim(sl *slot) {
-	if sl.t != nil {
-		s.liveBytes -= bytesOf(sl.t)
-		s.liveBufs--
-		sl.t = nil
+	if sl.t == nil {
+		return
 	}
+	s.liveBytes -= bytesOf(sl.t)
+	s.liveBufs--
+	if !sl.t.Borrowed() {
+		tensor.Recycle(sl.t)
+	}
+	sl.t = nil
 }
 
 // Stats reports live/peak occupancy.

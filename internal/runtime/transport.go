@@ -11,8 +11,9 @@ import (
 // ChanTransport is the in-process transport.Transport: a transport.Inbox of
 // capacity-1 mailboxes, one per (sender, receiver, tag) triple. The buffer
 // slot plus unique live tags make steady-state sends non-blocking — the §4.2
-// asynchrony of an in-process actor's send — and Send moves the tensor
-// reference itself: the receiver gets the very tensor that was sent.
+// asynchrony of an in-process actor's send. What travels is a copy in pooled
+// storage, made before Send returns, so the sender keeps what it sent and the
+// receiver owns what it gets, exactly as over the wire.
 type ChanTransport struct {
 	inbox *transport.Inbox
 
@@ -38,30 +39,35 @@ func NewChanTransport() *ChanTransport {
 	return &ChanTransport{inbox: transport.NewInbox(1), RecvTimeout: transport.DefaultRecvTimeout, SendTimeout: transport.DefaultRecvTimeout}
 }
 
-// Send implements transport.Transport. A send that finds the mailbox still
-// full backpressures up to SendTimeout for the receiver to drain it, then
-// drops the payload and poisons the transport so the failure surfaces as
-// errors on every actor instead of wedging this one or silently skewing tag
-// matching. Dropped payloads are not counted as sent.
+// Send implements transport.Transport: it queues a pooled copy of t. A send
+// that finds the mailbox still full backpressures up to SendTimeout for the
+// receiver to drain it, then drops the copy and poisons the transport so the
+// failure surfaces as errors on every actor instead of wedging this one or
+// silently skewing tag matching. Dropped payloads are not counted as sent.
 func (c *ChanTransport) Send(from, to, tag int, t *tensor.Tensor) {
-	// Ownership of t transfers to the receiver the moment it is queued (it
-	// may recycle the tensor immediately), so read the size up front.
-	size := int64(t.Size())
-	if err := c.inbox.Put(transport.Key{From: from, To: to, Tag: tag}, t, c.SendTimeout); err != nil {
+	c.put(from, to, tag, tensor.CloneScratch(t))
+}
+
+// SendLent implements transport.Transport: a mailbox cannot borrow, so what
+// travels is a pooled copy, as with Send.
+func (c *ChanTransport) SendLent(from, to, tag int, payload []float64) {
+	cp := tensor.GetScratch(len(payload))
+	cp.CopyFrom(payload)
+	c.put(from, to, tag, cp)
+}
+
+// put queues cp, a copy this transport made, for the receiver.
+func (c *ChanTransport) put(from, to, tag int, cp *tensor.Tensor) {
+	// The receiver owns cp the moment it is queued (it may recycle it at
+	// once), so read the size up front.
+	size := int64(cp.Size())
+	if err := c.inbox.Put(transport.Key{From: from, To: to, Tag: tag}, cp, c.SendTimeout); err != nil {
+		tensor.Recycle(cp) // never delivered: still ours
 		c.inbox.Poison(err)
 		return
 	}
 	c.sent.Add(1)
 	c.sentElems.Add(size)
-}
-
-// SendLent implements transport.Transport: a reference-passing mailbox cannot
-// borrow, so what travels is a pooled copy the receiver owns, made before the
-// call returns.
-func (c *ChanTransport) SendLent(from, to, tag int, payload []float64) {
-	cp := tensor.GetScratch(len(payload))
-	cp.CopyFrom(payload)
-	c.Send(from, to, tag, cp)
 }
 
 // Settle implements transport.Transport: SendLent keeps no reference to what

@@ -31,9 +31,9 @@ const (
 	OpRecv
 	// OpAccum adds Src into Dst (initializing Dst on first use).
 	OpAccum
-	// OpDelete drops a buffer from the object store where liveness says it
+	// OpDelete reclaims a buffer of the object store where liveness says it
 	// is dead (§4.3). A send ahead of it has nothing left to read: the
-	// transport moved or captured the buffer before OpSend returned.
+	// transport captured the buffer before OpSend returned.
 	OpDelete
 	// OpAdd computes Dst = A + B (post-loop merge of commuted partials).
 	OpAdd

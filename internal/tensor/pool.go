@@ -33,9 +33,10 @@ var (
 //   - Recycle returns a tensor to the pool. The caller must hold the only
 //     reference: recycling a tensor that is still aliased (a Reshape view, a
 //     stored buffer, an in-flight message) corrupts later computations.
-//   - A scratch tensor handed to another owner (sent over a transport, stored,
-//     returned to a caller) transfers ownership: the new owner recycles it, or
-//     simply drops it to the garbage collector.
+//   - A scratch tensor handed to another owner (stored, returned to a caller)
+//     transfers ownership: the new owner recycles it, or simply drops it to
+//     the garbage collector. Sending one over a transport does not: the
+//     transport captures a copy, and the sender still owns what it sent.
 
 const (
 	// minPoolBits is the smallest bucket (a single element). Scalars are the
@@ -72,6 +73,17 @@ func GetScratchShaped(shape ...int) *Tensor {
 	t := getScratchCap(NumElements(shape))
 	t.shape = append(t.shape[:0], shape...)
 	return t
+}
+
+// CloneScratch returns a copy of t, shape and elements, in pooled storage the
+// caller owns. A pool hit allocates nothing: the shape is written into the
+// pooled tensor's own shape slice, which grows only for a rank it has not
+// held before.
+func CloneScratch(t *Tensor) *Tensor {
+	c := getScratchCap(len(t.data))
+	c.shape = append(c.shape[:0], t.shape...)
+	copy(c.data, t.data)
+	return c
 }
 
 // GetScratchZero is GetScratchShaped with the storage cleared.

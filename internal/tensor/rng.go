@@ -37,6 +37,24 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// Skip advances the generator past n draws of one step each — the elements
+// of Uniform and Xavier, the rows of OneHotBatch — in O(1), leaving it where
+// drawing them would.
+func (r *RNG) Skip(n int) {
+	r.state += uint64(n) * 0x9E3779B97F4A7C15
+}
+
+// SkipNorm advances the generator past n Norm draws — the elements of Normal
+// — without computing them: each still takes its steps one at a time, since
+// whether u1 is redrawn depends on its bits, but no Log, Cos or Sqrt.
+func (r *RNG) SkipNorm(n int) {
+	for i := 0; i < n; i++ {
+		for r.next()>>11 == 0 { // u1 == 0: Norm draws it again
+		}
+		r.next() // u2
+	}
+}
+
 // Uniform fills a new tensor with uniform values in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)

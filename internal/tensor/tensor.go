@@ -204,14 +204,15 @@ func (t *Tensor) String() string {
 }
 
 // AllClose reports whether a and b have the same shape and all elements are
-// within atol + rtol*|b| of each other.
+// within atol + rtol*|b| of each other. Equal elements are close, infinities
+// included; a NaN is close to nothing, not even a NaN.
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if !SameShape(a, b) {
 		return false
 	}
-	for i := range a.data {
-		diff := math.Abs(a.data[i] - b.data[i])
-		if diff > atol+rtol*math.Abs(b.data[i]) {
+	for i, x := range a.data {
+		y := b.data[i]
+		if x != y && !(math.Abs(x-y) <= atol+rtol*math.Abs(y)) {
 			return false
 		}
 	}

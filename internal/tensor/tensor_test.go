@@ -306,6 +306,14 @@ func TestAllCloseAndMaxAbsDiff(t *testing.T) {
 	if !math.IsInf(MaxAbsDiff(a, New(3)), 1) {
 		t.Fatal("shape mismatch should be +Inf")
 	}
+	nan := MustFromSlice([]float64{1, math.NaN()}, 2)
+	if AllClose(nan, nan, 1, 1) {
+		t.Fatal("a NaN should be close to nothing")
+	}
+	inf := MustFromSlice([]float64{math.Inf(-1), math.Inf(1)}, 2)
+	if !AllClose(inf, inf, 0, 0) {
+		t.Fatal("equal infinities should be close")
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -317,6 +325,19 @@ func TestRNGDeterminism(t *testing.T) {
 	c := NewRNG(43).Normal(1, 10)
 	if AllClose(a, c, 0, 0) {
 		t.Fatal("different seeds should differ")
+	}
+}
+
+func TestRNGSkipLandsWhereDrawingDoes(t *testing.T) {
+	drawn, skipped := NewRNG(9), NewRNG(9)
+	drawn.Xavier(7, 5)
+	skipped.Skip(7 * 5)
+	drawn.Normal(1, 3, 3)
+	skipped.SkipNorm(3 * 3)
+	drawn.OneHotBatch(6, 4)
+	skipped.Skip(6)
+	if a, b := drawn.Float64(), skipped.Float64(); a != b {
+		t.Fatalf("after skipping, the next draw is %v; after drawing, %v", b, a)
 	}
 }
 

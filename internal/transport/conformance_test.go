@@ -27,7 +27,6 @@ var (
 // same world (the same object on every row).
 type impl struct {
 	name       string
-	senderOwns bool // Send captures a copy (transport.go's table); false: it passes the reference
 	rendezvous bool // sends block until received, so nothing is ever queued
 	open       func(t *testing.T, recvTimeout time.Duration) (tr, peer transport.Transport)
 }
@@ -52,11 +51,11 @@ var impls = []impl{
 		r.RecvTimeout = d
 		return r, r
 	}},
-	{name: "localmesh", senderOwns: true, open: func(t *testing.T, d time.Duration) (transport.Transport, transport.Transport) {
+	{name: "localmesh", open: func(t *testing.T, d time.Duration) (transport.Transport, transport.Transport) {
 		mesh := openMesh(t, d)
 		return mesh, mesh
 	}},
-	{name: "shaped", senderOwns: true, open: func(t *testing.T, d time.Duration) (transport.Transport, transport.Transport) {
+	{name: "shaped", open: func(t *testing.T, d time.Duration) (transport.Transport, transport.Transport) {
 		mesh := openMesh(t, d)
 		mesh.Endpoint(0).SetShape(dist.ShapeOpts{Latency: time.Millisecond, Seed: 1})
 		return mesh, mesh
@@ -179,35 +178,29 @@ var properties = []struct {
 			t.Fatalf("Err() = %v, want the first poison error", err)
 		}
 	}},
-	// Serializing transports have captured the payload when Send returns: a
-	// scribble on the tensor afterwards (which the contract forbids a sender,
-	// who cannot know) does not reach the receiver. Reference-passing: the
-	// receiver gets the very tensor that was sent.
-	{"Send passes the reference or captures a copy", func(t *testing.T, im impl) {
+	// Every transport has captured the payload when Send returns: the sender
+	// still owns what it sent and writes it at once, and the receiver gets
+	// its own tensor, shape and values as they were at the Send.
+	{"Send captures", func(t *testing.T, im impl) {
 		tr, peer := im.open(t, 10*time.Second)
-		sent := tensor.New(3)
+		sent := tensor.New(3, 1)
 		sent.CopyFrom([]float64{1, 2, 3})
 		returned := make(chan struct{})
-		go func() {
+		go func() { // async: a rendezvous send blocks until received
 			tr.Send(0, 1, 11, sent)
-			if im.senderOwns {
-				sent.Data()[0] = -1
-			}
+			sent.CopyFrom([]float64{-1, -1, -1}) // the sender's again
 			close(returned)
 		}()
-		if im.senderOwns {
-			<-returned
-		}
 		got, err := peer.Recv(1, 0, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-returned
-		if im.senderOwns == (got == sent) {
-			t.Fatalf("receiver got the sent tensor itself = %v, want %v", got == sent, !im.senderOwns)
+		if got == sent {
+			t.Fatal("the receiver was handed the sent tensor itself")
 		}
-		if d := got.Data(); len(d) != 3 || d[0] != 1 || d[1] != 2 || d[2] != 3 {
-			t.Fatalf("payload corrupted: %v", d)
+		if d := got.Data(); !got.HasShape([]int{3, 1}) || d[0] != 1 || d[1] != 2 || d[2] != 3 {
+			t.Fatalf("received %v, want the payload as it was at the Send", got)
 		}
 	}},
 	// A lent payload arrives as a flat copy in FIFO order with the pair's
@@ -286,8 +279,12 @@ func TestConformance(t *testing.T) {
 }
 
 // TestBlockedRecvDoesNotAllocate pins the pooled timeout timers: a Recv that
-// blocks briefly before its matching send performs no allocation.
+// blocks briefly before its matching send performs no allocation (the
+// receiver recycles what it got, so the send's copy is a pool hit).
 func TestBlockedRecvDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under the race detector")
+	}
 	c := runtime.NewChanTransport()
 	ten := tensor.Scalar(1)
 	kick := make(chan struct{})
@@ -300,11 +297,52 @@ func TestBlockedRecvDoesNotAllocate(t *testing.T) {
 	}()
 	allocs := testing.AllocsPerRun(50, func() {
 		kick <- struct{}{}
-		if _, err := c.Recv(1, 0, 5); err != nil {
+		got, err := c.Recv(1, 0, 5)
+		if err != nil {
 			t.Error(err)
+			return
 		}
+		tensor.Recycle(got)
 	})
 	if allocs != 0 {
 		t.Fatalf("blocking Recv allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestSendDoesNotAllocate pins the in-process transports' capture to the
+// scratch pool: once the receiver has recycled a payload of the same size, a
+// Send's copy — storage and shape — allocates nothing.
+func TestSendDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under the race detector")
+	}
+	for _, im := range impls {
+		if im.name != "chan" && im.name != "rendezvous" {
+			continue
+		}
+		t.Run(im.name, func(t *testing.T) {
+			tr, peer := im.open(t, 10*time.Second)
+			ten := tensor.New(4, 8)
+			recycled := make(chan struct{})
+			go func() {
+				for {
+					got, err := peer.Recv(1, 0, 5)
+					if err != nil {
+						return // poisoned by the test's end
+					}
+					tensor.Recycle(got)
+					recycled <- struct{}{}
+				}
+			}()
+			defer tr.Poison(errors.New("test over"))
+			send := func() {
+				tr.Send(0, 1, 5, ten)
+				<-recycled
+			}
+			send() // puts a buffer of the payload's size in the pool
+			if allocs := testing.AllocsPerRun(50, send); allocs != 0 {
+				t.Fatalf("Send allocates %.0f objects per call on a pool hit, want 0", allocs)
+			}
+		})
 	}
 }

@@ -5,14 +5,14 @@
 // package tensor, so runtime, collective, dist and distrun all share this
 // declaration without cycles.
 //
-// Implementations, all asserted in conformance_test.go, by what Send does
-// with the tensor and what SendLent does with the payload it is lent (Settle
-// has something to wait for only where a payload is borrowed):
+// Implementations, all asserted in conformance_test.go, by how Send captures
+// the tensor and what SendLent does with the payload it is lent (Settle has
+// something to wait for only where a payload is borrowed):
 //
-//	runtime.ChanTransport        in-process, capacity-1 mailboxes   passes the reference   sends a pooled copy
-//	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    passes the reference   sends a pooled copy
-//	dist.Transport               one TCP endpoint per process       serializes             borrows: a large f64 payload goes to the socket from where it lies
-//	dist.LocalMesh               n dist.Transport in one process    serializes             borrows, as its endpoints do
+//	runtime.ChanTransport        in-process, capacity-1 mailboxes   a pooled copy   sends a pooled copy
+//	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    a pooled copy   sends a pooled copy
+//	dist.Transport               one TCP endpoint per process       serializes      borrows: a large f64 payload goes to the socket from where it lies
+//	dist.LocalMesh               n dist.Transport in one process    serializes      borrows, as its endpoints do
 //
 // A dist.Transport link shaped into a modeled network (SetShape) still
 // serializes; its sender worker then delays the encoded frame, and it copies
@@ -40,21 +40,20 @@ import (
 // compiler's communication ordering and the collective contract both do).
 type Transport interface {
 	// Send delivers t from actor `from` to actor `to` under tag. It never
-	// blocks indefinitely on a healthy receiver, and by the time it returns
-	// the transport has moved or captured t — nothing reads t on the sender's
-	// behalf afterwards. From Send on, t is read-only to the sender until the
-	// step ends, and never the sender's to recycle: it may be the receiver's
-	// object (a reference-passing transport delivers the very tensor, a
-	// serializing one a copy, and a sender does not get to know which). A
-	// sender that wants its storage back lends it: SendLent + Settle.
+	// blocks indefinitely on a healthy receiver, and it captures: by the time
+	// it returns the transport has copied t, so nothing reads t on the
+	// sender's behalf afterwards. The caller still owns t — it may write it or
+	// recycle it at once — and the receiver owns what Recv returns, which is
+	// never t itself. A sender that wants the copy skipped lends its storage
+	// instead: SendLent + Settle.
 	Send(from, to, tag int, t *tensor.Tensor)
 	// SendLent delivers the elements of payload, as a flat tensor the receiver
 	// owns, from actor `from` to actor `to` under tag, in FIFO order with that
 	// pair's Sends. Like Send it does not wait for the receiver; unlike Send it
-	// takes no ownership and need not copy: payload stays the caller's
-	// storage, and the transport may go on reading it — a socket write straight
-	// from it may still be in flight — until a Settle(from, to) called after
-	// this SendLent returns. Until then the caller must not write payload,
+	// need not copy before it returns: payload stays the caller's storage, and
+	// the transport may go on reading it — a socket write straight from it may
+	// still be in flight — until a Settle(from, to) called after this
+	// SendLent returns. Until then the caller must not write payload,
 	// recycle it, or hand it to anything that would; reading it, or lending it
 	// again, is fine.
 	SendLent(from, to, tag int, payload []float64)

@@ -1,5 +1,5 @@
-// Package transporttest holds test doubles for the transport contract that
-// more than one package's tests need.
+// Package transporttest holds test doubles and checks for the transport
+// contract that more than one package's tests need.
 package transporttest
 
 import (
@@ -23,6 +23,7 @@ import (
 // the wrapped transports behave exactly as the bare ones.
 type LendChecker struct {
 	t     testing.TB
+	prev  func(*tensor.Tensor) // the recycle hook the checker replaced, still called
 	mu    sync.Mutex
 	loans []loan
 	lends int
@@ -45,12 +46,13 @@ func (l *loan) settledBy(tr *lendChecked, from, to, upto int) bool {
 }
 
 // NewLendChecker starts a checker for t. It owns tensor's recycle hook until
-// the test ends.
+// the test ends, and passes every recycle on to the hook it replaced (such as
+// PoisonRecycled's).
 func NewLendChecker(t testing.TB) *LendChecker {
 	c := &LendChecker{t: t}
-	prev := tensor.SetRecycleHook(c.recycled)
+	c.prev = tensor.SetRecycleHook(c.recycled)
 	t.Cleanup(func() {
-		tensor.SetRecycleHook(prev)
+		tensor.SetRecycleHook(c.prev)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for _, l := range c.loans {
@@ -113,6 +115,9 @@ func (w *lendChecked) Settle(from, to int) error {
 // outstanding loan hands the bytes a socket may still be reading to the next
 // GetScratch.
 func (c *LendChecker) recycled(t *tensor.Tensor) {
+	if c.prev != nil {
+		defer c.prev(t)
+	}
 	if t.Borrowed() {
 		return // the pool drops views; the storage stays its owner's
 	}

@@ -1,6 +1,7 @@
 package jaxpp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -83,7 +84,7 @@ func TestTrainingMatchesSingleDeviceTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mb := range l1 {
-			if d := l1[mb].Data()[0] - l2[mb].Data()[0]; d > 1e-10 || d < -1e-10 {
+			if d := l1[mb].Data()[0] - l2[mb].Data()[0]; !(math.Abs(d) <= 1e-10) { // a NaN fails too
 				t.Fatalf("step %d loss mb %d diverged by %v", s, mb, d)
 			}
 		}
