@@ -48,7 +48,7 @@ func main() {
 	rank := flag.Int("rank", 0, "this process's rank in -distributed mode (0 = coordinator)")
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address in -distributed mode")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
-	wireDType := flag.String("wire-dtype", "", "gradient wire encoding: f64 (default, lossless), f32, or int8q (error-feedback int8 quantization). Training jobs compress only gradient collective frames; -collective accepts f32 (its integer payloads are f32-exact, so the bit-exact self-check still holds) and rejects int8q")
+	wireDType := flag.String("wire-dtype", "", "gradient wire encoding: f64 (default, lossless), f32, or int8q (error-feedback int8 quantization). Only gradient collective frames compress; the encoding travels in the job payload to every rank")
 	netLatency := flag.Duration("net-latency", 0, "degraded-network mode: one-way latency added to every cross-rank frame (-distributed; distributed to workers via the job payload)")
 	netJitter := flag.Duration("net-jitter", 0, "degraded-network mode: uniform ±jitter on -net-latency")
 	netBW := flag.Float64("net-bw-gbs", 0, "degraded-network mode: per-link bandwidth cap in GB/s (0 = uncapped)")
@@ -69,33 +69,7 @@ func main() {
 	hbInterval := flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 1s)")
 	hbMisses := flag.Int("hb-misses", 0, "missed heartbeat intervals before a peer is declared dead (0 = default 5)")
 	resume := flag.String("resume", "", "recover a restarted coordinator from this persisted cluster-state file (overrides job flags with the persisted spec)")
-	coll := flag.Bool("collective", false, "run the wire-collective verification instead of training (ring AllReduce/AllGather/Broadcast, self-checked)")
-	collWorld := flag.Int("world", 8, "collective mode: process-group size")
-	collElems := flag.Int("elems", 1<<17, "collective mode: per-rank all-reduce elements")
-	collIters := flag.Int("iters", 3, "collective mode: iterations")
-	collBucket := flag.Int("bucket-bytes", 1<<18, "collective mode: fusion bucket cap (0 = default 4 MiB)")
 	flag.Parse()
-
-	if *coll {
-		cs := distrun.CollectiveSpec{
-			Kind: distrun.KindCollective, World: *collWorld,
-			Elems: *collElems, Iters: *collIters, Seed: *seed, BucketBytes: *collBucket,
-			WireDType: *wireDType,
-		}
-		if err := runCollective(cs, *distributed, *rank, *coordinator, *crc); err != nil {
-			log.Fatal(err)
-		}
-		if *distributed && *rank != 0 {
-			// A joined rank ran whatever the coordinator's payload said —
-			// possibly a training job — not the local flags; report
-			// neutrally instead of echoing flags that never executed.
-			fmt.Println("job OK (worker rank; coordinator payload selected the work)")
-		} else {
-			fmt.Printf("wire collective OK: world %d, %d iters × %d elems (bucket cap %d B)\n",
-				cs.World, cs.Iters, cs.Elems, cs.BucketBytes)
-		}
-		return
-	}
 
 	var shape *distrun.ShapeSpec
 	if *netLatency > 0 || *netJitter > 0 || *netBW > 0 || *netLoss > 0 {
@@ -202,37 +176,6 @@ func writeTrace(path string, rep *distrun.Report) error {
 	return nil
 }
 
-// bootstrap brings this process into a -distributed world: rank 0 coordinates
-// and distributes job as the rendezvous payload, any other rank joins exactly
-// like a jaxpp-worker would and finds the payload in Session.Job.
-func bootstrap(rank int, coordinator string, world int, job []byte, opts dist.SessionOptions) (*dist.Session, error) {
-	opts.WantRank = rank
-	if rank == 0 {
-		return dist.Coordinate(coordinator, world, job, opts)
-	}
-	return dist.Join(coordinator, opts)
-}
-
-// runCollective runs the wire-collective verification: across OS processes
-// when -distributed (rank 0 coordinates, peers are jaxpp-worker daemons —
-// the job payload's kind routes them into the collective runner), otherwise
-// over a single-process dist.LocalMesh.
-func runCollective(cs distrun.CollectiveSpec, distributed bool, rank int, coordinator string, crc bool) error {
-	if !distributed {
-		return distrun.RunCollectiveLocal(cs, dist.Options{CRC: crc})
-	}
-	sess, err := bootstrap(rank, coordinator, cs.World, cs.Marshal(), dist.SessionOptions{Transport: dist.Options{CRC: crc}})
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if rank != 0 {
-		return distrun.RunJob(sess)
-	}
-	fmt.Printf("coordinator up: collective world %d at %s\n", cs.World, coordinator)
-	return distrun.RunCollective(sess, cs)
-}
-
 // runElastic runs the coordinator's rendezvous–train–recover loop (rank 0) —
 // non-zero ranks of an elastic job are jaxpp-worker -reconnect daemons, but a
 // rank flag is accepted and routed to the equivalent worker loop for symmetry
@@ -279,11 +222,19 @@ func runResumed(statePath string, sessOpts dist.SessionOptions, minReplicas, max
 	return distrun.RunElasticCoordinator(spec, opt, st.Attempt)
 }
 
-// runDistributed runs this process's rank of the training job: rank 0 hosts
-// actor 0 and runs the spec it distributed, other ranks run the spec they
-// received.
+// runDistributed runs this process's rank of the training job: rank 0
+// coordinates, distributes the spec as the rendezvous payload, hosts actor 0
+// and runs that spec; any other rank joins exactly like a jaxpp-worker would
+// and runs the spec it received.
 func runDistributed(spec distrun.JobSpec, rank int, coordinator string, opts dist.SessionOptions) (*distrun.Report, error) {
-	sess, err := bootstrap(rank, coordinator, spec.World(), spec.Marshal(), opts)
+	opts.WantRank = rank
+	var sess *dist.Session
+	var err error
+	if rank == 0 {
+		sess, err = dist.Coordinate(coordinator, spec.World(), spec.Marshal(), opts)
+	} else {
+		sess, err = dist.Join(coordinator, opts)
+	}
 	if err != nil {
 		return nil, err
 	}

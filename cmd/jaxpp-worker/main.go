@@ -3,9 +3,8 @@
 // rendezvous (reporting its data-plane listen address, receiving its rank,
 // the address book, and the job payload), then runs its share of the job
 // over the dist wire transport. It needs no model flags — the coordinator's
-// job payload is the single source of truth, and its kind selects the work:
-// a training job steps this rank's hosted actor, a collective job runs the
-// wire-collective verification.
+// job payload is the single source of truth: it describes the training job,
+// wire encoding included, and this rank steps the actor it hosts.
 //
 //	jaxpp-worker -coordinator 127.0.0.1:29400
 //
@@ -35,7 +34,6 @@ func main() {
 	rank := flag.Int("rank", 0, "requested rank (0 = let the coordinator assign)")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
 	profile := flag.Bool("profile", false, "log a one-line per-step compute/wire/idle summary on this rank (snapshot shipping still follows the coordinator's job spec)")
-	wireDType := flag.String("wire-dtype", "", "override the gradient wire encoding on this rank only: f64, f32, or int8q (empty follows the coordinator's payload; frames are self-describing, so a single canary rank can compress while its peers stay lossless)")
 	reconnect := flag.Bool("reconnect", false, "elastic mode: on job failure, re-join the rendezvous instead of exiting")
 	backoff := flag.Duration("reconnect-backoff", 500*time.Millisecond, "elastic mode: initial re-join delay (failed joins back off exponentially to 8x)")
 	maxJoinFailures := flag.Int("max-join-failures", 5, "elastic mode: consecutive failed joins before giving up on the coordinator")
@@ -63,7 +61,6 @@ func main() {
 			Backoff:         *backoff,
 			MaxJoinFailures: *maxJoinFailures,
 			Profile:         *profile,
-			WireDType:       *wireDType,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jaxpp-worker:", err)
@@ -83,7 +80,7 @@ func main() {
 	}
 	defer sess.Close()
 	fmt.Printf("jaxpp-worker: rank %d of %d\n", sess.Rank, sess.World)
-	if err := distrun.RunJobWith(sess, distrun.JobOptions{Profile: *profile, WireDType: *wireDType}); err != nil {
+	if err := distrun.RunJobWith(sess, distrun.JobOptions{Profile: *profile}); err != nil {
 		fmt.Fprintln(os.Stderr, "jaxpp-worker:", err)
 		os.Exit(1)
 	}

@@ -2,12 +2,10 @@ package distrun
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/dist"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
@@ -97,36 +95,5 @@ func TestNegZeroFillIsExactAdditiveIdentity(t *testing.T) {
 					r, i, got, math.Float64bits(got), payload[i], math.Float64bits(payload[i]))
 			}
 		}
-	}
-}
-
-// TestCollectiveJobOverLocalMesh runs the self-verifying wire-collective job
-// across 8 TCP endpoints inside one process — the same world size and op
-// sequence as the CI smoke, minus the OS-process fan-out.
-func TestCollectiveJobOverLocalMesh(t *testing.T) {
-	spec := CollectiveSpec{
-		Kind: KindCollective, World: 8, Elems: 4096, Iters: 2,
-		Seed: 7, BucketBytes: 1 << 13, // several fusion buckets per iteration
-	}
-	if err := RunCollectiveLocal(spec, dist.Options{CRC: true}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestJobPayloadKindDispatch pins the payload-kind discrimination both
-// decoders enforce: a collective payload must not decode as a training job
-// and vice versa, so a mixed-version world fails loudly at rendezvous
-// instead of running the wrong job.
-func TestJobPayloadKindDispatch(t *testing.T) {
-	cs := CollectiveSpec{World: 4, Elems: 64, Iters: 1}
-	if _, err := UnmarshalJobSpec(cs.Marshal()); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Fatalf("training decoder accepted a collective payload: %v", err)
-	}
-	js := JobSpec{Stages: 2, NumMB: 2, MBRows: 2, Width: 8, Steps: 1, LR: 0.1, Seed: 1}
-	if _, err := UnmarshalCollectiveSpec(js.Marshal()); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Fatalf("collective decoder accepted a training payload: %v", err)
-	}
-	if _, err := UnmarshalCollectiveSpec(CollectiveSpec{Kind: KindCollective}.Marshal()); err == nil {
-		t.Fatal("collective decoder accepted an empty spec")
 	}
 }

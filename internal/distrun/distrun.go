@@ -49,8 +49,9 @@ var (
 // Workers receive it as the rendezvous job payload and reconstruct the
 // identical compiled program from it.
 type JobSpec struct {
-	// Kind discriminates rendezvous job payloads ("" or "train" is a
-	// training job); RunJob dispatches on it.
+	// Kind names the payload's job kind: "" or "train", the only kind there
+	// is. UnmarshalJobSpec refuses any other by name, so a payload from a
+	// build that knew another kind fails at rendezvous.
 	Kind   string  `json:"kind,omitempty"`
 	Stages int     `json:"stages"`
 	NumMB  int     `json:"num_mb"`
@@ -254,9 +255,7 @@ func commOn(tr transport.Transport, actors []int, groupID, rank int) (*collectiv
 }
 
 // worldComm returns this rank's communicator on the all-ranks process group
-// (ranks 0..world-1 under worldGroupID) — the single construction both the
-// training loop and the collective verification job use, so the two paths
-// can never drift onto different tag windows.
+// (ranks 0..world-1 under worldGroupID).
 func worldComm(tr transport.Transport, world, rank int) (*collective.Communicator, error) {
 	ranks := make([]int, world)
 	for i := range ranks {
@@ -265,57 +264,29 @@ func worldComm(tr transport.Transport, world, rank int) (*collective.Communicato
 	return commOn(tr, ranks, worldGroupID, rank)
 }
 
-// RunJob dispatches a rendezvous job payload to its runner: training jobs go
-// to Run, wire-collective verification jobs to RunCollective. It is the
-// single entry point a jaxpp-worker needs — the payload kind, not a CLI
-// flag, selects the work.
+// RunJob decodes the rendezvous job payload and runs this rank's share of the
+// training job it describes. It is the single entry point a jaxpp-worker
+// needs: the payload, not a CLI flag, is the job.
 func RunJob(sess *dist.Session) error { return RunJobWith(sess, JobOptions{}) }
 
-// JobOptions are rank-local overrides a worker applies on top of the
+// JobOptions are rank-local settings a worker applies on top of the
 // coordinator's payload.
 type JobOptions struct {
 	// Profile logs per-step summaries on this rank even if the coordinator's
 	// payload did not request profiling. The end-of-job snapshot exchange
 	// still follows the payload alone.
 	Profile bool
-	// WireDType overrides the payload's gradient wire encoding on this rank
-	// only. The codec is self-describing per frame, so ranks may legitimately
-	// mix encodings — e.g. canarying compression on one rank of a world.
-	WireDType string
 }
 
 // RunJobWith is RunJob with rank-local JobOptions applied.
 func RunJobWith(sess *dist.Session, opt JobOptions) error {
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(sess.Job, &probe); err != nil {
-		return fmt.Errorf("distrun: bad job payload: %w", err)
-	}
-	switch probe.Kind {
-	case "", KindTrain:
-		spec, err := UnmarshalJobSpec(sess.Job)
-		if err != nil {
-			return err
-		}
-		spec.ProfileLocal = opt.Profile
-		if opt.WireDType != "" {
-			if _, err := dist.ParseDType(opt.WireDType); err != nil {
-				return err
-			}
-			spec.WireDType = opt.WireDType
-		}
-		_, err = Run(sess, spec)
+	spec, err := UnmarshalJobSpec(sess.Job)
+	if err != nil {
 		return err
-	case KindCollective:
-		spec, err := UnmarshalCollectiveSpec(sess.Job)
-		if err != nil {
-			return err
-		}
-		return RunCollective(sess, spec)
-	default:
-		return fmt.Errorf("distrun: unknown job kind %q", probe.Kind)
 	}
+	spec.ProfileLocal = opt.Profile
+	_, err = Run(sess, spec)
+	return err
 }
 
 // ckptEvery resolves the checkpoint period: explicit when set, a default of

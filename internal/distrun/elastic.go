@@ -161,9 +161,6 @@ type WorkerOptions struct {
 	MaxJoinFailures int
 	// Profile arms rank-local profiling for every job this worker runs.
 	Profile bool
-	// WireDType overrides the gradient wire encoding on this worker only
-	// ("f64", "f32", or "int8q"; empty follows the coordinator's payload).
-	WireDType string
 }
 
 // RunElasticWorker joins, trains, and — when a peer failure poisons the job —
@@ -200,7 +197,7 @@ func RunElasticWorker(ctrlAddr string, opt WorkerOptions) error {
 		}
 		joinFails = 0
 		backoff = opt.Backoff
-		runErr := RunJobWith(sess, JobOptions{Profile: opt.Profile, WireDType: opt.WireDType})
+		runErr := RunJobWith(sess, JobOptions{Profile: opt.Profile})
 		sess.Close()
 		if runErr == nil {
 			return nil

@@ -65,8 +65,8 @@ func (w *wireLog) Recv(to, from, tag int) (*tensor.Tensor, error) {
 //   - over the steps, everything sent plus the residual left over is
 //     everything the backward pass produced, to rounding;
 //   - a rank keeps residuals for what it sends first alone, stage ÷ replicas;
-//   - a rank that compresses alone (a -wire-dtype canary) compensates alone:
-//     its peer's gradients travel untouched.
+//   - error feedback is rank-local: a rank that compresses alone compensates
+//     alone, and its peer's gradients travel untouched.
 func TestErrorFeedbackCompensatesWhatIsSent(t *testing.T) {
 	const (
 		bucketCap = 100 * 8

@@ -86,6 +86,22 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
+// TestUnmarshalJobSpecRefusesOtherKinds pins that a training job is the only
+// payload kind: "train" decodes, and a payload of any other kind — such as the
+// collective verification job older coordinators distributed — fails at
+// rendezvous with an error naming the kind instead of running as a job.
+func TestUnmarshalJobSpecRefusesOtherKinds(t *testing.T) {
+	train := runnableSpec()
+	train.Kind = KindTrain
+	if _, err := UnmarshalJobSpec(train.Marshal()); err != nil {
+		t.Fatalf("kind %q refused: %v", KindTrain, err)
+	}
+	payload := []byte(`{"kind":"collective","world":8,"elems":131072,"iters":3,"seed":1}`)
+	if _, err := UnmarshalJobSpec(payload); err == nil || !strings.Contains(err.Error(), `kind "collective"`) {
+		t.Fatalf("collective payload: got %v, want an error naming kind \"collective\"", err)
+	}
+}
+
 // corpusPayloads reads the committed seed corpus of FuzzUnmarshalJobSpec:
 // file name -> payload.
 func corpusPayloads(t *testing.T) map[string][]byte {

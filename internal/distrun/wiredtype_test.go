@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/dist"
 )
 
 // TestInt8QErrorFeedbackBoundedDivergence trains 200 steps with int8q
@@ -89,37 +87,6 @@ func TestInt8QTracksReferenceAtWidth64(t *testing.T) {
 	}
 }
 
-// TestWireDTypeCanaryCompressesOneRank runs a two-replica f64 job in which
-// rank 1 alone overrides the gradient encoding (jaxpp-worker -wire-dtype,
-// JobOptions.WireDType): its gradient frames shrink and its peer's do not,
-// frames being self-describing, and the job still tracks the reference — the
-// canary compensates what it drops.
-func TestWireDTypeCanaryCompressesOneRank(t *testing.T) {
-	spec := JobSpec{
-		Stages: 1, NumMB: 4, MBRows: 4, Width: 32, DataParallel: 2,
-		Steps: 20, LR: 0.1, Schedule: "1f1b", Seed: 2,
-	}
-	ref, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, sent := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
-		if sess.Rank != 1 {
-			return Run(sess, spec)
-		}
-		return nil, RunJobWith(sess, JobOptions{WireDType: "int8q"})
-	})
-	grad := int64(spec.Width * spec.Width / 2 * 8) // the chunk a rank ships per step, as f64
-	if saved := sent[0].bytes - sent[1].bytes; saved < int64(spec.Steps)*grad*3/4 {
-		t.Fatalf("rank 0 sent %d bytes, the int8q canary %d: saved %d, want about 7/8 of %d steps x %d", sent[0].bytes, sent[1].bytes, saved, spec.Steps, grad)
-	}
-	for s := range ref.StepLosses {
-		if rel := math.Abs(rep.StepLosses[s]-ref.StepLosses[s]) / math.Abs(ref.StepLosses[s]); !(rel <= 1e-3) {
-			t.Fatalf("step %d: loss %v strays %.3g from the reference %v", s, rep.StepLosses[s], rel, ref.StepLosses[s])
-		}
-	}
-}
-
 // TestF32WireStaysConvergentAndClose runs the same job with f32 gradient
 // frames: no error feedback is needed at f32 precision, and the loss
 // trajectory must track the f64 reference to float32-roundoff tightness —
@@ -159,31 +126,6 @@ func TestShapedRunStaysBitIdentical(t *testing.T) {
 	spec.Shape = &ShapeSpec{LatencyUs: 1000, JitterUs: 200, BandwidthGBs: 2, Seed: 7}
 	got := launchWorld(t, spec)
 	requireBitIdentical(t, got, local)
-}
-
-// TestCollectiveSpecWireDTypes pins the collective job's dtype policy: f32 is
-// a real verification (integer payloads are f32-exact), int8q is rejected
-// up front because a lossy round trip cannot pass a bit-exact self-check.
-func TestCollectiveSpecWireDTypes(t *testing.T) {
-	base := CollectiveSpec{World: 4, Elems: 1 << 10, Iters: 2, Seed: 5, BucketBytes: 4096}
-
-	bad := base
-	bad.WireDType = "int8q"
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "int8q") {
-		t.Fatalf("int8q collective spec accepted: %v", err)
-	}
-
-	unknown := base
-	unknown.WireDType = "q4"
-	if err := unknown.Validate(); err == nil {
-		t.Fatal("unknown wire dtype accepted")
-	}
-
-	f32 := base
-	f32.WireDType = "f32"
-	if err := RunCollectiveLocal(f32, dist.Options{}); err != nil {
-		t.Fatalf("f32 collective verification failed: %v", err)
-	}
 }
 
 // TestJobSpecRejectsBadWireDType checks the rendezvous payload validation: a

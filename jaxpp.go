@@ -418,7 +418,7 @@ func (t *TrainStep) TakeActorResultsInto(actor int, res *ActorResults) error {
 func (t *TrainStep) Hosts(actor int) bool { return t.exe.Hosts(actor) }
 
 // Close does nothing: a TrainStep owns no goroutine between steps. It is kept
-// only because bench/probes.go calls it; ROADMAP direction 6(a) removes that
+// only because bench/probes.go calls it; ROADMAP direction 8(a) removes that
 // call, and then this method.
 func (t *TrainStep) Close() {}
 
