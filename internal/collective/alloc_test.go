@@ -11,19 +11,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// ringHarness pre-spawns one goroutine per rank that performs an in-place
-// all-reduce each time it is kicked, so measurement loops add no goroutine
-// or closure allocations of their own.
+// ringHarness pre-spawns one goroutine per rank that all-reduces its buffer
+// in place (AllReduceBucketsInPlace over a one-tensor list: the tensor's own
+// storage, a cached fusion plan) each time it is kicked, so measurement loops
+// add no goroutine or closure allocations of their own.
 type ringHarness struct {
 	n     int
 	kick  []chan struct{}
 	done  chan error
 	bufs  []*tensor.Tensor
 	close func()
-
-	// bucketed routes rounds through AllReduceBucketsInPlace (flat scratch,
-	// cached fusion plan) instead of AllReduceInto.
-	bucketed bool
 }
 
 func newRingHarness(tb testing.TB, n, elems int) *ringHarness {
@@ -66,11 +63,7 @@ func newRingHarness(tb testing.TB, n, elems int) *ringHarness {
 					return
 				case <-h.kick[r]:
 				}
-				if h.bucketed {
-					h.done <- comm.AllReduceBucketsInPlace(bufs, OpSum, DefaultBucketBytes)
-				} else {
-					h.done <- comm.AllReduceInto(buf, buf, OpSum)
-				}
+				h.done <- comm.AllReduceBucketsInPlace(bufs, OpSum, DefaultBucketBytes)
 			}
 		}(r, comm, buf)
 	}
@@ -114,39 +107,31 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; count is only meaningful without -race")
 	}
-	for _, bucketed := range []bool{false, true} {
-		name := "AllReduceInto"
-		if bucketed {
-			name = "AllReduceBucketsInPlace"
-		}
-		t.Run(name, func(t *testing.T) {
-			const n, elems = 4, 1 << 14
-			h := newRingHarness(t, n, elems)
-			h.bucketed = bucketed
-			defer h.close()
-			h.warm(t)
+	t.Run("AllReduceBucketsInPlace", func(t *testing.T) {
+		const n, elems = 4, 1 << 14
+		h := newRingHarness(t, n, elems)
+		defer h.close()
+		h.warm(t)
 
-			// The scratch pool is sync.Pool-backed; a GC mid-measurement
-			// would drop its contents and charge the refill to the
-			// collective.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			goruntime.GC()
+		// The scratch pool is sync.Pool-backed; a GC mid-measurement would
+		// drop its contents and charge the refill to the collective.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		goruntime.GC()
 
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := h.round(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 0 {
-				t.Fatalf("steady-state %s allocates %.2f objects per step, want 0", name, allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := h.round(); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs > 0 {
+			t.Fatalf("steady-state AllReduceBucketsInPlace allocates %.2f objects per step, want 0", allocs)
+		}
+	})
 }
 
-// TestAllReduceIntoMatchesAllReduce checks one in-place round of the harness
+// TestOneTensorAllReduceMatchesSum checks one in-place round of the harness
 // against the locally computed sum.
-func TestAllReduceIntoMatchesAllReduce(t *testing.T) {
+func TestOneTensorAllReduceMatchesSum(t *testing.T) {
 	const n, elems = 3, 1000
 	h := newRingHarness(t, n, elems)
 	defer h.close()

@@ -2,10 +2,10 @@
 // role NCCL collectives play for JaxPP's data-parallel dimension, layered on
 // the runtime's tag-matched point-to-point transport. It provides process
 // groups derived from mesh.Mesh axes and in-place ring collectives over
-// rank-private buffers: AllReduceInto, bucketed gradient fusion
-// (AllReduceBucketsInPlace and its two halves, ReduceBucketsInPlace and
-// GatherBucketsInPlace), ReduceScatterVInto, AllGatherVInto, AllGatherInto,
-// BroadcastInto, and Barrier.
+// rank-private buffers: the bucketed all-reduce (AllReduceBucketsInPlace —
+// a one-tensor list all-reduces that tensor in its own storage — and its two
+// halves, ReduceBucketsInPlace and GatherBucketsInPlace), ReduceScatterVInto,
+// AllGatherVInto, AllGatherInto, BroadcastInto, and Barrier.
 //
 // One ring engine (ring.go). Every reducing or gathering collective is a
 // composition of two passes over a buffer cut into Size() segments by an
@@ -24,10 +24,9 @@
 // must stay distinct, since moving a start rank moves the bits of every sum
 // over three or more ranks:
 //
-//   - all-reduce (AllReduceInto, each AllReduceBucketsInPlace bucket):
-//     reducePass(first = rank) then gatherPass(first = rank+1). Balanced
-//     chunk i starts at rank i and walks up the ring to rank i-1, which then
-//     circulates it.
+//   - all-reduce (each AllReduceBucketsInPlace bucket): reducePass(first =
+//     rank) then gatherPass(first = rank+1). Balanced chunk i starts at rank
+//     i and walks up the ring to rank i-1, which then circulates it.
 //   - reduce-scatter (ReduceScatterVInto, per bucket): reducePass(first =
 //     rank-1). Segment r starts at rank r+1 and ends on rank r, its owner.
 //

@@ -28,6 +28,13 @@ func rankTensor(rank, elems int) *tensor.Tensor {
 	return t
 }
 
+// allReduce all-reduces t in its own storage: AllReduceBucketsInPlace over a
+// one-tensor list, which is reducePass(first = rank) then gatherPass(first =
+// rank+1) over t's data.
+func allReduce(c *Communicator, t *tensor.Tensor, op Op) error {
+	return c.AllReduceBucketsInPlace([]*tensor.Tensor{t}, op, 0)
+}
+
 // TestAllReduceSumMatchesLocalSum checks the headline contract across ring
 // sizes 2..8 (including every non-power-of-two) and awkward tensor sizes:
 // empty, scalar-sized, odd, smaller than the ring, and not divisible by it.
@@ -42,8 +49,8 @@ func TestAllReduceSumMatchesLocalSum(t *testing.T) {
 					}
 				}
 				outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-					out := tensor.New(elems)
-					return out, c.AllReduceInto(out, rankTensor(c.Rank(), elems), OpSum)
+					out := rankTensor(c.Rank(), elems)
+					return out, allReduce(c, out, OpSum)
 				})
 				wantT, _ := tensor.FromSlice(want, elems)
 				for r, got := range outs {
@@ -60,7 +67,7 @@ func TestAllReduceMaxMin(t *testing.T) {
 	const n, elems = 5, 23
 	outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 		out := rankTensor(c.Rank(), elems)
-		return out, c.AllReduceInto(out, out, OpMax)
+		return out, allReduce(c, out, OpMax)
 	})
 	want := rankTensor(n-1, elems)
 	for r, got := range outs {
@@ -70,7 +77,7 @@ func TestAllReduceMaxMin(t *testing.T) {
 	}
 	outs = runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 		out := rankTensor(c.Rank(), elems)
-		return out, c.AllReduceInto(out, out, OpMin)
+		return out, allReduce(c, out, OpMin)
 	})
 	want = rankTensor(0, elems)
 	for r, got := range outs {
@@ -140,7 +147,7 @@ func TestBarrierCompletesAndOpsStayInLockstep(t *testing.T) {
 			}
 		}
 		out := tensor.Scalar(float64(c.Rank()))
-		return out, c.AllReduceInto(out, out, OpSum)
+		return out, allReduce(c, out, OpSum)
 	})
 	for r, got := range outs {
 		if got.Data()[0] != 15 { // 0+1+..+5
@@ -299,7 +306,7 @@ func TestCollectivesCoexistWithPipelineP2P(t *testing.T) {
 			// Interleave several collectives to stress the tag sequencing.
 			for i := 0; i < 3; i++ {
 				outs[r] = rankTensor(r, elems)
-				if err := c.AllReduceInto(outs[r], outs[r], OpSum); err != nil {
+				if err := allReduce(c, outs[r], OpSum); err != nil {
 					collErrs[r] = err
 					return
 				}
@@ -376,10 +383,6 @@ func TestWrongSizeChunkIsRecycled(t *testing.T) {
 		want int // elements the first receive expects
 		call func(c *Communicator) error
 	}{
-		{"AllReduceInto", 4, func(c *Communicator) error {
-			buf := tensor.New(8)
-			return c.AllReduceInto(buf, buf, OpSum)
-		}},
 		{"AllReduceBucketsInPlace", 4, func(c *Communicator) error {
 			return c.AllReduceBucketsInPlace([]*tensor.Tensor{tensor.New(8)}, OpSum, 0)
 		}},

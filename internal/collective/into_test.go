@@ -108,8 +108,8 @@ func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
 }
 
 // TestIntoCollectivesRejectBorrowedDst pins the ownership guard: a borrowed
-// batch-row view is caller-owned storage, so the in-place collectives must
-// refuse to write through it.
+// batch-row view is caller-owned storage, so the in-place gather must refuse
+// to write through it.
 func TestIntoCollectivesRejectBorrowedDst(t *testing.T) {
 	const n = 2
 	backing := tensor.New(4, 3)
@@ -118,9 +118,6 @@ func TestIntoCollectivesRejectBorrowedDst(t *testing.T) {
 		shard := tensor.New(1, 3)
 		if err := c.AllGatherInto(view, shard); err == nil {
 			return nil, fmt.Errorf("AllGatherInto accepted a borrowed destination")
-		}
-		if err := c.AllReduceInto(view, view, OpSum); err == nil {
-			return nil, fmt.Errorf("AllReduceInto accepted a borrowed destination")
 		}
 		// Tag windows advance on every rank in lockstep even on the error
 		// path, so the group stays usable; nothing further to send.

@@ -78,7 +78,7 @@ func ringSuite(c *Communicator) (*tensor.Tensor, error) {
 	}
 
 	buf := flatten(lendTensors(rank))
-	if err := c.AllReduceInto(buf, buf, OpMax); err != nil {
+	if err := allReduce(c, buf, OpMax); err != nil {
 		return nil, err
 	}
 	outs = append(outs, buf.Clone())

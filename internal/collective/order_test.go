@@ -110,8 +110,9 @@ func wantBits(t *testing.T, what string, rank int, got, want []float64) {
 // reduction order against a locally folded reference, with payloads whose sum
 // moves when the association does. The two documented layouts:
 //
-//   - all-reduce (AllReduceInto, every AllReduceBucketsInPlace bucket): the
-//     balanced chunk i starts folding at rank i and walks up the ring;
+//   - all-reduce (every AllReduceBucketsInPlace bucket, a one-tensor list
+//     included): the balanced chunk i starts folding at rank i and walks up
+//     the ring;
 //   - reduce-scatter (ReduceScatterVInto): the segment rank r ends up owning
 //     starts at rank r+1 and ends on r.
 //
@@ -165,7 +166,7 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 		return want
 	}
 
-	// AllReduceInto: an odd length, so chunks are unequal.
+	// One tensor all-reduced alone: an odd length, so chunks are unequal.
 	arLen := 4*n + 3
 	// AllReduceBucketsInPlace: three tensors that fuse into one 15-element
 	// bucket under a 120-byte cap, then one that cannot join them and reduces
@@ -217,7 +218,7 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 		res := &results[r]
 
 		ar := fill(r, arLen, 0)
-		if err := c.AllReduceInto(ar, ar, OpSum); err != nil {
+		if err := allReduce(c, ar, OpSum); err != nil {
 			return nil, err
 		}
 		res.ar = ar.Data()
@@ -266,7 +267,7 @@ func pinRingOrder(t *testing.T, tr transport.Transport, n int) {
 	bucketsWant := append(allReduceWant(fusedLen, 1000), allReduceWant(soloLen, 2000)...)
 	ownedBy := make([]int, fusedLen+soloLen)
 	for r, res := range results {
-		wantBits(t, "AllReduceInto", r, res.ar, allReduceWant(arLen, 0))
+		wantBits(t, "AllReduceBucketsInPlace (one tensor)", r, res.ar, allReduceWant(arLen, 0))
 		wantBits(t, "AllReduceBucketsInPlace (fused bucket, single-tensor bucket)", r, res.buckets, bucketsWant)
 		wantBits(t, "ReduceBucketsInPlace then GatherBucketsInPlace", r, res.split, res.buckets)
 		wantBits(t, "ReduceScatterVInto", r, res.dense, rsWant[starts[r]:starts[r+1]])

@@ -177,40 +177,6 @@ func (c *Communicator) gatherPass(base int, data []float64, off []int, first int
 	return c.settle(nil)
 }
 
-// allReduceData ring-all-reduces data in place across the group: a reduce
-// pass leaves each rank with one fully reduced chunk and a gather pass
-// circulates the reduced chunks — the bandwidth-optimal 2(n-1)/n·bytes
-// schedule the simulator's perf.RingAllReduceTime models, on 2(n-1) tags
-// from base. data must be rank-private storage; callers handle Size() == 1.
-func (c *Communicator) allReduceData(base int, data []float64, op Op) error {
-	off := c.evenOffsets(len(data))
-	if err := c.reducePass(base, data, off, c.rank, op); err != nil {
-		return err
-	}
-	return c.gatherPass(base+c.Size()-1, data, off, c.rank+1)
-}
-
-// AllReduceInto reduces src across the group into dst, which must have the
-// same shape and be rank-private mutable storage (dst == src reduces in
-// place). At steady state the operation performs no heap allocations:
-// received chunks come from the scratch pool and return to it on this rank.
-func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor, op Op) error {
-	if !tensor.SameShape(dst, src) {
-		return fmt.Errorf("collective: AllReduceInto shape mismatch %v vs %v", dst.Shape(), src.Shape())
-	}
-	if dst.Borrowed() {
-		return fmt.Errorf("collective: AllReduceInto destination is a borrowed view")
-	}
-	base := c.opWindow() // consumed even on the fast paths to keep ranks in lockstep
-	if dst != src {
-		dst.CopyFrom(src.Data())
-	}
-	if c.Size() == 1 || dst.Size() == 0 {
-		return nil
-	}
-	return c.allReduceData(base, dst.Data(), op)
-}
-
 // AllGatherInto gathers equal-shape shards from every rank into dst along
 // axis 0 in rank order: dst row block r holds rank r's shard. dst must have
 // leading dimension Size()×shard.Dim(0), identical trailing dimensions, and

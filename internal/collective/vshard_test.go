@@ -138,7 +138,7 @@ func TestReduceScatterVThenAllGatherVEqualsAllReduce(t *testing.T) {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			dense := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 				out := rankTensor(c.Rank(), elems)
-				return out, c.AllReduceInto(out, out, OpSum)
+				return out, allReduce(c, out, OpSum)
 			})
 			sharded := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
 				shard := tensor.New(counts[c.Rank()])

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/dist"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
@@ -24,9 +25,10 @@ func TestHostedFilterMatchesUnfiltered2Ranks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered := launchWorld(t, spec) // distrun.Run hosts one actor per rank by default
-	spec.NoHostedFilter = true
-	unfiltered := launchWorld(t, spec)
+	filtered := launchWorld(t, spec) // distrun.Run hosts one actor per rank
+	unfiltered, _ := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
+		return runOver(sess, sess.Transport, spec, nil)
+	})
 	requireBitIdentical(t, filtered, local)
 	requireBitIdentical(t, unfiltered, local)
 	requireBitIdentical(t, filtered, unfiltered)

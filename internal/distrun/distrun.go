@@ -28,13 +28,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Step profiling scopes: the actor's share of the step, the loss AllGather,
-// and the optimizer update (the epilogue's two collective scopes live with it
-// in shard.go). These are envelope scopes (they contain the collective and
-// wire leaf spans), so the breakdown classifier excludes them.
+// Step profiling scopes: the actor's share of the step and the optimizer
+// update (the epilogue's two collective scopes live with it in shard.go).
+// These are envelope scopes (they contain the collective and wire leaf
+// spans), so the breakdown classifier excludes them.
 var (
 	scStepActor    = obs.Scope("step/actor")
-	scLossGather   = obs.Scope("step/loss_gather")
 	scSGD          = obs.Scope("step/sgd")
 	cStepsProfiled = obs.Counter("step/count")
 	// scQuantEF times the error-feedback fold + local quantization;
@@ -87,10 +86,6 @@ type JobSpec struct {
 	// rank — test instrumentation that stretches a job out so failure
 	// injection (worker kill) has a stable window to land in.
 	StepSleepMs int `json:"step_sleep_ms,omitempty"`
-	// NoHostedFilter makes every rank materialize the full world-size
-	// cluster instead of only its own actor — test instrumentation proving
-	// the hosted-actor filter does not change numerics.
-	NoHostedFilter bool `json:"no_hosted_filter,omitempty"`
 	// Profile enables the obs registry on every rank for the job's duration:
 	// per-step one-line summaries, and an end-of-job profile snapshot per rank
 	// shipped to the coordinator (Report.Profiles on rank 0). Travels in the
@@ -233,13 +228,14 @@ func (s JobSpec) validate() error {
 	return nil
 }
 
-// worldGroupID selects the tag window of the all-ranks process group the loss
-// gather and the start-step agreement run on. DP-sync groups derived from the
-// actor mesh use IDs 0..pp-1 (data axis) and pp..pp+replicas-1 (pipe axis, if
-// anyone builds them), so a constant far above any realistic stage or replica
-// count keeps the windows disjoint; the step epilogue's replica groups
-// (gradGroupID, paramGroupID) and the end-of-job parameter collection
-// (finalGroupID) sit right above it. The calibration window (TagSpaceBase/2)
+// worldGroupID selects the tag window of the all-ranks process group, on which
+// only the once-per-job start-step agreement of a resumed job runs: no step
+// sends on it. DP-sync groups derived from the actor mesh use IDs 0..pp-1
+// (data axis) and pp..pp+replicas-1 (pipe axis, if anyone builds them), so a
+// constant far above any realistic stage or replica count keeps the windows
+// disjoint; the step epilogue's replica groups (gradGroupID, paramGroupID)
+// and the end-of-job collection of parameters and losses (finalGroupID) sit
+// right above it. The calibration window (TagSpaceBase/2)
 // and pipeline P2P tags (small sequential ints) are below every group window
 // by construction.
 const worldGroupID = 1 << 10
@@ -310,7 +306,7 @@ type Report struct {
 	StartStep int
 	// MBLosses[step] holds the per-microbatch losses of that step in global
 	// (replica-major) microbatch order. Populated on rank 0 only — workers
-	// ship their losses to the coordinator.
+	// hand their losses to the coordinator when the job ends.
 	MBLosses [][]float64
 	// StepLosses[step] is the mean microbatch loss (rank 0 only).
 	StepLosses []float64
@@ -647,22 +643,26 @@ func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 // shared program with this rank's actor hosted, restore the newest
 // checkpoint if there is one, then every step run the actor — whose step
 // epilogue is the reduce half of the gradient all-reduce inside the stage's
-// replica group — gather the losses (the one world-wide collective of a step,
-// and its fence; rank 0 records them), and finish the stage-local epilogue
-// (stageEpilogue: update the ranges this rank reduced, gather the stage's
-// parameters from the replica group). Between steps a rank's parameter list
-// is current for the stage it hosts and stale elsewhere: nothing reads the
-// rest. Rank 0 collects the other stages' parameters once, after the last
-// step, for Report.FinalParams, which are bit-identical to RunLocal's. Blocks
-// until the job completes or the transport is poisoned (a dead peer surfaces
-// here as an error, not a hang).
+// replica group — and finish the stage-local epilogue (stageEpilogue: update
+// the ranges this rank reduced, gather the stage's parameters from the
+// replica group). A step sends pipeline activations and gradients and the
+// hops of the stage's replica-group ring, nothing else: no collective spans
+// the world. A rank that owns losses keeps them, and after the last step
+// rank 0 collects the other stages' parameters and every other rank's losses
+// (collectResults) for a Report whose losses and FinalParams are
+// bit-identical to RunLocal's. Between steps a rank's parameter list is
+// current for the stage it hosts and stale elsewhere: nothing reads the
+// rest. Blocks until the job completes or the transport is poisoned (a dead
+// peer surfaces here as an error, not a hang).
 func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
-	return runOver(sess, sess.Transport, spec)
+	return runOver(sess, sess.Transport, spec, []int{sess.Rank})
 }
 
-// runOver is Run with the session's data plane passed in: sess.Transport
-// itself, or a test's checking wrapper around it.
-func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report, error) {
+// runOver is Run with the session's data plane and the hosted actors passed
+// in: sess.Transport itself or a test's checking wrapper around it, and this
+// rank's actor alone or nil, which materializes every actor (a test's check
+// that the hosted filter does not change numerics).
+func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []int) (*Report, error) {
 	if sess.World != spec.World() {
 		return nil, fmt.Errorf("distrun: session world %d, job wants %d (= %d replicas × %d stages)", sess.World, spec.World(), spec.Replicas(), spec.Stages)
 	}
@@ -678,10 +678,6 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	}
 	rank := sess.Rank
 	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d telemetry=%v wire=%s shaped=%v", sess.World, spec.Telemetry, wireDT, spec.Shape != nil))
-	host := []int{rank}
-	if spec.NoHostedFilter {
-		host = nil
-	}
 	// The epilogue is built from the compiled program, which is compiled with
 	// the epilogue's reduce half as its gradient hook.
 	var ep *stageEpilogue
@@ -697,8 +693,8 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	// Loss owners, derived from program metadata identically on every rank
 	// (no peer actor exists locally under the hosted filter): loss (r, mb)
 	// lives on replica r's instance of its pipeline actor. lossesByRank[r]
-	// lists rank r's global microbatch indices in the order the rank packs
-	// them into its AllGather shard.
+	// lists rank r's global microbatch indices in the order its actor returns
+	// them, which is the order of each step's run in the rank's history.
 	lossesByRank := make([][]int, sess.World)
 	for r := 0; r < ts.NumReplicas(); r++ {
 		for mb, l := range prog.Losses {
@@ -706,22 +702,12 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 			lossesByRank[owner] = append(lossesByRank[owner], r*numMB+mb)
 		}
 	}
-	lossSlots := 0
-	for _, mbs := range lossesByRank {
-		lossSlots = max(lossSlots, len(mbs))
-	}
 
-	// The all-ranks process group the loss gather runs on. Every chunk a ring
-	// receives over the dist transport is decoded into this process's scratch
-	// pool and recycled here; what a ring sends it lends from its own buffer.
-	comm, err := worldComm(tr, sess.World, rank)
-	if err != nil {
-		return nil, err
-	}
 	// Gradient traffic optionally rides a lossy wire encoding. The transport's
 	// lossy plane is armed per collective tag window, so only the reduce
-	// half's frames compress — control frames, loss gathers, checkpoint
-	// traffic, and the epilogue's parameter gather all stay f64 end to end.
+	// half's frames compress — control frames, the end-of-job collection,
+	// checkpoint traffic, and the epilogue's parameter gather all stay f64
+	// end to end.
 	if !wireDT.Lossless() {
 		sess.Transport.SetLossyTagWindow(collective.GroupTagRange(gradGroupID))
 		sess.Transport.SetWireDType(wireDT)
@@ -757,7 +743,12 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 		// Start-step agreement: every rank restored independently from disk,
 		// and a rank that locally fell back to an older checkpoint (corrupt
 		// shard only it can see) must not silently train from different state.
-		// One 1-element-per-rank AllGather compares the resume steps.
+		// One 1-element-per-rank AllGather over the world compares the resume
+		// steps — the job's one world-wide collective.
+		comm, err := worldComm(tr, sess.World, rank)
+		if err != nil {
+			return nil, err
+		}
 		mine := tensor.GetScratch(1)
 		all := tensor.GetScratch(sess.World)
 		mine.Data()[0] = float64(startStep)
@@ -782,17 +773,10 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 	if wireDT == dist.DTInt8Q {
 		ep.armErrorFeedback()
 	}
-	// The loss shard, gather destination, and per-step result struct are
-	// reused every step too.
-	shard := tensor.GetScratch(lossSlots)
-	gathered := tensor.GetScratch(sess.World * lossSlots)
-	defer func() {
-		// Recycled on every exit, including mid-step errors, so a process
-		// that retries jobs keeps its scratch pool warm.
-		tensor.Recycle(shard)
-		tensor.Recycle(gathered)
-	}()
+	// The per-step result struct is reused every step too. losses is this
+	// rank's history, step-major: each step appends its actor's losses.
 	res := &jaxpp.ActorResults{}
+	var losses []float64
 
 	profiling := spec.Profile || spec.ProfileLocal
 	if profiling {
@@ -819,34 +803,10 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 			return nil, fmt.Errorf("distrun: rank %d step %d results: %w", rank, step, err)
 		}
 
-		// Losses: every rank packs its owned microbatch losses into a
-		// fixed-size shard (padded — shard sizes must match around the
-		// ring) and one AllGather hands rank 0 the full set. It is the
-		// step's one world-wide collective, and so its fence: no rank is more
-		// than a step ahead of any other.
-		sd := shard.Data()
-		clear(sd)
-		for i, l := range res.Losses {
-			sd[i] = l.Data()[0]
+		for _, l := range res.Losses {
+			losses = append(losses, l.Data()[0])
 			tensor.Recycle(l)
 		}
-		hl := obs.TrackTid(scLossGather, rank)
-		err = comm.AllGatherInto(gathered, shard)
-		hl.Stop()
-		if err != nil {
-			return nil, fmt.Errorf("distrun: rank %d step %d loss gather: %w", rank, step, err)
-		}
-		var mbLosses []float64
-		if rank == 0 {
-			mbLosses = make([]float64, totalMB)
-			gd := gathered.Data()
-			for r, mbs := range lossesByRank {
-				for j, mb := range mbs {
-					mbLosses[mb] = gd[r*lossSlots+j]
-				}
-			}
-		}
-
 		if err := ep.finish(res); err != nil {
 			return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
 		}
@@ -861,24 +821,33 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec) (*Report,
 		if profiling {
 			logStepSummary(rank, step, time.Since(stepStart), &stepPrev)
 		}
-		if rank == 0 {
-			rep.MBLosses = append(rep.MBLosses, mbLosses)
-			var total float64
-			for _, l := range mbLosses {
-				total += l
-			}
-			rep.StepLosses = append(rep.StepLosses, total/float64(totalMB))
-		}
 		if spec.StepSleepMs > 0 {
 			time.Sleep(time.Duration(spec.StepSleepMs) * time.Millisecond)
 		}
 	}
-	// Rank 0 reports the whole model. A job that ran no step (Steps 0, or a
-	// resume at the last step) has it already: initial or restored parameters
-	// are complete on every rank, and nothing is sent.
-	if startStep < spec.Steps {
-		if err := collectParams(tr, plan, params, rank); err != nil {
+	// Rank 0 reports the whole model and every step's losses. A job that ran
+	// no step (Steps 0, or a resume at the last step) has no loss and the
+	// model already: initial or restored parameters are complete on every
+	// rank, and nothing is sent.
+	if steps := spec.Steps - startStep; steps > 0 {
+		histories, err := collectResults(tr, plan, params, lossesByRank, losses, steps, rank)
+		if err != nil {
 			return nil, err
+		}
+		for s := 0; rank == 0 && s < steps; s++ {
+			mbLosses := make([]float64, totalMB)
+			for r, mbs := range lossesByRank {
+				for j, mb := range mbs {
+					mbLosses[mb] = histories[r][s*len(mbs)+j]
+				}
+			}
+			// Summed in global microbatch order, as RunLocal sums.
+			var total float64
+			for _, l := range mbLosses {
+				total += l
+			}
+			rep.MBLosses = append(rep.MBLosses, mbLosses)
+			rep.StepLosses = append(rep.StepLosses, total/float64(totalMB))
 		}
 	}
 	// End-of-job barrier: no rank tears its session down while a slower peer

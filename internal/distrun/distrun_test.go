@@ -334,7 +334,7 @@ func TestJobHonoursTheLendingRule(t *testing.T) {
 	}
 	check := transporttest.NewLendChecker(t)
 	got, _ := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
-		return runOver(sess, check.Wrap(sess.Transport), spec)
+		return runOver(sess, check.Wrap(sess.Transport), spec, []int{sess.Rank})
 	})
 	requireBitIdentical(t, got, local)
 	if check.Lends() == 0 {

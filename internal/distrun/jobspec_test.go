@@ -129,8 +129,9 @@ func corpusPayloads(t *testing.T) map[string][]byte {
 
 // TestCommittedJobPayloadsAccepted pins that validate refuses none of the
 // jobs the repo runs: the committed corpus is the benchmark's four workload
-// shapes (bench/ is a module of its own and cannot be imported here) and an
-// elastic, checkpointing, shaped int8q job.
+// shapes (bench/ is a module of its own and cannot be imported here), an
+// elastic, checkpointing, shaped int8q job, and a payload from an older
+// coordinator carrying the since-deleted "no_hosted_filter" field.
 func TestCommittedJobPayloadsAccepted(t *testing.T) {
 	for name, payload := range corpusPayloads(t) {
 		if _, err := UnmarshalJobSpec(payload); err != nil {

@@ -38,8 +38,9 @@ const dpBucketBytes = 0
 // gradient frames and nothing else: parameters must never quantize, or every
 // rank's weights would degrade once per step regardless of error feedback.
 // Replica groups of different stages share no rank and reuse the two IDs.
-// finalGroupID is the window of the end-of-job parameter collection: the
-// two-rank groups {a stage's replica-0 rank, rank 0}.
+// finalGroupID is the window of the end-of-job collection of parameters and
+// losses (collectResults): the two-rank groups {r, 0} of every rank r that
+// is a stage's replica-0 rank or owns losses.
 const (
 	gradGroupID  = worldGroupID + 1
 	paramGroupID = worldGroupID + 2
@@ -358,27 +359,70 @@ func (e *stageEpilogue) finish(res *jaxpp.ActorResults) error {
 	return nil
 }
 
-// collectParams brings rank 0's parameter list up to date after the last
-// step: for every stage rank 0 does not host, that stage's replica-0 rank
-// streams the stage's parameters to it (a two-rank broadcast per tensor).
-// Every other rank has nothing to do.
-func collectParams(tr transport.Transport, plan *shardPlan, params []*jaxpp.Tensor, rank int) error {
+// collectResults hands rank 0 what it reports after the last of steps steps,
+// over the two-rank groups {r, 0}: first, for every stage rank 0 does not
+// host, that stage's replica-0 rank streams the stage's parameters into
+// rank 0's list (a two-rank broadcast per tensor); then every loss-owning
+// rank other than 0 its loss history (one broadcast). The order is the
+// program's gradient order, then rank order, on every rank alike. losses is
+// this rank's history, step-major in lossesByRank[rank] order. On rank 0 the
+// result holds every rank's history by rank (nil where a rank owns no loss);
+// every other rank gets nil.
+func collectResults(tr transport.Transport, plan *shardPlan, params []*jaxpp.Tensor, lossesByRank [][]int, losses []float64, steps, rank int) ([][]float64, error) {
 	comms := map[int]*collective.Communicator{}
+	commWith := func(r int) (*collective.Communicator, error) {
+		if comms[r] == nil {
+			comm, err := commOn(tr, []int{r, 0}, finalGroupID, rank)
+			if err != nil {
+				return nil, err
+			}
+			comms[r] = comm
+		}
+		return comms[r], nil
+	}
 	for gi, owner := range plan.owners {
 		if owner == 0 || (rank != 0 && rank != owner) {
 			continue
 		}
-		comm := comms[owner]
-		if comm == nil {
-			var err error
-			if comm, err = commOn(tr, []int{owner, 0}, finalGroupID, rank); err != nil {
-				return err
-			}
-			comms[owner] = comm
+		comm, err := commWith(owner)
+		if err != nil {
+			return nil, err
 		}
 		if err := comm.BroadcastInto(params[gi], 0); err != nil {
-			return fmt.Errorf("distrun: rank %d collecting parameter %d from rank %d: %w", rank, gi, owner, err)
+			return nil, fmt.Errorf("distrun: rank %d collecting parameter %d from rank %d: %w", rank, gi, owner, err)
 		}
 	}
-	return nil
+	var histories [][]float64
+	if rank == 0 {
+		histories = make([][]float64, len(lossesByRank))
+	}
+	for r, mbs := range lossesByRank {
+		if len(mbs) == 0 || (rank != 0 && rank != r) {
+			continue
+		}
+		if r == rank && len(losses) != steps*len(mbs) {
+			return nil, fmt.Errorf("distrun: rank %d holds %d losses, %d steps of %d microbatches want %d", rank, len(losses), steps, len(mbs), steps*len(mbs))
+		}
+		if r == 0 {
+			histories[0] = losses
+			continue
+		}
+		var h *tensor.Tensor
+		if r == rank {
+			h = tensor.View(losses, len(losses))
+		} else {
+			h = tensor.New(steps * len(mbs))
+		}
+		comm, err := commWith(r)
+		if err != nil {
+			return nil, err
+		}
+		if err := comm.BroadcastInto(h, 0); err != nil {
+			return nil, fmt.Errorf("distrun: rank %d collecting the losses of rank %d: %w", rank, r, err)
+		}
+		if rank == 0 {
+			histories[r] = h.Data()
+		}
+	}
+	return histories, nil
 }

@@ -304,15 +304,16 @@ func TestFusedAndSingleTensorBucketsMatchReplicated(t *testing.T) {
 	}
 }
 
-// wireModel is the closed form of what one rank's data plane sends in one
+// wireModel is the closed form of what one rank's data plane sends for one
 // steady-state step of spec, and in how many messages: its pipeline
-// activations, its chunks of the world-wide loss gather, and the two halves
-// of the epilogue inside its stage's replica group — the reduce half at the
-// wire dtype, the gather half always f64. A ring pass over R ranks sends
-// every chunk but one: the reduce half keeps back the chunk it ends up owning
+// activations, the two halves of the epilogue inside its stage's replica
+// group — the reduce half at the wire dtype, the gather half always f64 —
+// and, on a last-stage rank other than 0, the step's share of the loss
+// history it hands rank 0 at job end. A ring pass over R ranks sends every
+// chunk but one: the reduce half keeps back the chunk it ends up owning
 // (rank+1), the gather half the one it receives last (rank+2).
 func wireModel(spec JobSpec, rank int) sendCount {
-	world, pp, R := spec.World(), spec.Stages, spec.Replicas()
+	pp, R := spec.Stages, spec.Replicas()
 	var n sendCount
 	msg := func(count, elems int, int8q bool) {
 		n.frames += count
@@ -330,9 +331,12 @@ func wireModel(spec JobSpec, rank int) sendCount {
 	if a := rank % pp; a > 0 {
 		msg(spec.NumMB, spec.MBRows*spec.Width, false)
 	}
-	// Loss gather: world-1 hops of one rank's shard, padded to the NumMB
-	// losses a last-stage rank owns.
-	msg(world-1, spec.NumMB, false)
+	// Losses: a last-stage rank keeps its NumMB a step, and one end-of-job
+	// broadcast hands rank 0 the history. Its frames do not grow with the
+	// steps, so a step adds bytes and no message.
+	if rank%pp == pp-1 && rank != 0 {
+		n.bytes += int64(spec.NumMB * 8)
+	}
 	// The stage's gradient, one Width x Width tensor in one bucket.
 	stage, r := spec.Width*spec.Width, rank/pp
 	chunk := func(i int) int { return collective.EvenCounts(stage, R)[(i%R+R)%R] }
@@ -350,8 +354,10 @@ func wireModel(spec JobSpec, rank int) sendCount {
 // divides, f64 and int8q, every rank's SendCount() must grow per steady-state
 // step by exactly wireModel — bytes and messages. (A job of more steps differs
 // from a shorter one by steps alone: set-up and the end-of-job parameter
-// collection cancel.) The same closed form gives the benchmark workloads'
-// wire_bytes_per_step, pinned below as the constants the README derives.
+// collection cancel, and so do the frames of the end-of-job loss hand-off,
+// whose bytes grow with the steps.) The same closed form gives the benchmark
+// workloads' wire_bytes_per_step, pinned below as the constants the README
+// derives.
 func TestStepWireBytesMatchModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -389,9 +395,9 @@ func TestStepWireBytesMatchModel(t *testing.T) {
 		spec JobSpec
 		want int64
 	}{
-		{"pp4-compute", JobSpec{Stages: 4, NumMB: 8, MBRows: 128, Width: 256}, 12_583_680},
-		{"pp4-small", JobSpec{Stages: 4, NumMB: 16, MBRows: 8, Width: 32}, 198_144},
-		{"dp2x2-dense", JobSpec{Stages: 2, DataParallel: 2, NumMB: 2, MBRows: 4, Width: 512}, 8_519_872},
+		{"pp4-compute", JobSpec{Stages: 4, NumMB: 8, MBRows: 128, Width: 256}, 12_582_976},
+		{"pp4-small", JobSpec{Stages: 4, NumMB: 16, MBRows: 8, Width: 32}, 196_736},
+		{"dp2x2-dense", JobSpec{Stages: 2, DataParallel: 2, NumMB: 2, MBRows: 4, Width: 512}, 8_519_712},
 	} {
 		var got int64
 		for rank := 0; rank < w.spec.World(); rank++ {
