@@ -87,6 +87,9 @@ func main() {
 		Telemetry: *metricsAddr != "",
 		WireDType: *wireDType, Shape: shape,
 	}
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	sessOpts := dist.SessionOptions{
 		Transport:         dist.Options{CRC: *crc},
 		HeartbeatInterval: *hbInterval,

@@ -14,8 +14,9 @@ import (
 // lendList is a gradient list that exercises every bucket shape over real
 // sockets: sizes no group size divides, a fused bucket with an empty tensor
 // inside, a tensor larger than the cap on its own, a fused bucket of a single
-// element and a large neighbour. Every non-trivial segment is past the wire's
-// coalescing threshold for five ranks, so on a LocalMesh it is really lent.
+// element and a large neighbour. Every non-trivial segment is past the size
+// below which the wire copies instead of lending (4 KiB) for five ranks, so on
+// a LocalMesh it is really lent.
 var lendList = []int{3001, 0, 4099, 12007, 1, 4999}
 
 const lendBucketCap = 8000 * 8 // buckets [3001 0 4099] [12007] [1 4999]

@@ -30,9 +30,6 @@ var (
 	// cCompressedBytes counts bytes of data frames that left this endpoint
 	// lossy-encoded (f32/int8q) — the numerator of the wire-compression win.
 	cCompressedBytes = obs.Counter("wire/compressed_bytes")
-	// cCoalesced counts small frames that shipped inside a batch envelope
-	// instead of as their own write.
-	cCoalesced = obs.Counter("wire/frames_coalesced")
 )
 
 // closeWriteGrace bounds how long a graceful Close waits for queued frames
@@ -116,20 +113,18 @@ type Transport struct {
 }
 
 // peerLink is one outgoing connection: a lazily dialed conn plus the sender
-// worker that owns all writes to it. pending/pendingBytes are the worker's
-// coalescing buffer, lentHdr and vec its vectored-write scratch, pacer its
-// shaping model (nil on an unshaped link, fixed at dial) — touched only on
-// the worker goroutine.
+// worker that owns all writes to it, through w, the link's buffered writer.
+// lentHdr and vec are the worker's vectored-write scratch, pacer its shaping
+// model (nil on an unshaped link, fixed at dial) — touched only on the worker
+// goroutine.
 type peerLink struct {
-	mb           *Mailbox[outFrame]
-	pacer        *pacer
-	w            *bufio.Writer
-	c            net.Conn
-	pending      [][]byte
-	pendingBytes int
-	lentHdr      [lentHdrLen]byte
-	vecStore     [3][]byte
-	vec          net.Buffers
+	mb       *Mailbox[outFrame]
+	pacer    *pacer
+	w        *bufio.Writer
+	c        net.Conn
+	lentHdr  [lentHdrLen]byte
+	vecStore [3][]byte
+	vec      net.Buffers
 
 	// Lent-send accounting. lent counts payloads queued by SendLent, released
 	// the ones the worker no longer references (written, failed, or dropped at
@@ -141,7 +136,7 @@ type peerLink struct {
 }
 
 // outFrame is one item of a sender worker's queue: an encoded frame in a
-// pooled buffer, which the worker may coalesce and recycles once written, or
+// pooled buffer, which the worker writes as it is and recycles, or
 // a lent frame — payload borrowed from SendLent's caller until the worker
 // releases it, hdr what goes around it on the wire (lendFrame). enqueued is
 // when Send queued a data frame on a shaped link, zero otherwise.
@@ -174,15 +169,11 @@ func controlFrame(kind uint8, from, to int) []byte {
 	return EncodeFrame(&Header{Kind: kind, From: from, To: to, DType: DTF64, Shape: zeroShape}, nil, false)
 }
 
-// Coalescing thresholds: frames at or under coalesceMaxFrame bytes (losses,
-// scalar telemetry, sub-4KiB gradient buckets) accumulate in the sender
-// worker and ship as one batch frame per burst; an accumulation crossing
-// coalesceFlushBytes flushes early so a long burst of small frames cannot
-// grow an unbounded batch.
-const (
-	coalesceMaxFrame   = 4096
-	coalesceFlushBytes = 1 << 16
-)
+// lendMinFrame is the threshold below which SendLent copies instead of
+// lending: a frame of at most this many bytes is encoded into a pooled buffer
+// like any Send and joins its burst's one buffered write, where a lent frame
+// would flush the buffer and take a write (and a Settle) of its own.
+const lendMinFrame = 4096
 
 // NewTransport opens the data-plane listener for one rank. Peers are
 // unreachable until Connect installs the address book (rendezvous provides
@@ -372,51 +363,25 @@ func (t *Transport) link(to int) (*peerLink, error) {
 		pl.pacer = newPacer(t.shape, t.Rank(), to)
 	}
 	// The sender worker owns all writes to this conn: frames arrive encoded,
-	// the worker writes them and recycles the buffers, and the drain hook
-	// flushes once per burst (after the last queued frame) — one syscall per
-	// burst, not one per frame. Small frames additionally coalesce: they
-	// accumulate in pending (worker-local, no locking) and ship as one batch
-	// frame when a large frame, the flush threshold, or the end of the burst
-	// arrives — one header + write for a flurry of losses and scalars. A lent
-	// frame bypasses the buffered writer: whatever is buffered is flushed, then
-	// header, borrowed payload and trailer go out in one vectored write. FIFO
-	// holds because pending, and then the buffer, always drain before anything
-	// later is written. On a shaped link the worker first waits out each data
-	// frame's modeled arrival — having put on the wire what arrived before it —
-	// and then writes the frame as above, or drops it.
+	// one frame per message, and the worker writes each into the link's
+	// buffered writer and recycles its buffer; the drain hook flushes once per
+	// burst (after the last queued frame) — one syscall for a burst of small
+	// frames, not one per frame. A lent frame bypasses the buffered writer:
+	// whatever is buffered is flushed, then header, borrowed payload and
+	// trailer go out in one vectored write. FIFO holds because the buffer
+	// always drains before anything later is written. On a shaped link the
+	// worker first waits out each data frame's modeled arrival — having put on
+	// the wire what arrived before it — and then writes the frame as above, or
+	// drops it.
 	failed := func(what string, err error) {
 		if err != nil && !t.isClosed() {
 			t.Poison(fmt.Errorf("dist: rank %d %s peer %d: %w", t.Rank(), what, to, err))
 		}
 	}
-	write := func(frame []byte) {
-		_, err := w.Write(frame)
-		failed("write to", err)
-		recycleFrameBuf(frame)
-	}
-	flushPending := func() {
-		switch len(pl.pending) {
-		case 0:
-			return
-		case 1:
-			// A lone small frame gains nothing from an envelope.
-			write(pl.pending[0])
-		default:
-			batch := EncodeBatchFrame(t.Rank(), to, pl.pending, t.opts.CRC)
-			write(batch)
-			obs.Add(cCoalesced, int64(len(pl.pending)))
-			for _, f := range pl.pending {
-				recycleFrameBuf(f)
-			}
-		}
-		pl.pending = pl.pending[:0]
-		pl.pendingBytes = 0
-	}
 	pl.mb = NewMailboxDrain(0, func(f outFrame) {
 		if !f.enqueued.IsZero() {
 			at, drop := pl.pacer.arrival(f.enqueued, len(f.frame))
 			if d := time.Until(at); d > 0 {
-				flushPending()
 				failed("flush to", w.Flush())
 				time.Sleep(d)
 			}
@@ -425,9 +390,7 @@ func (t *Transport) link(to int) (*peerLink, error) {
 				return
 			}
 		}
-		switch {
-		case f.payload != nil:
-			flushPending()
+		if f.payload != nil {
 			err := w.Flush()
 			if err == nil {
 				// The header moves out of the queue item into storage that
@@ -442,18 +405,12 @@ func (t *Transport) link(to int) (*peerLink, error) {
 			}
 			failed("write to", err)
 			pl.release()
-		case len(f.frame) <= coalesceMaxFrame:
-			pl.pending = append(pl.pending, f.frame)
-			pl.pendingBytes += len(f.frame)
-			if pl.pendingBytes >= coalesceFlushBytes {
-				flushPending()
-			}
-		default:
-			flushPending()
-			write(f.frame)
+			return
 		}
+		_, err := w.Write(f.frame)
+		failed("write to", err)
+		recycleFrameBuf(f.frame)
 	}, func() {
-		flushPending()
 		failed("flush to", w.Flush())
 	})
 	// Identify ourselves so the peer's readLoop can attribute the stream. The
@@ -476,7 +433,7 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 }
 
 // SendLent implements transport.Transport. A payload that ships f64 in a
-// frame too large to coalesce is queued as a pooled header plus the caller's
+// frame larger than lendMinFrame is queued as a pooled header plus the caller's
 // own bytes, which the peer's sender worker writes with one vectored write
 // and Settle waits for; everything else — a lossy dtype, a small frame, a
 // self-send, a build without a memory image of []float64 — is copied exactly
@@ -519,7 +476,7 @@ func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bo
 	he := obs.TrackTid(scWireEncode, self)
 	var f outFrame
 	n := frameSize(&h, len(data), t.opts.CRC)
-	if img := f64Image(data); lend && pl.pacer == nil && dt == DTF64 && img != nil && n > coalesceMaxFrame {
+	if img := f64Image(data); lend && pl.pacer == nil && dt == DTF64 && img != nil && n > lendMinFrame {
 		f.payload = img
 		lendFrame(&f.hdr, &h, img, t.opts.CRC)
 		pl.lent.Add(1)

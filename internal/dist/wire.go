@@ -27,15 +27,15 @@ import (
 //	u8   magic (0xA7)
 //	u8   version (1)
 //	u8   flags              bit0: payload CRC32 trailer present
-//	u8   kind               frameData | frameHello | frameGoodbye | frameBatch
+//	u8   kind               frameData | frameHello | frameGoodbye (any other
+//	                        kind is corrupt)
 //	i32  from, i32 to       transport actor IDs
 //	i64  tag
 //	u8   dtype              DTF64 | DTF32 | DTInt8Q
 //	u8   rank               number of dims (<= maxWireRank)
 //	i32  × rank             dims
 //	...  payload            dtype-encoded elements, little-endian (DTInt8Q
-//	                        prefixes an 8-byte f64 scale; frameBatch carries
-//	                        raw concatenated inner frames, shape [byteLen])
+//	                        prefixes an 8-byte f64 scale)
 //	u32  crc (optional)     CRC32-IEEE of everything after the length prefix
 //	                        (header + dims + payload — a flipped tag, shape,
 //	                        or routing byte must fail the check, not just a
@@ -58,12 +58,6 @@ const (
 	frameData    = 0
 	frameHello   = 1
 	frameGoodbye = 2
-	// frameBatch coalesces several complete small frames into one wire frame:
-	// the payload is the byte-concatenation of the inner frames (each with its
-	// own length prefix, header, and optional CRC), the shape is [payloadLen].
-	// The decoder unwraps transparently — consumers only ever see the inner
-	// frames — so batching changes syscall and header costs, never semantics.
-	frameBatch = 3
 
 	// maxWireRank bounds the shape a frame may carry; a corrupt header cannot
 	// make the reader allocate an absurd dims slice.
@@ -406,7 +400,7 @@ func lentHdrParts(hdr *[lentHdrLen]byte, withCRC bool) (head, tail []byte) {
 }
 
 // putFrameHeader writes the length prefix, fixed header, and dims into buf,
-// returning the payload offset. Shared by EncodeFrame and EncodeBatchFrame.
+// returning the payload offset. Shared by EncodeFrame and lendFrame.
 func putFrameHeader(buf []byte, h *Header, withCRC bool, total int) int {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(total-4))
 	buf[4] = wireMagic
@@ -430,36 +424,6 @@ func putFrameHeader(buf []byte, h *Header, withCRC bool, total int) int {
 	return off
 }
 
-// EncodeBatchFrame wraps already-encoded frames into one batch frame whose
-// payload is their byte-concatenation. The sender worker calls this to
-// coalesce a burst of small frames (losses, scalar telemetry, sub-4KiB
-// buckets) into a single header + write; inner frames keep whatever CRC they
-// were encoded with, and withCRC additionally covers the batch envelope. The
-// caller still owns (and must recycle) the inner frame buffers.
-func EncodeBatchFrame(from, to int, frames [][]byte, withCRC bool) []byte {
-	payload := 0
-	for _, f := range frames {
-		payload += len(f)
-	}
-	var shape [1]int
-	shape[0] = payload
-	h := Header{Kind: frameBatch, From: from, To: to, DType: DTF64, Shape: shape[:]}
-	total := headerFixed + 4 + payload
-	if withCRC {
-		total += 4
-	}
-	buf := getFrameBuf(total)
-	off := putFrameHeader(buf, &h, withCRC, total)
-	for _, f := range frames {
-		off += copy(buf[off:], f)
-	}
-	if withCRC {
-		crc := crc32.ChecksumIEEE(buf[4:off])
-		binary.LittleEndian.PutUint32(buf[off:], crc)
-	}
-	return buf
-}
-
 // recycleFrameBuf returns an encoded frame's storage to the pool. Exposed to
 // the conn writer; callers must hold the only reference.
 func recycleFrameBuf(b []byte) { putFrameBuf(b) }
@@ -468,8 +432,8 @@ func recycleFrameBuf(b []byte) { putFrameBuf(b) }
 // calls. Not safe for concurrent use (one Decoder per connection).
 type Decoder struct {
 	r io.Reader
-	// buf stages every payload that is not read in place: f32, int8q, batch
-	// and control frames (and f64 ones in builds without a memory image).
+	// buf stages every payload that is not read in place: f32, int8q and
+	// control frames (and f64 ones in builds without a memory image).
 	buf []byte
 	// hdr and word are the header and the length-prefix / CRC-trailer read
 	// buffers: fields rather than locals because they are read through the
@@ -478,30 +442,6 @@ type Decoder struct {
 	word [4]byte
 	// dims is the reusable shape scratch handed out via Header.Shape; callers
 	// must not retain it across ReadFrame calls.
-	dims [maxWireRank]int
-	// q holds inner frames unwrapped from a batch frame, handed out by
-	// subsequent ReadFrame calls before the stream is touched again. The
-	// backing array is reused across batches.
-	q    []queuedFrame
-	qPos int
-	// batchPayload aliases d.buf between readFrameBody returning a batch
-	// frame and unwrapBatch consuming it.
-	batchPayload []byte
-	// inBatch marks the throwaway sub-decoder unwrapBatch runs over a batch
-	// payload. The coalescer never nests batches, so a batch frame inside a
-	// batch payload is corruption — and rejecting it here (rather than
-	// unwrapping recursively) keeps a crafted deeply-nested frame from
-	// recursing the decoder.
-	inBatch bool
-}
-
-// queuedFrame is one unwrapped inner frame of a batch: header, decoded
-// payload, and an inline copy of the dims (the sub-decoder's shape scratch
-// does not outlive the unwrap loop).
-type queuedFrame struct {
-	h    Header
-	t    *tensor.Tensor
-	rank int
 	dims [maxWireRank]int
 }
 
@@ -530,13 +470,6 @@ func corrupt(format string, args ...any) error {
 // is sized, so a corrupt or desynced length prefix fails on its garbage
 // header bytes instead of driving a giant allocation.
 func (d *Decoder) ReadFrame() (Header, *tensor.Tensor, error) {
-	if d.qPos < len(d.q) {
-		f := &d.q[d.qPos]
-		d.qPos++
-		h := f.h
-		h.Shape = f.dims[:f.rank]
-		return h, f.t, nil
-	}
 	if _, err := io.ReadFull(d.r, d.word[:]); err != nil {
 		return Header{}, nil, err // io.EOF at a frame boundary is clean
 	}
@@ -547,65 +480,11 @@ func (d *Decoder) ReadFrame() (Header, *tensor.Tensor, error) {
 	hd := obs.Track(scWireDecode)
 	h, t, err := d.readFrameBody(frameLen)
 	hd.StopBytes(int64(frameLen) + 4)
-	if err == nil && h.Kind == frameBatch {
-		if d.inBatch {
-			return Header{}, nil, corrupt("nested batch frame")
-		}
-		// Inner data frames are counted by the sub-decoder as they unwrap;
-		// counting the envelope too would double-book the payload bytes.
-		return d.unwrapBatch()
-	}
 	if err == nil && h.Kind == frameData {
 		obs.Add(cFramesRecvd, 1)
 		obs.Add(cBytesRecvd, int64(frameLen)+4)
 	}
 	return h, t, err
-}
-
-// unwrapBatch parses the batch payload sitting in d.buf into the inner-frame
-// queue and returns the first inner frame. An empty or malformed batch is a
-// corrupt frame: the coalescer never emits empty batches, and a truncated
-// inner frame means the envelope lied about its contents.
-func (d *Decoder) unwrapBatch() (Header, *tensor.Tensor, error) {
-	d.q = d.q[:0]
-	d.qPos = 0
-	sub := NewDecoder(bytes.NewReader(d.batchPayload))
-	sub.inBatch = true
-	for {
-		h, t, err := sub.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			d.recycleQueued()
-			return Header{}, nil, corrupt("batch inner frame: %v", err)
-		}
-		if len(h.Shape) > maxWireRank {
-			d.recycleQueued()
-			return Header{}, nil, corrupt("batch inner rank %d", len(h.Shape))
-		}
-		qf := queuedFrame{h: h, t: t, rank: len(h.Shape)}
-		copy(qf.dims[:], h.Shape)
-		qf.h.Shape = nil
-		d.q = append(d.q, qf)
-	}
-	if len(d.q) == 0 {
-		return Header{}, nil, corrupt("empty batch frame")
-	}
-	return d.ReadFrame()
-}
-
-// recycleQueued returns any tensors already unwrapped from a failed batch to
-// the pool.
-func (d *Decoder) recycleQueued() {
-	for i := range d.q {
-		if d.q[i].t != nil {
-			tensor.Recycle(d.q[i].t)
-			d.q[i].t = nil
-		}
-	}
-	d.q = d.q[:0]
-	d.qPos = 0
 }
 
 // truncated wraps a short read inside a frame: the stream ended, or broke,
@@ -634,6 +513,9 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	}
 	if hdr[1] != wireVersion {
 		return Header{}, nil, corrupt("unsupported wire version %d", hdr[1])
+	}
+	if k := hdr[3]; k != frameData && k != frameHello && k != frameGoodbye {
+		return Header{}, nil, corrupt("unknown frame kind %d", k)
 	}
 	withCRC := hdr[2]&flagCRC != 0
 	h := Header{
@@ -674,14 +556,6 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	}
 	h.Shape = dims
 	payloadLen := h.DType.payloadBytes(elems)
-	if h.Kind == frameBatch {
-		// A batch payload is raw inner-frame bytes: shape [byteLen], one byte
-		// per "element" regardless of the dtype byte.
-		if rank != 1 {
-			return Header{}, nil, corrupt("batch frame rank %d, want 1", rank)
-		}
-		payloadLen = elems
-	}
 	rest := payloadLen // payload (+ CRC trailer) still on the stream
 	if withCRC {
 		rest += 4
@@ -726,10 +600,6 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 			return Header{}, nil, err
 		}
 	}
-	if h.Kind == frameBatch {
-		d.batchPayload = payload
-		return h, nil, nil
-	}
 	if h.Kind != frameData {
 		return h, nil, nil
 	}
@@ -756,10 +626,10 @@ func (d *Decoder) readFrameBody(frameLen int) (Header, *tensor.Tensor, error) {
 	return h, t, nil
 }
 
-// short reports that the stream is known to end within the next n bytes. A
-// batch payload, like any in-memory image, knows its length, so an inner
-// frame that overruns it is truncated before a buffer is sized for what it
-// claims; a socket only finds out by reading.
+// short reports that the stream is known to end within the next n bytes. An
+// in-memory stream knows its length, so a frame that overruns it is
+// truncated before a tensor is sized for what it claims (up to maxFrameElems,
+// 2 GiB, which bounds what a socket can make the decoder size).
 func (d *Decoder) short(n int) bool {
 	br, ok := d.r.(*bytes.Reader)
 	return ok && br.Len() < n

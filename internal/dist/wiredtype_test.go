@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,121 +184,9 @@ func TestDecodeCorruptInt8QFrames(t *testing.T) {
 	}
 }
 
-// TestBatchFrameRoundTrip coalesces several small frames (mixed dtypes, with
-// and without an outer CRC) into one batch frame and checks the decoder
-// transparently yields each inner frame in order, then clean EOF.
-func TestBatchFrameRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, outerCRC := range []bool{false, true} {
-		var inner [][]byte
-		var want []struct {
-			h    Header
-			data []float64
-		}
-		for i, dt := range []DType{DTF64, DTF32, DTF64, DTInt8Q} {
-			n := rng.Intn(6)
-			data := make([]float64, n)
-			for j := range data {
-				data[j] = rng.NormFloat64() * 10
-			}
-			h := Header{Kind: frameData, From: 2, To: 3, Tag: 100 + i, DType: dt, Shape: []int{n}}
-			inner = append(inner, append([]byte(nil), EncodeFrame(&h, data, i%2 == 0)...))
-			exp := append([]float64(nil), data...)
-			LossyRoundTrip(dt, exp)
-			want = append(want, struct {
-				h    Header
-				data []float64
-			}{h, exp})
-		}
-		batch := EncodeBatchFrame(2, 3, inner, outerCRC)
-		dec := NewDecoder(bytes.NewReader(append([]byte(nil), batch...)))
-		recycleFrameBuf(batch)
-		for i, w := range want {
-			h, ten, err := dec.ReadFrame()
-			if err != nil {
-				t.Fatalf("outerCRC %v inner %d: %v", outerCRC, i, err)
-			}
-			if h.Tag != w.h.Tag || h.DType != w.h.DType || h.From != 2 || h.To != 3 {
-				t.Fatalf("inner %d header %+v, want %+v", i, h, w.h)
-			}
-			for j, v := range ten.Data() {
-				if math.Float64bits(v) != math.Float64bits(w.data[j]) {
-					t.Fatalf("inner %d elem %d: %v, want %v", i, j, v, w.data[j])
-				}
-			}
-			tensor.Recycle(ten)
-		}
-		if _, _, err := dec.ReadFrame(); err != io.EOF {
-			t.Fatalf("after batch: err %v, want io.EOF", err)
-		}
-	}
-}
-
-// TestBatchFrameCorrupt pins the batch envelope's failure modes: an empty
-// batch, a truncated inner frame, a nested batch, and trailing garbage are
-// all corrupt — rejected with an error, never a panic or a silent skip.
-func TestBatchFrameCorrupt(t *testing.T) {
-	mkInner := func(tag int) []byte {
-		h := Header{Kind: frameData, From: 0, To: 1, Tag: tag, DType: DTF64, Shape: []int{2}}
-		buf := EncodeFrame(&h, []float64{1, 2}, false)
-		out := append([]byte(nil), buf...)
-		recycleFrameBuf(buf)
-		return out
-	}
-	cases := []struct {
-		name string
-		mk   func() []byte
-	}{
-		{"empty batch", func() []byte {
-			b := EncodeBatchFrame(0, 1, nil, false)
-			out := append([]byte(nil), b...)
-			recycleFrameBuf(b)
-			return out
-		}},
-		{"truncated inner frame", func() []byte {
-			inner := mkInner(1)
-			b := EncodeBatchFrame(0, 1, [][]byte{inner[:len(inner)-3]}, false)
-			out := append([]byte(nil), b...)
-			recycleFrameBuf(b)
-			return out
-		}},
-		{"nested batch", func() []byte {
-			leaf := EncodeBatchFrame(0, 1, [][]byte{mkInner(2)}, false)
-			nested := EncodeBatchFrame(0, 1, [][]byte{append([]byte(nil), leaf...)}, false)
-			recycleFrameBuf(leaf)
-			out := append([]byte(nil), nested...)
-			recycleFrameBuf(nested)
-			return out
-		}},
-		{"trailing garbage", func() []byte {
-			b := EncodeBatchFrame(0, 1, [][]byte{mkInner(3)}, false)
-			out := append([]byte(nil), b...)
-			recycleFrameBuf(b)
-			// Grow the batch payload by 3 junk bytes the inner walk cannot
-			// consume: patch both the outer length and the shape dim.
-			out = append(out, 0xA7, 0x01, 0x00)
-			putU32(out, uint32(len(out)-4))
-			putU32(out[headerFixed:], uint32(int(readU32(out[headerFixed:]))+3))
-			return out
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := NewDecoder(bytes.NewReader(tc.mk())).ReadFrame()
-			if err == nil {
-				t.Fatal("corrupt batch decoded successfully")
-			}
-		})
-	}
-}
-
-// putU32/putF64/readU32 are little test shims over the wire's endianness.
+// putU32/putF64 are little test shims over the wire's endianness.
 func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 func putF64(b []byte, v float64) {
@@ -375,10 +262,10 @@ func TestLoopbackMatchesRemoteLossiness(t *testing.T) {
 	}
 }
 
-// TestSmallSendBurstSurvivesCoalescing floods one link with small tensors —
-// the pattern the sender-side coalescer batches — and requires every payload
-// to arrive intact and in tag order.
-func TestSmallSendBurstSurvivesCoalescing(t *testing.T) {
+// TestSmallSendBurstArrivesInOrder floods one link with small CRC'd tensors —
+// back-to-back frames that leave in one flush of the link's buffered writer —
+// and requires every payload to arrive intact and in tag order.
+func TestSmallSendBurstArrivesInOrder(t *testing.T) {
 	mesh, err := NewLocalMesh(2, Options{CRC: true})
 	if err != nil {
 		t.Fatal(err)

@@ -167,18 +167,20 @@ func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 	if s.Kind != "" && s.Kind != KindTrain {
 		return s, fmt.Errorf("distrun: payload kind %q is not a training job", s.Kind)
 	}
-	return s, s.validate()
+	return s, s.Validate()
 }
 
-// validate rejects a spec no rank can run, naming the field (as the payload
+// Validate rejects a spec no rank can run, naming the field (as the payload
 // spells it) and its value. A spec enters the program from outside — the
 // rendezvous payload and the -resume state file through UnmarshalJobSpec,
-// jaxpp-train's flags and RunLocal's callers through CompileHosted — and both
-// call this first, so a bad value fails the job with an error instead of
-// dividing by zero in InitModel, training to NaN, or running silently as a
+// jaxpp-train's flags before any mode runs, the elastic coordinator's spec in
+// RunElasticCoordinator, and RunLocal's callers through CompileHosted — and
+// each door calls this first, so a bad value fails the job with an error
+// instead of dividing by zero in InitModel, training to NaN, panicking while
+// the payload is marshalled (JSON has no NaN), or running silently as a
 // different job. Steps 0 is legal: the benchmark times set-up (join, mesh
 // connect, compile) with such jobs.
-func (s JobSpec) validate() error {
+func (s JobSpec) Validate() error {
 	bad := func(field string, v any, want string) error {
 		return fmt.Errorf("distrun: invalid job spec: %s = %v, want %s", field, v, want)
 	}
@@ -406,7 +408,7 @@ func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jax
 // compile is CompileHosted with the gradient epilogue Run puts in the DP
 // all-reduce's place (jaxpp.CompileSpec.GradSync; nil keeps the all-reduce).
 func compile(spec JobSpec, tr transport.Transport, hostActors []int, gradSync func(actor int, grads []*jaxpp.Tensor) error) (*jaxpp.TrainStep, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	sched := jaxpp.OneFOneB(spec.Stages, spec.NumMB)

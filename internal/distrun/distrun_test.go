@@ -321,8 +321,9 @@ func TestWorkerDeathSurfacesPoisonNotHang(t *testing.T) {
 // the update, the recycling of the gradients and the gather half, nothing a
 // ring pass has lent to the transport is written or recycled before the pass
 // has settled, and every loan is settled when the job ends. Width 64 puts
-// every gradient chunk past the wire's coalescing threshold, so they really
-// are lent; the losses and parameters stay RunLocal's bit for bit.
+// every gradient chunk past the size below which the wire copies instead of
+// lending (4 KiB), so they really are lent; the losses and parameters stay
+// RunLocal's bit for bit.
 func TestJobHonoursTheLendingRule(t *testing.T) {
 	spec := JobSpec{
 		Stages: 2, NumMB: 2, MBRows: 4, Width: 64,

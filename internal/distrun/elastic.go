@@ -53,14 +53,14 @@ func SpecForReplicas(spec JobSpec, replicas int) JobSpec {
 // training attempts have failed. attempt numbers continue from prevAttempts
 // (nonzero when resuming a persisted cluster state).
 func RunElasticCoordinator(spec JobSpec, opt ElasticOptions, prevAttempts int) (*Report, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	if opt.MinReplicas < 1 {
 		opt.MinReplicas = 1
 	}
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = 3
-	}
-	if spec.Stages < 1 {
-		return nil, fmt.Errorf("distrun: elastic job needs >= 1 stage")
 	}
 	maxWorld := spec.World()
 	attempt := prevAttempts

@@ -8,9 +8,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/dist"
 )
 
-// badSpecs is every way JobSpec.validate refuses a spec: one field of an
+// badSpecs is every way JobSpec.Validate refuses a spec: one field of an
 // otherwise runnable job set out of range, and the text the error must carry
 // (the field as the payload spells it, and the value).
 var badSpecs = []struct {
@@ -48,7 +51,7 @@ func runnableSpec() JobSpec {
 }
 
 // payloadOK reports whether json can carry the spec: NaN and ±Inf cannot
-// travel in a payload (Marshal panics), so those rows reach validate through
+// travel in a payload (Marshal panics), so those rows reach Validate through
 // CompileHosted only.
 func payloadOK(s JobSpec) bool {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -83,6 +86,19 @@ func TestJobSpecValidate(t *testing.T) {
 			_, err = UnmarshalJobSpec(spec.Marshal())
 			check("UnmarshalJobSpec", err)
 		}
+	}
+}
+
+// TestElasticCoordinatorRefusesABadSpec pins the coordinator's own door: a
+// non-finite lr, which the job payload's JSON cannot carry, fails with an
+// error naming lr before any rendezvous, instead of panicking while the
+// payload is marshalled.
+func TestElasticCoordinatorRefusesABadSpec(t *testing.T) {
+	spec := runnableSpec()
+	spec.Stages, spec.LR = 1, math.NaN()
+	opt := ElasticOptions{CtrlAddr: "127.0.0.1:0", Session: dist.SessionOptions{JoinGrace: 10 * time.Millisecond}}
+	if _, err := RunElasticCoordinator(spec, opt, 0); err == nil || !strings.Contains(err.Error(), "lr = NaN") {
+		t.Fatalf("RunElasticCoordinator returned %v, want an error naming lr = NaN", err)
 	}
 }
 
@@ -127,7 +143,7 @@ func corpusPayloads(t *testing.T) map[string][]byte {
 	return out
 }
 
-// TestCommittedJobPayloadsAccepted pins that validate refuses none of the
+// TestCommittedJobPayloadsAccepted pins that Validate refuses none of the
 // jobs the repo runs: the committed corpus is the benchmark's four workload
 // shapes (bench/ is a module of its own and cannot be imported here), an
 // elastic, checkpointing, shaped int8q job, and a payload from an older
@@ -161,8 +177,8 @@ func FuzzUnmarshalJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := spec.validate(); err != nil {
-			t.Fatalf("accepted spec fails validate: %v", err)
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted spec fails Validate: %v", err)
 		}
 		again, err := UnmarshalJobSpec(spec.Marshal())
 		if err != nil || !reflect.DeepEqual(again, spec) {
