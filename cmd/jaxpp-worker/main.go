@@ -33,7 +33,6 @@ func main() {
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address")
 	rank := flag.Int("rank", 0, "requested rank (0 = let the coordinator assign)")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
-	profile := flag.Bool("profile", false, "log a one-line per-step compute/wire/idle summary on this rank (snapshot shipping still follows the coordinator's job spec)")
 	reconnect := flag.Bool("reconnect", false, "elastic mode: on job failure, re-join the rendezvous instead of exiting")
 	backoff := flag.Duration("reconnect-backoff", 500*time.Millisecond, "elastic mode: initial re-join delay (failed joins back off exponentially to 8x)")
 	maxJoinFailures := flag.Int("max-join-failures", 5, "elastic mode: consecutive failed joins before giving up on the coordinator")
@@ -60,7 +59,6 @@ func main() {
 			Session:         opts,
 			Backoff:         *backoff,
 			MaxJoinFailures: *maxJoinFailures,
-			Profile:         *profile,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jaxpp-worker:", err)
@@ -80,7 +78,7 @@ func main() {
 	}
 	defer sess.Close()
 	fmt.Printf("jaxpp-worker: rank %d of %d\n", sess.Rank, sess.World)
-	if err := distrun.RunJobWith(sess, distrun.JobOptions{Profile: *profile}); err != nil {
+	if err := distrun.RunJob(sess); err != nil {
 		fmt.Fprintln(os.Stderr, "jaxpp-worker:", err)
 		os.Exit(1)
 	}

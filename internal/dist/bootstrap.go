@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,8 @@ type ctrlMsg struct {
 	World    int             `json:"world,omitempty"`
 	Book     map[int]string  `json:"book,omitempty"`
 	Job      json.RawMessage `json:"job,omitempty"`
+	// Step is the step a rank is at when it reaches a barrier (see Barrier).
+	Step int `json:"step,omitempty"`
 	// Prof carries a worker's end-of-job profile snapshot to the coordinator
 	// (see SendProfile/GatherProfiles).
 	Prof json.RawMessage `json:"prof,omitempty"`
@@ -687,54 +690,84 @@ func (s *Session) workerMonitor() {
 	}
 }
 
-// Barrier blocks until every rank of the session reaches it: workers send a
-// barrier message and wait for the coordinator's release; the coordinator
-// waits for all workers, then releases them. Errors surface transport
-// poisoning (a dead rank fails the barrier everywhere instead of hanging).
-func (s *Session) Barrier() error {
+// Barrier blocks until every rank of the session reaches it at the same step:
+// each rank names the step it is at, workers send it in a barrier message and
+// wait for the coordinator's release, and the coordinator reads every
+// worker's step before it releases them. If any step differs from the
+// coordinator's, it fails the world with one message naming rank 0's step and
+// each differing rank's, and every rank's Barrier returns that message. A
+// dead rank fails the barrier everywhere instead of hanging it, and a rank
+// that leaves the session gracefully fails it at once.
+func (s *Session) Barrier(step int) error {
+	if s.Rank != 0 {
+		if err := s.coord.send(ctrlMsg{Type: "barrier", Step: step}); err != nil {
+			return fmt.Errorf("dist: barrier: %w", err)
+		}
+		_, err := s.await(s.coord, "barrier", "barrier_ok")
+		return err
+	}
+	var differ []string
+	for _, cc := range s.workers {
+		m, err := s.await(cc, "barrier", "barrier")
+		if err != nil {
+			return err
+		}
+		if m.Step != step {
+			differ = append(differ, fmt.Sprintf("rank %d at step %d", cc.rank, m.Step))
+		}
+	}
+	if len(differ) > 0 {
+		err := fmt.Errorf("dist: barrier: ranks disagree on the step: rank 0 at step %d, %s", step, strings.Join(differ, ", "))
+		s.fail(err)
+		return err
+	}
+	for _, cc := range s.workers {
+		if err := cc.send(ctrlMsg{Type: "barrier_ok"}); err != nil {
+			return fmt.Errorf("dist: barrier release rank %d: %w", cc.rank, err)
+		}
+	}
+	return nil
+}
+
+// await returns the next protocol message from cc's peer, which must be of
+// kind want; op names the exchange in errors. It fails with the poison error
+// once the data plane is poisoned, at once when the peer has left the
+// session, and after 4× the heartbeat timeout of silence otherwise.
+func (s *Session) await(cc *ctrlConn, op, want string) (ctrlMsg, error) {
+	peer := fmt.Sprintf("rank %d", cc.rank)
+	if s.Rank != 0 {
+		peer = "the coordinator"
+	}
 	timeout := s.opts.HeartbeatTimeout * 4
-	if s.Rank == 0 {
-		for _, cc := range s.workers {
-			select {
-			case m := <-cc.replies:
-				if m.Type != "barrier" {
-					return fmt.Errorf("dist: barrier: rank %d sent %q", cc.rank, m.Type)
-				}
-			case <-s.Transport.inbox.Dead():
-				return s.Transport.Err()
-			case <-time.After(timeout):
-				return fmt.Errorf("dist: barrier: rank %d silent for %v", cc.rank, timeout)
-			}
-		}
-		for _, cc := range s.workers {
-			if err := cc.send(ctrlMsg{Type: "barrier_ok"}); err != nil {
-				return fmt.Errorf("dist: barrier release rank %d: %w", cc.rank, err)
-			}
-		}
-		return nil
-	}
-	if err := s.coord.send(ctrlMsg{Type: "barrier"}); err != nil {
-		return fmt.Errorf("dist: barrier: %w", err)
-	}
+	var m ctrlMsg
 	select {
-	case m := <-s.coord.replies:
-		if m.Type != "barrier_ok" {
-			return fmt.Errorf("dist: barrier: coordinator sent %q", m.Type)
+	case m = <-cc.replies:
+	case <-cc.served:
+		// The serve loop queues what it read before it exits, so a message
+		// the peer sent before it left still wins; a crash poisons first.
+		select {
+		case m = <-cc.replies:
+		default:
+			if err := s.Transport.Err(); err != nil {
+				return m, err
+			}
+			return m, fmt.Errorf("dist: %s: %s left the session", op, peer)
 		}
-		return nil
 	case <-s.Transport.inbox.Dead():
-		return s.Transport.Err()
+		return m, s.Transport.Err()
 	case <-time.After(timeout):
-		return fmt.Errorf("dist: barrier: coordinator silent for %v", timeout)
+		return m, fmt.Errorf("dist: %s: %s silent for %v", op, peer, timeout)
 	}
+	if m.Type != want {
+		return m, fmt.Errorf("dist: %s: %s sent %q", op, peer, m.Type)
+	}
+	return m, nil
 }
 
 // SendProfile ships this worker's profile snapshot to the coordinator as a
-// control frame. Call it strictly after the end-of-job Barrier: the shared
-// reply channel carries both barrier and profile traffic, and the ordering
-// (everyone past the barrier, then profiles) is what keeps the two phases
-// from interleaving. Coordinator-side callers should use their snapshot
-// directly instead.
+// control frame. A job sends it after its last checkpoint fence, so it is the
+// worker's only message on the coordinator's reply channel from then on.
+// Coordinator-side callers should use their snapshot directly instead.
 func (s *Session) SendProfile(data []byte) error {
 	if s.Rank == 0 {
 		return fmt.Errorf("dist: SendProfile on the coordinator (rank 0 collects, it does not send)")
@@ -747,25 +780,18 @@ func (s *Session) SendProfile(data []byte) error {
 
 // GatherProfiles collects one profile snapshot from every worker (coordinator
 // only), in no particular order — snapshots identify their rank themselves.
-// Call it strictly after the end-of-job Barrier, mirroring SendProfile.
+// A worker that has sent its snapshot may already have left the session.
 func (s *Session) GatherProfiles() ([][]byte, error) {
 	if s.Rank != 0 {
 		return nil, fmt.Errorf("dist: GatherProfiles on a worker (rank %d)", s.Rank)
 	}
-	timeout := s.opts.HeartbeatTimeout * 4
 	out := make([][]byte, 0, len(s.workers))
 	for _, cc := range s.workers {
-		select {
-		case m := <-cc.replies:
-			if m.Type != "prof" {
-				return nil, fmt.Errorf("dist: gather profiles: rank %d sent %q", cc.rank, m.Type)
-			}
-			out = append(out, m.Prof)
-		case <-s.Transport.inbox.Dead():
-			return nil, s.Transport.Err()
-		case <-time.After(timeout):
-			return nil, fmt.Errorf("dist: gather profiles: rank %d silent for %v", cc.rank, timeout)
+		m, err := s.await(cc, "gather profiles", "prof")
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, m.Prof)
 	}
 	return out, nil
 }

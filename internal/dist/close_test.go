@@ -50,7 +50,7 @@ func TestGracefulCloseDeliversProfiles(t *testing.T) {
 				return
 			}
 			defer w.Close()
-			if err := w.Barrier(); err != nil {
+			if err := w.Barrier(0); err != nil {
 				workerErr <- err
 				return
 			}
@@ -60,7 +60,7 @@ func TestGracefulCloseDeliversProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %d: coordinate: %v", i, err)
 		}
-		if err := c.Barrier(); err != nil {
+		if err := c.Barrier(0); err != nil {
 			t.Fatalf("session %d: barrier: %v", i, err)
 		}
 		time.Sleep(5 * time.Millisecond) // the coordinator is busy; the worker is already closing

@@ -155,7 +155,7 @@ func TestSessionBarrier(t *testing.T) {
 		go func(i int, s *Session) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				if errs[i] = s.Barrier(); errs[i] != nil {
+				if errs[i] = s.Barrier(round); errs[i] != nil {
 					return
 				}
 			}
@@ -166,6 +166,35 @@ func TestSessionBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d barrier: %v", i, err)
 		}
+	}
+}
+
+// TestBarrierFailsWhenAPeerLeaves has rank 1 of a three-rank world close its
+// session gracefully while the others wait at a barrier. The coordinator's
+// barrier must fail at once, naming the rank that left, instead of waiting
+// out 4× the heartbeat timeout; and once the coordinator leaves in turn, rank
+// 2's barrier must fail at once, naming it.
+func TestBarrierFailsWhenAPeerLeaves(t *testing.T) {
+	sessions := testWorld(t, 3, nil)
+	rank2 := make(chan error, 1)
+	go func() { rank2 <- sessions[2].Barrier(0) }()
+	sessions[1].Close()
+	start := time.Now()
+	err := sessions[0].Barrier(0)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("coordinator's barrier took %v to notice rank 1 left, want < 1s", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "rank 1 left the session") {
+		t.Fatalf("coordinator's barrier: %v, want rank 1 named as having left", err)
+	}
+	sessions[0].Close()
+	select {
+	case err := <-rank2:
+		if err == nil || !strings.Contains(err.Error(), "the coordinator left the session") {
+			t.Fatalf("rank 2's barrier: %v, want the coordinator named as having left", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("rank 2's barrier still waiting 1s after the coordinator left")
 	}
 }
 

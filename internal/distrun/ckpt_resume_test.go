@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -124,6 +125,48 @@ func TestDistributedResumeBitIdentical(t *testing.T) {
 	}
 	rep := launchWorld(t, ckptSpec)
 	requireResumedSuffix(t, rep, ref, 5)
+}
+
+// TestCheckpointDisagreementFailsEveryRank resumes a 2×2 job with one rank
+// pointed at a copy of the checkpoint directory that lacks the newest step, as
+// if a shard only that rank can see were corrupt: rank 1 restores step 5 while
+// the others restore step 10. No rank may train from the mixed state — every
+// rank's Run must fail promptly with an error naming both steps.
+func TestCheckpointDisagreementFailsEveryRank(t *testing.T) {
+	spec := JobSpec{
+		Stages: 2, NumMB: 2, MBRows: 4, Width: 16,
+		Steps: 12, LR: 0.5, Momentum: 0.9, Schedule: "1f1b", DataParallel: 2, Seed: 3,
+		CkptDir: t.TempDir(), CkptEvery: 5,
+	}
+	launchWorld(t, spec) // commits steps 5 and 10
+	stale := t.TempDir()
+	if err := os.CopyFS(stale, os.DirFS(spec.CkptDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(ckpt.StepDir(stale, 10)); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make([]error, spec.World())
+	took := make([]time.Duration, spec.World())
+	launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
+		if sess.Rank == 1 {
+			spec.CkptDir = stale
+		}
+		start := time.Now()
+		_, errs[sess.Rank] = Run(sess, spec)
+		took[sess.Rank] = time.Since(start)
+		return nil, nil
+	})
+	for r, err := range errs {
+		t.Logf("rank %d after %v: %v", r, took[r], err)
+		if err == nil || !strings.Contains(err.Error(), "step 10") || !strings.Contains(err.Error(), "step 5") {
+			t.Errorf("rank %d: %v, want an error naming steps 10 and 5", r, err)
+		}
+		if took[r] > 10*time.Second {
+			t.Errorf("rank %d took %v to refuse the job, want under 10s", r, took[r])
+		}
+	}
 }
 
 // TestElasticRecoveryResumesFromCheckpoint is the end-to-end tentpole

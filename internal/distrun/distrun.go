@@ -73,11 +73,12 @@ type JobSpec struct {
 	// CkptDir enables rank-sharded checkpointing when nonempty: every
 	// CkptEvery completed steps each rank writes its share of the training
 	// state (its stage's parameters if it is the stage's first replica, plus
-	// the velocity ranges only it holds) as wire-codec frames, a barrier
-	// fences durability, and rank 0 commits the step with a manifest (see
-	// package ckpt). On start, every rank independently restores the newest
-	// consistent checkpoint and the job resumes at its step. The directory
-	// must be reachable by every rank (one host, or a shared filesystem).
+	// the velocity ranges only it holds) as wire-codec frames, a control-plane
+	// barrier fences durability, and rank 0 commits the step with a manifest
+	// (see package ckpt). On start, every rank independently restores the
+	// newest consistent checkpoint, the same barrier checks that every rank
+	// restored the same step, and the job resumes at it. The directory must be
+	// reachable by every rank (one host, or a shared filesystem).
 	CkptDir string `json:"ckpt_dir,omitempty"`
 	// CkptEvery is the checkpoint period in steps (default 0 = only if
 	// CkptDir is set, every 10 steps).
@@ -91,11 +92,6 @@ type JobSpec struct {
 	// shipped to the coordinator (Report.Profiles on rank 0). Travels in the
 	// rendezvous payload so one flag on the coordinator profiles the world.
 	Profile bool `json:"profile,omitempty"`
-	// ProfileLocal arms the registry and per-step summaries on this rank only
-	// (jaxpp-worker -profile). Deliberately unmarshaled: the end-of-job
-	// snapshot exchange must stay symmetric across ranks, so shipping follows
-	// Profile (the payload) alone.
-	ProfileLocal bool `json:"-"`
 	// Telemetry arms the live telemetry plane on every rank: one
 	// obs.StepSample per step into the process-local ring, streamed to the
 	// coordinator piggybacked on control-plane heartbeats. Travels in the
@@ -230,59 +226,14 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// worldGroupID selects the tag window of the all-ranks process group, on which
-// only the once-per-job start-step agreement of a resumed job runs: no step
-// sends on it. DP-sync groups derived from the actor mesh use IDs 0..pp-1
-// (data axis) and pp..pp+replicas-1 (pipe axis, if anyone builds them), so a
-// constant far above any realistic stage or replica count keeps the windows
-// disjoint; the step epilogue's replica groups (gradGroupID, paramGroupID)
-// and the end-of-job collection of parameters and losses (finalGroupID) sit
-// right above it. The calibration window (TagSpaceBase/2)
-// and pipeline P2P tags (small sequential ints) are below every group window
-// by construction.
-const worldGroupID = 1 << 10
-
-// commOn returns the communicator of the transport actor `rank` on a process
-// group over the given actors.
-func commOn(tr transport.Transport, actors []int, groupID, rank int) (*collective.Communicator, error) {
-	group, err := collective.NewGroup(tr, actors, groupID)
-	if err != nil {
-		return nil, err
-	}
-	return group.CommForActor(rank)
-}
-
-// worldComm returns this rank's communicator on the all-ranks process group
-// (ranks 0..world-1 under worldGroupID).
-func worldComm(tr transport.Transport, world, rank int) (*collective.Communicator, error) {
-	ranks := make([]int, world)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return commOn(tr, ranks, worldGroupID, rank)
-}
-
 // RunJob decodes the rendezvous job payload and runs this rank's share of the
 // training job it describes. It is the single entry point a jaxpp-worker
 // needs: the payload, not a CLI flag, is the job.
-func RunJob(sess *dist.Session) error { return RunJobWith(sess, JobOptions{}) }
-
-// JobOptions are rank-local settings a worker applies on top of the
-// coordinator's payload.
-type JobOptions struct {
-	// Profile logs per-step summaries on this rank even if the coordinator's
-	// payload did not request profiling. The end-of-job snapshot exchange
-	// still follows the payload alone.
-	Profile bool
-}
-
-// RunJobWith is RunJob with rank-local JobOptions applied.
-func RunJobWith(sess *dist.Session, opt JobOptions) error {
+func RunJob(sess *dist.Session) error {
 	spec, err := UnmarshalJobSpec(sess.Job)
 	if err != nil {
 		return err
 	}
-	spec.ProfileLocal = opt.Profile
 	_, err = Run(sess, spec)
 	return err
 }
@@ -528,8 +479,8 @@ func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shar
 // setVel takes what it keeps from — so dense and sharded checkpoints restore
 // into the in-process runner (per-tensor velocities) and into distributed
 // ranks (the ranges the rank holds in the current world) in any combination
-// and across world-size changes. Every rank calls this independently; the
-// caller is responsible for cross-rank agreement on the returned step.
+// and across world-size changes. Every rank calls this independently; Run
+// then checks at a session barrier that every rank returned the same step.
 func restoreState(spec JobSpec, rank int, params []*jaxpp.Tensor, plan *shardPlan, setVel func(flat []float64)) (int, error) {
 	m, entries, skipped, err := ckpt.Restore(spec.CkptDir)
 	if err != nil {
@@ -619,13 +570,13 @@ func saveCheckpointLocal(spec JobSpec, step int, params, vel []*jaxpp.Tensor) er
 		ckpt.NewManifest(step, 1, spec.Stages, spec.Width, len(params), spec.Momentum))
 }
 
-// commitCheckpoint is the tail both writers share: a barrier so every rank's
-// shard is durable (sess is nil for the single-process runner, which has
-// nobody to wait for), then rank 0 commits the step by writing its manifest
-// and prunes old checkpoints.
+// commitCheckpoint is the tail both writers share: a barrier at the step so
+// every rank's shard is durable and every rank wrote the same step (sess is
+// nil for the single-process runner, which has nobody to wait for), then
+// rank 0 commits the step by writing its manifest and prunes old checkpoints.
 func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 	if sess != nil {
-		if err := sess.Barrier(); err != nil {
+		if err := sess.Barrier(m.Step); err != nil {
 			return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, m.Step, err)
 		}
 		if sess.Rank != 0 {
@@ -643,7 +594,8 @@ func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 
 // Run executes the job on this rank of a bootstrapped session: compile the
 // shared program with this rank's actor hosted, restore the newest
-// checkpoint if there is one, then every step run the actor — whose step
+// checkpoint if there is one and check at a session barrier that every rank
+// restored the same step, then every step run the actor — whose step
 // epilogue is the reduce half of the gradient all-reduce inside the stage's
 // replica group — and finish the stage-local epilogue (stageEpilogue: update
 // the ranges this rank reduced, gather the stage's parameters from the
@@ -652,7 +604,10 @@ func commitCheckpoint(sess *dist.Session, dir string, m *ckpt.Manifest) error {
 // the world. A rank that owns losses keeps them, and after the last step
 // rank 0 collects the other stages' parameters and every other rank's losses
 // (collectResults) for a Report whose losses and FinalParams are
-// bit-identical to RunLocal's. Between steps a rank's parameter list is
+// bit-identical to RunLocal's. A rank returns with its last exchange, not at
+// a barrier: rank 0 may leave while a peer that owes it nothing is still in
+// its last gather pass, because what rank 0 sent is already on the wire and
+// a graceful close flushes it. Between steps a rank's parameter list is
 // current for the stage it hosts and stale elsewhere: nothing reads the
 // rest. Blocks until the job completes or the transport is poisoned (a dead
 // peer surfaces here as an error, not a hang).
@@ -742,31 +697,12 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 		if startStep, err = restoreState(spec, rank, params, plan, ep.setVelocity); err != nil {
 			return nil, err
 		}
-		// Start-step agreement: every rank restored independently from disk,
-		// and a rank that locally fell back to an older checkpoint (corrupt
-		// shard only it can see) must not silently train from different state.
-		// One 1-element-per-rank AllGather over the world compares the resume
-		// steps — the job's one world-wide collective.
-		comm, err := worldComm(tr, sess.World, rank)
-		if err != nil {
-			return nil, err
-		}
-		mine := tensor.GetScratch(1)
-		all := tensor.GetScratch(sess.World)
-		mine.Data()[0] = float64(startStep)
-		gerr := comm.AllGatherInto(all, mine)
-		if gerr == nil {
-			for r, v := range all.Data() {
-				if int(v) != startStep {
-					gerr = fmt.Errorf("distrun: rank %d resumes at step %d but rank %d at step %d: checkpoint disagreement, refusing to train", rank, startStep, r, int(v))
-					break
-				}
-			}
-		}
-		tensor.Recycle(mine)
-		tensor.Recycle(all)
-		if gerr != nil {
-			return nil, gerr
+		// Every rank restored independently from disk, and a rank that fell
+		// back to an older checkpoint (a corrupt shard only it can see) must
+		// not silently train from different state: the barrier compares the
+		// resume steps.
+		if err := sess.Barrier(startStep); err != nil {
+			return nil, fmt.Errorf("distrun: rank %d resumes at step %d, refusing to train: %w", rank, startStep, err)
 		}
 		if startStep > 0 {
 			flight.Log("restore", rank, startStep, "resumed from checkpoint")
@@ -780,8 +716,7 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 	res := &jaxpp.ActorResults{}
 	var losses []float64
 
-	profiling := spec.Profile || spec.ProfileLocal
-	if profiling {
+	if spec.Profile {
 		defer beginProfiling()()
 	}
 	// Telemetry arms after profiling: beginProfiling's SnapshotAndReset must
@@ -820,7 +755,7 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 		}
 		obs.Add(cStepsProfiled, 1)
 		sampler.record(step, time.Since(stepStart))
-		if profiling {
+		if spec.Profile {
 			logStepSummary(rank, step, time.Since(stepStart), &stepPrev)
 		}
 		if spec.StepSleepMs > 0 {
@@ -852,15 +787,10 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 			rep.StepLosses = append(rep.StepLosses, total/float64(totalMB))
 		}
 	}
-	// End-of-job barrier: no rank tears its session down while a slower peer
-	// is still mid-step — without it, a fast rank's graceful shutdown is
-	// indistinguishable from a crash to ranks still exchanging tensors.
-	if err := sess.Barrier(); err != nil {
-		return nil, fmt.Errorf("distrun: rank %d end-of-job barrier: %w", rank, err)
-	}
-	// Profile exchange, strictly after the barrier: the control plane's reply
-	// channel is free of barrier traffic, and every rank's spans are final (all
-	// instrumented goroutines are quiescent — the snapshot ownership rule).
+	// Profile exchange, after this rank's last exchange: its spans are final
+	// (all instrumented goroutines are quiescent — the snapshot ownership
+	// rule), and after the last checkpoint fence a worker's next control
+	// message is its snapshot.
 	if spec.Profile {
 		snap := obs.SnapshotAndReset()
 		snap.Rank = rank

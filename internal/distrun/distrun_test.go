@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/dist"
+	"repro/internal/tensor"
+	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 )
 
@@ -314,6 +317,51 @@ func TestWorkerDeathSurfacesPoisonNotHang(t *testing.T) {
 		}
 	}
 	mu.Unlock()
+}
+
+// slowGather delays every receive in the epilogue's gather-half tag window.
+type slowGather struct {
+	transport.Transport
+	delay time.Duration
+}
+
+func (s slowGather) Recv(to, from, tag int) (*tensor.Tensor, error) {
+	if lo, hi := collective.GroupTagRange(paramGroupID); tag >= lo && tag < hi {
+		time.Sleep(s.delay)
+	}
+	return s.Transport.Recv(to, from, tag)
+}
+
+// TestRankZeroFinishesFirst holds rank 2 of a 2×2 job — replica 1 of stage 0,
+// which hands rank 0 nothing at job end — 300 ms before every gather-half
+// receive, so rank 0 has all it reports while rank 2 is still in its last
+// gather pass. A job ends with its last exchange: rank 0 must return well
+// before rank 2 and close its session, and rank 2 must still receive what rank
+// 0 sent, finishing cleanly with the report bit-identical to RunLocal's.
+func TestRankZeroFinishesFirst(t *testing.T) {
+	spec := JobSpec{
+		Stages: 2, NumMB: 2, MBRows: 4, Width: 16,
+		Steps: 3, LR: 0.5, Momentum: 0.9, Schedule: "1f1b", DataParallel: 2, Seed: 9,
+	}
+	local, err := RunLocal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make([]time.Time, spec.World())
+	got, _ := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
+		var tr transport.Transport = sess.Transport
+		if sess.Rank == 2 {
+			tr = slowGather{tr, 300 * time.Millisecond}
+		}
+		rep, err := runOver(sess, tr, spec, []int{sess.Rank})
+		done[sess.Rank] = time.Now()
+		return rep, err
+	})
+	requireBitIdentical(t, got, local)
+	if lead := done[2].Sub(done[0]); lead < 150*time.Millisecond {
+		t.Fatalf("rank 0 returned %v before rank 2, want >= 150ms: it waited for a rank that owes it nothing", lead)
+	}
+	t.Logf("rank 0 returned %v before rank 2", done[2].Sub(done[0]))
 }
 
 // TestJobHonoursTheLendingRule runs a 2×2 DP×PP job with every rank's data

@@ -159,8 +159,6 @@ type WorkerOptions struct {
 	// concludes the coordinator is gone for good (default 5). Each join
 	// itself retries dialing for the session's RendezvousTimeout.
 	MaxJoinFailures int
-	// Profile arms rank-local profiling for every job this worker runs.
-	Profile bool
 }
 
 // RunElasticWorker joins, trains, and — when a peer failure poisons the job —
@@ -197,7 +195,7 @@ func RunElasticWorker(ctrlAddr string, opt WorkerOptions) error {
 		}
 		joinFails = 0
 		backoff = opt.Backoff
-		runErr := RunJobWith(sess, JobOptions{Profile: opt.Profile})
+		runErr := RunJob(sess)
 		sess.Close()
 		if runErr == nil {
 			return nil

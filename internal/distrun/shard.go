@@ -40,12 +40,29 @@ const dpBucketBytes = 0
 // Replica groups of different stages share no rank and reuse the two IDs.
 // finalGroupID is the window of the end-of-job collection of parameters and
 // losses (collectResults): the two-rank groups {r, 0} of every rank r that
-// is a stage's replica-0 rank or owns losses.
+// is a stage's replica-0 rank or owns losses. No group spans the world.
+//
+// DP-sync groups derived from the actor mesh use IDs 0..pp-1 (data axis) and
+// pp..pp+replicas-1 (pipe axis, if anyone builds them), so IDs far above any
+// realistic stage or replica count keep the windows disjoint; their values
+// are fixed, because a frame's tag carries them. The calibration window
+// (TagSpaceBase/2) and pipeline P2P tags (small sequential ints) are below
+// every group window by construction.
 const (
-	gradGroupID  = worldGroupID + 1
-	paramGroupID = worldGroupID + 2
-	finalGroupID = worldGroupID + 3
+	gradGroupID  = 1<<10 + 1
+	paramGroupID = 1<<10 + 2
+	finalGroupID = 1<<10 + 3
 )
+
+// commOn returns the communicator of the transport actor `rank` on a process
+// group over the given actors.
+func commOn(tr transport.Transport, actors []int, groupID, rank int) (*collective.Communicator, error) {
+	group, err := collective.NewGroup(tr, actors, groupID)
+	if err != nil {
+		return nil, err
+	}
+	return group.CommForActor(rank)
+}
 
 // shardPlan is the owner-major flat layout of the gradient/parameter vector:
 // gradient tensors ordered by producing actor (the replica-0 stage actors,
