@@ -27,6 +27,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dist"
 	"repro/internal/distrun"
+	"repro/internal/obs"
 	"repro/internal/timeline"
 )
 
@@ -47,7 +48,7 @@ func main() {
 	distributed := flag.Bool("distributed", false, "run across OS processes over the dist transport")
 	rank := flag.Int("rank", 0, "this process's rank in -distributed mode (0 = coordinator)")
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address in -distributed mode")
-	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
+	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames; in -distributed mode the coordinator's setting configures the whole world")
 	wireDType := flag.String("wire-dtype", "", "gradient wire encoding: f64 (default, lossless), f32, or int8q (error-feedback int8 quantization). Only gradient collective frames compress; the encoding travels in the job payload to every rank")
 	netLatency := flag.Duration("net-latency", 0, "degraded-network mode: one-way latency added to every cross-rank frame (-distributed; distributed to workers via the job payload)")
 	netJitter := flag.Duration("net-jitter", 0, "degraded-network mode: uniform ±jitter on -net-latency")
@@ -66,8 +67,8 @@ func main() {
 	minReplicas := flag.Int("min-replicas", 1, "elastic mode: smallest data-parallel width to keep training with")
 	maxAttempts := flag.Int("max-attempts", 3, "elastic mode: failed training attempts before giving up")
 	joinGrace := flag.Duration("join-grace", 0, "elastic mode: extra wait for late joiners once the minimum world formed (0 = default 3s)")
-	hbInterval := flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 1s)")
-	hbMisses := flag.Int("hb-misses", 0, "missed heartbeat intervals before a peer is declared dead (0 = default 5)")
+	hbInterval := flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 1s); the coordinator's setting configures the whole world")
+	hbMisses := flag.Int("hb-misses", 0, "missed heartbeat intervals before a peer is declared dead (0 = default 5); the coordinator's setting configures the whole world")
 	resume := flag.String("resume", "", "recover a restarted coordinator from this persisted cluster-state file (overrides job flags with the persisted spec)")
 	flag.Parse()
 
@@ -102,7 +103,7 @@ func main() {
 	}
 	defer telDone()
 	if tl != nil {
-		sessOpts.OnMetrics = tl.IngestFrame
+		sessOpts.OnMetrics = func(_ int, steps []obs.StepSample) { tl.Ingest(steps...) }
 	}
 
 	var rep *distrun.Report

@@ -4,7 +4,9 @@
 // the address book, and the job payload), then runs its share of the job
 // over the dist wire transport. It needs no model flags — the coordinator's
 // job payload is the single source of truth: it describes the training job,
-// wire encoding included, and this rank steps the actor it hosts.
+// wire encoding included, and this rank steps the actor it hosts. Nor does it
+// need heartbeat or CRC flags: the coordinator's welcome carries its own, and
+// every worker adopts them.
 //
 //	jaxpp-worker -coordinator 127.0.0.1:29400
 //
@@ -32,12 +34,9 @@ import (
 func main() {
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address")
 	rank := flag.Int("rank", 0, "requested rank (0 = let the coordinator assign)")
-	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
 	reconnect := flag.Bool("reconnect", false, "elastic mode: on job failure, re-join the rendezvous instead of exiting")
 	backoff := flag.Duration("reconnect-backoff", 500*time.Millisecond, "elastic mode: initial re-join delay (failed joins back off exponentially to 8x)")
 	maxJoinFailures := flag.Int("max-join-failures", 5, "elastic mode: consecutive failed joins before giving up on the coordinator")
-	hbInterval := flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 1s)")
-	hbMisses := flag.Int("hb-misses", 0, "missed heartbeat intervals before a peer is declared dead (0 = default 5)")
 	metricsAddr := flag.String("metrics-addr", "", "serve this rank's local Prometheus /metrics, /healthz, and /debug/cluster on this address (arms per-step telemetry locally)")
 	flightDir := flag.String("flight-dir", "", "record this rank's job/failure events into a crash-surviving flight-recorder ring in this directory (replay with jaxpp-viz -flight)")
 	flag.Parse()
@@ -48,12 +47,7 @@ func main() {
 	}
 	defer telDone()
 
-	opts := dist.SessionOptions{
-		Transport:         dist.Options{CRC: *crc},
-		WantRank:          *rank,
-		HeartbeatInterval: *hbInterval,
-		HeartbeatMisses:   *hbMisses,
-	}
+	opts := dist.SessionOptions{WantRank: *rank}
 	if *reconnect {
 		err := distrun.RunElasticWorker(*coordinator, distrun.WorkerOptions{
 			Session:         opts,

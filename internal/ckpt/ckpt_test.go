@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -250,24 +251,39 @@ func TestClusterStateRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), StateFileName)
 	st := &ClusterState{
 		CtrlAddr: "127.0.0.1:29400",
-		World:    5, MinWorld: 2, Attempt: 3,
-		Book:    map[int]string{0: "a:1", 1: "b:2"},
-		Pinned:  []int{1},
-		Spec:    []byte(`{"stages":1}`),
-		CkptDir: "/tmp/ckpt",
+		World:    5, Attempt: 3,
+		Spec: []byte(`{"stages":1}`),
 	}
 	if err := SaveState(path, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadState(path)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CtrlAddr != st.CtrlAddr || got.World != 5 || got.Attempt != 3 || got.Book[1] != "b:2" || got.CkptDir != st.CkptDir {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if got.Version != Version || got.UpdatedAtUnix == 0 {
-		t.Fatalf("stamps missing: %+v", got)
+	// A file from a build that also persisted the address book, rank pins,
+	// minimum world and checkpoint directory loads the same.
+	older := []byte(`{"version": 1, "ctrl_addr": "127.0.0.1:29400", "world": 5, "min_world": 2,
+ "attempt": 3, "book": {"0": "a:1", "1": "b:2"}, "pinned": [1], "spec": {"stages":1},
+ "ckpt_dir": "/tmp/ckpt", "updated_at_unix": 1700000000}`)
+	for _, data := range [][]byte{saved, older} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadState(path)
+		if err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		var spec struct{ Stages int }
+		if err := json.Unmarshal(got.Spec, &spec); err != nil || spec.Stages != 1 {
+			t.Fatalf("spec of %s: %s (%v)", data, got.Spec, err)
+		}
+		if got.CtrlAddr != st.CtrlAddr || got.World != 5 || got.Attempt != 3 {
+			t.Fatalf("round trip of %s: %+v", data, got)
+		}
+		if got.Version != Version || got.UpdatedAtUnix == 0 {
+			t.Fatalf("stamps missing: %+v", got)
+		}
 	}
 	// Damaged or incomplete states are rejected, not half-loaded.
 	if err := os.WriteFile(path, []byte(`{"world":3}`), 0o644); err != nil {

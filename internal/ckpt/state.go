@@ -10,30 +10,22 @@ import (
 
 // ClusterState is the coordinator's persisted view of the cluster: enough to
 // restart a dead coordinator (jaxpp-train -resume <state file>) and recover
-// the job instead of orphaning the worker pool. The address book and rank
-// pins are recorded for forensics and HA tooling; a restarted coordinator
-// re-derives both at the re-rendezvous (worker data-plane ports are
-// ephemeral), but the control address, job spec, and checkpoint directory are
-// exactly what it needs to reform the world and resume from the last
-// committed manifest.
+// the job instead of orphaning the worker pool: the control address to
+// reform the world at, the attempt count to continue from, and the job spec,
+// whose checkpoint directory holds the manifest to resume from. Files written
+// with more keys (an address book, rank pins, a minimum world) still load;
+// the extra keys are ignored.
 type ClusterState struct {
 	Version int `json:"version"`
 	// CtrlAddr is the rendezvous control address workers reconnect to.
 	CtrlAddr string `json:"ctrl_addr"`
-	// World / MinWorld bound the elastic membership.
-	World    int `json:"world"`
-	MinWorld int `json:"min_world"`
+	// World is the size of the last formed world.
+	World int `json:"world"`
 	// Attempt counts rendezvous generations (0 = first bootstrap).
 	Attempt int `json:"attempt"`
-	// Book is the data-plane address book of the last formed mesh.
-	Book map[int]string `json:"book,omitempty"`
-	// Pinned lists ranks that were operator-pinned at the last rendezvous.
-	Pinned []int `json:"pinned,omitempty"`
 	// Spec is the marshaled JobSpec the cluster is running.
-	Spec json.RawMessage `json:"spec"`
-	// CkptDir is where sharded checkpoints live.
-	CkptDir       string `json:"ckpt_dir,omitempty"`
-	UpdatedAtUnix int64  `json:"updated_at_unix"`
+	Spec          json.RawMessage `json:"spec"`
+	UpdatedAtUnix int64           `json:"updated_at_unix"`
 }
 
 // StateFileName is the conventional cluster-state filename inside a

@@ -1,7 +1,7 @@
 // Package collective is the executable collective-communication engine: the
 // role NCCL collectives play for JaxPP's data-parallel dimension, layered on
 // the runtime's tag-matched point-to-point transport. It provides process
-// groups derived from mesh.Mesh axes and in-place ring collectives over
+// groups over any list of actor IDs and in-place ring collectives over
 // rank-private buffers: the bucketed all-reduce (AllReduceBucketsInPlace —
 // a one-tensor list all-reduces that tensor in its own storage — and its two
 // halves, ReduceBucketsInPlace and GatherBucketsInPlace), ReduceScatterVInto,
@@ -70,7 +70,6 @@ package collective
 import (
 	"fmt"
 
-	"repro/internal/mesh"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -324,76 +323,3 @@ func (c *Communicator) prev() int {
 
 // self returns this rank's transport actor ID.
 func (c *Communicator) self() int { return c.g.ranks[c.rank] }
-
-// World derives process groups from a device mesh: actor IDs are the mesh's
-// row-major device IDs, exactly how the runtime lays out DP×PP actor grids.
-type World struct {
-	tr   transport.Transport
-	mesh *mesh.Mesh
-}
-
-// NewWorld binds a mesh to a transport.
-func NewWorld(tr transport.Transport, m *mesh.Mesh) *World {
-	return &World{tr: tr, mesh: m}
-}
-
-// GroupsAlong returns one process group per slice of the mesh along the
-// named axis: every combination of the remaining axes' coordinates yields a
-// group whose ranks vary only along `axis`, ordered by that coordinate.
-// Group IDs are deterministic: slices are numbered by the row-major order of
-// their fixed coordinates, offset so different axes get disjoint windows.
-func (w *World) GroupsAlong(axis string) ([]*Group, error) {
-	axisIdx := w.mesh.AxisIndex(axis)
-	if axisIdx < 0 {
-		return nil, fmt.Errorf("collective: mesh %v has no axis %q", w.mesh, axis)
-	}
-	axisSize := w.mesh.Axes[axisIdx].Size
-	numSlices := w.mesh.NumDevices() / axisSize
-	idOffset := 0
-	for i := 0; i < axisIdx; i++ {
-		idOffset += w.mesh.NumDevices() / w.mesh.Axes[i].Size
-	}
-
-	groups := make([]*Group, 0, numSlices)
-	seen := map[int]bool{}
-	for dev := 0; dev < w.mesh.NumDevices(); dev++ {
-		coords := w.mesh.Coords(dev)
-		if coords[axisIdx] != 0 {
-			continue
-		}
-		ranks := make([]int, axisSize)
-		for k := 0; k < axisSize; k++ {
-			coords[axisIdx] = k
-			ranks[k] = w.mesh.DeviceID(coords)
-		}
-		g, err := NewGroup(w.tr, ranks, idOffset+len(groups))
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range ranks {
-			if seen[r] {
-				return nil, fmt.Errorf("collective: device %d in two slices along %q", r, axis)
-			}
-			seen[r] = true
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
-}
-
-// CommFor returns the communicator of the given device for its group along
-// the named axis.
-func (w *World) CommFor(axis string, device int) (*Communicator, error) {
-	groups, err := w.GroupsAlong(axis)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range groups {
-		for _, r := range g.ranks {
-			if r == device {
-				return g.CommForActor(device)
-			}
-		}
-	}
-	return nil, fmt.Errorf("collective: device %d not on mesh %v", device, w.mesh)
-}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
@@ -228,58 +227,6 @@ func TestNumBuckets(t *testing.T) {
 	}
 	if got := NumBuckets(nil, 100); got != 0 {
 		t.Fatalf("no tensors -> 0 buckets, got %d", got)
-	}
-}
-
-// TestGroupsAlongMeshAxes checks DP×PP group derivation on a 2×3 mesh:
-// groups along "data" pair devices with equal pipe coordinate; groups along
-// "pipe" are the per-replica pipelines.
-func TestGroupsAlongMeshAxes(t *testing.T) {
-	m := mesh.MustNew(mesh.Axis{Name: "data", Size: 2}, mesh.Axis{Name: "pipe", Size: 3})
-	w := NewWorld(runtime.NewChanTransport(), m)
-	dataGroups, err := w.GroupsAlong("data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantData := [][]int{{0, 3}, {1, 4}, {2, 5}}
-	if len(dataGroups) != len(wantData) {
-		t.Fatalf("%d data groups", len(dataGroups))
-	}
-	for i, g := range dataGroups {
-		got := g.Ranks()
-		for j := range got {
-			if got[j] != wantData[i][j] {
-				t.Fatalf("data group %d = %v, want %v", i, got, wantData[i])
-			}
-		}
-	}
-	pipeGroups, err := w.GroupsAlong("pipe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPipe := [][]int{{0, 1, 2}, {3, 4, 5}}
-	for i, g := range pipeGroups {
-		got := g.Ranks()
-		for j := range got {
-			if got[j] != wantPipe[i][j] {
-				t.Fatalf("pipe group %d = %v, want %v", i, got, wantPipe[i])
-			}
-		}
-	}
-	// Disjoint tag windows across axes: no (group, tag window) overlap for
-	// groups that share actors.
-	if dataGroups[0].tagBase == pipeGroups[0].tagBase {
-		t.Fatal("groups along different axes must own distinct tag windows")
-	}
-	if _, err := w.GroupsAlong("model"); err == nil {
-		t.Fatal("unknown axis must error")
-	}
-	comm, err := w.CommFor("data", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comm.Rank() != 1 || comm.Size() != 2 {
-		t.Fatalf("device 4 along data: rank %d size %d", comm.Rank(), comm.Size())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,8 +17,9 @@ import (
 // Rendezvous: one process is elected coordinator (by convention the rank-0
 // training process); every worker dials its control address, reports its
 // data-plane listen address, and receives back a rank, the world size, the
-// full address book, and the job payload. A start barrier follows, so no
-// rank begins its program before every data-plane listener is reachable.
+// full address book, the job payload, and the coordinator's heartbeat and CRC
+// settings, which it adopts. A start barrier follows, so no rank begins its
+// program before every data-plane listener is reachable.
 // After bootstrap the control connections stay open carrying heartbeats:
 // a vanished or wedged process is detected within HeartbeatTimeout and the
 // data transport is poisoned on every surviving rank — pending receives
@@ -41,12 +41,18 @@ type ctrlMsg struct {
 	// Prof carries a worker's end-of-job profile snapshot to the coordinator
 	// (see SendProfile/GatherProfiles).
 	Prof json.RawMessage `json:"prof,omitempty"`
-	// Metrics piggybacks a compact step-frame (obs.AppendStepFrame) onto a
-	// worker's heartbeat ping — the telemetry plane streams without a new
+	// Steps piggybacks the step samples a worker published since its last
+	// heartbeat onto its ping — the telemetry plane streams without a new
 	// message kind or extra round trips. Absent unless telemetry is armed
-	// and new samples exist (JSON []byte rides as base64).
-	Metrics []byte `json:"metrics,omitempty"`
-	Err     string `json:"err,omitempty"`
+	// and new samples exist.
+	Steps []obs.StepSample `json:"steps,omitempty"`
+	// HBInterval, HBTimeout and CRC ride the welcome: the coordinator's
+	// heartbeat and wire settings, which every worker adopts, so one set of
+	// flags configures the whole world.
+	HBInterval time.Duration `json:"hb_interval,omitempty"`
+	HBTimeout  time.Duration `json:"hb_timeout,omitempty"`
+	CRC        bool          `json:"crc,omitempty"`
+	Err        string        `json:"err,omitempty"`
 }
 
 const (
@@ -70,7 +76,8 @@ const (
 // not a failure. Elastic workers exit 0 on it.
 var ErrReleased = errors.New("dist: released by coordinator (not needed in the formed world)")
 
-// SessionOptions configures bootstrap.
+// SessionOptions configures bootstrap. A worker takes the heartbeat settings
+// and Transport.CRC from the coordinator's welcome, whatever it set itself.
 type SessionOptions struct {
 	// Transport options for the data plane.
 	Transport Options
@@ -94,11 +101,11 @@ type SessionOptions struct {
 	// is met, restarted on every join (zero = DefaultJoinGrace).
 	MinWorld  int
 	JoinGrace time.Duration
-	// OnMetrics, set on the coordinator, receives each worker's
-	// heartbeat-piggybacked telemetry frame (see ctrlMsg.Metrics). Called
-	// from the per-worker serve goroutine; implementations must be
-	// concurrency-safe and quick (ClusterTimeline.IngestFrame qualifies).
-	OnMetrics func(rank int, frame []byte)
+	// OnMetrics, set on the coordinator, receives each worker's rank and
+	// heartbeat-piggybacked step samples (see ctrlMsg.Steps). Called from the
+	// per-worker serve goroutine; implementations must be concurrency-safe
+	// and quick (ClusterTimeline.Ingest qualifies).
+	OnMetrics func(rank int, steps []obs.StepSample)
 }
 
 func (o *SessionOptions) fill() {
@@ -130,11 +137,6 @@ type Session struct {
 	// payload it distributed — flexible rendezvous sizes it to the world that
 	// actually formed).
 	Job json.RawMessage
-	// Book is the data-plane address book the mesh formed with, and Pinned
-	// lists the operator-pinned ranks — both recorded for cluster-state
-	// persistence (populated on the coordinator).
-	Book   map[int]string
-	Pinned []int
 
 	opts SessionOptions
 
@@ -145,12 +147,9 @@ type Session struct {
 	// Worker side.
 	coord *ctrlConn
 
-	// Telemetry piggyback state, touched only by the worker's pinger
-	// goroutine: the ring cursor, a drain scratch, and the reused frame
-	// buffer (heartbeats with no new samples attach nothing).
-	metricsCursor  int64
-	metricsScratch [64]obs.StepSample
-	metricsBuf     []byte
+	// stepCursor is the worker's position in the step-sample ring, touched
+	// only by its pinger goroutine.
+	stepCursor int64
 
 	// closing marks a locally initiated teardown, so the serve loops can
 	// tell "we closed our own sockets" from "the peer's process died".
@@ -185,6 +184,15 @@ func newCtrlConn(c net.Conn) *ctrlConn {
 	return &ctrlConn{c: c, r: bufio.NewReader(c), replies: make(chan ctrlMsg, 8), lastHeard: time.Now()}
 }
 
+// peer names the other end in errors: a worker's conn on the coordinator, or
+// the coordinator's (rank 0) on a worker.
+func (cc *ctrlConn) peer() string {
+	if cc.rank == 0 {
+		return "the coordinator"
+	}
+	return fmt.Sprintf("rank %d", cc.rank)
+}
+
 func (cc *ctrlConn) send(m ctrlMsg) error {
 	data, err := json.Marshal(m)
 	if err != nil {
@@ -213,12 +221,11 @@ func (cc *ctrlConn) read() (ctrlMsg, error) {
 	if err := json.Unmarshal(line, &m); err != nil {
 		return ctrlMsg{}, fmt.Errorf("dist: malformed control message %q: %w", line, err)
 	}
-	// Every successful read proves liveness — including the rendezvous
-	// exchanges that happen before the serve loops (and their touch() calls)
-	// take over. Without this, a rendezvous slower than HeartbeatTimeout
-	// (workers launched by hand, seconds apart) leaves lastHeard at
-	// conn-creation time and the monitors spuriously fail the world right
-	// after start.
+	// Every successful read proves liveness — the serve loop's and the
+	// rendezvous exchanges before it alike. Without this, a rendezvous slower
+	// than HeartbeatTimeout (workers launched by hand, seconds apart) leaves
+	// lastHeard at conn-creation time and the monitor spuriously fails the
+	// world right after start.
 	cc.touch()
 	return m, nil
 }
@@ -392,16 +399,13 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 		}
 		book[cc.rank] = addrs[cc]
 	}
-	s.Book = book
-	for r := range pinned {
-		if r != 0 {
-			s.Pinned = append(s.Pinned, r)
-		}
-	}
-	sort.Ints(s.Pinned)
-	// Welcome every worker with the complete book, collect readiness, start.
+	// Welcome every worker with the complete book and this coordinator's
+	// heartbeat and wire settings, collect readiness, start.
+	welcome := ctrlMsg{Type: "welcome", World: world, Book: book, Job: job,
+		HBInterval: opts.HeartbeatInterval, HBTimeout: opts.HeartbeatTimeout, CRC: opts.Transport.CRC}
 	for _, cc := range pending {
-		if err := cc.send(ctrlMsg{Type: "welcome", Rank: cc.rank, World: world, Book: book, Job: job}); err != nil {
+		welcome.Rank = cc.rank
+		if err := cc.send(welcome); err != nil {
 			failPending(fmt.Sprintf("rendezvous aborted: welcome to rank %d failed", cc.rank))
 			return nil, fmt.Errorf("dist: welcome rank %d: %w", cc.rank, err)
 		}
@@ -423,11 +427,7 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 	}
 	s.workers = pending
 	tr.Connect(book)
-	for _, cc := range pending {
-		cc.served = make(chan struct{})
-		go s.coordinatorServe(cc)
-	}
-	go s.coordinatorMonitor()
+	s.startControl()
 	return s, nil
 }
 
@@ -484,6 +484,11 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 		tr.Close()
 		return nil, fmt.Errorf("dist: expected welcome, got %q", m.Type)
 	}
+	// The world runs on the coordinator's heartbeat and wire settings; a
+	// welcome without them (an older coordinator) leaves the defaults.
+	opts.HeartbeatInterval, opts.HeartbeatTimeout = m.HBInterval, m.HBTimeout
+	opts.fill()
+	tr.opts.CRC = m.CRC // nothing has been sent yet: links dial on first send
 	tr.setRank(m.Rank)
 	tr.Connect(m.Book)
 	if err := cc.send(ctrlMsg{Type: "ready"}); err != nil {
@@ -499,9 +504,7 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	s := &Session{Rank: m.Rank, World: m.World, Transport: tr, Job: m.Job, opts: opts, coord: cc}
-	cc.served = make(chan struct{})
-	go s.workerServe()
-	go s.workerMonitor()
+	s.startControl()
 	return s, nil
 }
 
@@ -511,32 +514,56 @@ func (t *Transport) setRank(rank int) {
 	t.rank.Store(int32(rank))
 }
 
-// coordinatorServe pumps one worker's control conn: heartbeats refresh
-// liveness, everything else lands in the reply channel. A broken conn (the
-// worker process died) poisons the data plane immediately.
-func (s *Session) coordinatorServe(cc *ctrlConn) {
+// conns lists the session's control conns: every worker's on the
+// coordinator, the coordinator's on a worker.
+func (s *Session) conns() []*ctrlConn {
+	if s.coord != nil {
+		return []*ctrlConn{s.coord}
+	}
+	return s.workers
+}
+
+// startControl hands every control conn to its serve loop — from here on the
+// conn's only reader — and starts the heartbeat monitor.
+func (s *Session) startControl() {
+	for _, cc := range s.conns() {
+		cc.served = make(chan struct{})
+		go s.serve(cc)
+	}
+	go s.monitor()
+}
+
+// serve pumps one control conn, at either end: heartbeats refresh liveness
+// and a worker's pings carry its step samples to OnMetrics, a fail message
+// poisons the data plane, and everything else lands in the reply channel. A
+// broken conn (the peer process died) fails the session immediately.
+func (s *Session) serve(cc *ctrlConn) {
 	defer close(cc.served)
 	cc.touch() // heartbeat accounting starts now, not at conn creation
-	stopPing := startPinger(cc, s.opts.HeartbeatInterval, nil)
+	stopPing := s.startPinger(cc)
 	defer stopPing()
 	for {
 		m, err := cc.read()
 		if err != nil {
 			if cc.departed.Load() {
-				cc.closeWrite() // answer the departed worker's FIN so its close stops waiting
+				cc.closeWrite() // answer the departed peer's FIN so its close stops waiting
 			} else if !s.closing.Load() && !s.Transport.isClosed() {
-				s.fail(fmt.Errorf("dist: worker rank %d control connection broke: %v", cc.rank, err))
+				s.fail(fmt.Errorf("dist: %s control connection broke: %v", cc.peer(), err))
 			}
 			return
 		}
-		cc.touch()
 		switch m.Type {
 		case "ping":
-			if s.opts.OnMetrics != nil && len(m.Metrics) > 0 {
-				s.opts.OnMetrics(cc.rank, m.Metrics)
+			if s.opts.OnMetrics != nil && len(m.Steps) > 0 {
+				s.opts.OnMetrics(cc.rank, m.Steps)
 			}
 			cc.send(ctrlMsg{Type: "pong"})
 		case "pong":
+		case "fail":
+			// Coordinator-relayed death of another rank: poison locally so
+			// receives waiting on the dead rank error out promptly even
+			// without a direct data-plane stream from it.
+			s.Transport.Poison(fmt.Errorf("dist: %s reported failure: %s", cc.peer(), m.Err))
 		case "bye":
 			// Keep reading to the end of the stream: the peer half-closes
 			// after its bye and waits for our side to drain (Session.close).
@@ -561,71 +588,32 @@ func (s *Session) fail(cause error) {
 	}
 }
 
-// coordinatorMonitor fails the world when any worker goes silent for longer
-// than the heartbeat timeout (a wedged-but-connected process).
-func (s *Session) coordinatorMonitor() {
+// monitor fails the session when a peer that has not said goodbye goes
+// silent for longer than the heartbeat timeout (a wedged-but-connected
+// process).
+func (s *Session) monitor() {
 	tick := time.NewTicker(s.opts.HeartbeatInterval)
 	defer tick.Stop()
 	for range tick.C {
 		if s.Transport.isClosed() || s.Transport.Err() != nil {
 			return
 		}
-		for _, cc := range s.workers {
+		for _, cc := range s.conns() {
 			if !cc.departed.Load() && cc.silentFor() > s.opts.HeartbeatTimeout {
-				s.fail(fmt.Errorf("dist: worker rank %d missed heartbeats for %v", cc.rank, s.opts.HeartbeatTimeout))
+				s.fail(fmt.Errorf("dist: %s missed heartbeats for %v", cc.peer(), s.opts.HeartbeatTimeout))
 				return
 			}
 		}
 	}
 }
 
-// workerServe pumps the coordinator conn on a worker.
-func (s *Session) workerServe() {
-	cc := s.coord
-	defer close(cc.served)
-	cc.touch() // heartbeat accounting starts now, not at conn creation
-	stopPing := startPinger(cc, s.opts.HeartbeatInterval, s.collectMetrics)
-	defer stopPing()
-	for {
-		m, err := cc.read()
-		if err != nil {
-			if cc.departed.Load() {
-				cc.closeWrite() // answer the departed coordinator's FIN
-			} else if !s.closing.Load() && !s.Transport.isClosed() {
-				s.Transport.Poison(fmt.Errorf("dist: coordinator connection broke: %v", err))
-			}
-			return
-		}
-		cc.touch()
-		switch m.Type {
-		case "ping":
-			cc.send(ctrlMsg{Type: "pong"})
-		case "pong":
-		case "fail":
-			// Coordinator-relayed death of another rank: poison locally so
-			// receives waiting on the dead rank error out promptly even
-			// without a direct data-plane stream from it.
-			s.Transport.Poison(fmt.Errorf("dist: coordinator reported failure: %s", m.Err))
-		case "bye":
-			cc.departed.Store(true) // and read on to EOF, as coordinatorServe does
-		default:
-			select {
-			case cc.replies <- m:
-			default:
-			}
-		}
-	}
-}
-
 // startPinger sends liveness pings on cc until the returned stop function
-// runs (when the serve loop exits, on conn error or shutdown). A non-nil
-// attach is called before each ping and its result rides along as the
-// Metrics payload — the telemetry piggyback (workers attach, the
-// coordinator pings plain).
-func startPinger(cc *ctrlConn, interval time.Duration, attach func() []byte) func() {
+// runs (when the serve loop exits, on conn error or shutdown). A worker's
+// pings carry the step samples it published since the last one.
+func (s *Session) startPinger(cc *ctrlConn) func() {
 	done := make(chan struct{})
 	go func() {
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(s.opts.HeartbeatInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -633,8 +621,8 @@ func startPinger(cc *ctrlConn, interval time.Duration, attach func() []byte) fun
 				return
 			case <-tick.C:
 				m := ctrlMsg{Type: "ping"}
-				if attach != nil {
-					m.Metrics = attach()
+				if cc == s.coord {
+					m.Steps = s.newSteps()
 				}
 				if cc.send(m) != nil {
 					return
@@ -645,48 +633,21 @@ func startPinger(cc *ctrlConn, interval time.Duration, attach func() []byte) fun
 	return func() { close(done) }
 }
 
-// collectMetrics drains newly published step samples into a reusable frame
-// buffer for the next heartbeat, or returns nil when telemetry is off or
-// idle. Runs only on the worker's pinger goroutine, so the cursor and
-// buffers need no locking.
-func (s *Session) collectMetrics() []byte {
+// newSteps drains the step samples published since the last call, or returns
+// nil when telemetry is off or idle. Runs only on the worker's pinger
+// goroutine, so the cursor needs no locking.
+func (s *Session) newSteps() []obs.StepSample {
 	if !obs.StepsEnabled() {
 		return nil
 	}
-	total := 0
-	buf := s.metricsBuf[:0]
-	var samples []obs.StepSample
+	var steps []obs.StepSample
+	var batch [64]obs.StepSample
 	for {
-		n := obs.ReadStepsSince(&s.metricsCursor, s.metricsScratch[:])
+		n := obs.ReadStepsSince(&s.stepCursor, batch[:])
 		if n == 0 {
-			break
+			return steps
 		}
-		samples = append(samples, s.metricsScratch[:n]...)
-		total += n
-	}
-	if total == 0 {
-		return nil
-	}
-	buf = obs.AppendStepFrame(buf, samples)
-	s.metricsBuf = buf
-	return buf
-}
-
-// workerMonitor poisons the data plane when the coordinator goes silent.
-func (s *Session) workerMonitor() {
-	tick := time.NewTicker(s.opts.HeartbeatInterval)
-	defer tick.Stop()
-	for range tick.C {
-		if s.Transport.isClosed() || s.Transport.Err() != nil {
-			return
-		}
-		if s.coord.departed.Load() {
-			return // graceful coordinator goodbye is not a death
-		}
-		if s.coord.silentFor() > s.opts.HeartbeatTimeout {
-			s.Transport.Poison(fmt.Errorf("dist: coordinator missed heartbeats for %v", s.opts.HeartbeatTimeout))
-			return
-		}
+		steps = append(steps, batch[:n]...)
 	}
 }
 
@@ -734,10 +695,7 @@ func (s *Session) Barrier(step int) error {
 // once the data plane is poisoned, at once when the peer has left the
 // session, and after 4× the heartbeat timeout of silence otherwise.
 func (s *Session) await(cc *ctrlConn, op, want string) (ctrlMsg, error) {
-	peer := fmt.Sprintf("rank %d", cc.rank)
-	if s.Rank != 0 {
-		peer = "the coordinator"
-	}
+	peer := cc.peer()
 	timeout := s.opts.HeartbeatTimeout * 4
 	var m ctrlMsg
 	select {
@@ -813,10 +771,7 @@ func (s *Session) Close() error {
 func (s *Session) Abort() {
 	s.closeOnce.Do(func() {
 		s.closing.Store(true)
-		if s.coord != nil {
-			s.coord.c.Close()
-		}
-		for _, cc := range s.workers {
+		for _, cc := range s.conns() {
 			cc.c.Close()
 		}
 		if s.ctrlLn != nil {
@@ -841,10 +796,7 @@ const closeDrainTimeout = time.Second
 // departed peer's FIN with its own, so this is one round trip) or the drain
 // deadline passes, and only then is the socket released.
 func (s *Session) close(cause error) error {
-	conns := s.workers
-	if s.coord != nil {
-		conns = []*ctrlConn{s.coord}
-	}
+	conns := s.conns()
 	deadline := time.Now().Add(closeDrainTimeout)
 	for _, cc := range conns {
 		cc.send(ctrlMsg{Type: "bye"})

@@ -45,6 +45,46 @@ func TestSessionOptionDefaults(t *testing.T) {
 	}
 }
 
+// TestWelcomeConfiguresTheWorld: a worker joins with CRC off and a one-minute
+// heartbeat against a coordinator with CRC on and a 50 ms × 4 heartbeat. It
+// adopts the coordinator's settings from the welcome: a second later the
+// coordinator's transport is healthy, the worker's appends CRC trailers, and
+// the worker declares a silent coordinator dead after 200 ms, not 5 minutes.
+func TestWelcomeConfiguresTheWorld(t *testing.T) {
+	coordOpts := SessionOptions{
+		RendezvousTimeout: 20 * time.Second,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatMisses:   4,
+		Transport:         Options{CRC: true, RecvTimeout: 10 * time.Second},
+	}
+	workerOpts := SessionOptions{RendezvousTimeout: 20 * time.Second, HeartbeatInterval: time.Minute}
+	addr := freeAddr(t)
+	var coord *Session
+	var coordErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord, coordErr = Coordinate(addr, 2, nil, coordOpts)
+	}()
+	worker, err := joinRetry(addr, workerOpts)
+	<-done
+	if coordErr != nil || err != nil {
+		t.Fatalf("bootstrap: coordinator %v, worker %v", coordErr, err)
+	}
+	defer coord.Close()
+	defer worker.Close()
+	time.Sleep(time.Second)
+	if err := coord.Transport.Err(); err != nil {
+		t.Fatalf("coordinator transport poisoned: %v", err)
+	}
+	if !worker.Transport.opts.CRC {
+		t.Fatal("worker transport kept CRC off against a CRC coordinator")
+	}
+	if got := worker.opts; got.HeartbeatInterval != 50*time.Millisecond || got.HeartbeatTimeout != 200*time.Millisecond {
+		t.Fatalf("worker heartbeat interval %v, timeout %v; want the coordinator's 50ms, 200ms", got.HeartbeatInterval, got.HeartbeatTimeout)
+	}
+}
+
 // flexOpts is the fast tuning the flexible-rendezvous tests share.
 func flexOpts() SessionOptions {
 	return SessionOptions{
@@ -102,8 +142,8 @@ func TestFlexibleRendezvousFormsSmallerWorld(t *testing.T) {
 	if sawProcs != 2 || sess.World != 2 || worker.World != 2 {
 		t.Fatalf("formed world %d/%d (jobFor saw %d procs), want 2", sess.World, worker.World, sawProcs)
 	}
-	if len(sess.Book) != 2 || sess.Book[0] == "" || sess.Book[1] == "" {
-		t.Fatalf("address book %v, want both ranks", sess.Book)
+	if worker.Rank != 1 {
+		t.Fatalf("worker seated at rank %d, want 1", worker.Rank)
 	}
 	if string(sess.Job) != `{"n":1}` || string(worker.Job) != `{"n":1}` {
 		t.Fatalf("job payloads %q / %q", sess.Job, worker.Job)

@@ -440,9 +440,9 @@ func TestJoinRejectsUnavailableRank(t *testing.T) {
 }
 
 // TestHeartbeatMetricsPiggyback pins the telemetry streaming path end to
-// end: a worker's pinger drains the step ring, encodes a frame, attaches it
-// to a heartbeat ping, and the coordinator's OnMetrics hook receives samples
-// that decode back bit-for-bit.
+// end: a worker's pinger drains the step ring, attaches the samples to a
+// heartbeat ping, and the coordinator's OnMetrics hook receives them
+// field-for-field equal.
 func TestHeartbeatMetricsPiggyback(t *testing.T) {
 	var mu sync.Mutex
 	got := map[int64]obs.StepSample{} // step -> sample
@@ -456,12 +456,7 @@ func TestHeartbeatMetricsPiggyback(t *testing.T) {
 		Transport:         Options{RecvTimeout: 10 * time.Second},
 	}
 	coordOpts := opts
-	coordOpts.OnMetrics = func(rank int, frame []byte) {
-		samples, err := obs.DecodeStepFrame(frame)
-		if err != nil {
-			t.Errorf("coordinator received corrupt telemetry frame: %v", err)
-			return
-		}
+	coordOpts.OnMetrics = func(rank int, samples []obs.StepSample) {
 		mu.Lock()
 		defer mu.Unlock()
 		fromRank = rank
@@ -499,29 +494,33 @@ func TestHeartbeatMetricsPiggyback(t *testing.T) {
 
 	obs.EnableSteps()
 	defer obs.DisableSteps()
-	want := obs.StepSample{Rank: 1, Step: 3, WallNs: 7e6, ComputeNs: 5e6,
-		WireNs: 1e6, IdleNs: 1e6, BytesSent: 4096, QueueDepth: 2, PoolHit: 8, PoolMiss: 2, Allocs: 44}
-	obs.RecordStep(want)
+	for _, want := range []obs.StepSample{
+		{Rank: 1, Step: 3, WallNs: 7e6, ComputeNs: 5e6,
+			WireNs: 1e6, IdleNs: 1e6, BytesSent: 4096, QueueDepth: 2, PoolHit: 8, PoolMiss: 2, Allocs: 44},
+		{Rank: 2, Step: -1, WallNs: -5, Allocs: 1<<62 + 3}, // negative + huge values survive
+	} {
+		obs.RecordStep(want)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		s, ok := got[want.Step]
-		rank := fromRank
-		mu.Unlock()
-		if ok {
-			if s != want {
-				t.Fatalf("streamed sample = %+v, want %+v", s, want)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			s, ok := got[want.Step]
+			rank := fromRank
+			mu.Unlock()
+			if ok {
+				if s != want {
+					t.Fatalf("streamed sample = %+v, want %+v", s, want)
+				}
+				if rank != 1 {
+					t.Fatalf("frame attributed to rank %d, want 1", rank)
+				}
+				break
 			}
-			if rank != 1 {
-				t.Fatalf("frame attributed to rank %d, want 1", rank)
+			if time.Now().After(deadline) {
+				t.Fatal("coordinator never received the piggybacked telemetry frame")
 			}
-			break
+			time.Sleep(10 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never received the piggybacked telemetry frame")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Idle heartbeats (no new samples) must not re-deliver old frames.

@@ -32,10 +32,11 @@ type ElasticOptions struct {
 	// MaxAttempts bounds how many failed training attempts (rendezvous
 	// generations) the coordinator tolerates before giving up (default 3).
 	MaxAttempts int
-	// Session carries heartbeat/rendezvous tuning shared with the workers.
+	// Session carries heartbeat/rendezvous tuning; its heartbeat and CRC
+	// settings configure every worker through the welcome.
 	Session dist.SessionOptions
-	// StatePath persists the cluster state (address book, pins, spec) after
-	// every successful rendezvous; "" disables persistence.
+	// StatePath persists the cluster state (control address, world, attempt,
+	// spec) after every successful rendezvous; "" disables persistence.
 	StatePath string
 }
 
@@ -88,7 +89,7 @@ func RunElasticCoordinator(spec JobSpec, opt ElasticOptions, prevAttempts int) (
 		}
 		attempt++
 		if opt.StatePath != "" {
-			if serr := saveClusterState(opt, cur, sess, attempt); serr != nil {
+			if serr := saveClusterState(opt, cur, attempt); serr != nil {
 				sess.Close()
 				return nil, serr
 			}
@@ -130,16 +131,12 @@ func RunElasticCoordinator(spec JobSpec, opt ElasticOptions, prevAttempts int) (
 
 // saveClusterState persists the coordinator's recovery record alongside the
 // checkpoints.
-func saveClusterState(opt ElasticOptions, cur JobSpec, sess *dist.Session, attempt int) error {
+func saveClusterState(opt ElasticOptions, cur JobSpec, attempt int) error {
 	st := &ckpt.ClusterState{
 		CtrlAddr: opt.CtrlAddr,
-		World:    sess.World,
-		MinWorld: opt.MinReplicas * cur.Stages,
+		World:    cur.World(),
 		Attempt:  attempt,
-		Book:     sess.Book,
-		Pinned:   sess.Pinned,
 		Spec:     json.RawMessage(cur.Marshal()),
-		CkptDir:  cur.CkptDir,
 	}
 	if err := ckpt.SaveState(opt.StatePath, st); err != nil {
 		return fmt.Errorf("distrun: persist cluster state: %w", err)
@@ -149,8 +146,8 @@ func saveClusterState(opt ElasticOptions, cur JobSpec, sess *dist.Session, attem
 
 // WorkerOptions configures the worker side of an elastic job.
 type WorkerOptions struct {
-	// Session carries heartbeat/rendezvous tuning (must agree with the
-	// coordinator's or failure detection skews).
+	// Session carries rendezvous tuning; the heartbeat and CRC settings come
+	// from the coordinator's welcome.
 	Session dist.SessionOptions
 	// Backoff is the initial reconnect delay after a failed join or a failed
 	// job (default 500ms); failed joins back off exponentially to 8×.

@@ -294,7 +294,6 @@ func TestElasticOSProcessesSurviveSIGKILL(t *testing.T) {
 	for w := range workers {
 		wk := exec.Command(bins["jaxpp-worker"],
 			"-coordinator", addr, "-reconnect", "-reconnect-backoff", "100ms",
-			"-hb-interval", "50ms", "-hb-misses", "10",
 		)
 		outs[w] = &strings.Builder{}
 		wk.Stdout, wk.Stderr = outs[w], outs[w]

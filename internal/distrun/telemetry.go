@@ -118,7 +118,7 @@ func beginTelemetry() (restore func()) {
 // metricsAddr is set; the process's own step ring drains into it through
 // SyncLocal on every scrape. On the coordinator (worker false) the returned
 // timeline — non-nil iff the listener is up — is also what
-// SessionOptions.OnMetrics feeds heartbeat-piggybacked worker frames into, so
+// SessionOptions.OnMetrics feeds heartbeat-piggybacked worker samples into, so
 // it is the cluster view. A worker serves only its local view, and because it
 // takes its JobSpec from the coordinator, a local metricsAddr arms the step
 // gates directly so that view works even when the coordinator did not request
@@ -145,7 +145,7 @@ func SetupTelemetry(metricsAddr, flightDir string, worker bool) (tl *obs.Cluster
 			obs.Enable()
 			obs.EnableSteps()
 		}
-		tl = obs.NewClusterTimeline(obs.StragglerConfig{})
+		tl = obs.NewClusterTimeline()
 		srv, err := obs.StartMetricsServer(metricsAddr, tl)
 		if err != nil {
 			cleanup()

@@ -15,41 +15,22 @@ import (
 // ingest re-evaluates the straggler detectors. It backs /metrics,
 // /debug/cluster, and the one-line WARNs an operator actually reads.
 
-// StragglerConfig tunes detection. Zero values take the noted defaults.
-type StragglerConfig struct {
-	// Factor flags a rank whose step wall time exceeds Factor × the median
-	// of the latest wall times across ranks (default 2.0).
-	Factor float64
-	// Strikes is how many consecutive over-threshold steps it takes to flag
-	// (default 3) — one slow step is noise, three in a row is a straggler.
-	Strikes int
-	// MinWall ignores steps faster than this (default 1ms): at microsecond
-	// step times scheduler jitter swamps any real signal.
-	MinWall time.Duration
-	// QueueStrikes flags persistent sender-queue growth: this many
-	// consecutive samples with strictly increasing depth above QueueFloor
-	// (default 5 samples above a floor of 4).
-	QueueStrikes int
-	QueueFloor   int64
-}
-
-func (c *StragglerConfig) defaults() {
-	if c.Factor <= 1 {
-		c.Factor = 2.0
-	}
-	if c.Strikes <= 0 {
-		c.Strikes = 3
-	}
-	if c.MinWall <= 0 {
-		c.MinWall = time.Millisecond
-	}
-	if c.QueueStrikes <= 0 {
-		c.QueueStrikes = 5
-	}
-	if c.QueueFloor <= 0 {
-		c.QueueFloor = 4
-	}
-}
+// Straggler detection thresholds.
+const (
+	// stragglerFactor flags a rank whose step wall time exceeds this multiple
+	// of the median of the latest wall times across ranks.
+	stragglerFactor = 2.0
+	// stragglerStrikes is how many consecutive over-threshold steps it takes
+	// to flag — one slow step is noise, three in a row is a straggler.
+	stragglerStrikes = 3
+	// stragglerMinWall ignores faster steps: at microsecond step times
+	// scheduler jitter swamps any real signal.
+	stragglerMinWall = time.Millisecond
+	// queueGrowthStrikes flags persistent sender-queue growth: this many
+	// consecutive samples with strictly increasing depth above queueFloor.
+	queueGrowthStrikes = 5
+	queueFloor         = 4
+)
 
 // RankState is one rank's latest telemetry as the coordinator sees it.
 type RankState struct {
@@ -67,15 +48,12 @@ type RankState struct {
 // ClusterTimeline aggregates per-rank samples and flags stragglers. Safe for
 // concurrent use (heartbeat handler goroutines + HTTP handlers).
 type ClusterTimeline struct {
-	cfg StragglerConfig
-
 	mu    sync.Mutex
 	ranks map[int64]*RankState
 	flags int64 // straggler flag transitions (mirrors the obs counter)
 
 	localCursor  int64
 	localScratch [64]StepSample
-	decodeBuf    []StepSample
 
 	// wallMedianScratch avoids per-ingest allocation for the median.
 	wallScratch []int64
@@ -86,37 +64,18 @@ type ClusterTimeline struct {
 var cStragglerFlags = Counter("telemetry/straggler_flags")
 
 // NewClusterTimeline builds an empty timeline.
-func NewClusterTimeline(cfg StragglerConfig) *ClusterTimeline {
-	cfg.defaults()
-	return &ClusterTimeline{cfg: cfg, ranks: make(map[int64]*RankState)}
+func NewClusterTimeline() *ClusterTimeline {
+	return &ClusterTimeline{ranks: make(map[int64]*RankState)}
 }
 
-// IngestFrame decodes a heartbeat-piggybacked step frame from a rank and
-// ingests every sample. Corrupt frames are dropped whole (logged once per
-// occurrence) — the next heartbeat resends nothing, but telemetry is lossy
-// by design.
-func (tl *ClusterTimeline) IngestFrame(rank int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
+// Ingest adds samples in order — a worker's heartbeat-piggybacked batch, or
+// one at a time from test harnesses.
+func (tl *ClusterTimeline) Ingest(samples ...StepSample) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	samples, err := DecodeStepFrameInto(tl.decodeBuf[:0], data)
-	tl.decodeBuf = samples[:0]
-	if err != nil {
-		log.Printf("obs: dropping telemetry frame from rank %d: %v", rank, err)
-		return
+	for _, s := range samples {
+		tl.ingestLocked(s)
 	}
-	for i := range samples {
-		tl.ingestLocked(samples[i])
-	}
-}
-
-// Ingest adds one sample (test harnesses and local aggregation).
-func (tl *ClusterTimeline) Ingest(s StepSample) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.ingestLocked(s)
 }
 
 // SyncLocal drains the process-global step ring into the timeline — the
@@ -167,37 +126,37 @@ func (tl *ClusterTimeline) medianWallLocked() int64 {
 
 func (tl *ClusterTimeline) evalStepTimeLocked(rs *RankState, s StepSample) {
 	// Need at least two ranks for a median to mean anything.
-	if len(tl.ranks) < 2 || s.WallNs < int64(tl.cfg.MinWall) {
+	if len(tl.ranks) < 2 || s.WallNs < int64(stragglerMinWall) {
 		rs.strikes = 0
 		tl.maybeClearLocked(rs, s)
 		return
 	}
 	med := tl.medianWallLocked()
-	if med <= 0 || float64(s.WallNs) <= tl.cfg.Factor*float64(med) {
+	if med <= 0 || float64(s.WallNs) <= stragglerFactor*float64(med) {
 		rs.strikes = 0
 		tl.maybeClearLocked(rs, s)
 		return
 	}
 	rs.strikes++
-	if rs.strikes >= tl.cfg.Strikes && !rs.Straggler {
+	if rs.strikes >= stragglerStrikes && !rs.Straggler {
 		rs.Straggler = true
 		rs.Reason = "step-time"
 		tl.flags++
 		Add(cStragglerFlags, 1)
 		log.Printf("WARN: obs: rank %d straggling: step %d wall %.1fms > %.1f× median %.1fms (%d consecutive)",
-			s.Rank, s.Step, float64(s.WallNs)/1e6, tl.cfg.Factor, float64(med)/1e6, rs.strikes)
+			s.Rank, s.Step, float64(s.WallNs)/1e6, stragglerFactor, float64(med)/1e6, rs.strikes)
 		flight.Log("straggler", int(s.Rank), int(s.Step), rs.Reason)
 	}
 }
 
 func (tl *ClusterTimeline) evalQueueLocked(rs *RankState, s StepSample) {
-	if s.QueueDepth > tl.cfg.QueueFloor && s.QueueDepth > rs.lastQueue {
+	if s.QueueDepth > queueFloor && s.QueueDepth > rs.lastQueue {
 		rs.queueStrikes++
 	} else {
 		rs.queueStrikes = 0
 	}
 	rs.lastQueue = s.QueueDepth
-	if rs.queueStrikes >= tl.cfg.QueueStrikes && !rs.Straggler {
+	if rs.queueStrikes >= queueGrowthStrikes && !rs.Straggler {
 		rs.Straggler = true
 		rs.Reason = "queue-growth"
 		tl.flags++

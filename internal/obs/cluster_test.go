@@ -27,7 +27,7 @@ func slowSample(rank, step int64) StepSample {
 // step together, rank 2 runs 5× slower for a stretch, and the flag must fire
 // for rank 2 only — then clear once it catches back up.
 func TestStragglerDelayedRank(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{Factor: 2.0, Strikes: 3})
+	tl := NewClusterTimeline()
 	const world = 4
 	const slowRank = 2
 
@@ -86,7 +86,7 @@ func TestStragglerDelayedRank(t *testing.T) {
 
 // A single slow step must not flag (strikes reset on a healthy step).
 func TestStragglerOneSlowStepIsNoise(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{Factor: 2.0, Strikes: 3})
+	tl := NewClusterTimeline()
 	for step := int64(0); step < 10; step++ {
 		for r := int64(0); r < 4; r++ {
 			if r == 1 && step%3 == 0 { // slow, but never 3 in a row
@@ -103,7 +103,7 @@ func TestStragglerOneSlowStepIsNoise(t *testing.T) {
 
 // Sub-MinWall steps are jitter, not signal — never flagged even at 10×.
 func TestStragglerMinWallFloor(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{Factor: 2.0, Strikes: 3, MinWall: time.Millisecond})
+	tl := NewClusterTimeline()
 	for step := int64(0); step < 10; step++ {
 		for r := int64(0); r < 4; r++ {
 			wall := int64(10 * time.Microsecond)
@@ -120,7 +120,7 @@ func TestStragglerMinWallFloor(t *testing.T) {
 
 // A lone rank has no median to compare against — never flagged.
 func TestStragglerNeedsTwoRanks(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{})
+	tl := NewClusterTimeline()
 	for step := int64(0); step < 10; step++ {
 		tl.Ingest(slowSample(0, step))
 	}
@@ -130,7 +130,7 @@ func TestStragglerNeedsTwoRanks(t *testing.T) {
 }
 
 func TestStragglerQueueGrowth(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{QueueStrikes: 5, QueueFloor: 4})
+	tl := NewClusterTimeline()
 	// Two ranks; rank 1's sender queue grows monotonically past the floor.
 	depth := int64(4)
 	for step := int64(0); step < 8; step++ {
@@ -163,34 +163,25 @@ func TestStragglerQueueGrowth(t *testing.T) {
 	}
 }
 
-func TestIngestFrameRoundTrip(t *testing.T) {
-	tl := NewClusterTimeline(StragglerConfig{})
-	samples := []StepSample{fastSample(3, 41), fastSample(3, 42)}
-	frame := AppendStepFrame(nil, samples)
-	tl.IngestFrame(3, frame)
-	snap := tl.Snapshot()
-	rs, ok := snap.Ranks[3]
+// A heartbeat's batch lands in order; an empty batch is a no-op.
+func TestIngestBatchInOrder(t *testing.T) {
+	tl := NewClusterTimeline()
+	tl.Ingest(fastSample(3, 41), fastSample(3, 42))
+	rs, ok := tl.Snapshot().Ranks[3]
 	if !ok || rs.Samples != 2 || rs.Last.Step != 42 {
-		t.Fatalf("frame ingest: %+v", rs)
+		t.Fatalf("batch ingest: %+v", rs)
 	}
-
-	// Corrupt frame: dropped whole, timeline unchanged.
-	bad := append([]byte(nil), frame...)
-	bad[7] ^= 0xFF
-	tl.IngestFrame(3, bad)
+	tl.Ingest()
 	if got := tl.Snapshot().Ranks[3].Samples; got != 2 {
-		t.Fatalf("corrupt frame changed sample count to %d", got)
+		t.Fatalf("empty batch changed sample count to %d", got)
 	}
-
-	// Empty payload (heartbeat without telemetry): no-op.
-	tl.IngestFrame(3, nil)
 }
 
 func TestSyncLocalDrainsGlobalRing(t *testing.T) {
 	resetStepsForTest()
 	EnableSteps()
 	defer DisableSteps()
-	tl := NewClusterTimeline(StragglerConfig{})
+	tl := NewClusterTimeline()
 	RecordStep(fastSample(0, 7))
 	RecordStep(fastSample(0, 8))
 	tl.SyncLocal()
@@ -208,9 +199,9 @@ func TestSyncLocalDrainsGlobalRing(t *testing.T) {
 func TestStragglerWarnLine(t *testing.T) {
 	// The WARN must be a single greppable line.
 	var sb strings.Builder
-	tl := NewClusterTimeline(StragglerConfig{Strikes: 1})
+	tl := NewClusterTimeline()
 	restore := captureLog(&sb)
-	for step := int64(0); step < 2; step++ {
+	for step := int64(0); step < 3; step++ { // three strikes flag
 		tl.Ingest(fastSample(0, step))
 		tl.Ingest(fastSample(1, step))
 		tl.Ingest(slowSample(2, step))

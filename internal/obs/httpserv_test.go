@@ -27,7 +27,7 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 func TestMetricsServer(t *testing.T) {
 	resetStepsForTest()
-	tl := NewClusterTimeline(StragglerConfig{})
+	tl := NewClusterTimeline()
 	tl.Ingest(StepSample{Rank: 0, Step: 9, WallNs: 12e6, ComputeNs: 8e6, WireNs: 3e6,
 		IdleNs: 1e6, BytesSent: 4096, BytesRecvd: 2048, QueueDepth: 1, PoolHit: 9, PoolMiss: 1, Allocs: 100})
 	tl.Ingest(StepSample{Rank: 1, Step: 9, WallNs: 13e6})
@@ -95,7 +95,7 @@ func TestMetricsServerFollowsRing(t *testing.T) {
 	resetStepsForTest()
 	EnableSteps()
 	defer DisableSteps()
-	tl := NewClusterTimeline(StragglerConfig{})
+	tl := NewClusterTimeline()
 	ms, err := StartMetricsServer("127.0.0.1:0", tl)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestMetricsServerFollowsRing(t *testing.T) {
 }
 
 func TestMetricsServerBadAddr(t *testing.T) {
-	if _, err := StartMetricsServer("256.0.0.1:bad", NewClusterTimeline(StragglerConfig{})); err == nil {
+	if _, err := StartMetricsServer("256.0.0.1:bad", NewClusterTimeline()); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }

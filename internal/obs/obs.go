@@ -26,7 +26,6 @@
 package obs
 
 import (
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,14 +52,6 @@ var (
 	epoch       = time.Now()
 	epochWallNs = epoch.UnixNano()
 )
-
-func init() {
-	// Zero-config enablement for tools that cannot thread a flag through
-	// (benchmark harnesses, CI smokes): any non-empty JAXPP_PROF enables.
-	if os.Getenv("JAXPP_PROF") != "" {
-		Enable()
-	}
-}
 
 // Enable turns recording on. Idempotent.
 func Enable() { gate.Store(true) }

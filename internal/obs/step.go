@@ -1,17 +1,12 @@
 package obs
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The live telemetry plane's per-step pipeline: every rank publishes one
 // StepSample per training step into a fixed-capacity lock-free ring, a
 // heartbeat-paced reader drains new samples with ReadStepsSince, and the
-// compact step-frame codec (AppendStepFrame/DecodeStepFrame) ships them over
-// the control plane to the coordinator's ClusterTimeline.
+// control plane's heartbeat carries them as JSON to the coordinator's
+// ClusterTimeline.
 //
 // Like the span shards, the plane is gated by its own package-level atomic:
 // disabled — the default — RecordStep is one atomic load and a branch, zero
@@ -22,9 +17,8 @@ import (
 // not the oldest unread one.
 
 // StepSample is one rank's telemetry record for one completed training step.
-// All fields are int64 so samples publish as fixed atomic words and encode
-// as fixed-width frames; durations are nanoseconds, byte/alloc/pool fields
-// are deltas over the step.
+// All fields are int64 so samples publish as fixed atomic words; durations
+// are nanoseconds, byte/alloc/pool fields are deltas over the step.
 type StepSample struct {
 	Rank       int64 `json:"rank"`
 	Step       int64 `json:"step"`
@@ -159,86 +153,4 @@ func resetStepsForTest() {
 	for i := range stepRing {
 		stepRing[i].stamp.Store(0)
 	}
-}
-
-// Step-frame wire codec: the compact binary frame a worker piggybacks onto
-// its control-plane heartbeat. Layout (little-endian):
-//
-//	u8  magic (0x53 'S')   u8 version (1)   u16 count
-//	count × stepWords × i64 sample words (struct field order)
-//	u32 CRC32 (IEEE) over everything above
-const (
-	stepFrameMagic   = 0x53
-	stepFrameVersion = 1
-	stepFrameHeader  = 4
-	stepSampleBytes  = stepWords * 8
-)
-
-// MaxStepFrameSamples bounds one frame (count is a u16).
-const MaxStepFrameSamples = 1<<16 - 1
-
-// AppendStepFrame appends the encoded step frame to buf and returns the
-// extended slice — the caller reuses buf across heartbeats, so the steady
-// state allocates only when a frame outgrows every previous one.
-func AppendStepFrame(buf []byte, samples []StepSample) []byte {
-	if len(samples) > MaxStepFrameSamples {
-		samples = samples[len(samples)-MaxStepFrameSamples:]
-	}
-	start := len(buf)
-	buf = append(buf, stepFrameMagic, stepFrameVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(samples)))
-	for i := range samples {
-		s := &samples[i]
-		for _, v := range [stepWords]int64{
-			s.Rank, s.Step, s.WallNs, s.ComputeNs, s.WireNs, s.IdleNs,
-			s.BytesSent, s.BytesRecvd, s.QueueDepth, s.PoolHit, s.PoolMiss, s.Allocs,
-		} {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-	}
-	crc := crc32.ChecksumIEEE(buf[start:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
-// DecodeStepFrameInto decodes one step frame, appending its samples to dst
-// (pass dst[:0] of a reused buffer for an allocation-free steady state) and
-// returning the extended slice. The CRC is always verified: a heartbeat
-// carrying a corrupt frame is dropped whole rather than aggregated.
-func DecodeStepFrameInto(dst []StepSample, data []byte) ([]StepSample, error) {
-	if len(data) < stepFrameHeader+4 {
-		return dst, fmt.Errorf("obs: step frame truncated (%d bytes)", len(data))
-	}
-	if data[0] != stepFrameMagic {
-		return dst, fmt.Errorf("obs: step frame bad magic 0x%02x", data[0])
-	}
-	if data[1] != stepFrameVersion {
-		return dst, fmt.Errorf("obs: step frame version %d (want %d)", data[1], stepFrameVersion)
-	}
-	count := int(binary.LittleEndian.Uint16(data[2:4]))
-	want := stepFrameHeader + count*stepSampleBytes + 4
-	if len(data) != want {
-		return dst, fmt.Errorf("obs: step frame has %d bytes for %d samples (want %d)", len(data), count, want)
-	}
-	body := data[:want-4]
-	if got, wantCRC := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(data[want-4:]); got != wantCRC {
-		return dst, fmt.Errorf("obs: step frame CRC mismatch (got %08x want %08x)", got, wantCRC)
-	}
-	off := stepFrameHeader
-	for i := 0; i < count; i++ {
-		var w [stepWords]int64
-		for j := range w {
-			w[j] = int64(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-		dst = append(dst, StepSample{
-			Rank: w[0], Step: w[1], WallNs: w[2], ComputeNs: w[3], WireNs: w[4], IdleNs: w[5],
-			BytesSent: w[6], BytesRecvd: w[7], QueueDepth: w[8], PoolHit: w[9], PoolMiss: w[10], Allocs: w[11],
-		})
-	}
-	return dst, nil
-}
-
-// DecodeStepFrame is DecodeStepFrameInto with a fresh destination.
-func DecodeStepFrame(data []byte) ([]StepSample, error) {
-	return DecodeStepFrameInto(nil, data)
 }

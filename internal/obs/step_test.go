@@ -175,74 +175,6 @@ func TestStepRingConcurrent(t *testing.T) {
 	<-done
 }
 
-func TestStepFrameRoundTrip(t *testing.T) {
-	samples := []StepSample{
-		sampleForStep(0, 1),
-		sampleForStep(3, 2),
-		{Rank: 2, Step: -1, WallNs: -5, Allocs: 1<<62 + 3}, // negative + huge values survive
-	}
-	frame := AppendStepFrame(nil, samples)
-	got, err := DecodeStepFrame(frame)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got) != len(samples) {
-		t.Fatalf("decoded %d samples, want %d", len(got), len(samples))
-	}
-	for i := range samples {
-		if got[i] != samples[i] {
-			t.Fatalf("sample %d = %+v, want %+v", i, got[i], samples[i])
-		}
-	}
-
-	// Empty frame is legal (heartbeat with no new steps).
-	empty := AppendStepFrame(nil, nil)
-	if got, err := DecodeStepFrame(empty); err != nil || len(got) != 0 {
-		t.Fatalf("empty frame: got %d samples, err %v", len(got), err)
-	}
-
-	// Into-variant appends without clobbering what's already there.
-	pre := []StepSample{sampleForStep(9, 9)}
-	all, err := DecodeStepFrameInto(pre, frame)
-	if err != nil {
-		t.Fatalf("decode into: %v", err)
-	}
-	if len(all) != 1+len(samples) || all[0] != pre[0] {
-		t.Fatalf("DecodeStepFrameInto clobbered prefix: %+v", all)
-	}
-}
-
-func TestStepFrameRejectsCorruption(t *testing.T) {
-	frame := AppendStepFrame(nil, []StepSample{sampleForStep(1, 5)})
-
-	flip := append([]byte(nil), frame...)
-	flip[stepFrameHeader+8] ^= 0x40 // corrupt a sample word
-	if _, err := DecodeStepFrame(flip); err == nil {
-		t.Fatal("corrupt body passed CRC")
-	}
-
-	short := frame[:len(frame)-3]
-	if _, err := DecodeStepFrame(short); err == nil {
-		t.Fatal("truncated frame decoded")
-	}
-
-	badMagic := append([]byte(nil), frame...)
-	badMagic[0] = 0x00
-	if _, err := DecodeStepFrame(badMagic); err == nil {
-		t.Fatal("bad magic decoded")
-	}
-
-	badVer := append([]byte(nil), frame...)
-	badVer[1] = 99
-	if _, err := DecodeStepFrame(badVer); err == nil {
-		t.Fatal("bad version decoded")
-	}
-
-	if _, err := DecodeStepFrame(nil); err == nil {
-		t.Fatal("nil frame decoded")
-	}
-}
-
 func TestPoolHitPct(t *testing.T) {
 	s := StepSample{PoolHit: 3, PoolMiss: 1}
 	if got := s.PoolHitPct(); got != 75 {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/autodiff"
 	"repro/internal/collective"
 	"repro/internal/ir"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/schedule"
@@ -255,10 +254,9 @@ var scDPSync = obs.Scope("step/dp_sync")
 
 // installDPSync attaches the end-of-step gradient epilogue: for every
 // pipeline actor that owns gradient accumulators, a bucketed ring AllReduce
-// across its replica peers, derived from the "data" axis of the
-// [("data", R), ("pipe", P)] actor mesh — or, in its place, the spec's
-// GradSync. Each actor starts its epilogue as soon as its own program
-// finishes, overlapping it with pipeline cooldown on later stages.
+// across its replica peers — or, in its place, the spec's GradSync. Each
+// actor starts its epilogue as soon as its own program finishes, overlapping
+// it with pipeline cooldown on later stages.
 func (t *TrainStep) installDPSync(tr transport.Transport) error {
 	replicas := t.exe.Replicas()
 	pp := t.exe.ActorsPerReplica()
@@ -268,15 +266,18 @@ func (t *TrainStep) installDPSync(tr transport.Transport) error {
 		if replicas <= 1 {
 			return nil
 		}
-		m, err := mesh.New(mesh.Axis{Name: "data", Size: replicas}, mesh.Axis{Name: "pipe", Size: pp})
-		if err != nil {
-			return err
-		}
-		// Row-major device IDs of the mesh coincide with the runtime's global
-		// actor layout, so groups along "data" are exactly the replica peers
-		// of each pipeline position.
-		if groups, err = collective.NewWorld(tr, m).GroupsAlong("data"); err != nil {
-			return err
+		// Global actor r·pp + a is replica r's pipeline position a, so the
+		// replica peers of position a form group a.
+		for a := 0; a < pp; a++ {
+			peers := make([]int, replicas)
+			for r := range peers {
+				peers[r] = r*pp + a
+			}
+			g, err := collective.NewGroup(tr, peers, a)
+			if err != nil {
+				return err
+			}
+			groups = append(groups, g)
 		}
 	}
 	for a := 0; a < pp; a++ {

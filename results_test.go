@@ -243,7 +243,6 @@ func TestDisabledObsOverheadBounded(t *testing.T) {
 		t.Skip("race instrumentation dominates a 3 ns gate check")
 	}
 	const maxPct = 1.0
-	obs.Disable() // JAXPP_PROF=1 arms the registry at init
 	obs.DisableSteps()
 	step := gateStep(t, 0, 8)
 
