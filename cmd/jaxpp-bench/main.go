@@ -135,8 +135,7 @@ func validateChan(w io.Writer) error {
 // shapedRatioLo/Hi is the accepted executed-vs-analytic band of the shaped
 // check: the analytic model is a store-and-forward idealization, so the band
 // is generous, but an execution drifting outside it means the calibration
-// model stopped tracking degraded networks — the regression the degraded-net
-// CI tier exists to catch.
+// model stopped tracking degraded networks.
 const (
 	shapedRatioLo = 0.4
 	shapedRatioHi = 2.5

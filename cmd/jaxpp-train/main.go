@@ -46,7 +46,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic init seed")
 	tcp := flag.Bool("tcp", false, "communicate over localhost TCP sockets (binary wire protocol, single process)")
 	distributed := flag.Bool("distributed", false, "run across OS processes over the dist transport")
-	rank := flag.Int("rank", 0, "this process's rank in -distributed mode (0 = coordinator)")
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address in -distributed mode")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames; in -distributed mode the coordinator's setting configures the whole world")
 	wireDType := flag.String("wire-dtype", "", "gradient wire encoding: f64 (default, lossless), f32, or int8q (error-feedback int8 quantization). Only gradient collective frames compress; the encoding travels in the job payload to every rank")
@@ -111,9 +110,9 @@ func main() {
 	case *resume != "":
 		rep, err = runResumed(*resume, sessOpts, *minReplicas, *maxAttempts)
 	case *distributed && *elastic:
-		rep, err = runElastic(spec, *rank, *coordinator, sessOpts, *minReplicas, *maxAttempts)
+		rep, err = runElastic(spec, *coordinator, sessOpts, *minReplicas, *maxAttempts)
 	case *distributed:
-		rep, err = runDistributed(spec, *rank, *coordinator, sessOpts)
+		rep, err = runDistributed(spec, *coordinator, sessOpts)
 	case *tcp:
 		var mesh *dist.LocalMesh
 		mesh, err = dist.NewLocalMesh(spec.World(), dist.Options{CRC: *crc})
@@ -132,9 +131,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
-	}
-	if rep == nil || rep.Rank != 0 {
-		return // non-coordinator rank: losses live on rank 0
 	}
 	for s, loss := range rep.StepLosses {
 		// Loss histories cover steps StartStep..Steps-1; print absolute
@@ -180,15 +176,9 @@ func writeTrace(path string, rep *distrun.Report) error {
 	return nil
 }
 
-// runElastic runs the coordinator's rendezvous–train–recover loop (rank 0) —
-// non-zero ranks of an elastic job are jaxpp-worker -reconnect daemons, but a
-// rank flag is accepted and routed to the equivalent worker loop for symmetry
-// with -distributed.
-func runElastic(spec distrun.JobSpec, rank int, coordinator string, sessOpts dist.SessionOptions, minReplicas, maxAttempts int) (*distrun.Report, error) {
-	if rank != 0 {
-		sessOpts.WantRank = rank
-		return nil, distrun.RunElasticWorker(coordinator, distrun.WorkerOptions{Session: sessOpts})
-	}
+// runElastic runs the coordinator's rendezvous–train–recover loop (rank 0);
+// the other ranks are jaxpp-worker -reconnect daemons.
+func runElastic(spec distrun.JobSpec, coordinator string, sessOpts dist.SessionOptions, minReplicas, maxAttempts int) (*distrun.Report, error) {
 	opt := distrun.ElasticOptions{
 		CtrlAddr:    coordinator,
 		MinReplicas: minReplicas,
@@ -226,38 +216,22 @@ func runResumed(statePath string, sessOpts dist.SessionOptions, minReplicas, max
 	return distrun.RunElasticCoordinator(spec, opt, st.Attempt)
 }
 
-// runDistributed runs this process's rank of the training job: rank 0
-// coordinates, distributes the spec as the rendezvous payload, hosts actor 0
-// and runs that spec; any other rank joins exactly like a jaxpp-worker would
-// and runs the spec it received.
-func runDistributed(spec distrun.JobSpec, rank int, coordinator string, opts dist.SessionOptions) (*distrun.Report, error) {
-	opts.WantRank = rank
-	var sess *dist.Session
-	var err error
-	if rank == 0 {
-		sess, err = dist.Coordinate(coordinator, spec.World(), spec.Marshal(), opts)
-	} else {
-		sess, err = dist.Join(coordinator, opts)
-	}
+// runDistributed runs rank 0 of the training job: it coordinates, distributes
+// the spec as the rendezvous payload to world-1 jaxpp-worker daemons, hosts
+// actor 0 and runs that spec.
+func runDistributed(spec distrun.JobSpec, coordinator string, opts dist.SessionOptions) (*distrun.Report, error) {
+	sess, err := dist.Coordinate(coordinator, spec.World(), spec.Marshal(), opts)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	if rank == 0 {
-		fmt.Printf("coordinator up: world %d (%d replicas × %d stages) at %s\n",
-			spec.World(), spec.Replicas(), spec.Stages, coordinator)
-		return distrun.Run(sess, spec)
-	}
-	got, err := distrun.UnmarshalJobSpec(sess.Job)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("joined as rank %d of %d\n", sess.Rank, sess.World)
-	return distrun.Run(sess, got)
+	fmt.Printf("coordinator up: world %d (%d replicas × %d stages) at %s\n",
+		spec.World(), spec.Replicas(), spec.Stages, coordinator)
+	return distrun.Run(sess, spec)
 }
 
-// lossesFile is the -losses-out JSON schema (shared with the CI smoke and
-// the multi-process equivalence test).
+// lossesFile is the -losses-out JSON schema. A distributed run and the
+// in-process run of the same flags write the same bytes (legs_test.go).
 type lossesFile struct {
 	StepLosses []float64   `json:"step_losses"`
 	MBLosses   [][]float64 `json:"mb_losses"`

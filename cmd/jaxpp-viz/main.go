@@ -96,7 +96,7 @@ func main() {
 
 // renderExec loads an executed Chrome trace and draws the per-actor ASCII
 // timeline. With expectRanks > 0 it also validates the trace covers every
-// rank 0..N-1 — the CI multiprocess smoke's merged-trace assertion.
+// rank 0..N-1.
 func renderExec(path string, expectRanks, width int) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // Link shaping degrades a dist endpoint's links the way a real network would:
 // a bandwidth cap serializes frames onto the link, a one-way latency (±
 // uniform jitter) delays arrival, and a probabilistic frame loss silently
-// drops frames. It exists so the degraded-network CI tier and the calibration
+// drops frames. It exists so the shaped multi-process leg and the calibration
 // model's off-localhost validation run without root/netem — the link still
 // moves real bytes over TCP; shaping only controls *when* they move, and
 // whether. Transport.SetShape arms it; the link's sender worker, the one

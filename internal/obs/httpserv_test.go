@@ -90,7 +90,7 @@ func TestMetricsServer(t *testing.T) {
 }
 
 // The /metrics view must follow the live ring: record more steps, scrape
-// again, counters advance — the property the CI smoke asserts across ranks.
+// again, counters advance — the property TestLegs' metrics leg asserts across ranks.
 func TestMetricsServerFollowsRing(t *testing.T) {
 	resetStepsForTest()
 	EnableSteps()
