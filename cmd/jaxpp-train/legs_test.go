@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,6 +32,9 @@ type leg struct {
 	// lossy: a second distributed run writes the same losses, and the
 	// in-process run different ones (the frames were quantized).
 	lossy bool
+	// golden: a file under testdata the distributed losses must equal byte
+	// for byte on amd64, where it was written.
+	golden string
 	// unlike: flags of a second in-process run whose losses must differ
 	// from the distributed run's.
 	unlike string
@@ -51,9 +55,14 @@ var legs = []leg{
 	// stage's 289 elements 97/96/96.
 	{name: "dp3x2-width17", world: 6, flags: "-dp 3 -stages 2 -mb 4 -width 17 -steps 5 -lr 0.1 -momentum 0.9"},
 	// Lossy is not nondeterministic: the residual, the grids and the ring
-	// order are fixed by the job.
+	// order are fixed by the job. The goldens pin the bits of every int8q
+	// frame, as they were before error feedback moved into the encoder.
 	{name: "dp2x2-int8q", world: 4, flags: "-dp 2 -stages 2 -width 64 -steps 20 -lr 0.05 -wire-dtype int8q -momentum 0.9",
-		lossy: true},
+		lossy: true, golden: "dp2x2-int8q.losses.json"},
+	// Three replicas: hop 1 ships a partial sum, quantized afresh without
+	// feedback.
+	{name: "dp3x2-width17-int8q", world: 6, flags: "-dp 3 -stages 2 -mb 4 -width 17 -steps 5 -lr 0.1 -momentum 0.9 -wire-dtype int8q",
+		lossy: true, golden: "dp3x2-width17-int8q.losses.json"},
 	// Every cross-rank frame waits out a modeled WAN hop, which must not
 	// touch payload bits or per-link order.
 	{name: "dp2x2-shaped", world: 4, flags: "-dp 2 -stages 2 -mb 4 -steps 3 -crc -net-latency 5ms -net-jitter 2ms -net-bw-gbs 0.5 -net-seed 7"},
@@ -111,6 +120,15 @@ func TestLegs(t *testing.T) {
 			if l.lossy {
 				if again, _, _ := trainAcross(t, bin, l.world, flags, nil); !bytes.Equal(again, losses) {
 					t.Errorf("two runs of a lossy job differ:\n%s\nsecond:\n%s", losses, again)
+				}
+			}
+			if l.golden != "" && runtime.GOARCH == "amd64" {
+				want, err := os.ReadFile(filepath.Join("testdata", l.golden))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(losses, want) {
+					t.Errorf("distributed losses differ from testdata/%s:\n%s\ngolden:\n%s", l.golden, losses, want)
 				}
 			}
 			if l.unlike != "" && bytes.Equal(losses, trainLocal(t, bin, strings.Fields(l.unlike))) {

@@ -17,7 +17,7 @@ const bytesPerElem = 8 // float64
 // of at most bucketBytes (an oversized tensor forms its own bucket) and
 // returns the [start, end) tensor-index range of each bucket. It is the
 // single source of truth for the fusion rule: the executing path (the two
-// halves of AllReduceBucketsInPlace, OwnedRanges, FirstSentRanges) and the
+// halves of AllReduceBucketsInPlace, OwnedRanges) and the
 // analytic paths (NumBuckets, PredictBucketedAllReduce) must agree on
 // boundaries for the executed-vs-analytic validation to stay meaningful.
 func bucketBoundaries(sizes []int, bucketBytes int) [][2]int {
@@ -80,10 +80,11 @@ func (c *Communicator) GatherBucketsInPlace(ts []*tensor.Tensor, bucketBytes int
 // own, or the communicator's flat scratch for a fused bucket. Around a fused
 // bucket only what the pass reads and what it makes final is copied: the
 // reduce half packs every tensor and unpacks the owned chunk, the gather half
-// packs the owned chunk and unpacks every tensor.
+// packs the owned chunk and unpacks every tensor. Once ArmErrorFeedback has
+// run, the reduce half hands each bucket's residual to its pass.
 func (c *Communicator) eachBucket(ts []*tensor.Tensor, bucketBytes int, op Op, gather bool) error {
 	n := c.Size()
-	for _, b := range c.bucketPlan(ts, bucketBytes) {
+	for i, b := range c.bucketPlan(ts, bucketBytes) {
 		bucket := ts[b[0]:b[1]]
 		base := c.opWindow()
 		elems := 0
@@ -109,7 +110,7 @@ func (c *Communicator) eachBucket(ts []*tensor.Tensor, bucketBytes int, op Op, g
 		if off := c.evenOffsets(elems); gather {
 			err = c.gatherPass(base, data, off, c.rank+1)
 		} else {
-			err = c.reducePass(base, data, off, c.rank, op)
+			err = c.reducePass(base, data, off, c.rank, op, c.residual(i, off[c.rank+1]-off[c.rank]))
 		}
 		if err != nil {
 			return fmt.Errorf("collective: bucket [%d,%d): %w", b[0], b[1], err)
@@ -174,26 +175,6 @@ func OwnedRanges(sizes []int, bucketBytes, n, rank int) []Range {
 		case len(out) > 0 && out[len(out)-1].Hi == lo:
 			out[len(out)-1].Hi = hi
 		default:
-			out = append(out, Range{lo, hi})
-		}
-	})
-	return out
-}
-
-// FirstSentRanges returns what the reduce half sends first from the given
-// rank of an n-rank group: in every fusion bucket the balanced chunk rank,
-// the segment reducePass(first = rank) sends at step 0 — the only one that
-// leaves the rank as the rank's own values rather than as a partial sum.
-// One Range per bucket and so per wire frame, never merged across buckets,
-// empty chunks skipped; over the n ranks they partition the list, as the
-// OwnedRanges do. A lone rank sends nothing.
-func FirstSentRanges(sizes []int, bucketBytes, n, rank int) []Range {
-	if n < 2 {
-		return nil
-	}
-	var out []Range
-	bucketChunks(sizes, bucketBytes, n, rank, func(lo, hi int) {
-		if lo < hi {
 			out = append(out, Range{lo, hi})
 		}
 	})

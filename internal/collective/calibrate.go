@@ -71,7 +71,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 			}
 			tensor.Recycle(t)
 			// As in Communicator.send, and settled before acc is next written.
-			tr.SendLent(b, a, tagEcho, acc)
+			tr.SendLent(b, a, tagEcho, acc, nil)
 			if tr.Settle(b, a) != nil {
 				return
 			}
@@ -104,7 +104,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 		if i == bwWarmup {
 			t1 = time.Now()
 		}
-		tr.SendLent(a, b, tagBulk, payload)
+		tr.SendLent(a, b, tagBulk, payload, nil)
 		back, err := tr.Recv(a, b, tagEcho)
 		if err != nil {
 			return perf.Link{BwGBs: 1, Latency: latency}

@@ -250,6 +250,44 @@ type Communicator struct {
 
 	// off is the reusable segment-offsets table of the ring passes (ring.go).
 	off []int
+
+	// ef arms error feedback (ArmErrorFeedback); res[b] is then the residual
+	// of fusion bucket b: what the wire dropped of the chunk the bucket's
+	// reduce pass sends first, which the next step's send of it carries.
+	ef  bool
+	res [][]float64
+}
+
+// ArmErrorFeedback turns error feedback on for every later reduce half: the
+// communicator keeps one residual per fusion bucket, zero at first, for
+// exactly what the half ships as this rank's own values — the chunk each
+// bucket's pass sends at hop 0, on the grid of the frame that carries it.
+// Everything else leaves the rank only inside a partial sum, and a lossy wire
+// rounds it afresh. Over an exact wire the residuals stay zero. A residual is
+// rank-local: it never travels and is not checkpointed.
+func (c *Communicator) ArmErrorFeedback() { c.ef = true }
+
+// Residuals returns the residuals the reduce half has kept since
+// ArmErrorFeedback, indexed by fusion bucket; a bucket that never sent has
+// none (a nil entry, or none at all past the last one that did). The slices
+// are the communicator's own and final once a reduce half returns; nil
+// while error feedback is off.
+func (c *Communicator) Residuals() [][]float64 { return c.res }
+
+// residual is fusion bucket b's residual, n elements long, or nil while
+// error feedback is off. It is made on the bucket's first armed pass and
+// remade zero if the bucket's chunk changes size.
+func (c *Communicator) residual(b, n int) []float64 {
+	if !c.ef {
+		return nil
+	}
+	for len(c.res) <= b {
+		c.res = append(c.res, nil)
+	}
+	if c.res[b] == nil || len(c.res[b]) != n {
+		c.res[b] = make([]float64, n)
+	}
+	return c.res[b]
 }
 
 // bucketPlan returns the fusion-bucket boundaries for ts, recomputing only

@@ -307,9 +307,9 @@ func TestCollectivesCoexistWithPipelineP2P(t *testing.T) {
 // Recv with a pooled chunk of elems elements, whatever was expected.
 type wrongSizeTransport struct{ elems int }
 
-func (wrongSizeTransport) Send(from, to, tag int, t *tensor.Tensor)      {}
-func (wrongSizeTransport) SendLent(from, to, tag int, payload []float64) {}
-func (wrongSizeTransport) Settle(from, to int) error                     { return nil }
+func (wrongSizeTransport) Send(from, to, tag int, t *tensor.Tensor)                {}
+func (wrongSizeTransport) SendLent(from, to, tag int, payload, residual []float64) {}
+func (wrongSizeTransport) Settle(from, to int) error                               { return nil }
 func (w wrongSizeTransport) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	return tensor.GetScratch(w.elems), nil
 }

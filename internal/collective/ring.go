@@ -74,10 +74,12 @@ func (c *Communicator) countsOffsets(counts []int, lo, hi int) []int {
 // one a pooled copy travels — the transport's choice, made behind SendLent.
 // Either way seg is still on loan when send returns: it must not be written
 // until settle has returned, which is why both passes fold and copy only into
-// segments they have not sent yet.
-func (c *Communicator) send(to, tag int, seg []float64) {
+// segments they have not sent yet. res, nil or as long as seg, is the error
+// feedback a lossy wire folds into what it ships (Transport.SendLent); it is
+// final when send returns.
+func (c *Communicator) send(to, tag int, seg, res []float64) {
 	h := obs.TrackTid(scCollSend, c.self())
-	c.g.tr.SendLent(c.self(), to, tag, seg)
+	c.g.tr.SendLent(c.self(), to, tag, seg, res)
 	h.StopBytes(int64(len(seg)) * 8)
 }
 
@@ -131,12 +133,20 @@ func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
 // the step before it is sent and never after, so nothing on loan is written;
 // the pass settles before it returns. Per element the combine order is fixed
 // by first alone — see the package comment for the two layouts in use.
-func (c *Communicator) reducePass(base int, data []float64, off []int, first int, op Op) error {
+//
+// res, nil or as long as segment first, rides the step-0 send: the one
+// segment that leaves the rank as its own values rather than a partial sum.
+// What a lossy wire makes of that segment reaches the next rank alone: data
+// keeps the values as they were, not as they were shipped, since the pass
+// never reads the segment again and a gather half overwrites it with the
+// reduced values.
+func (c *Communicator) reducePass(base int, data []float64, off []int, first int, op Op, res []float64) error {
 	n := c.Size()
 	si := (first%n + n) % n
 	for s := 0; s < n-1; s++ {
 		ri := (si + n - 1) % n
-		c.send(c.next(), base+s, data[off[si]:off[si+1]])
+		c.send(c.next(), base+s, data[off[si]:off[si+1]], res)
+		res = nil
 		dst := data[off[ri]:off[ri+1]]
 		t, err := c.recv(c.prev(), base+s, len(dst))
 		if err != nil {
@@ -164,7 +174,7 @@ func (c *Communicator) gatherPass(base int, data []float64, off []int, first int
 	n := c.Size()
 	si := (first%n + n) % n
 	for s := 0; s < n-1; s++ {
-		c.send(c.next(), base+s, data[off[si]:off[si+1]])
+		c.send(c.next(), base+s, data[off[si]:off[si+1]], nil)
 		si = (si + n - 1) % n
 		dst := data[off[si]:off[si+1]]
 		in, err := c.recv(c.prev(), base+s, len(dst))
@@ -245,7 +255,7 @@ func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
 			tensor.Recycle(in)
 		}
 		if dist < n-1 {
-			c.send(c.next(), base+k, data[lo:hi])
+			c.send(c.next(), base+k, data[lo:hi], nil)
 		}
 	}
 	return c.settle(nil)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,7 +82,7 @@ func TestLentFrameIsEncodeFrameOnTheWire(t *testing.T) {
 	for _, crc := range []bool{false, true} {
 		ln := rawPeer(t)
 		tr := link0to1(t, Options{CRC: crc}, ln.Addr().String())
-		tr.SendLent(0, 1, 5, data)
+		tr.SendLent(0, 1, 5, data, nil)
 		if lent, _ := lentCounts(tr); f64Image(data) != nil && lent != 1 {
 			t.Fatal("a 12 KB f64 payload did not take the lent path")
 		}
@@ -111,6 +112,53 @@ func TestLentFrameIsEncodeFrameOnTheWire(t *testing.T) {
 	}
 }
 
+// TestFedFrameIsEncodeFrameOfTheSum is the byte-identity of error feedback on
+// the wire: an int8q lent send with a residual puts on the socket exactly
+// the frame EncodeFrame makes of payload + residual, and one without a
+// residual exactly EncodeFrame's frame of the payload — CRC on and off.
+func TestFedFrameIsEncodeFrameOfTheSum(t *testing.T) {
+	data, res := make([]float64, 1500), make([]float64, 1500)
+	sum := make([]float64, len(data))
+	for i := range data {
+		data[i] = math.Sin(float64(i)) * 1e3
+		res[i] = math.Cos(float64(i))
+		sum[i] = res[i] + data[i]
+	}
+	for _, crc := range []bool{false, true} {
+		ln := rawPeer(t)
+		tr := link0to1(t, Options{CRC: crc, DType: DTInt8Q}, ln.Addr().String())
+		tr.SendLent(0, 1, 5, data, nil)
+		fed := slices.Clone(res)
+		tr.SendLent(0, 1, 5, data, fed)
+		if err := tr.Settle(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		h := Header{Kind: frameData, From: 0, To: 1, Tag: 5, DType: DTInt8Q, Shape: []int{len(data)}}
+		hello := controlFrame(frameHello, 0, 1)
+		unfed, want := EncodeFrame(&h, data, crc), EncodeFrame(&h, sum, crc)
+		got := make([]byte, len(hello)+len(unfed)+len(want))
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatal(err)
+		}
+		got = got[len(hello):]
+		if !bytes.Equal(got[:len(unfed)], unfed) {
+			t.Fatalf("crc %v: the frame without a residual differs from EncodeFrame's", crc)
+		}
+		if !bytes.Equal(got[len(unfed):], want) {
+			t.Fatalf("crc %v: the fed frame differs from EncodeFrame's frame of payload + residual", crc)
+		}
+		if slices.Equal(fed, res) {
+			t.Fatalf("crc %v: the fed send left the residual as it was", crc)
+		}
+	}
+}
+
 // lend8MiB lends eight 1 MiB payloads from rank 0 to peer 1 under one tag. A
 // peer that reads nothing, or an endpoint whose reader stalls on the second
 // of them (the first still sits in its one-slot mailbox), leaves the sender
@@ -119,7 +167,7 @@ func lend8MiB(tr *Transport) [][]float64 {
 	payloads := make([][]float64, 8)
 	for i := range payloads {
 		payloads[i] = make([]float64, 1<<17)
-		tr.SendLent(0, 1, 100, payloads[i])
+		tr.SendLent(0, 1, 100, payloads[i], nil)
 	}
 	return payloads
 }
@@ -219,7 +267,7 @@ func TestSettleSurvivesAnAbortedPeer(t *testing.T) {
 	payloads := lend8MiB(a)
 	for i := 0; i < 3; i++ {
 		for _, p := range payloads {
-			a.SendLent(0, 1, 100, p)
+			a.SendLent(0, 1, 100, p, nil)
 		}
 	}
 	if f64Image(payloads[0]) != nil {

@@ -68,8 +68,8 @@ func (m *LocalMesh) Send(from, to, tag int, t *tensor.Tensor) {
 }
 
 // SendLent implements transport.Transport.
-func (m *LocalMesh) SendLent(from, to, tag int, payload []float64) {
-	m.eps[from].SendLent(from, to, tag, payload)
+func (m *LocalMesh) SendLent(from, to, tag int, payload, residual []float64) {
+	m.eps[from].SendLent(from, to, tag, payload, residual)
 }
 
 // Settle implements transport.Transport.

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,80 +37,108 @@ func oracleElem(v, scale float64) int8 {
 	return int8(q)
 }
 
-// checkQuantKernels compares every kernel with the oracle over data: on the
-// scale data itself gives (the frame path) and on an explicit one (a range's
-// scale handed to a piece of it), and the feedback primitive over data cut at
-// cut with the first len(data) elements of res as the carried residual.
-func checkQuantKernels(t *testing.T, data, res []float64, scale float64, cut int) {
+// checkQuantKernel compares the fused kernel with the oracle over data, and
+// again over data[cut:], an unaligned sub-slice: without a residual, and with
+// the first len(data) elements of res carried in.
+func checkQuantKernel(t *testing.T, data, res []float64, cut int) {
+	t.Helper()
+	cut = min(max(cut, 0), len(data))
+	for _, d := range [][]float64{data, data[cut:]} {
+		r := res[len(data)-len(d) : len(data)]
+		checkQuantOnce(t, d, nil)
+		checkQuantOnce(t, d, r)
+	}
+}
+
+// checkQuantOnce holds quantizeInto and everything built on it to the oracle
+// for one payload and residual (nil: none): error feedback is r += g; codes
+// and scale of r on its own grid; r -= decoded. The kernel's scale and codes,
+// what it leaves in the residual, the frame encodeFrame writes — which is
+// EncodeFrame's frame of the folded values — and LossyRoundTrip's values and
+// residual must all match bit for bit (any NaN matches any NaN: which payload
+// a sum of NaNs carries is the compiler's operand order), and for a finite
+// non-zero folded value with a finite decoded one, decoded + residual gives
+// it back exactly (Sterbenz: the residual's subtraction is exact).
+func checkQuantOnce(t *testing.T, data, res []float64) {
 	t.Helper()
 	bits := math.Float64bits
-	if got, want := quantScale(data), oracleScale(data); bits(got) != bits(want) {
-		t.Fatalf("quantScale %v (%#x), oracle %v (%#x)", got, bits(got), want, bits(want))
-	}
-	for _, s := range []float64{oracleScale(data), scale} {
-		codes := make([]byte, len(data)+1)
-		codes[len(data)] = 0xAA
-		quantizeBytes(codes, data, s)
-		vals := append([]float64(nil), data...)
-		quantizeValues(vals, s)
-		for i, v := range data {
-			q := oracleElem(v, s)
-			if int8(codes[i]) != q {
-				t.Fatalf("scale %v elem %d (%v = %#x): code %d, oracle %d", s, i, v, bits(v), int8(codes[i]), q)
-			}
-			if want := float64(q) * s; bits(vals[i]) != bits(want) {
-				t.Fatalf("scale %v elem %d (%v): decoded %v (%#x), oracle %v (%#x)", s, i, v, vals[i], bits(vals[i]), want, bits(want))
-			}
+	same := func(a, b float64) bool { return bits(a) == bits(b) || (a != a && b != b) }
+	v := slices.Clone(data)
+	if res != nil {
+		for i := range v {
+			v[i] = res[i] + data[i]
 		}
-		if codes[len(data)] != 0xAA {
-			t.Fatalf("quantizeBytes wrote past %d elements", len(data))
+	}
+	s := oracleScale(v)
+	codes, wantR := make([]int8, len(v)), make([]float64, len(v))
+	for i, x := range v {
+		codes[i] = oracleElem(x, s)
+		wantR[i] = x - float64(codes[i])*s
+	}
+	checkR := func(what string, got []float64) {
+		t.Helper()
+		if res == nil {
+			if got != nil {
+				t.Fatalf("%s: a nil residual came back as %v", what, got)
+			}
+			return
+		}
+		for i := range got {
+			if !same(got[i], wantR[i]) {
+				t.Fatalf("%s: elem %d (g %v r %v): residual %v (%#x), oracle %v (%#x)", what, i, data[i], res[i], got[i], bits(got[i]), wantR[i], bits(wantR[i]))
+			}
+			// Exact wherever the decoded value is finite: 127·s overflows
+			// only for a maximum within a rounding of MaxFloat64.
+			if d := float64(codes[i]) * s; !math.IsInf(v[i], 0) && !math.IsInf(d, 0) && v[i] == v[i] && v[i] != 0 && bits(d+got[i]) != bits(v[i]) {
+				t.Fatalf("%s: elem %d: decoded %v + residual %v is not the folded %v", what, i, d, got[i], v[i])
+			}
 		}
 	}
 
-	// The frame and the round trip are the same kernels on the derived scale.
-	rt := append([]float64(nil), data...)
-	LossyRoundTrip(DTInt8Q, rt)
+	dst := make([]byte, len(data)+1)
+	dst[len(data)] = 0xAA
+	r := slices.Clone(res)
+	if got := quantizeInto(dst, data, r); bits(got) != bits(s) {
+		t.Fatalf("quantizeInto scale %v (%#x), oracle %v (%#x)", got, bits(got), s, bits(s))
+	}
+	for i, x := range v {
+		if int8(dst[i]) != codes[i] {
+			t.Fatalf("elem %d (%v = %#x): code %d, oracle %d", i, x, bits(x), int8(dst[i]), codes[i])
+		}
+	}
+	if dst[len(data)] != 0xAA {
+		t.Fatalf("quantizeInto wrote past %d elements", len(data))
+	}
+	checkR("quantizeInto", r)
+
+	// The frame codes the folded values, and is EncodeFrame's frame of them.
 	h := Header{Kind: frameData, To: 1, DType: DTInt8Q, Shape: []int{len(data)}}
-	frame := EncodeFrame(&h, data, false)
+	r = slices.Clone(res)
+	frame := encodeFrame(&h, data, r, false)
+	want := EncodeFrame(&h, v, false)
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("the frame of payload + residual differs from EncodeFrame's frame of the sum")
+	}
 	payload := frame[len(frame)-8-len(data):]
-	s := oracleScale(data)
 	if got := binary.LittleEndian.Uint64(payload); got != bits(s) {
 		t.Fatalf("frame scale %#x, oracle %#x", got, bits(s))
 	}
-	for i, v := range data {
-		q := oracleElem(v, s)
-		if int8(payload[8+i]) != q || bits(rt[i]) != bits(float64(q)*s) {
-			t.Fatalf("elem %d (%v): frame code %d round trip %v, oracle %d / %v", i, v, int8(payload[8+i]), rt[i], q, float64(q)*s)
-		}
+	if !bytes.Equal(payload[8:], dst[:len(data)]) {
+		t.Fatal("frame codes differ from quantizeInto's")
 	}
+	checkR("encodeFrame", r)
 	recycleFrameBuf(frame)
+	recycleFrameBuf(want)
 
-	// Error feedback: r += g; g = decode(encode(r)); r -= g; Σ r².
-	wantR := make([]float64, len(data))
-	for i := range data {
-		wantR[i] = res[i] + data[i]
-	}
-	fs := oracleScale(wantR)
-	wantG := make([]float64, len(data))
-	var wantSq float64
-	for i, v := range wantR {
-		wantG[i] = float64(oracleElem(v, fs)) * fs
-		wantR[i] = v - wantG[i]
-		wantSq += wantR[i] * wantR[i]
-	}
-	g, r := append([]float64(nil), data...), append([]float64(nil), res[:len(data)]...)
-	cut = min(max(cut, 0), len(data))
-	sq := QuantizeWithFeedback([][]float64{g[:cut], g[cut:]}, [][]float64{r[:cut], r[cut:]})
-	for i := range data {
-		if bits(g[i]) != bits(wantG[i]) || bits(r[i]) != bits(wantR[i]) {
-			t.Fatalf("feedback elem %d (g %v r %v, cut %d): got g %v r %v, oracle g %v r %v", i, data[i], res[i], cut, g[i], r[i], wantG[i], wantR[i])
+	// The round trip is the decode of those codes.
+	rt, r := slices.Clone(data), slices.Clone(res)
+	LossyRoundTrip(DTInt8Q, rt, r)
+	for i := range rt {
+		if want := float64(codes[i]) * s; bits(rt[i]) != bits(want) {
+			t.Fatalf("elem %d (%v): round trip %v (%#x), oracle %v (%#x)", i, v[i], rt[i], bits(rt[i]), want, bits(want))
 		}
 	}
-	// Which payload a sum of several NaNs carries is the compiler's operand
-	// order, not the kernel's arithmetic.
-	if bits(sq) != bits(wantSq) && !(math.IsNaN(sq) && math.IsNaN(wantSq)) {
-		t.Fatalf("feedback Σr² %v, oracle %v", sq, wantSq)
-	}
+	checkR("LossyRoundTrip", r)
 }
 
 // quantEdgeValues lists, in grid steps, every place the rounding or the clamp
@@ -130,36 +160,40 @@ func quantEdgeValues() []float64 {
 	return vals
 }
 
-// TestQuantKernelBitIdentical holds the slice kernels to the oracle — codes,
+// TestQuantKernelBitIdentical holds the fused kernel to the oracle — codes,
 // decoded bits (the sign of a zero included), scale, residual — on the edge
-// values at the scales that make them exact (1, via a 127 in the data), tiny,
-// huge and underflowing to zero, at the lengths around a vector width, and
-// on unaligned sub-slices.
+// values as multiples of scales that make them exact (1, via a 127 in the
+// data), tiny, huge and underflowing to zero, without a residual and with
+// one, at the lengths around a vector width, and on unaligned sub-slices.
 func TestQuantKernelBitIdentical(t *testing.T) {
 	edges := quantEdgeValues()
 	zeros := make([]float64, len(edges)+1)
 	for _, scale := range []float64{1, 1.0 / 127, 0.3, 5e-324, 1e-310, math.MaxFloat64 / 127, 0} {
-		// Explicit scale over the raw edges, and the edges as multiples of it.
-		checkQuantKernels(t, edges, zeros, scale, len(edges)/2)
+		// The edges as multiples of the scale, with no residual to speak of
+		// and with the raw edges as the residual.
 		scaled := make([]float64, len(edges))
 		for i, v := range edges {
 			scaled[i] = v * scale
 		}
-		checkQuantKernels(t, scaled, edges, scale, 3)
+		checkQuantKernel(t, scaled, zeros, len(edges)/2)
+		checkQuantKernel(t, scaled, edges, 3)
 	}
-	// A 127 in the data makes the derived scale exactly 1: every k+½ is a tie
-	// on the frame path too. Without it the ±128s set the scale.
-	checkQuantKernels(t, append([]float64{127}, edges[:24]...), zeros, 1, 1)
+	// A 127 in the data makes the derived scale exactly 1: every k+½ is a tie.
+	// Without it the ±128s set the scale.
+	checkQuantKernel(t, append([]float64{127}, edges[:24]...), zeros, 1)
 	finite := append([]float64{127}, edges[25:]...)
 	for i, v := range finite {
 		if math.Abs(v) > 127 {
 			finite[i] = 0.25
 		}
 	}
-	checkQuantKernels(t, finite, zeros, 1, 7)
+	checkQuantKernel(t, finite, zeros, 7)
+	// A residual that lands the folded values on ties at scale 1.
+	ties := []float64{126, 0.25, -1.25, 2, -3}
+	checkQuantKernel(t, ties, []float64{1, 0.25, -1.25, 0.5, 0.5}, 2)
 	// A payload whose scale underflows to zero, and all-non-finite ones.
-	checkQuantKernels(t, []float64{5e-324, -1e-322, 0}, zeros, 0, 1)
-	checkQuantKernels(t, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}, zeros, 0, 2)
+	checkQuantKernel(t, []float64{5e-324, -1e-322, 0}, zeros, 1)
+	checkQuantKernel(t, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}, zeros, 2)
 
 	rng := rand.New(rand.NewSource(7))
 	backing := make([]float64, 300)
@@ -174,14 +208,16 @@ func TestQuantKernelBitIdentical(t *testing.T) {
 			if n > 4 {
 				data[rng.Intn(n)] = edges[rng.Intn(len(edges))]
 			}
-			checkQuantKernels(t, data, res, math.Abs(rng.NormFloat64()), n/3)
+			checkQuantKernel(t, data, res, n/3)
 		}
 	}
 }
 
 // FuzzQuantKernel is the same differential test driven by the fuzzer: raw
-// bytes become the float64 payload, the residual and the explicit scale. The
-// committed corpus under testdata/fuzz holds the boundary cases.
+// bytes become the float64 payload and the residual, scale a factor that
+// puts the same payload on another grid, and cut the start of the sub-slice
+// checked again. The committed corpus under testdata/fuzz holds the boundary
+// cases.
 func FuzzQuantKernel(f *testing.F) {
 	le := binary.LittleEndian
 	seed := func(vals ...float64) []byte {
@@ -204,49 +240,39 @@ func FuzzQuantKernel(f *testing.F) {
 				res[i] = math.Float64frombits(le.Uint64(residual[8*i:]))
 			}
 		}
-		// The kernels are only ever handed a scale quantScale produced:
-		// finite and non-negative.
-		if !(scale >= 0 && scale <= math.MaxFloat64) {
-			scale = 0
+		checkQuantKernel(t, data, res, int(cut))
+		if scale != 0 && !math.IsNaN(scale) && !math.IsInf(scale, 0) {
+			for i := range data {
+				data[i] *= scale
+			}
+			checkQuantKernel(t, data, res, int(cut))
 		}
-		checkQuantKernels(t, data, res, scale, int(cut))
 	})
 }
 
 var benchQuantSink float64
 
-// BenchmarkQuantize times the three kernels at the two sizes a dp2x2-zq rank
-// meets (the chunk it ships and the stage it hosts) and reports ns/element.
+// BenchmarkQuantize times the fused int8q kernel at the two sizes a dp2x2-zq
+// rank meets (the chunk it ships and the stage it hosts), without a residual
+// and with error feedback, and reports ns/element.
 func BenchmarkQuantize(b *testing.B) {
 	for _, n := range []int{131072, 262144} {
 		rng := rand.New(rand.NewSource(1))
-		g, r, send := make([]float64, n), make([]float64, n), make([]float64, n)
+		g, r := make([]float64, n), make([]float64, n)
 		for i := range g {
 			g[i] = rng.NormFloat64()
 		}
 		codes := make([]byte, n)
-		perElem := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+		for _, bc := range []struct {
+			name string
+			res  []float64
+		}{{"encode", nil}, {"feedback", r}} {
+			b.Run(fmt.Sprintf("%s/n=%d", bc.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchQuantSink = quantizeInto(codes, g, bc.res)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+			})
 		}
-		b.Run(fmt.Sprintf("scale/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchQuantSink = quantScale(g)
-			}
-			perElem(b)
-		})
-		scale := quantScale(g)
-		b.Run(fmt.Sprintf("quantize/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quantizeBytes(codes, g, scale)
-			}
-			perElem(b)
-		})
-		b.Run(fmt.Sprintf("feedback/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(send, g)
-				benchQuantSink = QuantizeWithFeedback([][]float64{send}, [][]float64{r})
-			}
-			perElem(b)
-		})
 	}
 }

@@ -169,7 +169,7 @@ func TestShapedLinkNeverLends(t *testing.T) {
 	for i := range payload {
 		payload[i] = float64(i)
 	}
-	mesh.SendLent(0, 1, 800, payload)
+	mesh.SendLent(0, 1, 800, payload, nil)
 	if lent, _ := lentCounts(mesh.Endpoint(0)); lent != 0 {
 		t.Fatalf("a shaped link lent %d payloads, want every one copied", lent)
 	}

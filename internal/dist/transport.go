@@ -429,7 +429,7 @@ func (t *Transport) link(to int) (*peerLink, error) {
 // short-circuits through the local inbox. The payload is fully serialized
 // before Send returns.
 func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
-	t.send(from, to, tag, ten.Shape(), ten.Data(), false)
+	t.send(from, to, tag, ten.Shape(), ten.Data(), nil, false)
 }
 
 // SendLent implements transport.Transport. A payload that ships f64 in a
@@ -439,13 +439,15 @@ func (t *Transport) Send(from, to, tag int, ten *tensor.Tensor) {
 // self-send, a build without a memory image of []float64 — is copied exactly
 // as Send copies it and needs no settling, and so is every payload bound for
 // a shaped link, which holds its frames long after the caller has moved on.
-// The frame on the wire is the same either way.
-func (t *Transport) SendLent(from, to, tag int, payload []float64) {
+// The frame on the wire is the same either way. A lossy frame — and a lossy
+// self-send — encodes payload + residual and leaves in residual what it
+// dropped; an f64 one ignores residual.
+func (t *Transport) SendLent(from, to, tag int, payload, residual []float64) {
 	shape := [1]int{len(payload)}
-	t.send(from, to, tag, shape[:], payload, true)
+	t.send(from, to, tag, shape[:], payload, residual, true)
 }
 
-func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bool) {
+func (t *Transport) send(from, to, tag int, shape []int, data, residual []float64, lend bool) {
 	self := t.Rank()
 	if from != self {
 		panic(fmt.Sprintf("dist: rank %d asked to send as rank %d (one actor per process)", self, from))
@@ -459,9 +461,7 @@ func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bo
 		// so a self-send observes the same values remote ranks decode.
 		cp := tensor.GetScratchShaped(shape...)
 		cp.CopyFrom(data)
-		if dt != DTF64 {
-			LossyRoundTrip(dt, cp.Data())
-		}
+		LossyRoundTrip(dt, cp.Data(), residual)
 		if !t.deliver(from, tag, cp) {
 			tensor.Recycle(cp)
 		}
@@ -481,7 +481,7 @@ func (t *Transport) send(from, to, tag int, shape []int, data []float64, lend bo
 		lendFrame(&f.hdr, &h, img, t.opts.CRC)
 		pl.lent.Add(1)
 	} else {
-		f.frame = EncodeFrame(&h, data, t.opts.CRC)
+		f.frame = encodeFrame(&h, data, residual, t.opts.CRC)
 	}
 	if pl.pacer != nil {
 		f.enqueued = time.Now()

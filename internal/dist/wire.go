@@ -100,14 +100,14 @@ const (
 	// DTInt8Q ships an 8-byte float64 scale followed by one signed byte per
 	// element: k = round(v/scale) clamped to [-127, 127], scale = maxabs/127
 	// over the frame (0 for an all-zero frame). NaN encodes as 0 and ±Inf
-	// clamps to ±127 — gradient-only traffic, paired with rank-local
-	// error-feedback residuals at the distrun layer. A frame re-quantizes
-	// values that are already on a grid to themselves only when it covers the
-	// extent that grid's scale was taken over (QuantizeWithFeedback arranges
-	// exactly that for the chunk a rank sends first); any other cut of the
-	// elements has its own maximum, hence its own grid, and rounds again.
-	// So in a ring, hop 0 is exact and each later hop — a partial sum,
-	// wherever a replica group has three or more ranks — is quantized afresh.
+	// clamps to ±127 — gradient-only traffic. A sender that keeps a residual
+	// hands it over with a lent send (Transport.SendLent): the frame then
+	// codes payload + residual, and the residual keeps what the codes
+	// dropped, for the next frame of the same extent to carry. The ring hands
+	// one over only with the chunk a rank sends first, its own values; in a
+	// replica group of three or more ranks every later hop ships a partial
+	// sum and rounds it afresh, by at most s/2 per element where s is that
+	// frame's scale, and that error is not fed back.
 	DTInt8Q DType = 2
 )
 
@@ -160,13 +160,12 @@ func ParseDType(s string) (DType, error) {
 	return DTF64, fmt.Errorf("dist: unknown wire dtype %q (want f64, f32, or int8q)", s)
 }
 
-// The int8q codec is three slice kernels over one element function, shared by
-// EncodeFrame, LossyRoundTrip (and through it transport loopback) and the
-// step epilogue's error feedback: a scale pass (quantScale), a quantize pass
-// (quantizeBytes to wire codes, quantizeValues to decoded values in place) and
-// QuantizeWithFeedback, which folds a carried residual in before the first and
-// keeps the new one after the second. A frame's decoded element is
-// float64(code)·scale — +0 for a zero code whatever the input's sign.
+// The int8q codec is one slice kernel over two element functions, shared by
+// the frame encoder and LossyRoundTrip (and through it transport loopback):
+// quantizeInto folds a carried residual in under a running max (quantMax),
+// then codes each element on the grid that max gives (quantCode) and keeps
+// what the code dropped. A frame's decoded element is float64(code)·scale —
+// +0 for a zero code whatever the input's sign.
 
 // quantMax folds v into maxAbs, the largest finite magnitude seen so far: NaN
 // fails the first compare, ±Inf the second.
@@ -175,17 +174,6 @@ func quantMax(maxAbs, v float64) float64 {
 		return a
 	}
 	return maxAbs
-}
-
-// quantScale is the scale pass: the DTInt8Q scale for a payload, max finite
-// |v| / 127, or 0 when every element is zero or non-finite (or so small that
-// the quotient underflows).
-func quantScale(data []float64) float64 {
-	maxAbs := 0.0
-	for _, v := range data {
-		maxAbs = quantMax(maxAbs, v)
-	}
-	return maxAbs / 127
 }
 
 // quantCode is the code of v on the grid of a positive scale: v/scale rounded
@@ -209,92 +197,79 @@ func quantCode(v, scale float64) int32 {
 	return t + int32(f+f)
 }
 
-// quantizeBytes is the quantize pass of the encoder: dst[i] is the code of
-// src[i] on scale's grid. A zero scale encodes every element as 0.
-func quantizeBytes(dst []byte, src []float64, scale float64) {
-	dst = dst[:len(src)]
-	if scale == 0 {
-		clear(dst)
-		return
-	}
-	for i, v := range src {
-		dst[i] = byte(quantCode(v, scale))
-	}
-}
-
-// quantizeValues is the quantize pass followed by the decoder's multiply, in
-// place: what a receiver of data on scale's grid would hold.
-func quantizeValues(data []float64, scale float64) {
-	if scale == 0 {
-		clear(data)
-		return
-	}
-	for i, v := range data {
-		data[i] = float64(quantCode(v, scale)) * scale
-	}
-}
-
-// QuantizeWithFeedback is int8q error feedback over the extent of one wire
-// frame, handed over as consecutive pieces (a fused bucket's chunk crosses
-// tensors): g[k] is a piece of the values about to be sent and r[k], of the
-// same length, the matching piece of the residual the previous step left.
-// Pass one folds the residual in (v = r + g, kept in r) under a running max;
-// pass two, on the one grid that max gives the whole extent, replaces g with
-// the decoded values q·s and r with what they drop, v − q·s. It returns Σ r²
-// summed in ascending order.
+// quantizeInto is the int8q encoder: it writes into dst the codes of src +
+// res, element by element, and returns the scale, max finite |src + res| /
+// 127 — 0 when every element is zero or non-finite (or so small that the
+// quotient underflows), which codes every element as 0. Pass one folds the
+// residual in under the running max, keeping v = r + g in res; pass two codes
+// v and leaves in res what the code dropped, v − code·scale. A nil res is a
+// zero residual that is not kept: the codes of src alone.
 //
-// The grid is the frame's own: EncodeFrame over exactly these elements finds
-// max |q·s| = 127·s and divides it by 127, and fl(fl(127·s)/127) = s for
-// every s that is itself a float divided by 127 (the trip could only move an
-// s that lies more than half an ulp from max/127). So the frame ships the
-// same scale and the same codes, the receiver decodes g bit for bit, and r is
-// everything the frame lost. (For scales in the normal range: a range whose
-// largest magnitude is below 1e-305 is quantized on the few bits a subnormal
-// scale has and can move again in the frame.)
-func QuantizeWithFeedback(g, r [][]float64) float64 {
+// A frame used to be quantized twice: error feedback put the chunk on its
+// grid as decoded values, and the encoder derived the grid again from them.
+// The second trip found the same scale and codes for every scale in the
+// normal range, so a frame is byte for byte what it was. Two kinds of frame
+// could move in that second trip, and now ship the first one: a frame whose
+// largest magnitude is below about 1e-305, a scale with the few bits a
+// subnormal has, and one whose largest magnitude is within a rounding of
+// MaxFloat64, where the decoded 127·scale overflowed.
+func quantizeInto(dst []byte, src, res []float64) float64 {
+	dst = dst[:len(src)]
 	maxAbs := 0.0
-	for k, rk := range r {
-		gk := g[k][:len(rk)]
-		for i, e := range rk {
-			v := e + gk[i]
-			rk[i] = v
+	if res == nil {
+		for _, v := range src {
+			maxAbs = quantMax(maxAbs, v)
+		}
+	} else {
+		res = res[:len(src)]
+		for i, g := range src {
+			v := res[i] + g
+			res[i] = v
 			maxAbs = quantMax(maxAbs, v)
 		}
 	}
 	scale := maxAbs / 127
-	var sq float64
-	for k, rk := range r {
-		gk := g[k][:len(rk)]
-		if scale == 0 {
-			clear(gk)
-			for _, e := range rk {
-				sq += e * e
-			}
-			continue
+	switch {
+	case scale == 0:
+		clear(dst) // res keeps all of v: nothing of it ships
+	case res == nil:
+		for i, v := range src {
+			dst[i] = byte(quantCode(v, scale))
 		}
-		for i, v := range rk {
-			d := float64(quantCode(v, scale)) * scale
-			gk[i] = d
-			e := v - d
-			rk[i] = e
-			sq += e * e
+	default:
+		dst := dst[:len(res)]
+		for i, v := range res {
+			q := quantCode(v, scale)
+			dst[i] = byte(q)
+			res[i] = v - float64(q)*scale
 		}
 	}
-	return sq
+	return scale
 }
 
-// LossyRoundTrip applies dt's encode→decode value mapping to data in place —
-// exactly what a receiver would see had the slice crossed the wire as one
-// dt-encoded frame. Transport loopback uses it so a self-send observes the
-// same values remote ranks do. DTF64 is the identity.
-func LossyRoundTrip(dt DType, data []float64) {
+// LossyRoundTrip applies dt's encode→decode value mapping to data + residual
+// in place — exactly what a receiver would see had the slice crossed the wire
+// as one dt-encoded frame with that residual — and leaves in residual (nil,
+// or as long as data) what the mapping dropped. Transport loopback uses it so
+// a self-send observes the same values remote ranks do. DTF64 is the
+// identity and leaves residual alone.
+func LossyRoundTrip(dt DType, data, residual []float64) {
 	switch dt {
 	case DTF32:
 		for i, v := range data {
+			if residual != nil {
+				v = residual[i] + v
+				residual[i] = v - float64(float32(v))
+			}
 			data[i] = float64(float32(v))
 		}
 	case DTInt8Q:
-		quantizeValues(data, quantScale(data))
+		codes := getFrameBuf(len(data))
+		scale := quantizeInto(codes, data, residual)
+		for i, q := range codes {
+			data[i] = float64(int8(q)) * scale
+		}
+		putFrameBuf(codes)
 	}
 }
 
@@ -332,11 +307,22 @@ func putFrameBuf(b []byte) {
 // putFrameBuf (via a conn writer) after the write completes. data may be nil
 // for control frames. withCRC appends a CRC32-IEEE trailer over the payload.
 func EncodeFrame(h *Header, data []float64, withCRC bool) []byte {
+	return encodeFrame(h, data, nil, withCRC)
+}
+
+// encodeFrame is EncodeFrame with error feedback: a lossy dtype encodes data
+// + residual and leaves in residual (nil, or as long as data) what the frame
+// dropped; DTF64 ships data exactly and leaves residual alone. A nil residual
+// gives EncodeFrame's bytes.
+func encodeFrame(h *Header, data, residual []float64, withCRC bool) []byte {
 	if !h.DType.valid() {
 		panic(fmt.Sprintf("dist: encode with invalid dtype %d", h.DType))
 	}
 	if len(h.Shape) > maxWireRank {
 		panic(fmt.Sprintf("dist: encode rank %d exceeds wire limit %d", len(h.Shape), maxWireRank))
+	}
+	if residual != nil && len(residual) != len(data) {
+		panic(fmt.Sprintf("dist: encode residual of %d elements for a payload of %d", len(residual), len(data)))
 	}
 	total := frameSize(h, len(data), withCRC)
 	buf := getFrameBuf(total)
@@ -345,16 +331,18 @@ func EncodeFrame(h *Header, data []float64, withCRC bool) []byte {
 	case DTF64:
 		off += encodeF64s(buf[off:], data)
 	case DTF32:
-		for _, v := range data {
+		for i, v := range data {
+			if residual != nil {
+				v = residual[i] + v
+				residual[i] = v - float64(float32(v))
+			}
 			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
 			off += 4
 		}
 	case DTInt8Q:
-		scale := quantScale(data)
+		scale := quantizeInto(buf[off+8:], data, residual)
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(scale))
-		off += 8
-		quantizeBytes(buf[off:], data, scale)
-		off += len(data)
+		off += 8 + len(data)
 	}
 	if withCRC {
 		crc := crc32.ChecksumIEEE(buf[4:off]) // header + dims + payload

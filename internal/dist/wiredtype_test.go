@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -15,7 +16,7 @@ import (
 func TestLossyRoundTripF32Canaries(t *testing.T) {
 	in := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-45, math.NaN(), math.Inf(1), math.Inf(-1), 1.0 / 3.0}
 	got := append([]float64(nil), in...)
-	LossyRoundTrip(DTF32, got)
+	LossyRoundTrip(DTF32, got, nil)
 	for i, v := range got {
 		want := float64(float32(in[i]))
 		if math.IsNaN(want) {
@@ -42,7 +43,7 @@ func TestLossyRoundTripInt8Q(t *testing.T) {
 	t.Run("max maps to extreme", func(t *testing.T) {
 		in := []float64{3.7, -9.25, 0.01, 9.25}
 		got := append([]float64(nil), in...)
-		LossyRoundTrip(DTInt8Q, got)
+		LossyRoundTrip(DTInt8Q, got, nil)
 		scale := 9.25 / 127
 		if got[1] != -127*scale || got[3] != 127*scale {
 			t.Fatalf("extremes %v / %v, want ±%v", got[1], got[3], 127*scale)
@@ -55,7 +56,7 @@ func TestLossyRoundTripInt8Q(t *testing.T) {
 	})
 	t.Run("all zero", func(t *testing.T) {
 		got := []float64{0, 0, math.Copysign(0, -1)}
-		LossyRoundTrip(DTInt8Q, got)
+		LossyRoundTrip(DTInt8Q, got, nil)
 		for i, v := range got {
 			if v != 0 {
 				t.Fatalf("elem %d: %v, want 0", i, v)
@@ -64,7 +65,7 @@ func TestLossyRoundTripInt8Q(t *testing.T) {
 	})
 	t.Run("nan and inf", func(t *testing.T) {
 		got := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1}
-		LossyRoundTrip(DTInt8Q, got)
+		LossyRoundTrip(DTInt8Q, got, nil)
 		scale := 1.0 / 127
 		if got[0] != 0 {
 			t.Fatalf("NaN quantized to %v, want 0", got[0])
@@ -79,9 +80,9 @@ func TestLossyRoundTripInt8Q(t *testing.T) {
 		for i := range data {
 			data[i] = rng.NormFloat64() * 42
 		}
-		LossyRoundTrip(DTInt8Q, data)
+		LossyRoundTrip(DTInt8Q, data, nil)
 		again := append([]float64(nil), data...)
-		LossyRoundTrip(DTInt8Q, again)
+		LossyRoundTrip(DTInt8Q, again, nil)
 		for i := range data {
 			if math.Float64bits(again[i]) != math.Float64bits(data[i]) {
 				t.Fatalf("elem %d drifted on requantization: %v -> %v", i, data[i], again[i])
@@ -103,7 +104,7 @@ func TestFrameRoundTripInt8Q(t *testing.T) {
 				data[i] = rng.NormFloat64() * 1e2
 			}
 			want := append([]float64(nil), data...)
-			LossyRoundTrip(DTInt8Q, want)
+			LossyRoundTrip(DTInt8Q, want, nil)
 			h := Header{Kind: frameData, From: 0, To: 1, Tag: 7, DType: DTInt8Q, Shape: []int{n}}
 			var stream bytes.Buffer
 			encodeToStream(t, &stream, &h, data, crc)
@@ -259,6 +260,46 @@ func TestLoopbackMatchesRemoteLossiness(t *testing.T) {
 	defer tensor.Recycle(got)
 	if g := got.Data()[0]; g != float64(float32(v)) {
 		t.Fatalf("loopback payload %v, want f32-rounded %v", g, float64(float32(v)))
+	}
+}
+
+// TestFedLoopbackMatchesFedRemote is the same contract for a lent send with a
+// residual, on both lossy dtypes: a self-send decodes to the values a peer
+// decodes of the same payload and residual, and leaves the same residual.
+func TestFedLoopbackMatchesFedRemote(t *testing.T) {
+	payload, res := make([]float64, 1000), make([]float64, 1000)
+	for i := range payload {
+		payload[i] = math.Sin(float64(i)) / 3
+		res[i] = math.Cos(float64(i)) * 1e-3
+	}
+	for _, dt := range []DType{DTF32, DTInt8Q} {
+		mesh, err := NewLocalMesh(2, Options{DType: dt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mesh.Close()
+		var got [2]*tensor.Tensor
+		var kept [2][]float64
+		for to := range got {
+			kept[to] = slices.Clone(res)
+			mesh.SendLent(0, to, 43, payload, kept[to])
+			if got[to], err = mesh.Recv(to, 0, 43); err != nil {
+				t.Fatal(err)
+			}
+			defer tensor.Recycle(got[to])
+		}
+		if err := mesh.Settle(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			bits := math.Float64bits
+			if bits(got[0].Data()[i]) != bits(got[1].Data()[i]) || bits(kept[0][i]) != bits(kept[1][i]) {
+				t.Fatalf("%v elem %d: loopback %v with residual %v, remote %v with %v", dt, i, got[0].Data()[i], kept[0][i], got[1].Data()[i], kept[1][i])
+			}
+		}
+		if slices.Equal(kept[0], res) {
+			t.Fatalf("%v: the residual came back untouched", dt)
+		}
 	}
 }
 

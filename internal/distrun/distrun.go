@@ -36,10 +36,11 @@ var (
 	scStepActor    = obs.Scope("step/actor")
 	scSGD          = obs.Scope("step/sgd")
 	cStepsProfiled = obs.Counter("step/count")
-	// scQuantEF times the error-feedback fold + local quantization;
-	// scQuantResidual observes the per-step residual L2 norm in nano-units
-	// (norm × 1e9 as an integer), so profiles show whether the carried
-	// quantization error stays bounded or drifts.
+	// scQuantResidual observes the per-step error-feedback residual L2 norm
+	// in nano-units (norm × 1e9 as an integer), so profiles show whether the
+	// carried quantization error stays bounded or drifts; scQuantEF times the
+	// Σ r² fold behind it. Both run only while obs is enabled: feedback
+	// itself happens in the int8q frame encoder, under wire/encode.
 	scQuantEF       = obs.Scope("step/quant_ef")
 	scQuantResidual = obs.Scope("wire/quant_residual_norm")
 )
@@ -709,7 +710,7 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 		}
 	}
 	if wireDT == dist.DTInt8Q {
-		ep.armErrorFeedback()
+		ep.grads.ArmErrorFeedback()
 	}
 	// The per-step result struct is reused every step too. losses is this
 	// rank's history, step-major: each step appends its actor's losses.

@@ -15,10 +15,12 @@ import (
 )
 
 // wireEvent is one payload an actor handed to Send or SendLent (before any
-// encoding) or got back from Recv (after decoding).
+// encoding) or got back from Recv (after decoding); for a lent send with a
+// residual, the residual as it was handed over and as the send left it.
 type wireEvent struct {
-	sent bool
-	data []float64
+	sent          bool
+	data          []float64
+	before, after []float64
 }
 
 // wireLog records, per actor and in the actor's own order, every payload
@@ -29,26 +31,28 @@ type wireLog struct {
 	by map[int][]wireEvent
 }
 
-func (w *wireLog) record(actor int, sent bool, data []float64) {
+func (w *wireLog) record(actor int, ev wireEvent) {
 	w.mu.Lock()
-	w.by[actor] = append(w.by[actor], wireEvent{sent, append([]float64(nil), data...)})
+	w.by[actor] = append(w.by[actor], ev)
 	w.mu.Unlock()
 }
 
 func (w *wireLog) Send(from, to, tag int, t *tensor.Tensor) {
-	w.record(from, true, t.Data())
+	w.record(from, wireEvent{sent: true, data: slices.Clone(t.Data())})
 	w.Transport.Send(from, to, tag, t)
 }
 
-func (w *wireLog) SendLent(from, to, tag int, payload []float64) {
-	w.record(from, true, payload)
-	w.Transport.SendLent(from, to, tag, payload)
+func (w *wireLog) SendLent(from, to, tag int, payload, residual []float64) {
+	ev := wireEvent{sent: true, data: slices.Clone(payload), before: slices.Clone(residual)}
+	w.Transport.SendLent(from, to, tag, payload, residual)
+	ev.after = slices.Clone(residual) // final when SendLent returns
+	w.record(from, ev)
 }
 
 func (w *wireLog) Recv(to, from, tag int) (*tensor.Tensor, error) {
 	t, err := w.Transport.Recv(to, from, tag)
 	if err == nil {
-		w.record(to, false, t.Data())
+		w.record(to, wireEvent{data: slices.Clone(t.Data())})
 	}
 	return t, err
 }
@@ -57,13 +61,14 @@ func (w *wireLog) Recv(to, from, tag int) (*tensor.Tensor, error) {
 // replica groups over real TCP endpoints with made-up gradients and checks,
 // frame by frame, that error feedback sits where the precision is lost:
 //
-//   - what a peer decodes at hop 0 is bit for bit what the sender holds after
-//     feedback — the frame's own quantization is the identity on it;
-//   - every element outside the chunk a rank sends first is still the raw
-//     gradient when the ring picks it up: later hops send raw + received, and
-//     the owned chunk ends as raw + last received;
-//   - over the steps, everything sent plus the residual left over is
-//     everything the backward pass produced, to rounding;
+//   - what a peer decodes at hop 0, plus the residual the send left, is bit
+//     for bit the raw chunk plus the residual it was handed — the frame ships
+//     exactly what the residual no longer holds;
+//   - what leaves a rank is its raw gradient: hop 0 sends the raw chunk, later
+//     hops send raw + received, and the owned chunk ends as raw + last
+//     received;
+//   - over the steps, everything decoded at hop 0 plus the residual left over
+//     is everything the backward pass produced, to rounding;
 //   - a rank keeps residuals for what it sends first alone, stage ÷ replicas;
 //   - error feedback is rank-local: a rank that compresses alone compensates
 //     alone, and its peer's gradients travel untouched.
@@ -98,16 +103,16 @@ func TestErrorFeedbackCompensatesWhatIsSent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// chunk[j][b] is balanced chunk j of bucket b (none is empty here).
+			// chunk[j][b] is balanced chunk j of bucket b, which rank j sends
+			// first and rank j-1 owns (none is empty here, so none merge).
 			chunk := make([][]collective.Range, n)
 			for j := range chunk {
-				chunk[j] = collective.FirstSentRanges(sizes, bucketCap, n, j)
+				chunk[j] = collective.OwnedRanges(sizes, bucketCap, n, (j+n-1)%n)
 				if len(chunk[j]) != numBuckets {
 					t.Fatalf("chunk %d: %d ranges for %d buckets", j, len(chunk[j]), numBuckets)
 				}
 			}
 			eps := make([]*stageEpilogue, n)
-			kept := 0
 			for r := range eps {
 				params := make([]*jaxpp.Tensor, len(sizes))
 				for i, sz := range sizes {
@@ -118,27 +123,12 @@ func TestErrorFeedbackCompensatesWhatIsSent(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer eps[r].release()
-				if !tc.lossy[r] {
-					continue
+				if tc.lossy[r] {
+					// What Run does on a rank whose wire dtype is int8q.
+					mesh.Endpoint(r).SetLossyTagWindow(collective.GroupTagRange(gradGroupID))
+					mesh.Endpoint(r).SetWireDType(dist.DTInt8Q)
+					eps[r].grads.ArmErrorFeedback()
 				}
-				// What Run does on a rank whose wire dtype is int8q.
-				mesh.Endpoint(r).SetLossyTagWindow(collective.GroupTagRange(gradGroupID))
-				mesh.Endpoint(r).SetWireDType(dist.DTInt8Q)
-				eps[r].armErrorFeedback()
-				mine := 0
-				for b, f := range eps[r].ef {
-					if f.res.Size() != chunk[r][b].Hi-chunk[r][b].Lo {
-						t.Fatalf("rank %d residual %d covers %d elements, the frame %v", r, b, f.res.Size(), chunk[r][b])
-					}
-					mine += f.res.Size()
-				}
-				if mine > total/n+numBuckets {
-					t.Fatalf("rank %d keeps %d residual elements of a %d-element stage over %d replicas", r, mine, total, n)
-				}
-				kept += mine
-			}
-			if !slices.Contains(tc.lossy, false) && kept != total {
-				t.Fatalf("the group keeps %d residual elements for a %d-element stage", kept, total)
 			}
 
 			sumRaw, sumSent := make([][]float64, n), make([][]float64, n)
@@ -192,23 +182,28 @@ func TestErrorFeedbackCompensatesWhatIsSent(t *testing.T) {
 								t.Fatalf("step %d rank %d bucket %d hop %d: events out of order", step, r, b, h)
 							}
 							sendSeg, recvSeg := chunk[(r-h+n)%n][b], chunk[(r-h-1+2*n)%n][b]
-							// What left the rank: at hop 0 its own values — raw, or
-							// after feedback; from then on raw + what it received.
+							// What left the rank: at hop 0 its own raw values, from
+							// then on raw + what it received.
 							want := raw[r][sendSeg.Lo:sendSeg.Hi]
 							if h > 0 {
 								want = add(want, ev[at-1].data)
 							}
-							if h > 0 || !tc.lossy[r] {
-								requireSameBits(t, "sent chunk", step, r, b, h, send.data, want)
-							} else {
-								for i, v := range send.data {
-									sumSent[r][sendSeg.Lo+i] += v
-								}
+							requireSameBits(t, "sent chunk", step, r, b, h, send.data, want)
+							if withRes := send.before != nil; withRes != (h == 0 && tc.lossy[r]) {
+								t.Fatalf("step %d rank %d bucket %d hop %d: residual handed over %v", step, r, b, h, withRes)
 							}
 							// What arrived: bit for bit what the peer sent when the
-							// peer's frame is lossless or a compensated hop-0 frame.
-							if h == 0 || !tc.lossy[(r+n-1)%n] {
+							// peer's frame is lossless; at a compensated hop 0, the
+							// peer's raw + residual minus the residual it kept.
+							switch p := (r + n - 1) % n; {
+							case !tc.lossy[p]:
 								requireSameBits(t, "decoded chunk", step, r, b, h, recv.data, peer.data)
+							case h == 0:
+								requireSameBits(t, "decoded + residual after", step, r, b, h,
+									add(recv.data, peer.after), add(peer.data, peer.before))
+								for i, v := range recv.data {
+									sumSent[p][recvSeg.Lo+i] += v
+								}
 							}
 							if h == n-2 {
 								got := reduced[r][recvSeg.Lo:recvSeg.Hi]
@@ -223,19 +218,39 @@ func TestErrorFeedbackCompensatesWhatIsSent(t *testing.T) {
 				clear(log.by)
 			}
 
+			kept := 0
 			for r, ep := range eps {
-				for b, f := range ep.ef {
-					for i, res := range f.res.Data() {
+				res := ep.grads.Residuals()
+				if armed := res != nil; armed != tc.lossy[r] {
+					t.Fatalf("rank %d: error feedback armed %v, wire lossy %v", r, armed, tc.lossy[r])
+				}
+				if res == nil {
+					continue
+				}
+				if len(res) != numBuckets {
+					t.Fatalf("rank %d keeps %d residuals for %d buckets", r, len(res), numBuckets)
+				}
+				mine := 0
+				for b, rb := range res {
+					if len(rb) != chunk[r][b].Hi-chunk[r][b].Lo {
+						t.Fatalf("rank %d residual %d covers %d elements, the frame %v", r, b, len(rb), chunk[r][b])
+					}
+					mine += len(rb)
+					for i, v := range rb {
 						e := chunk[r][b].Lo + i
 						tol := 4 * steps * 0x1p-52 * max(biggest, math.Abs(sumRaw[r][e]), math.Abs(sumSent[r][e]))
-						if d := math.Abs(sumSent[r][e] + res - sumRaw[r][e]); !(d <= tol) {
-							t.Fatalf("rank %d elem %d: sent %v + residual %v misses the %v produced by %v (tolerance %v)", r, e, sumSent[r][e], res, sumRaw[r][e], d, tol)
+						if d := math.Abs(sumSent[r][e] + v - sumRaw[r][e]); !(d <= tol) {
+							t.Fatalf("rank %d elem %d: shipped %v + residual %v misses the %v produced by %v (tolerance %v)", r, e, sumSent[r][e], v, sumRaw[r][e], d, tol)
 						}
 					}
 				}
-				if armed := len(ep.ef) > 0; armed != tc.lossy[r] {
-					t.Fatalf("rank %d: error feedback armed %v, wire lossy %v", r, armed, tc.lossy[r])
+				if mine > total/n+numBuckets {
+					t.Fatalf("rank %d keeps %d residual elements of a %d-element stage over %d replicas", r, mine, total, n)
 				}
+				kept += mine
+			}
+			if !slices.Contains(tc.lossy, false) && kept != total {
+				t.Fatalf("the group keeps %d residual elements for a %d-element stage", kept, total)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 
 	jaxpp "repro"
 	"repro/internal/collective"
-	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -196,25 +195,7 @@ type stageEpilogue struct {
 	// vel[j] is the momentum velocity of mine[j]: 1/replicas of the stage,
 	// 1/world of the model when stages are equal. nil for plain SGD.
 	vel []*tensor.Tensor
-	// ef, when non-empty, arms int8 error feedback: one entry per wire frame
-	// the reduce half sends first (collective.FirstSentRanges of the stage).
-	ef []efRange
 }
-
-// efRange is the error-feedback state of one frame's extent: the quantization
-// residual of its elements — 1/replicas of the stage over a rank's ranges —
-// which never travels and is not checkpointed (a restore restarts
-// compensation from zero), and where the extent lies in the stage's gradient
-// tensors. g and r are dist.QuantizeWithFeedback's arguments: r cut from res
-// once, g refilled every step from that step's tensors.
-type efRange struct {
-	res    *tensor.Tensor
-	pieces []efPiece
-	g, r   [][]float64
-}
-
-// efPiece is elements [lo, hi) of the stage's grad-th gradient tensor.
-type efPiece struct{ grad, lo, hi int }
 
 // newStageEpilogue builds the epilogue of the stage this rank hosts in a
 // spec.Replicas() × spec.Stages world over tr, and logs the rank's
@@ -269,36 +250,6 @@ func (e *stageEpilogue) release() {
 	for _, t := range e.vel {
 		tensor.Recycle(t)
 	}
-	for _, f := range e.ef {
-		tensor.Recycle(f.res)
-	}
-}
-
-// armErrorFeedback turns int8 error feedback on for subsequent steps, over
-// exactly what the reduce half ships as this rank's own values: the chunk of
-// every fusion bucket it sends at hop 0, each on the grid of the frame that
-// carries it. Everything else leaves the rank only inside a partial sum, or
-// not at all, and stays as the backward pass produced it. A stage with one
-// replica sends no gradient and has nothing to compensate.
-func (e *stageEpilogue) armErrorFeedback() {
-	sizes := make([]int, len(e.params))
-	for k, p := range e.params {
-		sizes[k] = p.Size()
-	}
-	for _, sent := range collective.FirstSentRanges(sizes, e.bucketBytes, e.grads.Size(), e.grads.Rank()) {
-		f := efRange{res: tensor.GetScratchZero(sent.Hi - sent.Lo)}
-		r, off := f.res.Data(), 0
-		for k, sz := range sizes {
-			if lo, hi := max(sent.Lo, off), min(sent.Hi, off+sz); lo < hi {
-				f.pieces = append(f.pieces, efPiece{k, lo - off, hi - off})
-				f.r = append(f.r, r[:hi-lo])
-				r = r[hi-lo:]
-			}
-			off += sz
-		}
-		f.g = make([][]float64, len(f.pieces))
-		e.ef = append(e.ef, f)
-	}
 }
 
 // setVelocity loads this rank's share of a restored flat velocity vector.
@@ -315,25 +266,24 @@ func (e *stageEpilogue) reduce(actor int, grads []*tensor.Tensor) error {
 	if actor != e.rank || len(grads) != len(e.params) {
 		return fmt.Errorf("distrun: rank %d (%d stage gradients) asked to reduce %d gradients of actor %d", e.rank, len(e.params), len(grads), actor)
 	}
-	if len(e.ef) > 0 {
-		// The residual L2 norm is observed per step — a bounded norm means the
-		// compression error re-enters the sum instead of accumulating.
-		hq := obs.TrackTid(scQuantEF, e.rank)
-		var sq float64
-		for _, f := range e.ef {
-			for i, p := range f.pieces {
-				f.g[i] = grads[p.grad].Data()[p.lo:p.hi]
-			}
-			sq += dist.QuantizeWithFeedback(f.g, f.r)
-		}
-		obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
-		hq.Stop()
-	}
 	hg := obs.TrackTid(scGradRS, e.rank)
 	err := e.grads.ReduceBucketsInPlace(grads, collective.OpSum, e.bucketBytes)
 	hg.Stop()
 	if err != nil {
 		return fmt.Errorf("distrun: rank %d grad reduce: %w", e.rank, err)
+	}
+	if obs.Enabled() && e.grads.Residuals() != nil {
+		// The residual L2 norm: bounded means the compression error re-enters
+		// the sum instead of accumulating. Σ r² runs in ascending order.
+		hq := obs.TrackTid(scQuantEF, e.rank)
+		var sq float64
+		for _, r := range e.grads.Residuals() {
+			for _, v := range r {
+				sq += v * v
+			}
+		}
+		obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
+		hq.Stop()
 	}
 	return nil
 }

@@ -49,8 +49,8 @@ func (c *ChanTransport) Send(from, to, tag int, t *tensor.Tensor) {
 }
 
 // SendLent implements transport.Transport: a mailbox cannot borrow, so what
-// travels is a pooled copy, as with Send.
-func (c *ChanTransport) SendLent(from, to, tag int, payload []float64) {
+// travels is a pooled copy, as with Send — exact, so residual is left alone.
+func (c *ChanTransport) SendLent(from, to, tag int, payload, _ []float64) {
 	cp := tensor.GetScratch(len(payload))
 	cp.CopyFrom(payload)
 	c.put(from, to, tag, cp)

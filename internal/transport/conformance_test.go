@@ -2,6 +2,8 @@ package transport_test
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -217,7 +219,7 @@ var properties = []struct {
 			}
 			settled := make(chan error, 1)
 			go func() { // async: a rendezvous send blocks until received
-				tr.SendLent(0, 1, 12, lent)
+				tr.SendLent(0, 1, 12, lent, nil)
 				tr.Send(0, 1, 12, tensor.Scalar(-1))
 				err := tr.Settle(0, 1)
 				for i := range lent {
@@ -255,6 +257,71 @@ var properties = []struct {
 		if err := tr.Settle(0, 1); err != nil {
 			t.Fatalf("Settle with nothing lent: %v", err)
 		}
+	}},
+	// A residual rides a lent send. A transport that ships the payload
+	// exactly leaves it alone, bit for bit; a dist endpoint armed to ship
+	// int8q frames ships payload + residual, and by the time SendLent returns
+	// has left in the residual what the frame dropped: decoded + residual
+	// after is payload + residual before, bit for bit, since the residual's
+	// subtraction is exact (Sterbenz). Without a residual the frame decodes
+	// to what an unfed frame of the payload does.
+	{"a residual rides a lent send", func(t *testing.T, im impl) {
+		tr, peer := im.open(t, 10*time.Second)
+		payload, before := make([]float64, 1000), make([]float64, 1000)
+		for i := range payload {
+			payload[i] = 3 * math.Sin(float64(i)+0.5)
+			before[i] = 0.01 * math.Cos(float64(i)+0.5)
+		}
+		// send lends payload with res under tag and returns what arrived and
+		// the residual as SendLent left it.
+		send := func(tag int, res []float64) (got *tensor.Tensor, after []float64) {
+			returned := make(chan []float64, 1)
+			go func() { // async: a rendezvous send blocks until received
+				tr.SendLent(0, 1, tag, payload, res)
+				returned <- slices.Clone(res)
+				tr.Settle(0, 1)
+			}()
+			got, err := peer.Recv(1, 0, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after = <-returned
+			if !slices.Equal(res, after) {
+				t.Fatalf("tag %d: the residual changed after SendLent returned", tag)
+			}
+			return got, after
+		}
+		bits := math.Float64bits
+		got, after := send(13, slices.Clone(before))
+		for i := range payload {
+			if bits(got.Data()[i]) != bits(payload[i]) || bits(after[i]) != bits(before[i]) {
+				t.Fatalf("exact wire: element %d arrived as %v with residual %v, sent %v with %v", i, got.Data()[i], after[i], payload[i], before[i])
+			}
+		}
+		tensor.Recycle(got)
+		mesh, ok := tr.(*dist.LocalMesh)
+		if !ok {
+			return
+		}
+		mesh.Endpoint(0).SetWireDType(dist.DTInt8Q)
+		mesh.SetLossyTagWindow(14, 16)
+		got, after = send(14, slices.Clone(before))
+		for i := range payload {
+			if d := got.Data()[i]; bits(d+after[i]) != bits(payload[i]+before[i]) {
+				t.Fatalf("int8q: element %d decoded %v with residual %v, from %v + %v", i, d, after[i], payload[i], before[i])
+			}
+		}
+		if slices.Equal(after, before) {
+			t.Fatal("int8q: the residual came back untouched")
+		}
+		tensor.Recycle(got)
+		got, _ = send(15, nil)
+		want := slices.Clone(payload)
+		dist.LossyRoundTrip(dist.DTInt8Q, want, nil)
+		if !slices.Equal(got.Data(), want) {
+			t.Fatal("int8q: a lent send with no residual decodes differently from an unfed frame")
+		}
+		tensor.Recycle(got)
 	}},
 	{"Settle on a poisoned transport returns the poison error", func(t *testing.T, im impl) {
 		tr, _ := im.open(t, 10*time.Second)

@@ -7,12 +7,13 @@
 //
 // Implementations, all asserted in conformance_test.go, by how Send captures
 // the tensor and what SendLent does with the payload it is lent (Settle has
-// something to wait for only where a payload is borrowed):
+// something to wait for only where a payload is borrowed) and with a
+// residual:
 //
-//	runtime.ChanTransport        in-process, capacity-1 mailboxes   a pooled copy   sends a pooled copy
-//	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    a pooled copy   sends a pooled copy
-//	dist.Transport               one TCP endpoint per process       serializes      borrows: a large f64 payload goes to the socket from where it lies
-//	dist.LocalMesh               n dist.Transport in one process    serializes      borrows, as its endpoints do
+//	runtime.ChanTransport        in-process, capacity-1 mailboxes   a pooled copy   sends a pooled copy; ships exactly, ignores a residual
+//	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    a pooled copy   sends a pooled copy; ships exactly, ignores a residual
+//	dist.Transport               one TCP endpoint per process       serializes      borrows: a large f64 payload goes to the socket from where it lies; a lossy frame folds the residual in
+//	dist.LocalMesh               n dist.Transport in one process    serializes      borrows and folds, as its endpoints do
 //
 // A dist.Transport link shaped into a modeled network (SetShape) still
 // serializes; its sender worker then delays the encoded frame, and it copies
@@ -56,7 +57,14 @@ type Transport interface {
 	// SendLent returns. Until then the caller must not write payload,
 	// recycle it, or hand it to anything that would; reading it, or lending it
 	// again, is fine.
-	SendLent(from, to, tag int, payload []float64)
+	//
+	// residual is nil or as long as payload: error feedback for a lossy wire.
+	// A transport that ships the payload lossily ships the lossy image of
+	// payload + residual, and before SendLent returns leaves in residual what
+	// that image dropped — residual is not on loan, and is final when the call
+	// returns. A transport that ships the payload exactly leaves residual
+	// alone.
+	SendLent(from, to, tag int, payload, residual []float64)
 	// Settle blocks until the transport no longer references any payload lent
 	// from `from` to `to` before the call, and returns nil, or the poison
 	// error if the transport has failed. A dead or wedged peer cannot hold a

@@ -80,14 +80,14 @@ type lendChecked struct {
 	c *LendChecker
 }
 
-func (w *lendChecked) SendLent(from, to, tag int, payload []float64) {
+func (w *lendChecked) SendLent(from, to, tag int, payload, residual []float64) {
 	l := loan{tr: w, from: from, to: to, tag: tag, payload: payload, sum: fingerprint(payload)}
 	w.c.mu.Lock()
 	w.c.lends++
 	l.seq = w.c.lends
 	w.c.loans = append(w.c.loans, l)
 	w.c.mu.Unlock()
-	w.Transport.SendLent(from, to, tag, payload)
+	w.Transport.SendLent(from, to, tag, payload, residual)
 }
 
 func (w *lendChecked) Settle(from, to int) error {

@@ -40,23 +40,23 @@ func TestLendCheckerReportsEachBreach(t *testing.T) {
 		want   string // "" for no report
 	}{
 		{"clean", func(tr transport.Transport, p *tensor.Tensor) {
-			tr.SendLent(0, 1, 7, p.Data())
+			tr.SendLent(0, 1, 7, p.Data(), nil)
 			tr.Settle(0, 1)
 			p.Data()[3] = 1
 			tensor.Recycle(p)
 		}, ""},
 		{"write", func(tr transport.Transport, p *tensor.Tensor) {
-			tr.SendLent(0, 1, 7, p.Data()[10:20])
+			tr.SendLent(0, 1, 7, p.Data()[10:20], nil)
 			p.Data()[13] = 1
 			tr.Settle(0, 1)
 		}, "written before Settle returned"},
 		{"recycle", func(tr transport.Transport, p *tensor.Tensor) {
-			tr.SendLent(0, 1, 7, p.Data()[10:20])
+			tr.SendLent(0, 1, 7, p.Data()[10:20], nil)
 			tensor.Recycle(p)
 			tr.Settle(0, 1)
 		}, "recycled while 10 of its elements were on loan"},
 		{"unsettled", func(tr transport.Transport, p *tensor.Tensor) {
-			tr.SendLent(0, 1, 7, p.Data())
+			tr.SendLent(0, 1, 7, p.Data(), nil)
 			tr.Settle(0, 2) // another pair's
 		}, "never settled"},
 	}
