@@ -97,6 +97,9 @@ var archRules = []archRule{
 	{name: "one control loop: both ends run serve and monitor, and samples ride the ping as JSON",
 		pr: 32, re: `coordinatorServe|workerServe|coordinatorMonitor|workerMonitor|StepFrame`, tests: true,
 		plant: planted("internal/obs/x.go", "func AppendStepFrame(b []byte) []byte { return b }\n")},
+	{name: "one path for a step sample: no process-global step ring and no second obs gate",
+		pr: 35, re: `EnableSteps|StepsEnabled|ReadStepsSince|SyncLocal`, tests: true,
+		plant: planted("internal/obs/x.go", "func EnableSteps() { stepGate.Store(true) }\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},

@@ -38,9 +38,9 @@ type leg struct {
 	// unlike: flags of a second in-process run whose losses must differ
 	// from the distributed run's.
 	unlike string
-	// live: flags for the distributed run alone, and a check made while
-	// that run trains.
-	live func(t *testing.T) (flags []string, check func() error)
+	// live: flags for the distributed run's coordinator and for its first
+	// worker, and a check made while that run trains.
+	live func(t *testing.T) (flags, worker []string, check func() error)
 	// check: what the distributed run's processes printed, and the
 	// directory it ran in.
 	check func(t *testing.T, out, dir string)
@@ -105,12 +105,12 @@ func TestLegs(t *testing.T) {
 			t.Parallel()
 			flags := strings.Fields(l.flags)
 			local := trainLocal(t, bin, flags)
-			var extra []string
+			var extra, worker []string
 			var check func() error
 			if l.live != nil {
-				extra, check = l.live(t)
+				extra, worker, check = l.live(t)
 			}
-			losses, out, dir := trainAcross(t, bin, l.world, append(flags, extra...), check)
+			losses, out, dir := trainAcross(t, bin, l.world, append(flags, extra...), worker, check)
 			switch {
 			case !l.lossy && !bytes.Equal(losses, local):
 				t.Errorf("distributed losses differ from the in-process run's:\n%s\nin-process:\n%s", losses, local)
@@ -118,7 +118,7 @@ func TestLegs(t *testing.T) {
 				t.Errorf("lossy losses equal the in-process f64 run's: nothing was quantized")
 			}
 			if l.lossy {
-				if again, _, _ := trainAcross(t, bin, l.world, flags, nil); !bytes.Equal(again, losses) {
+				if again, _, _ := trainAcross(t, bin, l.world, flags, nil, nil); !bytes.Equal(again, losses) {
 					t.Errorf("two runs of a lossy job differ:\n%s\nsecond:\n%s", losses, again)
 				}
 			}
@@ -155,10 +155,11 @@ func trainLocal(t *testing.T, bin string, flags []string) []byte {
 	return readLosses(t, dir)
 }
 
-// trainAcross trains flags across world processes, calling check (if
-// any) while they run, and returns the losses file, everything the
-// processes printed, and the directory the coordinator ran in.
-func trainAcross(t *testing.T, bin string, world int, flags []string, check func() error) ([]byte, string, string) {
+// trainAcross trains flags across world processes, the first worker also
+// given workerFlags, calling check (if any) while they run, and returns the
+// losses file, everything the processes printed, and the directory the
+// coordinator ran in.
+func trainAcross(t *testing.T, bin string, world int, flags, workerFlags []string, check func() error) ([]byte, string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	addr := freeAddr(t)
@@ -168,8 +169,11 @@ func trainAcross(t *testing.T, bin string, world int, flags []string, check func
 	outs := make([]bytes.Buffer, world)
 	for i := range procs {
 		name, args := "jaxpp-worker", []string{"-coordinator", addr}
-		if i == 0 {
+		switch i {
+		case 0:
 			name, args = "jaxpp-train", append([]string{"-distributed", "-coordinator", addr, "-losses-out", "losses.json"}, flags...)
+		case 1:
+			args = append(args, workerFlags...)
 		}
 		procs[i] = exec.CommandContext(ctx, filepath.Join(bin, name), args...)
 		procs[i].Dir, procs[i].Stdout, procs[i].Stderr = dir, &outs[i], &outs[i]
@@ -267,65 +271,86 @@ func traceCoversRanks(world int) func(*testing.T, string, string) {
 
 // liveMetrics serves the coordinator's /metrics mid-run and checks that two
 // scrapes show jaxpp_step_total advancing for every rank, and that /healthz
-// and /debug/cluster answer. The run sleeps 100 ms a step, beating every
-// 250 ms, so it lasts under three seconds.
-func liveMetrics(world int) func(*testing.T) ([]string, func() error) {
-	return func(t *testing.T) ([]string, func() error) {
-		addr := freeAddr(t)
+// and /debug/cluster answer. One worker serves its local view too, which
+// must show its own rank's jaxpp_step_total advancing. The run sleeps 100 ms
+// a step, beating every 250 ms, so it lasts under three seconds.
+func liveMetrics(world int) func(*testing.T) ([]string, []string, func() error) {
+	return func(t *testing.T) ([]string, []string, func() error) {
+		addr, workerAddr := freeAddr(t), freeAddr(t)
 		flags := []string{"-metrics-addr", addr, "-step-sleep-ms", "100", "-hb-interval", "250ms"}
-		return flags, func() error {
-			base := "http://" + addr
-			var first []int
-			deadline := time.Now().Add(legTimeout)
-			for ; time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
-				body, err := httpGet(base + "/metrics")
-				if err != nil {
-					if first != nil {
-						return fmt.Errorf("metrics went away before every rank advanced: %v", err)
-					}
-					continue // not serving yet
-				}
-				steps := stepTotals(body, world)
-				if steps == nil {
-					continue
-				}
-				if first == nil {
-					first = steps
-					if _, err := httpGet(base + "/healthz"); err != nil {
-						return err
-					}
-					cluster, err := httpGet(base + "/debug/cluster")
-					if err != nil {
-						return err
-					}
-					if !json.Valid([]byte(cluster)) {
-						return fmt.Errorf("/debug/cluster is not JSON: %s", cluster)
-					}
-					continue
-				}
-				advanced := true
-				for r := range steps {
-					advanced = advanced && steps[r] > first[r]
-				}
-				if advanced {
-					return nil
-				}
+		return flags, []string{"-metrics-addr", workerAddr}, func() error {
+			cluster := make(chan error, 1)
+			go func() { cluster <- stepsAdvance("http://"+addr, world, true) }()
+			local := stepsAdvance("http://"+workerAddr, 1, false)
+			if err := <-cluster; err != nil {
+				return err
 			}
-			return fmt.Errorf("jaxpp_step_total did not advance for every rank (first scrape %v)", first)
+			if local != nil {
+				return fmt.Errorf("worker's local view: %v", local)
+			}
+			return nil
 		}
 	}
 }
 
-// stepTotals reads jaxpp_step_total for ranks 0..world-1, or nil while a
-// rank has none yet.
-func stepTotals(metrics string, world int) []int {
-	steps := make([]int, world)
-	for r := range steps {
-		m := regexp.MustCompile(fmt.Sprintf(`(?m)^jaxpp_step_total\{rank="%d"\} (\d+)$`, r)).FindStringSubmatch(metrics)
-		if m == nil {
+// stepsAdvance scrapes base's /metrics until jaxpp_step_total has advanced
+// between two scrapes for each of the ranks it serves, which must number
+// ranks. cluster also checks, at the first scrape, that /healthz and
+// /debug/cluster answer; a local view must serve one rank other than 0.
+func stepsAdvance(base string, ranks int, cluster bool) error {
+	var first map[string]int
+	deadline := time.Now().Add(legTimeout)
+	for ; time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
+		body, err := httpGet(base + "/metrics")
+		if err != nil {
+			if first != nil {
+				return fmt.Errorf("metrics went away before every rank advanced: %v", err)
+			}
+			continue // not serving yet
+		}
+		steps := stepTotals(body)
+		if len(steps) < ranks {
+			continue
+		}
+		if len(steps) > ranks {
+			return fmt.Errorf("%s/metrics serves ranks %v, want %d", base, steps, ranks)
+		}
+		if first == nil {
+			first = steps
+			if !cluster {
+				if _, ok := steps["0"]; ok {
+					return fmt.Errorf("%s/metrics serves rank 0, not the worker's own", base)
+				}
+				continue
+			}
+			if _, err := httpGet(base + "/healthz"); err != nil {
+				return err
+			}
+			snap, err := httpGet(base + "/debug/cluster")
+			if err != nil {
+				return err
+			}
+			if !json.Valid([]byte(snap)) {
+				return fmt.Errorf("/debug/cluster is not JSON: %s", snap)
+			}
+			continue
+		}
+		advanced := true
+		for r := range steps {
+			advanced = advanced && steps[r] > first[r]
+		}
+		if advanced {
 			return nil
 		}
-		steps[r], _ = strconv.Atoi(m[1])
+	}
+	return fmt.Errorf("%s: jaxpp_step_total did not advance for every rank (first scrape %v)", base, first)
+}
+
+// stepTotals reads jaxpp_step_total by rank label.
+func stepTotals(metrics string) map[string]int {
+	steps := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^jaxpp_step_total\{rank="(\d+)"\} (\d+)$`).FindAllStringSubmatch(metrics, -1) {
+		steps[m[1]], _ = strconv.Atoi(m[2])
 	}
 	return steps
 }

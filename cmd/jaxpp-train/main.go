@@ -27,7 +27,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dist"
 	"repro/internal/distrun"
-	"repro/internal/obs"
 	"repro/internal/timeline"
 )
 
@@ -90,19 +89,17 @@ func main() {
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
 	}
+	onMetrics, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer telDone()
 	sessOpts := dist.SessionOptions{
 		Transport:         dist.Options{CRC: *crc},
 		HeartbeatInterval: *hbInterval,
 		HeartbeatMisses:   *hbMisses,
 		JoinGrace:         *joinGrace,
-	}
-	tl, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer telDone()
-	if tl != nil {
-		sessOpts.OnMetrics = func(_ int, steps []obs.StepSample) { tl.Ingest(steps...) }
+		OnMetrics:         onMetrics,
 	}
 
 	var rep *distrun.Report

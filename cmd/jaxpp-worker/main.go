@@ -41,13 +41,13 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "record this rank's job/failure events into a crash-surviving flight-recorder ring in this directory (replay with jaxpp-viz -flight)")
 	flag.Parse()
 
-	_, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, true)
+	onMetrics, telDone, err := distrun.SetupTelemetry(*metricsAddr, *flightDir, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer telDone()
 
-	opts := dist.SessionOptions{WantRank: *rank}
+	opts := dist.SessionOptions{WantRank: *rank, OnMetrics: onMetrics}
 	if *reconnect {
 		err := distrun.RunElasticWorker(*coordinator, distrun.WorkerOptions{
 			Session:         opts,

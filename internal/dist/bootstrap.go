@@ -41,10 +41,9 @@ type ctrlMsg struct {
 	// Prof carries a worker's end-of-job profile snapshot to the coordinator
 	// (see SendProfile/GatherProfiles).
 	Prof json.RawMessage `json:"prof,omitempty"`
-	// Steps piggybacks the step samples a worker published since its last
+	// Steps piggybacks the step samples a worker recorded since its last
 	// heartbeat onto its ping — the telemetry plane streams without a new
-	// message kind or extra round trips. Absent unless telemetry is armed
-	// and new samples exist.
+	// message kind or extra round trips. Absent unless new samples exist.
 	Steps []obs.StepSample `json:"steps,omitempty"`
 	// HBInterval, HBTimeout and CRC ride the welcome: the coordinator's
 	// heartbeat and wire settings, which every worker adopts, so one set of
@@ -101,10 +100,12 @@ type SessionOptions struct {
 	// is met, restarted on every join (zero = DefaultJoinGrace).
 	MinWorld  int
 	JoinGrace time.Duration
-	// OnMetrics, set on the coordinator, receives each worker's rank and
-	// heartbeat-piggybacked step samples (see ctrlMsg.Steps). Called from the
-	// per-worker serve goroutine; implementations must be concurrency-safe
-	// and quick (ClusterTimeline.Ingest qualifies).
+	// OnMetrics receives step samples with the rank that recorded them: the
+	// session's own, one at a time from RecordStep, and on the coordinator
+	// each worker's heartbeat-piggybacked batch (see ctrlMsg.Steps) from that
+	// worker's serve goroutine. Implementations must be concurrency-safe and
+	// quick (ClusterTimeline.Ingest qualifies), and must not keep steps: the
+	// session reuses the slice once the call returns.
 	OnMetrics func(rank int, steps []obs.StepSample)
 }
 
@@ -147,9 +148,12 @@ type Session struct {
 	// Worker side.
 	coord *ctrlConn
 
-	// stepCursor is the worker's position in the step-sample ring, touched
-	// only by its pinger goroutine.
-	stepCursor int64
+	// smu guards the step samples RecordStep takes: one, the sink's
+	// one-element slice, and on a worker steps, the samples its next ping
+	// carries.
+	smu   sync.Mutex
+	one   [1]obs.StepSample
+	steps []obs.StepSample
 
 	// closing marks a locally initiated teardown, so the serve loops can
 	// tell "we closed our own sockets" from "the peer's process died".
@@ -609,10 +613,11 @@ func (s *Session) monitor() {
 
 // startPinger sends liveness pings on cc until the returned stop function
 // runs (when the serve loop exits, on conn error or shutdown). A worker's
-// pings carry the step samples it published since the last one.
+// pings carry the step samples RecordStep took since the last one.
 func (s *Session) startPinger(cc *ctrlConn) func() {
 	done := make(chan struct{})
 	go func() {
+		var batch []obs.StepSample
 		tick := time.NewTicker(s.opts.HeartbeatInterval)
 		defer tick.Stop()
 		for {
@@ -622,7 +627,12 @@ func (s *Session) startPinger(cc *ctrlConn) func() {
 			case <-tick.C:
 				m := ctrlMsg{Type: "ping"}
 				if cc == s.coord {
-					m.Steps = s.newSteps()
+					// The last ping's batch, already written, is the next
+					// one's buffer: the two swap and keep their capacity.
+					s.smu.Lock()
+					batch, s.steps = s.steps, batch[:0]
+					s.smu.Unlock()
+					m.Steps = batch[max(len(batch)-maxPendingSteps, 0):]
 				}
 				if cc.send(m) != nil {
 					return
@@ -633,22 +643,31 @@ func (s *Session) startPinger(cc *ctrlConn) func() {
 	return func() { close(done) }
 }
 
-// newSteps drains the step samples published since the last call, or returns
-// nil when telemetry is off or idle. Runs only on the worker's pinger
-// goroutine, so the cursor needs no locking.
-func (s *Session) newSteps() []obs.StepSample {
-	if !obs.StepsEnabled() {
-		return nil
+// maxPendingSteps is how many step samples a ping carries at most: the
+// newest ones, a backlog of ~1k steps, far beyond any heartbeat gap.
+const maxPendingSteps = 1 << 10
+
+// RecordStep takes one step sample of this process: OnMetrics, when set,
+// receives it at once, and on a worker the next heartbeat ping carries it to
+// the coordinator along with the rest of the newest maxPendingSteps recorded
+// since the last ping. A session ships only what was recorded on it.
+// Allocation-free once its buffers have grown.
+func (s *Session) RecordStep(st obs.StepSample) {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	if s.opts.OnMetrics != nil {
+		s.one[0] = st
+		s.opts.OnMetrics(s.Rank, s.one[:])
 	}
-	var steps []obs.StepSample
-	var batch [64]obs.StepSample
-	for {
-		n := obs.ReadStepsSince(&s.stepCursor, batch[:])
-		if n == 0 {
-			return steps
-		}
-		steps = append(steps, batch[:n]...)
+	if s.coord == nil {
+		return
 	}
+	if len(s.steps) == 2*maxPendingSteps {
+		// Keep the newest half in place rather than grow: the ping sends
+		// at most that many anyway.
+		s.steps = s.steps[:copy(s.steps, s.steps[maxPendingSteps:])]
+	}
+	s.steps = append(s.steps, st)
 }
 
 // Barrier blocks until every rank of the session reaches it at the same step:

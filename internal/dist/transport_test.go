@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -439,35 +440,67 @@ func TestJoinRejectsUnavailableRank(t *testing.T) {
 	}
 }
 
-// TestHeartbeatMetricsPiggyback pins the telemetry streaming path end to
-// end: a worker's pinger drains the step ring, attaches the samples to a
-// heartbeat ping, and the coordinator's OnMetrics hook receives them
-// field-for-field equal.
-func TestHeartbeatMetricsPiggyback(t *testing.T) {
-	var mu sync.Mutex
-	got := map[int64]obs.StepSample{} // step -> sample
-	total := 0                        // every delivered sample, re-deliveries included
-	fromRank := -1
+// sampleSink collects what an OnMetrics hook receives, copying each batch
+// (the session reuses the slice it passes).
+type sampleSink struct {
+	mu      sync.Mutex
+	samples []obs.StepSample
+	ranks   []int // the rank OnMetrics named, per sample
+	batches []int // the length of every call's batch
+}
 
-	opts := SessionOptions{
-		RendezvousTimeout: 20 * time.Second,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		Transport:         Options{RecvTimeout: 10 * time.Second},
+func (k *sampleSink) hook(rank int, steps []obs.StepSample) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.samples = append(k.samples, steps...)
+	for range steps {
+		k.ranks = append(k.ranks, rank)
 	}
-	coordOpts := opts
-	coordOpts.OnMetrics = func(rank int, samples []obs.StepSample) {
-		mu.Lock()
-		defer mu.Unlock()
-		fromRank = rank
-		for _, s := range samples {
-			got[s.Step] = s
-			total++
+	k.batches = append(k.batches, len(steps))
+}
+
+// steps lists the Step of every sample delivered so far, in order.
+func (k *sampleSink) steps() []int64 {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	var steps []int64
+	for _, s := range k.samples {
+		steps = append(steps, s.Step)
+	}
+	return steps
+}
+
+// wait blocks until at least n samples have been delivered.
+func (k *sampleSink) wait(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		k.mu.Lock()
+		got := len(k.samples)
+		k.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d samples delivered within 10s", got, n)
 		}
 	}
+}
+
+// metricsPair bootstraps a coordinator and one worker beating every
+// interval, with coordSink and workerSink (either may be nil) as their
+// OnMetrics hooks. The caller closes both.
+func metricsPair(t *testing.T, interval time.Duration, coordSink, workerSink func(int, []obs.StepSample)) (coord, worker *Session) {
+	t.Helper()
+	opts := SessionOptions{
+		RendezvousTimeout: 20 * time.Second,
+		HeartbeatInterval: interval,
+		HeartbeatTimeout:  5 * time.Second,
+		Transport:         Options{RecvTimeout: 10 * time.Second},
+	}
+	coordOpts, workerOpts := opts, opts
+	coordOpts.OnMetrics, workerOpts.OnMetrics = coordSink, workerSink
 
 	addr := freeAddr(t)
-	var coord, worker *Session
 	var coordErr, workerErr error
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -478,7 +511,7 @@ func TestHeartbeatMetricsPiggyback(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			worker, workerErr = Join(addr, opts)
+			worker, workerErr = Join(addr, workerOpts)
 			if workerErr == nil || !strings.Contains(workerErr.Error(), "connect") {
 				return
 			}
@@ -489,50 +522,120 @@ func TestHeartbeatMetricsPiggyback(t *testing.T) {
 	if coordErr != nil || workerErr != nil {
 		t.Fatalf("bootstrap: coord %v worker %v", coordErr, workerErr)
 	}
+	return coord, worker
+}
+
+// TestHeartbeatMetricsPiggyback pins the telemetry streaming path end to
+// end: the samples a worker's session records ride its next heartbeat ping,
+// and the coordinator's OnMetrics hook receives each one exactly once,
+// field-for-field equal and attributed to the worker's rank.
+func TestHeartbeatMetricsPiggyback(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	var got sampleSink
+	coord, worker := metricsPair(t, interval, got.hook, nil)
 	defer coord.Close()
 	defer worker.Close()
 
-	obs.EnableSteps()
-	defer obs.DisableSteps()
-	for _, want := range []obs.StepSample{
+	want := []obs.StepSample{
 		{Rank: 1, Step: 3, WallNs: 7e6, ComputeNs: 5e6,
 			WireNs: 1e6, IdleNs: 1e6, BytesSent: 4096, QueueDepth: 2, PoolHit: 8, PoolMiss: 2, Allocs: 44},
 		{Rank: 2, Step: -1, WallNs: -5, Allocs: 1<<62 + 3}, // negative + huge values survive
-	} {
-		obs.RecordStep(want)
-
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			mu.Lock()
-			s, ok := got[want.Step]
-			rank := fromRank
-			mu.Unlock()
-			if ok {
-				if s != want {
-					t.Fatalf("streamed sample = %+v, want %+v", s, want)
-				}
-				if rank != 1 {
-					t.Fatalf("frame attributed to rank %d, want 1", rank)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("coordinator never received the piggybacked telemetry frame")
-			}
-			time.Sleep(10 * time.Millisecond)
+	}
+	for i, s := range want {
+		worker.RecordStep(s)
+		got.wait(t, i+1)
+	}
+	// Idle heartbeats (no new samples) must not re-deliver old ones.
+	time.Sleep(5 * interval)
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	if !slices.Equal(got.samples, want) {
+		t.Fatalf("coordinator received %+v, want each of %+v exactly once", got.samples, want)
+	}
+	for _, r := range got.ranks {
+		if r != 1 {
+			t.Fatalf("samples attributed to rank %d, want 1", r)
 		}
 	}
+}
 
-	// Idle heartbeats (no new samples) must not re-deliver old frames.
-	mu.Lock()
-	before := total
-	mu.Unlock()
-	time.Sleep(5 * opts.HeartbeatInterval)
-	mu.Lock()
-	after := total
-	mu.Unlock()
-	if after != before {
-		t.Fatalf("idle heartbeats re-delivered %d samples", after-before)
+// TestRejoinedWorkerShipsOnlyItsNewSession: a worker process that leaves one
+// session and joins another ships the new session's samples alone — the
+// first session's steps, with their old rank, must not reach the second
+// coordinator as phantom telemetry.
+func TestRejoinedWorkerShipsOnlyItsNewSession(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	var first, second sampleSink
+	coord, worker := metricsPair(t, interval, first.hook, nil)
+	for step := int64(100); step <= 102; step++ {
+		worker.RecordStep(obs.StepSample{Rank: 1, Step: step})
+	}
+	first.wait(t, 3)
+	worker.Close()
+	coord.Close()
+
+	coord, worker = metricsPair(t, interval, second.hook, nil)
+	defer coord.Close()
+	defer worker.Close()
+	worker.RecordStep(obs.StepSample{Rank: 1, Step: 200})
+	second.wait(t, 1)
+	time.Sleep(5 * interval)
+	if got := second.steps(); !slices.Equal(got, []int64{200}) {
+		t.Fatalf("second coordinator received steps %v, want [200]", got)
+	}
+}
+
+// TestWorkerSinkSeesItsOwnSamples covers a worker's local view: its own
+// OnMetrics receives every sample as RecordStep takes it, under its rank,
+// and its coordinator receives the same samples over the heartbeat.
+func TestWorkerSinkSeesItsOwnSamples(t *testing.T) {
+	var remote, local sampleSink
+	coord, worker := metricsPair(t, 50*time.Millisecond, remote.hook, local.hook)
+	defer coord.Close()
+	defer worker.Close()
+	for step := int64(0); step < 3; step++ {
+		worker.RecordStep(obs.StepSample{Rank: int64(worker.Rank), Step: step})
+	}
+	if got := local.steps(); !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Fatalf("worker sink received steps %v, want [0 1 2] before RecordStep returned", got)
+	}
+	for _, r := range local.ranks {
+		if r != worker.Rank {
+			t.Fatalf("worker sink was handed rank %d, want its own %d", r, worker.Rank)
+		}
+	}
+	remote.wait(t, 3)
+	if got := remote.steps(); !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Fatalf("coordinator received steps %v, want [0 1 2]", got)
+	}
+}
+
+// TestPingShipsNewestBacklog: a worker that records more samples between two
+// pings than a ping carries ships the newest maxPendingSteps, oldest first,
+// in one ping.
+func TestPingShipsNewestBacklog(t *testing.T) {
+	const interval = 300 * time.Millisecond
+	const recorded = 1500
+	var got sampleSink
+	coord, worker := metricsPair(t, interval, got.hook, nil)
+	defer coord.Close()
+	defer worker.Close()
+	for step := int64(0); step < recorded; step++ {
+		worker.RecordStep(obs.StepSample{Rank: 1, Step: step})
+	}
+	got.wait(t, maxPendingSteps)
+	time.Sleep(2 * interval)
+	got.mu.Lock()
+	batches := got.batches
+	got.mu.Unlock()
+	if !slices.Equal(batches, []int{maxPendingSteps}) {
+		t.Fatalf("pings carried batches of %v samples, want one of %d", batches, maxPendingSteps)
+	}
+	steps := got.steps()
+	for i, s := range steps {
+		if want := int64(recorded - maxPendingSteps + i); s != want {
+			t.Fatalf("sample %d is step %d, want %d", i, s, want)
+		}
 	}
 }
 

@@ -273,9 +273,11 @@ type Report struct {
 	Profiles []*obs.Snapshot
 }
 
-// beginProfiling arms the obs registry for a profiled job and returns the
-// teardown that restores the prior gate state. The reset discards any stale
-// aggregates a previous job (or an unprofiled warmup) left behind.
+// beginProfiling arms the obs registry for a profiled or telemetry job and
+// returns the teardown that restores the prior gate state. The reset discards
+// any stale aggregates a previous job (or an unprofiled warmup) left behind;
+// it runs before the step sampler primes its baselines, or the first step's
+// deltas would go negative.
 func beginProfiling() (restore func()) {
 	was := obs.Enabled()
 	obs.SnapshotAndReset()
@@ -287,15 +289,12 @@ func beginProfiling() (restore func()) {
 	}
 }
 
-// logStepSummary emits the one-line per-step profile: wall time plus the
-// compute/wire/idle delta since the previous step, read via BreakdownNow (no
-// reset, no allocation — the end-of-job snapshot keeps the full job's spans).
-func logStepSummary(rank, step int, wall time.Duration, prev *[3]int64) {
-	c, w, i := obs.BreakdownNow()
+// logStepSummary emits the one-line per-step profile from the step's sample:
+// wall time plus its compute/wire/idle deltas.
+func logStepSummary(s obs.StepSample) {
 	log.Printf("profile rank %d step %d: wall %.3fms compute %.3fms wire %.3fms idle %.3fms",
-		rank, step, wall.Seconds()*1e3,
-		float64(c-prev[0])/1e6, float64(w-prev[1])/1e6, float64(i-prev[2])/1e6)
-	*prev = [3]int64{c, w, i}
+		s.Rank, s.Step, float64(s.WallNs)/1e6,
+		float64(s.ComputeNs)/1e6, float64(s.WireNs)/1e6, float64(s.IdleNs)/1e6)
 }
 
 // InitModel builds the deterministic initial parameters and global batch
@@ -717,17 +716,10 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 	res := &jaxpp.ActorResults{}
 	var losses []float64
 
-	if spec.Profile {
+	if spec.Profile || spec.Telemetry {
 		defer beginProfiling()()
 	}
-	// Telemetry arms after profiling: beginProfiling's SnapshotAndReset must
-	// run before the sampler primes its baselines, or the first step's deltas
-	// go negative.
-	if spec.Telemetry {
-		defer beginTelemetry()()
-	}
 	sampler := newStepSampler(rank, sess.Transport.QueueDepth)
-	var stepPrev [3]int64
 	rep := &Report{Rank: rank, World: sess.World, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
 		stepStart := time.Now()
@@ -755,9 +747,11 @@ func runOver(sess *dist.Session, tr transport.Transport, spec JobSpec, host []in
 			flight.Log("ckpt_commit", rank, step+1, "")
 		}
 		obs.Add(cStepsProfiled, 1)
-		sampler.record(step, time.Since(stepStart))
-		if spec.Profile {
-			logStepSummary(rank, step, time.Since(stepStart), &stepPrev)
+		if sample, ok := sampler.record(step, time.Since(stepStart)); ok {
+			sess.RecordStep(sample)
+			if spec.Profile {
+				logStepSummary(sample)
+			}
 		}
 		if spec.StepSleepMs > 0 {
 			time.Sleep(time.Duration(spec.StepSleepMs) * time.Millisecond)
@@ -864,7 +858,7 @@ func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 	if spec.Profile {
 		defer beginProfiling()()
 	}
-	var stepPrev [3]int64
+	sampler := newStepSampler(0, func() int { return 0 })
 	rep := &Report{Rank: 0, World: 1, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
 		stepStart := time.Now()
@@ -901,8 +895,8 @@ func RunLocalOn(spec JobSpec, tr transport.Transport) (*Report, error) {
 			}
 		}
 		obs.Add(cStepsProfiled, 1)
-		if spec.Profile {
-			logStepSummary(0, step, time.Since(stepStart), &stepPrev)
+		if sample, ok := sampler.record(step, time.Since(stepStart)); ok && spec.Profile {
+			logStepSummary(sample)
 		}
 	}
 	if spec.Profile {

@@ -11,11 +11,12 @@ import (
 
 // Per-step telemetry sampling: at each step boundary the sampler reads the
 // live obs aggregates (allocation-free BreakdownNow/CounterNow), the runtime
-// allocation count, and the transport's sender-queue depth, differences them
-// against the previous boundary, and publishes one obs.StepSample into the
-// process-global ring — where the control-plane heartbeat picks it up for
-// streaming to the coordinator. Everything here is gated on
-// obs.StepsEnabled(): an unarmed job pays one atomic load per step.
+// allocation count, and the transport's sender-queue depth, and differences
+// them against the previous boundary into one obs.StepSample. The step loop
+// hands it to the rank's session (its OnMetrics sink, and on a worker the
+// next heartbeat ping) and prints it as the -profile line. Everything here is
+// gated on obs.Enabled(): a job that did not arm obs pays one atomic load
+// per step.
 
 // Registered (or looked up) once; the wire and pool layers own the actual
 // counting, the sampler only reads.
@@ -24,6 +25,7 @@ var (
 	ctBytesRecvd = obs.Counter("wire/bytes_recvd")
 	ctPoolHit    = obs.Counter("pool/hit")
 	ctPoolMiss   = obs.Counter("pool/miss")
+	ctSamples    = obs.Counter("telemetry/step_samples")
 )
 
 // stepSampler differences cumulative aggregates into per-step deltas.
@@ -43,7 +45,7 @@ type stepSampler struct {
 func newStepSampler(rank int, queueDepth func() int) *stepSampler {
 	s := &stepSampler{rank: rank, qd: queueDepth}
 	s.allocSamples = []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	if obs.StepsEnabled() {
+	if obs.Enabled() {
 		s.prime()
 	}
 	return s
@@ -59,11 +61,11 @@ func (s *stepSampler) prime() {
 	s.prevAllocs = s.allocSamples[0].Value.Uint64()
 }
 
-// record publishes one sample for a completed step. No-op (one atomic load)
-// when the telemetry plane is off.
-func (s *stepSampler) record(step int, wall time.Duration) {
-	if !obs.StepsEnabled() {
-		return
+// record makes the sample of a completed step; ok is false, at the cost of
+// one atomic load, when obs is off.
+func (s *stepSampler) record(step int, wall time.Duration) (sample obs.StepSample, ok bool) {
+	if !obs.Enabled() {
+		return sample, false
 	}
 	compute, wire, idle := obs.BreakdownNow()
 	sent := obs.CounterNow(ctBytesSent)
@@ -72,7 +74,7 @@ func (s *stepSampler) record(step int, wall time.Duration) {
 	miss := obs.CounterNow(ctPoolMiss)
 	metrics.Read(s.allocSamples)
 	allocs := s.allocSamples[0].Value.Uint64()
-	obs.RecordStep(obs.StepSample{
+	sample = obs.StepSample{
 		Rank:       int64(s.rank),
 		Step:       int64(step),
 		WallNs:     int64(wall),
@@ -85,45 +87,29 @@ func (s *stepSampler) record(step int, wall time.Duration) {
 		PoolHit:    hit - s.prevHit,
 		PoolMiss:   miss - s.prevMiss,
 		Allocs:     int64(allocs - s.prevAllocs),
-	})
+	}
 	s.prevCompute, s.prevWire, s.prevIdle = compute, wire, idle
 	s.prevSent, s.prevRecvd = sent, recvd
 	s.prevHit, s.prevMiss = hit, miss
 	s.prevAllocs = allocs
-}
-
-// beginTelemetry arms the per-step telemetry plane (and the obs registry it
-// reads through) for a job's duration, returning the teardown that restores
-// prior gate state. Composes with beginProfiling: both may arm the registry,
-// each restores only what it changed.
-func beginTelemetry() (restore func()) {
-	wasSteps := obs.StepsEnabled()
-	wasObs := obs.Enabled()
-	obs.EnableSteps()
-	obs.Enable()
-	return func() {
-		if !wasSteps {
-			obs.DisableSteps()
-		}
-		if !wasObs {
-			obs.Disable()
-		}
-	}
+	obs.Add(ctSamples, 1)
+	return sample, true
 }
 
 // SetupTelemetry wires one process's slice of the live telemetry plane for
 // jaxpp-train and jaxpp-worker: a crash-surviving flight recorder when
 // flightDir is set (installed globally, so distrun/dist event sites log into
 // it), and an HTTP metrics listener backed by a ClusterTimeline when
-// metricsAddr is set; the process's own step ring drains into it through
-// SyncLocal on every scrape. On the coordinator (worker false) the returned
-// timeline — non-nil iff the listener is up — is also what
-// SessionOptions.OnMetrics feeds heartbeat-piggybacked worker samples into, so
-// it is the cluster view. A worker serves only its local view, and because it
-// takes its JobSpec from the coordinator, a local metricsAddr arms the step
-// gates directly so that view works even when the coordinator did not request
-// telemetry. cleanup tears both down in reverse order.
-func SetupTelemetry(metricsAddr, flightDir string, worker bool) (tl *obs.ClusterTimeline, cleanup func(), err error) {
+// metricsAddr is set. The returned sink — non-nil iff the listener is up — is
+// the caller's SessionOptions.OnMetrics: it ingests into the listener's
+// timeline the process's own samples, and on the coordinator (worker false)
+// every worker's heartbeat-piggybacked ones too, so there it is the cluster
+// view. A worker
+// serves only its local view, and because it takes its JobSpec from the
+// coordinator, a local metricsAddr arms obs directly so that view works even
+// when the coordinator did not request telemetry. cleanup tears both down in
+// reverse order.
+func SetupTelemetry(metricsAddr, flightDir string, worker bool) (onMetrics func(rank int, steps []obs.StepSample), cleanup func(), err error) {
 	var closers []func()
 	cleanup = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
@@ -143,9 +129,8 @@ func SetupTelemetry(metricsAddr, flightDir string, worker bool) (tl *obs.Cluster
 		if worker {
 			prefix = "jaxpp-worker: "
 			obs.Enable()
-			obs.EnableSteps()
 		}
-		tl = obs.NewClusterTimeline()
+		tl := obs.NewClusterTimeline()
 		srv, err := obs.StartMetricsServer(metricsAddr, tl)
 		if err != nil {
 			cleanup()
@@ -153,6 +138,7 @@ func SetupTelemetry(metricsAddr, flightDir string, worker bool) (tl *obs.Cluster
 		}
 		fmt.Printf("%smetrics: http://%s/metrics\n", prefix, srv.Addr())
 		closers = append(closers, func() { srv.Close() })
+		onMetrics = func(_ int, steps []obs.StepSample) { tl.Ingest(steps...) }
 	}
-	return tl, cleanup, nil
+	return onMetrics, cleanup, nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,11 +10,11 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// ClusterTimeline is the coordinator-side aggregate of the telemetry plane:
-// every rank's step samples (streamed in over the control-plane heartbeat,
-// or drained locally for the coordinator's own rank) land here, and each
-// ingest re-evaluates the straggler detectors. It backs /metrics,
-// /debug/cluster, and the one-line WARNs an operator actually reads.
+// ClusterTimeline is the aggregate of the telemetry plane: the step samples a
+// dist session hands its OnMetrics sink (its own rank's, and on the
+// coordinator every worker's, streamed in over the control-plane heartbeat)
+// land here, and each ingest re-evaluates the straggler detectors. It backs
+// /metrics, /debug/cluster, and the one-line WARNs an operator actually reads.
 
 // Straggler detection thresholds.
 const (
@@ -52,9 +53,6 @@ type ClusterTimeline struct {
 	ranks map[int64]*RankState
 	flags int64 // straggler flag transitions (mirrors the obs counter)
 
-	localCursor  int64
-	localScratch [64]StepSample
-
 	// wallMedianScratch avoids per-ingest allocation for the median.
 	wallScratch []int64
 }
@@ -69,29 +67,12 @@ func NewClusterTimeline() *ClusterTimeline {
 }
 
 // Ingest adds samples in order — a worker's heartbeat-piggybacked batch, or
-// one at a time from test harnesses.
+// the one sample its own session just recorded.
 func (tl *ClusterTimeline) Ingest(samples ...StepSample) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	for _, s := range samples {
 		tl.ingestLocked(s)
-	}
-}
-
-// SyncLocal drains the process-global step ring into the timeline — the
-// coordinator's own rank (and the worker's local /metrics view) stream
-// through here instead of over the wire.
-func (tl *ClusterTimeline) SyncLocal() {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	for {
-		n := ReadStepsSince(&tl.localCursor, tl.localScratch[:])
-		if n == 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			tl.ingestLocked(tl.localScratch[i])
-		}
 	}
 }
 
@@ -120,7 +101,7 @@ func (tl *ClusterTimeline) medianWallLocked() int64 {
 	if len(tl.wallScratch) == 0 {
 		return 0
 	}
-	sort.Slice(tl.wallScratch, func(i, j int) bool { return tl.wallScratch[i] < tl.wallScratch[j] })
+	slices.Sort(tl.wallScratch)
 	return tl.wallScratch[len(tl.wallScratch)/2]
 }
 

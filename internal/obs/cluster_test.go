@@ -177,25 +177,6 @@ func TestIngestBatchInOrder(t *testing.T) {
 	}
 }
 
-func TestSyncLocalDrainsGlobalRing(t *testing.T) {
-	resetStepsForTest()
-	EnableSteps()
-	defer DisableSteps()
-	tl := NewClusterTimeline()
-	RecordStep(fastSample(0, 7))
-	RecordStep(fastSample(0, 8))
-	tl.SyncLocal()
-	snap := tl.Snapshot()
-	if rs := snap.Ranks[0]; rs.Samples != 2 || rs.Last.Step != 8 {
-		t.Fatalf("SyncLocal: %+v", rs)
-	}
-	// Second sync with nothing new: no change.
-	tl.SyncLocal()
-	if got := tl.Snapshot().Ranks[0].Samples; got != 2 {
-		t.Fatalf("idle SyncLocal changed samples to %d", got)
-	}
-}
-
 func TestStragglerWarnLine(t *testing.T) {
 	// The WARN must be a single greppable line.
 	var sb strings.Builder

@@ -74,7 +74,6 @@ func (ms *MetricsServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (ms *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	ms.tl.SyncLocal()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -95,7 +94,6 @@ func (ms *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders Prometheus text exposition format v0.0.4. This is a
 // cold path (a scrape every few seconds); clarity over allocation-thrift.
 func (ms *MetricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	ms.tl.SyncLocal()
 	snap := ms.tl.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
@@ -143,7 +141,7 @@ func (ms *MetricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(&b, "# HELP jaxpp_straggler_flags_total Straggler flag transitions since start.\n# TYPE jaxpp_straggler_flags_total counter\njaxpp_straggler_flags_total %d\n", snap.FlagsTotal)
 	fmt.Fprintf(&b, "# HELP jaxpp_ranks Ranks reporting telemetry.\n# TYPE jaxpp_ranks gauge\njaxpp_ranks %d\n", len(ranks))
-	fmt.Fprintf(&b, "# HELP jaxpp_telemetry_samples_total Step samples published locally since start.\n# TYPE jaxpp_telemetry_samples_total counter\njaxpp_telemetry_samples_total %d\n", StepCount())
+	fmt.Fprintf(&b, "# HELP jaxpp_telemetry_samples_total Step samples this process recorded.\n# TYPE jaxpp_telemetry_samples_total counter\njaxpp_telemetry_samples_total %d\n", CounterNow(cStepSamples))
 
 	// Registry passthrough: every named counter and scope aggregate, so
 	// one scrape carries the whole profiling surface.

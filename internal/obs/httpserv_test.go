@@ -26,7 +26,6 @@ func httpGet(t *testing.T, url string) (int, string) {
 }
 
 func TestMetricsServer(t *testing.T) {
-	resetStepsForTest()
 	tl := NewClusterTimeline()
 	tl.Ingest(StepSample{Rank: 0, Step: 9, WallNs: 12e6, ComputeNs: 8e6, WireNs: 3e6,
 		IdleNs: 1e6, BytesSent: 4096, BytesRecvd: 2048, QueueDepth: 1, PoolHit: 9, PoolMiss: 1, Allocs: 100})
@@ -89,12 +88,10 @@ func TestMetricsServer(t *testing.T) {
 	}
 }
 
-// The /metrics view must follow the live ring: record more steps, scrape
-// again, counters advance — the property TestLegs' metrics leg asserts across ranks.
-func TestMetricsServerFollowsRing(t *testing.T) {
-	resetStepsForTest()
-	EnableSteps()
-	defer DisableSteps()
+// The /metrics view must follow what its timeline ingests: ingest more steps,
+// scrape again, counters advance — the property TestLegs' metrics leg asserts
+// across ranks, where a session's OnMetrics sink does the ingesting.
+func TestMetricsServerFollowsIngest(t *testing.T) {
 	tl := NewClusterTimeline()
 	ms, err := StartMetricsServer("127.0.0.1:0", tl)
 	if err != nil {
@@ -103,13 +100,13 @@ func TestMetricsServerFollowsRing(t *testing.T) {
 	defer ms.Close()
 	base := "http://" + ms.Addr()
 
-	RecordStep(StepSample{Rank: 0, Step: 0, WallNs: 1e6})
+	tl.Ingest(StepSample{Rank: 0, Step: 0, WallNs: 1e6})
 	_, body := httpGet(t, base+"/metrics")
 	if !strings.Contains(body, `jaxpp_step_total{rank="0"} 1`) {
 		t.Fatalf("first scrape missing step 1:\n%s", body)
 	}
 	for s := int64(1); s <= 4; s++ {
-		RecordStep(StepSample{Rank: 0, Step: s, WallNs: 1e6})
+		tl.Ingest(StepSample{Rank: 0, Step: s, WallNs: 1e6})
 	}
 	_, body = httpGet(t, base+"/metrics")
 	if !strings.Contains(body, `jaxpp_step_total{rank="0"} 5`) {

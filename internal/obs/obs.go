@@ -16,6 +16,11 @@
 // land in fixed-size shard rings via an atomic cursor (a full ring drops new
 // spans and counts them, it never blocks a recorder).
 //
+// The per-step telemetry record, StepSample, has no store here: the step
+// loop builds one from the live aggregates while the gate is on and hands it
+// to its dist session, whose sink (a ClusterTimeline behind /metrics) and
+// heartbeat take it from there. The gate above is the package's only one.
+//
 // Snapshot lifetime (ownership rule): SnapshotAndReset drains the registry at
 // a quiescent point — a step boundary or job end, when instrumented goroutines
 // are parked. The returned Snapshot is caller-owned, detached from registry
