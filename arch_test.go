@@ -100,6 +100,9 @@ var archRules = []archRule{
 	{name: "one path for a step sample: no process-global step ring and no second obs gate",
 		pr: 35, re: `EnableSteps|StepsEnabled|ReadStepsSince|SyncLocal`, tests: true,
 		plant: planted("internal/obs/x.go", "func EnableSteps() { stepGate.Store(true) }\n")},
+	{name: "one yield: a send gives up the P once, in the transport, not per call site",
+		pr: 36, re: `\bGosched\(`, in: []string{"internal", "cmd", "jaxpp.go"}, max: 1,
+		plant: planted("internal/runtime/x.go", "for pc := range prog {\n\tgoruntime.Gosched()\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},

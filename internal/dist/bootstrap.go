@@ -681,6 +681,12 @@ func (s *Session) RecordStep(st obs.StepSample) {
 func (s *Session) Barrier(step int) error {
 	if s.Rank != 0 {
 		if err := s.coord.send(ctrlMsg{Type: "barrier", Step: step}); err != nil {
+			// A write fails once the coordinator has closed its end, and the
+			// serve loop reads that close too: await names the departure or
+			// the poison, and returns at once when serve has exited.
+			if _, aerr := s.await(s.coord, "barrier", "barrier_ok"); aerr != nil {
+				return aerr
+			}
 			return fmt.Errorf("dist: barrier: %w", err)
 		}
 		_, err := s.await(s.coord, "barrier", "barrier_ok")

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	goruntime "runtime"
 	"testing"
@@ -24,8 +25,22 @@ import (
 // TestSendNeverWaitsForAWedgedPeer: peer 1 accepts the connection and reads
 // nothing. 64 MiB of Sends to it each return at once, the backlog shows in
 // QueueDepth, traffic to peer 2 is not held behind it, and Abort retires the
-// wedged worker.
+// wedged worker. It runs at one P too, where Send yields to a sender worker
+// that is blocked in a write: the yield must not turn into that wait.
 func TestSendNeverWaitsForAWedgedPeer(t *testing.T) {
+	for _, procs := range []int{1, 0} { // 0 leaves GOMAXPROCS as it is
+		name := "GOMAXPROCS=default"
+		if procs > 0 {
+			name = fmt.Sprintf("GOMAXPROCS=%d", procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+			sendToAWedgedPeer(t)
+		})
+	}
+}
+
+func sendToAWedgedPeer(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	wedged := rawPeer(t)
 	tr, err := NewTransport(0, Options{RecvTimeout: time.Minute})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,13 @@ type Options struct {
 // that copy for a large f64 payload: the sender worker writes header and
 // payload to the socket with one vectored write straight from the caller's
 // storage, and Settle waits for it.
+//
+// Both encode, enqueue and then yield the P once, so the sender worker — and
+// any reader that is already runnable — runs before the caller computes
+// again. A rank may run with one P (the benchmark's ranks do on two vCPUs),
+// where a frame would otherwise leave only when its actor next parks, a whole
+// segment late. The yield is no wait: the worker still does every socket
+// write, so a send never waits for its peer.
 //
 // A shaped endpoint (SetShape) models a degraded network in the same worker:
 // it holds each encoded data frame until the frame's modeled arrival, then
@@ -506,6 +514,9 @@ func (t *Transport) send(from, to, tag int, shape []int, data, residual []float6
 	if obs.Enabled() {
 		obs.Observe(scSendQueue, int64(pl.mb.Len()))
 	}
+	// With one P the worker would write this frame only when the caller next
+	// parks; yield once so it goes now (see Transport). Not a wait for the peer.
+	goruntime.Gosched()
 }
 
 // Settle implements transport.Transport: it returns once the peer's sender
