@@ -25,6 +25,7 @@ func NewLocalMesh(actors int, opts Options) (*LocalMesh, error) {
 			m.Close()
 			return nil, err
 		}
+		ep.yield = false // the ranks share the process's Ps (see Transport)
 		m.eps = append(m.eps, ep)
 		book[r] = ep.Addr()
 	}

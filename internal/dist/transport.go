@@ -76,12 +76,17 @@ type Options struct {
 // payload to the socket with one vectored write straight from the caller's
 // storage, and Settle waits for it.
 //
-// Both encode, enqueue and then yield the P once, so the sender worker — and
-// any reader that is already runnable — runs before the caller computes
-// again. A rank may run with one P (the benchmark's ranks do on two vCPUs),
-// where a frame would otherwise leave only when its actor next parks, a whole
-// segment late. The yield is no wait: the worker still does every socket
-// write, so a send never waits for its peer.
+// A rank may run alone on one P (the benchmark's ranks do on two vCPUs).
+// There a frame would leave only when its actor next parks, a whole segment
+// late, so an endpoint made in a process at GOMAXPROCS 1 yields the P once
+// after a send that queues a frame for a peer: the sender worker, and any
+// reader that is already runnable, runs before the caller computes again. A
+// self-send, and a send that finds its link failed or torn down, queues
+// nothing and does not yield. The yield is no wait: the worker still does
+// every socket write, so a send never waits for its peer. An endpoint made
+// with two or more Ps does not yield, since a spare P can take the worker;
+// nor does a LocalMesh endpoint, whose ranks share their process's P, so a
+// yield would hand it to another rank's actor.
 //
 // A shaped endpoint (SetShape) models a degraded network in the same worker:
 // it holds each encoded data frame until the frame's modeled arrival, then
@@ -118,6 +123,10 @@ type Transport struct {
 	sent      atomic.Int64
 	sentBytes atomic.Int64
 	recvd     atomic.Int64
+
+	// yield: a send that queues a frame gives up the P once (see above). Set
+	// when the endpoint is made, cleared by NewLocalMesh before any send.
+	yield bool
 }
 
 // peerLink is one outgoing connection: a lazily dialed conn plus the sender
@@ -205,6 +214,7 @@ func NewTransport(rank int, opts Options) (*Transport, error) {
 		ln:    ln,
 		peers: map[int]*peerLink{},
 		inbox: transport.NewInbox(1),
+		yield: goruntime.GOMAXPROCS(0) == 1,
 	}
 	t.rank.Store(int32(rank))
 	t.wireDType.Store(uint32(opts.DType))
@@ -514,9 +524,9 @@ func (t *Transport) send(from, to, tag int, shape []int, data, residual []float6
 	if obs.Enabled() {
 		obs.Observe(scSendQueue, int64(pl.mb.Len()))
 	}
-	// With one P the worker would write this frame only when the caller next
-	// parks; yield once so it goes now (see Transport). Not a wait for the peer.
-	goruntime.Gosched()
+	if t.yield {
+		goruntime.Gosched()
+	}
 }
 
 // Settle implements transport.Transport: it returns once the peer's sender

@@ -66,3 +66,30 @@ func TestFrameLeavesBeforeSendReturns(t *testing.T) {
 		t.Fatal("want at least 90% of the frames on the socket when Send returns")
 	}
 }
+
+// TestYieldOnlyAloneOnOneP: the yield is decided when an endpoint is made.
+// One made at GOMAXPROCS 1 yields; one made with two Ps does not, and
+// neither do the endpoints of a LocalMesh, whose ranks share the process's P.
+func TestYieldOnlyAloneOnOneP(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	alone, err := NewTransport(0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+	mesh, err := NewLocalMesh(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	goruntime.GOMAXPROCS(2)
+	twoPs, err := NewTransport(0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twoPs.Close()
+	if !alone.yield || twoPs.yield || mesh.Endpoint(0).yield || mesh.Endpoint(1).yield {
+		t.Fatalf("yield: alone at 1 P %v (want true), at 2 Ps %v, LocalMesh %v %v (want false)",
+			alone.yield, twoPs.yield, mesh.Endpoint(0).yield, mesh.Endpoint(1).yield)
+	}
+}
