@@ -103,6 +103,9 @@ var archRules = []archRule{
 	{name: "one yield: a send gives up the P once, in the transport, not per call site",
 		pr: 36, re: `\bGosched\(`, in: []string{"internal", "cmd", "jaxpp.go"}, max: 1,
 		plant: planted("internal/runtime/x.go", "for pc := range prog {\n\tgoruntime.Gosched()\n")},
+	{name: "one rounding per product: no fused multiply-add in Go or assembly",
+		pr: 38, re: `\bVF(N)?M(ADD|SUB)|math\.FMA\(`, in: []string{"internal"},
+		plant: planted("internal/tensor/x.s", "\tVFMADD231PD Y1, Y2, Y3\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},
@@ -196,13 +199,14 @@ func (r archRule) hits(fsys fs.FS) ([]string, error) {
 	return hits, err
 }
 
-// covers reports whether r reads the file at p. This file is never covered:
-// it names every pattern.
+// covers reports whether r reads the file at p: Go and assembly sources, and
+// any other file r names in in. This file is never covered: it names every
+// pattern.
 func (r archRule) covers(p string) bool {
 	switch {
 	case p == "arch_test.go":
 		return false
-	case !r.files && !strings.HasSuffix(p, ".go") && !slices.Contains(r.in, p):
+	case !r.files && !strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, ".s") && !slices.Contains(r.in, p):
 		return false
 	case !r.tests && strings.HasSuffix(p, "_test.go"):
 		return false

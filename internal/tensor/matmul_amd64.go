@@ -8,9 +8,16 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int)
 
-// useAVX2 is decided once at init; tests flip it to run the pure-Go kernel
-// through the same entry points.
-var useAVX2 = detectAVX2()
+//go:noescape
+func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz int)
+
+// useAVX2 and useAVX512 are decided once at init; tests clear them to run
+// the narrower kernels through the same entry points. The 512-bit kernel
+// leaves its column tail to the AVX2 one, so it needs both.
+var (
+	useAVX2   = detectAVX2()
+	useAVX512 = useAVX2 && detectAVX512()
+)
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state (CPUID leaf 1 OSXSAVE+AVX, XCR0 bits 1-2, leaf 7 AVX2).
@@ -31,13 +38,31 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
+// detectAVX512 reports whether the CPU has AVX-512F and the OS saves the
+// opmask and ZMM state (XCR0 bits 1-2 and 5-7, leaf 7 EBX bit 16); call it
+// only once detectAVX2 holds.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<16) != 0
+}
+
 // axpyList accumulates the listed rows of b into o; see axpyListGeneric.
 // o must be non-empty and every nzs[t].off+len(o) within b: the assembly
 // does no bounds checks.
 func axpyList(o, b []float64, nzs []nzEnt) {
-	if !useAVX2 {
+	n := len(o)
+	switch {
+	case useAVX512 && n >= 64:
+		axpyTileAVX512(&o[0], &b[0], n, &nzs[0], len(nzs))
+		if t := n &^ 63; t < n {
+			axpyListAVX2(&o[t], &b[t], n-t, &nzs[0], len(nzs))
+		}
+	case useAVX2:
+		axpyListAVX2(&o[0], &b[0], n, &nzs[0], len(nzs))
+	default:
 		axpyListGeneric(o, b, nzs)
-		return
 	}
-	axpyListAVX2(&o[0], &b[0], len(o), &nzs[0], len(nzs))
 }

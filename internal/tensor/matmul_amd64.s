@@ -149,3 +149,73 @@ g1next:
 done:
 	VZEROUPPER
 	RET
+
+// func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz int)
+//
+// The same sum as axpyListAVX2 over the first n&^63 columns only, a 64-column
+// tile of o at a time: the tile is loaded into Z0-Z7 once, every entry t in
+// ascending order adds val[t]*b[off[t]+j] to its eight lanes (VMULPD, then
+// VADDPD with the accumulator first; never an FMA), and the tile is stored
+// once. The n%64 tail is the caller's, and nnz must be at least 1. Only
+// Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state behind.
+TEXT ·axpyTileAVX512(SB), NOSPLIT, $0-40
+	MOVQ o+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ n+16(FP), DX
+	MOVQ nzs+24(FP), R12
+	MOVQ nnz+32(FP), R13
+
+tile:
+	CMPQ DX, $64
+	JLT  tdone
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	MOVQ R12, BX
+	MOVQ R13, CX
+
+entry:
+	MOVQ 0(BX), R8
+	VBROADCASTSD 8(BX), Z8
+	LEAQ (SI)(R8*8), R8
+	VMULPD 0(R8), Z8, Z9
+	VMULPD 64(R8), Z8, Z10
+	VMULPD 128(R8), Z8, Z11
+	VMULPD 192(R8), Z8, Z12
+	VADDPD Z9, Z0, Z0
+	VADDPD Z10, Z1, Z1
+	VADDPD Z11, Z2, Z2
+	VADDPD Z12, Z3, Z3
+	VMULPD 256(R8), Z8, Z13
+	VMULPD 320(R8), Z8, Z14
+	VMULPD 384(R8), Z8, Z15
+	VMULPD 448(R8), Z8, Z9
+	VADDPD Z13, Z4, Z4
+	VADDPD Z14, Z5, Z5
+	VADDPD Z15, Z6, Z6
+	VADDPD Z9, Z7, Z7
+	ADDQ $16, BX
+	DECQ CX
+	JNE  entry
+
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, SI
+	SUBQ $64, DX
+	JMP  tile
+
+tdone:
+	VZEROUPPER
+	RET

@@ -9,10 +9,20 @@ import (
 
 // The matmul micro-kernel. matMulRows compacts the non-zero entries of one
 // row of a, nzChunk (64) columns at a time, into a list of {row offset into
-// b, value} pairs and hands each list to axpyList, which exists twice: axpyListAVX2 (Go assembly, amd64
-// with AVX2, selected once at init) and axpyListGeneric (pure Go; every
-// other GOARCH, amd64 without AVX2, and the purego build tag). Both are the
-// same function bit for bit, because both keep the kernel contract:
+// b, value} pairs and hands each list to axpyList, which runs one of three
+// kernels, chosen once at init from CPUID:
+//
+//   - axpyTileAVX512 (Go assembly, amd64 with AVX-512F): each full 64-column
+//     tile of the output row stays in eight ZMM registers across the whole
+//     list, loaded and stored once; the n%64 column tail, and any row
+//     narrower than 64, goes to axpyListAVX2;
+//   - axpyListAVX2 (Go assembly, amd64 with AVX2 but not AVX-512): four
+//     list entries per pass over the output row;
+//   - axpyListGeneric (pure Go): every other GOARCH, amd64 without AVX2, and
+//     the purego build tag.
+//
+// All three are the same function bit for bit, because all keep the kernel
+// contract:
 //
 //   - vectorise across output columns j only;
 //   - every output element accumulates its terms in ascending p, one
@@ -20,7 +30,8 @@ import (
 //     `o[j] += a[i][p]*b[p][j]` loop;
 //   - never fuse the multiply into the add: no FMA instruction, no
 //     math.FMA, and an explicit float64 conversion of each product so the
-//     compiler may not fuse either;
+//     compiler may not fuse either (an arch_test.go row holds the non-test
+//     Go and the assembly files under internal/ to this);
 //   - a[i][p] == 0 contributes nothing at all (not 0*b, which would turn an
 //     Inf or NaN in b into NaN).
 //
@@ -37,7 +48,7 @@ var (
 )
 
 // nzEnt is one non-zero of a row of a: off is the element offset of row p of
-// b (p*n), val is a[i][p]. The assembly kernel reads it as two 8-byte words.
+// b (p*n), val is a[i][p]. The assembly kernels read it as two 8-byte words.
 type nzEnt struct {
 	off int
 	val float64
@@ -73,7 +84,7 @@ func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 
 // axpyListGeneric is the pure-Go kernel: for each entry t of nzs in order,
 // o[j] = o[j] + nzs[t].val*b[nzs[t].off+j] over every j. It mirrors the
-// assembly kernel term for term — four entries per pass over o, then the
+// AVX2 kernel term for term — four entries per pass over o, then the
 // remainder singly. The float64 conversions are load-bearing: the spec lets a
 // compiler fuse x*y+z into one rounding unless the product is explicitly
 // converted, and the arm64, ppc64, s390x and riscv64 back ends do. Fused, the

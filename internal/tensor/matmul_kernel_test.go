@@ -145,12 +145,13 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 	})
 }
 
-// TestMatMulKernelBitIdentical holds the assembly kernel and the pure-Go
-// kernel to the naive reference bit for bit: every k and n up to 70 (all
-// n%8 column tails, all nnz%4 list tails), every m up to 70 (inline and
-// row-block-parallel), k across the compaction-chunk boundaries, all-zero
-// rows, signed zeros, subnormals, non-finite b under the zero skip, and
-// unaligned borrowed views.
+// TestMatMulKernelBitIdentical holds every kernel this build can run (the
+// 512-bit tile kernel, the AVX2 kernel, the pure-Go kernel) to the naive
+// reference bit for bit: every k and n up to 70 (all n%8 column tails, all
+// nnz%4 list tails), every m up to 70 (inline and row-block-parallel), k
+// across the compaction-chunk boundaries, n of one and two 64-column tiles
+// with and without a tail, all-zero rows, signed zeros, subnormals,
+// non-finite b under the zero skip, and unaligned borrowed views.
 func TestMatMulKernelBitIdentical(t *testing.T) {
 	var kernels []string
 	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
@@ -178,6 +179,13 @@ func TestMatMulKernelBitIdentical(t *testing.T) {
 	}
 	for _, k := range []int{127, 128, 129, 511, 512, 513, 1030} {
 		for _, n := range []int{1, 8, 13, 40} {
+			for rep := 0; rep < 8; rep++ { // every zero share and flag set
+				add(2, k, n)
+			}
+		}
+	}
+	for _, n := range []int{63, 64, 65, 71, 127, 128, 129, 135, 263} {
+		for _, k := range []int{1, 63, 64, 65, 130} {
 			for rep := 0; rep < 8; rep++ { // every zero share and flag set
 				add(2, k, n)
 			}
@@ -282,14 +290,15 @@ func TestMatMulInlinePathAllocFree(t *testing.T) {
 
 // FuzzMatMulKernel is the differential test driven by the fuzzer, over
 // MatMulInto and MatMulNTInto alike; the committed corpus under testdata/fuzz
-// holds the boundary cases (nt-* those of the a @ bᵀ forms).
+// holds the boundary cases (nt-* those of the a @ bᵀ forms, tile-* those of
+// the 64-column tiles).
 func FuzzMatMulKernel(f *testing.F) {
 	f.Add(uint8(3), uint16(5), uint8(9), int64(1), uint8(50), uint8(0))
 	f.Add(uint8(2), uint16(513), uint8(13), int64(2), uint8(50), uint8(caseSpecials|caseViews))
 	f.Add(uint8(ntDotRows), uint16(65), uint8(7), int64(3), uint8(50), uint8(caseSpecials))
 	f.Fuzz(func(t *testing.T, m uint8, k uint16, n uint8, seed int64, zeroPct, flags uint8) {
 		checkKernelCase(t, kernelCase{
-			m: int(m) % 72, k: int(k) % 1100, n: int(n) % 72,
+			m: int(m) % 72, k: int(k) % 1100, n: int(n) % 200,
 			seed: seed, zeroPct: int(zeroPct) % 101, flags: int(flags) % 8,
 		})
 	})

@@ -327,9 +327,10 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 }
 
 // matMulGrain returns the minimum row-block size worth shipping to a worker:
-// roughly 256k flops per block — about 20 µs of the vectorised kernel at its
-// measured ~13 GFLOP/s, the same block duration the scalar kernel's 64k
-// flops bought — so small matmuls stay on the calling goroutine.
+// roughly 256k flops per block — 10-20 µs of the vector kernels at their
+// measured ~13 (AVX2) to ~20 (AVX-512) GFLOP/s dense, no more than the block
+// duration the scalar kernel's 64k flops bought — so small matmuls stay on
+// the calling goroutine.
 func matMulGrain(k, n int) int {
 	g := 131072 / (k*n + 1)
 	if g < 1 {
