@@ -106,6 +106,9 @@ var archRules = []archRule{
 	{name: "one rounding per product: no fused multiply-add in Go or assembly",
 		pr: 38, re: `\bVF(N)?M(ADD|SUB)|math\.FMA\(`, in: []string{"internal"},
 		plant: planted("internal/tensor/x.s", "\tVFMADD231PD Y1, Y2, Y3\n")},
+	{name: "one device per actor: a segment runs as its compiled program, not through a partitioner",
+		pr: 39, re: `SPMDDevices|spmd\.(Partition|Run)\(|"repro/internal/(spmd|mesh)"`, tests: true,
+		plant: planted("internal/runtime/x.go", "plan, err := spmd.Partition(g, m, specs)\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},

@@ -35,9 +35,6 @@ type leg struct {
 	// golden: a file under testdata the distributed losses must equal byte
 	// for byte on amd64, where it was written.
 	golden string
-	// unlike: flags of a second in-process run whose losses must differ
-	// from the distributed run's.
-	unlike string
 	// live: flags for the distributed run's coordinator and for its first
 	// worker, and a check made while that run trains.
 	live func(t *testing.T) (flags, worker []string, check func() error)
@@ -77,9 +74,6 @@ var legs = []leg{
 				t.Errorf("rank 3 holds optimizer state, want an empty chunk:\n%s", out)
 			}
 		}},
-	// The field crosses the payload: a -spmd 2 job is not the -spmd 1 job.
-	{name: "dp2x2-spmd2", world: 4, flags: "-dp 2 -stages 2 -mb 4 -steps 3 -momentum 0.9 -spmd 2",
-		unlike: "-dp 2 -stages 2 -mb 4 -steps 3 -momentum 0.9"},
 	// The 2×2 jobs of the former in-package process tests; the second pins
 	// that -sharded is still accepted, since bench/parity.go passes it.
 	// ROADMAP direction 8(a) removes both.
@@ -130,9 +124,6 @@ func TestLegs(t *testing.T) {
 				if !bytes.Equal(losses, want) {
 					t.Errorf("distributed losses differ from testdata/%s:\n%s\ngolden:\n%s", l.golden, losses, want)
 				}
-			}
-			if l.unlike != "" && bytes.Equal(losses, trainLocal(t, bin, strings.Fields(l.unlike))) {
-				t.Errorf("losses equal those of %q", l.unlike)
 			}
 			if l.check != nil {
 				l.check(t, out, dir)

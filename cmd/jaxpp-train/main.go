@@ -41,7 +41,6 @@ func main() {
 	flag.Bool("sharded", false, "accepted, no effect: optimizer state is always sharded by the one distributed step epilogue (inside each stage's replica group: reduce the gradients, update the ranges this rank reduced, gather the stage's parameters; ~1/world optimizer memory per rank, full parameters only on rank 0 at the end and in checkpoints)")
 	schedName := flag.String("schedule", "1f1b", "gpipe or 1f1b")
 	dp := flag.Int("dp", 0, "data-parallel pipeline replicas (0/1 disables)")
-	spmd := flag.Int("spmd", 1, "virtual SPMD devices per actor")
 	seed := flag.Uint64("seed", 1, "deterministic init seed")
 	tcp := flag.Bool("tcp", false, "communicate over localhost TCP sockets (binary wire protocol, single process)")
 	distributed := flag.Bool("distributed", false, "run across OS processes over the dist transport")
@@ -80,7 +79,7 @@ func main() {
 	spec := distrun.JobSpec{
 		Stages: *stages, NumMB: *mb, MBRows: *mbRows, Width: *width,
 		Steps: *steps, LR: *lr, Momentum: *momentum, Schedule: *schedName,
-		DataParallel: *dp, SPMD: *spmd, Seed: *seed, StepSleepMs: *stepSleep,
+		DataParallel: *dp, Seed: *seed, StepSleepMs: *stepSleep,
 		CkptDir: *ckptDir, CkptEvery: *ckptEvery,
 		Profile:   *profile || *traceOut != "",
 		Telemetry: *metricsAddr != "",

@@ -1,7 +1,7 @@
 // Transformer example: a small GPT-style stack of residual FFN blocks with a
 // tied input/output projection, pipelined over 2 actors with Interleaved
 // 1F1B (circular repeat 2 → 4 stages), exercising loop commuting (§3.4) for
-// the tied weight's gradient and SPMD execution inside each actor.
+// the tied weight's gradient.
 package main
 
 import (
@@ -61,7 +61,6 @@ func main() {
 		BatchShapes:             [][]int{{mbRows, vocab}, {mbRows, vocab}},
 		Schedule:                sched,
 		CommuteGradAccumulation: true, // §3.4: one transfer per step, not per microbatch
-		SPMDDevicesPerActor:     2,    // SPMD inside each MPMD actor
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -111,5 +110,5 @@ func main() {
 	if !(last < first) { // also catches NaN
 		log.Fatalf("loss did not improve: %.4f -> %.4f", first, last)
 	}
-	fmt.Printf("loss improved %.4f -> %.4f with tied weights, loop commuting, and MPMD-of-SPMD\n", first, last)
+	fmt.Printf("loss improved %.4f -> %.4f with tied weights and loop commuting\n", first, last)
 }

@@ -69,7 +69,6 @@ type JobSpec struct {
 	Sharded      bool   `json:"sharded,omitempty"`
 	Schedule     string `json:"schedule"`      // "gpipe" or "1f1b"
 	DataParallel int    `json:"data_parallel"` // replicas; 0 or 1 disables
-	SPMD         int    `json:"spmd"`          // virtual SPMD devices per actor; 0/1 disables
 	Seed         uint64 `json:"seed"`
 	// CkptDir enables rank-sharded checkpointing when nonempty: every
 	// CkptEvery completed steps each rank writes its share of the training
@@ -155,14 +154,24 @@ func (s JobSpec) Marshal() []byte {
 	return data
 }
 
-// UnmarshalJobSpec decodes a rendezvous job payload.
+// UnmarshalJobSpec decodes a rendezvous job payload. An actor runs one
+// device, so a payload that asks for more — the "spmd" key older
+// coordinators and -resume state files carry — is refused by name instead of
+// training as the one-device job; 0, 1 or no key at all decode.
 func UnmarshalJobSpec(data []byte) (JobSpec, error) {
-	var s JobSpec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("distrun: bad job payload: %w", err)
+	var p struct {
+		JobSpec
+		SPMD int `json:"spmd"`
 	}
+	if err := json.Unmarshal(data, &p); err != nil {
+		return p.JobSpec, fmt.Errorf("distrun: bad job payload: %w", err)
+	}
+	s := p.JobSpec
 	if s.Kind != "" && s.Kind != KindTrain {
 		return s, fmt.Errorf("distrun: payload kind %q is not a training job", s.Kind)
+	}
+	if p.SPMD != 0 && p.SPMD != 1 {
+		return s, fmt.Errorf("distrun: invalid job spec: spmd = %d, want 0 or 1 (an actor runs one device)", p.SPMD)
 	}
 	return s, s.Validate()
 }
@@ -186,7 +195,7 @@ func (s JobSpec) Validate() error {
 		v, min int
 	}{
 		{"stages", s.Stages, 1}, {"num_mb", s.NumMB, 1}, {"mb_rows", s.MBRows, 1}, {"width", s.Width, 1},
-		{"steps", s.Steps, 0}, {"data_parallel", s.DataParallel, 0}, {"spmd", s.SPMD, 0},
+		{"steps", s.Steps, 0}, {"data_parallel", s.DataParallel, 0},
 		{"ckpt_every", s.CkptEvery, 0}, {"step_sleep_ms", s.StepSleepMs, 0},
 	} {
 		if f.v < f.min {
@@ -387,14 +396,13 @@ func compile(spec JobSpec, tr transport.Transport, hostActors []int, gradSync fu
 			}
 			return b.CrossEntropy(h, mb[1])
 		},
-		ParamShapes:         paramShapes,
-		BatchShapes:         [][]int{{spec.MBRows, spec.Width}, {spec.MBRows, spec.Width}},
-		Schedule:            sched,
-		DataParallel:        spec.DataParallel,
-		DPBucketBytes:       dpBucketBytes,
-		GradSync:            gradSync,
-		SPMDDevicesPerActor: spec.SPMD,
-		HostActors:          hostActors,
+		ParamShapes:   paramShapes,
+		BatchShapes:   [][]int{{spec.MBRows, spec.Width}, {spec.MBRows, spec.Width}},
+		Schedule:      sched,
+		DataParallel:  spec.DataParallel,
+		DPBucketBytes: dpBucketBytes,
+		GradSync:      gradSync,
+		HostActors:    hostActors,
 	})
 }
 

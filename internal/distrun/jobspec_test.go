@@ -28,7 +28,6 @@ var badSpecs = []struct {
 	{"width 0", func(s *JobSpec) { s.Width = 0 }, "width = 0"},
 	{"steps -1", func(s *JobSpec) { s.Steps = -1 }, "steps = -1"},
 	{"data_parallel -2", func(s *JobSpec) { s.DataParallel = -2 }, "data_parallel = -2"},
-	{"spmd -1", func(s *JobSpec) { s.SPMD = -1 }, "spmd = -1"},
 	{"ckpt_every -1", func(s *JobSpec) { s.CkptEvery = -1 }, "ckpt_every = -1"},
 	{"step_sleep_ms -1", func(s *JobSpec) { s.StepSleepMs = -1 }, "step_sleep_ms = -1"},
 	{"world overflows", func(s *JobSpec) { s.Stages, s.DataParallel = 1<<40, 1<<40 }, "data_parallel = 1099511627776"},
@@ -118,6 +117,33 @@ func TestUnmarshalJobSpecRefusesOtherKinds(t *testing.T) {
 	}
 }
 
+// TestUnmarshalJobSpecRefusesSPMD pins that a payload asking for virtual
+// SPMD devices — from an older coordinator or a -resume state file, which
+// carry the "spmd" key — fails with an error naming it instead of training as
+// the one-device job, while 0, 1 and no key at all decode to the same spec.
+func TestUnmarshalJobSpecRefusesSPMD(t *testing.T) {
+	want, err := UnmarshalJobSpec(runnableSpec().Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"0", "1"} {
+		if got, err := UnmarshalJobSpec(withSPMD(v)); err != nil || got != want {
+			t.Errorf("spmd %s: got %+v, %v; want %+v", v, got, err, want)
+		}
+	}
+	for _, v := range []string{"-1", "2"} {
+		if _, err := UnmarshalJobSpec(withSPMD(v)); err == nil || !strings.Contains(err.Error(), "spmd = "+v) {
+			t.Errorf("spmd %s: got %v, want an error containing %q", v, err, "spmd = "+v)
+		}
+	}
+}
+
+// withSPMD is the runnable spec's payload carrying the "spmd" key set to v.
+func withSPMD(v string) []byte {
+	base := runnableSpec().Marshal()
+	return append(append(base[:len(base)-1], `,"spmd":`+v...), '}')
+}
+
 // corpusPayloads reads the committed seed corpus of FuzzUnmarshalJobSpec:
 // file name -> payload.
 func corpusPayloads(t *testing.T) map[string][]byte {
@@ -158,10 +184,11 @@ func TestCommittedJobPayloadsAccepted(t *testing.T) {
 
 // FuzzUnmarshalJobSpec drives the rendezvous payload decoder — bytes a worker
 // takes from the network and a coordinator from a -resume state file — with
-// the committed corpus plus every finite bad row above. It must never panic,
-// and a spec it accepts must be one the runners can take: valid, stable
-// through a Marshal round trip, with a world of at least one rank, and (when
-// small enough to keep iterations cheap) buildable by InitModel and Compile.
+// the committed corpus, every finite bad row above and the refused "spmd"
+// payloads. It must never panic, and a spec it accepts must be one the
+// runners can take: valid, stable through a Marshal round trip, with a world
+// of at least one rank, and (when small enough to keep iterations cheap)
+// buildable by InitModel and Compile.
 func FuzzUnmarshalJobSpec(f *testing.F) {
 	for _, c := range badSpecs {
 		spec := runnableSpec()
@@ -170,6 +197,8 @@ func FuzzUnmarshalJobSpec(f *testing.F) {
 			f.Add(spec.Marshal())
 		}
 	}
+	f.Add(withSPMD("-1"))
+	f.Add(withSPMD("2"))
 	f.Add([]byte(`{"kind":"collective","world":8}`))
 	f.Add([]byte(`{"stages":`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -205,7 +234,7 @@ func FuzzUnmarshalJobSpec(f *testing.F) {
 		}
 		if !small(1<<16, spec.Stages, spec.Width, spec.Width) ||
 			!small(1<<16, spec.Replicas(), spec.NumMB, spec.MBRows, spec.Width) ||
-			!small(1<<8, spec.Replicas(), spec.Stages, spec.NumMB, max(spec.SPMD, 1)) {
+			!small(1<<8, spec.Replicas(), spec.Stages, spec.NumMB) {
 			return
 		}
 		InitModel(spec)

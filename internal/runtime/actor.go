@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
@@ -18,9 +19,9 @@ var (
 	scAdd   = obs.Scope("actor/add")
 )
 
-// Actor is one long-lived SPMD execution unit: it owns an object store and
-// executes fused instruction programs, communicating with peers only through
-// the transport.
+// Actor is one long-lived execution unit over one device: it owns an object
+// store and executes fused instruction programs, communicating with peers
+// only through the transport.
 type Actor struct {
 	ID    int
 	Store *Store
@@ -37,16 +38,15 @@ type Actor struct {
 	outBuf []*tensor.Tensor
 }
 
-// segmentExecutable is a "compiled" pipeline segment: in this reproduction
-// compilation is graph verification plus closure capture; XLA's role as the
+// segmentExecutable is a "compiled" pipeline segment: XLA's role as the
 // per-task executor is played by the compiled IR program (see Cluster.Load).
-// runInto writes the segment's outputs into a caller slice so steady-state
-// dispatch performs no allocation; inputs are borrowed (never mutated, never
-// retained).
+// Its RunInto writes the segment's outputs into a caller slice so
+// steady-state dispatch performs no allocation; inputs are borrowed (never
+// mutated, never retained).
 type segmentExecutable struct {
-	seg     int
-	scope   obs.ScopeID // "seg/<idx>" timing scope, assigned at Load
-	runInto func(outs, inputs []*tensor.Tensor) error
+	seg   int
+	scope obs.ScopeID // "seg/<idx>" timing scope, assigned at Load
+	prog  *interp.Program
 }
 
 // NewActor builds an actor bound to a transport.
@@ -115,7 +115,7 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		}
 		outs := a.outBuf[:len(in.Outs)]
 		h := obs.TrackTid(se.scope, a.ID)
-		err = se.runInto(outs, args)
+		err = se.prog.RunInto(outs, args)
 		h.Stop()
 		if err != nil {
 			return err

@@ -6,9 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/mesh"
-	"repro/internal/spmd"
 	"repro/internal/taskgraph"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -43,12 +40,6 @@ func NewClusterWithTransport(n int, tr transport.Transport) *Cluster {
 
 // LoadOptions configures how segments are "compiled" onto actors.
 type LoadOptions struct {
-	// SPMDDevices > 1 executes each segment SPMD-sharded over that many
-	// virtual devices inside the actor (batch-dimension data parallelism on
-	// a [("intra", n)] mesh), demonstrating the MPMD-of-SPMD structure: XLA
-	// SPMD within a task, JaxPP MPMD across tasks.
-	SPMDDevices int
-
 	// DataParallel loads the program onto this many pipeline replicas over
 	// disjoint actor ranges: replica r owns actors [r·P, (r+1)·P) where P is
 	// the program's actor count, the row-major layout of a
@@ -118,8 +109,9 @@ func (c *Cluster) Load(prog *taskgraph.Program, opts LoadOptions) (*Executable, 
 			hostedPos[a%pp] = true
 		}
 	}
-	// Compile each hosted pipeline position's segments once; the runner
-	// closures are pure over immutable graphs/plans, so replicas share them.
+	// Compile each hosted pipeline position's segments once to a closure
+	// program with liveness-driven buffer pooling; the programs are
+	// immutable, so replicas share them.
 	segsByActor := make([][]*segmentExecutable, pp)
 	for a, instrs := range prog.Actors {
 		if !hostedPos[a] {
@@ -133,11 +125,11 @@ func (c *Cluster) Load(prog *taskgraph.Program, opts LoadOptions) (*Executable, 
 		}
 		for segIdx := range needed {
 			seg := prog.Split.Segments[segIdx]
-			run, err := makeRunner(seg.Graph, opts)
+			run, err := interp.NewProgram(seg.Graph)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: compiling segment %d: %w", segIdx, err)
 			}
-			segsByActor[a] = append(segsByActor[a], &segmentExecutable{seg: segIdx, runInto: run})
+			segsByActor[a] = append(segsByActor[a], &segmentExecutable{seg: segIdx, prog: run})
 		}
 	}
 	for r := 0; r < replicas; r++ {
@@ -217,50 +209,6 @@ func (e *Executable) SetStepEpilogue(actor int, fn func(*Store) error) error {
 	}
 	e.epilogues[actor] = fn
 	return nil
-}
-
-// makeRunner builds the per-segment executor: compiled interpretation, or
-// SPMD execution over the actor's intra-actor device mesh. With SPMD enabled,
-// every input whose leading dimension divides evenly is sharded over the
-// intra-actor mesh; the partitioner inserts whatever collectives the sharding
-// choice requires, so numerics are preserved for any choice. Either way the
-// runner writes outputs into the caller's slice (allocation-free dispatch).
-func makeRunner(g *ir.Graph, opts LoadOptions) (func(outs, inputs []*tensor.Tensor) error, error) {
-	if opts.SPMDDevices <= 1 {
-		// Compile once to a closure program with liveness-driven buffer
-		// pooling; replicas share the immutable program.
-		prog, err := interp.NewProgram(g)
-		if err != nil {
-			return nil, err
-		}
-		return prog.RunInto, nil
-	}
-	m, err := mesh.New(mesh.Axis{Name: "intra", Size: opts.SPMDDevices})
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]mesh.Spec, len(g.Inputs))
-	for i, v := range g.Inputs {
-		specs[i] = mesh.Replicated(len(v.Shape))
-		if len(v.Shape) >= 1 && v.Shape[0]%opts.SPMDDevices == 0 {
-			specs[i][0] = "intra"
-		}
-	}
-	plan, err := spmd.Partition(g, m, specs)
-	if err != nil {
-		return nil, err
-	}
-	return func(outs, ins []*tensor.Tensor) error {
-		res, _, err := spmd.Run(plan, ins)
-		if err != nil {
-			return err
-		}
-		if len(res) != len(outs) {
-			return fmt.Errorf("runtime: SPMD segment returned %d outputs, program expects %d", len(res), len(outs))
-		}
-		copy(outs, res)
-		return nil
-	}, nil
 }
 
 // Step runs one training step. inputs must match the original traced graph's

@@ -86,7 +86,7 @@ func stdSchedules() []pipelineCase {
 
 // runPipeline compiles and executes the MPMD program and returns losses and
 // gradients.
-func runPipeline(t *testing.T, g *ir.Graph, sched *schedule.Schedule, commute bool, spmdDevs int, params []*tensor.Tensor, fullX, fullY *tensor.Tensor) ([]*tensor.Tensor, []*tensor.Tensor, *Executable) {
+func runPipeline(t *testing.T, g *ir.Graph, sched *schedule.Schedule, commute bool, params []*tensor.Tensor, fullX, fullY *tensor.Tensor) ([]*tensor.Tensor, []*tensor.Tensor, *Executable) {
 	t.Helper()
 	split, err := stage.SplitGraph(g, stage.Options{CommuteGradAccumulation: commute})
 	if err != nil {
@@ -97,7 +97,7 @@ func runPipeline(t *testing.T, g *ir.Graph, sched *schedule.Schedule, commute bo
 		t.Fatal(err)
 	}
 	cl := NewCluster(sched.NumActors)
-	exe, err := cl.Load(prog, LoadOptions{SPMDDevices: spmdDevs})
+	exe, err := cl.Load(prog, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMPMDGradientEquivalence(t *testing.T) {
 					fullX := rng.Normal(1, numMB*mbRows, width)
 					fullY := rng.OneHotBatch(numMB*mbRows, width)
 					wantL, wantG := referenceAccumulate(t, g, params, fullX, fullY, numMB)
-					gotL, gotG, _ := runPipeline(t, g, sc.sched(stages, numMB), false, 1, params, fullX, fullY)
+					gotL, gotG, _ := runPipeline(t, g, sc.sched(stages, numMB), false, params, fullX, fullY)
 					for mb := range wantL {
 						if !tensor.AllClose(gotL[mb], wantL[mb], 1e-10, 1e-12) {
 							t.Fatalf("loss mb %d: got %v want %v", mb, gotL[mb], wantL[mb])
@@ -158,7 +158,7 @@ func TestInterleavedGradientEquivalence(t *testing.T) {
 	fullX := rng.Normal(1, numMB*mbRows, width)
 	fullY := rng.OneHotBatch(numMB*mbRows, width)
 	wantL, wantG := referenceAccumulate(t, g, params, fullX, fullY, numMB)
-	gotL, gotG, _ := runPipeline(t, g, sched, false, 1, params, fullX, fullY)
+	gotL, gotG, _ := runPipeline(t, g, sched, false, params, fullX, fullY)
 	for mb := range wantL {
 		if !tensor.AllClose(gotL[mb], wantL[mb], 1e-10, 1e-12) {
 			t.Fatalf("loss mb %d differs", mb)
@@ -166,31 +166,6 @@ func TestInterleavedGradientEquivalence(t *testing.T) {
 	}
 	for i := range wantG {
 		if !tensor.AllClose(gotG[i], wantG[i], 1e-10, 1e-12) {
-			t.Fatalf("grad %d differs by %v", i, tensor.MaxAbsDiff(gotG[i], wantG[i]))
-		}
-	}
-}
-
-func TestMPMDOfSPMD(t *testing.T) {
-	// Each actor executes its segments SPMD-sharded over 2 virtual devices.
-	stages, numMB, width, mbRows := 3, 6, 6, 4
-	g := buildMLPGrad(t, stages, mbRows, width)
-	rng := tensor.NewRNG(5)
-	params := make([]*tensor.Tensor, stages)
-	for i := range params {
-		params[i] = rng.Normal(0.5, width, width)
-	}
-	fullX := rng.Normal(1, numMB*mbRows, width)
-	fullY := rng.OneHotBatch(numMB*mbRows, width)
-	wantL, wantG := referenceAccumulate(t, g, params, fullX, fullY, numMB)
-	gotL, gotG, _ := runPipeline(t, g, schedule.OneFOneB(stages, numMB), false, 2, params, fullX, fullY)
-	for mb := range wantL {
-		if !tensor.AllClose(gotL[mb], wantL[mb], 1e-9, 1e-12) {
-			t.Fatalf("loss mb %d differs", mb)
-		}
-	}
-	for i := range wantG {
-		if !tensor.AllClose(gotG[i], wantG[i], 1e-9, 1e-12) {
 			t.Fatalf("grad %d differs by %v", i, tensor.MaxAbsDiff(gotG[i], wantG[i]))
 		}
 	}
@@ -338,7 +313,7 @@ func TestPeakMemory1F1BBelowGPipe(t *testing.T) {
 	fullY := rng.OneHotBatch(numMB*mbRows, width)
 
 	peak := func(sched *schedule.Schedule) int64 {
-		_, _, exe := runPipeline(t, g, sched, false, 1, params, fullX, fullY)
+		_, _, exe := runPipeline(t, g, sched, false, params, fullX, fullY)
 		stats := exe.StoreStatsAll()
 		return stats[0].PeakBytes
 	}

@@ -1,6 +1,6 @@
 // Package runtime implements JaxPP's single-controller MPMD runtime (§4):
-// long-lived SPMD actors each own an object store of device buffers and
-// execute one fused instruction program per training step, communicating
+// long-lived actors, one device each, own an object store of device buffers
+// and execute one fused instruction program per training step, communicating
 // exclusively through point-to-point sends and receives on a
 // transport.Transport. A send is the transport's Send and nothing else: that
 // it never waits for the receiver (§4.2) is the transport's property — a

@@ -204,9 +204,6 @@ func (s *Split) inferInputPlacement() {
 	}
 }
 
-// SegmentOfGrad returns the segment that produces the given partial.
-func (s *Split) SegmentOfGrad(p GradPartial) *Segment { return s.Segments[p.Seg] }
-
 // CrossSegmentEdges enumerates every (producer segment, consumer segment,
 // value) activation edge — the communication JaxPP must infer.
 func (s *Split) CrossSegmentEdges() []CutValue {

@@ -152,11 +152,12 @@ func TestMatMulKernels(t *testing.T) {
 			t.Fatalf("MatMulReLUInto(%d) mismatch", size)
 		}
 		c := rnd(r, size, size)
-		if got := MatMulAddReLU(a, b, c); !AllClose(got, ReLU(Add(want, c)), 1e-9, 1e-9) {
-			t.Fatalf("MatMulAddReLU(%d) mismatch", size)
+		fused := GetScratchShaped(size, size)
+		if MatMulAddReLUInto(fused, a, b, c); !AllClose(fused, ReLU(Add(want, c)), 1e-9, 1e-9) {
+			t.Fatalf("MatMulAddReLUInto(%d) mismatch", size)
 		}
-		if got := MatMulAddReLU(a, b, Scalar(0.5)); !AllClose(got, ReLU(Add(want, Scalar(0.5))), 1e-9, 1e-9) {
-			t.Fatalf("MatMulAddReLU(%d, scalar) mismatch", size)
+		if MatMulAddReLUInto(fused, a, b, Scalar(0.5)); !AllClose(fused, ReLU(Add(want, Scalar(0.5))), 1e-9, 1e-9) {
+			t.Fatalf("MatMulAddReLUInto(%d, scalar) mismatch", size)
 		}
 	}
 }

@@ -144,29 +144,6 @@ func MulInto(dst, a, b *Tensor) {
 	}
 }
 
-// Div returns a / b elementwise with scalar broadcasting.
-func Div(a, b *Tensor) *Tensor {
-	checkBinShapes("Div", a, b)
-	out := New(binShape(a, b)...)
-	switch {
-	case SameShape(a, b):
-		for i, x := range a.data {
-			out.data[i] = x / b.data[i]
-		}
-	case b.Rank() == 0:
-		y := b.data[0]
-		for i, x := range a.data {
-			out.data[i] = x / y
-		}
-	default:
-		x := a.data[0]
-		for i, y := range b.data {
-			out.data[i] = x / y
-		}
-	}
-	return out
-}
-
 // Maximum returns elementwise max(a, b) with scalar broadcasting.
 func Maximum(a, b *Tensor) *Tensor {
 	checkBinShapes("Maximum", a, b)
@@ -213,9 +190,6 @@ func AxpyInto(dst, a *Tensor, s float64) {
 		dst.data[i] += s * x
 	}
 }
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
 // Map applies f elementwise. Specialized kernels below avoid this closure
 // dispatch on hot paths; Map remains for cold transcendental ops.
@@ -420,7 +394,7 @@ func MatMulAddReLUInto(dst, a, b, c *Tensor) {
 	m, k, n := matMulShapes(a, b)
 	checkDst2("MatMulAddReLUInto", dst, m, n)
 	if c.Rank() != 0 && (len(c.shape) != 2 || c.shape[0] != m || c.shape[1] != n) {
-		panic(fmt.Sprintf("tensor: MatMulAddReLU addend shape %v, want %v or scalar", c.shape, []int{m, n}))
+		panic(fmt.Sprintf("tensor: MatMulAddReLUInto addend shape %v, want %v or scalar", c.shape, []int{m, n}))
 	}
 	if m < 2*matMulGrain(k, n) {
 		matMulRows(dst.data, a.data, b.data, k, n, 0, m)
@@ -454,14 +428,6 @@ func addReluSpan(data []float64, c *Tensor, lo, hi int) {
 		}
 		data[i] = v
 	}
-}
-
-// MatMulAddReLU returns relu(a @ b + c) — the pure form of the fused kernel.
-func MatMulAddReLU(a, b, c *Tensor) *Tensor {
-	m, _, n := matMulShapes(a, b)
-	out := New(m, n)
-	MatMulAddReLUInto(out, a, b, c)
-	return out
 }
 
 // Transpose returns the rank-2 transpose of a.
@@ -569,26 +535,6 @@ func SumAxis0Into(dst, a *Tensor) {
 	}
 }
 
-// MeanAxis0 averages over the leading axis.
-func MeanAxis0(a *Tensor) *Tensor {
-	return Scale(SumAxis0(a), 1/float64(a.shape[0]))
-}
-
-// Slice0 returns the i-th sub-tensor along axis 0: shape (d1, ...).
-func Slice0(a *Tensor, i int) *Tensor {
-	if a.Rank() == 0 {
-		panic("tensor: cannot Slice0 a scalar")
-	}
-	if i < 0 || i >= a.shape[0] {
-		panic(fmt.Sprintf("tensor: Slice0 index %d out of range for shape %v", i, a.shape))
-	}
-	rest := a.shape[1:]
-	stride := NumElements(rest)
-	out := New(rest...)
-	copy(out.data, a.data[i*stride:(i+1)*stride])
-	return out
-}
-
 // SliceRange0 returns rows [lo, hi) along axis 0.
 func SliceRange0(a *Tensor, lo, hi int) *Tensor {
 	if a.Rank() == 0 || lo < 0 || hi > a.shape[0] || lo > hi {
@@ -633,29 +579,6 @@ func Stack0(parts []*Tensor) *Tensor {
 	stride := parts[0].Size()
 	for i, p := range parts {
 		copy(out.data[i*stride:(i+1)*stride], p.data)
-	}
-	return out
-}
-
-// Concat0 concatenates tensors along the existing leading axis.
-func Concat0(parts []*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: Concat0 of zero tensors")
-	}
-	rest := parts[0].shape[1:]
-	rows := 0
-	for _, p := range parts {
-		if !ShapeEq(p.shape[1:], rest) {
-			panic(fmt.Sprintf("tensor: Concat0 trailing-shape mismatch %v vs %v", p.shape, parts[0].shape))
-		}
-		rows += p.shape[0]
-	}
-	shape := append([]int{rows}, rest...)
-	out := New(shape...)
-	off := 0
-	for _, p := range parts {
-		copy(out.data[off:off+p.Size()], p.data)
-		off += p.Size()
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAddSubMulDiv(t *testing.T) {
+func TestAddSubMul(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := MustFromSlice([]float64{4, 3, 2, 1}, 2, 2)
 	if got := Add(a, b).Data(); got[0] != 5 || got[3] != 5 {
@@ -73,9 +73,6 @@ func TestAddSubMulDiv(t *testing.T) {
 	}
 	if got := Mul(a, b).Data(); got[1] != 6 {
 		t.Fatalf("mul=%v", got)
-	}
-	if got := Div(a, b).Data(); got[3] != 4 {
-		t.Fatalf("div=%v", got)
 	}
 }
 
@@ -191,34 +188,28 @@ func TestSumAndSumAxis0(t *testing.T) {
 	}
 }
 
-func TestMeanAxis0(t *testing.T) {
-	a := MustFromSlice([]float64{2, 4, 6, 8}, 2, 2)
-	m := MeanAxis0(a)
-	want := MustFromSlice([]float64{4, 6}, 2)
-	if !AllClose(m, want, 0, 0) {
-		t.Fatalf("mean=%v", m)
-	}
-}
-
 func TestSliceAndStack(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
-	s1 := Slice0(a, 1)
-	if !AllClose(s1, MustFromSlice([]float64{3, 4}, 2), 0, 0) {
-		t.Fatalf("slice=%v", s1)
+	parts := make([]*Tensor, 3)
+	for i := range parts {
+		parts[i] = Reshape(SliceRange0(a, i, i+1), 2)
 	}
-	parts := []*Tensor{Slice0(a, 0), Slice0(a, 1), Slice0(a, 2)}
+	if !AllClose(parts[1], MustFromSlice([]float64{3, 4}, 2), 0, 0) {
+		t.Fatalf("slice=%v", parts[1])
+	}
 	back := Stack0(parts)
 	if !AllClose(back, a, 0, 0) {
 		t.Fatalf("stack(slices) != original: %v", back)
 	}
 }
 
-func TestSliceRange0AndConcat0(t *testing.T) {
+func TestSliceRange0(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
-	lo := SliceRange0(a, 0, 2)
-	hi := SliceRange0(a, 2, 4)
-	if !AllClose(Concat0([]*Tensor{lo, hi}), a, 0, 0) {
-		t.Fatal("concat(split) != original")
+	if got := SliceRange0(a, 1, 3); !AllClose(got, MustFromSlice([]float64{3, 4, 5, 6}, 2, 2), 0, 0) {
+		t.Fatalf("rows [1,3) = %v", got)
+	}
+	if got := SliceRange0(a, 2, 2); !got.HasShape([]int{0, 2}) {
+		t.Fatalf("rows [2,2) have shape %v, want [0 2]", got.Shape())
 	}
 }
 

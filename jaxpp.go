@@ -1,7 +1,7 @@
 // Package jaxpp is a Go reproduction of "Scaling Deep Learning Training with
 // MPMD Pipeline Parallelism" (JaxPP, MLSys 2025): a compiler and
 // single-controller MPMD runtime for pipeline-parallel gradient-accumulation
-// training, layered over an SPMD (GSPMD-style) sharding substrate.
+// training.
 //
 // The programming model mirrors the paper's Fig. 4: a model is written once
 // as a microbatch loss function against a tracing Builder, stage boundaries
@@ -117,9 +117,6 @@ type CompileSpec struct {
 	// CommuteGradAccumulation enables the §3.4 loop-commuting rewrite for
 	// shared (tied) weights.
 	CommuteGradAccumulation bool
-	// SPMDDevicesPerActor executes each task SPMD-sharded over this many
-	// virtual devices inside every actor (MPMD of SPMD). 0 or 1 disables.
-	SPMDDevicesPerActor int
 	// DisableBufferDeletion turns off the §4.3 liveness pass (ablation).
 	DisableBufferDeletion bool
 	// DataParallel composes pipeline parallelism with this many data-parallel
@@ -233,7 +230,6 @@ func (m *RemoteMesh) Compile(spec CompileSpec) (*TrainStep, error) {
 		return nil, err
 	}
 	exe, err := m.cluster.Load(prog, runtime.LoadOptions{
-		SPMDDevices:  spec.SPMDDevicesPerActor,
 		DataParallel: spec.DataParallel,
 		HostActors:   spec.HostActors,
 	})
