@@ -109,6 +109,9 @@ var archRules = []archRule{
 	{name: "one device per actor: a segment runs as its compiled program, not through a partitioner",
 		pr: 39, re: `SPMDDevices|spmd\.(Partition|Run)\(|"repro/internal/(spmd|mesh)"`, tests: true,
 		plant: planted("internal/runtime/x.go", "plan, err := spmd.Partition(g, m, specs)\n")},
+	{name: "one exp and one log: tensor owns them, so their bits do not follow the CPU's FMA flag",
+		pr: 41, re: `math\.(Exp|Log)\b`, except: `^\s*//`, in: []string{"internal"},
+		plant: planted("internal/model/x.go", "y := math.Exp(x)\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},

@@ -19,7 +19,10 @@ import (
 //   - fuse MatMul→ReLU and MatMul→Add→ReLU chains into single kernels,
 //   - never materialise a Transpose whose one consumer is the right operand
 //     of a MatMul: the pair runs as tensor.MatMulNTInto on the untransposed
-//     operand (the ct·Wᵀ of every backward pass).
+//     operand (the ct·Wᵀ of every backward pass),
+//   - compute one softmax for a loss and its gradient: an xent and an
+//     xent_grad on the same (logits, targets) — the pair every last-stage
+//     segment holds — share the softmax the xent computes.
 //
 // Aliasing is tracked per storage root: Reshape views and in-place results
 // share their operand's root, and a root is recycled only after every value
@@ -59,12 +62,15 @@ type compiler struct {
 	freed    []bool        // per root slot: a recycle has been scheduled
 	uses     map[int][]int // value ID -> consuming eqn indices (ir.Graph.Uses)
 	ntSrc    map[int]int   // slot of a fused-away Transpose -> slot of its operand
-	instrs   []pinstr
+	// softmaxOf marks the xent_grad eqns whose output slot the xent on the
+	// same (logits, targets) fills with softmax(logits) before they run.
+	softmaxOf map[int]bool
+	instrs    []pinstr
 }
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
-	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), ntSrc: map[int]int{}}
+	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), ntSrc: map[int]int{}, softmaxOf: map[int]bool{}}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -312,8 +318,43 @@ func (c *compiler) emit(i int) int {
 		}
 		return i
 
+	case ir.OpXent:
+		l, y := args[0], args[1]
+		lShape := e.Inputs[0].Shape
+		c.freshOut(i, out)
+		g := -1 // the slot that keeps the softmax, if any
+		if j := c.xentGradOf(i, e); j >= 0 {
+			// The softmax goes where xent_grad j turns it into the gradient
+			// in place: that slot is a program-owned root from here on, and
+			// it lives at least until j runs.
+			g = c.slot(c.g.Eqns[j].Outputs[0])
+			c.softmaxOf[j] = true
+			c.owned[g] = true
+			c.raiseRootLast(g, j)
+		}
+		c.push(i, func(env []*tensor.Tensor) error {
+			loss, p := tensor.GetScratchShaped(), tensor.GetScratchShaped(lShape...)
+			tensor.CrossEntropySoftmaxInto(loss, p, env[l], env[y])
+			env[out] = loss
+			if g >= 0 {
+				env[g] = p
+			} else {
+				tensor.Recycle(p)
+			}
+			return nil
+		}, involved)
+		return i
+
 	case ir.OpXentGrad:
 		a, b := args[0], args[1]
+		if c.softmaxOf[i] {
+			c.push(i, func(env []*tensor.Tensor) error {
+				t := env[out]
+				tensor.CrossEntropyGradOfSoftmaxInto(t, t, env[b])
+				return nil
+			}, involved)
+			return i
+		}
 		// dst may alias the logits but never the targets.
 		if c.adoptable(i, a, e.Inputs[0].Shape, outShape) && c.root[b] != c.root[a] {
 			c.adopt(i, a, out)
@@ -393,6 +434,23 @@ func (c *compiler) emit(i int) int {
 		}, involved)
 		return i
 	}
+}
+
+// xentGradOf returns the index of the first xent_grad after the xent at eqn
+// i that reads the same logits and targets and has no softmax yet, or -1.
+// The two then compute CrossEntropy and CrossEntropyGradInto from one
+// SoftmaxInto, the same bits as two.
+func (c *compiler) xentGradOf(i int, e *ir.Equation) int {
+	l, y := e.Inputs[0].ID, e.Inputs[1].ID
+	for _, j := range c.uses[l] {
+		if j <= i || j >= len(c.g.Eqns) || c.softmaxOf[j] {
+			continue
+		}
+		if f := c.g.Eqns[j]; f.Op == ir.OpXentGrad && f.Inputs[0].ID == l && f.Inputs[1].ID == y {
+			return j
+		}
+	}
+	return -1
 }
 
 // soleRightOperandOf returns the index of the MatMul whose right operand is

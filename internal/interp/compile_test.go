@@ -286,7 +286,7 @@ func TestTransposeMatMulFusion(t *testing.T) {
 
 	// Steady state: the fused pair draws its destination and its non-zero
 	// lists from pools, so the program allocates exactly what it does with
-	// dx cut out of it (the loss primitives' reference fallbacks).
+	// dx cut out of it.
 	if !raceEnabled {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		runtime.GC()
@@ -458,4 +458,86 @@ func benchProgram(b *testing.B, prefix string, g *ir.Graph, inputs []*tensor.Ten
 			}
 		}
 	})
+}
+
+// softmaxRows runs p once and returns its outputs with the number of rows
+// SoftmaxInto normalised meanwhile (the exact softmax/rows counter).
+func softmaxRows(t *testing.T, p *Program, inputs []*tensor.Tensor) ([]*tensor.Tensor, int64) {
+	t.Helper()
+	obs.Enable()
+	defer obs.Disable()
+	c := obs.Counter("softmax/rows")
+	before := obs.CounterNow(c)
+	got, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, obs.CounterNow(c) - before
+}
+
+// TestXentSharesSoftmax: an xent and an xent_grad on the same logits and
+// targets run one softmax between them, and the loss and gradient are
+// Eval's bit for bit; an xent alone, or one whose gradient reads other
+// targets, computes its own.
+func TestXentSharesSoftmax(t *testing.T) {
+	const rows, width = 8, 32
+	g, inputs := stageGrad(t, rows, width)
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, n := softmaxRows(t, p, inputs)
+	if n != rows {
+		t.Errorf("the loss segment normalised %d softmax rows, want %d (one softmax)", n, rows)
+	}
+	sameBitsAsEval(t, g, inputs, got)
+	for step := 0; step < 3; step++ { // pooled storage the next run reuses
+		again, err := p.Run(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBitsAsEval(t, g, inputs, again)
+		sameBitsAsEval(t, g, inputs, got)
+	}
+
+	rng := tensor.NewRNG(13)
+	l, y, y2 := rng.Normal(3, rows, width), rng.OneHotBatch(rows, width), rng.OneHotBatch(rows, width)
+	for _, c := range []struct {
+		name  string
+		build func(b *trace.Builder, l, y, y2 *ir.Value) []*ir.Value
+		rows  int64
+	}{
+		{"loss alone", func(b *trace.Builder, l, y, _ *ir.Value) []*ir.Value {
+			return []*ir.Value{b.CrossEntropy(l, y)}
+		}, rows},
+		{"gradient of other targets", func(b *trace.Builder, l, y, y2 *ir.Value) []*ir.Value {
+			return []*ir.Value{b.CrossEntropy(l, y), b.Graph().MustEmit(ir.OpXentGrad, ir.Attrs{}, l, y2)}
+		}, 2 * rows},
+		{"two losses, one gradient", func(b *trace.Builder, l, y, _ *ir.Value) []*ir.Value {
+			return []*ir.Value{b.CrossEntropy(l, y), b.CrossEntropy(l, y), b.Graph().MustEmit(ir.OpXentGrad, ir.Attrs{}, l, y)}
+		}, 2 * rows},
+		{"gradient before the loss", func(b *trace.Builder, l, y, _ *ir.Value) []*ir.Value {
+			gl := b.Graph().MustEmit(ir.OpXentGrad, ir.Attrs{}, l, y)
+			return []*ir.Value{gl, b.CrossEntropy(l, y)}
+		}, 2 * rows},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := trace.Trace(c.name, func(b *trace.Builder) []*ir.Value {
+				return c.build(b, b.Input("l", rows, width), b.Input("y", rows, width), b.Input("y2", rows, width))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewProgram(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := []*tensor.Tensor{l, y, y2}
+			got, n := softmaxRows(t, p, in)
+			if n != c.rows {
+				t.Errorf("normalised %d softmax rows, want %d", n, c.rows)
+			}
+			sameBitsAsEval(t, g, in, got)
+		})
+	}
 }

@@ -109,28 +109,32 @@ func BenchmarkMatMulFused(b *testing.B) {
 }
 
 // BenchmarkElementwise measures the specialized elementwise loops, pure vs
-// destination-passing.
+// destination-passing, at 1 024 elements (a pp4-small gradient, which
+// Store.Accumulate adds), 32 768 (a pp4-compute activation) and 65 536.
 func BenchmarkElementwise(b *testing.B) {
-	const n = 1 << 16
-	r := rand.New(rand.NewSource(1))
-	x := rnd(r, n)
-	y := rnd(r, n)
-	dst := New(n)
-	b.Run("AddPure", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = Add(x, y)
-		}
-	})
-	b.Run("AddInto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			AddInto(dst, x, y)
-		}
-	})
-	b.Run("AxpyInto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			AxpyInto(dst, x, 0.5)
-		}
-	})
+	for _, n := range []int{1024, 32768, 1 << 16} {
+		r := rand.New(rand.NewSource(1))
+		x := rnd(r, n)
+		y := rnd(r, n)
+		dst := New(n)
+		b.Run(fmt.Sprintf("AddPure/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = Add(x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("AddInto/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(24 * n))
+			for i := 0; i < b.N; i++ {
+				AddInto(dst, x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("AxpyInto/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(24 * n))
+			for i := 0; i < b.N; i++ {
+				AxpyInto(dst, x, 0.5)
+			}
+		})
+	}
 }
 
 // BenchmarkReLU measures the two ReLU loops on half-negative data, where a

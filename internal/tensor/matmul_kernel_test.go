@@ -267,6 +267,55 @@ func TestMatMulFusedRouteThroughKernel(t *testing.T) {
 	})
 }
 
+// TestFusedReLUMatchesUnfused holds the fused epilogues to ReLUInto byte
+// for byte: MatMulReLUInto to ReLUInto(MatMulInto), MatMulAddReLUInto to
+// ReLUInto(AddInto(MatMulInto, c)) with c full and scalar, where b holds NaN
+// and ±Inf (so products are NaN and infinite) and the bias -0 — inline and
+// over row blocks.
+func TestFusedReLUMatchesUnfused(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, m := range []int{3, 96} {
+		const k, n = 70, 67
+		a, b, bias := rnd(r, m, k), rnd(r, k, n), rnd(r, m, n)
+		for i := range a.data {
+			if r.Intn(3) == 0 {
+				a.data[i] = 0
+			}
+		}
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i := range b.data {
+			if r.Intn(40) == 0 {
+				b.data[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		for i := range bias.data {
+			if r.Intn(4) == 0 {
+				bias.data[i] = math.Copysign(0, -1)
+			}
+		}
+		mm := New(m, n)
+		MatMulInto(mm, a, b)
+		same := func(name string, got, want *Tensor) {
+			t.Helper()
+			for i, w := range want.data {
+				if math.Float64bits(got.data[i]) != math.Float64bits(w) {
+					t.Fatalf("m=%d %s element %d = %#x, unfused %#x", m, name, i, math.Float64bits(got.data[i]), math.Float64bits(w))
+				}
+			}
+		}
+		fused, want := New(m, n), New(m, n)
+		MatMulReLUInto(fused, a, b)
+		ReLUInto(want, mm)
+		same("MatMulReLUInto", fused, want)
+		for _, c := range []*Tensor{bias, Scalar(math.Copysign(0, -1)), Scalar(math.NaN())} {
+			MatMulAddReLUInto(fused, a, b, c)
+			AddInto(want, mm, c)
+			ReLUInto(want, want)
+			same(fmt.Sprintf("MatMulAddReLUInto (bias %v)", c.Shape()), fused, want)
+		}
+	}
+}
+
 // TestMatMulInlinePathAllocFree pins 0 allocs/op for matmuls that run on the
 // calling goroutine: the non-zero list lives on the stack and never escapes
 // into the assembly call, and the few-row a @ bᵀ recycles its lists.

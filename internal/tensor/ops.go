@@ -68,18 +68,22 @@ func AddInto(dst, a, b *Tensor) {
 	checkDst("AddInto", dst, binShape(a, b))
 	switch {
 	case SameShape(a, b):
-		for i, x := range a.data {
-			dst.data[i] = x + b.data[i]
+		ad := a.data
+		bd, out := b.data[:len(ad)], dst.data[:len(ad)]
+		for i, x := range ad {
+			out[i] = x + bd[i]
 		}
 	case b.Rank() == 0:
 		y := b.data[0]
+		out := dst.data[:len(a.data)]
 		for i, x := range a.data {
-			dst.data[i] = x + y
+			out[i] = x + y
 		}
 	default:
 		x := a.data[0]
+		out := dst.data[:len(b.data)]
 		for i, y := range b.data {
-			dst.data[i] = x + y
+			out[i] = x + y
 		}
 	}
 }
@@ -98,18 +102,22 @@ func SubInto(dst, a, b *Tensor) {
 	checkDst("SubInto", dst, binShape(a, b))
 	switch {
 	case SameShape(a, b):
-		for i, x := range a.data {
-			dst.data[i] = x - b.data[i]
+		ad := a.data
+		bd, out := b.data[:len(ad)], dst.data[:len(ad)]
+		for i, x := range ad {
+			out[i] = x - bd[i]
 		}
 	case b.Rank() == 0:
 		y := b.data[0]
+		out := dst.data[:len(a.data)]
 		for i, x := range a.data {
-			dst.data[i] = x - y
+			out[i] = x - y
 		}
 	default:
 		x := a.data[0]
+		out := dst.data[:len(b.data)]
 		for i, y := range b.data {
-			dst.data[i] = x - y
+			out[i] = x - y
 		}
 	}
 }
@@ -128,18 +136,22 @@ func MulInto(dst, a, b *Tensor) {
 	checkDst("MulInto", dst, binShape(a, b))
 	switch {
 	case SameShape(a, b):
-		for i, x := range a.data {
-			dst.data[i] = x * b.data[i]
+		ad := a.data
+		bd, out := b.data[:len(ad)], dst.data[:len(ad)]
+		for i, x := range ad {
+			out[i] = x * bd[i]
 		}
 	case b.Rank() == 0:
 		y := b.data[0]
+		out := dst.data[:len(a.data)]
 		for i, x := range a.data {
-			dst.data[i] = x * y
+			out[i] = x * y
 		}
 	default:
 		x := a.data[0]
+		out := dst.data[:len(b.data)]
 		for i, y := range b.data {
-			dst.data[i] = x * y
+			out[i] = x * y
 		}
 	}
 }
@@ -177,8 +189,9 @@ func Scale(a *Tensor, s float64) *Tensor {
 // ScaleInto stores a * s into dst (dst may alias a).
 func ScaleInto(dst, a *Tensor, s float64) {
 	checkDst("ScaleInto", dst, a.shape)
+	out := dst.data[:len(a.data)]
 	for i, x := range a.data {
-		dst.data[i] = x * s
+		out[i] = x * s
 	}
 }
 
@@ -186,8 +199,9 @@ func ScaleInto(dst, a *Tensor, s float64) {
 // accumulation and optimizer updates are its callers).
 func AxpyInto(dst, a *Tensor, s float64) {
 	checkDst("AxpyInto", dst, a.shape)
+	out := dst.data[:len(a.data)]
 	for i, x := range a.data {
-		dst.data[i] += s * x
+		out[i] += s * x
 	}
 }
 
@@ -256,11 +270,13 @@ func ReLUMaskInto(dst, a *Tensor) {
 // Tanh applies tanh elementwise.
 func Tanh(a *Tensor) *Tensor { return Map(a, math.Tanh) }
 
-// Exp applies exp elementwise.
-func Exp(a *Tensor) *Tensor { return Map(a, math.Exp) }
+// Exp applies exp elementwise: the scalar exp of exp.go, the same bits on
+// every CPU.
+func Exp(a *Tensor) *Tensor { return Map(a, expScalar) }
 
-// Log applies natural log elementwise.
-func Log(a *Tensor) *Tensor { return Map(a, math.Log) }
+// Log applies natural log elementwise (logScalar: Go's amd64 math.Log bits
+// on every CPU).
+func Log(a *Tensor) *Tensor { return Map(a, logScalar) }
 
 // matMulShapes validates rank-2 operands and returns (m, k, n).
 func matMulShapes(a, b *Tensor) (m, k, n int) {
@@ -378,12 +394,17 @@ func MatMulReLUInto(dst, a, b *Tensor) {
 	})
 }
 
-// reluSpan clamps data[lo:hi] at zero in place.
+// reluSpan stores max(data[i], 0) over data[lo:hi] in place, as ReLUInto
+// does: +0 for a NaN and for -0, selected on positiveBits.
 func reluSpan(data []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if data[i] < 0 {
-			data[i] = 0
+	span := data[lo:hi]
+	for i, x := range span {
+		bits := math.Float64bits(x)
+		var r uint64
+		if positiveBits(bits) {
+			r = bits
 		}
+		span[i] = math.Float64frombits(r)
 	}
 }
 
@@ -408,25 +429,30 @@ func MatMulAddReLUInto(dst, a, b, c *Tensor) {
 }
 
 // addReluSpan stores relu(data+c) over data[lo:hi] in place, with c either
-// matching data's full extent or a scalar.
+// matching data's full extent or a scalar; relu is ReLUInto's, as in
+// reluSpan.
 func addReluSpan(data []float64, c *Tensor, lo, hi int) {
+	span := data[lo:hi]
 	if c.Rank() == 0 {
 		cv := c.data[0]
-		for i := lo; i < hi; i++ {
-			v := data[i] + cv
-			if v < 0 {
-				v = 0
+		for i, x := range span {
+			bits := math.Float64bits(x + cv)
+			var r uint64
+			if positiveBits(bits) {
+				r = bits
 			}
-			data[i] = v
+			span[i] = math.Float64frombits(r)
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		v := data[i] + c.data[i]
-		if v < 0 {
-			v = 0
+	cs := c.data[lo:hi]
+	for i, x := range span {
+		bits := math.Float64bits(x + cs[i])
+		var r uint64
+		if positiveBits(bits) {
+			r = bits
 		}
-		data[i] = v
+		span[i] = math.Float64frombits(r)
 	}
 }
 
@@ -593,54 +619,56 @@ func Softmax(a *Tensor) *Tensor {
 	return out
 }
 
+// cSoftmaxRows counts the rows SoftmaxInto normalises: a compiled loss
+// segment runs one softmax per microbatch, not one for the loss and another
+// for its gradient.
+var cSoftmaxRows = obs.Counter("softmax/rows")
+
 // SoftmaxInto stores the row-wise softmax of a into dst (dst may alias a).
+// A row's exps come from the exp kernel (exp.go); their sum is one ascending
+// chain, and each is divided by it — that order is part of the bits.
 func SoftmaxInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Softmax wants rank 2, got %v", a.shape))
 	}
 	checkDst("SoftmaxInto", dst, a.shape)
 	m, n := a.shape[0], a.shape[1]
+	obs.Add(cSoftmaxRows, int64(m))
 	for i := 0; i < m; i++ {
 		row := a.data[i*n : (i+1)*n]
 		orow := dst.data[i*n : (i+1)*n]
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		s := 0.0
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			s += e
-		}
-		for j := range orow {
-			orow[j] /= s
-		}
+		divRow(orow, expSubRowSum(orow, row, rowMax(row)))
 	}
 }
 
 // CrossEntropy computes mean(-sum(targets * log softmax(logits), axis=1)) for
 // rank-2 logits and same-shape target distributions.
 func CrossEntropy(logits, targets *Tensor) *Tensor {
+	p := GetScratchShaped(logits.shape...)
+	loss := New()
+	CrossEntropySoftmaxInto(loss, p, logits, targets)
+	Recycle(p)
+	return loss
+}
+
+// CrossEntropySoftmaxInto stores CrossEntropy(logits, targets) into the
+// scalar loss and softmax(logits) into p, which CrossEntropyGradOfSoftmaxInto
+// then turns into the gradient: a loss and its gradient from one softmax.
+// p may alias logits.
+func CrossEntropySoftmaxInto(loss, p, logits, targets *Tensor) {
 	if !SameShape(logits, targets) {
 		panic(fmt.Sprintf("tensor: CrossEntropy shape mismatch %v vs %v", logits.shape, targets.shape))
 	}
-	p := GetScratchShaped(logits.shape...)
+	checkDst("CrossEntropySoftmaxInto", loss, nil)
 	SoftmaxInto(p, logits)
-	m, n := logits.shape[0], logits.shape[1]
-	loss := 0.0
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			t := targets.data[i*n+j]
-			if t != 0 {
-				loss -= t * math.Log(p.data[i*n+j]+1e-30)
-			}
+	m := logits.shape[0]
+	l := 0.0
+	for i, t := range targets.data {
+		if t != 0 {
+			l -= float64(t * logScalar(p.data[i]+1e-30))
 		}
 	}
-	Recycle(p)
-	return Scalar(loss / float64(m))
+	loss.data[0] = l / float64(m)
 }
 
 // CrossEntropyGrad returns d(CrossEntropy)/d(logits) = (softmax - targets)/m.
@@ -658,8 +686,19 @@ func CrossEntropyGradInto(dst, logits, targets *Tensor) {
 	}
 	checkDst("CrossEntropyGradInto", dst, logits.shape)
 	SoftmaxInto(dst, logits)
-	inv := 1 / float64(logits.shape[0])
+	CrossEntropyGradOfSoftmaxInto(dst, dst, targets)
+}
+
+// CrossEntropyGradOfSoftmaxInto stores (p - targets)/m into dst, for p the
+// row-wise softmax of (m, n) logits (dst may alias p, but not targets).
+func CrossEntropyGradOfSoftmaxInto(dst, p, targets *Tensor) {
+	if !SameShape(p, targets) {
+		panic(fmt.Sprintf("tensor: CrossEntropy shape mismatch %v vs %v", p.shape, targets.shape))
+	}
+	checkDst("CrossEntropyGradOfSoftmaxInto", dst, p.shape)
+	inv := 1 / float64(p.shape[0])
+	pd, out := p.data[:len(targets.data)], dst.data[:len(targets.data)]
 	for i, t := range targets.data {
-		dst.data[i] = (dst.data[i] - t) * inv
+		out[i] = (pd[i] - t) * inv
 	}
 }

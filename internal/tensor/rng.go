@@ -34,7 +34,7 @@ func (r *RNG) Norm() float64 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return math.Sqrt(-2*logScalar(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Skip advances the generator past n draws of one step each — the elements
