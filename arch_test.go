@@ -21,17 +21,19 @@ import (
 // fire on it, so every run re-checks that the rule can still see what it
 // guards.
 type archRule struct {
-	name    string       // the rule
-	pr      int          // the numbered change whose deletion it guards
-	re      string       // matched against every line of a covered file
-	except  string       // a line matching this too does not count
-	in      []string     // covered files and directories; none is the whole tree
-	skip    []string     // files and directories under in that are not covered
-	tests   bool         // _test.go files are covered too
-	files   bool         // re matches the paths of covered files, not their lines
-	imports bool         // re matches the import paths reachable from package in[0]
-	max     int          // allowed matches
-	plant   fstest.MapFS // one file laid over the tree that makes the rule fire
+	name    string            // the rule
+	pr      int               // the numbered change whose deletion it guards
+	re      string            // matched against every line of a covered file
+	except  string            // a line matching this too does not count
+	in      []string          // covered files and directories; none is the whole tree
+	skip    []string          // files and directories under in that are not covered
+	tests   bool              // _test.go files are covered too
+	files   bool              // re matches the paths of covered files, not their lines
+	imports bool              // re matches the import paths reachable from package in[0]
+	reach   bool              // hits are the declarations no root reaches (reach_test.go); re is unused
+	allow   map[string]string // reach: names kept as roots, each with its owner; the list may only shrink
+	max     int               // allowed matches
+	plant   fstest.MapFS      // one file laid over the tree that makes the rule fire
 }
 
 func planted(path, src string) fstest.MapFS {
@@ -112,6 +114,37 @@ var archRules = []archRule{
 	{name: "one exp and one log: tensor owns them, so their bits do not follow the CPU's FMA flag",
 		pr: 41, re: `math\.(Exp|Log)\b`, except: `^\s*//`, in: []string{"internal"},
 		plant: planted("internal/model/x.go", "y := math.Exp(x)\n")},
+	// The allowed names are roots. An entry that something else reaches, or
+	// that names no declaration, fails the row, so the list may only shrink.
+	{name: "every declaration is reachable: from a main, an init, a var initialiser's call, transporttest, bench/ or an allowed name",
+		reach: true, allow: map[string]string{
+			"interp.Eval": "oracle", // the reference executor the compiled programs are tested against
+
+			"jaxpp.CustomSchedule":      "programming model (§3)", // a user-defined schedule (§4.2)
+			"trace.(*Builder).Graph":    "programming model (§3)", // a loss emits an op the Builder has no method for
+			"trace.(*Builder).Mul":      "programming model (§3)",
+			"trace.(*Builder).Reshape":  "programming model (§3)",
+			"trace.(*Builder).Scale":    "programming model (§3)",
+			"trace.(*Builder).Softmax":  "programming model (§3)",
+			"trace.(*Builder).Sub":      "programming model (§3)",
+			"trace.(*Builder).Sum":      "programming model (§3)",
+			"trace.(*Builder).SumAxis0": "programming model (§3)",
+			"trace.(*Builder).Tanh":     "programming model (§3)",
+			"trace.(*Builder).Zeros":    "programming model (§3)",
+
+			// Used by the tests of more than one package.
+			"collective.NumBuckets":       "test support",
+			"dist.(*LocalMesh).Endpoint":  "test support",
+			"dist.(*LocalMesh).SendCount": "test support",
+			"ir.(*Graph).MustEmit":        "test support",
+			"tensor.(*Tensor).At":         "test support",
+			"tensor.AllClose":             "test support",
+			"tensor.MaxAbsDiff":           "test support",
+			"tensor.MustFromSlice":        "test support",
+
+			"sim.(*Config).DPSyncTime": "direction 11", // the simulator's dpSync term, which the surrogate checks compare against
+		},
+		plant: planted("cmd/jaxpp-viz/x.go", "package main\n\nfunc unreached() {}\n")},
 	{name: "one perf instrument: no BENCH snapshot at the root",
 		pr: 18, re: `^BENCH_[^/]*\.json$`, files: true,
 		plant: planted("BENCH_pr99.json", "{}\n")},
@@ -140,7 +173,11 @@ func TestArch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(hits) > r.max {
+				switch {
+				case r.reach && len(hits) > 0:
+					t.Errorf("%d unreachable declarations or stale allowed names: delete each, move one only its package's tests use into them, or allow it with an owner:\n%s",
+						len(hits), strings.Join(hits, "\n"))
+				case len(hits) > r.max:
 					t.Errorf("%d matches of %s, want at most %d (guards the deletion in change %d):\n%s",
 						len(hits), r.re, r.max, r.pr, strings.Join(hits, "\n"))
 				}
@@ -164,6 +201,9 @@ func TestArch(t *testing.T) {
 
 // hits lists what r matches in fsys, one "path:line: text" per match.
 func (r archRule) hits(fsys fs.FS) ([]string, error) {
+	if r.reach {
+		return unreachable(fsys, r.allow)
+	}
 	re := regexp.MustCompile(r.re)
 	if r.imports {
 		return importHits(fsys, r.in[0], re)

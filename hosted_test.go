@@ -31,8 +31,8 @@ func TestHostedActorFilterRefusesUnhostedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer step.Close()
-	if !step.Hosts(0) || step.Hosts(1) {
-		t.Fatalf("hosted filter: Hosts(0)=%v Hosts(1)=%v, want true/false", step.Hosts(0), step.Hosts(1))
+	if !step.exe.Hosts(0) || step.exe.Hosts(1) {
+		t.Fatalf("hosted filter: Hosts(0)=%v Hosts(1)=%v, want true/false", step.exe.Hosts(0), step.exe.Hosts(1))
 	}
 
 	rng := NewRNG(1)
@@ -45,8 +45,8 @@ func TestHostedActorFilterRefusesUnhostedStep(t *testing.T) {
 	if _, _, err := step.Step(params, batch); err == nil || !strings.Contains(err.Error(), "hosted-actor filter") {
 		t.Fatalf("full Step on a filtered load: err = %v, want a hosted-actor refusal", err)
 	}
-	if _, err := step.TakeActorResults(1); err == nil || !strings.Contains(err.Error(), "not hosted") {
-		t.Fatalf("TakeActorResults(1): err = %v, want a hosted-actor refusal", err)
+	if err := step.TakeActorResultsInto(1, &ActorResults{}); err == nil || !strings.Contains(err.Error(), "not hosted") {
+		t.Fatalf("TakeActorResultsInto(1): err = %v, want a hosted-actor refusal", err)
 	}
 }
 

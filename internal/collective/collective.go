@@ -204,9 +204,6 @@ func NewGroup(tr transport.Transport, ranks []int, groupID int) (*Group, error) 
 // Size returns the number of ranks.
 func (g *Group) Size() int { return len(g.ranks) }
 
-// Ranks returns a copy of the member actor IDs in rank order.
-func (g *Group) Ranks() []int { return append([]int(nil), g.ranks...) }
-
 // Comm returns the communicator handle for the given rank (0-based position
 // in the group). Each participating goroutine must use its own Communicator;
 // the per-rank operation counter it carries is what makes tag allocation
@@ -323,9 +320,6 @@ func (c *Communicator) flatScratch(n int) []float64 {
 	}
 	return c.flat[:n]
 }
-
-// Rank returns this communicator's rank within the group.
-func (c *Communicator) Rank() int { return c.rank }
 
 // Size returns the group size.
 func (c *Communicator) Size() int { return c.g.Size() }

@@ -372,3 +372,6 @@ func TestWrongSizeChunkIsRecycled(t *testing.T) {
 		})
 	}
 }
+
+// Rank returns this communicator's rank within the group.
+func (c *Communicator) Rank() int { return c.rank }

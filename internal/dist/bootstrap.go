@@ -61,9 +61,6 @@ const (
 	// before it is declared dead: slow CI machines jitter, dead processes
 	// don't. The effective timeout is interval × misses.
 	DefaultHeartbeatMisses = 5
-	// HeartbeatTimeout is the default silence budget
-	// (HeartbeatInterval × DefaultHeartbeatMisses).
-	HeartbeatTimeout = HeartbeatInterval * DefaultHeartbeatMisses
 	// DefaultJoinGrace is how long a flexible rendezvous keeps admitting
 	// late joiners once the minimum world has formed; the window restarts on
 	// every join, so a steadily arriving pool is never cut off mid-stream.

@@ -171,8 +171,8 @@ func TestActorSendsDoNotWaitForALateStage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := exe.TakeActorResults(stages - 1)
-	if err != nil {
+	res := &runtime.ActorResults{}
+	if err := exe.TakeActorResultsInto(stages-1, res); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Losses) != numMB {

@@ -16,8 +16,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Ablations runs the design-choice ablations of DESIGN.md §7 on the *real*
-// functional runtime (not the simulator) and prints a summary:
+// Ablations runs the design-choice ablations of the paper's §3.4, §4.2 and
+// §4.3 on the *real* functional runtime (not the simulator; README's
+// "Benchmarks, examples, simulation" section runs it as `-exp ablations`)
+// and prints a summary:
 //
 //  1. buffer deletion (§4.3) on/off → peak object-store bytes,
 //  2. loop commuting (§3.4) on/off → sends per step for a tied-weight model,

@@ -29,7 +29,7 @@ import (
 // aliasing it has died. Caller-provided inputs are never mutated or recycled;
 // returned outputs are owned by the caller.
 //
-// A Program is immutable after compilation and safe for concurrent Run calls
+// A Program is immutable after compilation and safe for concurrent RunInto calls
 // (data-parallel replicas share one compiled program per segment).
 type Program struct {
 	g        *ir.Graph
@@ -528,23 +528,13 @@ func (c *compiler) tryFuseMatMul(i int, e *ir.Equation, args []int, out int) (in
 // NumOutputs returns the number of output tensors a run produces.
 func (p *Program) NumOutputs() int { return len(p.outSlots) }
 
-// Run executes the program on inputs (positionally matching the graph's
-// inputs) and returns the output tensors. Inputs are borrowed for the
-// duration of the call: they are never mutated, never recycled, and no
-// reference to them outlives the call except through outputs that copyOut
-// cloning already detached. Outputs are owned by the caller. Safe for
-// concurrent use.
-func (p *Program) Run(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs := make([]*tensor.Tensor, len(p.outSlots))
-	if err := p.RunInto(outs, inputs); err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// RunInto is Run writing the outputs into outs (len NumOutputs), for callers
-// that reuse a result buffer across steps to keep the dispatch path
-// allocation-free. The same borrowed-input contract as Run applies.
+// RunInto executes the program on inputs (positionally matching the graph's
+// inputs) and writes the output tensors into outs (len NumOutputs), which a
+// caller may reuse across steps to keep the dispatch path allocation-free.
+// Inputs are borrowed for the duration of the call: they are never mutated,
+// never recycled, and no reference to them outlives the call except through
+// outputs that copyOut cloning already detached. Outputs are owned by the
+// caller. Safe for concurrent use.
 func (p *Program) RunInto(outs []*tensor.Tensor, inputs []*tensor.Tensor) error {
 	g := p.g
 	if len(inputs) != len(g.Inputs) {

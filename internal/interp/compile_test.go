@@ -152,11 +152,11 @@ func TestProgramOutputsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got[0].Set(99, 0, 0)
+	got[0].Data()[0] = 99
 	if in.At(0, 0) != 1 {
 		t.Fatal("mutating output 0 corrupted the caller's input")
 	}
-	got[1].Set(-7, 0, 0)
+	got[1].Data()[0] = -7
 	if got[2].Data()[0] == -7 {
 		t.Fatal("outputs 1 and 2 share storage")
 	}
@@ -540,4 +540,13 @@ func TestXentSharesSoftmax(t *testing.T) {
 			sameBitsAsEval(t, g, in, got)
 		})
 	}
+}
+
+// Run is RunInto into a new result slice.
+func (p *Program) Run(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	outs := make([]*tensor.Tensor, p.NumOutputs())
+	if err := p.RunInto(outs, inputs); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }

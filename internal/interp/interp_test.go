@@ -99,7 +99,7 @@ func TestYieldDoesNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.Set(99, 0)
+	out.Data()[0] = 99
 	if a.At(0) == 99 {
 		t.Fatal("yield aliases its input")
 	}

@@ -74,9 +74,6 @@ func (v *Value) String() string {
 	return fmt.Sprintf("%%%d%v", v.ID, v.Shape)
 }
 
-// Size returns the element count of the value.
-func (v *Value) Size() int { return tensor.NumElements(v.Shape) }
-
 // Equation is one primitive application.
 type Equation struct {
 	Op      Op

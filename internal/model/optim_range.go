@@ -1,16 +1,14 @@
 package model
 
-import "math"
-
-// Fused flat-range optimizer kernels: the single source of truth for the
-// elementwise update arithmetic of SGD, heavy-ball momentum, and Adam. Every
-// lane is independent, so applying a kernel to sub-ranges of the flat
-// parameter vector composes to the full-range result bit-for-bit — the
-// property the ZeRO-sharded epilogue rests on: each rank updates only its
-// owner-major shard (with shard-local optimizer state) and the gathered
-// parameters are identical to a replicated update. The whole-tensor
-// Optimizer.Apply implementations and distrun's distributed epilogue both
-// call these, so the two paths cannot drift.
+// Fused flat-range optimizer kernels: the one source of the elementwise
+// update arithmetic of SGD and heavy-ball momentum, the apply-gradient step
+// of the paper's training loop (Fig. 4). Every lane is independent, so
+// applying a kernel to sub-ranges of the flat parameter vector composes to
+// the full-range result bit-for-bit — the property the ZeRO-sharded epilogue
+// rests on: each rank updates only its owner-major shard (with shard-local
+// optimizer state) and the gathered parameters are identical to a replicated
+// update. distrun's distributed epilogue and its RunLocal oracle both call
+// these, so the two paths cannot drift.
 
 // SGDRange writes params - lr·grads into dst elementwise.
 func SGDRange(dst, params, grads []float64, lr float64) {
@@ -26,35 +24,5 @@ func MomentumRange(dst, params, grads, vel []float64, lr, mu float64) {
 		v := mu*vel[j] + g
 		vel[j] = v
 		dst[j] = params[j] - lr*v
-	}
-}
-
-// AdamConfig carries Adam's hyperparameters for the range kernel.
-type AdamConfig struct {
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64 // decoupled (AdamW); 0 disables
-}
-
-// AdamRange runs one fused bias-corrected Adam step over a flat range: the
-// first and second moments m, v update in place and dst receives the updated
-// parameters. step is the 1-based global optimizer step (bias correction is a
-// function of it, not of the range), so sharded ranks applying disjoint
-// ranges at the same step agree with the full-range update bit-for-bit.
-func AdamRange(dst, params, grads, m, v []float64, cfg AdamConfig, lr float64, step int) {
-	bc1 := 1 - math.Pow(cfg.Beta1, float64(step))
-	bc2 := 1 - math.Pow(cfg.Beta2, float64(step))
-	wd := lr * cfg.WeightDecay
-	for j, g := range grads {
-		mj := cfg.Beta1*m[j] + (1-cfg.Beta1)*g
-		vj := cfg.Beta2*v[j] + (1-cfg.Beta2)*(g*g)
-		m[j], v[j] = mj, vj
-		u := (mj / bc1) / (math.Sqrt(vj/bc2) + cfg.Eps)
-		p := params[j] - lr*u
-		if cfg.WeightDecay != 0 {
-			p -= wd * params[j]
-		}
-		dst[j] = p
 	}
 }

@@ -80,34 +80,33 @@ func TestMomentumRangeShardDecomposition(t *testing.T) {
 	}
 }
 
-// TestAdamRangeShardDecomposition proves Adam decomposes too: bias correction
-// is a function of the global step alone, so shard-local m/v slices plus the
-// shared step counter reproduce the full update bit for bit (with and without
-// decoupled weight decay).
-func TestAdamRangeShardDecomposition(t *testing.T) {
-	for _, wd := range []float64{0, 0.01} {
-		const n, lr = 257, 0.01
-		cfg := AdamConfig{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: wd}
-		params, grads := rangeFixture(n)
-		fullM := make([]float64, n)
-		fullV := make([]float64, n)
-		shardM := make([]float64, n)
-		shardV := make([]float64, n)
-		full := make([]float64, n)
-		sharded := make([]float64, n)
-		fp := append([]float64(nil), params...)
-		sp := append([]float64(nil), params...)
-		for step := 1; step <= 4; step++ {
-			AdamRange(full, fp, grads, fullM, fullV, cfg, lr, step)
-			for _, s := range splits(n) {
-				lo, hi := s[0], s[1]
-				AdamRange(sharded[lo:hi], sp[lo:hi], grads[lo:hi], shardM[lo:hi], shardV[lo:hi], cfg, lr, step)
-			}
-			requireSameBits(t, "adam", sharded, full)
-			requireSameBits(t, "adam m", shardM, fullM)
-			requireSameBits(t, "adam v", shardV, fullV)
-			copy(fp, full)
-			copy(sp, sharded)
-		}
+// quadraticLoss runs steps of update on 0.5·|p|², whose gradient is p, and
+// returns the final loss.
+func quadraticLoss(steps int, update func(dst, params, grads []float64)) float64 {
+	p := []float64{3, -2, 1.5, -0.5}
+	next := make([]float64, len(p))
+	for range steps {
+		update(next, p, p)
+		p, next = next, p
+	}
+	loss := 0.0
+	for _, v := range p {
+		loss += 0.5 * v * v
+	}
+	return loss
+}
+
+func TestSGDConvergesOnQuadratic(t *testing.T) {
+	final := quadraticLoss(100, func(dst, params, grads []float64) { SGDRange(dst, params, grads, 0.1) })
+	if final > 1e-6 {
+		t.Fatalf("SGD final loss %v", final)
+	}
+}
+
+func TestMomentumConverges(t *testing.T) {
+	vel := make([]float64, 4)
+	final := quadraticLoss(200, func(dst, params, grads []float64) { MomentumRange(dst, params, grads, vel, 0.05, 0.9) })
+	if final > 1e-6 {
+		t.Fatalf("momentum final loss %v", final)
 	}
 }

@@ -184,18 +184,3 @@ func (tl *ClusterTimeline) Snapshot() ClusterSnapshot {
 	sort.Slice(snap.Stragglers, func(i, j int) bool { return snap.Stragglers[i] < snap.Stragglers[j] })
 	return snap
 }
-
-// IsStraggler reports whether a rank is currently flagged.
-func (tl *ClusterTimeline) IsStraggler(rank int64) bool {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	rs := tl.ranks[rank]
-	return rs != nil && rs.Straggler
-}
-
-// FlagCount returns total flag transitions (tests and gauges).
-func (tl *ClusterTimeline) FlagCount() int64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.flags
-}

@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"log"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestStragglerDelayedRank(t *testing.T) {
 			tl.Ingest(fastSample(r, step))
 		}
 	}
-	if got := tl.FlagCount(); got != 0 {
+	if got := tl.Snapshot().FlagsTotal; got != 0 {
 		t.Fatalf("healthy warm-up raised %d flags", got)
 	}
 
@@ -51,15 +52,15 @@ func TestStragglerDelayedRank(t *testing.T) {
 			}
 		}
 	}
-	if !tl.IsStraggler(slowRank) {
+	if !slices.Contains(tl.Snapshot().Stragglers, slowRank) {
 		t.Fatal("slow rank was not flagged")
 	}
 	for r := int64(0); r < world; r++ {
-		if r != slowRank && tl.IsStraggler(r) {
+		if r != slowRank && slices.Contains(tl.Snapshot().Stragglers, r) {
 			t.Fatalf("healthy rank %d was flagged", r)
 		}
 	}
-	if got := tl.FlagCount(); got != 1 {
+	if got := tl.Snapshot().FlagsTotal; got != 1 {
 		t.Fatalf("flag transitions = %d, want exactly 1 (no re-flagging while already flagged)", got)
 	}
 	snap := tl.Snapshot()
@@ -76,10 +77,10 @@ func TestStragglerDelayedRank(t *testing.T) {
 			tl.Ingest(fastSample(r, step))
 		}
 	}
-	if tl.IsStraggler(slowRank) {
+	if slices.Contains(tl.Snapshot().Stragglers, slowRank) {
 		t.Fatal("straggler flag did not clear after catch-up")
 	}
-	if got := tl.FlagCount(); got != 1 {
+	if got := tl.Snapshot().FlagsTotal; got != 1 {
 		t.Fatalf("flag transitions after clear = %d, want 1", got)
 	}
 }
@@ -96,7 +97,7 @@ func TestStragglerOneSlowStepIsNoise(t *testing.T) {
 			}
 		}
 	}
-	if tl.FlagCount() != 0 {
+	if tl.Snapshot().FlagsTotal != 0 {
 		t.Fatal("intermittent slowness was flagged as straggling")
 	}
 }
@@ -113,7 +114,7 @@ func TestStragglerMinWallFloor(t *testing.T) {
 			tl.Ingest(StepSample{Rank: r, Step: step, WallNs: wall})
 		}
 	}
-	if tl.FlagCount() != 0 {
+	if tl.Snapshot().FlagsTotal != 0 {
 		t.Fatal("microsecond-scale jitter was flagged")
 	}
 }
@@ -124,7 +125,7 @@ func TestStragglerNeedsTwoRanks(t *testing.T) {
 	for step := int64(0); step < 10; step++ {
 		tl.Ingest(slowSample(0, step))
 	}
-	if tl.FlagCount() != 0 {
+	if tl.Snapshot().FlagsTotal != 0 {
 		t.Fatal("single-rank timeline flagged itself")
 	}
 }
@@ -140,14 +141,14 @@ func TestStragglerQueueGrowth(t *testing.T) {
 		s.QueueDepth = depth
 		tl.Ingest(s)
 	}
-	if !tl.IsStraggler(1) {
+	if !slices.Contains(tl.Snapshot().Stragglers, 1) {
 		t.Fatal("persistent queue growth was not flagged")
 	}
 	snap := tl.Snapshot()
 	if snap.Ranks[1].Reason != "queue-growth" {
 		t.Fatalf("reason = %q, want queue-growth", snap.Ranks[1].Reason)
 	}
-	if tl.IsStraggler(0) {
+	if slices.Contains(tl.Snapshot().Stragglers, 0) {
 		t.Fatal("healthy rank flagged")
 	}
 
@@ -158,7 +159,7 @@ func TestStragglerQueueGrowth(t *testing.T) {
 		s.QueueDepth = 0
 		tl.Ingest(s)
 	}
-	if tl.IsStraggler(1) {
+	if slices.Contains(tl.Snapshot().Stragglers, 1) {
 		t.Fatal("queue-growth flag did not clear after drain")
 	}
 }

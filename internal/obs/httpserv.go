@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,17 +14,15 @@ import (
 //
 //	/metrics        Prometheus text format (per-rank step gauges + cluster
 //	                aggregates + obs counter/scope passthrough)
-//	/healthz        200 "ok" until SetHealth marks the process unhealthy
+//	/healthz        liveness: 200 "ok" while the process serves
 //	/debug/cluster  the full ClusterSnapshot as JSON
 //
 // Both jaxpp-train (cluster view) and jaxpp-worker (local view) serve the
 // same server; the worker simply has a single rank in its timeline.
 type MetricsServer struct {
-	tl      *ClusterTimeline
-	srv     *http.Server
-	ln      net.Listener
-	healthy atomic.Bool
-	errMsg  atomic.Pointer[string]
+	tl  *ClusterTimeline
+	srv *http.Server
+	ln  net.Listener
 }
 
 // StartMetricsServer listens on addr (e.g. ":9090") and serves until Close.
@@ -37,7 +34,6 @@ func StartMetricsServer(addr string, tl *ClusterTimeline) (*MetricsServer, error
 		return nil, fmt.Errorf("obs: metrics listener: %w", err)
 	}
 	ms := &MetricsServer{tl: tl, ln: ln}
-	ms.healthy.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", ms.handleMetrics)
 	mux.HandleFunc("/healthz", ms.handleHealthz)
@@ -50,27 +46,12 @@ func StartMetricsServer(addr string, tl *ClusterTimeline) (*MetricsServer, error
 // Addr returns the bound address (useful when addr had port 0).
 func (ms *MetricsServer) Addr() string { return ms.ln.Addr().String() }
 
-// SetHealth flips /healthz; msg is served alongside a 503 when down.
-func (ms *MetricsServer) SetHealth(ok bool, msg string) {
-	ms.healthy.Store(ok)
-	ms.errMsg.Store(&msg)
-}
-
 // Close stops accepting and closes the listener.
 func (ms *MetricsServer) Close() error { return ms.srv.Close() }
 
+// handleHealthz answers a liveness probe: a process that serves is alive.
 func (ms *MetricsServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if ms.healthy.Load() {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-		return
-	}
-	w.WriteHeader(http.StatusServiceUnavailable)
-	if m := ms.errMsg.Load(); m != nil && *m != "" {
-		fmt.Fprintln(w, *m)
-	} else {
-		fmt.Fprintln(w, "unhealthy")
-	}
+	fmt.Fprintln(w, "ok")
 }
 
 func (ms *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {

@@ -65,12 +65,6 @@ func TestMetricsServer(t *testing.T) {
 	if code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	ms.SetHealth(false, "transport poisoned")
-	code, body = httpGet(t, base+"/healthz")
-	if code != 503 || !strings.Contains(body, "transport poisoned") {
-		t.Fatalf("unhealthy /healthz = %d %q", code, body)
-	}
-	ms.SetHealth(true, "")
 
 	code, body = httpGet(t, base+"/debug/cluster")
 	if code != 200 {

@@ -503,16 +503,6 @@ func (s *Snapshot) Breakdown() (compute, wire, idle time.Duration) {
 	return compute, wire, idle
 }
 
-// CounterValue returns a counter's value from the snapshot (0 if absent).
-func (s *Snapshot) CounterValue(name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
 // ScopeByName returns a scope's stats from the snapshot (zero value, false if
 // absent).
 func (s *Snapshot) ScopeByName(name string) (ScopeStats, bool) {

@@ -285,3 +285,13 @@ func BenchmarkCounterAddDisabled(b *testing.B) {
 		Add(c, 1)
 	}
 }
+
+// CounterValue returns a counter's value from the snapshot (0 if absent).
+func (s *Snapshot) CounterValue(name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}

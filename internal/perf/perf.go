@@ -6,8 +6,6 @@
 // package sim consumes these numbers; nothing here depends on real hardware.
 package perf
 
-import "math"
-
 // DeviceSpec describes one accelerator.
 type DeviceSpec struct {
 	Name           string
@@ -83,16 +81,6 @@ func NVSwitchAllReduceTime(bytes float64, n int, bwGBs, latency float64) float64
 	return bytes/(bwGBs*1e9) + 2*latency
 }
 
-// RingAllGatherTime returns the time of a ring all-gather producing `bytes`
-// total on each rank.
-func RingAllGatherTime(bytes float64, n int, bwGBs, latency float64) float64 {
-	if n <= 1 || bytes <= 0 {
-		return 0
-	}
-	vol := float64(n-1) / float64(n) * bytes
-	return vol/(bwGBs*1e9) + float64(n-1)*latency
-}
-
 // Link is a calibrated point-to-point channel model: the (bandwidth,
 // latency) pair every collective cost formula consumes. The simulator builds
 // Links from DeviceSpec fields; the executable collective engine builds them
@@ -110,16 +98,6 @@ func (l Link) AllReduce(bytes float64, n int) float64 {
 	return RingAllReduceTime(bytes, n, l.BwGBs, l.Latency)
 }
 
-// AllGather returns the analytic ring all-gather time over this link.
-func (l Link) AllGather(bytes float64, n int) float64 {
-	return RingAllGatherTime(bytes, n, l.BwGBs, l.Latency)
-}
-
-// P2P returns the analytic point-to-point transfer time over this link.
-func (l Link) P2P(bytes float64) float64 {
-	return P2PTime(bytes, l.BwGBs, l.Latency)
-}
-
 // P2PTime returns the time to move bytes point-to-point over the network.
 func P2PTime(bytes float64, bwGBs, latency float64) float64 {
 	if bytes <= 0 {
@@ -132,9 +110,6 @@ func P2PTime(bytes float64, bwGBs, latency float64) float64 {
 // BF16 mixed-precision Adam: bf16 weights (2) + bf16 grads (2) + fp32 master
 // weights (4) + fp32 Adam moments (8) = 18 bytes.
 const OptimizerBytesPerParam = 18.0
-
-// WeightBytesPerParam is the live forward/backward weight footprint (BF16).
-const WeightBytesPerParam = 2.0
 
 // GiB is 2^30 bytes, for reporting.
 const GiB = 1024.0 * 1024.0 * 1024.0
@@ -151,12 +126,4 @@ func EffectiveBandwidthShare(bwGBs float64, flows int) float64 {
 		return bwGBs
 	}
 	return bwGBs / float64(flows)
-}
-
-// Roundup returns x rounded up to the next multiple of q.
-func Roundup(x, q int) int {
-	if q <= 0 {
-		return x
-	}
-	return int(math.Ceil(float64(x)/float64(q))) * q
 }

@@ -52,10 +52,7 @@ func TestNVSwitchBeatsRing(t *testing.T) {
 	}
 }
 
-func TestAllGatherAndP2P(t *testing.T) {
-	if RingAllGatherTime(1e9, 4, 100, 0) <= 0 {
-		t.Fatal("allgather must cost time")
-	}
+func TestP2PTime(t *testing.T) {
 	p := P2PTime(50e6, 50, 8e-6)
 	if p < 1e-3 || p > 1.2e-3 {
 		t.Fatalf("p2p of 50MB over 50GB/s = %v, want ≈1ms", p)
@@ -82,11 +79,5 @@ func TestEffectiveBandwidthShare(t *testing.T) {
 	}
 	if EffectiveBandwidthShare(100, 0) != 100 {
 		t.Fatal("degenerate share wrong")
-	}
-}
-
-func TestRoundup(t *testing.T) {
-	if Roundup(5, 4) != 8 || Roundup(8, 4) != 8 || Roundup(1, 0) != 1 {
-		t.Fatal("roundup wrong")
 	}
 }

@@ -416,7 +416,7 @@ func (e *Executable) runActor(global int, a *Actor) error {
 // concurrently over a shared wire transport. inputs carry the same full
 // global batch and parameters on every process (deterministic replication);
 // only the slices this actor owns are placed. Collect this actor's results
-// with TakeActorResults afterwards.
+// with TakeActorResultsInto afterwards.
 func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 	if actor < 0 || actor >= len(e.cluster.Actors) {
 		return fmt.Errorf("runtime: actor %d out of range (cluster of %d)", actor, len(e.cluster.Actors))
@@ -447,17 +447,8 @@ type ActorResults struct {
 	Grads   []*tensor.Tensor
 }
 
-// TakeActorResults fetches (with ownership transfer, like Step) the losses
-// and gradients the given global actor produced this step.
-func (e *Executable) TakeActorResults(actor int) (*ActorResults, error) {
-	res := &ActorResults{}
-	if err := e.TakeActorResultsInto(actor, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// TakeActorResultsInto is TakeActorResults reusing the caller's ActorResults:
+// TakeActorResultsInto fetches (with ownership transfer, like Step) the
+// losses and gradients the given global actor produced this step into res:
 // its slices are truncated and refilled, so a driver that passes the same
 // struct every step fetches results without per-step slice allocation
 // (the StepInto counterpart for the per-actor path).
@@ -508,11 +499,4 @@ func (e *Executable) StoreStatsAll() []StoreStats {
 		out[i] = a.Store.Stats()
 	}
 	return out
-}
-
-// ResetPeaks clears peak-memory counters on all actors.
-func (e *Executable) ResetPeaks() {
-	for _, a := range e.cluster.Actors {
-		a.Store.ResetPeaks()
-	}
 }

@@ -53,8 +53,8 @@ func referenceAccumulate(t *testing.T, g *ir.Graph, params []*tensor.Tensor, ful
 	var losses []*tensor.Tensor
 	var grads []*tensor.Tensor
 	for mb := 0; mb < numMB; mb++ {
-		x := tensor.SliceRange0(fullX, mb*mbRows, (mb+1)*mbRows)
-		y := tensor.SliceRange0(fullY, mb*mbRows, (mb+1)*mbRows)
+		x := tensor.ViewRange0(fullX, mb*mbRows, (mb+1)*mbRows).Clone()
+		y := tensor.ViewRange0(fullY, mb*mbRows, (mb+1)*mbRows).Clone()
 		ins := append([]*tensor.Tensor{x, y}, params...)
 		outs, err := interp.Eval(g, ins)
 		if err != nil {

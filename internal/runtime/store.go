@@ -226,11 +226,3 @@ func (s *Store) Stats() StoreStats {
 		PeakBytes: s.peakBytes,
 	}
 }
-
-// ResetPeaks clears peak counters (e.g. between steps).
-func (s *Store) ResetPeaks() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.peakBytes = s.liveBytes
-	s.peakBufs = s.liveBufs
-}

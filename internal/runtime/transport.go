@@ -85,11 +85,6 @@ func (c *ChanTransport) Err() error { return c.inbox.Err() }
 // Poison implements transport.Transport.
 func (c *ChanTransport) Poison(err error) { c.inbox.Poison(err) }
 
-// SendCount returns the number of sends and total elements moved.
-func (c *ChanTransport) SendCount() (int, int64) {
-	return int(c.sent.Load()), c.sentElems.Load()
-}
-
 // RendezvousTransport is a ChanTransport over capacity-0 mailboxes with no
 // send timeout: a send blocks until the matching receive executes — the
 // synchronous point-to-point semantics whose deadlock hazard §4.2 (Fig. 5)

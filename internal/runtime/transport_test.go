@@ -78,3 +78,8 @@ func TestSendTimeoutWakesBlockedRecv(t *testing.T) {
 		t.Fatal("blocked Recv slept through the poisoning send-timeout")
 	}
 }
+
+// SendCount returns the number of sends and total elements moved.
+func (c *ChanTransport) SendCount() (int, int64) {
+	return int(c.sent.Load()), c.sentElems.Load()
+}

@@ -49,9 +49,6 @@ type Schedule struct {
 	Actors     [][]Entry
 }
 
-// Repeat returns the circular repeat degree (stages per actor).
-func (s *Schedule) Repeat() int { return s.NumStages / s.NumActors }
-
 // roundRobinStages assigns stage v*A+a to actor a (circular placement).
 func roundRobinStages(actors, stages int) []int {
 	sa := make([]int, stages)

@@ -214,8 +214,8 @@ func TestRepeatAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Repeat() != 3 {
-		t.Fatalf("repeat=%d", s.Repeat())
+	if repeat := s.NumStages / s.NumActors; repeat != 3 || s.NumStages != 12 {
+		t.Fatalf("repeat=%d over %d stages, want 3 over 12", repeat, s.NumStages)
 	}
 }
 

@@ -204,24 +204,6 @@ func (s *Split) inferInputPlacement() {
 	}
 }
 
-// CrossSegmentEdges enumerates every (producer segment, consumer segment,
-// value) activation edge — the communication JaxPP must infer.
-func (s *Split) CrossSegmentEdges() []CutValue {
-	var edges []CutValue
-	seen := map[[2]int]bool{}
-	for _, seg := range s.Segments {
-		for _, cv := range seg.ActIn {
-			key := [2]int{cv.ID, seg.Index}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			edges = append(edges, cv)
-		}
-	}
-	return edges
-}
-
 // OutPos returns the position of original value id in segment si's outputs,
 // or -1.
 func (s *Split) OutPos(si, id int) int {

@@ -398,3 +398,21 @@ func TestSegmentsHoldNoDeadCode(t *testing.T) {
 		}
 	}
 }
+
+// CrossSegmentEdges enumerates every (producer segment, consumer segment,
+// value) activation edge — the communication JaxPP must infer.
+func (s *Split) CrossSegmentEdges() []CutValue {
+	var edges []CutValue
+	seen := map[[2]int]bool{}
+	for _, seg := range s.Segments {
+		for _, cv := range seg.ActIn {
+			key := [2]int{cv.ID, seg.Index}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			edges = append(edges, cv)
+		}
+	}
+	return edges
+}

@@ -128,12 +128,6 @@ func BenchmarkElementwise(b *testing.B) {
 				AddInto(dst, x, y)
 			}
 		})
-		b.Run(fmt.Sprintf("AxpyInto/n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(24 * n))
-			for i := 0; i < b.N; i++ {
-				AxpyInto(dst, x, 0.5)
-			}
-		})
 	}
 }
 

@@ -310,22 +310,31 @@ func TestSoftmaxAndCrossEntropyOnEveryKernel(t *testing.T) {
 	})
 }
 
-// TestExpAndLogTensors pins the elementwise Exp and Log to the scalar
-// ports, which are the same function on every CPU.
+// TestExpAndLogTensors pins the scalar ports that Softmax and CrossEntropy
+// run at the ends of their ranges: underflow, overflow, ±Inf, zero and
+// negative inputs.
 func TestExpAndLogTensors(t *testing.T) {
-	a := MustFromSlice([]float64{-800, -1, 0, 0.5, 1, 700, math.Inf(-1)}, 7)
-	for i, v := range Exp(a).data {
-		if w := expScalar(a.data[i]); math.Float64bits(v) != math.Float64bits(w) {
-			t.Errorf("Exp(%v) = %v, expScalar %v", a.data[i], v, w)
+	for _, c := range []struct{ x, exp float64 }{
+		{-800, 0}, {math.Inf(-1), 0}, {0, 1}, {1, math.E}, {800, math.Inf(1)}, {math.Inf(1), math.Inf(1)},
+	} {
+		if got := expScalar(c.x); math.Abs(got-c.exp) > 1e-15 && got != c.exp {
+			t.Errorf("expScalar(%v) = %v, want %v", c.x, got, c.exp)
 		}
 	}
-	for i, v := range Log(a).data {
-		if w := logScalar(a.data[i]); !sameBits(v, w) {
-			t.Errorf("Log(%v) = %v, logScalar %v", a.data[i], v, w)
+	if got := expScalar(700); math.IsInf(got, 0) || got < 1e304 {
+		t.Errorf("expScalar(700) = %v, want finite ≈ 1.01e304", got)
+	}
+	for _, c := range []struct{ x, log float64 }{
+		{1, 0}, {0, math.Inf(-1)}, {math.Inf(1), math.Inf(1)}, {math.E, 1},
+	} {
+		if got := logScalar(c.x); math.Abs(got-c.log) > 1e-15 && got != c.log {
+			t.Errorf("logScalar(%v) = %v, want %v", c.x, got, c.log)
 		}
 	}
-	if e := Exp(MustFromSlice([]float64{1}, 1)).data[0]; math.Abs(e-math.E) > 1e-15 {
-		t.Errorf("Exp(1) = %v", e)
+	for _, x := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if got := logScalar(x); !math.IsNaN(got) {
+			t.Errorf("logScalar(%v) = %v, want NaN", x, got)
+		}
 	}
 }
 

@@ -156,29 +156,6 @@ func MulInto(dst, a, b *Tensor) {
 	}
 }
 
-// Maximum returns elementwise max(a, b) with scalar broadcasting.
-func Maximum(a, b *Tensor) *Tensor {
-	checkBinShapes("Maximum", a, b)
-	out := New(binShape(a, b)...)
-	switch {
-	case SameShape(a, b):
-		for i, x := range a.data {
-			out.data[i] = math.Max(x, b.data[i])
-		}
-	case b.Rank() == 0:
-		y := b.data[0]
-		for i, x := range a.data {
-			out.data[i] = math.Max(x, y)
-		}
-	default:
-		x := a.data[0]
-		for i, y := range b.data {
-			out.data[i] = math.Max(x, y)
-		}
-	}
-	return out
-}
-
 // Scale returns a * s.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := New(a.shape...)
@@ -192,16 +169,6 @@ func ScaleInto(dst, a *Tensor, s float64) {
 	out := dst.data[:len(a.data)]
 	for i, x := range a.data {
 		out[i] = x * s
-	}
-}
-
-// AxpyInto accumulates dst += s * a (the BLAS axpy kernel; gradient
-// accumulation and optimizer updates are its callers).
-func AxpyInto(dst, a *Tensor, s float64) {
-	checkDst("AxpyInto", dst, a.shape)
-	out := dst.data[:len(a.data)]
-	for i, x := range a.data {
-		out[i] += s * x
 	}
 }
 
@@ -269,14 +236,6 @@ func ReLUMaskInto(dst, a *Tensor) {
 
 // Tanh applies tanh elementwise.
 func Tanh(a *Tensor) *Tensor { return Map(a, math.Tanh) }
-
-// Exp applies exp elementwise: the scalar exp of exp.go, the same bits on
-// every CPU.
-func Exp(a *Tensor) *Tensor { return Map(a, expScalar) }
-
-// Log applies natural log elementwise (logScalar: Go's amd64 math.Log bits
-// on every CPU).
-func Log(a *Tensor) *Tensor { return Map(a, logScalar) }
 
 // matMulShapes validates rank-2 operands and returns (m, k, n).
 func matMulShapes(a, b *Tensor) (m, k, n int) {
@@ -504,24 +463,13 @@ func TransposeInto(dst, a *Tensor) {
 
 // Reshape returns a view of a with a new shape of equal element count. The
 // view shares a's backing storage (reshape is free on every microbatch
-// boundary); use ReshapeCopy when the result will be mutated.
+// boundary); Clone it when the result will be mutated.
 func Reshape(a *Tensor, shape ...int) *Tensor {
 	if NumElements(shape) != a.Size() {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.shape, shape))
 	}
 	// A view of a borrowed view borrows the same storage.
 	return &Tensor{shape: cloneShape(shape), data: a.data, borrowed: a.borrowed}
-}
-
-// ReshapeCopy returns an independent copy of a with a new shape — the escape
-// hatch for callers that mutate the result.
-func ReshapeCopy(a *Tensor, shape ...int) *Tensor {
-	if NumElements(shape) != a.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.shape, shape))
-	}
-	out := a.Clone()
-	out.shape = cloneShape(shape)
-	return out
 }
 
 // Sum reduces all elements to a scalar tensor.
@@ -559,19 +507,6 @@ func SumAxis0Into(dst, a *Tensor) {
 			dst.data[j] += a.data[base+j]
 		}
 	}
-}
-
-// SliceRange0 returns rows [lo, hi) along axis 0.
-func SliceRange0(a *Tensor, lo, hi int) *Tensor {
-	if a.Rank() == 0 || lo < 0 || hi > a.shape[0] || lo > hi {
-		panic(fmt.Sprintf("tensor: SliceRange0 [%d,%d) invalid for shape %v", lo, hi, a.shape))
-	}
-	rest := a.shape[1:]
-	stride := NumElements(rest)
-	shape := append([]int{hi - lo}, rest...)
-	out := New(shape...)
-	copy(out.data, a.data[lo*stride:hi*stride])
-	return out
 }
 
 // ViewRange0 returns rows [lo, hi) along axis 0 as a zero-copy borrowed view

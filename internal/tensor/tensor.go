@@ -148,12 +148,6 @@ func (t *Tensor) At(idx ...int) float64 {
 	return t.data[t.offset(idx)]
 }
 
-// Set assigns the element at the given multi-index. It is intended for test
-// setup and initialization code, before a tensor is shared.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))

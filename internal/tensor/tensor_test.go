@@ -164,18 +164,6 @@ func TestReshape(t *testing.T) {
 	}
 }
 
-func TestReshapeCopy(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := ReshapeCopy(a, 3, 2)
-	if b.At(2, 1) != 6 {
-		t.Fatalf("reshape data moved: %v", b)
-	}
-	b.Set(99, 0, 0)
-	if a.At(0, 0) == 99 {
-		t.Fatal("ReshapeCopy must not alias its input")
-	}
-}
-
 func TestSumAndSumAxis0(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	if Sum(a).Data()[0] != 21 {
@@ -192,7 +180,7 @@ func TestSliceAndStack(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
 	parts := make([]*Tensor, 3)
 	for i := range parts {
-		parts[i] = Reshape(SliceRange0(a, i, i+1), 2)
+		parts[i] = Reshape(ViewRange0(a, i, i+1), 2)
 	}
 	if !AllClose(parts[1], MustFromSlice([]float64{3, 4}, 2), 0, 0) {
 		t.Fatalf("slice=%v", parts[1])
@@ -200,16 +188,6 @@ func TestSliceAndStack(t *testing.T) {
 	back := Stack0(parts)
 	if !AllClose(back, a, 0, 0) {
 		t.Fatalf("stack(slices) != original: %v", back)
-	}
-}
-
-func TestSliceRange0(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
-	if got := SliceRange0(a, 1, 3); !AllClose(got, MustFromSlice([]float64{3, 4, 5, 6}, 2, 2), 0, 0) {
-		t.Fatalf("rows [1,3) = %v", got)
-	}
-	if got := SliceRange0(a, 2, 2); !got.HasShape([]int{0, 2}) {
-		t.Fatalf("rows [2,2) have shape %v, want [0 2]", got.Shape())
 	}
 }
 
@@ -389,4 +367,9 @@ func TestMatMulTransposeIdentity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Set assigns the element at the given multi-index.
+func (t *Tensor) Set(v float64, idx ...int) {
+	t.data[t.offset(idx)] = v
 }

@@ -109,6 +109,3 @@ func (b *Builder) PipelineYield(x *ir.Value) *ir.Value {
 	b.yieldCount++
 	return b.emit(ir.OpYield, ir.Attrs{Stage: b.yieldCount}, x)
 }
-
-// YieldCount reports how many forward yields were traced.
-func (b *Builder) YieldCount() int { return b.yieldCount }

@@ -138,7 +138,7 @@ type CompileSpec struct {
 	// count (one included): on the actor's own goroutine as soon as its
 	// program ends, so it overlaps pipeline cooldown on other actors, with
 	// the actor's global ID and its gradient accumulators in program order.
-	// The accumulators are the actor's to mutate; TakeActorResults hands them
+	// The accumulators are the actor's to mutate; TakeActorResultsInto hands them
 	// out as GradSync left them, and Step's returned gradients are replica
 	// 0's in that state. distrun installs the reduce half of its stage-local
 	// step epilogue here.
@@ -385,7 +385,7 @@ func (t *TrainStep) NumActors() int { return t.exe.Replicas() * t.exe.ActorsPerR
 // point for multi-process training, where each OS process hosts one actor
 // and every process passes identical params and the identical full global
 // batch (deterministic replication). Peers must run their shares
-// concurrently; collect this rank's outputs with TakeActorResults.
+// concurrently; collect this rank's outputs with TakeActorResultsInto.
 func (t *TrainStep) StepActor(actor int, params, batch []*Tensor) error {
 	inputs, err := t.stageInputs(params, batch)
 	if err != nil {
@@ -397,22 +397,13 @@ func (t *TrainStep) StepActor(actor int, params, batch []*Tensor) error {
 // ActorResults are one actor's step outputs (see runtime.ActorResults).
 type ActorResults = runtime.ActorResults
 
-// TakeActorResults fetches the losses and gradients the given global actor
-// produced this step, with ownership transfer.
-func (t *TrainStep) TakeActorResults(actor int) (*ActorResults, error) {
-	return t.exe.TakeActorResults(actor)
-}
-
-// TakeActorResultsInto is TakeActorResults reusing the caller's ActorResults
-// slices, so a steady-state distributed driver fetches results without
-// per-step slice allocation.
+// TakeActorResultsInto fetches the losses and gradients the given global
+// actor produced this step, with ownership transfer, into the caller's
+// ActorResults, whose slices it reuses so a steady-state distributed driver
+// fetches results without per-step slice allocation.
 func (t *TrainStep) TakeActorResultsInto(actor int, res *ActorResults) error {
 	return t.exe.TakeActorResultsInto(actor, res)
 }
-
-// Hosts reports whether this process materialized the given global actor
-// (always true without CompileSpec.HostActors).
-func (t *TrainStep) Hosts(actor int) bool { return t.exe.Hosts(actor) }
 
 // Close does nothing: a TrainStep owns no goroutine between steps. It is kept
 // only because bench/probes.go calls it; ROADMAP direction 8(a) removes that

@@ -7,19 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// The simulation API re-exports the calibrated performance model used to
-// regenerate the paper's evaluation (see DESIGN.md for the substitution
-// rationale: no GPUs are available in this environment, so the EOS cluster
-// is modeled by a discrete-event simulator over real pipeline schedules).
+// The simulation API re-exports the calibrated performance model behind the
+// paper's evaluation (§5: Figs. 6–10 and Table 1). There are no GPUs to run
+// on, so the EOS cluster of §5 is modeled by a discrete-event simulator over
+// real pipeline schedules; README's "Benchmarks, examples, simulation"
+// section lists the command that regenerates each figure and table.
 
 // TransformerConfig describes a transformer workload for the simulator.
 type TransformerConfig = model.TransformerConfig
 
 // GPT3175B is the GPT-3 175B configuration of §5.
 func GPT3175B() TransformerConfig { return model.GPT3_175B() }
-
-// Llama270B is the Llama2 70B configuration of §5.2.
-func Llama270B() TransformerConfig { return model.Llama2_70B() }
 
 // SimConfig is one simulated training configuration (a Table 1 row).
 type SimConfig = sim.Config
@@ -34,21 +32,9 @@ type SimResult = sim.Result
 // EOSCluster returns the DGX H100 cluster model the paper evaluates on.
 func EOSCluster() perf.ClusterSpec { return perf.EOS() }
 
-// DPSyncEstimate returns the simulator's analytic end-of-step data-parallel
-// gradient all-reduce time for a configuration — the dpSync term the
-// executable collective engine (internal/collective) validates its measured
-// bucketed AllReduce wall time against.
-func DPSyncEstimate(c SimConfig) (float64, error) { return c.DPSyncTime() }
-
 // SimulateJaxPP simulates a JaxPP run: (interleaved) 1F1B schedule,
 // overlapped asynchronous P2P, capacity-driven rematerialization.
 func SimulateJaxPP(c SimConfig) (*SimResult, error) { return baselines.JaxPPSimulate(c) }
-
-// SimulateSPMDPP simulates the GSPMD stacked-loop pipeline baseline.
-func SimulateSPMDPP(c SimConfig) (*SimResult, error) { return baselines.SPMDPPSimulate(c) }
-
-// SimulateNeMo simulates the NeMo/Megatron baseline.
-func SimulateNeMo(c SimConfig) (*SimResult, error) { return baselines.NeMoSimulate(c) }
 
 // FSDPConfig is a fully-sharded data-parallel configuration.
 type FSDPConfig = baselines.FSDPConfig

@@ -3,49 +3,19 @@ package jaxpp
 import (
 	"math"
 	"testing"
+
+	"repro/internal/model"
 )
 
-// TestEndToEndTrainingWithAdam drives the full public workflow: compile a
-// pipelined model, train with Adam under a warmup-cosine schedule with
-// gradient clipping, and require monotonic-ish convergence.
-func TestEndToEndTrainingWithAdam(t *testing.T) {
-	const stages, mbRows, numMB, width, steps = 3, 4, 6, 12, 30
-	mesh := NewRemoteMesh(stages)
-	step, err := mesh.Compile(mlpSpec(stages, mbRows, width, OneFOneB(stages, numMB)))
-	if err != nil {
-		t.Fatal(err)
+// sgdStep returns params − lr·grads as new tensors, through the kernel the
+// distributed epilogue and its RunLocal oracle run.
+func sgdStep(params, grads []*Tensor, lr float64) []*Tensor {
+	out := make([]*Tensor, len(params))
+	for i, p := range params {
+		out[i] = p.Clone()
+		model.SGDRange(out[i].Data(), p.Data(), grads[i].Data(), lr)
 	}
-	params, x, y := mlpData(stages, mbRows, numMB, width, 11)
-	opt := AdamOptimizer()
-	lrs := WarmupCosineLR(0.05, 0.001, 5, steps)
-
-	var first, last float64
-	for s := 0; s < steps; s++ {
-		losses, grads, err := step.Step(params, []*Tensor{x, y})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0.0
-		for _, l := range losses {
-			total += l.Data()[0]
-		}
-		mean := total / numMB
-		if s == 0 {
-			first = mean
-		}
-		last = mean
-		grads, norm := GradClipByGlobalNorm(grads, 5)
-		if norm <= 0 {
-			t.Fatal("zero grad norm")
-		}
-		params, err = opt.Apply(params, grads, lrs(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !(last < first*0.7) {
-		t.Fatalf("Adam training did not converge: %.4f -> %.4f", first, last)
-	}
+	return out
 }
 
 // TestTrainingMatchesSingleDeviceTrajectory trains the same model pipelined
@@ -73,7 +43,6 @@ func TestTrainingMatchesSingleDeviceTrajectory(t *testing.T) {
 	for i := range p1 {
 		p2[i] = p1[i].Clone()
 	}
-	o1, o2 := SGDOptimizer(), SGDOptimizer()
 	for s := 0; s < steps; s++ {
 		l1, g1, err := pipe.Step(p1, []*Tensor{x, y})
 		if err != nil {
@@ -88,13 +57,6 @@ func TestTrainingMatchesSingleDeviceTrajectory(t *testing.T) {
 				t.Fatalf("step %d loss mb %d diverged by %v", s, mb, d)
 			}
 		}
-		p1, err = o1.Apply(p1, g1, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err = o2.Apply(p2, g2, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p1, p2 = sgdStep(p1, g1, 0.2), sgdStep(p2, g2, 0.2)
 	}
 }
