@@ -1,7 +1,9 @@
 package distrun
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"net"
 	"os"
@@ -13,6 +15,7 @@ import (
 	jaxpp "repro"
 	"repro/internal/ckpt"
 	"repro/internal/dist"
+	"repro/internal/stage"
 	"repro/internal/tensor"
 )
 
@@ -342,4 +345,64 @@ func TestPoisonedTransportFailsStepFast(t *testing.T) {
 	if since := time.Since(start); since > 5*time.Second {
 		t.Fatalf("poisoned step took %v to fail; fast-fail should beat the 120s recv timeout", since)
 	}
+}
+
+// TestLocalResumeAcrossHoistedTransposes is the resume pin at a shape whose
+// step transposes weights once, in a prologue: 6 microbatches of 4 rows (24
+// rows a step) on 3 stages, of which the two that owe a dx hoist. The
+// prologue reads the weights of the step it runs in, so a restored run
+// replays the tail bit for bit, and the uninterrupted run's losses and final
+// parameters hash to the bits the commit before the hoist trained to.
+func TestLocalResumeAcrossHoistedTransposes(t *testing.T) {
+	base := JobSpec{
+		Stages: 3, NumMB: 6, MBRows: 4, Width: 16,
+		Steps: 12, LR: 0.5, Momentum: 0.9, Schedule: "1f1b", Seed: 1,
+	}
+	ts, err := Compile(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prologues := 0
+	for _, seg := range ts.Program().Split.Segments {
+		if seg.Kind == stage.Prologue {
+			prologues++
+		}
+	}
+	ts.Close()
+	if prologues != base.Stages-1 {
+		t.Fatalf("%d stages hoist a transpose, want %d", prologues, base.Stages-1)
+	}
+
+	ref, err := RunLocal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, l := range ref.MBLosses {
+		for _, v := range l {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	for _, p := range ref.FinalParams {
+		for _, v := range p.Data() {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x6030850467ed64fb); got != want {
+		t.Errorf("losses and final parameters hash to %#x, want %#x", got, want)
+	}
+
+	ckptSpec := base
+	ckptSpec.CkptDir = t.TempDir()
+	ckptSpec.CkptEvery = 5
+	leg1 := ckptSpec
+	leg1.Steps = 7
+	if _, err := RunLocal(leg1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunLocal(ckptSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResumedSuffix(t, rep, ref, 5)
 }

@@ -13,11 +13,14 @@ import (
 // workloads, as bench/workloads.go shapes them, and holds each to what a
 // compiled segment may execute: no equation its outputs do not need, 3·S − 1
 // matmuls a microbatch (the input gradient of the batch, one of the 3·S
-// autodiff emits, is nobody's), and a (Width, Width) transpose only inside
-// MatMulNTInto when the microbatch has more rows than its dot form takes —
-// by the tensor package's exact operand counters over RunLocal steps. What
-// the schedule ships is not the segments' business and must not have moved:
-// buffers, tags and sends are the counts of the commit before per-segment DCE.
+// autodiff emits, is nobody's), no xᵀ (dW = xᵀ·ct reads x in place), and a
+// (Width, Width) transpose once a step on each actor that hoists its
+// weight's — more than 16 rows a step read it: S − 1 of the pp4 actors (stage
+// 0 owes no dx), none of dp2x2's at 8 rows a step — by the tensor package's
+// exact operand counters over RunLocal steps. What the schedule ships is not
+// the segments' business and must not have moved: tags and sends are the
+// counts of the commit before per-segment DCE, and buffers those plus one
+// prologue output per hoisting actor.
 func TestWorkloadSegmentsRunOnlyWhatTheyOwe(t *testing.T) {
 	matmulElems, transposeElems := obs.Counter("matmul/a_elems"), obs.Counter("transpose/elems")
 	if !obs.Enabled() {
@@ -25,13 +28,13 @@ func TestWorkloadSegmentsRunOnlyWhatTheyOwe(t *testing.T) {
 		defer obs.Disable()
 	}
 	for _, w := range []struct {
-		name                  string
-		spec                  JobSpec
-		bufs, tags, sends     int
-		weightTransposesPerMB int // per microbatch: ct·wᵀ products that materialise wᵀ
+		name              string
+		spec              JobSpec
+		bufs, tags, sends int
+		hoisters          int // actors that transpose their weight once a step
 	}{
-		{"pp4-compute", JobSpec{Stages: 4, NumMB: 8, MBRows: 128, Width: 256, Schedule: "1f1b", LR: 0.05}, 184, 48, 48, 3},
-		{"pp4-small", JobSpec{Stages: 4, NumMB: 16, MBRows: 8, Width: 32, Schedule: "1f1b", LR: 0.02}, 360, 96, 96, 0},
+		{"pp4-compute", JobSpec{Stages: 4, NumMB: 8, MBRows: 128, Width: 256, Schedule: "1f1b", LR: 0.05}, 187, 48, 48, 3},
+		{"pp4-small", JobSpec{Stages: 4, NumMB: 16, MBRows: 8, Width: 32, Schedule: "1f1b", LR: 0.02}, 363, 96, 96, 3},
 		{"dp2x2-dense", JobSpec{Stages: 2, DataParallel: 2, NumMB: 2, MBRows: 4, Width: 512, Schedule: "1f1b", LR: 0.01}, 24, 4, 4, 0},
 		{"dp2x2-zq", JobSpec{Stages: 2, DataParallel: 2, NumMB: 2, MBRows: 4, Width: 512, Schedule: "1f1b", LR: 0.002, Momentum: 0.9, Sharded: true, WireDType: "int8q"}, 24, 4, 4, 0},
 	} {
@@ -72,10 +75,9 @@ func TestWorkloadSegmentsRunOnlyWhatTheyOwe(t *testing.T) {
 			if got, want := (obs.CounterNow(matmulElems)-m0)/steps, int64(mbs*(3*s-1)*operand); got != want {
 				t.Errorf("matmul left operands: %d elements a step, want %d = %d microbatches x %d matmuls x %d", got, want, mbs, 3*s-1, operand)
 			}
-			// dW = xᵀ·ct transposes x, once per stage and microbatch.
-			want := int64(mbs * (s*operand + w.weightTransposesPerMB*width*width))
+			want := int64(spec.Replicas() * w.hoisters * width * width)
 			if got := (obs.CounterNow(transposeElems) - t0) / steps; got != want {
-				t.Errorf("transposed %d elements a step, want %d (%d weight transposes a microbatch)", got, want, w.weightTransposesPerMB)
+				t.Errorf("transposed %d elements a step, want %d (%d weight transposes a step)", got, want, w.hoisters)
 			}
 		})
 	}

@@ -19,7 +19,13 @@ import (
 //   - fuse MatMul→ReLU and MatMul→Add→ReLU chains into single kernels,
 //   - never materialise a Transpose whose one consumer is the right operand
 //     of a MatMul: the pair runs as tensor.MatMulNTInto on the untransposed
-//     operand (the ct·Wᵀ of every backward pass),
+//     operand (the ct·Wᵀ of a backward pass whose Wᵀ the step does not
+//     hoist),
+//   - nor one whose one consumer is the left operand of a MatMul: the pair
+//     runs as tensor.MatMulTNInto, which reads xᵀ down the columns of x (the
+//     dW = xᵀ·ct of every backward pass),
+//   - run a Mul by a ReLUMask that nothing else reads as one
+//     tensor.MulReLUMaskInto pass, with no mask tensor (the ReLU backward),
 //   - compute one softmax for a loss and its gradient: an xent and an
 //     xent_grad on the same (logits, targets) — the pair every last-stage
 //     segment holds — share the softmax the xent computes.
@@ -61,7 +67,10 @@ type compiler struct {
 	rootLast []int         // per root slot: last eqn index at which any alias is live
 	freed    []bool        // per root slot: a recycle has been scheduled
 	uses     map[int][]int // value ID -> consuming eqn indices (ir.Graph.Uses)
-	ntSrc    map[int]int   // slot of a fused-away Transpose -> slot of its operand
+	prod     map[int]int   // value ID -> producing eqn index (ir.Graph.Producer)
+	ntSrc    map[int]int   // slot of a Transpose fused into a right operand -> slot of its operand
+	tnSrc    map[int]int   // slot of a Transpose fused into a left operand -> slot of its operand
+	maskSrc  map[int]int   // slot of a ReLUMask fused into its Mul -> slot of its operand
 	// softmaxOf marks the xent_grad eqns whose output slot the xent on the
 	// same (logits, targets) fills with softmax(logits) before they run.
 	softmaxOf map[int]bool
@@ -70,7 +79,8 @@ type compiler struct {
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
-	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), ntSrc: map[int]int{}, softmaxOf: map[int]bool{}}
+	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), prod: g.Producer(),
+		ntSrc: map[int]int{}, tnSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -233,6 +243,18 @@ func (c *compiler) emit(i int) int {
 			}, []int{a, src, out})
 			return i
 		}
+		if src, ok := c.tnSrc[a]; ok {
+			// a is a Transpose that was never run: the mirror of the above,
+			// reading aᵀ down the columns of its operand.
+			c.freshOut(i, out)
+			c.push(i, func(env []*tensor.Tensor) error {
+				dst := tensor.GetScratchShaped(outShape...)
+				tensor.MatMulTNInto(dst, env[src], env[b])
+				env[out] = dst
+				return nil
+			}, []int{src, b, out})
+			return i
+		}
 		if j, fused := c.tryFuseMatMul(i, e, args, out); fused {
 			return j
 		}
@@ -254,6 +276,14 @@ func (c *compiler) emit(i int) int {
 			into = tensor.MulInto
 		}
 		a, b := args[0], args[1]
+		if h, ok := c.maskSrc[b]; ok && e.Op == ir.OpMul {
+			c.emitMulReLUMask(i, a, h, out, false, e.Inputs[0].Shape, outShape)
+			return i
+		}
+		if h, ok := c.maskSrc[a]; ok && e.Op == ir.OpMul {
+			c.emitMulReLUMask(i, b, h, out, true, e.Inputs[1].Shape, outShape)
+			return i
+		}
 		// Prefer writing into a dying operand (gradient-accumulation adds hit
 		// this path); the kernels are index-local, so the other operand may
 		// alias the destination.
@@ -286,6 +316,13 @@ func (c *compiler) emit(i int) int {
 		return i
 
 	case ir.OpScale, ir.OpReLU, ir.OpReLUMask, ir.OpSoftmax:
+		if j := c.soleMaskFactorOf(e); j >= 0 {
+			// Fused into Mul j (see there): nothing runs here, and the
+			// operand the mask is read from lives on until j.
+			c.maskSrc[out] = args[0]
+			c.raiseRootLast(c.root[args[0]], j)
+			return i
+		}
 		factor := e.Attrs.Factor
 		var into func(dst, a *tensor.Tensor)
 		switch e.Op {
@@ -377,11 +414,16 @@ func (c *compiler) emit(i int) int {
 
 	case ir.OpTranspose:
 		a := args[0]
-		if j := c.soleRightOperandOf(e.Outputs[0]); j >= 0 {
+		if j := c.soleOperandOf(e.Outputs[0], 1); j >= 0 {
 			// Fused into MatMul j (see there): nothing runs here, the slot
 			// stays empty and unowned, and the operand's storage — which
 			// might have died at this equation — lives on until j reads it.
 			c.ntSrc[out] = a
+			c.raiseRootLast(c.root[a], j)
+			return i
+		}
+		if j := c.soleOperandOf(e.Outputs[0], 0); j >= 0 {
+			c.tnSrc[out] = a
 			c.raiseRootLast(c.root[a], j)
 			return i
 		}
@@ -453,18 +495,70 @@ func (c *compiler) xentGradOf(i int, e *ir.Equation) int {
 	return -1
 }
 
-// soleRightOperandOf returns the index of the MatMul whose right operand is
-// v's one and only use, or -1: a second consumer, a graph output, the left
-// operand or MatMul(v, v) all need v itself.
-func (c *compiler) soleRightOperandOf(v *ir.Value) int {
+// soleOperandOf returns the index of the MatMul whose operand pos (0 left,
+// 1 right) is v's one and only use, or -1: a second consumer, a graph output,
+// the other operand or MatMul(v, v) all need v itself. A left operand also
+// needs v when the right one is a Transpose fused there already: a product
+// reads at most one operand transposed in place.
+func (c *compiler) soleOperandOf(v *ir.Value, pos int) int {
 	u := c.uses[v.ID]
 	if len(u) != 1 || u[0] == len(c.g.Eqns) {
 		return -1
 	}
-	if e := c.g.Eqns[u[0]]; e.Op == ir.OpMatMul && e.Inputs[1].ID == v.ID {
+	e := c.g.Eqns[u[0]]
+	if e.Op != ir.OpMatMul || e.Inputs[pos].ID != v.ID {
+		return -1
+	}
+	if b := e.Inputs[1]; pos == 0 && c.prod[b.ID] >= 0 && c.g.Eqns[c.prod[b.ID]].Op == ir.OpTranspose && c.soleOperandOf(b, 1) >= 0 {
+		return -1
+	}
+	return u[0]
+}
+
+// soleMaskFactorOf returns the index of the Mul that is the one and only use
+// of the ReLUMask at eqn e, or -1 — also when e is no ReLUMask, and when the
+// Mul would broadcast: tensor.MulReLUMaskInto takes ct and h of one shape.
+func (c *compiler) soleMaskFactorOf(e *ir.Equation) int {
+	v := e.Outputs[0]
+	u := c.uses[v.ID]
+	if e.Op != ir.OpReLUMask || len(u) != 1 || u[0] == len(c.g.Eqns) {
+		return -1
+	}
+	if f := c.g.Eqns[u[0]]; f.Op == ir.OpMul && tensor.ShapeEq(f.Inputs[0].Shape, f.Inputs[1].Shape) {
 		return u[0]
 	}
 	return -1
+}
+
+// emitMulReLUMask compiles the Mul at eqn i of ct by the fused-away
+// ReLUMask of h: in place on ct when it dies here, else on h, else into
+// fresh scratch, like any binary op.
+func (c *compiler) emitMulReLUMask(i, ct, h, out int, maskLeft bool, ctShape, outShape []int) {
+	involved := []int{ct, h, out}
+	into := -1
+	switch {
+	case c.adoptable(i, ct, ctShape, outShape):
+		into = ct
+	case c.adoptable(i, h, ctShape, outShape):
+		into = h
+	}
+	if into >= 0 {
+		c.adopt(i, into, out)
+		c.push(i, func(env []*tensor.Tensor) error {
+			t := env[into]
+			tensor.MulReLUMaskInto(t, env[ct], env[h], maskLeft)
+			env[out] = t
+			return nil
+		}, involved)
+		return
+	}
+	c.freshOut(i, out)
+	c.push(i, func(env []*tensor.Tensor) error {
+		dst := tensor.GetScratchShaped(outShape...)
+		tensor.MulReLUMaskInto(dst, env[ct], env[h], maskLeft)
+		env[out] = dst
+		return nil
+	}, involved)
 }
 
 // tryFuseMatMul fuses MatMul→ReLU and MatMul→Add→ReLU chains when the

@@ -198,7 +198,7 @@ func TestProgramFusionSelfAdd(t *testing.T) {
 // stageGrad is the value-and-grad graph of one MLP stage differentiated with
 // respect to its input and its weight — the graph the benchmark's interp
 // probe times, and every backward product a pipeline segment holds: dW =
-// xᵀ·ct keeps its small transpose, dx = ct·wᵀ is the pair the compiler fuses.
+// xᵀ·ct and dx = ct·wᵀ, the two pairs the compiler fuses.
 func stageGrad(tb testing.TB, rows, width int) (*ir.Graph, []*tensor.Tensor) {
 	tb.Helper()
 	var wrt []*ir.Value
@@ -254,8 +254,10 @@ func sameBitsAsEval(t *testing.T, g *ir.Graph, inputs, got []*tensor.Tensor) {
 }
 
 // TestTransposeMatMulFusion: a Transpose read by nothing but the right
-// operand of one MatMul is never materialised, the result is Eval's bit for
-// bit, and a Transpose anything else reads still runs.
+// operand of one MatMul, or by nothing but its left operand, is never
+// materialised, the result is Eval's bit for bit, and a Transpose anything
+// else reads still runs — as does the left one of a product whose right
+// operand is fused already.
 func TestTransposeMatMulFusion(t *testing.T) {
 	const rows, width = 4, 512
 	g, inputs := stageGrad(t, rows, width)
@@ -263,10 +265,10 @@ func TestTransposeMatMulFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only xᵀ is left of the step's two transposes: no (width, width) one.
+	// Neither of the step's two transposes runs: not xᵀ, not wᵀ.
 	got, moved := transposedElems(t, p, inputs)
-	if moved != rows*width {
-		t.Errorf("the stage program transposed %d elements, want %d (xᵀ alone; wᵀ is %d)", moved, rows*width, width*width)
+	if moved != 0 {
+		t.Errorf("the stage program transposed %d elements, want 0 (xᵀ is %d, wᵀ %d)", moved, rows*width, width*width)
 	}
 	sameBitsAsEval(t, g, inputs, got)
 
@@ -352,11 +354,19 @@ func TestTransposeMatMulFusion(t *testing.T) {
 		}, 30},
 		{"left operand", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
 			return []*ir.Value{b.MatMul(b.Transpose(w), w)}
-		}, 30},
+		}, 0},
+		{"left operand ahead of a relu", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			return []*ir.Value{b.ReLU(b.MatMul(b.Transpose(w), w))}
+		}, 0},
+		{"left operand, right one fused", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
+			// One product reads one operand transposed in place, the right
+			// one: (aᵀ)ᵀ runs, as aᵀ, which feeds no product, does.
+			return []*ir.Value{b.MatMul(b.Transpose(b.Transpose(a)), b.Transpose(w))}
+		}, 15 + 15},
 		{"both operands", func(b *trace.Builder, a, w *ir.Value) []*ir.Value {
 			st := b.Transpose(b.MatMul(b.Transpose(w), w)) // (5, 5)
 			return []*ir.Value{b.MatMul(st, st)}
-		}, 30 + 25},
+		}, 25},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g, err := trace.Trace("nt", func(b *trace.Builder) []*ir.Value {
@@ -549,4 +559,72 @@ func (p *Program) Run(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		return nil, err
 	}
 	return outs, nil
+}
+
+// TestReLUMaskMulFusion: a Mul by a ReLUMask that nothing else reads — the
+// ReLU backward — compiles to one kernel with no mask tensor, in either
+// operand order and in place on a dying ct, with Eval's bits on NaN
+// payloads, ±0 and ±Inf in both ct and h. A mask with a second reader, a mask
+// that is a graph output, and a Mul that broadcasts keep the mask.
+func TestReLUMaskMulFusion(t *testing.T) {
+	mask := func(g *ir.Graph, h *ir.Value) *ir.Value { return g.MustEmit(ir.OpReLUMask, ir.Attrs{}, h) }
+	mul := func(g *ir.Graph, x, y *ir.Value) *ir.Value { return g.MustEmit(ir.OpMul, ir.Attrs{}, x, y) }
+	for _, c := range []struct {
+		name   string
+		build  func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value
+		instrs int
+	}{
+		{"ct times mask", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			return []*ir.Value{mul(g, ct, mask(g, h))}
+		}, 1},
+		{"mask times ct", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			return []*ir.Value{mul(g, mask(g, h), ct)}
+		}, 1},
+		{"dying ct, in place", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			return []*ir.Value{mul(g, g.MustEmit(ir.OpScale, ir.Attrs{Factor: -3}, ct), mask(g, h))}
+		}, 2},
+		{"dying h, in place", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			return []*ir.Value{mul(g, mask(g, g.MustEmit(ir.OpScale, ir.Attrs{Factor: -3}, h)), ct)}
+		}, 2},
+		{"mask read twice", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			m := mask(g, h)
+			return []*ir.Value{mul(g, ct, m), g.MustEmit(ir.OpAdd, ir.Attrs{}, m, ct)}
+		}, 3},
+		{"mask is an output", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			m := mask(g, h)
+			return []*ir.Value{mul(g, ct, m), m}
+		}, 2},
+		{"scalar ct", func(g *ir.Graph, ct, h, s *ir.Value) []*ir.Value {
+			return []*ir.Value{mul(g, s, mask(g, h))}
+		}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := ir.NewGraph("relu_bwd")
+			ct, h, s := g.AddInput([]int{4, 5}, "ct"), g.AddInput([]int{4, 5}, "h"), g.AddInput(nil, "s")
+			g.SetOutputs(c.build(g, ct, h, s)...)
+			p, err := NewProgram(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.instrs) != c.instrs {
+				t.Errorf("%d instructions, want %d", len(p.instrs), c.instrs)
+			}
+			specials := []float64{math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000002),
+				0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5e-324, -2.5, 1.5}
+			rng := tensor.NewRNG(13)
+			inputs := []*tensor.Tensor{rng.Normal(1, 4, 5), rng.Normal(1, 4, 5), tensor.Scalar(math.Inf(-1))}
+			for i := range specials {
+				inputs[0].Data()[2*i] = specials[i]
+				inputs[1].Data()[2*i+1] = specials[len(specials)-1-i]
+				inputs[1].Data()[(2*i+5)%20] = specials[i]
+			}
+			for run := 0; run < 3; run++ { // pooled storage comes back dirty
+				got, err := p.Run(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBitsAsEval(t, g, inputs, got)
+			}
+		})
+	}
 }

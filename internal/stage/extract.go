@@ -15,6 +15,9 @@ import (
 func (s *Split) extractSegments() error {
 	g := s.Source
 	numSegs := 2*s.NumStages - 1
+	for _, sg := range s.EqnSeg {
+		numSegs = max(numSegs, sg+1) // the prologues HoistTransposes assigned
+	}
 	prod := g.Producer()
 
 	inputPos := make(map[int]int, len(g.Inputs)) // value ID -> input index
@@ -37,9 +40,6 @@ func (s *Split) extractSegments() error {
 	for i, sg := range s.EqnSeg {
 		if sg < 0 {
 			continue // removed by loop commuting
-		}
-		if sg >= numSegs {
-			return fmt.Errorf("stage: eqn %d assigned to segment %d of %d", i, sg, numSegs)
 		}
 		segEqns[sg] = append(segEqns[sg], i)
 	}
@@ -113,6 +113,7 @@ func (s *Split) extractSegments() error {
 		}
 
 		// Re-emit the segment's equations.
+		srcOf := map[*ir.Equation]int{}
 		for _, ei := range segEqns[si] {
 			e := g.Eqns[ei]
 			ins := make([]*ir.Value, len(e.Inputs))
@@ -128,11 +129,16 @@ func (s *Split) extractSegments() error {
 				return fmt.Errorf("stage: segment %d re-emit: %w", si, err)
 			}
 			local[e.Outputs[0].ID] = out
+			srcOf[sub.Eqns[len(sub.Eqns)-1]] = ei
 		}
 
-		// Outputs: values produced here needed elsewhere.
+		// Outputs: values produced here needed elsewhere — by a later
+		// segment, or by a loop segment where this is a prologue.
 		usedLater := map[int]bool{}
-		for sj := si + 1; sj < numSegs; sj++ {
+		for sj := 0; sj < numSegs; sj++ {
+			if sj == si {
+				continue
+			}
 			for _, ej := range segEqns[sj] {
 				for _, in := range g.Eqns[ej].Inputs {
 					p, ok := prod[in.ID]
@@ -176,6 +182,9 @@ func (s *Split) extractSegments() error {
 		seg.ParamIn = paramIn
 		seg.ActIn = actIn
 		seg.OutIDs = outIDs
+		for _, e := range sub.Eqns {
+			seg.srcEqns = append(seg.srcEqns, srcOf[e])
+		}
 		s.Segments[si] = seg
 	}
 	return nil

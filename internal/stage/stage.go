@@ -23,6 +23,9 @@ const (
 	FwdLossBwd
 	// Bwd is a pure backward stage segment.
 	Bwd
+	// Prologue is the once-a-step segment of a stage: work HoistTransposes
+	// moved out of the microbatch loop, run ahead of it.
+	Prologue
 )
 
 func (k Kind) String() string {
@@ -33,6 +36,8 @@ func (k Kind) String() string {
 		return "fwd_loss_bwd"
 	case Bwd:
 		return "bwd"
+	case Prologue:
+		return "prologue"
 	}
 	return "?"
 }
@@ -46,9 +51,9 @@ type CutValue struct {
 
 // Segment is one schedulable unit of the microbatch computation.
 type Segment struct {
-	Index int  // 0..2S-2 in dataflow order
+	Index int  // 0..2S-2 in dataflow order, then the prologues
 	Stage int  // forward stage this segment belongs to (mirrored for bwd)
-	Kind  Kind // fwd / fused / bwd
+	Kind  Kind // fwd / fused / bwd / prologue
 
 	Graph *ir.Graph // extracted subgraph
 
@@ -61,6 +66,9 @@ type Segment struct {
 	// OutIDs lists the original value IDs of Graph's outputs: every value
 	// produced here that a later segment or the loop output consumes.
 	OutIDs []int
+
+	// srcEqns[k] is the index in Split.Source.Eqns of Graph.Eqns[k].
+	srcEqns []int
 }
 
 // GradPartial is one per-stage contribution to a (possibly shared-weight)

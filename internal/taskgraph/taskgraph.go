@@ -1,6 +1,7 @@
 // Package taskgraph unrolls a stage-split microbatch graph under a pipeline
 // schedule into one fused instruction program per actor (§4.2–§4.4 of the
-// paper): it maps schedule entries to segment executions, infers send/receive
+// paper): it hoists step-invariant weight transposes into a once-a-step
+// prologue, maps schedule entries to segment executions, infers send/receive
 // pairs in global topological order (so communication cannot deadlock),
 // inserts gradient accumulation, post-loop merges for commuted tied-weight
 // partials, and buffer deletions.
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/schedule"
 	"repro/internal/stage"
+	"repro/internal/tensor"
 )
 
 // BufID identifies a buffer in an actor's object store. IDs are global to a
@@ -63,7 +65,7 @@ type Instr struct {
 
 	// OpRun fields.
 	Seg  int // segment index
-	MB   int // microbatch
+	MB   int // microbatch; -1 for a prologue, which serves them all
 	Ins  []BufID
 	Outs []BufID
 
@@ -110,6 +112,8 @@ type Placement struct {
 // Program is the compiled MPMD step: one instruction list per actor,
 // dispatched in a single RPC per actor per step (§4.4).
 type Program struct {
+	// Split is the stage split the program runs, its prologue segments
+	// included.
 	Split    *stage.Split
 	Schedule *schedule.Schedule
 
@@ -182,6 +186,22 @@ func Compile(split *stage.Split, sched *schedule.Schedule, opts Options) (*Progr
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("taskgraph: %w", err)
 	}
+	isBatch := map[int]bool{}
+	for _, bi := range opts.BatchInputs {
+		if bi < 0 || bi >= len(split.Source.Inputs) {
+			return nil, fmt.Errorf("taskgraph: batch input %d out of range", bi)
+		}
+		isBatch[bi] = true
+	}
+	// A weight's transpose is the same for every microbatch of a step: an
+	// actor whose products read it for more rows a step than the dot form of
+	// a·bᵀ takes transposes it once, in its prologue.
+	split, err := split.HoistTransposes(func(param, rows int) bool {
+		return !isBatch[param] && tensor.HoistsTranspose(rows*sched.NumMB)
+	})
+	if err != nil {
+		return nil, err
+	}
 	c := &compiler{
 		split: split,
 		sched: sched,
@@ -197,14 +217,8 @@ func Compile(split *stage.Split, sched *schedule.Schedule, opts Options) (*Progr
 		vals:         map[[2]int][]Placement{},
 		consumersOf:  map[int][]int{},
 		accum:        map[int]Placement{},
-		isBatch:      map[int]bool{},
+		isBatch:      isBatch,
 		pendingRecvs: map[[2]int][]Instr{},
-	}
-	for _, bi := range opts.BatchInputs {
-		if bi < 0 || bi >= len(split.Source.Inputs) {
-			return nil, fmt.Errorf("taskgraph: batch input %d out of range", bi)
-		}
-		c.isBatch[bi] = true
 	}
 	for _, seg := range split.Segments {
 		for _, cv := range seg.ActIn {
@@ -212,6 +226,9 @@ func Compile(split *stage.Split, sched *schedule.Schedule, opts Options) (*Progr
 		}
 	}
 	if err := c.placeInputs(); err != nil {
+		return nil, err
+	}
+	if err := c.prologues(); err != nil {
 		return nil, err
 	}
 	if err := c.unroll(); err != nil {
@@ -274,6 +291,34 @@ func (c *compiler) placeInputs() error {
 			c.emit(owner, Instr{Kind: OpSend, Buf: buf, Peer: a, Tag: tag})
 			c.emit(a, Instr{Kind: OpRecv, Buf: rep.Buf, Peer: owner, Tag: tag})
 		}
+	}
+	return nil
+}
+
+// prologues emits the one run a step of each prologue segment on its stage's
+// actor: after the pre-loop replication of tied weights, which it may read,
+// and ahead of the loop — so before the actor's first receive of an
+// activation, in 1F1B's fill bubble. Its outputs serve every microbatch.
+func (c *compiler) prologues() error {
+	for _, seg := range c.split.Segments {
+		if seg.Kind != stage.Prologue {
+			continue
+		}
+		actor := c.actorOfSeg(seg.Index)
+		run := Instr{Kind: OpRun, Seg: seg.Index, MB: -1}
+		for _, pi := range seg.ParamIn {
+			buf, err := c.paramBufOn(pi, actor)
+			if err != nil {
+				return err
+			}
+			run.Ins = append(run.Ins, buf)
+		}
+		for _, id := range seg.OutIDs {
+			b := c.newBuf()
+			run.Outs = append(run.Outs, b)
+			c.vals[[2]int{id, -1}] = []Placement{{Actor: actor, Buf: b}}
+		}
+		c.emit(actor, run)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -356,5 +357,72 @@ func TestRunCountsMatchSchedule(t *testing.T) {
 		if counts[seg] != mbs {
 			t.Fatalf("segment %d ran %d times, want %d", seg, counts[seg], mbs)
 		}
+	}
+}
+
+// TestPrologueHoistsWeightTransposes: at more than 16 rows a step, every
+// actor whose segments read a weight's transpose — each but stage 0's, whose
+// backward owes no dx — runs one prologue a step that transposes it, as its
+// first run and before its first receive; every microbatch's backward reads
+// that one buffer, and the liveness pass deletes it behind the last reader.
+// dp2x2's 2 microbatches of 4 rows (8 a step) compile no prologue.
+func TestPrologueHoistsWeightTransposes(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		stages, mbs int
+		sched       func(stages, mbs int) *schedule.Schedule
+		hoisters    int
+	}{
+		{"1f1b, 32 rows a step", 4, 8, schedule.OneFOneB, 3},
+		{"gpipe, 32 rows a step", 4, 8, schedule.GPipe, 3},
+		{"1f1b, 20 rows a step", 3, 5, schedule.OneFOneB, 2},
+		{"1f1b, 8 rows a step", 2, 2, schedule.OneFOneB, 0},
+		{"1f1b, 16 rows a step", 2, 4, schedule.OneFOneB, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			split := buildSplit(t, c.stages, 8, false) // 4 rows a microbatch
+			p := compile(t, split, c.sched(c.stages, c.mbs), Options{})
+			if c.hoisters == 0 {
+				if p.Split != split {
+					t.Fatalf("compiled prologues at %d rows a step", 4*c.mbs)
+				}
+				return
+			}
+			hoisters := 0
+			for a, list := range p.Actors {
+				firstRun := slices.IndexFunc(list, func(in Instr) bool { return in.Kind == OpRun })
+				firstRecv := slices.IndexFunc(list, func(in Instr) bool { return in.Kind == OpRecv })
+				run := list[firstRun]
+				if seg := p.Split.Segments[run.Seg]; seg.Kind != stage.Prologue {
+					if a != 0 {
+						t.Errorf("actor %d runs %s segment %d first, not a prologue", a, seg.Kind, seg.Index)
+					}
+					continue
+				}
+				hoisters++
+				if run.MB != -1 || len(run.Outs) != 1 || firstRecv < firstRun {
+					t.Errorf("actor %d: prologue %v at pc %d, first receive at pc %d", a, run, firstRun, firstRecv)
+				}
+				wt := run.Outs[0]
+				readers, lastRead, deleted := 0, -1, -1
+				for pc, in := range list {
+					switch {
+					case in.Kind == OpRun && slices.Contains(in.Ins, wt):
+						readers, lastRead = readers+1, pc
+					case in.Kind == OpDelete && in.Buf == wt:
+						deleted = pc
+					}
+				}
+				behind := deleted > lastRead && !slices.ContainsFunc(list[lastRead+1:deleted], func(in Instr) bool { return in.Kind != OpDelete })
+				if readers != c.mbs || !behind {
+					t.Errorf("actor %d: Wᵀ read by %d runs (want %d), last at pc %d, deleted at pc %d", a, readers, c.mbs, lastRead, deleted)
+				}
+			}
+			if hoisters != c.hoisters {
+				t.Errorf("%d actors run a prologue, want %d", hoisters, c.hoisters)
+			}
+			sendRecvMatched(t, p)
+			recvPrecedesUse(t, p)
+		})
 	}
 }

@@ -75,11 +75,14 @@ func (c *compiler) unroll() error {
 	}
 }
 
-// localBuf returns the buffer of (value, mb) on the given actor.
+// localBuf returns the buffer of (value, mb) on the given actor, or of the
+// prologue output that serves every microbatch.
 func (c *compiler) localBuf(id, mb, actor int) (BufID, bool) {
-	for _, p := range c.vals[[2]int{id, mb}] {
-		if p.Actor == actor {
-			return p.Buf, true
+	for _, key := range [][2]int{{id, mb}, {id, -1}} {
+		for _, p := range c.vals[key] {
+			if p.Actor == actor {
+				return p.Buf, true
+			}
 		}
 	}
 	return 0, false

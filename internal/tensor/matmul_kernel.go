@@ -37,7 +37,14 @@ import (
 //
 // matMulNTDot, the few-row form of a @ bᵀ, keeps the same contract with the
 // loops turned round: it vectorises nothing, and an output element is one
-// ascending-p chain over two contiguous rows.
+// ascending-p chain over two contiguous rows. ntDotRows, the most rows it
+// takes, is also the threshold above which a compiled step transposes a
+// weight once, in its prologue (HoistsTranspose), instead of every product.
+//
+// matMulTNRows, the form of aᵀ @ b (MatMulTNInto, the dW = xᵀ·ct of a
+// backward pass), is matMulRows with row i of aᵀ compacted down column i of
+// a (compactColumn) in the same chunks: the same lists reach the same
+// kernels, so nothing of the contract changes and no aᵀ is materialised.
 
 // Left-operand traffic of every matmul, counted where the compaction already
 // knows it: elements of a visited and how many of them were non-zero. Their
@@ -82,6 +89,44 @@ func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 	return nz
 }
 
+// compactColumn is compactNonZeros down a column: it writes the non-zeros of
+// the count elements col[0], col[stride], ... — rows p0, p0+1, ... of one
+// column of a — to nzs and returns how many there are.
+func compactColumn(nzs *[nzChunk]nzEnt, col []float64, stride, count, p0, n int) int {
+	nz := 0
+	for p := range min(count, nzChunk) {
+		av := col[p*stride]
+		nzs[nz&(nzChunk-1)] = nzEnt{(p0 + p) * n, av}
+		if math.Float64bits(av)<<1 != 0 {
+			nz++
+		}
+	}
+	return nz
+}
+
+// matMulTNRows computes rows [lo, hi) of dst = aᵀ @ b for a given (k, m):
+// matMulRows with row i of aᵀ read down column i of a, chunk by chunk.
+func matMulTNRows(dst, a, b []float64, m, k, n, lo, hi int) {
+	if n == 0 {
+		return
+	}
+	b = b[:k*n]
+	var nzs [nzChunk]nzEnt
+	nonZeros := 0
+	for i := lo; i < hi; i++ {
+		orow := dst[i*n : (i+1)*n]
+		clear(orow)
+		for p0 := 0; p0 < k; p0 += nzChunk {
+			if nz := compactColumn(&nzs, a[p0*m+i:], m, k-p0, p0, n); nz > 0 {
+				axpyList(orow, b, nzs[:nz])
+				nonZeros += nz
+			}
+		}
+	}
+	obs.Add(cMatMulElems, int64((hi-lo)*k))
+	obs.Add(cMatMulNonZeros, int64(nonZeros))
+}
+
 // axpyListGeneric is the pure-Go kernel: for each entry t of nzs in order,
 // o[j] = o[j] + nzs[t].val*b[nzs[t].off+j] over every j. It mirrors the
 // AVX2 kernel term for term — four entries per pass over o, then the
@@ -124,7 +169,23 @@ func axpyListGeneric(o, b []float64, nzs []nzEnt) {
 // 512: 16 takes the 2.5x (dense) to 5x (half-zero a) of 4x512x512, gives up
 // 1-3 us a product at 8x32x32 (1.3-1.9x), and leaves 128x256x256, which the
 // dot form would run 2.4x slower, where it was.
+//
+// The same trade decides where a step transposes a weight once
+// (HoistsTranspose): a b that does not change within a step is transposed
+// once a step when the products that read it have more than ntDotRows rows
+// a step between them, and each is then MatMulInto on the ready bᵀ.
+// pp4-small's 16 microbatches of 8 rows (128 a step) hoist, paying 32x32
+// moves once for 16 dot forms of 3.6 us that become 0.8 us products;
+// dp2x2's 2 of 4 rows (8 a step) keep the dot form, where a hoist pays a
+// 512x512 transpose a step for two products and ran the last stage's
+// segment 1.2x slower.
 const ntDotRows = 16
+
+// HoistsTranspose reports whether products that read the transpose of a
+// step-invariant b, rowsPerStep rows of a between them every step, are
+// better served by one bᵀ a step and MatMulInto than by MatMulNTInto on each:
+// rowsPerStep > ntDotRows.
+func HoistsTranspose(rowsPerStep int) bool { return rowsPerStep > ntDotRows }
 
 // ntLists recycles the non-zero lists of matMulNTDot: up to ntDotRows*k
 // entries, too many for the stack matMulRows keeps its one chunk on.
