@@ -13,8 +13,8 @@ import (
 // workloads, as bench/workloads.go shapes them, and holds each to what a
 // compiled segment may execute: no equation its outputs do not need, 3·S − 1
 // matmuls a microbatch (the input gradient of the batch, one of the 3·S
-// autodiff emits, is nobody's), no xᵀ (dW = xᵀ·ct reads x in place), and a
-// (Width, Width) transpose once a step on each actor that hoists its
+// autodiff emits, is nobody's), one xᵀ per stage and microbatch (dW = xᵀ·ct),
+// and a (Width, Width) transpose once a step on each actor that hoists its
 // weight's — more than 16 rows a step read it: S − 1 of the pp4 actors (stage
 // 0 owes no dx), none of dp2x2's at 8 rows a step — by the tensor package's
 // exact operand counters over RunLocal steps. What the schedule ships is not
@@ -75,7 +75,9 @@ func TestWorkloadSegmentsRunOnlyWhatTheyOwe(t *testing.T) {
 			if got, want := (obs.CounterNow(matmulElems)-m0)/steps, int64(mbs*(3*s-1)*operand); got != want {
 				t.Errorf("matmul left operands: %d elements a step, want %d = %d microbatches x %d matmuls x %d", got, want, mbs, 3*s-1, operand)
 			}
-			want := int64(spec.Replicas() * w.hoisters * width * width)
+			// dW = xᵀ·ct transposes x, once per stage and microbatch; the
+			// prologues transpose each hoisted weight once a step.
+			want := int64(mbs*s*operand + spec.Replicas()*w.hoisters*width*width)
 			if got := (obs.CounterNow(transposeElems) - t0) / steps; got != want {
 				t.Errorf("transposed %d elements a step, want %d (%d weight transposes a step)", got, want, w.hoisters)
 			}

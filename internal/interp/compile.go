@@ -21,9 +21,6 @@ import (
 //     of a MatMul: the pair runs as tensor.MatMulNTInto on the untransposed
 //     operand (the ct·Wᵀ of a backward pass whose Wᵀ the step does not
 //     hoist),
-//   - nor one whose one consumer is the left operand of a MatMul: the pair
-//     runs as tensor.MatMulTNInto, which reads xᵀ down the columns of x (the
-//     dW = xᵀ·ct of every backward pass),
 //   - run a Mul by a ReLUMask that nothing else reads as one
 //     tensor.MulReLUMaskInto pass, with no mask tensor (the ReLU backward),
 //   - compute one softmax for a loss and its gradient: an xent and an
@@ -67,9 +64,7 @@ type compiler struct {
 	rootLast []int         // per root slot: last eqn index at which any alias is live
 	freed    []bool        // per root slot: a recycle has been scheduled
 	uses     map[int][]int // value ID -> consuming eqn indices (ir.Graph.Uses)
-	prod     map[int]int   // value ID -> producing eqn index (ir.Graph.Producer)
-	ntSrc    map[int]int   // slot of a Transpose fused into a right operand -> slot of its operand
-	tnSrc    map[int]int   // slot of a Transpose fused into a left operand -> slot of its operand
+	ntSrc    map[int]int   // slot of a fused-away Transpose -> slot of its operand
 	maskSrc  map[int]int   // slot of a ReLUMask fused into its Mul -> slot of its operand
 	// softmaxOf marks the xent_grad eqns whose output slot the xent on the
 	// same (logits, targets) fills with softmax(logits) before they run.
@@ -79,8 +74,8 @@ type compiler struct {
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
-	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(), prod: g.Producer(),
-		ntSrc: map[int]int{}, tnSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}}
+	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(),
+		ntSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -243,18 +238,6 @@ func (c *compiler) emit(i int) int {
 			}, []int{a, src, out})
 			return i
 		}
-		if src, ok := c.tnSrc[a]; ok {
-			// a is a Transpose that was never run: the mirror of the above,
-			// reading aᵀ down the columns of its operand.
-			c.freshOut(i, out)
-			c.push(i, func(env []*tensor.Tensor) error {
-				dst := tensor.GetScratchShaped(outShape...)
-				tensor.MatMulTNInto(dst, env[src], env[b])
-				env[out] = dst
-				return nil
-			}, []int{src, b, out})
-			return i
-		}
 		if j, fused := c.tryFuseMatMul(i, e, args, out); fused {
 			return j
 		}
@@ -414,16 +397,11 @@ func (c *compiler) emit(i int) int {
 
 	case ir.OpTranspose:
 		a := args[0]
-		if j := c.soleOperandOf(e.Outputs[0], 1); j >= 0 {
+		if j := c.soleRightOperandOf(e.Outputs[0]); j >= 0 {
 			// Fused into MatMul j (see there): nothing runs here, the slot
 			// stays empty and unowned, and the operand's storage — which
 			// might have died at this equation — lives on until j reads it.
 			c.ntSrc[out] = a
-			c.raiseRootLast(c.root[a], j)
-			return i
-		}
-		if j := c.soleOperandOf(e.Outputs[0], 0); j >= 0 {
-			c.tnSrc[out] = a
 			c.raiseRootLast(c.root[a], j)
 			return i
 		}
@@ -495,24 +473,18 @@ func (c *compiler) xentGradOf(i int, e *ir.Equation) int {
 	return -1
 }
 
-// soleOperandOf returns the index of the MatMul whose operand pos (0 left,
-// 1 right) is v's one and only use, or -1: a second consumer, a graph output,
-// the other operand or MatMul(v, v) all need v itself. A left operand also
-// needs v when the right one is a Transpose fused there already: a product
-// reads at most one operand transposed in place.
-func (c *compiler) soleOperandOf(v *ir.Value, pos int) int {
+// soleRightOperandOf returns the index of the MatMul whose right operand is
+// v's one and only use, or -1: a second consumer, a graph output, the left
+// operand or MatMul(v, v) all need v itself.
+func (c *compiler) soleRightOperandOf(v *ir.Value) int {
 	u := c.uses[v.ID]
 	if len(u) != 1 || u[0] == len(c.g.Eqns) {
 		return -1
 	}
-	e := c.g.Eqns[u[0]]
-	if e.Op != ir.OpMatMul || e.Inputs[pos].ID != v.ID {
-		return -1
+	if e := c.g.Eqns[u[0]]; e.Op == ir.OpMatMul && e.Inputs[1].ID == v.ID {
+		return u[0]
 	}
-	if b := e.Inputs[1]; pos == 0 && c.prod[b.ID] >= 0 && c.g.Eqns[c.prod[b.ID]].Op == ir.OpTranspose && c.soleOperandOf(b, 1) >= 0 {
-		return -1
-	}
-	return u[0]
+	return -1
 }
 
 // soleMaskFactorOf returns the index of the Mul that is the one and only use

@@ -12,12 +12,12 @@ import (
 // cross-segment activations (ActIn). Segment outputs are every value
 // produced in the segment consumed by a later segment, by a commuted partial,
 // or by the loop outputs; equations that reach none of them are dropped.
-func (s *Split) extractSegments() error {
+// prologues lists the stage of each prologue segment, indexed after the
+// 2S-1 loop segments (HoistTransposes; none for a fresh split).
+func (s *Split) extractSegments(prologues []int) error {
 	g := s.Source
-	numSegs := 2*s.NumStages - 1
-	for _, sg := range s.EqnSeg {
-		numSegs = max(numSegs, sg+1) // the prologues HoistTransposes assigned
-	}
+	loopSegs := 2*s.NumStages - 1
+	numSegs := loopSegs + len(prologues)
 	prod := g.Producer()
 
 	inputPos := make(map[int]int, len(g.Inputs)) // value ID -> input index
@@ -41,6 +41,9 @@ func (s *Split) extractSegments() error {
 		if sg < 0 {
 			continue // removed by loop commuting
 		}
+		if sg >= numSegs {
+			return fmt.Errorf("stage: eqn %d assigned to segment %d of %d", i, sg, numSegs)
+		}
 		segEqns[sg] = append(segEqns[sg], i)
 	}
 
@@ -56,17 +59,16 @@ func (s *Split) extractSegments() error {
 
 	s.Segments = make([]*Segment, numSegs)
 	for si := 0; si < numSegs; si++ {
-		seg := &Segment{
-			Index: si,
-			Stage: StageOfSegment(si, s.NumStages),
-		}
+		seg := &Segment{Index: si}
 		switch {
+		case si >= loopSegs:
+			seg.Stage, seg.Kind = prologues[si-loopSegs], Prologue
 		case si == s.NumStages-1:
-			seg.Kind = FwdLossBwd
+			seg.Stage, seg.Kind = si, FwdLossBwd
 		case si < s.NumStages:
-			seg.Kind = Fwd
+			seg.Stage, seg.Kind = si, Fwd
 		default:
-			seg.Kind = Bwd
+			seg.Stage, seg.Kind = StageOfSegment(si, s.NumStages), Bwd
 		}
 
 		sub := ir.NewGraph(fmt.Sprintf("%s.seg%d", g.Name, si))

@@ -59,12 +59,8 @@ func (s *Split) HoistTransposes(hoist func(param, rows int) bool) (*Split, error
 	}
 	h := *s
 	h.EqnSeg = eqnSeg
-	if err := h.extractSegments(); err != nil {
+	if err := h.extractSegments(stages); err != nil {
 		return nil, err
-	}
-	for i, st := range stages {
-		seg := h.Segments[loopSegs+i]
-		seg.Stage, seg.Kind = st, Prologue
 	}
 	h.inferInputPlacement()
 	return &h, nil

@@ -181,7 +181,7 @@ func SplitGraph(g *ir.Graph, opts Options) (*Split, error) {
 		s.LossSeg = valueSeg(prod, s.EqnSeg, g.Outputs[0].ID)
 	}
 
-	if err := s.extractSegments(); err != nil {
+	if err := s.extractSegments(nil); err != nil {
 		return nil, err
 	}
 	s.inferInputPlacement()

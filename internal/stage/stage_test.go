@@ -1,6 +1,8 @@
 package stage
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/autodiff"
@@ -415,4 +417,55 @@ func (s *Split) CrossSegmentEdges() []CutValue {
 		}
 	}
 	return edges
+}
+
+// TestHoistTransposesBuildsPrologues: hoisting every weight transpose of a
+// 4-stage MLP (inputs 0 and 1 are the batch, whose transposes stay) gives one
+// Prologue segment per stage whose backward owes a dx — each but stage 0's —
+// indexed after the loop segments and labelled with
+// its stage, and the split still computes the whole graph. A segment index
+// beyond the loop segments and the prologues is refused, not turned into a
+// segment.
+func TestHoistTransposesBuildsPrologues(t *testing.T) {
+	const stages = 4
+	g := traceGradMLP(t, stages, 6)
+	s, err := SplitGraph(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.HoistTransposes(func(param, rows int) bool { return param >= 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopSegs := 2*stages - 1
+	var got []int
+	for _, seg := range h.Segments[loopSegs:] {
+		if seg.Kind != Prologue {
+			t.Errorf("segment %d is %s, want prologue", seg.Index, seg.Kind)
+		}
+		got = append(got, seg.Stage)
+	}
+	if want := []int{3, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("prologue stages %v, want %v", got, want)
+	}
+	inputs := mlpGradInputs(stages, 6, 7)
+	want, err := interp.Eval(g, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A prologue runs ahead of the loop segments that read it.
+	ordered := *h
+	ordered.Segments = append(slices.Clone(h.Segments[loopSegs:]), h.Segments[:loopSegs]...)
+	for i, out := range runSplitSequentially(t, &ordered, inputs) {
+		if !tensor.AllClose(out, want[i], 0, 0) {
+			t.Fatalf("output %d differs by %v", i, tensor.MaxAbsDiff(out, want[i]))
+		}
+	}
+
+	stray := *h
+	stray.EqnSeg = slices.Clone(h.EqnSeg)
+	stray.EqnSeg[len(stray.EqnSeg)-1] = len(h.Segments)
+	if err := stray.extractSegments(got); err == nil || !strings.Contains(err.Error(), "assigned to segment") {
+		t.Errorf("a stray segment index: got %v, want a refusal", err)
+	}
 }

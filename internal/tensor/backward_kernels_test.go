@@ -171,8 +171,6 @@ func TestKernelsRefuseOverlappingDestination(t *testing.T) {
 		{"MatMulInto over b", func() { MatMulInto(w, x, w) }},
 		{"MatMulNTInto over a", func() { MatMulNTInto(x, x, w) }},
 		{"MatMulNTInto over b, shifted", func() { MatMulNTInto(shifted(3), x, shifted(0)) }},
-		{"MatMulTNInto over a", func() { MatMulTNInto(x, x, w) }},
-		{"MatMulTNInto over b, shifted", func() { MatMulTNInto(shifted(15), x, shifted(0)) }},
 		{"MatMulReLUInto over a", func() { MatMulReLUInto(x, x, w) }},
 		{"MatMulAddReLUInto over c", func() { MatMulAddReLUInto(y, x, w, y) }},
 		{"TransposeInto over a", func() { TransposeInto(y, y) }},
@@ -210,7 +208,6 @@ func TestBackwardKernelsAllocFree(t *testing.T) {
 			{"MulReLUMaskInto", func() { MulReLUMaskInto(dst, ct, h, false) }},
 			{"AddInto", func() { AddInto(dw, dw, w) }},
 			{"TransposeInto", func() { TransposeInto(wt, w) }},
-			{"MatMulTNInto", func() { MatMulTNInto(dw, h, ct) }},
 		} {
 			if n := testing.AllocsPerRun(50, c.run); n != 0 {
 				t.Errorf("%s kernel: %s allocates %v times per call", kernel, c.name, n)

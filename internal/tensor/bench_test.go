@@ -84,43 +84,6 @@ func BenchmarkMatMulNT(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTN is dW = xᵀ·ct through MatMulTNInto ("tn") against what
-// it replaces, TransposeInto of x into a reused buffer and then MatMulInto
-// ("transpose+matmul"), at the dW shape (m, k, n) = (width, rows, width) of
-// pp4-compute, pp4-small and the dp2x2 pair. Dense and half-zero x, as in
-// BenchmarkMatMul.
-func BenchmarkMatMulTN(b *testing.B) {
-	for _, s := range [][3]int{{256, 128, 256}, {32, 8, 32}, {512, 4, 512}} {
-		m, k, n := s[0], s[1], s[2]
-		for _, zero := range []struct {
-			name string
-			frac float64
-		}{{"dense", 0}, {"zero50", 0.5}} {
-			r := rand.New(rand.NewSource(1))
-			x := rnd(r, k, m)
-			for i := range x.data {
-				if r.Float64() < zero.frac {
-					x.data[i] = 0
-				}
-			}
-			ct := rnd(r, k, n)
-			dst, xt := New(m, n), New(m, k)
-			name := fmt.Sprintf("%dx%dx%d/%s/", m, k, n, zero.name)
-			b.Run(name+"tn", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMulTNInto(dst, x, ct)
-				}
-			})
-			b.Run(name+"transpose+matmul", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					TransposeInto(xt, x)
-					MatMulInto(dst, xt, ct)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMatMulFused compares the fused matmul+bias+relu kernel against
 // its unfused composition.
 func BenchmarkMatMulFused(b *testing.B) {
@@ -211,8 +174,9 @@ func BenchmarkReLUBackward(b *testing.B) {
 }
 
 // BenchmarkTranspose measures TransposeInto on the activation and weight
-// shapes the backward pass transposed every microbatch before dW read x in
-// place and a prologue transposed each weight once a step.
+// shapes the backward pass transposes: x for each dW every microbatch, and
+// each weight once a step where the prologue hoists it, every microbatch
+// where it does not.
 func BenchmarkTranspose(b *testing.B) {
 	for _, s := range [][2]int{{128, 256}, {256, 256}, {4, 512}, {512, 512}} {
 		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {

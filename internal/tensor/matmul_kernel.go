@@ -40,11 +40,6 @@ import (
 // ascending-p chain over two contiguous rows. ntDotRows, the most rows it
 // takes, is also the threshold above which a compiled step transposes a
 // weight once, in its prologue (HoistsTranspose), instead of every product.
-//
-// matMulTNRows, the form of aᵀ @ b (MatMulTNInto, the dW = xᵀ·ct of a
-// backward pass), is matMulRows with row i of aᵀ compacted down column i of
-// a (compactColumn) in the same chunks: the same lists reach the same
-// kernels, so nothing of the contract changes and no aᵀ is materialised.
 
 // Left-operand traffic of every matmul, counted where the compaction already
 // knows it: elements of a visited and how many of them were non-zero. Their
@@ -87,44 +82,6 @@ func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 		}
 	}
 	return nz
-}
-
-// compactColumn is compactNonZeros down a column: it writes the non-zeros of
-// the count elements col[0], col[stride], ... — rows p0, p0+1, ... of one
-// column of a — to nzs and returns how many there are.
-func compactColumn(nzs *[nzChunk]nzEnt, col []float64, stride, count, p0, n int) int {
-	nz := 0
-	for p := range min(count, nzChunk) {
-		av := col[p*stride]
-		nzs[nz&(nzChunk-1)] = nzEnt{(p0 + p) * n, av}
-		if math.Float64bits(av)<<1 != 0 {
-			nz++
-		}
-	}
-	return nz
-}
-
-// matMulTNRows computes rows [lo, hi) of dst = aᵀ @ b for a given (k, m):
-// matMulRows with row i of aᵀ read down column i of a, chunk by chunk.
-func matMulTNRows(dst, a, b []float64, m, k, n, lo, hi int) {
-	if n == 0 {
-		return
-	}
-	b = b[:k*n]
-	var nzs [nzChunk]nzEnt
-	nonZeros := 0
-	for i := lo; i < hi; i++ {
-		orow := dst[i*n : (i+1)*n]
-		clear(orow)
-		for p0 := 0; p0 < k; p0 += nzChunk {
-			if nz := compactColumn(&nzs, a[p0*m+i:], m, k-p0, p0, n); nz > 0 {
-				axpyList(orow, b, nzs[:nz])
-				nonZeros += nz
-			}
-		}
-	}
-	obs.Add(cMatMulElems, int64((hi-lo)*k))
-	obs.Add(cMatMulNonZeros, int64(nonZeros))
 }
 
 // axpyListGeneric is the pure-Go kernel: for each entry t of nzs in order,

@@ -113,14 +113,12 @@ func sameBits(x, y float64) bool {
 
 // checkKernelCase runs c through every kernel this build has and compares
 // each against naiveMatMul, then MatMulNTInto on the untransposed b — (n, k),
-// built like the other operands, so a borrowed view when c says so — and
-// MatMulTNInto on the untransposed a — (k, m), likewise — against that
-// result: the MM, NT and TN modes of one product.
+// built like the other operands, so a borrowed view when c says so — against
+// that MatMulInto(a, Transpose(bn)) result.
 func checkKernelCase(t testing.TB, c kernelCase) {
 	t.Helper()
 	a, b := c.build()
-	at, bt := Transpose(a), Transpose(b)
-	an := c.operand(c.k, c.m, 7, func(i int) float64 { return at.data[i] })
+	bt := Transpose(b)
 	bn := c.operand(c.n, c.k, 5, func(i int) float64 { return bt.data[i] })
 	want := make([]float64, c.m*c.n)
 	naiveMatMul(want, a.data, b.data, c.m, c.k, c.n)
@@ -131,7 +129,6 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 		}{
 			{"MatMulInto", func(dst *Tensor) { MatMulInto(dst, a, b) }},
 			{"MatMulNTInto", func(dst *Tensor) { MatMulNTInto(dst, a, bn) }},
-			{"MatMulTNInto", func(dst *Tensor) { MatMulTNInto(dst, an, b) }},
 		} {
 			dst := New(c.m, c.n)
 			for i := range dst.data {
@@ -247,71 +244,6 @@ func TestMatMulNTBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulTNBitIdentical holds MatMulTNInto(x, ct) to MatMulInto(
-// Transpose(x), ct) bit for bit, NaN payloads included, under every kernel:
-// x's row count (the contraction) across the 64-entry chunk edges, ct's
-// width across the 64-column tile and the column tails, a wide x that
-// splits into row blocks, and at each of them all-zero columns of x, signed
-// zeros, subnormals, Inf and NaN in ct under a zero of x, and borrowed views
-// for both operands. A destination that is borrowed, has the product's
-// transposed shape or overlaps an operand is refused.
-func TestMatMulTNBitIdentical(t *testing.T) {
-	var kernels []string
-	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
-	t.Logf("kernels held to MatMulInto(Transpose(x), ct): %v", kernels)
-	id := 0
-	check := func(rows, cols, n int) {
-		for flags := 0; flags < 8; flags++ {
-			id++
-			// kernelCase's a is xᵀ: (cols, rows), so its all-zero rows are
-			// all-zero columns of x.
-			c := kernelCase{m: cols, k: rows, n: n, seed: int64(id), zeroPct: []int{0, 50, 90, 100}[id%4], flags: flags}
-			xt, ct := c.build()
-			xtt := Transpose(xt)
-			x := c.operand(rows, cols, 7, func(i int) float64 { return xtt.data[i] })
-			want, got := New(cols, n), New(cols, n)
-			forEachKernel(func(kernel string) {
-				// Which NaN survives where two meet is the kernel's: the
-				// reference runs on the same one.
-				MatMulInto(want, Transpose(x), ct)
-				for i := range got.data {
-					got.data[i] = math.NaN()
-				}
-				MatMulTNInto(got, x, ct)
-				for i, w := range want.data {
-					if math.Float64bits(got.data[i]) != math.Float64bits(w) {
-						t.Fatalf("%s kernel, x %dx%d, ct width %d, %v: element %d = %#x, MatMulInto(Transpose(x), ct) %#x",
-							kernel, rows, cols, n, c, i, math.Float64bits(got.data[i]), math.Float64bits(w))
-					}
-				}
-			})
-		}
-	}
-	for _, rows := range []int{1, 63, 64, 65, 127, 128, 129} {
-		for _, n := range []int{1, 31, 32, 63, 64, 65, 129} {
-			check(rows, 3, n)
-		}
-	}
-	check(4, 512, 512)  // dp2x2's dW
-	check(128, 256, 65) // row blocks on the worker pool
-	check(8, 32, 32)    // pp4-small's dW
-
-	x, ct := New(5, 3), New(5, 4)
-	for name, dst := range map[string]*Tensor{
-		"borrowed":   ViewRange0(New(6, 4), 0, 3),
-		"transposed": New(4, 3),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MatMulTNInto wrote into a %s destination", name)
-				}
-			}()
-			MatMulTNInto(dst, x, ct)
-		}()
-	}
-}
-
 // TestMatMulFusedRouteThroughKernel pins that the fused entry points are the
 // same kernel plus their epilogue, on shapes large enough to split into row
 // blocks.
@@ -386,14 +318,13 @@ func TestFusedReLUMatchesUnfused(t *testing.T) {
 
 // TestMatMulInlinePathAllocFree pins 0 allocs/op for matmuls that run on the
 // calling goroutine: the non-zero list lives on the stack and never escapes
-// into the assembly call (aᵀ @ b's too), and the few-row a @ bᵀ recycles its
-// lists.
+// into the assembly call, and the few-row a @ bᵀ recycles its lists.
 func TestMatMulInlinePathAllocFree(t *testing.T) {
 	for _, s := range [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24}} {
 		c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: 50}
 		a, b := c.build()
 		dst := New(c.m, c.n)
-		at, bn := Transpose(a), Transpose(b)
+		bn := Transpose(b)
 		forEachKernel(func(kernel string) {
 			if n := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, b) }); n != 0 {
 				t.Errorf("%s kernel: MatMulInto %v allocates %v times per call", kernel, s, n)
@@ -402,18 +333,14 @@ func TestMatMulInlinePathAllocFree(t *testing.T) {
 			if n := testing.AllocsPerRun(50, func() { MatMulNTInto(dst, a, bn) }); n != 0 {
 				t.Errorf("%s kernel: MatMulNTInto %v allocates %v times per call", kernel, s, n)
 			}
-			if n := testing.AllocsPerRun(50, func() { MatMulTNInto(dst, at, b) }); n != 0 {
-				t.Errorf("%s kernel: MatMulTNInto %v allocates %v times per call", kernel, s, n)
-			}
 		})
 	}
 }
 
-// FuzzMatMulKernel is the differential test driven by the fuzzer, over the
-// MM, NT and TN modes alike (MatMulInto, MatMulNTInto, MatMulTNInto); the
-// committed corpus under testdata/fuzz holds the boundary cases (nt-* those
-// of the a @ bᵀ forms, tn-* those of the column compaction of aᵀ @ b, tile-*
-// those of the 64-column tiles).
+// FuzzMatMulKernel is the differential test driven by the fuzzer, over
+// MatMulInto and MatMulNTInto alike; the committed corpus under testdata/fuzz
+// holds the boundary cases (nt-* those of the a @ bᵀ forms, tile-* those of
+// the 64-column tiles).
 func FuzzMatMulKernel(f *testing.F) {
 	f.Add(uint8(3), uint16(5), uint8(9), int64(1), uint8(50), uint8(0))
 	f.Add(uint8(2), uint16(513), uint8(13), int64(2), uint8(50), uint8(caseSpecials|caseViews))

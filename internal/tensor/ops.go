@@ -415,32 +415,6 @@ func MatMulNTInto(dst, a, b *Tensor) {
 	Recycle(bt)
 }
 
-// MatMulTNInto stores aᵀ @ b into dst with a given untransposed: a is (k,m),
-// b is (k,n), dst is (m,n) — the dW = xᵀ·ct of a backward pass, with no xᵀ.
-// Row i of aᵀ is column i of a, compacted where it lies in the same 64-entry
-// chunks matMulRows takes from a row, so the result is MatMulInto(dst,
-// Transpose(a), b) bit for bit, row blocks and operand counts included.
-// dst must not overlap a or b.
-func MatMulTNInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTN wants rank-2 operands, got %v x %v", a.shape, b.shape))
-	}
-	if a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulTN inner dims differ: %vᵀ x %v", a.shape, b.shape))
-	}
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	checkDst2("MatMulTNInto", dst, m, n)
-	checkApart("MatMulTNInto", dst, a)
-	checkApart("MatMulTNInto", dst, b)
-	if m < 2*matMulGrain(k, n) {
-		matMulTNRows(dst.data, a.data, b.data, m, k, n, 0, m)
-		return
-	}
-	parallelFor(m, matMulGrain(k, n), func(lo, hi int) {
-		matMulTNRows(dst.data, a.data, b.data, m, k, n, lo, hi)
-	})
-}
-
 // MatMulReLUInto stores relu(a @ b) into dst — the fused matmul+activation
 // kernel the interpreter emits when the IR permits. dst must not overlap a
 // or b.
