@@ -17,8 +17,8 @@ func TestAnalyticsPinned(t *testing.T) {
 		return s
 	}
 	for _, c := range []struct {
-		s          *Schedule
-		peaks      []int
+		s             *Schedule
+		peaks         []int
 		bfAt2, bfAt23 float64
 	}{
 		{GPipe(4, 8), []int{8, 8, 8, 8}, 0.2727272727272727, 0.2727272727272727},
