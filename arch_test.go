@@ -114,6 +114,9 @@ var archRules = []archRule{
 	{name: "one exp and one log: tensor owns them, so their bits do not follow the CPU's FMA flag",
 		pr: 41, re: `math\.(Exp|Log)\b`, except: `^\s*//`, in: []string{"internal"},
 		plant: planted("internal/model/x.go", "y := math.Exp(x)\n")},
+	{name: "one schedule replay: only internal/schedule walks the task lists, in Replay",
+		pr: 46, re: `heads\[`, in: []string{"internal", "cmd", "examples"}, skip: []string{"internal/schedule"},
+		plant: planted("internal/sim/x.go", "for a := range heads {\n\theads[a]++\n}\n")},
 	// The allowed names are roots. An entry that something else reaches, or
 	// that names no declaration, fails the row, so the list may only shrink.
 	{name: "every declaration is reachable: from a main, an init, a var initialiser's call, transporttest, bench/ or an allowed name",

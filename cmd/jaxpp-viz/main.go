@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/obs/flight"
@@ -51,6 +52,9 @@ func main() {
 		return
 	}
 
+	if err := checkScheduleFlags(*actors, *mb, *repeat, *width, *bwd); err != nil {
+		log.Fatal(err)
+	}
 	build := func(name string) *schedule.Schedule {
 		switch name {
 		case "gpipe":
@@ -92,6 +96,24 @@ func main() {
 			fmt.Printf("wrote Chrome trace to %s\n", *chrome)
 		}
 	}
+}
+
+// checkScheduleFlags refuses the sizes a simulated schedule cannot be built
+// or drawn from: actors, microbatches, repeat or width below 1, and a
+// backward/forward ratio that is not a finite positive number.
+func checkScheduleFlags(actors, mb, repeat, width int, bwd float64) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"actors", actors}, {"mb", mb}, {"repeat", repeat}, {"width", width}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	if !(bwd > 0) || math.IsInf(bwd, 1) {
+		return fmt.Errorf("-bwd %v: want a finite ratio above 0", bwd)
+	}
+	return nil
 }
 
 // renderExec loads an executed Chrome trace and draws the per-actor ASCII

@@ -1,14 +1,18 @@
 // Package schedule implements pipeline schedules for gradient accumulation:
 // GPipe, 1F1B, and Interleaved 1F1B (circular repeat), plus user-defined
-// schedules as per-actor task lists exactly as in §4.2 of the paper. It also
-// provides validation (every forward/backward executed once, dependencies
-// satisfiable, backward co-located with forward) and analytic properties
-// (bubble fraction, peak in-flight activations) used by the simulator and by
-// tests.
+// schedules as per-actor task lists exactly as in §4.2 of the paper.
+//
+// Replay is the one execution model of a schedule: the dependency rule
+// (F(mb, s) waits for F(mb, s−1); B(mb, s) waits for F(mb, s) and
+// B(mb, s+1)) applied to a cooperative, actor-ordered run of the lists.
+// Validate proves it drains, PeakInFlight and BubbleFraction measure it,
+// taskgraph unrolls it into send/recv order, timeline draws it and sim
+// times it.
 package schedule
 
 import (
 	"fmt"
+	"strings"
 )
 
 // TaskType distinguishes forward and backward pipeline tasks.
@@ -56,6 +60,17 @@ func roundRobinStages(actors, stages int) []int {
 		sa[st] = st % actors
 	}
 	return sa
+}
+
+// atLeastOne returns an error naming the first of the space-separated
+// names whose size is below 1.
+func atLeastOne(names string, sizes ...int) error {
+	for i, name := range strings.Fields(names) {
+		if sizes[i] < 1 {
+			return fmt.Errorf("schedule: %s must be >= 1, got %d", name, sizes[i])
+		}
+	}
+	return nil
 }
 
 // GPipe builds the GPipe schedule (Huang et al. 2019): every actor runs all
@@ -126,8 +141,8 @@ func OneFOneB(actors, microbatches int) *Schedule {
 // virtual-pipeline schedule. The number of microbatches must be a multiple
 // of the actor count.
 func Interleaved1F1B(actors, microbatches, repeat int) (*Schedule, error) {
-	if repeat < 1 {
-		return nil, fmt.Errorf("schedule: repeat must be >= 1, got %d", repeat)
+	if err := atLeastOne("actors microbatches repeat", actors, microbatches, repeat); err != nil {
+		return nil, err
 	}
 	if microbatches%actors != 0 {
 		return nil, fmt.Errorf("schedule: interleaved 1F1B needs microbatches (%d) divisible by actors (%d)", microbatches, actors)
@@ -195,6 +210,9 @@ func Interleaved1F1B(actors, microbatches, repeat int) (*Schedule, error) {
 // FromLists builds a user-defined schedule from explicit per-actor task
 // lists (§4.2). StageActor is inferred from the forward entries.
 func FromLists(name string, numStages, numMB int, actors [][]Entry) (*Schedule, error) {
+	if err := atLeastOne("numStages numMB actors", numStages, numMB, len(actors)); err != nil {
+		return nil, err
+	}
 	s := &Schedule{
 		Name:      name,
 		NumActors: len(actors),

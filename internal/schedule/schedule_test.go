@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -39,11 +40,42 @@ func TestInterleavedValidates(t *testing.T) {
 }
 
 func TestInterleavedRejectsBadConfigs(t *testing.T) {
-	if _, err := Interleaved1F1B(4, 6, 2); err == nil {
-		t.Fatal("want error: microbatches not divisible by actors")
+	for _, c := range []struct {
+		actors, mbs, repeat int
+		want                string
+	}{
+		{4, 6, 2, "divisible"},
+		{4, 8, 0, "repeat"},
+		{0, 4, 2, "actors"},
+		{-2, 4, 2, "actors"},
+		{2, 0, 2, "microbatches"},
+		{2, -4, 2, "microbatches"},
+	} {
+		if _, err := Interleaved1F1B(c.actors, c.mbs, c.repeat); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Interleaved1F1B(%d, %d, %d) = %v, want an error naming %s", c.actors, c.mbs, c.repeat, err, c.want)
+		}
 	}
-	if _, err := Interleaved1F1B(4, 8, 0); err == nil {
-		t.Fatal("want error: repeat 0")
+}
+
+func TestFromListsRejectsBadSizes(t *testing.T) {
+	one := [][]Entry{{{MB: 0, Stage: 0, Type: Forward}, {MB: 0, Stage: 0, Type: Backward}}}
+	for _, c := range []struct {
+		stages, mbs int
+		actors      [][]Entry
+		want        string
+	}{
+		{-1, 2, nil, "numStages"},
+		{0, 2, nil, "numStages"},
+		{1, 0, one, "numMB"},
+		{1, -1, one, "numMB"},
+		{1, 1, nil, "actors"},
+	} {
+		if _, err := FromLists("x", c.stages, c.mbs, c.actors); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("FromLists(%d stages, %d microbatches, %d lists) = %v, want an error naming %s", c.stages, c.mbs, len(c.actors), err, c.want)
+		}
+	}
+	if _, err := FromLists("x", 1, 1, one); err != nil {
+		t.Errorf("FromLists of one actor, one stage, one microbatch: %v", err)
 	}
 }
 

@@ -10,14 +10,10 @@ import (
 //  1. every (mb, stage) forward and backward task appears exactly once,
 //  2. the backward of a stage runs on the same actor as its forward (§3.3's
 //     co-location assumption),
-//  3. the task lists are executable without deadlock: simulated round-robin
-//     execution respecting data dependencies drains all lists.
+//  3. the task lists are executable without deadlock: Replay, the
+//     cooperative run every consumer of a schedule follows, drains them.
 func (s *Schedule) Validate() error {
-	type key struct {
-		mb, stage int
-		ty        TaskType
-	}
-	seen := map[key]int{}
+	seen := map[Entry]int{}
 	for a, list := range s.Actors {
 		for _, e := range list {
 			if e.MB < 0 || e.MB >= s.NumMB {
@@ -26,11 +22,10 @@ func (s *Schedule) Validate() error {
 			if e.Stage < 0 || e.Stage >= s.NumStages {
 				return fmt.Errorf("schedule %s: actor %d: stage %d out of range", s.Name, a, e.Stage)
 			}
-			k := key{e.MB, e.Stage, e.Type}
-			if prev, dup := seen[k]; dup {
+			if prev, dup := seen[e]; dup {
 				return fmt.Errorf("schedule %s: task %s on actors %d and %d", s.Name, e, prev, a)
 			}
-			seen[k] = a
+			seen[e] = a
 			if s.StageActor[e.Stage] != a {
 				return fmt.Errorf("schedule %s: %s on actor %d but stage %d belongs to actor %d", s.Name, e, a, e.Stage, s.StageActor[e.Stage])
 			}
@@ -39,185 +34,52 @@ func (s *Schedule) Validate() error {
 	for mb := 0; mb < s.NumMB; mb++ {
 		for st := 0; st < s.NumStages; st++ {
 			for _, ty := range []TaskType{Forward, Backward} {
-				if _, ok := seen[key{mb, st, ty}]; !ok {
+				if _, ok := seen[Entry{MB: mb, Stage: st, Type: ty}]; !ok {
 					return fmt.Errorf("schedule %s: missing %s for mb %d stage %d", s.Name, ty, mb, st)
 				}
 			}
 		}
 	}
-	if !s.drains() {
-		return fmt.Errorf("schedule %s: task lists deadlock under data dependencies", s.Name)
-	}
-	return nil
-}
-
-// ready reports whether entry e can execute given completed tasks.
-func (s *Schedule) ready(e Entry, doneF, doneB map[[2]int]bool) bool {
-	switch e.Type {
-	case Forward:
-		return e.Stage == 0 || doneF[[2]int{e.MB, e.Stage - 1}]
-	default:
-		if !doneF[[2]int{e.MB, e.Stage}] {
-			return false
-		}
-		return e.Stage == s.NumStages-1 || doneB[[2]int{e.MB, e.Stage + 1}]
-	}
-}
-
-// drains simulates cooperative execution of the per-actor lists: each round,
-// every actor executes its head entry if its dependencies are met. Returns
-// false if progress stalls with work remaining (deadlock).
-func (s *Schedule) drains() bool {
-	heads := make([]int, s.NumActors)
-	doneF := map[[2]int]bool{}
-	doneB := map[[2]int]bool{}
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < s.NumActors; a++ {
-			if heads[a] >= len(s.Actors[a]) {
-				continue
-			}
-			finished = false
-			e := s.Actors[a][heads[a]]
-			if s.ready(e, doneF, doneB) {
-				if e.Type == Forward {
-					doneF[[2]int{e.MB, e.Stage}] = true
-				} else {
-					doneB[[2]int{e.MB, e.Stage}] = true
-				}
-				heads[a]++
-				progressed = true
-			}
-		}
-		if finished {
-			return true
-		}
-		if !progressed {
-			return false
-		}
-	}
+	return s.Replay(nil, func(int, Entry, float64) (float64, error) { return 0, nil })
 }
 
 // PeakInFlight returns, per actor, the maximum number of microbatch forward
-// activations held at once: each forward adds one, the matching backward
-// releases it. This is the activation-memory proxy behind the GPipe-vs-1F1B
-// comparison (§2.2.1, Fig. 10).
+// activations held at once over the replay: each forward adds one, the
+// matching backward releases it. This is the activation-memory proxy behind
+// the GPipe-vs-1F1B comparison (§2.2.1, Fig. 10). A schedule that deadlocks
+// reports the peaks up to the stall; Validate rejects it.
 func (s *Schedule) PeakInFlight() []int {
 	peaks := make([]int, s.NumActors)
-	heads := make([]int, s.NumActors)
 	live := make([]int, s.NumActors)
-	doneF := map[[2]int]bool{}
-	doneB := map[[2]int]bool{}
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < s.NumActors; a++ {
-			if heads[a] >= len(s.Actors[a]) {
-				continue
-			}
-			finished = false
-			e := s.Actors[a][heads[a]]
-			if !s.ready(e, doneF, doneB) {
-				continue
-			}
-			if e.Type == Forward {
-				doneF[[2]int{e.MB, e.Stage}] = true
-				live[a]++
-				if live[a] > peaks[a] {
-					peaks[a] = live[a]
-				}
-			} else {
-				doneB[[2]int{e.MB, e.Stage}] = true
-				live[a]--
-			}
-			heads[a]++
-			progressed = true
+	_ = s.Replay(nil, func(a int, e Entry, _ float64) (float64, error) { // a deadlock keeps the peaks so far
+		if e.Type == Forward {
+			live[a]++
+			peaks[a] = max(peaks[a], live[a])
+		} else {
+			live[a]--
 		}
-		if finished {
-			return peaks
-		}
-		if !progressed {
-			return peaks // unreachable for validated schedules
-		}
-	}
+		return 0, nil
+	})
+	return peaks
 }
 
-// BubbleFraction computes the idle fraction of the pipeline under unit task
-// times (forward = 1, backward = bwdRatio), using a list simulation where an
-// actor may only run its next task once dependencies complete. It returns
-// the fraction of total actor-time spent idle.
+// BubbleFraction replays the schedule under unit task times (forward = 1,
+// backward = bwdRatio) and returns the fraction of total actor-time spent
+// idle. A schedule that deadlocks is fully idle: 1.
 func (s *Schedule) BubbleFraction(bwdRatio float64) float64 {
-	type doneKey struct {
-		mb, stage int
-		ty        TaskType
-	}
-	doneAt := map[doneKey]float64{}
-	heads := make([]int, s.NumActors)
 	now := make([]float64, s.NumActors)
 	busy := make([]float64, s.NumActors)
-
-	depsReadyAt := func(e Entry) (float64, bool) {
-		switch e.Type {
-		case Forward:
-			if e.Stage == 0 {
-				return 0, true
-			}
-			t, ok := doneAt[doneKey{e.MB, e.Stage - 1, Forward}]
-			return t, ok
-		default:
-			tf, okf := doneAt[doneKey{e.MB, e.Stage, Forward}]
-			if !okf {
-				return 0, false
-			}
-			if e.Stage == s.NumStages-1 {
-				return tf, true
-			}
-			tb, okb := doneAt[doneKey{e.MB, e.Stage + 1, Backward}]
-			if !okb {
-				return 0, false
-			}
-			if tb > tf {
-				return tb, true
-			}
-			return tf, true
+	err := s.Replay(nil, func(a int, e Entry, start float64) (float64, error) {
+		dur := 1.0
+		if e.Type == Backward {
+			dur = bwdRatio
 		}
-	}
-
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < s.NumActors; a++ {
-			if heads[a] >= len(s.Actors[a]) {
-				continue
-			}
-			finished = false
-			e := s.Actors[a][heads[a]]
-			readyAt, ok := depsReadyAt(e)
-			if !ok {
-				continue
-			}
-			start := now[a]
-			if readyAt > start {
-				start = readyAt
-			}
-			dur := 1.0
-			if e.Type == Backward {
-				dur = bwdRatio
-			}
-			end := start + dur
-			doneAt[doneKey{e.MB, e.Stage, e.Type}] = end
-			now[a] = end
-			busy[a] += dur
-			heads[a]++
-			progressed = true
-		}
-		if finished {
-			break
-		}
-		if !progressed {
-			return 1 // deadlock: treat as fully idle
-		}
+		busy[a] += dur
+		now[a] = start + dur
+		return now[a], nil
+	})
+	if err != nil {
+		return 1
 	}
 	makespan := 0.0
 	for a := range now {

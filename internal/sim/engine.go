@@ -33,7 +33,10 @@ func Simulate(c Config) (*Result, error) {
 		cm.rematExtra = cm.fwdCompute + cm.fwdColl
 	}
 
-	res := simulateEvents(c, cm, sched)
+	res, err := simulateEvents(c, cm, sched)
+	if err != nil {
+		return nil, err
+	}
 	res.Remat = remat
 	actPer := cm.actPerMB
 	if remat {
@@ -48,18 +51,15 @@ func Simulate(c Config) (*Result, error) {
 	return res, nil
 }
 
-// simulateEvents is the discrete-event core: it executes the per-actor task
-// lists with data-dependency availability times, asynchronous (or
-// synchronous) P2P, and per-task dispatch overhead.
-func simulateEvents(c Config, cm *costModel, sched *schedule.Schedule) *Result {
-	type key struct {
-		mb, stage int
-		ty        schedule.TaskType
-	}
-	doneAt := map[key]float64{}
-
+// simulateEvents is the discrete-event core: it times schedule.Replay, the
+// run the compiler unrolls, under the cost model. A task lasts its compute,
+// collectives, rematerialization and dispatch. Overlapped P2P is the lag of
+// a cross-actor edge: the transfer rides on the data, not on either
+// endpoint's clock. Synchronous P2P (SPMD-style) instead blocks the producer
+// while the boundary transfer runs, and the consumer sees the data only at
+// transfer end.
+func simulateEvents(c Config, cm *costModel, sched *schedule.Schedule) (*Result, error) {
 	numActors := sched.NumActors
-	heads := make([]int, numActors)
 	now := make([]float64, numActors)
 	busyCompute := make([]float64, numActors)
 	busyRemat := make([]float64, numActors)
@@ -70,107 +70,44 @@ func simulateEvents(c Config, cm *costModel, sched *schedule.Schedule) *Result {
 	crossActor := func(s1, s2 int) bool {
 		return sched.StageActor[s1] != sched.StageActor[s2]
 	}
-
-	// availAt returns when entry e's operands are available on its actor,
-	// accounting for P2P transfer delay on cross-actor edges (overlapped
-	// mode: the delay rides on the data, not on either endpoint's clock).
-	availAt := func(e schedule.Entry) (float64, bool) {
-		p2p := cm.p2p
-		switch e.Type {
-		case schedule.Forward:
-			if e.Stage == 0 {
-				return 0, true
+	var lag func(from, to schedule.Entry) float64
+	if c.OverlapP2P {
+		lag = func(from, to schedule.Entry) float64 {
+			if crossActor(from.Stage, to.Stage) {
+				return cm.p2p
 			}
-			t, ok := doneAt[key{e.MB, e.Stage - 1, schedule.Forward}]
-			if !ok {
-				return 0, false
-			}
-			if crossActor(e.Stage-1, e.Stage) && c.OverlapP2P {
-				t += p2p
-			}
-			return t, true
-		default:
-			tf, ok := doneAt[key{e.MB, e.Stage, schedule.Forward}]
-			if !ok {
-				return 0, false
-			}
-			if e.Stage == sched.NumStages-1 {
-				return tf, true
-			}
-			tb, ok := doneAt[key{e.MB, e.Stage + 1, schedule.Backward}]
-			if !ok {
-				return 0, false
-			}
-			if crossActor(e.Stage+1, e.Stage) && c.OverlapP2P {
-				tb += p2p
-			}
-			if tb > tf {
-				return tb, true
-			}
-			return tf, true
+			return 0
 		}
 	}
-
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < numActors; a++ {
-			if heads[a] >= len(sched.Actors[a]) {
-				continue
+	err := sched.Replay(lag, func(a int, e schedule.Entry, start float64) (float64, error) {
+		var dur float64
+		switch e.Type {
+		case schedule.Forward:
+			dur = cm.fwdCompute + cm.fwdColl
+			busyCompute[a] += dur
+		default:
+			dur = cm.bwdCompute + cm.bwdColl
+			busyCompute[a] += dur
+			if cm.remat {
+				dur += cm.rematExtra
+				busyRemat[a] += cm.rematExtra
 			}
-			finished = false
-			e := sched.Actors[a][heads[a]]
-			ready, ok := availAt(e)
-			if !ok {
-				continue
-			}
-			start := now[a]
-			if ready > start {
-				start = ready
-			}
-			var dur float64
-			switch e.Type {
-			case schedule.Forward:
-				dur = cm.fwdCompute + cm.fwdColl
-				busyCompute[a] += dur
-			default:
-				dur = cm.bwdCompute + cm.bwdColl
-				busyCompute[a] += dur
-				if cm.remat {
-					dur += cm.rematExtra
-					busyRemat[a] += cm.rematExtra
-				}
-			}
-			dur += cm.dispatch
-			busyDispatch[a] += cm.dispatch
-			end := start + dur
-			// Synchronous P2P (SPMD-style): the producer is blocked while
-			// the boundary transfer runs; the consumer sees data only at
-			// transfer end.
-			sendsCross := false
-			if e.Type == schedule.Forward && e.Stage < sched.NumStages-1 && crossActor(e.Stage, e.Stage+1) {
-				sendsCross = true
-			}
-			if e.Type == schedule.Backward && e.Stage > 0 && crossActor(e.Stage, e.Stage-1) {
-				sendsCross = true
-			}
-			if sendsCross && !c.OverlapP2P {
-				end += cm.p2p
-				busyP2P[a] += cm.p2p
-			}
-			doneAt[key{e.MB, e.Stage, e.Type}] = end
-			now[a] = end
-			heads[a]++
-			tasks++
-			progressed = true
 		}
-		if finished {
-			break
+		dur += cm.dispatch
+		busyDispatch[a] += cm.dispatch
+		end := start + dur
+		sendsCross := e.Type == schedule.Forward && e.Stage < sched.NumStages-1 && crossActor(e.Stage, e.Stage+1) ||
+			e.Type == schedule.Backward && e.Stage > 0 && crossActor(e.Stage, e.Stage-1)
+		if sendsCross && !c.OverlapP2P {
+			end += cm.p2p
+			busyP2P[a] += cm.p2p
 		}
-		if !progressed {
-			// Validated schedules cannot stall; guard anyway.
-			return &Result{StepTime: -1}
-		}
+		now[a] = end
+		tasks++
+		return end, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	makespan := 0.0
@@ -202,7 +139,7 @@ func simulateEvents(c Config, cm *costModel, sched *schedule.Schedule) *Result {
 		totBusy += busyCompute[a] + busyRemat[a] + busyP2P[a] + busyDispatch[a]
 	}
 	res.BubbleFraction = 1 - totBusy/(makespan*float64(numActors))
-	return res
+	return res, nil
 }
 
 // simulateSPMDLoop models the GSPMD stacked-stage encoding of pipeline

@@ -21,58 +21,18 @@ func segOfEntry(e schedule.Entry, numStages int) int {
 	return 2*numStages - 2 - e.Stage
 }
 
-// unroll walks the schedule in a global topological order (the cooperative
-// round-robin execution that Validate proved drains) and expands every entry
-// into run/send/recv/accum instructions. Sends and the matching receives are
-// emitted immediately after the producing task, which is exactly the
-// deadlock-avoiding order of §4.2: receives land in the receiver's program
-// no later than the first task consuming them, and every send precedes any
-// instruction that could block its actor.
+// unroll expands every schedule entry into run/send/recv/accum instructions
+// in the order schedule.Replay runs the lists, a global topological order.
+// Sends and the matching receives are emitted immediately after the
+// producing task, which is exactly the deadlock-avoiding order of §4.2:
+// receives land in the receiver's program no later than the first task
+// consuming them, and every send precedes any instruction that could block
+// its actor.
 func (c *compiler) unroll() error {
-	s := c.sched
-	c.prog.Losses = make([]Placement, s.NumMB)
-	heads := make([]int, s.NumActors)
-	doneF := map[[2]int]bool{}
-	doneB := map[[2]int]bool{}
-	ready := func(e schedule.Entry) bool {
-		if e.Type == schedule.Forward {
-			return e.Stage == 0 || doneF[[2]int{e.MB, e.Stage - 1}]
-		}
-		if !doneF[[2]int{e.MB, e.Stage}] {
-			return false
-		}
-		return e.Stage == s.NumStages-1 || doneB[[2]int{e.MB, e.Stage + 1}]
-	}
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < s.NumActors; a++ {
-			if heads[a] >= len(s.Actors[a]) {
-				continue
-			}
-			finished = false
-			e := s.Actors[a][heads[a]]
-			if !ready(e) {
-				continue
-			}
-			if err := c.expand(a, e); err != nil {
-				return err
-			}
-			if e.Type == schedule.Forward {
-				doneF[[2]int{e.MB, e.Stage}] = true
-			} else {
-				doneB[[2]int{e.MB, e.Stage}] = true
-			}
-			heads[a]++
-			progressed = true
-		}
-		if finished {
-			return nil
-		}
-		if !progressed {
-			return fmt.Errorf("taskgraph: schedule stalled during unrolling")
-		}
-	}
+	c.prog.Losses = make([]Placement, c.sched.NumMB)
+	return c.sched.Replay(nil, func(a int, e schedule.Entry, _ float64) (float64, error) {
+		return 0, c.expand(a, e)
+	})
 }
 
 // localBuf returns the buffer of (value, mb) on the given actor, or of the

@@ -13,81 +13,26 @@ import (
 	"repro/internal/schedule"
 )
 
-// Build simulates the schedule under unit task durations (forward = 1,
-// backward = bwdRatio) and returns one event per task in the executed trace's
-// schema: Name F<mb> or B<mb> (microbatches numbered from 1), Tid the actor,
-// Ts and Dur in µs of a unit that lasts 1 ms.
+// Build replays the schedule (schedule.Replay) under unit task durations
+// (forward = 1, backward = bwdRatio) and returns one event per task in the
+// executed trace's schema: Name F<mb> or B<mb> (microbatches numbered from
+// 1), Tid the actor, Ts and Dur in µs of a unit that lasts 1 ms. A schedule
+// that deadlocks yields the events up to the stall.
 func Build(s *schedule.Schedule, bwdRatio float64) []Event {
-	type key struct {
-		mb, stage int
-		ty        schedule.TaskType
-	}
-	doneAt := map[key]float64{}
-	heads := make([]int, s.NumActors)
-	now := make([]float64, s.NumActors)
 	var events []Event
-
-	readyAt := func(e schedule.Entry) (float64, bool) {
-		switch e.Type {
-		case schedule.Forward:
-			if e.Stage == 0 {
-				return 0, true
-			}
-			t, ok := doneAt[key{e.MB, e.Stage - 1, schedule.Forward}]
-			return t, ok
-		default:
-			tf, ok := doneAt[key{e.MB, e.Stage, schedule.Forward}]
-			if !ok {
-				return 0, false
-			}
-			if e.Stage == s.NumStages-1 {
-				return tf, true
-			}
-			tb, ok := doneAt[key{e.MB, e.Stage + 1, schedule.Backward}]
-			if !ok {
-				return 0, false
-			}
-			if tb > tf {
-				return tb, true
-			}
-			return tf, true
+	_ = s.Replay(nil, func(a int, e schedule.Entry, start float64) (float64, error) { // a deadlock keeps the events so far
+		dur, name := 1.0, "F"
+		if e.Type == schedule.Backward {
+			dur, name = bwdRatio, "B"
 		}
-	}
-	for {
-		progressed := false
-		finished := true
-		for a := 0; a < s.NumActors; a++ {
-			if heads[a] >= len(s.Actors[a]) {
-				continue
-			}
-			finished = false
-			e := s.Actors[a][heads[a]]
-			r, ok := readyAt(e)
-			if !ok {
-				continue
-			}
-			start := now[a]
-			if r > start {
-				start = r
-			}
-			dur, name := 1.0, "F"
-			if e.Type == schedule.Backward {
-				dur, name = bwdRatio, "B"
-			}
-			end := start + dur
-			doneAt[key{e.MB, e.Stage, e.Type}] = end
-			now[a] = end
-			heads[a]++
-			events = append(events, Event{
-				Name: fmt.Sprintf("%s%d", name, e.MB+1), Ph: "X",
-				Ts: start * 1e3, Dur: (end - start) * 1e3, Tid: a,
-			})
-			progressed = true
-		}
-		if finished || !progressed {
-			return events
-		}
-	}
+		end := start + dur
+		events = append(events, Event{
+			Name: fmt.Sprintf("%s%d", name, e.MB+1), Ph: "X",
+			Ts: start * 1e3, Dur: (end - start) * 1e3, Tid: a,
+		})
+		return end, nil
+	})
+	return events
 }
 
 // RenderASCII draws the schedule as one row per actor. Forward tasks print
