@@ -117,6 +117,9 @@ var archRules = []archRule{
 	{name: "one schedule replay: only internal/schedule walks the task lists, in Replay",
 		pr: 46, re: `heads\[`, in: []string{"internal", "cmd", "examples"}, skip: []string{"internal/schedule"},
 		plant: planted("internal/sim/x.go", "for a := range heads {\n\theads[a]++\n}\n")},
+	{name: "one data-plane socket kind: the transport listens and dials Unix-domain sockets, only the control plane speaks TCP",
+		pr: 47, re: `"tcp"`, in: []string{"internal/dist"}, skip: []string{"internal/dist/bootstrap.go"},
+		plant: planted("internal/dist/x.go", "conn, err := net.Dial(\"tcp\", addr)\n")},
 	// The allowed names are roots. An entry that something else reaches, or
 	// that names no declaration, fails the row, so the list may only shrink.
 	{name: "every declaration is reachable: from a main, an init, a var initialiser's call, transporttest, bench/ or an allowed name",

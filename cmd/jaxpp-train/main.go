@@ -1,6 +1,6 @@
 // Command jaxpp-train runs a real (numeric) MPMD pipeline training job on
 // the functional runtime: an S-stage MLP under a chosen schedule, with
-// actors communicating in-process, over localhost TCP sockets (-tcp), or
+// actors communicating in-process, over Unix-domain sockets (-tcp), or
 // across OS processes (-distributed).
 //
 // Single process:
@@ -42,7 +42,7 @@ func main() {
 	schedName := flag.String("schedule", "1f1b", "gpipe or 1f1b")
 	dp := flag.Int("dp", 0, "data-parallel pipeline replicas (0/1 disables)")
 	seed := flag.Uint64("seed", 1, "deterministic init seed")
-	tcp := flag.Bool("tcp", false, "communicate over localhost TCP sockets (binary wire protocol, single process)")
+	tcp := flag.Bool("tcp", false, "communicate over Unix-domain sockets (binary wire protocol, single process)")
 	distributed := flag.Bool("distributed", false, "run across OS processes over the dist transport")
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address in -distributed mode")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames; in -distributed mode the coordinator's setting configures the whole world")
@@ -116,7 +116,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer mesh.Close()
-		fmt.Printf("actors on TCP: ")
+		fmt.Printf("actors on Unix-domain sockets: ")
 		for a := 0; a < spec.World(); a++ {
 			fmt.Printf("%s ", mesh.Addr(a))
 		}

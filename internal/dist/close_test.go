@@ -2,15 +2,15 @@ package dist
 
 import (
 	"bytes"
-	"net"
 	"testing"
 	"time"
 )
 
 // TestCoordinateBindsControlBeforeDataPlane is the regression test for the
 // listener order in CoordinateFlexible: callers pick the control address by
-// probing ":0" and releasing it, so the data plane's own ":0" listen must not
-// run first and be handed that very port back.
+// probing ":0" and releasing it, so the data plane must not be handed that
+// very port. It holds no TCP port at all: its listener is a Unix-domain
+// socket.
 func TestCoordinateBindsControlBeforeDataPlane(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		ctrl := freeAddr(t)
@@ -18,11 +18,10 @@ func TestCoordinateBindsControlBeforeDataPlane(t *testing.T) {
 		if err != nil {
 			t.Fatalf("attempt %d: Coordinate on released port %s: %v", i, ctrl, err)
 		}
-		_, ctrlPort, _ := net.SplitHostPort(ctrl)
-		_, dataPort, _ := net.SplitHostPort(s.Transport.Addr())
+		data := s.Transport.ln.Addr()
 		s.Close()
-		if ctrlPort == dataPort {
-			t.Fatalf("attempt %d: data plane took the control port %s", i, ctrlPort)
+		if data.Network() != "unix" {
+			t.Fatalf("attempt %d: data plane listens on %s %s, want a Unix-domain socket", i, data.Network(), data)
 		}
 	}
 }

@@ -14,11 +14,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// rawPeer is a listener standing in for a peer endpoint: whatever a transport
-// writes to it can be read back byte for byte, or left unread.
+// rawPeer is a listener standing in for a peer endpoint, on the socket kind a
+// transport listens on: whatever a transport writes to it can be read back
+// byte for byte, or left unread.
 func rawPeer(t *testing.T) net.Listener {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listenUnix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +160,14 @@ func TestFedFrameIsEncodeFrameOfTheSum(t *testing.T) {
 	}
 }
 
-// lend8MiB lends eight 1 MiB payloads from rank 0 to peer 1 under one tag. A
-// peer that reads nothing, or an endpoint whose reader stalls on the second
-// of them (the first still sits in its one-slot mailbox), leaves the sender
-// worker blocked in a socket write with most of them queued behind it.
-func lend8MiB(tr *Transport) [][]float64 {
-	payloads := make([][]float64, 8)
+// lend16MiB lends sixteen 1 MiB payloads from rank 0 to peer 1 under one tag,
+// twice what a link's send buffer holds (Linux grants linkSendBuffer and
+// reports double). A peer that reads nothing, or an endpoint whose reader
+// stalls on the second of them (the first still sits in its one-slot
+// mailbox), leaves the sender worker blocked in a socket write with about
+// half of them queued behind it.
+func lend16MiB(tr *Transport) [][]float64 {
+	payloads := make([][]float64, 4*linkSendBuffer>>20)
 	for i := range payloads {
 		payloads[i] = make([]float64, 1<<17)
 		tr.SendLent(0, 1, 100, payloads[i], nil)
@@ -187,7 +190,7 @@ func settleWithin(t *testing.T, tr *Transport) error {
 	}
 }
 
-// TestSettleSurvivesAPeerThatStopsReading: 8 MiB lent to a peer that accepted
+// TestSettleSurvivesAPeerThatStopsReading: 16 MiB lent to a peer that accepted
 // the connection and then takes nothing. The worker is wedged in a socket
 // write; a poison — what the heartbeat plane delivers when a peer is declared
 // dead — must get Settle back promptly with that error, and with every
@@ -195,7 +198,7 @@ func settleWithin(t *testing.T, tr *Transport) error {
 func TestSettleSurvivesAPeerThatStopsReading(t *testing.T) {
 	ln := rawPeer(t)
 	tr := link0to1(t, Options{RecvTimeout: time.Minute}, ln.Addr().String())
-	payloads := lend8MiB(tr)
+	payloads := lend16MiB(tr)
 	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +207,7 @@ func TestSettleSurvivesAPeerThatStopsReading(t *testing.T) {
 	if f64Image(payloads[0]) != nil {
 		time.Sleep(50 * time.Millisecond) // let the worker fill the socket buffers
 		if lentOutstanding(tr) == 0 {
-			t.Fatal("8 MiB went into a socket nobody reads; the test no longer wedges the worker")
+			t.Fatal("16 MiB went into a socket nobody reads; the test no longer wedges the worker")
 		}
 	}
 	cause := errors.New("coordinator reported failure: rank 1 died")
@@ -229,7 +232,7 @@ func TestSettleTimesOutOnAWedgedPeer(t *testing.T) {
 	}
 	ln := rawPeer(t)
 	tr := link0to1(t, Options{RecvTimeout: 200 * time.Millisecond}, ln.Addr().String())
-	lend8MiB(tr)
+	lend16MiB(tr)
 	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +240,7 @@ func TestSettleTimesOutOnAWedgedPeer(t *testing.T) {
 	defer conn.Close()
 	err = settleWithin(t, tr)
 	if err == nil || tr.Err() == nil {
-		t.Fatalf("Settle returned %v and left the transport healthy; 8 MiB are lent to a peer that reads nothing", err)
+		t.Fatalf("Settle returned %v and left the transport healthy; 16 MiB are lent to a peer that reads nothing", err)
 	}
 	if n := lentOutstanding(tr); n != 0 {
 		t.Fatalf("Settle returned with %d lent payloads still referenced by the sender worker", n)
@@ -245,7 +248,7 @@ func TestSettleTimesOutOnAWedgedPeer(t *testing.T) {
 }
 
 // TestSettleSurvivesAnAbortedPeer: the peer endpoint dies the way a SIGKILLed
-// process does, with 8 MiB lent to it. The writes fail, the failure poisons,
+// process does, with 16 MiB lent to it. The writes fail, the failure poisons,
 // Settle reports it — and after Close no sender worker is left behind.
 func TestSettleSurvivesAnAbortedPeer(t *testing.T) {
 	before := goruntime.NumGoroutine()
@@ -261,10 +264,10 @@ func TestSettleSurvivesAnAbortedPeer(t *testing.T) {
 	a.Connect(book)
 	b.Connect(book)
 	// b's reader takes two frames (one into tag 100's mailbox, one in hand)
-	// and stalls; a loopback socket that was being read a moment ago can buffer
-	// most of 8 MiB, so the same payloads are lent four times over to be sure
-	// some are still in the worker's hands when b dies.
-	payloads := lend8MiB(a)
+	// and stalls; the link's socket buffers about half of 16 MiB, so the same
+	// payloads are lent four times over to be sure some are still in the
+	// worker's hands when b dies.
+	payloads := lend16MiB(a)
 	for i := 0; i < 3; i++ {
 		for _, p := range payloads {
 			a.SendLent(0, 1, 100, p, nil)
@@ -273,7 +276,7 @@ func TestSettleSurvivesAnAbortedPeer(t *testing.T) {
 	if f64Image(payloads[0]) != nil {
 		time.Sleep(50 * time.Millisecond) // let b's reader stall and a's worker fill the socket buffers
 		if lentOutstanding(a) == 0 {
-			t.Fatal("32 MiB went through to a peer that consumes nothing; the test no longer wedges the worker")
+			t.Fatal("64 MiB went through to a peer that consumes nothing; the test no longer wedges the worker")
 		}
 	}
 	b.Abort()

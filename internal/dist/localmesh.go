@@ -5,7 +5,7 @@ import (
 )
 
 // LocalMesh hosts n dist endpoints inside one process, wired over real
-// localhost TCP sockets — the single-binary multi-actor topology the old
+// Unix-domain sockets — the single-binary multi-actor topology the old
 // gob-based rpcx transport served, now on the binary wire protocol. It
 // implements transport.Transport for a whole cluster by routing
 // each call to the owning endpoint, so `jaxpp-train -tcp` exercises the

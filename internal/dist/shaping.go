@@ -11,7 +11,7 @@ import (
 // uniform jitter) delays arrival, and a probabilistic frame loss silently
 // drops frames. It exists so the shaped multi-process leg and the calibration
 // model's off-localhost validation run without root/netem — the link still
-// moves real bytes over TCP; shaping only controls *when* they move, and
+// moves real bytes over its socket; shaping only controls *when* they move, and
 // whether. Transport.SetShape arms it; the link's sender worker, the one
 // queue between Send and the socket, waits out each data frame's modeled
 // arrival before writing it.

@@ -34,17 +34,22 @@ var (
 )
 
 // closeWriteGrace bounds how long a graceful Close waits for queued frames
-// to drain to each peer. A wedged-but-alive peer (stopped reading, TCP
+// to drain to each peer. A wedged-but-alive peer (stopped reading, socket
 // buffers full) would otherwise block the sender worker inside a socket
 // write forever — poisoning cannot interrupt a blocked syscall — and hang
 // Close behind the worker drain.
 const closeWriteGrace = 10 * time.Second
 
+// linkSendBuffer is the SO_SNDBUF of every dialed link. A Unix-domain
+// socket does not autotune its send buffer as TCP does, and at Linux's
+// default (208 KiB) a larger frame, such as a 256 KiB pipeline activation,
+// stalls partway through its write until the peer's reader drains it. 4 MiB
+// is where TCP's autotuning tops out (the maximum of tcp_wmem); the kernel
+// caps it at net.core.wmem_max.
+const linkSendBuffer = 4 << 20
+
 // Options configures a Transport.
 type Options struct {
-	// Listen is the data-plane listen address ("127.0.0.1:0" when empty, so
-	// the kernel picks a free port; the chosen address is Addr()).
-	Listen string
 	// RecvTimeout bounds every Recv; zero uses transport.DefaultRecvTimeout,
 	// negative waits forever.
 	RecvTimeout time.Duration
@@ -61,8 +66,10 @@ type Options struct {
 }
 
 // Transport is one process's endpoint of the multi-process data plane: a
-// transport.Transport whose peers live in other OS processes. Each endpoint
-// owns a TCP listener; outgoing links dial lazily and are serviced by one
+// transport.Transport whose peers live in other OS processes on the same
+// host. Each endpoint owns a Unix-domain stream listener (listenUnix: on
+// Linux an abstract name the kernel picks, so no file outlives a killed
+// process); outgoing links dial lazily and are serviced by one
 // persistent sender worker per destination (a Mailbox of encoded frames) —
 // the one queue between an actor's OpSend and the socket, and the §4.2
 // guarantee across processes: a send never blocks the caller and never
@@ -196,18 +203,15 @@ const lendMinFrame = 4096
 // unreachable until Connect installs the address book (rendezvous provides
 // it).
 func NewTransport(rank int, opts Options) (*Transport, error) {
-	if opts.Listen == "" {
-		opts.Listen = "127.0.0.1:0"
-	}
 	if opts.RecvTimeout == 0 {
 		opts.RecvTimeout = transport.DefaultRecvTimeout
 	}
 	if opts.DType == 0 {
 		opts.DType = DTF64
 	}
-	ln, err := net.Listen("tcp", opts.Listen)
+	ln, err := listenUnix()
 	if err != nil {
-		return nil, fmt.Errorf("dist: rank %d listen %s: %w", rank, opts.Listen, err)
+		return nil, fmt.Errorf("dist: rank %d listen: %w", rank, err)
 	}
 	t := &Transport{
 		opts:  opts,
@@ -365,9 +369,13 @@ func (t *Transport) link(to int) (*peerLink, error) {
 	if !ok {
 		return nil, fmt.Errorf("dist: rank %d has no address for peer %d (rendezvous incomplete?)", t.Rank(), to)
 	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: addr, Net: "unix"})
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d dial peer %d at %s: %w", t.Rank(), to, addr, err)
+	}
+	if err := conn.SetWriteBuffer(linkSendBuffer); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dist: rank %d link to peer %d: send buffer: %w", t.Rank(), to, err)
 	}
 	t.mu.Lock()
 	if existing, raced := t.peers[to]; raced {

@@ -290,7 +290,7 @@ func TestUnknownFrameKindPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	conn, err := net.Dial("tcp", tr.Addr())
+	conn, err := net.Dial("unix", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package dist is the multi-process distributed runtime: a binary wire
 // protocol for tagged tensor frames, persistent per-destination sender
-// workers, a TCP point-to-point transport implementing the runtime's
-// Transport contract across OS processes, and a coordinator/worker
-// rendezvous service with heartbeats and failure detection. It plays the
-// role Ray RPC + NCCL P2P play in the paper: long-lived remote actors driven
-// by a single controller over real sockets.
+// workers, a Unix-domain socket point-to-point transport implementing the
+// runtime's Transport contract across the OS processes of one host, and a
+// TCP coordinator/worker rendezvous service with heartbeats and failure
+// detection. It plays the role Ray RPC + NCCL P2P play in the paper:
+// long-lived remote actors driven by a single controller over real sockets.
 package dist
 
 import (

@@ -36,7 +36,7 @@ func TestFrameLeavesBeforeSendReturns(t *testing.T) {
 	if _, err := io.ReadFull(conn, make([]byte, len(controlFrame(frameHello, 0, 1))+len(frame))); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := conn.(*net.TCPConn).SyscallConn()
+	raw, err := conn.(*net.UnixConn).SyscallConn()
 	if err != nil {
 		t.Fatal(err)
 	}

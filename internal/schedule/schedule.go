@@ -73,18 +73,26 @@ func atLeastOne(names string, sizes ...int) error {
 	return nil
 }
 
+// newSchedule is the one-stage-per-actor frame GPipe and OneFOneB fill in:
+// actor a owns stage a and gets an empty task list. A size below 1 keeps its
+// value, for Validate to refuse by name, but builds nothing.
+func newSchedule(name string, actors, microbatches int) *Schedule {
+	n := max(actors, 0)
+	return &Schedule{
+		Name:       name,
+		NumActors:  actors,
+		NumStages:  actors,
+		NumMB:      microbatches,
+		StageActor: roundRobinStages(actors, n),
+		Actors:     make([][]Entry, n),
+	}
+}
+
 // GPipe builds the GPipe schedule (Huang et al. 2019): every actor runs all
 // forward microbatches for its stage, then all backward microbatches.
 // Memory grows with the number of microbatches.
 func GPipe(actors, microbatches int) *Schedule {
-	s := &Schedule{
-		Name:       "gpipe",
-		NumActors:  actors,
-		NumStages:  actors,
-		NumMB:      microbatches,
-		StageActor: roundRobinStages(actors, actors),
-	}
-	s.Actors = make([][]Entry, actors)
+	s := newSchedule("gpipe", actors, microbatches)
 	for a := 0; a < actors; a++ {
 		for mb := 0; mb < microbatches; mb++ {
 			s.Actors[a] = append(s.Actors[a], Entry{MB: mb, Stage: a, Type: Forward})
@@ -101,14 +109,7 @@ func GPipe(actors, microbatches int) *Schedule {
 // bounding in-flight activations by the stage count instead of the
 // microbatch count.
 func OneFOneB(actors, microbatches int) *Schedule {
-	s := &Schedule{
-		Name:       "1f1b",
-		NumActors:  actors,
-		NumStages:  actors,
-		NumMB:      microbatches,
-		StageActor: roundRobinStages(actors, actors),
-	}
-	s.Actors = make([][]Entry, actors)
+	s := newSchedule("1f1b", actors, microbatches)
 	for a := 0; a < actors; a++ {
 		warmup := actors - a - 1
 		if warmup > microbatches {

@@ -79,6 +79,47 @@ func TestFromListsRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// GPipe and OneFOneB keep their signatures: a size below 1 builds nothing
+// (no slice of negative length) and Validate refuses it by name.
+func TestGeneratorsRefuseBadSizes(t *testing.T) {
+	for _, c := range []struct {
+		actors, mbs int
+		want        string
+	}{
+		{-1, 2, "actors"},
+		{0, 4, "actors"},
+		{2, 0, "microbatches"},
+		{2, -3, "microbatches"},
+	} {
+		for _, s := range []*Schedule{GPipe(c.actors, c.mbs), OneFOneB(c.actors, c.mbs)} {
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s(%d, %d).Validate() = %v, want an error naming %s", s.Name, c.actors, c.mbs, err, c.want)
+			}
+		}
+	}
+}
+
+// Validate checks the owner table against the sizes before it indexes it.
+func TestValidateRefusesBadOwners(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(*Schedule)
+		want  string
+	}{
+		{"truncated StageActor", func(s *Schedule) { s.StageActor = s.StageActor[:1] }, "1 stage owners"},
+		{"out-of-range owner", func(s *Schedule) { s.StageActor[1] = 2 }, "owned by actor 2"},
+		{"negative owner", func(s *Schedule) { s.StageActor[0] = -1 }, "owned by actor -1"},
+		{"missing task list", func(s *Schedule) { s.Actors = s.Actors[:1] }, "1 task lists"},
+		{"zero stages", func(s *Schedule) { s.NumStages = 0 }, "stages"},
+	} {
+		s := GPipe(2, 2)
+		c.spoil(s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // Property: all three generators validate across a sweep of shapes.
 func TestGeneratorsValidateProperty(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -7,12 +7,26 @@ import (
 // Validate checks the structural invariants every legal gradient-accumulation
 // schedule must satisfy:
 //
+//  0. at least one actor, stage and microbatch, one owner per stage and one
+//     task list per actor, every owner an actor of the schedule,
 //  1. every (mb, stage) forward and backward task appears exactly once,
 //  2. the backward of a stage runs on the same actor as its forward (§3.3's
 //     co-location assumption),
 //  3. the task lists are executable without deadlock: Replay, the
 //     cooperative run every consumer of a schedule follows, drains them.
 func (s *Schedule) Validate() error {
+	if err := atLeastOne("actors stages microbatches", s.NumActors, s.NumStages, s.NumMB); err != nil {
+		return err
+	}
+	if len(s.StageActor) != s.NumStages || len(s.Actors) != s.NumActors {
+		return fmt.Errorf("schedule %s: %d stage owners and %d task lists for %d stages on %d actors",
+			s.Name, len(s.StageActor), len(s.Actors), s.NumStages, s.NumActors)
+	}
+	for st, a := range s.StageActor {
+		if a < 0 || a >= s.NumActors {
+			return fmt.Errorf("schedule %s: stage %d owned by actor %d, out of range", s.Name, st, a)
+		}
+	}
 	seen := map[Entry]int{}
 	for a, list := range s.Actors {
 		for _, e := range list {
