@@ -120,6 +120,9 @@ var archRules = []archRule{
 	{name: "one data-plane socket kind: the transport listens and dials Unix-domain sockets, only the control plane speaks TCP",
 		pr: 47, re: `"tcp"`, in: []string{"internal/dist"}, skip: []string{"internal/dist/bootstrap.go"},
 		plant: planted("internal/dist/x.go", "conn, err := net.Dial(\"tcp\", addr)\n")},
+	{name: "one level of concurrency: actors and ranks; no goroutine in the kernels or the interpreter",
+		pr: 48, re: `(^|[{;])\s*go\s+[\w(]`, in: []string{"internal/tensor", "internal/interp"},
+		plant: planted("internal/tensor/x.go", "go func() {}()\n")},
 	// The allowed names are roots. An entry that something else reaches, or
 	// that names no declaration, fails the row, so the list may only shrink.
 	{name: "every declaration is reachable: from a main, an init, a var initialiser's call, transporttest, bench/ or an allowed name",

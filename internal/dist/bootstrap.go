@@ -29,6 +29,11 @@ import (
 type ctrlMsg struct {
 	Type string `json:"type"` // hello, welcome, ready, start, ping, pong, barrier, barrier_ok, prof, bye, fail, release
 	Addr string `json:"addr,omitempty"`
+	// Net is the network of the sender's data plane ("unix") in a hello and
+	// a welcome. Both ends must agree: a build whose data plane is another
+	// network reports book addresses this one cannot dial, and it leaves
+	// Net out.
+	Net  string `json:"net,omitempty"`
 	Rank int    `json:"rank,omitempty"`
 	// WantRank is the worker's requested rank in a hello; -1 lets the
 	// coordinator assign arrival order.
@@ -331,6 +336,11 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 			continue // not a worker hello; ignore strays
 		}
 		conn.SetReadDeadline(time.Time{})
+		if err := tr.sameNetwork("worker", m.Net); err != nil {
+			cc.send(ctrlMsg{Type: "fail", Err: err.Error()})
+			conn.Close()
+			continue
+		}
 		if m.WantRank > 0 && (m.WantRank >= maxWorld || pinned[m.WantRank]) {
 			// An explicitly requested rank that conflicts with another pin or
 			// lies outside the world is an operator error (two processes
@@ -402,7 +412,7 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 	}
 	// Welcome every worker with the complete book and this coordinator's
 	// heartbeat and wire settings, collect readiness, start.
-	welcome := ctrlMsg{Type: "welcome", World: world, Book: book, Job: job,
+	welcome := ctrlMsg{Type: "welcome", Net: tr.network(), World: world, Book: book, Job: job,
 		HBInterval: opts.HeartbeatInterval, HBTimeout: opts.HeartbeatTimeout, CRC: opts.Transport.CRC}
 	for _, cc := range pending {
 		welcome.Rank = cc.rank
@@ -458,7 +468,7 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 		conn.Close()
 		return nil, err
 	}
-	if err := cc.send(ctrlMsg{Type: "hello", Addr: tr.Addr(), WantRank: opts.WantRank}); err != nil {
+	if err := cc.send(ctrlMsg{Type: "hello", Addr: tr.Addr(), Net: tr.network(), WantRank: opts.WantRank}); err != nil {
 		conn.Close()
 		tr.Close()
 		return nil, fmt.Errorf("dist: hello: %w", err)
@@ -485,6 +495,11 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 		tr.Close()
 		return nil, fmt.Errorf("dist: expected welcome, got %q", m.Type)
 	}
+	if err := tr.sameNetwork("coordinator", m.Net); err != nil {
+		conn.Close()
+		tr.Close()
+		return nil, fmt.Errorf("dist: refusing welcome: %w", err)
+	}
 	// The world runs on the coordinator's heartbeat and wire settings; a
 	// welcome without them (an older coordinator) leaves the defaults.
 	opts.HeartbeatInterval, opts.HeartbeatTimeout = m.HBInterval, m.HBTimeout
@@ -507,6 +522,18 @@ func Join(ctrlAddr string, opts SessionOptions) (*Session, error) {
 	s := &Session{Rank: m.Rank, World: m.World, Transport: tr, Job: m.Job, opts: opts, coord: cc}
 	s.startControl()
 	return s, nil
+}
+
+// network names the data plane's socket kind for the hello and the welcome.
+func (t *Transport) network() string { return t.ln.Addr().Network() }
+
+// sameNetwork refuses a peer whose data plane is not t's: its book address
+// could not be dialed, and the world would fail at step 0 instead.
+func (t *Transport) sameNetwork(peer, got string) error {
+	if got == t.network() {
+		return nil
+	}
+	return fmt.Errorf("data-plane network mismatch: the %s's is %q, this rank's is %q (a mixed-build world?)", peer, got, t.network())
 }
 
 // setRank rebinds a transport created before its rank was known (Join

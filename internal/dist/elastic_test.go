@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -367,5 +368,108 @@ func TestReleaseStragglersAnswersLateJoiner(t *testing.T) {
 	}
 	if since := time.Since(start); since > 2*time.Second {
 		t.Fatalf("idle drain took %v, want ~the 200ms window", since)
+	}
+}
+
+// oldHelloAddr is the book address a build with a loopback-TCP data plane
+// reports; its hello and welcome carry no data-plane network.
+const oldHelloAddr = "127.0.0.1:40000"
+
+// TestCoordinatorRefusesOtherNetworkHello: a hello from a build whose data
+// plane is not a Unix-domain socket is answered with a fail naming the
+// mismatch instead of being put in the book, and the rendezvous goes on to
+// seat the next worker.
+func TestCoordinatorRefusesOtherNetworkHello(t *testing.T) {
+	opts := flexOpts()
+	addr := freeAddr(t)
+	type result struct {
+		s   *Session
+		err error
+	}
+	coord := make(chan result, 1)
+	go func() {
+		s, err := Coordinate(addr, 2, []byte(`{}`), opts)
+		coord <- result{s, err}
+	}()
+
+	var conn net.Conn
+	var err error
+	for i := 0; i < 150; i++ {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cc := newCtrlConn(conn)
+	if err := cc.send(ctrlMsg{Type: "hello", Addr: oldHelloAddr}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	m, err := cc.read()
+	if err != nil {
+		t.Fatalf("awaiting the answer to an old-style hello: %v", err)
+	}
+	if m.Type != "fail" || !strings.Contains(m.Err, `data-plane network mismatch: the worker's is "", this rank's is "unix"`) {
+		t.Fatalf("old-style hello answered with %s %q, want a fail naming the network mismatch", m.Type, m.Err)
+	}
+
+	worker, err := joinRetry(addr, opts)
+	if err != nil {
+		t.Fatalf("a current worker after the refused one: %v", err)
+	}
+	defer worker.Close()
+	r := <-coord
+	if r.err != nil {
+		t.Fatalf("coordinate: %v", r.err)
+	}
+	defer r.s.Close()
+	if got, want := r.s.Transport.book[1], worker.Transport.Addr(); got != want {
+		t.Fatalf("book seats %q at rank 1, want the current worker's %q", got, want)
+	}
+}
+
+// TestJoinRefusesOtherNetworkWelcome: a worker whose coordinator's welcome
+// names no data-plane network (a loopback-TCP build's) refuses it by name
+// instead of dialing a book it cannot reach.
+func TestJoinRefusesOtherNetworkWelcome(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	joined := make(chan error, 1)
+	go func() {
+		s, err := Join(ln.Addr().String(), flexOpts())
+		if s != nil {
+			s.Close()
+		}
+		joined <- err
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cc := newCtrlConn(conn)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	hello, err := cc.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello.Type != "hello" || hello.Net != "unix" {
+		t.Fatalf("worker sent %s on network %q, want a hello on \"unix\"", hello.Type, hello.Net)
+	}
+	welcome := ctrlMsg{Type: "welcome", World: 2, Rank: 1, Book: map[int]string{0: oldHelloAddr, 1: hello.Addr}}
+	if err := cc.send(welcome); err != nil {
+		t.Fatal(err)
+	}
+	err = <-joined
+	if err == nil || !strings.Contains(err.Error(), `refusing welcome: data-plane network mismatch: the coordinator's is "", this rank's is "unix"`) {
+		t.Fatalf("Join with an old-style welcome: %v, want a refusal naming the network mismatch", err)
 	}
 }

@@ -241,7 +241,7 @@ func quantizeInto(dst []byte, src, res []float64) float64 {
 		for i, v := range res {
 			q := quantCode(v, scale)
 			dst[i] = byte(q)
-			res[i] = v - float64(q)*scale
+			res[i] = v - float64(float64(q)*scale)
 		}
 	}
 	return scale

@@ -279,7 +279,7 @@ func (e *stageEpilogue) reduce(actor int, grads []*tensor.Tensor) error {
 		var sq float64
 		for _, r := range e.grads.Residuals() {
 			for _, v := range r {
-				sq += v * v
+				sq += float64(v * v)
 			}
 		}
 		obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))

@@ -13,7 +13,7 @@ package model
 // SGDRange writes params - lr·grads into dst elementwise.
 func SGDRange(dst, params, grads []float64, lr float64) {
 	for j, g := range grads {
-		dst[j] = params[j] - lr*g
+		dst[j] = params[j] - float64(lr*g)
 	}
 }
 
@@ -21,8 +21,8 @@ func SGDRange(dst, params, grads []float64, lr float64) {
 // (v ← mu·v + g) and dst receives params − lr·v.
 func MomentumRange(dst, params, grads, vel []float64, lr, mu float64) {
 	for j, g := range grads {
-		v := mu*vel[j] + g
+		v := float64(mu*vel[j]) + g
 		vel[j] = v
-		dst[j] = params[j] - lr*v
+		dst[j] = params[j] - float64(lr*v)
 	}
 }

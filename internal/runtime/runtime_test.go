@@ -214,7 +214,8 @@ func TestTiedWeightsWithAndWithoutCommuting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl := NewCluster(3)
+		tr := &countingTransport{Transport: NewChanTransport()}
+		cl := NewClusterWithTransport(3, tr)
 		exe, err := cl.Load(prog, LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -234,8 +235,7 @@ func TestTiedWeightsWithAndWithoutCommuting(t *testing.T) {
 				t.Fatalf("commute=%v grad %d differs by %v", commute, i, tensor.MaxAbsDiff(gotG[i], wantG[i]))
 			}
 		}
-		_, elems := cl.Transport.(*ChanTransport).SendCount()
-		sendElems[ci] = elems
+		sendElems[ci] = tr.elems.Load()
 	}
 	// §3.4: commuting must strictly reduce communication volume (one final
 	// partial transfer instead of one per microbatch).
@@ -446,7 +446,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestChanTransport(t *testing.T) {
-	tr := NewChanTransport()
+	tr := &countingTransport{Transport: NewChanTransport()}
 	done := make(chan *tensor.Tensor)
 	go func() {
 		got, err := tr.Recv(1, 0, 7)
@@ -461,8 +461,7 @@ func TestChanTransport(t *testing.T) {
 	if !tensor.AllClose(got, want, 0, 0) {
 		t.Fatal("payload mismatch")
 	}
-	n, elems := tr.SendCount()
-	if n != 1 || elems != 2 {
+	if n, elems := tr.sends.Load(), tr.elems.Load(); n != 1 || elems != 2 {
 		t.Fatalf("count=%d elems=%d", n, elems)
 	}
 }

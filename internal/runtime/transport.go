@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/tensor"
@@ -28,9 +27,6 @@ type ChanTransport struct {
 	// When it fires, the payload is dropped and the transport is poisoned.
 	// Zero or negative waits indefinitely. Set before actors start.
 	SendTimeout time.Duration
-
-	sent      atomic.Int64
-	sentElems atomic.Int64
 }
 
 // NewChanTransport returns an empty in-process transport with the default
@@ -43,7 +39,7 @@ func NewChanTransport() *ChanTransport {
 // that finds the mailbox still full backpressures up to SendTimeout for the
 // receiver to drain it, then drops the copy and poisons the transport so the
 // failure surfaces as errors on every actor instead of wedging this one or
-// silently skewing tag matching. Dropped payloads are not counted as sent.
+// silently skewing tag matching.
 func (c *ChanTransport) Send(from, to, tag int, t *tensor.Tensor) {
 	c.put(from, to, tag, tensor.CloneScratch(t))
 }
@@ -58,16 +54,10 @@ func (c *ChanTransport) SendLent(from, to, tag int, payload, _ []float64) {
 
 // put queues cp, a copy this transport made, for the receiver.
 func (c *ChanTransport) put(from, to, tag int, cp *tensor.Tensor) {
-	// The receiver owns cp the moment it is queued (it may recycle it at
-	// once), so read the size up front.
-	size := int64(cp.Size())
 	if err := c.inbox.Put(transport.Key{From: from, To: to, Tag: tag}, cp, c.SendTimeout); err != nil {
 		tensor.Recycle(cp) // never delivered: still ours
 		c.inbox.Poison(err)
-		return
 	}
-	c.sent.Add(1)
-	c.sentElems.Add(size)
 }
 
 // Settle implements transport.Transport: SendLent keeps no reference to what

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // TestSendTimeoutPoisonsTransport pins the bounded-send behaviour of the
@@ -12,7 +14,7 @@ import (
 // was never consumed (the receiver aborted or stalled) must drop after
 // SendTimeout instead of wedging the sending actor, and the drop must poison
 // the transport — after it, tag matching can no longer be trusted, so every
-// Recv errors and the dropped payload is not counted as sent.
+// Recv errors.
 func TestSendTimeoutPoisonsTransport(t *testing.T) {
 	c := NewChanTransport()
 	c.SendTimeout = 20 * time.Millisecond
@@ -29,9 +31,6 @@ func TestSendTimeoutPoisonsTransport(t *testing.T) {
 	}
 	if _, err := c.Recv(1, 0, 7); err == nil {
 		t.Fatal("Recv succeeded on a poisoned transport")
-	}
-	if n, _ := c.SendCount(); n != 1 {
-		t.Fatalf("SendCount = %d, want 1 (dropped payloads must not count)", n)
 	}
 }
 
@@ -79,7 +78,21 @@ func TestSendTimeoutWakesBlockedRecv(t *testing.T) {
 	}
 }
 
-// SendCount returns the number of sends and total elements moved.
-func (c *ChanTransport) SendCount() (int, int64) {
-	return int(c.sent.Load()), c.sentElems.Load()
+// countingTransport counts the sends and the elements handed to the
+// transport it wraps.
+type countingTransport struct {
+	transport.Transport
+	sends, elems atomic.Int64
+}
+
+func (c *countingTransport) Send(from, to, tag int, t *tensor.Tensor) {
+	c.sends.Add(1)
+	c.elems.Add(int64(t.Size()))
+	c.Transport.Send(from, to, tag, t)
+}
+
+func (c *countingTransport) SendLent(from, to, tag int, payload, residual []float64) {
+	c.sends.Add(1)
+	c.elems.Add(int64(len(payload)))
+	c.Transport.SendLent(from, to, tag, payload, residual)
 }

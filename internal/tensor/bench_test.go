@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// BenchmarkMatMul measures the (possibly parallel) matmul kernel: square
+// BenchmarkMatMul measures the matmul kernel: square
 // sizes across the range the pipeline microbatches and calibration models
 // span, then the (m, k, n) shapes the benchmark workloads issue — forward
 // and dx (rows x width x width) and dW (width x rows x width) of pp4-compute,

@@ -115,8 +115,8 @@ func TestIntoKernelsMatchPure(t *testing.T) {
 	}
 }
 
-// TestMatMulKernels checks the parallel MatMul and the fused variants against
-// a naive reference over the benchmark size range.
+// TestMatMulKernels checks MatMul and the fused variants against a naive
+// reference over the benchmark size range.
 func TestMatMulKernels(t *testing.T) {
 	naive := func(a, b *Tensor) *Tensor {
 		m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)

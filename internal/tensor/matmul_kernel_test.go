@@ -148,7 +148,7 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 // TestMatMulKernelBitIdentical holds every kernel this build can run (the
 // 512-bit tile kernel, the AVX2 kernel, the pure-Go kernel) to the naive
 // reference bit for bit: every k and n up to 70 (all n%8 column tails, all
-// nnz%4 list tails), every m up to 70 (inline and row-block-parallel), k
+// nnz%4 list tails), every m up to 70, k
 // across the compaction-chunk boundaries, n of one and two 64-column tiles
 // with and without a tail, all-zero rows, signed zeros, subnormals,
 // non-finite b under the zero skip, and unaligned borrowed views.
@@ -245,8 +245,8 @@ func TestMatMulNTBitIdentical(t *testing.T) {
 }
 
 // TestMatMulFusedRouteThroughKernel pins that the fused entry points are the
-// same kernel plus their epilogue, on shapes large enough to split into row
-// blocks.
+// same kernel plus their epilogue, on a shape with column tails and half of
+// a's entries zero.
 func TestMatMulFusedRouteThroughKernel(t *testing.T) {
 	c := kernelCase{m: 96, k: 70, n: 67, seed: 5, zeroPct: 50}
 	a, b := c.build()
@@ -270,8 +270,8 @@ func TestMatMulFusedRouteThroughKernel(t *testing.T) {
 // TestFusedReLUMatchesUnfused holds the fused epilogues to ReLUInto byte
 // for byte: MatMulReLUInto to ReLUInto(MatMulInto), MatMulAddReLUInto to
 // ReLUInto(AddInto(MatMulInto, c)) with c full and scalar, where b holds NaN
-// and ±Inf (so products are NaN and infinite) and the bias -0 — inline and
-// over row blocks.
+// and ±Inf (so products are NaN and infinite) and the bias -0 — on a few
+// rows and on many.
 func TestFusedReLUMatchesUnfused(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, m := range []int{3, 96} {
@@ -316,24 +316,46 @@ func TestFusedReLUMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMatMulInlinePathAllocFree pins 0 allocs/op for matmuls that run on the
-// calling goroutine: the non-zero list lives on the stack and never escapes
-// into the assembly call, and the few-row a @ bᵀ recycles its lists.
+// TestMatMulInlinePathAllocFree pins 0 allocs/op for every matmul entry
+// point under every kernel, on shapes up to the benchmark workloads' forward
+// and dW ones, dense and with half of a zero: each runs inline on its caller,
+// the non-zero list lives on the stack and never escapes into the assembly
+// call, and the few-row a @ bᵀ recycles its lists.
 func TestMatMulInlinePathAllocFree(t *testing.T) {
-	for _, s := range [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24}} {
-		c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: 50}
-		a, b := c.build()
-		dst := New(c.m, c.n)
-		bn := Transpose(b)
-		forEachKernel(func(kernel string) {
-			if n := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, b) }); n != 0 {
-				t.Errorf("%s kernel: MatMulInto %v allocates %v times per call", kernel, s, n)
+	type op struct {
+		name string
+		runs int
+		run  func()
+	}
+	shapes := [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24},
+		{256, 256, 256}, {512, 4, 512}, {4, 512, 512}, {128, 256, 256}}
+	for _, s := range shapes {
+		for _, zeroPct := range []int{0, 50} {
+			c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: zeroPct}
+			a, b := c.build()
+			dst := New(c.m, c.n)
+			bias := rnd(rand.New(rand.NewSource(2)), c.m, c.n)
+			bn := Transpose(b)
+			ops := []op{
+				{"MatMulInto", 5, func() { MatMulInto(dst, a, b) }},
+				{"MatMulReLUInto", 5, func() { MatMulReLUInto(dst, a, b) }},
+				{"MatMulAddReLUInto", 5, func() { MatMulAddReLUInto(dst, a, b, bias) }},
 			}
-			// The dot form's lists come from a pool of their own.
-			if n := testing.AllocsPerRun(50, func() { MatMulNTInto(dst, a, bn) }); n != 0 {
-				t.Errorf("%s kernel: MatMulNTInto %v allocates %v times per call", kernel, s, n)
+			if c.m <= ntDotRows {
+				// The dot form's lists come from a sync.Pool of their own.
+				// -race drops a quarter of its puts, so the count is
+				// averaged over more calls (the transposed b above
+				// ntDotRows is pooled too, and is left out).
+				ops = append(ops, op{"MatMulNTInto", 50, func() { MatMulNTInto(dst, a, bn) }})
 			}
-		})
+			forEachKernel(func(kernel string) {
+				for _, o := range ops {
+					if n := testing.AllocsPerRun(o.runs, o.run); n != 0 {
+						t.Errorf("%s kernel: %s %v zero=%d%% allocates %v times per call", kernel, o.name, s, zeroPct, n)
+					}
+				}
+			})
+		}
 	}
 }
 

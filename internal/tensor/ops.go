@@ -322,19 +322,19 @@ func matMulShapes(a, b *Tensor) (m, k, n int) {
 	return a.shape[0], a.shape[1], b.shape[1]
 }
 
-// matMulRows computes rows [lo, hi) of dst = a @ b, zeroing the destination
-// rows first so dst may hold scratch garbage. Each row of a is compacted to
+// matMulRows computes the m rows of dst = a @ b, zeroing each destination
+// row first so dst may hold scratch garbage. Each row of a is compacted to
 // its non-zeros, which axpyList then accumulates in ascending p (the kernel
 // contract is in matmul_kernel.go): bit for bit the scalar ikj loop with its
 // `a[i][p] == 0` skip.
-func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
+func matMulRows(dst, a, b []float64, m, k, n int) {
 	if n == 0 {
 		return
 	}
 	b = b[:k*n] // every list offset p*n, p < k, addresses a whole row of b
 	var nzs [nzChunk]nzEnt
 	nonZeros := 0
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
 		clear(orow)
@@ -345,25 +345,12 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 			}
 		}
 	}
-	obs.Add(cMatMulElems, int64((hi-lo)*k))
+	obs.Add(cMatMulElems, int64(m*k))
 	obs.Add(cMatMulNonZeros, int64(nonZeros))
 }
 
-// matMulGrain returns the minimum row-block size worth shipping to a worker:
-// roughly 256k flops per block — 10-20 µs of the vector kernels at their
-// measured ~13 (AVX2) to ~20 (AVX-512) GFLOP/s dense, no more than the block
-// duration the scalar kernel's 64k flops bought — so small matmuls stay on
-// the calling goroutine.
-func matMulGrain(k, n int) int {
-	g := 131072 / (k*n + 1)
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// MatMul computes the matrix product of two rank-2 tensors (m,k)x(k,n)->(m,n),
-// parallelized over row blocks on the shared worker pool for large operands.
+// MatMul computes the matrix product of two rank-2 tensors (m,k)x(k,n)->(m,n)
+// on the calling goroutine.
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := matMulShapes(a, b)
 	out := New(m, n)
@@ -377,15 +364,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	checkDst2("MatMulInto", dst, m, n)
 	checkApart("MatMulInto", dst, a)
 	checkApart("MatMulInto", dst, b)
-	if m < 2*matMulGrain(k, n) {
-		// Small operands run inline; returning before the closure below is
-		// built keeps the single-block case allocation-free.
-		matMulRows(dst.data, a.data, b.data, k, n, 0, m)
-		return
-	}
-	parallelFor(m, matMulGrain(k, n), func(lo, hi int) {
-		matMulRows(dst.data, a.data, b.data, k, n, lo, hi)
-	})
+	matMulRows(dst.data, a.data, b.data, m, k, n)
 }
 
 // MatMulNTInto stores a @ bᵀ into dst with b given untransposed: a is (m,k),
@@ -423,21 +402,13 @@ func MatMulReLUInto(dst, a, b *Tensor) {
 	checkDst2("MatMulReLUInto", dst, m, n)
 	checkApart("MatMulReLUInto", dst, a)
 	checkApart("MatMulReLUInto", dst, b)
-	if m < 2*matMulGrain(k, n) {
-		matMulRows(dst.data, a.data, b.data, k, n, 0, m)
-		reluSpan(dst.data, 0, m*n)
-		return
-	}
-	parallelFor(m, matMulGrain(k, n), func(lo, hi int) {
-		matMulRows(dst.data, a.data, b.data, k, n, lo, hi)
-		reluSpan(dst.data, lo*n, hi*n)
-	})
+	matMulRows(dst.data, a.data, b.data, m, k, n)
+	reluSpan(dst.data[:m*n])
 }
 
-// reluSpan stores max(data[i], 0) over data[lo:hi] in place, as ReLUInto
-// does: +0 for a NaN and for -0, selected on positiveBits.
-func reluSpan(data []float64, lo, hi int) {
-	span := data[lo:hi]
+// reluSpan stores max(x, 0) over span in place, as ReLUInto does: +0 for a
+// NaN and for -0, selected on positiveBits.
+func reluSpan(span []float64) {
 	for i, x := range span {
 		bits := math.Float64bits(x)
 		var r uint64
@@ -460,22 +431,13 @@ func MatMulAddReLUInto(dst, a, b, c *Tensor) {
 	if c.Rank() != 0 && (len(c.shape) != 2 || c.shape[0] != m || c.shape[1] != n) {
 		panic(fmt.Sprintf("tensor: MatMulAddReLUInto addend shape %v, want %v or scalar", c.shape, []int{m, n}))
 	}
-	if m < 2*matMulGrain(k, n) {
-		matMulRows(dst.data, a.data, b.data, k, n, 0, m)
-		addReluSpan(dst.data, c, 0, m*n)
-		return
-	}
-	parallelFor(m, matMulGrain(k, n), func(lo, hi int) {
-		matMulRows(dst.data, a.data, b.data, k, n, lo, hi)
-		addReluSpan(dst.data, c, lo*n, hi*n)
-	})
+	matMulRows(dst.data, a.data, b.data, m, k, n)
+	addReluSpan(dst.data[:m*n], c)
 }
 
-// addReluSpan stores relu(data+c) over data[lo:hi] in place, with c either
-// matching data's full extent or a scalar; relu is ReLUInto's, as in
-// reluSpan.
-func addReluSpan(data []float64, c *Tensor, lo, hi int) {
-	span := data[lo:hi]
+// addReluSpan stores relu(span+c) over span in place, with c either matching
+// span's extent or a scalar; relu is ReLUInto's, as in reluSpan.
+func addReluSpan(span []float64, c *Tensor) {
 	if c.Rank() == 0 {
 		cv := c.data[0]
 		for i, x := range span {
@@ -488,7 +450,7 @@ func addReluSpan(data []float64, c *Tensor, lo, hi int) {
 		}
 		return
 	}
-	cs := c.data[lo:hi]
+	cs := c.data[:len(span)]
 	for i, x := range span {
 		bits := math.Float64bits(x + cs[i])
 		var r uint64

@@ -59,7 +59,7 @@ func (r *RNG) SkipNorm(n int) {
 func (r *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*r.Float64()
+		t.data[i] = lo + float64((hi-lo)*r.Float64())
 	}
 	return t
 }

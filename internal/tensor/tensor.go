@@ -10,6 +10,10 @@
 // tensors from the buffer pool (pool.go) are exclusively owned and mutable
 // until ownership transfers, and the destination-passing *Into kernels
 // (ops.go) write into caller-owned storage.
+//
+// Every kernel runs on the goroutine that calls it. Parallelism lives one
+// level up, in the actors: a goroutine per actor in one process, a process
+// per rank across processes.
 package tensor
 
 import (
