@@ -141,10 +141,11 @@ const (
 	shapedRatioHi = 2.5
 )
 
-// validateShaped runs the check over TCP links shaped with enough latency
-// that the modeled network, not goroutine scheduling, dominates both numbers
-// — which is why the prediction must track execution here if the calibration
-// model is to be trusted off localhost. A ratio outside the band is an error.
+// validateShaped runs the check over Unix-domain socket links shaped with
+// enough latency that the modeled network, not goroutine scheduling,
+// dominates both numbers — which is why the prediction must track execution
+// here if the calibration model is to be trusted off localhost. A ratio
+// outside the band is an error.
 func validateShaped(w io.Writer) error {
 	shape := dist.ShapeOpts{Latency: 2 * time.Millisecond, Jitter: 500 * time.Microsecond, BandwidthGBs: 1, Seed: 7}
 	const ranks = 4

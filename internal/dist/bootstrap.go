@@ -99,7 +99,8 @@ type SessionOptions struct {
 	// MinWorld is the smallest world a flexible rendezvous may form
 	// (CoordinateFlexible only; zero means the full requested world, i.e.
 	// strict). JoinGrace is how long to keep admitting joiners once MinWorld
-	// is met, restarted on every join (zero = DefaultJoinGrace).
+	// is met, or once as many hellos as seats have arrived with some of them
+	// refused, restarted on every hello (zero = DefaultJoinGrace).
 	MinWorld  int
 	JoinGrace time.Duration
 	// OnMetrics receives step samples with the rank that recorded them: the
@@ -264,7 +265,11 @@ func Coordinate(ctrlAddr string, world int, job []byte, opts SessionOptions) (*S
 // returns the world size to seat (≤ procs; the remainder are released with a
 // clean "not needed") plus the job payload for that world — the hook that
 // lets a shrinking training job re-derive its data-parallel width. jobFor
-// returning world < 1 aborts the rendezvous (no viable topology).
+// returning world < 1 aborts the rendezvous (no viable topology). A hello
+// from a worker whose data plane differs or whose rank pin conflicts is
+// answered with a fail and counted: once admitted and refused hellos fill
+// the maxWorld-1 seats, the rendezvous waits only JoinGrace for another, and
+// if it then aborts its error names every refusal and its reason.
 func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobFor func(procs int) (int, []byte)) (*Session, error) {
 	opts.fill()
 	if maxWorld < 1 {
@@ -305,15 +310,25 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 		}
 		s.close(nil)
 	}
-	lastJoin := time.Now()
+	// refused names every hello the coordinator answered with a fail, and
+	// why, for the error if the rendezvous aborts.
+	var refused []string
+	refuse := func(cc *ctrlConn, m ctrlMsg, reason string) {
+		cc.send(ctrlMsg{Type: "fail", Err: reason})
+		cc.c.Close()
+		refused = append(refused, fmt.Sprintf("%s: %s", m.Addr, reason))
+	}
+	lastHello := time.Now()
 	for len(pending) < maxWorld-1 {
 		// Past the minimum, each accept only waits out the join-grace window
-		// (measured from the last join): an elastic reform proceeds with the
+		// (measured from the last hello): an elastic reform proceeds with the
 		// survivors instead of blocking the full rendezvous timeout on a
-		// worker that is never coming back.
+		// worker that is never coming back. So does a rendezvous that has
+		// heard as many hellos as it has seats, some of them refused: the
+		// refused workers exit, and a full timeout would wait for nobody.
 		accDeadline := deadline
-		if len(pending) >= minJoin {
-			if g := lastJoin.Add(opts.JoinGrace); g.Before(accDeadline) {
+		if len(pending) >= minJoin || len(pending)+len(refused) >= maxWorld-1 {
+			if g := lastHello.Add(opts.JoinGrace); g.Before(accDeadline) {
 				accDeadline = g
 			}
 		}
@@ -326,6 +341,10 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 				break // grace expired with a viable pool: form the world
 			}
 			failPending(fmt.Sprintf("rendezvous aborted: %d of %d workers joined before timeout", len(pending), maxWorld-1))
+			if len(refused) > 0 {
+				return nil, fmt.Errorf("dist: rendezvous accept: %w (joined %d of %d workers; refused %d: %s)",
+					err, len(pending), maxWorld-1, len(refused), strings.Join(refused, "; "))
+			}
 			return nil, fmt.Errorf("dist: rendezvous accept: %w (joined %d of %d workers)", err, len(pending), maxWorld-1)
 		}
 		cc := newCtrlConn(conn)
@@ -336,9 +355,9 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 			continue // not a worker hello; ignore strays
 		}
 		conn.SetReadDeadline(time.Time{})
+		lastHello = time.Now()
 		if err := tr.sameNetwork("worker", m.Net); err != nil {
-			cc.send(ctrlMsg{Type: "fail", Err: err.Error()})
-			conn.Close()
+			refuse(cc, m, err.Error())
 			continue
 		}
 		if m.WantRank > 0 && (m.WantRank >= maxWorld || pinned[m.WantRank]) {
@@ -347,8 +366,7 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 			// pinned to the same rank) — reject loudly rather than silently
 			// reassigning and running a topology the operator did not ask
 			// for.
-			cc.send(ctrlMsg{Type: "fail", Err: fmt.Sprintf("requested rank %d unavailable (world %d)", m.WantRank, maxWorld)})
-			conn.Close()
+			refuse(cc, m, fmt.Sprintf("requested rank %d unavailable (world %d)", m.WantRank, maxWorld))
 			continue
 		}
 		// Pinned ranks claim their slot now; auto workers (WantRank <= 0) are
@@ -361,7 +379,6 @@ func CoordinateFlexible(ctrlAddr string, maxWorld int, opts SessionOptions, jobF
 		}
 		addrs[cc] = m.Addr
 		pending = append(pending, cc)
-		lastJoin = time.Now()
 	}
 
 	world, job := jobFor(len(pending) + 1)

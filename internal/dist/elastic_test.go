@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -429,6 +430,64 @@ func TestCoordinatorRefusesOtherNetworkHello(t *testing.T) {
 	defer r.s.Close()
 	if got, want := r.s.Transport.book[1], worker.Transport.Addr(); got != want {
 		t.Fatalf("book seats %q at rank 1, want the current worker's %q", got, want)
+	}
+}
+
+// TestCoordinatorAbortsPromptlyWhenEveryHelloIsRefused: a rendezvous whose
+// every seat was claimed by a hello it refused (here old-style hellos, with no
+// data-plane network) waits only the join grace after the last one, not its
+// whole timeout, and its error names each refusal and why.
+func TestCoordinatorAbortsPromptlyWhenEveryHelloIsRefused(t *testing.T) {
+	const world = 3
+	opts := flexOpts()
+	opts.RendezvousTimeout = 30 * time.Second
+	opts.JoinGrace = 200 * time.Millisecond
+	addr := freeAddr(t)
+	coord := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		s, err := Coordinate(addr, world, []byte(`{}`), opts)
+		if s != nil {
+			s.Close()
+		}
+		coord <- err
+	}()
+
+	for w := 0; w < world-1; w++ {
+		var conn net.Conn
+		var err error
+		for i := 0; i < 150; i++ {
+			if conn, err = net.Dial("tcp", addr); err == nil {
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		cc := newCtrlConn(conn)
+		if err := cc.send(ctrlMsg{Type: "hello", Addr: oldHelloAddr}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if m, err := cc.read(); err != nil || m.Type != "fail" {
+			t.Fatalf("old-style hello %d answered with %+v, %v; want a fail", w, m, err)
+		}
+	}
+
+	select {
+	case err := <-coord:
+		if err == nil || !strings.Contains(err.Error(), "data-plane network mismatch") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("refused %d", world-1)) {
+			t.Fatalf("coordinate: %v, want an abort naming %d network-mismatch refusals", err, world-1)
+		}
+		if since := time.Since(start); since > 2*time.Second {
+			t.Fatalf("coordinate returned after %v, want within 2s", since)
+		}
+		t.Logf("aborted after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	case <-time.After(2 * time.Second):
+		t.Fatal("coordinate still waiting 2s after every seat's hello was refused")
 	}
 }
 

@@ -17,7 +17,12 @@ import (
 // leaves the pool every microbatch instead of coming back (a store that drops
 // what liveness deletes, a transport whose copy is not pooled) costs
 // megabytes per step. Collections are paused, so none empties the pool
-// mid-job and the count is the step's own.
+// mid-job and the count is the step's own. Each length runs five times and
+// keeps its smallest count: with the scheduling of the ranks' goroutines, a
+// cold job's pools take zero to two more buffers of about 1 MiB from run to
+// run, at either length, and two of them over the 30 steps between the
+// lengths are above the bound. The smallest count is the run with the
+// fewest.
 func TestStepHeapBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of its Puts under the race detector")
@@ -52,7 +57,10 @@ func TestStepHeapBounded(t *testing.T) {
 				goruntime.ReadMemStats(&after)
 				return int64(after.TotalAlloc - before.TotalAlloc)
 			}
-			short, long := heap(10), heap(40)
+			least := func(steps int) int64 {
+				return min(heap(steps), heap(steps), heap(steps), heap(steps), heap(steps))
+			}
+			short, long := least(10), least(40)
 			perStep := (long - short) / 30
 			t.Logf("10 steps %d B, 40 steps %d B: %d B a step", short, long, perStep)
 			if perStep >= maxPerStep {

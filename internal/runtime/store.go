@@ -10,9 +10,9 @@
 // a sent buffer stays the sender's store's, and the liveness delete after its
 // last use (§4.3) recycles it into the scratch pool the next microbatch draws
 // from: a steady-state step allocates no tensor storage. Actors run as
-// goroutines over an in-process transport or as TCP peers across OS processes
-// (package dist, which this package does not import), playing the role Ray
-// workers + NCCL play for JaxPP.
+// goroutines over an in-process transport or across OS processes as peers on
+// Unix-domain sockets (package dist, which this package does not import),
+// playing the role Ray workers + NCCL play for JaxPP.
 package runtime
 
 import (

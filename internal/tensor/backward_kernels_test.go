@@ -113,6 +113,81 @@ func TestAddIntoKernelMatchesScalar(t *testing.T) {
 	})
 }
 
+// reluEdges are the bit patterns on either side of positiveBits' unsigned
+// compare: +0 (bits-1 wraps) and the smallest subnormal, the largest finite
+// value, +Inf and the NaN just past it, -0, the smallest negative and the
+// all-ones NaN.
+var reluEdges = []uint64{0, 1, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF0000000000001,
+	0x8000000000000000, 0x8000000000000001, 0xFFFFFFFFFFFFFFFF}
+
+// reluRow returns n elements at offset off into a NaN-poisoned array: every
+// third an edge of reluEdges, the rest specialTensor's mix.
+func reluRow(r *rand.Rand, off, n int) []float64 {
+	row := specialTensor(r, off, n, 1).data
+	for i := 0; i < n; i += 3 {
+		row[i] = math.Float64frombits(reluEdges[r.Intn(len(reluEdges))])
+	}
+	return row
+}
+
+// TestReLUKernelsMatchScalar holds the ReLU family's AVX-512 blocks, where
+// the CPU has them, to the scalar loops bit for bit, NaN payloads included:
+// relu (ReLUInto, MatMulReLUInto's epilogue), reluMask, mulReLUMask in both
+// operand orders, and addRelu over a full and a broadcast addend
+// (MatMulAddReLUInto's epilogue). Every length from 0 to 70 (every n%8
+// tail), operands at odd offsets, the edges of positiveBits' compare, and
+// each result written fresh and in place over each operand it may alias.
+func TestReLUKernelsMatchScalar(t *testing.T) {
+	var kernels []string
+	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
+	t.Logf("ReLU kernels held to their scalar loops: %v", kernels)
+	r := rand.New(rand.NewSource(23))
+	forEachKernel(func(kernel string) {
+		for n := 0; n <= 70; n++ {
+			for off := 0; off < 3; off++ {
+				a, b := reluRow(r, off, n), reluRow(r, 2-off, n)
+				what := fmt.Sprintf("%s kernel, n=%d, offset %d", kernel, n, off)
+				want, got := make([]float64, n), make([]float64, n)
+				// inPlace runs a kernel on copies of a and b and holds the
+				// copy it returns, the one written over, to want.
+				inPlace := func(name string, run func(x, y []float64) []float64) {
+					t.Helper()
+					x, y := append([]float64(nil), a...), append([]float64(nil), b...)
+					sameBitsExact(t, what+" "+name+" in place", run(x, y), want)
+				}
+
+				reluScalar(want, a)
+				relu(got, a)
+				sameBitsExact(t, what+" relu", got, want)
+				inPlace("relu", func(x, _ []float64) []float64 { relu(x, x); return x })
+
+				reluMaskScalar(want, a)
+				reluMask(got, a)
+				sameBitsExact(t, what+" reluMask", got, want)
+				inPlace("reluMask", func(x, _ []float64) []float64 { reluMask(x, x); return x })
+
+				for _, maskLeft := range []bool{false, true} {
+					name := fmt.Sprintf("mulReLUMask(maskLeft %v)", maskLeft)
+					mulReLUMaskScalar(want, a, b, maskLeft)
+					mulReLUMask(got, a, b, maskLeft)
+					sameBitsExact(t, what+" "+name, got, want)
+					inPlace(name+" over ct", func(x, y []float64) []float64 { mulReLUMask(x, x, y, maskLeft); return x })
+					inPlace(name+" over h", func(x, y []float64) []float64 { mulReLUMask(y, x, y, maskLeft); return y })
+				}
+
+				copy(want, a)
+				addReluScalar(want, b)
+				inPlace("addRelu", func(x, y []float64) []float64 { addRelu(x, y); return x })
+				for _, c := range append([]float64{r.NormFloat64()}, specialValues...) {
+					copy(want, a)
+					addReluBroadcastScalar(want, c)
+					inPlace(fmt.Sprintf("addReluBroadcast(%v)", c), func(x, _ []float64) []float64 { addReluBroadcast(x, c); return x })
+				}
+			}
+		}
+	})
+}
+
 // transposeTiles16 is the loop TransposeInto ran before its 8x8 blocks:
 // 16x16 tiles, a scalar store per element down each tile's columns.
 func transposeTiles16(dst, a []float64, m, n int) {

@@ -131,38 +131,48 @@ func BenchmarkElementwise(b *testing.B) {
 	}
 }
 
-// BenchmarkReLU measures the two ReLU loops on half-negative data, where a
-// compare-and-branch per element mispredicts half the time.
+// BenchmarkReLU measures the ReLU loops on half-negative data, where a
+// compare-and-branch per element mispredicts half the time, on every kernel:
+// ReLUInto, ReLUMaskInto, and addRelu, MatMulAddReLUInto's epilogue.
 func BenchmarkReLU(b *testing.B) {
 	const n = 128 * 256
 	x := rnd(rand.New(rand.NewSource(1)), n)
 	dst := New(n)
-	for _, k := range []struct {
-		name string
-		into func(dst, a *Tensor)
-	}{{"ReLUInto", ReLUInto}, {"ReLUMaskInto", ReLUMaskInto}} {
-		b.Run(k.name, func(b *testing.B) {
-			b.SetBytes(8 * n)
-			for i := 0; i < b.N; i++ {
-				k.into(dst, x)
-			}
-		})
-	}
+	forEachKernel(func(kernel string) {
+		for _, k := range []struct {
+			name string
+			into func(dst, a *Tensor)
+		}{
+			{"ReLUInto", ReLUInto},
+			{"ReLUMaskInto", ReLUMaskInto},
+			{"addRelu", func(dst, a *Tensor) { addRelu(dst.data, a.data) }},
+		} {
+			b.Run(k.name+"/"+kernel, func(b *testing.B) {
+				b.SetBytes(8 * n)
+				for i := 0; i < b.N; i++ {
+					k.into(dst, x)
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkReLUBackward is the ReLU backward of a pp4-compute activation on
-// half-negative h: MulReLUMaskInto in one pass against ReLUMaskInto into a
-// reused mask and then MulInto, the two passes it replaces.
+// half-negative h: MulReLUMaskInto in one pass on every kernel, against
+// ReLUMaskInto into a reused mask and then MulInto, the two passes it
+// replaces.
 func BenchmarkReLUBackward(b *testing.B) {
 	const n = 128 * 256
 	r := rand.New(rand.NewSource(1))
 	ct, h := rnd(r, n), rnd(r, n)
 	dst, mask := New(n), New(n)
-	b.Run("fused", func(b *testing.B) {
-		b.SetBytes(8 * n)
-		for i := 0; i < b.N; i++ {
-			MulReLUMaskInto(dst, ct, h, false)
-		}
+	forEachKernel(func(kernel string) {
+		b.Run("fused/"+kernel, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				MulReLUMaskInto(dst, ct, h, false)
+			}
+		})
 	})
 	b.Run("mask+mul", func(b *testing.B) {
 		b.SetBytes(8 * n)
@@ -170,6 +180,44 @@ func BenchmarkReLUBackward(b *testing.B) {
 			ReLUMaskInto(mask, h)
 			MulInto(dst, ct, mask)
 		}
+	})
+}
+
+// BenchmarkCompact measures the compaction of one nzChunk-element chunk of a
+// row of a into its non-zero list on every kernel, dense and with half of
+// the elements zero at random, about what ReLU leaves: the scalar loop's
+// count is a conditional move, the AVX-512 one compresses eight lanes at
+// once.
+func BenchmarkCompact(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	for _, zero := range []int{0, 50} {
+		row := make([]float64, nzChunk)
+		for i := range row {
+			if r.Intn(100) >= zero {
+				row[i] = r.NormFloat64()
+			}
+		}
+		var nzs [nzChunk]nzEnt
+		forEachKernel(func(kernel string) {
+			b.Run(fmt.Sprintf("zero%d/%s", zero, kernel), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					compactNonZeros(&nzs, row, i&7, 256)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkNormal measures the draw of pp4-compute's 1024x256 input batch,
+// RNG.Normal, on every kernel; ns/op over 262144 elements.
+func BenchmarkNormal(b *testing.B) {
+	forEachKernel(func(kernel string) {
+		b.Run(kernel, func(b *testing.B) {
+			r := NewRNG(1)
+			for i := 0; i < b.N; i++ {
+				r.Normal(1, 1024, 256)
+			}
+		})
 	})
 }
 

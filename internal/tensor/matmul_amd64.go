@@ -11,6 +11,9 @@ func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int)
 //go:noescape
 func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz int)
 
+//go:noescape
+func compactAVX512(nzs *nzEnt, arow *float64, n, off, stride int) int
+
 // useAVX2 and useAVX512 are decided once at init; tests clear them to run
 // the narrower kernels through the same entry points. The 512-bit kernel
 // leaves its column tail to the AVX2 one, so it needs both.
@@ -18,6 +21,16 @@ var (
 	useAVX2   = detectAVX2()
 	useAVX512 = useAVX2 && detectAVX512()
 )
+
+// avx512Blocks is how many leading elements of an n-element loop the
+// AVX-512 kernels take, eight at a time: n&^7 where the CPU has them, else 0.
+// The scalar loop runs the rest.
+func avx512Blocks(n int) int {
+	if useAVX512 {
+		return n &^ 7
+	}
+	return 0
+}
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state (CPUID leaf 1 OSXSAVE+AVX, XCR0 bits 1-2, leaf 7 AVX2).
@@ -38,15 +51,28 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// detectAVX512 reports whether the CPU has AVX-512F and the OS saves the
-// opmask and ZMM state (XCR0 bits 1-2 and 5-7, leaf 7 EBX bit 16); call it
-// only once detectAVX2 holds.
+// detectAVX512 reports whether the CPU has AVX-512F and AVX-512DQ (leaf 7
+// EBX bits 16-17) and POPCNT (leaf 1 ECX bit 23), and the OS saves the opmask
+// and ZMM state (XCR0 bits 1-2 and 5-7); call it only once detectAVX2 holds.
+// Every AVX-512 CPU but the Xeon Phi has all three; the Phi runs the AVX2
+// kernels.
 func detectAVX512() bool {
 	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
 		return false
 	}
+	_, _, ecx1, _ := cpuid(1, 0)
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<16) != 0
+	const f, dq, popcnt = 1 << 16, 1 << 17, 1 << 23
+	return ebx7&(f|dq) == f|dq && ecx1&popcnt != 0
+}
+
+// compactNonZeros lists the non-zeros of arow; see compactNonZerosScalar,
+// whose list and count compactAVX512 reproduces byte for byte.
+func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
+	if useAVX512 && len(arow) > 0 {
+		return compactAVX512(&nzs[0], &arow[0], min(len(arow), nzChunk), p0*n, n)
+	}
+	return compactNonZerosScalar(nzs, arow, p0, n)
 }
 
 // axpyList accumulates the listed rows of b into o; see axpyListGeneric.

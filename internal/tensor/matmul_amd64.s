@@ -219,3 +219,112 @@ entry:
 tdone:
 	VZEROUPPER
 	RET
+
+// Lane orders of compactAVX512's two interleaves: entries 0-3 and 4-7 of
+// {off, val} pairs, from the compressed offsets (table indices 0-7) and the
+// compressed values (8-15).
+DATA compactconst<>+0(SB)/8, $0
+DATA compactconst<>+8(SB)/8, $8
+DATA compactconst<>+16(SB)/8, $1
+DATA compactconst<>+24(SB)/8, $9
+DATA compactconst<>+32(SB)/8, $2
+DATA compactconst<>+40(SB)/8, $10
+DATA compactconst<>+48(SB)/8, $3
+DATA compactconst<>+56(SB)/8, $11
+DATA compactconst<>+64(SB)/8, $4
+DATA compactconst<>+72(SB)/8, $12
+DATA compactconst<>+80(SB)/8, $5
+DATA compactconst<>+88(SB)/8, $13
+DATA compactconst<>+96(SB)/8, $6
+DATA compactconst<>+104(SB)/8, $14
+DATA compactconst<>+112(SB)/8, $7
+DATA compactconst<>+120(SB)/8, $15
+DATA compactconst<>+128(SB)/8, $0x7FFFFFFFFFFFFFFF // every bit but the sign
+GLOBL compactconst<>(SB), RODATA|NOPTR, $136
+
+// func compactAVX512(nzs *nzEnt, arow *float64, n, off, stride int) int
+//
+// compactNonZeros over the n (1 to nzChunk) elements at arow: element p is
+// listed as {off + p*stride, arow[p]} when any bit but its sign is set (±0
+// is zero, every NaN is not), in ascending p, and the count is returned.
+// Eight elements a block: one VPTESTMQ picks the lanes, VPCOMPRESSQ and
+// VCOMPRESSPD pack their offsets and values into the low lanes, two
+// VPERMI2Q interleave them into eight {off, val} pairs, and both 64-byte
+// halves are stored whole; POPCNT of the lane mask advances the list. The
+// last n%8 elements are loaded under a mask. A block's stores reach eight
+// entries past the count before it, never past entry 8*(block+1), so the
+// list needs room for n rounded up to 8 entries; the nzChunk entries the
+// caller passes always have it. Only Z0-Z13 are used.
+TEXT ·compactAVX512(SB), NOSPLIT, $0-48
+	MOVQ nzs+0(FP), DI
+	MOVQ arow+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ DI, R8
+	VPBROADCASTQ off+24(FP), Z1    // off + lane*stride, built from 1, 2, 4 strides
+	VPBROADCASTQ stride+32(FP), Z2
+	VPADDQ  Z2, Z2, Z3
+	VPADDQ  Z3, Z3, Z4
+	VPADDQ  Z4, Z4, Z5             // the step of a block: 8 strides
+	MOVL    $0xAA, R9
+	KMOVW   R9, K2
+	VPADDQ  Z2, Z1, K2, Z1
+	MOVL    $0xCC, R9
+	KMOVW   R9, K2
+	VPADDQ  Z3, Z1, K2, Z1
+	MOVL    $0xF0, R9
+	KMOVW   R9, K2
+	VPADDQ  Z4, Z1, K2, Z1
+	VPBROADCASTQ compactconst<>+128(SB), Z6
+	VMOVDQU64 compactconst<>+0(SB), Z10
+	VMOVDQU64 compactconst<>+64(SB), Z11
+
+cblock:
+	CMPQ CX, $8
+	JLT  ctail
+	VMOVUPD   (SI), Z0
+	VPTESTMQ  Z6, Z0, K1
+	VPCOMPRESSQ Z1, K1, Z7
+	VCOMPRESSPD Z0, K1, Z8
+	VMOVDQA64 Z10, Z12
+	VPERMI2Q  Z8, Z7, Z12
+	VMOVDQA64 Z11, Z13
+	VPERMI2Q  Z8, Z7, Z13
+	VMOVDQU64 Z12, (DI)
+	VMOVDQU64 Z13, 64(DI)
+	KMOVW   K1, R9
+	POPCNTL R9, R9
+	SHLQ    $4, R9
+	ADDQ    R9, DI
+	VPADDQ  Z5, Z1, Z1
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+	JMP     cblock
+
+ctail:
+	TESTQ CX, CX
+	JEQ   cdone
+	MOVL  $1, R9
+	SHLL  CX, R9
+	DECL  R9
+	KMOVW R9, K2
+	VMOVUPD.Z (SI), K2, Z0
+	VPTESTMQ  Z6, Z0, K2, K1
+	VPCOMPRESSQ Z1, K1, Z7
+	VCOMPRESSPD Z0, K1, Z8
+	VMOVDQA64 Z10, Z12
+	VPERMI2Q  Z8, Z7, Z12
+	VMOVDQA64 Z11, Z13
+	VPERMI2Q  Z8, Z7, Z13
+	VMOVDQU64 Z12, (DI)
+	VMOVDQU64 Z13, 64(DI)
+	KMOVW   K1, R9
+	POPCNTL R9, R9
+	SHLQ    $4, R9
+	ADDQ    R9, DI
+
+cdone:
+	SUBQ R8, DI
+	SHRQ $4, DI
+	MOVQ DI, ret+40(FP)
+	VZEROUPPER
+	RET

@@ -35,6 +35,13 @@ import (
 //   - a[i][p] == 0 contributes nothing at all (not 0*b, which would turn an
 //     Inf or NaN in b into NaN).
 //
+// The compaction has two forms, chosen with the kernels: compactAVX512
+// (amd64 with AVX-512) tests eight elements a block against every bit but
+// the sign and compresses the listed ones into place, and
+// compactNonZerosScalar does it one element at a time everywhere else. Both
+// list the same entries in the same order, byte for byte: the kernels see
+// one list whichever made it.
+//
 // matMulNTDot, the few-row form of a @ bᵀ, keeps the same contract with the
 // loops turned round: it vectorises nothing, and an output element is one
 // ascending-p chain over two contiguous rows. ntDotRows, the most rows it
@@ -66,11 +73,15 @@ type nzEnt struct {
 // row per 64 rows of b.
 const nzChunk = 64
 
-// compactNonZeros writes the non-zeros of arow, whose first element is
-// column p0 of a, to nzs and returns how many there are. The store is
-// unconditional and only the count is data-dependent, so half-zero rows
-// (post-ReLU activations, masked cotangents) cost no branch mispredictions.
-func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
+// compactNonZerosScalar writes the non-zeros of the first nzChunk elements of
+// arow, whose first element is column p0 of a, to nzs as {(p0+p)*n, value}
+// and returns how many there are. The store is unconditional and only the
+// count is data-dependent, so half-zero rows (post-ReLU activations, masked
+// cotangents) cost no branch mispredictions. Entries past the count are
+// scratch: both forms may write there, the AVX-512 one up to eight entries
+// past it, which is why every caller passes a whole nzChunk-entry array
+// (matMulRows' own, matMulNTDot's k+nzChunk stride).
+func compactNonZerosScalar(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 	nz := 0
 	for p, av := range arow[:min(len(arow), nzChunk)] {
 		// nz <= p < nzChunk: the mask only elides the bounds check.

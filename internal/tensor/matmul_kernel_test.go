@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -372,5 +373,88 @@ func FuzzMatMulKernel(f *testing.F) {
 			m: int(m) % 72, k: int(k) % 1100, n: int(n) % 200,
 			seed: seed, zeroPct: int(zeroPct) % 101, flags: int(flags) % 8,
 		})
+	})
+}
+
+// compactValues are what FuzzCompactKernel's bytes choose a's elements from:
+// zeros of both signs (a third of the table), NaNs of both signs, both
+// infinities, subnormals on both sides of zero, and ordinary values.
+var compactValues = []float64{0, 0, 0, math.Copysign(0, -1), math.Copysign(0, -1),
+	math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Float64frombits(0x7FF0000000000001),
+	math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1e-310, 1, -2.5}
+
+// checkCompact holds compactNonZeros on arow, whose first element is column
+// p0 of a row of a over a b of n columns, to compactNonZerosScalar: the same
+// count, and the listed entries byte-equal, offsets and value bits. Entries
+// past the count are scratch and may differ.
+func checkCompact(t testing.TB, arow []float64, p0, n int) {
+	t.Helper()
+	var got, want [nzChunk]nzEnt
+	for i := range got {
+		got[i] = nzEnt{-1, math.NaN()}
+	}
+	nw := compactNonZerosScalar(&want, arow, p0, n)
+	ng := compactNonZeros(&got, arow, p0, n)
+	if ng != nw {
+		t.Fatalf("len %d p0 %d n %d: %d non-zeros, scalar %d", len(arow), p0, n, ng, nw)
+	}
+	for i, w := range want[:nw] {
+		if g := got[i]; g.off != w.off || math.Float64bits(g.val) != math.Float64bits(w.val) {
+			t.Fatalf("len %d p0 %d n %d: entry %d = {%d %#x}, scalar {%d %#x}",
+				len(arow), p0, n, i, g.off, math.Float64bits(g.val), w.off, math.Float64bits(w.val))
+		}
+	}
+}
+
+// FuzzCompactKernel holds the AVX-512 compaction, where the CPU has it, to
+// the scalar one: rows of 0 to 80 elements (past nzChunk, which it must stop
+// at, and every n%8 tail), any p0 and n (offsets wrap as the scalar ones do),
+// each element either one of compactValues (picked by a byte) or, in raw
+// mode, any 8 bytes' float64. The committed corpus under testdata/fuzz holds
+// the tails, an all-zero and an all-NaN row and wrapping offsets.
+func FuzzCompactKernel(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(0), int64(1), false)
+	f.Add(make([]byte, 8*70), int64(3), int64(512), true)
+	f.Fuzz(func(t *testing.T, row []byte, p0, n int64, raw bool) {
+		var arow []float64
+		if raw {
+			for len(row) >= 8 && len(arow) < 80 {
+				arow = append(arow, math.Float64frombits(binary.LittleEndian.Uint64(row)))
+				row = row[8:]
+			}
+		} else {
+			for _, c := range row[:min(len(row), 80)] {
+				arow = append(arow, compactValues[int(c)%len(compactValues)])
+			}
+		}
+		checkCompact(t, arow, int(p0), int(n))
+	})
+}
+
+// TestCompactKernelMatchesScalar runs the compaction differential over every
+// row length from 0 to 80 with a third of the elements zero, all zero, all
+// NaN and all -0, at offsets that wrap, and names the kernels it held.
+func TestCompactKernelMatchesScalar(t *testing.T) {
+	var kernels []string
+	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
+	t.Logf("compaction kernels held to compactNonZerosScalar: %v", kernels)
+	r := rand.New(rand.NewSource(24))
+	forEachKernel(func(string) {
+		for length := 0; length <= 80; length++ {
+			mixed := make([]float64, length)
+			for i := range mixed {
+				mixed[i] = compactValues[r.Intn(len(compactValues))]
+			}
+			for _, fill := range []float64{0, math.NaN(), math.Copysign(0, -1)} {
+				same := make([]float64, length)
+				for i := range same {
+					same[i] = fill
+				}
+				checkCompact(t, same, 5, 3)
+			}
+			checkCompact(t, mixed, length, 256)
+			checkCompact(t, mixed, math.MaxInt/2, 3)
+			checkCompact(t, mixed, -7, -1)
+		}
 	})
 }

@@ -238,8 +238,14 @@ func positiveBits(bits uint64) bool {
 // ReLUInto stores max(a, 0) into dst (dst may alias a).
 func ReLUInto(dst, a *Tensor) {
 	checkDst("ReLUInto", dst, a.shape)
-	out := dst.data[:len(a.data)]
-	for i, x := range a.data {
+	relu(dst.data[:len(a.data)], a.data)
+}
+
+// reluScalar stores a[i] into out[i] where positiveBits holds and +0
+// elsewhere: +0 for a NaN and for -0. The AVX-512 kernel reproduces it.
+func reluScalar(out, a []float64) {
+	out = out[:len(a)]
+	for i, x := range a {
 		bits := math.Float64bits(x)
 		var r uint64
 		if positiveBits(bits) {
@@ -259,9 +265,15 @@ func ReLUMask(a *Tensor) *Tensor {
 // ReLUMaskInto stores the ReLU derivative mask of a into dst (dst may alias a).
 func ReLUMaskInto(dst, a *Tensor) {
 	checkDst("ReLUMaskInto", dst, a.shape)
+	reluMask(dst.data[:len(a.data)], a.data)
+}
+
+// reluMaskScalar stores 1 into out[i] where positiveBits(a[i]) holds and +0
+// elsewhere. The AVX-512 kernel reproduces it.
+func reluMaskScalar(out, a []float64) {
 	const one = 0x3FF0000000000000
-	out := dst.data[:len(a.data)]
-	for i, x := range a.data {
+	out = out[:len(a)]
+	for i, x := range a {
 		var r uint64
 		if positiveBits(math.Float64bits(x)) {
 			r = one
@@ -283,25 +295,30 @@ func MulReLUMaskInto(dst, ct, h *Tensor, maskLeft bool) {
 	checkDst("MulReLUMaskInto", dst, ct.shape)
 	checkInPlace("MulReLUMaskInto", dst, ct)
 	checkInPlace("MulReLUMaskInto", dst, h)
+	mulReLUMask(dst.data[:len(ct.data)], ct.data, h.data[:len(ct.data)], maskLeft)
+}
+
+// mulReLUMaskScalar stores ct[i] times the mask of h[i] into out[i] — the
+// mask on the left when maskLeft. The AVX-512 kernel reproduces it.
+func mulReLUMaskScalar(out, ct, h []float64, maskLeft bool) {
 	// The mask is selected as bits, a conditional move like ReLUMaskInto's:
 	// selected as a float64 it compiles to a branch that half-positive h
 	// mispredicts every other element.
 	const one = 0x3FF0000000000000
-	cd := ct.data
-	hd, out := h.data[:len(cd)], dst.data[:len(cd)]
+	h, out = h[:len(ct)], out[:len(ct)]
 	if maskLeft {
-		for i, c := range cd {
+		for i, c := range ct {
 			var m uint64
-			if positiveBits(math.Float64bits(hd[i])) {
+			if positiveBits(math.Float64bits(h[i])) {
 				m = one
 			}
 			out[i] = math.Float64frombits(m) * c
 		}
 		return
 	}
-	for i, c := range cd {
+	for i, c := range ct {
 		var m uint64
-		if positiveBits(math.Float64bits(hd[i])) {
+		if positiveBits(math.Float64bits(h[i])) {
 			m = one
 		}
 		out[i] = c * math.Float64frombits(m)
@@ -403,20 +420,7 @@ func MatMulReLUInto(dst, a, b *Tensor) {
 	checkApart("MatMulReLUInto", dst, a)
 	checkApart("MatMulReLUInto", dst, b)
 	matMulRows(dst.data, a.data, b.data, m, k, n)
-	reluSpan(dst.data[:m*n])
-}
-
-// reluSpan stores max(x, 0) over span in place, as ReLUInto does: +0 for a
-// NaN and for -0, selected on positiveBits.
-func reluSpan(span []float64) {
-	for i, x := range span {
-		bits := math.Float64bits(x)
-		var r uint64
-		if positiveBits(bits) {
-			r = bits
-		}
-		span[i] = math.Float64frombits(r)
-	}
+	relu(dst.data[:m*n], dst.data[:m*n])
 }
 
 // MatMulAddReLUInto stores relu(a @ b + c) into dst, fusing the projection,
@@ -436,21 +440,32 @@ func MatMulAddReLUInto(dst, a, b, c *Tensor) {
 }
 
 // addReluSpan stores relu(span+c) over span in place, with c either matching
-// span's extent or a scalar; relu is ReLUInto's, as in reluSpan.
+// span's extent or a scalar; relu is ReLUInto's.
 func addReluSpan(span []float64, c *Tensor) {
 	if c.Rank() == 0 {
-		cv := c.data[0]
-		for i, x := range span {
-			bits := math.Float64bits(x + cv)
-			var r uint64
-			if positiveBits(bits) {
-				r = bits
-			}
-			span[i] = math.Float64frombits(r)
-		}
+		addReluBroadcast(span, c.data[0])
 		return
 	}
-	cs := c.data[:len(span)]
+	addRelu(span, c.data[:len(span)])
+}
+
+// addReluBroadcastScalar stores relu(span[i]+cv) into span[i]. The AVX-512
+// kernel reproduces it.
+func addReluBroadcastScalar(span []float64, cv float64) {
+	for i, x := range span {
+		bits := math.Float64bits(x + cv)
+		var r uint64
+		if positiveBits(bits) {
+			r = bits
+		}
+		span[i] = math.Float64frombits(r)
+	}
+}
+
+// addReluScalar stores relu(span[i]+cs[i]) into span[i]. The AVX-512 kernel
+// reproduces it.
+func addReluScalar(span, cs []float64) {
+	cs = cs[:len(span)]
 	for i, x := range span {
 		bits := math.Float64bits(x + cs[i])
 		var r uint64

@@ -12,7 +12,7 @@
 //
 //	runtime.ChanTransport        in-process, capacity-1 mailboxes   a pooled copy   sends a pooled copy; ships exactly, ignores a residual
 //	runtime.RendezvousTransport  in-process, capacity-0 (Fig. 5)    a pooled copy   sends a pooled copy; ships exactly, ignores a residual
-//	dist.Transport               one TCP endpoint per process       serializes      borrows: a large f64 payload goes to the socket from where it lies; a lossy frame folds the residual in
+//	dist.Transport               a Unix-domain socket per process   serializes      borrows: a large f64 payload goes to the socket from where it lies; a lossy frame folds the residual in
 //	dist.LocalMesh               n dist.Transport in one process    serializes      borrows and folds, as its endpoints do
 //
 // A dist.Transport link shaped into a modeled network (SetShape) still

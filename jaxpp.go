@@ -163,7 +163,8 @@ func NewRemoteMesh(actors int) *RemoteMesh {
 }
 
 // NewRemoteMeshWithTransport provisions actors over a custom transport
-// (e.g. a dist TCP endpoint or LocalMesh for wire-protocol runs).
+// (e.g. a dist Unix-domain socket endpoint or LocalMesh for wire-protocol
+// runs).
 func NewRemoteMeshWithTransport(actors int, tr transport.Transport) *RemoteMesh {
 	return &RemoteMesh{cluster: runtime.NewClusterWithTransport(actors, tr)}
 }
