@@ -25,7 +25,10 @@ import (
 //     tensor.MulReLUMaskInto pass, with no mask tensor (the ReLU backward),
 //   - compute one softmax for a loss and its gradient: an xent and an
 //     xent_grad on the same (logits, targets) — the pair every last-stage
-//     segment holds — share the softmax the xent computes.
+//     segment holds — share the softmax the xent computes,
+//   - compute an output that a plain MatMul produces, and nothing else
+//     reads, straight into an accumulator the caller hands it
+//     (RunAccInto): tensor.MatMulAccInto, with no product tensor.
 //
 // Aliasing is tracked per storage root: Reshape views and in-place results
 // share their operand's root, and a root is recycled only after every value
@@ -43,8 +46,12 @@ type Program struct {
 	// earlier output. Cloning there keeps the ownership contract — every
 	// returned tensor is independently owned by the caller — airtight.
 	copyOut []bool
+	// accAt[i] marks output i as a plain MatMul's that adds itself into an
+	// accumulator: RunAccInto puts each accumulator it may use for output i
+	// at env slot nSlots+i, where that MatMul's instruction looks for it.
+	accAt   []bool
 	instrs  []pinstr
-	envPool sync.Pool // *[]*tensor.Tensor of length nSlots
+	envPool sync.Pool // *[]*tensor.Tensor of length nSlots+len(outSlots)
 }
 
 // pinstr is one compiled instruction: an evaluation closure plus the storage
@@ -69,13 +76,16 @@ type compiler struct {
 	// softmaxOf marks the xent_grad eqns whose output slot the xent on the
 	// same (logits, targets) fills with softmax(logits) before they run.
 	softmaxOf map[int]bool
-	instrs    []pinstr
+	// accSlot maps the slot of a MatMul output that is a graph output once
+	// and read by nothing else to the env slot of its accumulator.
+	accSlot map[int]int
+	instrs  []pinstr
 }
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
 	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(),
-		ntSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}}
+		ntSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}, accSlot: map[int]int{}}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -102,12 +112,23 @@ func NewProgram(g *ir.Graph) (*Program, error) {
 		c.root[s] = s
 		c.rootLast[s] = c.lastUse[s]
 	}
+	producer := make(map[int]ir.Op, len(g.Eqns))
+	for _, e := range g.Eqns {
+		producer[e.Outputs[0].ID] = e.Op
+	}
+	accAt := make([]bool, len(g.Outputs))
+	for i, o := range g.Outputs {
+		if u := c.uses[o.ID]; producer[o.ID] == ir.OpMatMul && len(u) == 1 && u[0] == len(g.Eqns) {
+			accAt[i] = true
+			c.accSlot[c.slotOf[o.ID]] = n + i
+		}
+	}
 
 	for i := 0; i < len(g.Eqns); i++ {
 		i = c.emit(i)
 	}
 
-	p := &Program{g: g, nSlots: n, instrs: c.instrs}
+	p := &Program{g: g, nSlots: n, instrs: c.instrs, accAt: accAt}
 	p.outSlots = make([]int, len(g.Outputs))
 	p.copyOut = make([]bool, len(g.Outputs))
 	ownedRoots := map[int]bool{}
@@ -119,7 +140,7 @@ func NewProgram(g *ir.Graph) (*Program, error) {
 		ownedRoots[r] = true
 	}
 	p.envPool.New = func() any {
-		env := make([]*tensor.Tensor, n)
+		env := make([]*tensor.Tensor, n+len(g.Outputs))
 		return &env
 	}
 	return p, nil
@@ -242,7 +263,12 @@ func (c *compiler) emit(i int) int {
 			return j
 		}
 		c.freshOut(i, out)
+		at, folds := c.accSlot[out]
 		c.push(i, func(env []*tensor.Tensor) error {
+			if folds && env[at] != nil {
+				tensor.MatMulAccInto(env[at], env[a], env[b])
+				return nil
+			}
 			dst := tensor.GetScratchShaped(outShape...)
 			tensor.MatMulInto(dst, env[a], env[b])
 			env[out] = dst
@@ -602,12 +628,27 @@ func (p *Program) NumOutputs() int { return len(p.outSlots) }
 // outputs that copyOut cloning already detached. Outputs are owned by the
 // caller. Safe for concurrent use.
 func (p *Program) RunInto(outs []*tensor.Tensor, inputs []*tensor.Tensor) error {
+	return p.RunAccInto(outs, inputs, nil)
+}
+
+// RunAccInto is RunInto that adds outputs into accumulators instead of
+// returning them. Where accs[i] is non-nil, owned (no borrowed view) and of
+// output i's shape, output i is added into it — accs[i] + output, accs[i]
+// the first operand, AddInto's bits — and outs[i] is left nil: an output a
+// plain MatMul produces is computed straight into accs[i]
+// (tensor.MatMulAccInto), any other is computed and then added. Every other
+// output is returned as RunInto returns it. accs may be nil, or hold
+// NumOutputs entries; an accumulator must share no storage with an input.
+func (p *Program) RunAccInto(outs, inputs, accs []*tensor.Tensor) error {
 	g := p.g
 	if len(inputs) != len(g.Inputs) {
 		return fmt.Errorf("interp: graph %q wants %d inputs, got %d", g.Name, len(g.Inputs), len(inputs))
 	}
 	if len(outs) != len(p.outSlots) {
 		return fmt.Errorf("interp: graph %q produces %d outputs, destination holds %d", g.Name, len(p.outSlots), len(outs))
+	}
+	if accs != nil && len(accs) != len(p.outSlots) {
+		return fmt.Errorf("interp: graph %q produces %d outputs, accumulators hold %d", g.Name, len(p.outSlots), len(accs))
 	}
 	for i, v := range g.Inputs {
 		if !inputs[i].HasShape(v.Shape) {
@@ -617,6 +658,13 @@ func (p *Program) RunInto(outs []*tensor.Tensor, inputs []*tensor.Tensor) error 
 	envp := p.envPool.Get().(*[]*tensor.Tensor)
 	env := *envp
 	copy(env, inputs)
+	// acc[i] is accs[i] where output i folds into it, else nil.
+	acc := env[p.nSlots:]
+	for i, t := range accs {
+		if t != nil && !t.Borrowed() && t.HasShape(g.Outputs[i].Shape) {
+			acc[i] = t
+		}
+	}
 	for i := range p.instrs {
 		ins := &p.instrs[i]
 		if err := ins.eval(env); err != nil {
@@ -630,10 +678,22 @@ func (p *Program) RunInto(outs []*tensor.Tensor, inputs []*tensor.Tensor) error 
 		}
 	}
 	for i, s := range p.outSlots {
-		if p.copyOut[i] {
+		switch {
+		case acc[i] != nil && p.accAt[i]:
+			outs[i] = nil // the MatMul added itself into acc[i]
+		case p.copyOut[i]:
 			outs[i] = env[s].Clone()
-		} else {
+		default:
 			outs[i] = env[s]
+		}
+	}
+	// Every returned output is the caller's own now, none aliasing another:
+	// one that folds is added and recycled.
+	for i, t := range acc {
+		if t != nil && outs[i] != nil {
+			tensor.AddInto(t, t, outs[i])
+			tensor.Recycle(outs[i])
+			outs[i] = nil
 		}
 	}
 	clear(env)

@@ -618,3 +618,106 @@ func TestReLUMaskMulFusion(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAccIntoFoldsOutputs: handed an accumulator for each output of a
+// traced forward+backward graph, RunAccInto leaves every output nil and each
+// accumulator holding AddInto(acc, acc, output) of a plain RunInto, every
+// bit equal — the weight gradients, plain MatMul outputs, through
+// MatMulAccInto, the loss by an add after it — over accumulators of NaN
+// payloads, ±0 and ±Inf. A borrowed or misshapen accumulator is left as it
+// was and its output returned; a nil one returns its output. A steady-state
+// run that folds every output allocates no more than a plain one.
+func TestRunAccIntoFoldsOutputs(t *testing.T) {
+	g, inputs := mlpGrad(t, 3, 8, 16)
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, true, true, true}; fmt.Sprint(p.accAt) != fmt.Sprint(want) {
+		t.Fatalf("outputs a MatMul folds into its accumulator itself: %v, want %v", p.accAt, want)
+	}
+	plain, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specials := []float64{math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000002),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-310, 1.5}
+	accFor := func(o *tensor.Tensor) *tensor.Tensor {
+		acc := tensor.New(o.Shape()...)
+		for j := range acc.Data() {
+			acc.Data()[j] = specials[j%len(specials)]
+		}
+		return acc
+	}
+	accs := make([]*tensor.Tensor, len(plain))
+	for i, o := range plain {
+		accs[i] = accFor(o)
+	}
+	outs := make([]*tensor.Tensor, len(plain))
+	if err := p.RunAccInto(outs, inputs, accs); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range plain {
+		if outs[i] != nil {
+			t.Fatalf("output %d was returned, not added into its accumulator", i)
+		}
+		want := accFor(o)
+		tensor.AddInto(want, want, o)
+		for j, w := range want.Data() {
+			if got := accs[i].Data()[j]; math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("output %d element %d: accumulator %#x, AddInto %#x", i, j, math.Float64bits(got), math.Float64bits(w))
+			}
+		}
+	}
+
+	// Accumulators it may not use: output 1 borrowed, 2 misshapen, 3 none.
+	borrowed := tensor.ViewRange0(accFor(plain[1]), 0, plain[1].Shape()[0])
+	misshapen := tensor.New(plain[2].Shape()[0]+1, plain[2].Shape()[1])
+	before := borrowed.Clone()
+	accs = []*tensor.Tensor{accFor(plain[0]), borrowed, misshapen, nil}
+	if err := p.RunAccInto(outs, inputs, accs); err != nil {
+		t.Fatal(err)
+	}
+	if outs[0] != nil {
+		t.Fatal("the loss was returned, not added")
+	}
+	for i := 1; i < len(plain); i++ {
+		if outs[i] == nil || !tensor.AllClose(outs[i], plain[i], 0, 0) {
+			t.Fatalf("output %d: not returned as RunInto returns it", i)
+		}
+	}
+	untouched := func(x, y *tensor.Tensor) bool {
+		for j, v := range y.Data() {
+			if math.Float64bits(x.Data()[j]) != math.Float64bits(v) {
+				return false
+			}
+		}
+		return true
+	}
+	if !untouched(borrowed, before) || !untouched(misshapen, tensor.New(misshapen.Shape()...)) {
+		t.Fatal("an accumulator RunAccInto may not use was written")
+	}
+
+	if !raceEnabled {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		for i, o := range plain {
+			accs[i] = accFor(o)
+		}
+		step := func(accs []*tensor.Tensor) func() {
+			return func() {
+				if err := p.RunAccInto(outs, inputs, accs); err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range outs {
+					tensor.Recycle(o)
+				}
+			}
+		}
+		step(nil)()
+		step(accs)()
+		if folded, returned := testing.AllocsPerRun(20, step(accs)), testing.AllocsPerRun(20, step(nil)); folded > returned {
+			t.Errorf("a steady-state RunAccInto allocates %v times, RunInto %v", folded, returned)
+		}
+	}
+}

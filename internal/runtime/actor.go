@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/obs"
@@ -30,12 +31,27 @@ type Actor struct {
 	prog      []taskgraph.Instr
 	segs      []*segmentExecutable
 
-	// argBuf and outBuf are the reusable OpRun dispatch buffers, sized at
-	// Load to the widest instruction. The actor executes its program
-	// sequentially, so one pair serves every instruction without per-step
-	// slice allocation.
+	// argBuf, outBuf and accBuf are the reusable OpRun dispatch buffers,
+	// sized at Load to the widest instruction. The actor executes its
+	// program sequentially, so one set serves every instruction without
+	// per-step slice allocation.
 	argBuf []*tensor.Tensor
 	outBuf []*tensor.Tensor
+	accBuf []*tensor.Tensor
+
+	// folds[pc] lists the OpAccums that the OpRun at pc may compute straight
+	// into their accumulators (see Load); folded[pc] marks an OpAccum whose
+	// run did so this step, which then has nothing left to do.
+	folds  [][]fold
+	folded []bool
+}
+
+// fold is an OpAccum behind an OpRun, with only deletes between them, that
+// is its source's last use: output out of the run adds into buffer dst, and
+// the OpAccum is instruction pc.
+type fold struct {
+	out, pc int
+	dst     taskgraph.BufID
 }
 
 // segmentExecutable is a "compiled" pipeline segment: XLA's role as the
@@ -75,6 +91,24 @@ func (a *Actor) Load(prog []taskgraph.Instr, segs []*segmentExecutable) {
 	}
 	a.argBuf = make([]*tensor.Tensor, maxIns)
 	a.outBuf = make([]*tensor.Tensor, maxOuts)
+	a.accBuf = make([]*tensor.Tensor, maxOuts)
+	a.folds = make([][]fold, len(prog))
+	a.folded = make([]bool, len(prog))
+	for pc, in := range prog {
+		if in.Kind != taskgraph.OpRun {
+			continue
+		}
+	scan:
+		for j := pc + 1; j < len(prog); j++ {
+			switch next := prog[j]; {
+			case next.Kind == taskgraph.OpDelete:
+			case next.Kind == taskgraph.OpAccum && next.Last && slices.Contains(in.Outs, next.Buf):
+				a.folds[pc] = append(a.folds[pc], fold{out: slices.Index(in.Outs, next.Buf), pc: j, dst: next.Dst})
+			default:
+				break scan
+			}
+		}
+	}
 }
 
 func (a *Actor) segment(idx int) (*segmentExecutable, error) {
@@ -91,14 +125,14 @@ func (a *Actor) segment(idx int) (*segmentExecutable, error) {
 // with no further driver round trips.
 func (a *Actor) RunStep() error {
 	for pc, in := range a.prog {
-		if err := a.exec(in); err != nil {
+		if err := a.exec(pc, in); err != nil {
 			return fmt.Errorf("runtime: actor %d pc %d (%s): %w", a.ID, pc, in, err)
 		}
 	}
 	return nil
 }
 
-func (a *Actor) exec(in taskgraph.Instr) error {
+func (a *Actor) exec(pc int, in taskgraph.Instr) error {
 	switch in.Kind {
 	case taskgraph.OpRun:
 		se, err := a.segment(in.Seg)
@@ -114,17 +148,33 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 			args[i] = t
 		}
 		outs := a.outBuf[:len(in.Outs)]
+		// A gradient partial whose accumulator already holds an earlier
+		// microbatch's is computed straight into it: the segment leaves
+		// that output nil, and its OpAccum is done.
+		var accs []*tensor.Tensor
+		if a.folds[pc] != nil {
+			accs = a.accBuf[:len(in.Outs)]
+			for _, f := range a.folds[pc] {
+				accs[f.out] = a.Store.lookup(f.dst)
+			}
+		}
 		h := obs.TrackTid(se.scope, a.ID)
-		err = se.prog.RunInto(outs, args)
+		err = se.prog.RunAccInto(outs, args, accs)
 		h.Stop()
 		if err != nil {
 			return err
 		}
 		for i, b := range in.Outs {
-			a.Store.Put(b, outs[i])
+			if outs[i] != nil {
+				a.Store.Put(b, outs[i])
+			}
+		}
+		for _, f := range a.folds[pc] {
+			a.folded[f.pc] = outs[f.out] == nil
 		}
 		clear(args)
 		clear(outs)
+		clear(accs)
 		return nil
 
 	case taskgraph.OpSend:
@@ -158,7 +208,11 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		// In-place gradient accumulation: the store mutates its private
 		// accumulator instead of allocating a fresh sum every microbatch,
 		// and the first microbatch's gradient moves in when this is its
-		// last use.
+		// last use. A later one's run has usually added it already.
+		if a.folded[pc] {
+			a.folded[pc] = false
+			return nil
+		}
 		h := obs.TrackTid(scAccum, a.ID)
 		err := a.Store.Accumulate(in.Dst, in.Buf, in.Last)
 		h.Stop()

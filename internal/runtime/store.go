@@ -120,6 +120,16 @@ func (s *Store) Get(id taskgraph.BufID) (*tensor.Tensor, error) {
 	return s.slots[id].t, nil
 }
 
+// lookup returns the buffer, or nil if the slot is empty.
+func (s *Store) lookup(id taskgraph.BufID) *tensor.Tensor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if int(id) >= len(s.slots) {
+		return nil
+	}
+	return s.slots[id].t
+}
+
 // Take removes the buffer from the store and transfers ownership of it to the
 // caller: the runtime holds no further reference, so nothing the next step
 // does (deletes, accumulations, in-place collectives) can touch the returned

@@ -46,6 +46,46 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulAcc adds a product into an accumulator two ways at the dW
+// shapes of the benchmark workloads (dp2x2, pp4-compute, pp4-small), dense
+// and with half of a zero: "fused" is MatMulAccInto, "matmul+add" what it
+// replaces in a compiled step — the product into pooled scratch, AddInto the
+// accumulator, the product recycled.
+func BenchmarkMatMulAcc(b *testing.B) {
+	for _, s := range [][3]int{{512, 4, 512}, {256, 128, 256}, {32, 8, 32}} {
+		m, k, n := s[0], s[1], s[2]
+		for _, zero := range []struct {
+			name string
+			frac float64
+		}{{"dense", 0}, {"zero50", 0.5}} {
+			r := rand.New(rand.NewSource(1))
+			x := rnd(r, m, k)
+			for i := range x.data {
+				if r.Float64() < zero.frac {
+					x.data[i] = 0
+				}
+			}
+			y, acc := rnd(r, k, n), rnd(r, m, n)
+			name := fmt.Sprintf("%dx%dx%d/%s", m, k, n, zero.name)
+			b.Run(name+"/fused", func(b *testing.B) {
+				b.SetBytes(int64(8 * m * n))
+				for i := 0; i < b.N; i++ {
+					MatMulAccInto(acc, x, y)
+				}
+			})
+			b.Run(name+"/matmul+add", func(b *testing.B) {
+				b.SetBytes(int64(8 * m * n))
+				for i := 0; i < b.N; i++ {
+					prod := GetScratchShaped(m, n)
+					MatMulInto(prod, x, y)
+					AddInto(acc, acc, prod)
+					Recycle(prod)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMatMulNT is what fixes ntDotRows: a @ bᵀ through MatMulNTInto
 // ("nt") against what it replaced, TransposeInto into a reused buffer and
 // then MatMulInto ("transpose+matmul" — the form MatMulNTInto itself takes

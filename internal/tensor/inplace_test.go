@@ -3,8 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 )
 
 // rnd returns a deterministic random tensor.
@@ -193,6 +195,48 @@ func TestScratchPoolReuse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestLargeScratchIsSharedAndCollected pins the large buckets' list: a
+// buffer recycled on one goroutine is the next Get of its bucket on any
+// other, most recent first, for every P sees one list; a collection frees
+// what the list holds, so the next Get allocates; and a full list keeps no
+// more, leaving the rest to the collector.
+func TestLargeScratchIsSharedAndCollected(t *testing.T) {
+	const n = 1 << minSharedBits
+	runtime.GC()
+	recycled := func() weak.Pointer[Tensor] {
+		first, second := GetScratch(n), GetScratch(n)
+		Recycle(first)
+		Recycle(second)
+		got := make(chan *Tensor, 2)
+		go func() { got <- GetScratch(n); got <- GetScratch(n) }()
+		if a, b := <-got, <-got; a != second || b != first {
+			t.Fatal("another goroutine's Gets did not take the recycled buffers, most recent first")
+		}
+		Recycle(first)
+		return weak.Make(first)
+	}()
+	runtime.GC()
+	if recycled.Value() != nil || getShared(minSharedBits) != nil {
+		t.Fatal("a buffer the list held outlived a collection")
+	}
+	held := make([]*Tensor, maxShared+1)
+	for i := range held {
+		held[i] = GetScratch(n)
+	}
+	for _, h := range held {
+		Recycle(h)
+	}
+	if l := len(sharedFree[minSharedBits].bufs); l != maxShared {
+		t.Fatalf("the list holds %d buffers, want its bound %d", l, maxShared)
+	}
+	held = nil
+	runtime.GC()
+	Recycle(New(n)) // a full list of freed buffers is swept, not refused
+	if l := len(sharedFree[minSharedBits].bufs); l != 1 {
+		t.Fatalf("after a collection the list holds %d buffers, want 1", l)
+	}
 }
 
 // TestReshapeViewOfScratch checks the documented aliasing contract: a view

@@ -6,10 +6,18 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int)
+func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int, zero bool)
 
 //go:noescape
-func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz int)
+func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz, mode int)
+
+// The modes of axpyTileAVX512: where a tile's lanes start, and what it
+// stores.
+const (
+	tileAcc   = iota // from o: o += list
+	tileZero         // from +0, o never read: o = chain
+	tileAddTo        // from +0, o + chain stored: the fused AddInto
+)
 
 //go:noescape
 func compactAVX512(nzs *nzEnt, arow *float64, n, off, stride int) int
@@ -75,20 +83,43 @@ func compactNonZeros(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 	return compactNonZerosScalar(nzs, arow, p0, n)
 }
 
-// axpyList accumulates the listed rows of b into o; see axpyListGeneric.
-// o must be non-empty and every nzs[t].off+len(o) within b: the assembly
+// axpyList accumulates the listed rows of b into o, or with zero set stores
+// their chain from +0 there without reading o; see axpyListGeneric. o and
+// nzs must be non-empty and every nzs[t].off+len(o) within b: the assembly
 // does no bounds checks.
-func axpyList(o, b []float64, nzs []nzEnt) {
+func axpyList(o, b []float64, nzs []nzEnt, zero bool) {
 	n := len(o)
 	switch {
 	case useAVX512 && n >= 64:
-		axpyTileAVX512(&o[0], &b[0], n, &nzs[0], len(nzs))
+		mode := tileAcc
+		if zero {
+			mode = tileZero
+		}
+		axpyTileAVX512(&o[0], &b[0], n, &nzs[0], len(nzs), mode)
 		if t := n &^ 63; t < n {
-			axpyListAVX2(&o[t], &b[t], n-t, &nzs[0], len(nzs))
+			axpyListAVX2(&o[t], &b[t], n-t, &nzs[0], len(nzs), zero)
 		}
 	case useAVX2:
-		axpyListAVX2(&o[0], &b[0], n, &nzs[0], len(nzs))
+		axpyListAVX2(&o[0], &b[0], n, &nzs[0], len(nzs), zero)
 	default:
-		axpyListGeneric(o, b, nzs)
+		axpyListGeneric(o, b, nzs, zero)
 	}
+}
+
+// matMulAccTiles is matMulAccRows where each row's chain fits in the tile
+// kernel's registers: an AVX-512 CPU, whole 64-column tiles (n%64 == 0), and
+// one list per row (0 < k <= nzChunk). Each row is compacted once, and
+// axpyTileAVX512 starts every tile at +0, runs the list and stores acc +
+// chain, acc first: no product row touches memory. A row with no non-zero
+// adds +0. It reports false, having done nothing, where it does not apply.
+func matMulAccTiles(acc, a, b []float64, m, k, n int, nzs *[nzChunk]nzEnt) (nonZeros int, ok bool) {
+	if !useAVX512 || n%64 != 0 || k == 0 || k > nzChunk {
+		return 0, false
+	}
+	for i := 0; i < m; i++ {
+		nz := compactNonZeros(nzs, a[i*k:(i+1)*k], 0, n)
+		axpyTileAVX512(&acc[i*n], &b[0], n, &nzs[0], nz, tileAddTo)
+		nonZeros += nz
+	}
+	return nonZeros, true
 }

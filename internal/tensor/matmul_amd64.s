@@ -21,7 +21,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int)
+// func axpyListAVX2(o, b *float64, n int, nzs *nzEnt, nnz int, zero bool)
 //
 // For t ascending over the nnz entries {off, val} at nzs (16 bytes each):
 //
@@ -31,13 +31,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // the last nnz%4 one at a time. The kernel contract (see matMulRows): lanes
 // are output columns j; each lane rounds the product (VMULPD), then the sum
 // (VADDPD) — never an FMA — in ascending t; the accumulator is the first
-// source of every add, as in the scalar `o[j] += av*bv`.
-TEXT ·axpyListAVX2(SB), NOSPLIT, $0-40
+// source of every add, as in the scalar `o[j] += av*bv`. With zero set, the
+// first pass starts its lanes at +0 instead of loading o, which is then
+// only written (R14 holds the flag and is cleared after the first pass).
+TEXT ·axpyListAVX2(SB), NOSPLIT, $0-41
 	MOVQ o+0(FP), DI
 	MOVQ b+8(FP), SI
 	MOVQ n+16(FP), DX
 	MOVQ nzs+24(FP), R12
 	MOVQ nnz+32(FP), R13
+	MOVBQZX zero+40(FP), R14
 
 group4:
 	CMPQ R13, $4
@@ -60,8 +63,14 @@ group4:
 g4loop8:
 	CMPQ CX, $8
 	JLT  g4tail
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	TESTQ R14, R14
+	JNE   g4start8
 	VMOVUPD (DI)(AX*8), Y4
 	VMOVUPD 32(DI)(AX*8), Y5
+
+g4start8:
 	VMULPD (R8)(AX*8), Y0, Y6
 	VMULPD 32(R8)(AX*8), Y0, Y7
 	VADDPD Y6, Y4, Y4
@@ -87,7 +96,12 @@ g4loop8:
 g4tail:
 	TESTQ CX, CX
 	JEQ   g4next
+	VXORPD X4, X4, X4
+	TESTQ R14, R14
+	JNE   g4start1
 	VMOVSD (DI)(AX*8), X4
+
+g4start1:
 	VMULSD (R8)(AX*8), X0, X6
 	VADDSD X6, X4, X4
 	VMULSD (R9)(AX*8), X1, X6
@@ -102,6 +116,7 @@ g4tail:
 	JMP  g4tail
 
 g4next:
+	XORQ R14, R14
 	ADDQ $64, R12
 	SUBQ $4, R13
 	JMP  group4
@@ -118,8 +133,14 @@ group1:
 g1loop8:
 	CMPQ CX, $8
 	JLT  g1tail
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	TESTQ R14, R14
+	JNE   g1start8
 	VMOVUPD (DI)(AX*8), Y4
 	VMOVUPD 32(DI)(AX*8), Y5
+
+g1start8:
 	VMULPD (R8)(AX*8), Y0, Y6
 	VMULPD 32(R8)(AX*8), Y0, Y7
 	VADDPD Y6, Y4, Y4
@@ -133,7 +154,12 @@ g1loop8:
 g1tail:
 	TESTQ CX, CX
 	JEQ   g1next
+	VXORPD X4, X4, X4
+	TESTQ R14, R14
+	JNE   g1start1
 	VMOVSD (DI)(AX*8), X4
+
+g1start1:
 	VMULSD (R8)(AX*8), X0, X6
 	VADDSD X6, X4, X4
 	VMOVSD X4, (DI)(AX*8)
@@ -142,6 +168,7 @@ g1tail:
 	JMP  g1tail
 
 g1next:
+	XORQ R14, R14
 	ADDQ $16, R12
 	DECQ R13
 	JMP  group1
@@ -150,24 +177,34 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz int)
+// func axpyTileAVX512(o, b *float64, n int, nzs *nzEnt, nnz, mode int)
 //
 // The same sum as axpyListAVX2 over the first n&^63 columns only, a 64-column
 // tile of o at a time: the tile is loaded into Z0-Z7 once, every entry t in
 // ascending order adds val[t]*b[off[t]+j] to its eight lanes (VMULPD, then
 // VADDPD with the accumulator first; never an FMA), and the tile is stored
-// once. The n%64 tail is the caller's, and nnz must be at least 1. Only
-// Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state behind.
-TEXT ·axpyTileAVX512(SB), NOSPLIT, $0-40
+// once. The mode picks where a tile's lanes start and what is stored:
+//
+//	tileAcc (0)    o, and the sum is stored: o += list
+//	tileZero (1)   +0, not loading o: o = chain
+//	tileAddTo (2)  +0, and o + chain is stored, o the first source of that
+//	               add: the AddInto of a product into an accumulator, fused
+//
+// The n%64 tail is the caller's; nnz may be 0 (the lanes keep their start).
+// Only Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state behind.
+TEXT ·axpyTileAVX512(SB), NOSPLIT, $0-48
 	MOVQ o+0(FP), DI
 	MOVQ b+8(FP), SI
 	MOVQ n+16(FP), DX
 	MOVQ nzs+24(FP), R12
 	MOVQ nnz+32(FP), R13
+	MOVQ mode+40(FP), R14
 
 tile:
 	CMPQ DX, $64
 	JLT  tdone
+	TESTQ R14, R14
+	JNE   tzero
 	VMOVUPD 0(DI), Z0
 	VMOVUPD 64(DI), Z1
 	VMOVUPD 128(DI), Z2
@@ -176,8 +213,23 @@ tile:
 	VMOVUPD 320(DI), Z5
 	VMOVUPD 384(DI), Z6
 	VMOVUPD 448(DI), Z7
+	JMP   tlist
+
+tzero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+tlist:
 	MOVQ R12, BX
 	MOVQ R13, CX
+	TESTQ CX, CX
+	JEQ   tend
 
 entry:
 	MOVQ 0(BX), R8
@@ -203,6 +255,27 @@ entry:
 	DECQ CX
 	JNE  entry
 
+tend:
+	CMPQ R14, $2
+	JNE  tstore
+	VMOVUPD 0(DI), Z8
+	VMOVUPD 64(DI), Z9
+	VMOVUPD 128(DI), Z10
+	VMOVUPD 192(DI), Z11
+	VMOVUPD 256(DI), Z12
+	VMOVUPD 320(DI), Z13
+	VMOVUPD 384(DI), Z14
+	VMOVUPD 448(DI), Z15
+	VADDPD Z0, Z8, Z0
+	VADDPD Z1, Z9, Z1
+	VADDPD Z2, Z10, Z2
+	VADDPD Z3, Z11, Z3
+	VADDPD Z4, Z12, Z4
+	VADDPD Z5, Z13, Z5
+	VADDPD Z6, Z14, Z6
+	VADDPD Z7, Z15, Z7
+
+tstore:
 	VMOVUPD Z0, 0(DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)

@@ -33,7 +33,23 @@ import (
 //     compiler may not fuse either (an arch_test.go row holds the non-test
 //     Go and the assembly files under internal/ to this);
 //   - a[i][p] == 0 contributes nothing at all (not 0*b, which would turn an
-//     Inf or NaN in b into NaN).
+//     Inf or NaN in b into NaN);
+//   - the chain starts at +0: each kernel has a start-at-+0 form, which
+//     matMulRows runs for a row's first non-empty chunk and which stores
+//     the row without loading it (the tile kernel's lanes start as a
+//     zeroed register), and a row with no non-zero in a is cleared — the
+//     same bits as the chain over a cleared row, and no clear-then-load.
+//
+// MatMulAccInto is the β = 1 form: acc[i][j] + chain(i,j), one rounded add
+// with acc its first operand, after the chain is complete — never a chain
+// that starts from acc, which would round differently. So it is bit for bit
+// AddInto(acc, acc, MatMul(a, b)), NaN payloads included. The tile kernel
+// does it in registers (tileAddTo: start at +0, run the list, add acc as it
+// stores) where a row's chain is one list over whole tiles
+// (matMulAccTiles); elsewhere matMulAccRows adds a pooled block of finished
+// product rows with addSame. A chain from +0 is never -0 (+0 + -0 is +0),
+// so an accumulator that begins as a first product, moved in whole, sums
+// exactly as one that began at +0.
 //
 // The compaction has two forms, chosen with the kernels: compactAVX512
 // (amd64 with AVX-512) tests eight elements a block against every bit but
@@ -96,13 +112,15 @@ func compactNonZerosScalar(nzs *[nzChunk]nzEnt, arow []float64, p0, n int) int {
 }
 
 // axpyListGeneric is the pure-Go kernel: for each entry t of nzs in order,
-// o[j] = o[j] + nzs[t].val*b[nzs[t].off+j] over every j. It mirrors the
-// AVX2 kernel term for term — four entries per pass over o, then the
-// remainder singly. The float64 conversions are load-bearing: the spec lets a
-// compiler fuse x*y+z into one rounding unless the product is explicitly
-// converted, and the arm64, ppc64, s390x and riscv64 back ends do. Fused, the
-// fallback would round once where the assembly rounds twice.
-func axpyListGeneric(o, b []float64, nzs []nzEnt) {
+// o[j] = o[j] + nzs[t].val*b[nzs[t].off+j] over every j. With zero set the
+// first pass starts each o[j] at +0 instead of reading it, so o need hold
+// nothing: the chain is the same, term for term, as one over a cleared o. It
+// mirrors the AVX2 kernel term for term — four entries per pass over o, then
+// the remainder singly. The float64 conversions are load-bearing: the spec
+// lets a compiler fuse x*y+z into one rounding unless the product is
+// explicitly converted, and the arm64, ppc64, s390x and riscv64 back ends do.
+// Fused, the fallback would round once where the assembly rounds twice.
+func axpyListGeneric(o, b []float64, nzs []nzEnt, zero bool) {
 	n := len(o)
 	for ; len(nzs) >= 4; nzs = nzs[4:] {
 		a0, a1, a2, a3 := nzs[0].val, nzs[1].val, nzs[2].val, nzs[3].val
@@ -110,20 +128,62 @@ func axpyListGeneric(o, b []float64, nzs []nzEnt) {
 		b1 := b[nzs[1].off:][:n]
 		b2 := b[nzs[2].off:][:n]
 		b3 := b[nzs[3].off:][:n]
-		for j, v := range o {
+		for j := range o {
+			var v float64
+			if !zero {
+				v = o[j]
+			}
 			v = v + float64(a0*b0[j])
 			v = v + float64(a1*b1[j])
 			v = v + float64(a2*b2[j])
 			v = v + float64(a3*b3[j])
 			o[j] = v
 		}
+		zero = false
 	}
 	for _, e := range nzs {
 		brow := b[e.off:][:n]
-		for j, v := range o {
+		for j := range o {
+			var v float64
+			if !zero {
+				v = o[j]
+			}
 			o[j] = v + float64(e.val*brow[j])
 		}
+		zero = false
 	}
+}
+
+// accBlock is how many product elements matMulAccRows holds before it adds
+// them into the accumulator: whole rows of the chain, 8 KiB, well inside L1,
+// so each add runs over several rows of a narrow product at once.
+const accBlock = 1024
+
+// matMulAccRows adds the m rows of a @ b into acc (see MatMulAccInto). The
+// AVX-512 tiles hold a row's chain in registers where it fits
+// (matMulAccTiles). Elsewhere the chains of as many whole rows as accBlock
+// holds (one row if it is wider) are computed by chainRows into a scratch
+// block, then added into acc, acc the first operand, in one addSame.
+func matMulAccRows(acc, a, b []float64, m, k, n int) {
+	if n == 0 {
+		return
+	}
+	b = b[:k*n]
+	var nzs [nzChunk]nzEnt
+	nonZeros, ok := matMulAccTiles(acc, a, b, m, k, n, &nzs)
+	if !ok {
+		rows := max(1, accBlock/n)
+		blk := getScratchCap(rows * n)
+		defer Recycle(blk)
+		for i0 := 0; i0 < m; i0 += rows {
+			r := min(rows, m-i0)
+			o, chain := acc[i0*n:(i0+r)*n], blk.data[:r*n]
+			nonZeros += chainRows(chain, a[i0*k:(i0+r)*k], b, r, k, n, &nzs)
+			addSame(o, o, chain)
+		}
+	}
+	obs.Add(cMatMulElems, int64(m*k))
+	obs.Add(cMatMulNonZeros, int64(nonZeros))
 }
 
 // ntDotRows is the most rows of a for which MatMulNTInto reads b in place.

@@ -113,9 +113,11 @@ func sameBits(x, y float64) bool {
 }
 
 // checkKernelCase runs c through every kernel this build has and compares
-// each against naiveMatMul, then MatMulNTInto on the untransposed b — (n, k),
-// built like the other operands, so a borrowed view when c says so — against
-// that MatMulInto(a, Transpose(bn)) result.
+// each against naiveMatMul — MatMulInto into a NaN-filled destination, which
+// the zero-start kernels must never read — then MatMulNTInto on the
+// untransposed b — (n, k), built like the other operands, so a borrowed view
+// when c says so — against that MatMulInto(a, Transpose(bn)) result, then
+// MatMulAccInto (checkAccCase).
 func checkKernelCase(t testing.TB, c kernelCase) {
 	t.Helper()
 	a, b := c.build()
@@ -123,6 +125,7 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 	bn := c.operand(c.n, c.k, 5, func(i int) float64 { return bt.data[i] })
 	want := make([]float64, c.m*c.n)
 	naiveMatMul(want, a.data, b.data, c.m, c.k, c.n)
+	checkAccCase(t, c, a, b)
 	forEachKernel(func(kernel string) {
 		for _, leg := range []struct {
 			name string
@@ -144,6 +147,90 @@ func checkKernelCase(t testing.TB, c kernelCase) {
 			}
 		}
 	})
+}
+
+// accFor returns an accumulator for the (m, n) product of c: at an odd
+// offset into a NaN-poisoned array, half of it specialValues (NaN payloads,
+// ±0, ±Inf, subnormals), and all -0 in every row of a that caseZeroRows
+// empties.
+func accFor(c kernelCase) *Tensor {
+	acc := specialTensor(rand.New(rand.NewSource(c.seed)), 1+int(c.seed&1), c.m, c.n)
+	if c.flags&caseZeroRows != 0 {
+		for i := 0; i < c.m; i += 2 {
+			for j := range acc.data[i*c.n : (i+1)*c.n] {
+				acc.data[i*c.n+j] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return acc
+}
+
+// checkAccCase holds MatMulAccInto on c's operands to AddInto(acc, acc,
+// MatMul(a, b)) under every kernel, every bit equal, NaN payloads included:
+// the product's chains are the same kernel's on both sides, and acc is the
+// first operand of the add on both, so where acc holds a NaN and the
+// product another, acc's payload is the one kept.
+func checkAccCase(t testing.TB, c kernelCase, a, b *Tensor) {
+	t.Helper()
+	forEachKernel(func(kernel string) {
+		want, got := accFor(c), accFor(c)
+		AddInto(want, want, MatMul(a, b))
+		MatMulAccInto(got, a, b)
+		for i, w := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(w) {
+				t.Fatalf("%s kernel, MatMulAccInto, %v: element %d = %#x, AddInto(acc, acc, MatMul) %#x",
+					kernel, c, i, math.Float64bits(got.data[i]), math.Float64bits(w))
+			}
+		}
+	})
+}
+
+// TestMatMulAccIntoBitIdentical holds MatMulAccInto to AddInto(acc, acc,
+// MatMul(a, b)) bit for bit (checkAccCase) where its two forms and their
+// edges lie: the benchmark workloads' dW shapes; the register form's whole
+// 64-column tiles at k up to nzChunk, and one past it; column tails of both
+// widths; products wider than the pooled block holds; empty dimensions. Each
+// shape runs under every zero share and flag set: NaN and ±Inf in b (so NaN
+// and infinite products meet acc's NaN payloads and infinities), all-zero
+// rows of a over a -0 accumulator (+0 wins: -0 + +0), borrowed views for a
+// and b. A borrowed, misshapen or overlapping accumulator is refused.
+func TestMatMulAccIntoBitIdentical(t *testing.T) {
+	id := 0
+	add := func(m, k, n int) {
+		for flags := 0; flags < 8; flags++ {
+			id++
+			c := kernelCase{m: m, k: k, n: n, seed: int64(id), zeroPct: []int{0, 50, 90, 100}[id%4], flags: flags}
+			a, b := c.build()
+			checkAccCase(t, c, a, b)
+		}
+	}
+	add(512, 4, 512)
+	add(128, 256, 256)
+	add(32, 8, 32)
+	for _, k := range []int{0, 1, 3, 4, 5, 63, 64, 65, 130} {
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 192} {
+			add(3, k, n)
+		}
+	}
+	add(17, 70, 1100) // one row is wider than accBlock
+	add(0, 5, 64)
+	add(33, 2, 31) // blocks of 33 rows, the last one short
+
+	a, b := New(3, 5), New(5, 4)
+	for name, acc := range map[string]*Tensor{
+		"borrowed":   ViewRange0(New(6, 4), 0, 3),
+		"transposed": New(4, 3),
+		"a itself":   Reshape(a, 5, 3),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MatMulAccInto accumulated into a %s destination", name)
+				}
+			}()
+			MatMulAccInto(acc, a, b)
+		}()
+	}
 }
 
 // TestMatMulKernelBitIdentical holds every kernel this build can run (the
@@ -341,6 +428,9 @@ func TestMatMulInlinePathAllocFree(t *testing.T) {
 				{"MatMulInto", 5, func() { MatMulInto(dst, a, b) }},
 				{"MatMulReLUInto", 5, func() { MatMulReLUInto(dst, a, b) }},
 				{"MatMulAddReLUInto", 5, func() { MatMulAddReLUInto(dst, a, b, bias) }},
+				// The product block is scratch: -race drops a quarter of the
+				// pool's puts, and ten calls losing all ten is one in a million.
+				{"MatMulAccInto", 10, func() { MatMulAccInto(dst, a, b) }},
 			}
 			if c.m <= ntDotRows {
 				// The dot form's lists come from a sync.Pool of their own.
@@ -361,9 +451,11 @@ func TestMatMulInlinePathAllocFree(t *testing.T) {
 }
 
 // FuzzMatMulKernel is the differential test driven by the fuzzer, over
-// MatMulInto and MatMulNTInto alike; the committed corpus under testdata/fuzz
-// holds the boundary cases (nt-* those of the a @ bᵀ forms, tile-* those of
-// the 64-column tiles).
+// MatMulInto (whose kernels start every row at +0 without reading it),
+// MatMulNTInto and MatMulAccInto alike; the committed corpus under
+// testdata/fuzz holds the boundary cases (nt-* those of the a @ bᵀ forms,
+// tile-* those of the 64-column tiles, acc-* those of the accumulate forms:
+// the register tiles and the pooled blocks).
 func FuzzMatMulKernel(f *testing.F) {
 	f.Add(uint8(3), uint16(5), uint8(9), int64(1), uint8(50), uint8(0))
 	f.Add(uint8(2), uint16(513), uint8(13), int64(2), uint8(50), uint8(caseSpecials|caseViews))

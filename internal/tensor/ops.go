@@ -339,31 +339,41 @@ func matMulShapes(a, b *Tensor) (m, k, n int) {
 	return a.shape[0], a.shape[1], b.shape[1]
 }
 
-// matMulRows computes the m rows of dst = a @ b, zeroing each destination
-// row first so dst may hold scratch garbage. Each row of a is compacted to
-// its non-zeros, which axpyList then accumulates in ascending p (the kernel
-// contract is in matmul_kernel.go): bit for bit the scalar ikj loop with its
-// `a[i][p] == 0` skip.
+// matMulRows computes the m rows of dst = a @ b, which dst need not hold
+// anything for: each row's first non-empty chunk starts its chain at +0
+// without reading the row, and a row with no non-zero in a is cleared. Each
+// row of a is compacted to its non-zeros, which axpyList then accumulates in
+// ascending p (the kernel contract is in matmul_kernel.go): bit for bit the
+// scalar ikj loop with its `a[i][p] == 0` skip over a cleared row.
 func matMulRows(dst, a, b []float64, m, k, n int) {
 	if n == 0 {
 		return
 	}
-	b = b[:k*n] // every list offset p*n, p < k, addresses a whole row of b
 	var nzs [nzChunk]nzEnt
-	nonZeros := 0
+	nonZeros := chainRows(dst, a, b[:k*n], m, k, n, &nzs)
+	obs.Add(cMatMulElems, int64(m*k))
+	obs.Add(cMatMulNonZeros, int64(nonZeros))
+}
+
+// chainRows is matMulRows for n > 0 and a b of exactly k*n elements, with
+// the caller's non-zero list, and returns how many non-zeros a has.
+func chainRows(dst, a, b []float64, m, k, n int, nzs *[nzChunk]nzEnt) (nonZeros int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
-		clear(orow)
+		zero := true
 		for p0 := 0; p0 < k; p0 += nzChunk {
-			if nz := compactNonZeros(&nzs, arow[p0:], p0, n); nz > 0 {
-				axpyList(orow, b, nzs[:nz])
+			if nz := compactNonZeros(nzs, arow[p0:], p0, n); nz > 0 {
+				axpyList(orow, b, nzs[:nz], zero)
+				zero = false
 				nonZeros += nz
 			}
 		}
+		if zero {
+			clear(orow)
+		}
 	}
-	obs.Add(cMatMulElems, int64(m*k))
-	obs.Add(cMatMulNonZeros, int64(nonZeros))
+	return nonZeros
 }
 
 // MatMul computes the matrix product of two rank-2 tensors (m,k)x(k,n)->(m,n)
@@ -382,6 +392,21 @@ func MatMulInto(dst, a, b *Tensor) {
 	checkApart("MatMulInto", dst, a)
 	checkApart("MatMulInto", dst, b)
 	matMulRows(dst.data, a.data, b.data, m, k, n)
+}
+
+// MatMulAccInto adds a @ b into acc: acc[i][j] + chain(i,j), where the
+// chain is what MatMulInto stores there (from +0, ascending p, no FMA) and
+// acc is the first operand of the one add — bit for bit AddInto(acc, acc,
+// MatMul(a, b)), NaN payloads included, with no (m,n) product in memory. A
+// chain from +0 is never -0, so +0 + chain is the chain itself: an
+// accumulator that starts as a first product and takes the later ones here
+// holds the sum AddInto would have built. acc must not overlap a or b.
+func MatMulAccInto(acc, a, b *Tensor) {
+	m, k, n := matMulShapes(a, b)
+	checkDst2("MatMulAccInto", acc, m, n)
+	checkApart("MatMulAccInto", acc, a)
+	checkApart("MatMulAccInto", acc, b)
+	matMulAccRows(acc.data, a.data, b.data, m, k, n)
 }
 
 // MatMulNTInto stores a @ bᵀ into dst with b given untransposed: a is (m,k),

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/obs"
 )
@@ -50,6 +52,55 @@ const (
 )
 
 var scratchPools [maxPoolBits + 1]sync.Pool
+
+// minSharedBits is the smallest bucket (2^17 elements, 1 MiB) kept in a
+// shared list instead of a sync.Pool. A sync.Pool keeps the last buffer a P
+// put in a slot that only that P's Gets look in, so with goroutines on two
+// Ps a Get can miss and allocate megabytes while a buffer of its size lies
+// idle: a gradient the driver recycled, say, and the actor that needs one a
+// step later. Buffers this large are few and go round once or twice a step,
+// so every P seeing one LIFO costs a lock and nothing else.
+const minSharedBits = 17
+
+// sharedFree holds each large bucket's recycled buffers by weak pointer:
+// the list keeps none of them alive, so a collection frees them as it would
+// a pool's, and a Get skips what it freed. maxShared bounds a list; a
+// buffer recycled into a full one is left to the collector.
+var sharedFree [maxPoolBits + 1]struct {
+	mu   sync.Mutex
+	bufs []weak.Pointer[Tensor]
+}
+
+const maxShared = 64
+
+// getShared pops bucket b's most recently recycled live buffer, or nil.
+func getShared(b int) *Tensor {
+	l := &sharedFree[b]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.bufs) > 0 {
+		t := l.bufs[len(l.bufs)-1].Value()
+		l.bufs = l.bufs[:len(l.bufs)-1]
+		if t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// putShared pushes t onto bucket b's list, first dropping what a
+// collection freed when the list is full.
+func putShared(b int, t *Tensor) {
+	l := &sharedFree[b]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.bufs) == maxShared {
+		l.bufs = slices.DeleteFunc(l.bufs, func(w weak.Pointer[Tensor]) bool { return w.Value() == nil })
+	}
+	if len(l.bufs) < maxShared {
+		l.bufs = append(l.bufs, weak.Make(t))
+	}
+}
 
 // bucketFor returns the pool index whose buffers can hold n elements.
 func bucketFor(n int) int {
@@ -99,13 +150,17 @@ func getScratchCap(n int) *Tensor {
 		obs.Add(cPoolOversize, 1)
 		return &Tensor{data: make([]float64, n)}
 	}
-	v := scratchPools[b].Get()
-	if v == nil {
+	var t *Tensor
+	if b >= minSharedBits {
+		t = getShared(b)
+	} else if v := scratchPools[b].Get(); v != nil {
+		t = v.(*Tensor)
+	}
+	if t == nil {
 		obs.Add(cPoolMiss, 1)
 		return &Tensor{data: make([]float64, n, 1<<b)}
 	}
 	obs.Add(cPoolHit, 1)
-	t := v.(*Tensor)
 	t.data = t.data[:cap(t.data)][:n]
 	return t
 }
@@ -159,5 +214,9 @@ func Recycle(t *Tensor) {
 		return
 	}
 	obs.Add(cPoolRecycle, 1)
+	if b >= minSharedBits {
+		putShared(b, t)
+		return
+	}
 	scratchPools[b].Put(t)
 }

@@ -6,35 +6,6 @@ import (
 	"testing"
 )
 
-// splitmixGamma is the step of RNG's state.
-const splitmixGamma = 0x9E3779B97F4A7C15
-
-// unmix inverts splitmix64's output function: the state whose next() step,
-// taken from unmix(z) - splitmixGamma, returns z. Each xorshift is undone by
-// repeating it until the shifted bits run out, each multiply by the odd
-// multiplier's inverse mod 2^64.
-func unmix(z uint64) uint64 {
-	unshift := func(z uint64, k uint) uint64 {
-		x := z
-		for s := k; s < 64; s += k {
-			x = z ^ x>>k
-		}
-		return x
-	}
-	inverse := func(a uint64) uint64 {
-		x := a // Newton's iteration, each step doubling the correct low bits
-		for range 5 {
-			x *= 2 - a*x
-		}
-		return x
-	}
-	z = unshift(z, 31)
-	z *= inverse(0x94D049BB133111EB)
-	z = unshift(z, 27)
-	z *= inverse(0xBF58476D1CE4E5B9)
-	return unshift(z, 30)
-}
-
 // The scalar draws the kernels are held to: Normal's and Uniform's loops
 // element by element.
 func normalRef(r *RNG, std float64, n int) []float64 {
@@ -100,6 +71,56 @@ func checkDraws(t testing.TB, state uint64, n int, std, lo, hi float64) {
 // takes two steps.
 func plantZeroU1(i int, low uint64) uint64 {
 	return unmix(low) - uint64(2*i+1)*splitmixGamma
+}
+
+// skipNormWalk is the walk SkipNorm replaces: every draw's steps one at a
+// time, u1 again while it is 0.
+func skipNormWalk(r *RNG, n int) {
+	for range n {
+		for r.next()>>11 == 0 {
+		}
+		r.next()
+	}
+}
+
+// TestSkipNormMatchesWalk holds SkipNorm to the walk: the state it leaves and
+// the 64 draws after it, from ordinary states at n of 0, 1, 7, 8, 9 and
+// 262 144 (the pp4-compute batch), and from states with a u1 of 0 planted at
+// the first, a middle and the last draw (its redraw shifts every later draw
+// by one step) or with a u2 of 0 there (no redraw), at several lows.
+func TestSkipNormMatchesWalk(t *testing.T) {
+	check := func(state uint64, n int) {
+		t.Helper()
+		got, want := &RNG{state: state}, &RNG{state: state}
+		got.SkipNorm(n)
+		skipNormWalk(want, n)
+		if got.state != want.state {
+			t.Fatalf("SkipNorm(%d) from %#x leaves %#x, the walk %#x", n, state, got.state, want.state)
+		}
+		for i := range 64 {
+			if g, w := got.Norm(), want.Norm(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("SkipNorm(%d) from %#x: draw %d after it is %v, after the walk %v", n, state, i, g, w)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 262144} {
+		check(uint64(n)*0x1234567+3, n)
+		check(NewRNG(uint64(n)).state, n)
+	}
+	for _, n := range []int{1, 2, 9, 1000, 262144} {
+		for _, i := range []int{0, n / 2, n - 1} {
+			for _, low := range []uint64{0, 1, 1<<11 - 1} {
+				walked := &RNG{state: plantZeroU1(i, low)}
+				before := *walked
+				skipNormWalk(walked, n)
+				if walked.state-before.state == 2*uint64(n)*splitmixGamma {
+					t.Fatalf("the u1 planted at draw %d of %d was not drawn again", i, n)
+				}
+				check(plantZeroU1(i, low), n)
+				check(plantZeroU1(i, low)-splitmixGamma, n) // a u2 of 0
+			}
+		}
+	}
 }
 
 // TestDrawKernelBitIdentical holds Normal, Uniform and Xavier on every kernel
