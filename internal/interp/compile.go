@@ -46,9 +46,9 @@ type Program struct {
 	// earlier output. Cloning there keeps the ownership contract — every
 	// returned tensor is independently owned by the caller — airtight.
 	copyOut []bool
-	// accAt[i] marks output i as a plain MatMul's that adds itself into an
-	// accumulator: RunAccInto puts each accumulator it may use for output i
-	// at env slot nSlots+i, where that MatMul's instruction looks for it.
+	// accAt[i] marks output i as one a plain MatMul computes straight into
+	// an accumulator: RunAccInto puts the accumulator it may use for output
+	// i at env slot nSlots+i, where that MatMul's instruction looks for it.
 	accAt   []bool
 	instrs  []pinstr
 	envPool sync.Pool // *[]*tensor.Tensor of length nSlots+len(outSlots)
@@ -76,16 +76,19 @@ type compiler struct {
 	// softmaxOf marks the xent_grad eqns whose output slot the xent on the
 	// same (logits, targets) fills with softmax(logits) before they run.
 	softmaxOf map[int]bool
-	// accSlot maps the slot of a MatMul output that is a graph output once
-	// and read by nothing else to the env slot of its accumulator.
-	accSlot map[int]int
-	instrs  []pinstr
+	// accOut maps the slot of a value that is a graph output once and read
+	// by nothing else to that output's index. Only emit's plain MatMul
+	// closure folds into an accumulator, and it sets accAt for its output.
+	accOut map[int]int
+	accAt  []bool
+	instrs []pinstr
 }
 
 // NewProgram compiles g. The graph must be SSA-well-formed (ir.Verify).
 func NewProgram(g *ir.Graph) (*Program, error) {
 	c := &compiler{g: g, slotOf: make(map[int]int, len(g.Inputs)+len(g.Eqns)), uses: g.Uses(),
-		ntSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{}, accSlot: map[int]int{}}
+		ntSrc: map[int]int{}, maskSrc: map[int]int{}, softmaxOf: map[int]bool{},
+		accOut: map[int]int{}, accAt: make([]bool, len(g.Outputs))}
 	for i, v := range g.Inputs {
 		c.slotOf[v.ID] = i
 	}
@@ -112,15 +115,9 @@ func NewProgram(g *ir.Graph) (*Program, error) {
 		c.root[s] = s
 		c.rootLast[s] = c.lastUse[s]
 	}
-	producer := make(map[int]ir.Op, len(g.Eqns))
-	for _, e := range g.Eqns {
-		producer[e.Outputs[0].ID] = e.Op
-	}
-	accAt := make([]bool, len(g.Outputs))
 	for i, o := range g.Outputs {
-		if u := c.uses[o.ID]; producer[o.ID] == ir.OpMatMul && len(u) == 1 && u[0] == len(g.Eqns) {
-			accAt[i] = true
-			c.accSlot[c.slotOf[o.ID]] = n + i
+		if u := c.uses[o.ID]; len(u) == 1 && u[0] == len(g.Eqns) {
+			c.accOut[c.slotOf[o.ID]] = i
 		}
 	}
 
@@ -128,7 +125,7 @@ func NewProgram(g *ir.Graph) (*Program, error) {
 		i = c.emit(i)
 	}
 
-	p := &Program{g: g, nSlots: n, instrs: c.instrs, accAt: accAt}
+	p := &Program{g: g, nSlots: n, instrs: c.instrs, accAt: c.accAt}
 	p.outSlots = make([]int, len(g.Outputs))
 	p.copyOut = make([]bool, len(g.Outputs))
 	ownedRoots := map[int]bool{}
@@ -263,7 +260,11 @@ func (c *compiler) emit(i int) int {
 			return j
 		}
 		c.freshOut(i, out)
-		at, folds := c.accSlot[out]
+		o, folds := c.accOut[out]
+		if folds {
+			c.accAt[o] = true
+		}
+		at := len(c.lastUse) + o // accumulators sit past the value slots
 		c.push(i, func(env []*tensor.Tensor) error {
 			if folds && env[at] != nil {
 				tensor.MatMulAccInto(env[at], env[a], env[b])
@@ -631,14 +632,14 @@ func (p *Program) RunInto(outs []*tensor.Tensor, inputs []*tensor.Tensor) error 
 	return p.RunAccInto(outs, inputs, nil)
 }
 
-// RunAccInto is RunInto that adds outputs into accumulators instead of
-// returning them. Where accs[i] is non-nil, owned (no borrowed view) and of
-// output i's shape, output i is added into it — accs[i] + output, accs[i]
-// the first operand, AddInto's bits — and outs[i] is left nil: an output a
-// plain MatMul produces is computed straight into accs[i]
-// (tensor.MatMulAccInto), any other is computed and then added. Every other
-// output is returned as RunInto returns it. accs may be nil, or hold
-// NumOutputs entries; an accumulator must share no storage with an input.
+// RunAccInto is RunInto that computes an output a plain MatMul produces
+// straight into an accumulator instead of returning it. Where accs[i] is
+// non-nil, owned (no borrowed view) and of output i's shape, and output i is
+// such a product, tensor.MatMulAccInto adds it into accs[i] — accs[i] +
+// output, accs[i] the first operand, AddInto's bits — and outs[i] is left
+// nil. Every other output is returned as RunInto returns it. accs may be
+// nil, or hold NumOutputs entries; an accumulator must share no storage
+// with an input.
 func (p *Program) RunAccInto(outs, inputs, accs []*tensor.Tensor) error {
 	g := p.g
 	if len(inputs) != len(g.Inputs) {
@@ -661,7 +662,7 @@ func (p *Program) RunAccInto(outs, inputs, accs []*tensor.Tensor) error {
 	// acc[i] is accs[i] where output i folds into it, else nil.
 	acc := env[p.nSlots:]
 	for i, t := range accs {
-		if t != nil && !t.Borrowed() && t.HasShape(g.Outputs[i].Shape) {
+		if p.accAt[i] && t != nil && !t.Borrowed() && t.HasShape(g.Outputs[i].Shape) {
 			acc[i] = t
 		}
 	}
@@ -679,21 +680,12 @@ func (p *Program) RunAccInto(outs, inputs, accs []*tensor.Tensor) error {
 	}
 	for i, s := range p.outSlots {
 		switch {
-		case acc[i] != nil && p.accAt[i]:
+		case acc[i] != nil:
 			outs[i] = nil // the MatMul added itself into acc[i]
 		case p.copyOut[i]:
 			outs[i] = env[s].Clone()
 		default:
 			outs[i] = env[s]
-		}
-	}
-	// Every returned output is the caller's own now, none aliasing another:
-	// one that folds is added and recycled.
-	for i, t := range acc {
-		if t != nil && outs[i] != nil {
-			tensor.AddInto(t, t, outs[i])
-			tensor.Recycle(outs[i])
-			outs[i] = nil
 		}
 	}
 	clear(env)

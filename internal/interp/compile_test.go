@@ -620,26 +620,16 @@ func TestReLUMaskMulFusion(t *testing.T) {
 }
 
 // TestRunAccIntoFoldsOutputs: handed an accumulator for each output of a
-// traced forward+backward graph, RunAccInto leaves every output nil and each
-// accumulator holding AddInto(acc, acc, output) of a plain RunInto, every
-// bit equal — the weight gradients, plain MatMul outputs, through
-// MatMulAccInto, the loss by an add after it — over accumulators of NaN
-// payloads, ±0 and ±Inf. A borrowed or misshapen accumulator is left as it
-// was and its output returned; a nil one returns its output. A steady-state
-// run that folds every output allocates no more than a plain one.
+// traced forward+backward graph, RunAccInto computes every weight gradient —
+// a plain MatMul, xᵀ·ct — straight into its accumulator, leaving that output
+// nil and the accumulator holding AddInto(acc, acc, output) of a plain
+// RunInto, every bit equal, over accumulators of NaN payloads, ±0 and ±Inf.
+// Every other output comes back as RunInto returns it, its accumulator
+// untouched: the loss, a borrowed or misshapen accumulator's output, and the
+// gradient of a weight on the left of its matmul, ct·xᵀ, which the compiler
+// runs as MatMulNTInto against x's rows. A steady-state run that folds
+// every output it can allocates no more than a plain one.
 func TestRunAccIntoFoldsOutputs(t *testing.T) {
-	g, inputs := mlpGrad(t, 3, 8, 16)
-	p, err := NewProgram(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []bool{false, true, true, true}; fmt.Sprint(p.accAt) != fmt.Sprint(want) {
-		t.Fatalf("outputs a MatMul folds into its accumulator itself: %v, want %v", p.accAt, want)
-	}
-	plain, err := p.Run(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	specials := []float64{math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000002),
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-310, 1.5}
 	accFor := func(o *tensor.Tensor) *tensor.Tensor {
@@ -649,44 +639,7 @@ func TestRunAccIntoFoldsOutputs(t *testing.T) {
 		}
 		return acc
 	}
-	accs := make([]*tensor.Tensor, len(plain))
-	for i, o := range plain {
-		accs[i] = accFor(o)
-	}
-	outs := make([]*tensor.Tensor, len(plain))
-	if err := p.RunAccInto(outs, inputs, accs); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range plain {
-		if outs[i] != nil {
-			t.Fatalf("output %d was returned, not added into its accumulator", i)
-		}
-		want := accFor(o)
-		tensor.AddInto(want, want, o)
-		for j, w := range want.Data() {
-			if got := accs[i].Data()[j]; math.Float64bits(got) != math.Float64bits(w) {
-				t.Fatalf("output %d element %d: accumulator %#x, AddInto %#x", i, j, math.Float64bits(got), math.Float64bits(w))
-			}
-		}
-	}
-
-	// Accumulators it may not use: output 1 borrowed, 2 misshapen, 3 none.
-	borrowed := tensor.ViewRange0(accFor(plain[1]), 0, plain[1].Shape()[0])
-	misshapen := tensor.New(plain[2].Shape()[0]+1, plain[2].Shape()[1])
-	before := borrowed.Clone()
-	accs = []*tensor.Tensor{accFor(plain[0]), borrowed, misshapen, nil}
-	if err := p.RunAccInto(outs, inputs, accs); err != nil {
-		t.Fatal(err)
-	}
-	if outs[0] != nil {
-		t.Fatal("the loss was returned, not added")
-	}
-	for i := 1; i < len(plain); i++ {
-		if outs[i] == nil || !tensor.AllClose(outs[i], plain[i], 0, 0) {
-			t.Fatalf("output %d: not returned as RunInto returns it", i)
-		}
-	}
-	untouched := func(x, y *tensor.Tensor) bool {
+	sameBits := func(x, y *tensor.Tensor) bool {
 		for j, v := range y.Data() {
 			if math.Float64bits(x.Data()[j]) != math.Float64bits(v) {
 				return false
@@ -694,7 +647,93 @@ func TestRunAccIntoFoldsOutputs(t *testing.T) {
 		}
 		return true
 	}
-	if !untouched(borrowed, before) || !untouched(misshapen, tensor.New(misshapen.Shape()...)) {
+	// foldsOnly runs p with an accumulator for every output and checks that
+	// exactly the outputs accAt marks were added, the rest returned.
+	foldsOnly := func(t *testing.T, p *Program, inputs []*tensor.Tensor, want []bool) {
+		t.Helper()
+		if fmt.Sprint(p.accAt) != fmt.Sprint(want) {
+			t.Fatalf("outputs a MatMul computes into its accumulator: %v, want %v", p.accAt, want)
+		}
+		plain, err := p.Run(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs := make([]*tensor.Tensor, len(plain))
+		for i, o := range plain {
+			accs[i] = accFor(o)
+		}
+		outs := make([]*tensor.Tensor, len(plain))
+		if err := p.RunAccInto(outs, inputs, accs); err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range plain {
+			sum := accFor(o)
+			if !want[i] {
+				if outs[i] == nil || !sameBits(outs[i], o) || !sameBits(accs[i], sum) {
+					t.Fatalf("output %d: not returned as RunInto returns it, its accumulator untouched", i)
+				}
+				continue
+			}
+			if outs[i] != nil {
+				t.Fatalf("output %d was returned, not computed into its accumulator", i)
+			}
+			tensor.AddInto(sum, sum, o)
+			for j, w := range sum.Data() {
+				if got := accs[i].Data()[j]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("output %d element %d: accumulator %#x, AddInto %#x", i, j, math.Float64bits(got), math.Float64bits(w))
+				}
+			}
+		}
+	}
+
+	t.Run("weight on the left", func(t *testing.T) {
+		var w *ir.Value
+		g, err := trace.Trace("left", func(b *trace.Builder) []*ir.Value {
+			x := b.Input("x", 16, 8)
+			y := b.Input("y", 4, 8)
+			w = b.Input("w", 4, 16)
+			return []*ir.Value{b.CrossEntropy(b.ReLU(b.MatMul(w, x)), y)}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = autodiff.ValueAndGrad(g, []*ir.Value{w}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProgram(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(4)
+		foldsOnly(t, p, []*tensor.Tensor{rng.Normal(1, 16, 8), rng.OneHotBatch(4, 8), rng.Xavier(4, 16)}, []bool{false, false})
+	})
+
+	g, inputs := mlpGrad(t, 3, 8, 16)
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldsOnly(t, p, inputs, []bool{false, true, true, true})
+	plain, err := p.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Accumulators it may not use: output 1 borrowed, 2 misshapen, 3 none.
+	borrowed := tensor.ViewRange0(accFor(plain[1]), 0, plain[1].Shape()[0])
+	misshapen := tensor.New(plain[2].Shape()[0]+1, plain[2].Shape()[1])
+	before := borrowed.Clone()
+	accs := []*tensor.Tensor{accFor(plain[0]), borrowed, misshapen, nil}
+	outs := make([]*tensor.Tensor, len(plain))
+	if err := p.RunAccInto(outs, inputs, accs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain {
+		if outs[i] == nil || !sameBits(outs[i], plain[i]) {
+			t.Fatalf("output %d: not returned as RunInto returns it", i)
+		}
+	}
+	if !sameBits(accs[0], accFor(plain[0])) || !sameBits(borrowed, before) || !sameBits(misshapen, tensor.New(misshapen.Shape()...)) {
 		t.Fatal("an accumulator RunAccInto may not use was written")
 	}
 

@@ -13,13 +13,13 @@ import (
 // TestRunFoldsLaterPartialsIntoTheirAccumulator runs the instructions
 // taskgraph emits for a gradient over three microbatches — a run, the
 // accumulation of its partial at its last use, the partial's delete — on one
-// actor. A partial whose accumulator holds something is added into it by its
-// run, the accumulation then having nothing left to do, so the store never
-// holds that partial; into an empty accumulator the first partial moves. The
-// sum is AddInto's, every bit, for a partial a MatMul produces
-// (MatMulAccInto) and for one a Scale of it produces (an add after the run),
-// and a borrowed accumulator keeps the accumulation (an Add out of place,
-// the partial stored first).
+// actor. A partial a plain MatMul produces whose accumulator holds something
+// is computed into it by its run (MatMulAccInto), the accumulation then
+// having nothing left to do, so the store never holds that partial; into an
+// empty accumulator the first partial moves. Any other partial — a Scale of
+// the product, a product by a transpose (MatMulNTInto) — and one whose
+// accumulator is borrowed is stored and accumulated as before. The sum is
+// AddInto's, every bit, either way.
 func TestRunFoldsLaterPartialsIntoTheirAccumulator(t *testing.T) {
 	const m, k, n, mbs = 6, 5, 70, 3
 	const w, acc = 0, 1 // buffers: the weight, the accumulator, then per microbatch x and the partial
@@ -33,19 +33,28 @@ func TestRunFoldsLaterPartialsIntoTheirAccumulator(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name  string
-		scale bool
+		scale bool // the partial is 0.5·x·w
+		nt    bool // the partial is x·Transpose(w)
 		acc   func() *tensor.Tensor // the accumulator before the step
 		// stored says whether a partial ever enters the store.
 		stored bool
 	}{
-		{"matmul", false, nanAt3, false},
-		{"scale of a matmul", true, nanAt3, false},
-		{"empty accumulator", false, func() *tensor.Tensor { return nil }, true},
-		{"borrowed accumulator", false, func() *tensor.Tensor { return tensor.ViewRange0(tensor.New(m, n), 0, m) }, true},
+		{"matmul", false, false, nanAt3, false},
+		{"scale of a matmul", true, false, nanAt3, true},
+		{"matmul by a transpose", false, true, nanAt3, true},
+		{"empty accumulator", false, false, func() *tensor.Tensor { return nil }, true},
+		{"borrowed accumulator", false, false, func() *tensor.Tensor { return tensor.ViewRange0(tensor.New(m, n), 0, m) }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := ir.NewGraph("partial")
-			x, wv := g.AddInput([]int{m, k}, "x"), g.AddInput([]int{k, n}, "w")
+			wShape := []int{k, n}
+			if c.nt {
+				wShape = []int{n, k}
+			}
+			x, wv := g.AddInput([]int{m, k}, "x"), g.AddInput(wShape, "w")
+			if c.nt {
+				wv = g.MustEmit(ir.OpTranspose, ir.Attrs{}, wv)
+			}
 			out := g.MustEmit(ir.OpMatMul, ir.Attrs{}, x, wv)
 			if c.scale {
 				out = g.MustEmit(ir.OpScale, ir.Attrs{Factor: 0.5}, out)
@@ -68,7 +77,7 @@ func TestRunFoldsLaterPartialsIntoTheirAccumulator(t *testing.T) {
 			a.Load(instrs, []*segmentExecutable{{prog: prog}})
 
 			rng := tensor.NewRNG(5)
-			wt := rng.Normal(1, k, n)
+			wt := rng.Normal(1, wShape...)
 			wt.Data()[3] = math.NaN()
 			wt.Data()[4] = math.Inf(1)
 			a.Store.Put(w, wt)
@@ -83,7 +92,12 @@ func TestRunFoldsLaterPartialsIntoTheirAccumulator(t *testing.T) {
 				xt := rng.Normal(1, m, k)
 				xt.Data()[mb] = 0
 				a.Store.Put(taskgraph.BufID(2+2*mb), xt)
-				p := tensor.MatMul(xt, wt)
+				var p *tensor.Tensor
+				if c.nt {
+					p = tensor.MatMul(xt, tensor.Transpose(wt))
+				} else {
+					p = tensor.MatMul(xt, wt)
+				}
 				if c.scale {
 					p = tensor.Scale(p, 0.5)
 				}

@@ -112,15 +112,15 @@ func (s *Store) Put(id taskgraph.BufID, t *tensor.Tensor) {
 
 // Get returns the buffer or an error if absent (deleted or never produced).
 func (s *Store) Get(id taskgraph.BufID) (*tensor.Tensor, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.slots) || s.slots[id].t == nil {
-		return nil, fmt.Errorf("runtime: buffer %d not in store", id)
+	if t := s.lookup(id); t != nil {
+		return t, nil
 	}
-	return s.slots[id].t, nil
+	return nil, fmt.Errorf("runtime: buffer %d not in store", id)
 }
 
-// lookup returns the buffer, or nil if the slot is empty.
+// lookup returns the buffer, or nil if the slot is empty, with no error to
+// allocate: an actor asks for an accumulator that is empty at every step's
+// first microbatch.
 func (s *Store) lookup(id taskgraph.BufID) *tensor.Tensor {
 	s.mu.Lock()
 	defer s.mu.Unlock()

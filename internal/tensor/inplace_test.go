@@ -4,9 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"weak"
+	"time"
 )
 
 // rnd returns a deterministic random tensor.
@@ -197,46 +198,45 @@ func TestScratchPoolReuse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLargeScratchIsSharedAndCollected pins the large buckets' list: a
-// buffer recycled on one goroutine is the next Get of its bucket on any
-// other, most recent first, for every P sees one list; a collection frees
-// what the list holds, so the next Get allocates; and a full list keeps no
-// more, leaving the rest to the collector.
-func TestLargeScratchIsSharedAndCollected(t *testing.T) {
+// TestLargeScratchIsSharedAndAged pins the large buckets' list: a buffer
+// recycled on one goroutine is the next Get of its bucket on any other, most
+// recent first, for every P sees one list; it lives through one ageing and
+// goes at the next, as a sync.Pool's buffer lives through one collection;
+// and collections do the ageing.
+func TestLargeScratchIsSharedAndAged(t *testing.T) {
 	const n = 1 << minSharedBits
-	runtime.GC()
-	recycled := func() weak.Pointer[Tensor] {
-		first, second := GetScratch(n), GetScratch(n)
-		Recycle(first)
-		Recycle(second)
-		got := make(chan *Tensor, 2)
-		go func() { got <- GetScratch(n); got <- GetScratch(n) }()
-		if a, b := <-got, <-got; a != second || b != first {
-			t.Fatal("another goroutine's Gets did not take the recycled buffers, most recent first")
+	first, second := GetScratch(n), GetScratch(n)
+	Recycle(first)
+	Recycle(second)
+	got := make(chan *Tensor, 2)
+	go func() { got <- GetScratch(n); got <- GetScratch(n) }()
+	if a, b := <-got, <-got; a != second || b != first {
+		t.Fatal("another goroutine's Gets did not take the recycled buffers, most recent first")
+	}
+	held := func(x *Tensor) bool {
+		l := &sharedFree[minSharedBits]
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return slices.Contains(l.bufs, x) || slices.Contains(l.victim, x)
+	}
+	Recycle(first)
+	ageShared()
+	if !held(first) {
+		t.Fatal("a buffer went at its first ageing")
+	}
+	ageShared()
+	if held(first) {
+		t.Fatal("a buffer outlived its second ageing")
+	}
+	Recycle(second)
+	for range 100 {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // the cleanup that ages runs after the collection
+		if !held(second) {
+			return
 		}
-		Recycle(first)
-		return weak.Make(first)
-	}()
-	runtime.GC()
-	if recycled.Value() != nil || getShared(minSharedBits) != nil {
-		t.Fatal("a buffer the list held outlived a collection")
 	}
-	held := make([]*Tensor, maxShared+1)
-	for i := range held {
-		held[i] = GetScratch(n)
-	}
-	for _, h := range held {
-		Recycle(h)
-	}
-	if l := len(sharedFree[minSharedBits].bufs); l != maxShared {
-		t.Fatalf("the list holds %d buffers, want its bound %d", l, maxShared)
-	}
-	held = nil
-	runtime.GC()
-	Recycle(New(n)) // a full list of freed buffers is swept, not refused
-	if l := len(sharedFree[minSharedBits].bufs); l != 1 {
-		t.Fatalf("after a collection the list holds %d buffers, want 1", l)
-	}
+	t.Fatal("a hundred collections did not age the list twice")
 }
 
 // TestReshapeViewOfScratch checks the documented aliasing contract: a view

@@ -2,10 +2,9 @@ package tensor
 
 import (
 	"math/bits"
-	"slices"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/obs"
 )
@@ -58,47 +57,68 @@ var scratchPools [maxPoolBits + 1]sync.Pool
 // put in a slot that only that P's Gets look in, so with goroutines on two
 // Ps a Get can miss and allocate megabytes while a buffer of its size lies
 // idle: a gradient the driver recycled, say, and the actor that needs one a
-// step later. Buffers this large are few and go round once or twice a step,
-// so every P seeing one LIFO costs a lock and nothing else.
+// step later. A list every P sees costs a lock a cycle, about 3x a
+// sync.Pool's Get and Put: the benchmark's workloads recycle 52-499 buffers
+// a step below 1 MiB and 0-12 at or above it (the dp2x2 gradients), and
+// pp4-small, all of whose traffic is below, lost steps with the list in
+// every bucket.
 const minSharedBits = 17
 
-// sharedFree holds each large bucket's recycled buffers by weak pointer:
-// the list keeps none of them alive, so a collection frees them as it would
-// a pool's, and a Get skips what it freed. maxShared bounds a list; a
-// buffer recycled into a full one is left to the collector.
+// sharedFree holds each large bucket's recycled buffers, the most recent
+// last. Like a sync.Pool's, they live through one collection and go at the
+// next: after each collection bufs becomes victim and the victims before it
+// are dropped (ageShared), and a Get takes from bufs, then from victim.
 var sharedFree [maxPoolBits + 1]struct {
-	mu   sync.Mutex
-	bufs []weak.Pointer[Tensor]
+	mu           sync.Mutex
+	bufs, victim []*Tensor
 }
 
-const maxShared = 64
-
-// getShared pops bucket b's most recently recycled live buffer, or nil.
+// getShared pops bucket b's most recently recycled buffer, or nil.
 func getShared(b int) *Tensor {
 	l := &sharedFree[b]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.bufs) > 0 {
-		t := l.bufs[len(l.bufs)-1].Value()
-		l.bufs = l.bufs[:len(l.bufs)-1]
-		if t != nil {
+	for _, s := range [...]*[]*Tensor{&l.bufs, &l.victim} {
+		if n := len(*s); n > 0 {
+			t := (*s)[n-1]
+			(*s)[n-1] = nil
+			*s = (*s)[:n-1]
 			return t
 		}
 	}
 	return nil
 }
 
-// putShared pushes t onto bucket b's list, first dropping what a
-// collection freed when the list is full.
+// putShared pushes t onto bucket b's list.
 func putShared(b int, t *Tensor) {
 	l := &sharedFree[b]
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.bufs) == maxShared {
-		l.bufs = slices.DeleteFunc(l.bufs, func(w weak.Pointer[Tensor]) bool { return w.Value() == nil })
-	}
-	if len(l.bufs) < maxShared {
-		l.bufs = append(l.bufs, weak.Make(t))
+	l.bufs = append(l.bufs, t)
+	l.mu.Unlock()
+}
+
+func init() { ageAfterCollection() }
+
+// ageAfterCollection has ageShared run once the next collection is over: a
+// cleanup on an object nothing references runs after the collection that
+// frees it, and arms the next. The object holds a pointer so that it gets
+// an allocation of its own, never shared with a live one.
+func ageAfterCollection() {
+	runtime.AddCleanup(new(*int), func(struct{}) {
+		ageShared()
+		ageAfterCollection()
+	}, struct{}{})
+}
+
+// ageShared makes every large bucket's buffers its victims and leaves the
+// victims before them to the collector.
+func ageShared() {
+	for b := minSharedBits; b <= maxPoolBits; b++ {
+		l := &sharedFree[b]
+		l.mu.Lock()
+		clear(l.victim)
+		l.bufs, l.victim = l.victim[:0], l.bufs
+		l.mu.Unlock()
 	}
 }
 
