@@ -33,8 +33,8 @@ func TestRunFoldsLaterPartialsIntoTheirAccumulator(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name  string
-		scale bool // the partial is 0.5·x·w
-		nt    bool // the partial is x·Transpose(w)
+		scale bool                  // the partial is 0.5·x·w
+		nt    bool                  // the partial is x·Transpose(w)
 		acc   func() *tensor.Tensor // the accumulator before the step
 		// stored says whether a partial ever enters the store.
 		stored bool
