@@ -57,11 +57,11 @@ var scratchPools [maxPoolBits + 1]sync.Pool
 // put in a slot that only that P's Gets look in, so with goroutines on two
 // Ps a Get can miss and allocate megabytes while a buffer of its size lies
 // idle: a gradient the driver recycled, say, and the actor that needs one a
-// step later. A list every P sees costs a lock a cycle, about 3x a
-// sync.Pool's Get and Put: the benchmark's workloads recycle 52-499 buffers
-// a step below 1 MiB and 0-12 at or above it (the dp2x2 gradients), and
-// pp4-small, all of whose traffic is below, lost steps with the list in
-// every bucket.
+// step later. A list every P sees costs a lock a cycle: a Get and a Recycle
+// take 2-3x a sync.Pool's time, 5x with two Ps at it. The benchmark's
+// workloads recycle 52-499 buffers a step below 1 MiB and 0-12 at or above
+// it (the dp2x2 gradients), and pp4-small, all of whose traffic is below,
+// lost steps with a list in every bucket.
 const minSharedBits = 17
 
 // sharedFree holds each large bucket's recycled buffers, the most recent
