@@ -27,11 +27,13 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -292,14 +294,35 @@ func readManifest(dir string, step int) (*Manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("ckpt: step %d manifest damaged: %w", step, err)
 	}
+	if m.Version != Version {
+		return nil, fmt.Errorf("ckpt: step %d manifest version %d, this build reads %d", step, m.Version, Version)
+	}
+	// The entries the layout gives: Params parameters, then the sharded
+	// pieces, or a velocity per parameter, or nothing.
+	opt := len(m.OptShardCounts)
+	if !m.Sharded() && m.Momentum != 0 {
+		opt = m.Params
+	}
+	if m.Step != step || m.Params < 0 || m.Entries != m.Params+opt || len(m.Owners) != m.Entries {
+		return nil, fmt.Errorf("ckpt: step %d manifest damaged: step %d, %d entries for %d parameters and %d optimizer entries, %d owners",
+			step, m.Step, m.Entries, m.Params, opt, len(m.Owners))
+	}
+	for _, sh := range m.Shards {
+		if sh.File != ShardFile(sh.Rank) {
+			return nil, fmt.Errorf("ckpt: step %d manifest damaged: rank %d's shard is %q", step, sh.Rank, sh.File)
+		}
+	}
 	return m, nil
 }
 
 // load reads every shard of a committed checkpoint and reassembles the full
-// entry list. Any missing file, truncated frame, CRC mismatch, duplicate or
-// out-of-range entry fails the whole load — the caller falls back to an older
-// checkpoint. Returned tensors are pool-owned (the wire decode rule): the
-// caller recycles them or keeps ownership.
+// entry list. Any missing file, truncated frame, CRC mismatch, duplicate,
+// out-of-range or misplaced entry, or optimizer entry of another shape than
+// the manifest gives fails the whole load — the caller falls back to an
+// older checkpoint. A shard is read whole and decoded from memory, so a frame
+// that claims more than the file holds is truncated before a tensor is sized
+// for it. Returned tensors are pool-owned (the wire decode rule): the caller
+// recycles them or keeps ownership.
 func load(dir string, m *Manifest) (entries []*tensor.Tensor, err error) {
 	sd := StepDir(dir, m.Step)
 	entries = make([]*tensor.Tensor, m.Entries)
@@ -311,11 +334,11 @@ func load(dir string, m *Manifest) (entries []*tensor.Tensor, err error) {
 		}
 	}()
 	for _, sh := range m.Shards {
-		f, ferr := os.Open(filepath.Join(sd, sh.File))
+		data, ferr := os.ReadFile(filepath.Join(sd, sh.File))
 		if ferr != nil {
 			return nil, fmt.Errorf("ckpt: step %d: %w", m.Step, ferr)
 		}
-		dec := dist.NewDecoder(bufio.NewReaderSize(f, 1<<16))
+		dec := dist.NewDecoder(bytes.NewReader(data))
 		n := 0
 		for {
 			h, t, derr := dec.ReadFrame()
@@ -323,27 +346,22 @@ func load(dir string, m *Manifest) (entries []*tensor.Tensor, err error) {
 				break
 			}
 			if derr != nil {
-				f.Close()
 				return nil, fmt.Errorf("ckpt: step %d shard %s: %w", m.Step, sh.File, derr)
 			}
 			if h.Kind != dist.KindData || t == nil {
-				f.Close()
 				return nil, fmt.Errorf("ckpt: step %d shard %s: unexpected frame kind %d", m.Step, sh.File, h.Kind)
 			}
-			if h.Tag < 0 || h.Tag >= m.Entries {
+			if h.Tag < 0 || h.Tag >= m.Entries || m.Owners[h.Tag] != sh.Rank {
 				tensor.Recycle(t)
-				f.Close()
-				return nil, fmt.Errorf("ckpt: step %d shard %s: entry %d out of range [0,%d)", m.Step, sh.File, h.Tag, m.Entries)
+				return nil, fmt.Errorf("ckpt: step %d shard %s: entry %d out of range [0,%d) or not rank %d's", m.Step, sh.File, h.Tag, m.Entries, sh.Rank)
 			}
 			if entries[h.Tag] != nil {
 				tensor.Recycle(t)
-				f.Close()
 				return nil, fmt.Errorf("ckpt: step %d shard %s: duplicate entry %d", m.Step, sh.File, h.Tag)
 			}
 			entries[h.Tag] = t
 			n++
 		}
-		f.Close()
 		if n != len(sh.Entries) {
 			return nil, fmt.Errorf("ckpt: step %d shard %s: %d entries, manifest promises %d", m.Step, sh.File, n, len(sh.Entries))
 		}
@@ -351,6 +369,18 @@ func load(dir string, m *Manifest) (entries []*tensor.Tensor, err error) {
 	for e, t := range entries {
 		if t == nil {
 			return nil, fmt.Errorf("ckpt: step %d: entry %d missing from every shard", m.Step, e)
+		}
+		if e < m.Params {
+			continue // parameter shapes are the job's to check
+		}
+		// A sharded piece is as long as its count, a dense velocity has its
+		// parameter's shape.
+		want := entries[e-m.Params].Shape()
+		if m.Sharded() {
+			want = []int{m.OptShardCounts[e-m.Params]}
+		}
+		if !slices.Equal(t.Shape(), want) {
+			return nil, fmt.Errorf("ckpt: step %d: entry %d has shape %v, manifest gives %v", m.Step, e, t.Shape(), want)
 		}
 	}
 	return entries, nil

@@ -59,7 +59,7 @@ func (c *Communicator) AllReduceBucketsInPlace(ts []*tensor.Tensor, op Op, bucke
 // bit for bit what AllReduceBucketsInPlace would have left there — and
 // nothing of use anywhere else (partial sums, or its own contribution).
 func (c *Communicator) ReduceBucketsInPlace(ts []*tensor.Tensor, op Op, bucketBytes int) error {
-	return c.eachBucket(ts, bucketBytes, op, false)
+	return c.eachBucket(ts, bucketBytes, false)
 }
 
 // GatherBucketsInPlace is the gather half: every rank enters holding the
@@ -69,20 +69,20 @@ func (c *Communicator) ReduceBucketsInPlace(ts []*tensor.Tensor, op Op, bucketBy
 // bucketBytes — the distributed step epilogue reduces gradients, updates the
 // owned ranges of the parameters, and gathers the parameters.
 func (c *Communicator) GatherBucketsInPlace(ts []*tensor.Tensor, bucketBytes int) error {
-	return c.eachBucket(ts, bucketBytes, OpSum, true)
+	return c.eachBucket(ts, bucketBytes, true)
 }
 
 // eachBucket is the one body of both halves: it walks the fusion buckets of
 // ts, consuming one tag window per bucket (also for buckets a single rank or
 // zero elements make trivial, to keep ranks in lockstep), and runs the ring
-// pass of the all-reduce layout — reducePass(first = rank) with op, or
+// pass of the all-reduce layout — reducePass(first = rank), or
 // gatherPass(first = rank+1) — over each bucket's storage: a single tensor's
 // own, or the communicator's flat scratch for a fused bucket. Around a fused
 // bucket only what the pass reads and what it makes final is copied: the
 // reduce half packs every tensor and unpacks the owned chunk, the gather half
 // packs the owned chunk and unpacks every tensor. Once ArmErrorFeedback has
 // run, the reduce half hands each bucket's residual to its pass.
-func (c *Communicator) eachBucket(ts []*tensor.Tensor, bucketBytes int, op Op, gather bool) error {
+func (c *Communicator) eachBucket(ts []*tensor.Tensor, bucketBytes int, gather bool) error {
 	n := c.Size()
 	for i, b := range c.bucketPlan(ts, bucketBytes) {
 		bucket := ts[b[0]:b[1]]
@@ -110,7 +110,7 @@ func (c *Communicator) eachBucket(ts []*tensor.Tensor, bucketBytes int, op Op, g
 		if off := c.evenOffsets(elems); gather {
 			err = c.gatherPass(base, data, off, c.rank+1)
 		} else {
-			err = c.reducePass(base, data, off, c.rank, op, c.residual(i, off[c.rank+1]-off[c.rank]))
+			err = c.reducePass(base, data, off, c.rank, c.residual(i, off[c.rank+1]-off[c.rank]))
 		}
 		if err != nil {
 			return fmt.Errorf("collective: bucket [%d,%d): %w", b[0], b[1], err)

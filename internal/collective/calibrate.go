@@ -65,7 +65,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 				return
 			}
 			if i%2 == 0 {
-				OpSum.combine(acc, t.Data()) // reduce hop
+				tensor.AddSlice(acc, acc, t.Data()) // reduce hop
 			} else {
 				copy(acc, t.Data()) // gather hop
 			}
@@ -110,7 +110,7 @@ func Calibrate(tr transport.Transport, a, b int) perf.Link {
 			return perf.Link{BwGBs: 1, Latency: latency}
 		}
 		if i%2 == 0 {
-			OpSum.combine(acc, back.Data())
+			tensor.AddSlice(acc, acc, back.Data())
 		} else {
 			copy(acc, back.Data())
 		}

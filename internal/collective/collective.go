@@ -5,7 +5,9 @@
 // rank-private buffers: the bucketed all-reduce (AllReduceBucketsInPlace —
 // a one-tensor list all-reduces that tensor in its own storage — and its two
 // halves, ReduceBucketsInPlace and GatherBucketsInPlace), ReduceScatterVInto,
-// AllGatherVInto, AllGatherInto, BroadcastInto, and Barrier.
+// AllGatherVInto, AllGatherInto, and Barrier. The one reduction is a sum
+// (OpSum), folded with tensor's add kernel (tensor.AddSlice), the incoming
+// chunk the second operand of every add.
 //
 // One ring engine (ring.go). Every reducing or gathering collective is a
 // composition of two passes over a buffer cut into Size() segments by an
@@ -41,17 +43,17 @@
 // all-reduce followed by the same work on every element would have produced,
 // for any group size and bucket cut, having sent the same bytes.
 //
-// The all-gathers are gatherPass(first = rank) alone; BroadcastInto and
-// Barrier are not rings but go through the passes' send and recv helpers
-// (except Barrier's shared one-element token, which is sent, not lent).
+// The all-gathers are gatherPass(first = rank) alone; Barrier is not a ring
+// but receives through the passes' recv helper, and sends its shared
+// one-element token, which is not lent.
 //
 // Chunk discipline: a pass lends the transport the segment of the buffer it
 // sends (Transport.SendLent) and receives pooled scratch tensors, which it
 // folds or copies into the buffer and recycles at once. What is on loan is
 // not written until the pass has settled (Transport.Settle), which every pass
-// and BroadcastInto do before returning, on error paths too: a reduce hop
-// folds only into a segment it has yet to send, a gather hop writes each
-// segment once, before sending it on. Whether a lent segment reaches the wire
+// does before returning, on error paths too: a reduce hop folds only into a
+// segment it has yet to send, a gather hop writes each segment once, before
+// sending it on. Whether a lent segment reaches the wire
 // from where it lies (dist) or as a pooled copy the receiver recycles (chan)
 // is the transport's business; either way steady-state collectives perform
 // zero heap allocations — the per-hop profile Calibrate measures.
@@ -74,50 +76,17 @@ import (
 	"repro/internal/transport"
 )
 
-// Op is a reduction operator.
+// Op is a reduction operator. OpSum is the only one.
 type Op int
 
-const (
-	// OpSum adds elementwise (gradient accumulation).
-	OpSum Op = iota
-	// OpMax takes the elementwise maximum.
-	OpMax
-	// OpMin takes the elementwise minimum.
-	OpMin
-)
+// OpSum adds elementwise (gradient accumulation).
+const OpSum Op = 0
 
 func (o Op) String() string {
-	switch o {
-	case OpSum:
+	if o == OpSum {
 		return "sum"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
 	}
 	return "?"
-}
-
-// combine reduces src into dst elementwise.
-func (o Op) combine(dst, src []float64) {
-	switch o {
-	case OpSum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	}
 }
 
 const (
@@ -213,17 +182,6 @@ func (g *Group) Comm(rank int) (*Communicator, error) {
 		return nil, fmt.Errorf("collective: rank %d out of range for group of %d", rank, len(g.ranks))
 	}
 	return &Communicator{g: g, rank: rank}, nil
-}
-
-// CommForActor returns the communicator for the member with the given
-// transport actor ID.
-func (g *Group) CommForActor(actor int) (*Communicator, error) {
-	for i, r := range g.ranks {
-		if r == actor {
-			return g.Comm(i)
-		}
-	}
-	return nil, fmt.Errorf("collective: actor %d not in group %v", actor, g.ranks)
 }
 
 // Communicator is one rank's handle on a group. Not safe for concurrent use
@@ -326,11 +284,11 @@ func (c *Communicator) Size() int { return c.g.Size() }
 
 // opWindow reserves the next deterministic tag window for one collective
 // operation and returns its base tag. The window must cover every distinct
-// (ring step) tag the operation uses: 2(n-1) for all-reduce, n for broadcast,
-// ceil(log2 n)+1 for barrier — opTagStride bounds them all. Windows cycle
-// after min(opReuseWindows, GroupTagWindow/stride) operations, so warm
-// mailbox reuse kicks in after a bounded warmup even under the wide group
-// window large dist process groups need.
+// (ring step) tag the operation uses: 2(n-1) for all-reduce, ceil(log2 n)+1
+// for barrier — opTagStride bounds them all. Windows cycle after
+// min(opReuseWindows, GroupTagWindow/stride) operations, so warm mailbox
+// reuse kicks in after a bounded warmup even under the wide group window
+// large dist process groups need.
 func (c *Communicator) opWindow() int {
 	stride := c.opTagStride()
 	opsPerWindow := GroupTagWindow / stride

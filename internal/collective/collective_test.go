@@ -62,30 +62,6 @@ func TestAllReduceSumMatchesLocalSum(t *testing.T) {
 	}
 }
 
-func TestAllReduceMaxMin(t *testing.T) {
-	const n, elems = 5, 23
-	outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		out := rankTensor(c.Rank(), elems)
-		return out, allReduce(c, out, OpMax)
-	})
-	want := rankTensor(n-1, elems)
-	for r, got := range outs {
-		if !tensor.AllClose(got, want, 0, 0) {
-			t.Fatalf("max rank %d mismatch", r)
-		}
-	}
-	outs = runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-		out := rankTensor(c.Rank(), elems)
-		return out, allReduce(c, out, OpMin)
-	})
-	want = rankTensor(0, elems)
-	for r, got := range outs {
-		if !tensor.AllClose(got, want, 0, 0) {
-			t.Fatalf("min rank %d mismatch", r)
-		}
-	}
-}
-
 // TestReduceScatterThenAllGatherEqualsAllReduce exercises the composition
 // identity over the balanced partition: reduce-scattering into EvenCounts
 // shards and gathering them back reassembles the full reduction.
@@ -112,25 +88,6 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 				if !tensor.AllClose(got, wantT, 1e-12, 1e-12) {
 					t.Fatalf("n=%d elems=%d rank %d: got %v want %v", n, elems, r, got, wantT)
 				}
-			}
-		}
-	}
-}
-
-func TestBroadcastFromEveryRoot(t *testing.T) {
-	const n = 4
-	for root := 0; root < n; root++ {
-		want := rankTensor(root, 37)
-		outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-			buf := tensor.New(37)
-			if c.Rank() == root {
-				buf = rankTensor(root, 37)
-			}
-			return buf, c.BroadcastInto(buf, root)
-		})
-		for r, got := range outs {
-			if !tensor.AllClose(got, want, 0, 0) {
-				t.Fatalf("root %d rank %d mismatch", root, r)
 			}
 		}
 	}
@@ -344,9 +301,6 @@ func TestWrongSizeChunkIsRecycled(t *testing.T) {
 		}},
 		{"AllGatherInto", 4, func(c *Communicator) error {
 			return c.AllGatherInto(tensor.New(8), tensor.New(4))
-		}},
-		{"BroadcastInto", 4, func(c *Communicator) error {
-			return c.BroadcastInto(tensor.New(8), 0)
 		}},
 		{"Barrier", 1, func(c *Communicator) error { return c.Barrier() }},
 	}

@@ -77,36 +77,6 @@ func TestAllGatherIntoLeavesShardOwned(t *testing.T) {
 	}
 }
 
-// TestBroadcastIntoMatchesBroadcast checks that every rank ends up with the
-// root's payload, for every ring size 1..5 and every root.
-func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
-	for n := 1; n <= 5; n++ {
-		for root := 0; root < n; root++ {
-			t.Run(fmt.Sprintf("ranks=%d/root=%d", n, root), func(t *testing.T) {
-				const elems = 17
-				src := rankTensor(root, elems)
-				outs := runGroup(t, n, func(c *Communicator) (*tensor.Tensor, error) {
-					var buf *tensor.Tensor
-					if c.Rank() == root {
-						buf = rankTensor(root, elems)
-					} else {
-						buf = tensor.New(elems)
-					}
-					if err := c.BroadcastInto(buf, root); err != nil {
-						return nil, err
-					}
-					return buf, nil
-				})
-				for r, got := range outs {
-					if !tensor.AllClose(got, src, 0, 0) {
-						t.Fatalf("rank %d: got %v want %v", r, got, src)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestIntoCollectivesRejectBorrowedDst pins the ownership guard: a borrowed
 // batch-row view is caller-owned storage, so the in-place gather must refuse
 // to write through it.
@@ -126,8 +96,8 @@ func TestIntoCollectivesRejectBorrowedDst(t *testing.T) {
 }
 
 // intoHarness pre-spawns one goroutine per rank running one AllGatherInto
-// and one BroadcastInto per kick, so steady-state allocation measurement adds
-// no goroutine or closure allocations of its own.
+// per kick, so steady-state allocation measurement adds no goroutine or
+// closure allocations of its own.
 type intoHarness struct {
 	n    int
 	kick []chan struct{}
@@ -166,11 +136,7 @@ func newIntoHarness(tb testing.TB, n, rows, width int) *intoHarness {
 					return
 				case <-h.kick[r]:
 				}
-				if err := comm.AllGatherInto(dst, shard); err != nil {
-					h.done <- err
-					continue
-				}
-				h.done <- comm.BroadcastInto(dst, 0)
+				h.done <- comm.AllGatherInto(dst, shard)
 			}
 		}(r, comm)
 	}
@@ -192,8 +158,8 @@ func (h *intoHarness) round() error {
 }
 
 // TestIntoCollectivesZeroAllocSteadyState extends the allocation gate to the
-// gather and broadcast: once mailboxes and chunk pools are warm, a round of
-// AllGatherInto + BroadcastInto must not allocate.
+// in-place gather: once mailboxes and chunk pools are warm, a round of
+// AllGatherInto must not allocate.
 func TestIntoCollectivesZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; count is only meaningful without -race")
@@ -201,11 +167,10 @@ func TestIntoCollectivesZeroAllocSteadyState(t *testing.T) {
 	const n, rows, width = 4, 16, 64
 	h := newIntoHarness(t, n, rows, width)
 	defer h.stop()
-	// Each round issues two operations (AllGatherInto + BroadcastInto), so
-	// opReuseWindows/2 rounds walk the whole reuse cycle and warm every
-	// persistent mailbox the steady state touches; +2 rounds of slack also
-	// fill the chunk pools.
-	warmRounds := opReuseWindows/2 + 2
+	// Each round issues one operation, so opReuseWindows rounds walk the
+	// whole reuse cycle and warm every persistent mailbox the steady state
+	// touches; +2 rounds of slack also fill the chunk pools.
+	warmRounds := opReuseWindows + 2
 	for i := 0; i < warmRounds; i++ {
 		if err := h.round(); err != nil {
 			t.Fatal(err)
@@ -219,7 +184,7 @@ func TestIntoCollectivesZeroAllocSteadyState(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state AllGatherInto+BroadcastInto allocates %.2f objects per round, want 0", allocs)
+		t.Fatalf("steady-state AllGatherInto allocates %.2f objects per round, want 0", allocs)
 	}
 }
 

@@ -79,7 +79,7 @@ func ringSuite(c *Communicator) (*tensor.Tensor, error) {
 	}
 
 	buf := flatten(lendTensors(rank))
-	if err := allReduce(c, buf, OpMax); err != nil {
+	if err := allReduce(c, buf, OpSum); err != nil {
 		return nil, err
 	}
 	outs = append(outs, buf.Clone())
@@ -109,15 +109,6 @@ func ringSuite(c *Communicator) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	outs = append(outs, tensor.MustFromSlice(gathered.Data(), gathered.Size()))
-
-	for root := 0; root < n; root++ {
-		b := flatten(lendTensors(rank))
-		if err := c.BroadcastInto(b, root); err != nil {
-			return nil, err
-		}
-		outs = append(outs, b.Clone())
-		clear(b.Data())
-	}
 	return flatten(outs), nil
 }
 

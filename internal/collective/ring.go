@@ -68,7 +68,7 @@ func (c *Communicator) countsOffsets(counts []int, lo, hi int) []int {
 	return off
 }
 
-// send lends seg, a segment of the buffer a pass or a broadcast is walking,
+// send lends seg, a segment of the buffer a pass is walking,
 // to the transport for delivery to actor `to` under tag: over a serializing
 // transport the bytes go to the socket from seg itself, over an in-process
 // one a pooled copy travels — the transport's choice, made behind SendLent.
@@ -83,7 +83,7 @@ func (c *Communicator) send(to, tag int, seg, res []float64) {
 	h.StopBytes(int64(len(seg)) * 8)
 }
 
-// settle ends a pass or a broadcast, on success and on failure alike: it
+// settle ends a pass, on success and on failure alike: it
 // waits until the transport has let go of every segment lent to the next
 // rank, so that the caller — eachBucket refilling its flat scratch, the step
 // epilogue updating or recycling a gradient — may write the buffer again. It
@@ -125,8 +125,8 @@ func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
 
 // reducePass is the reduce half of a ring: Size()-1 steps over the segments
 // off cuts data into, using tags base..base+Size()-2. At step s this rank
-// lends segment first-s (indices mod Size()) to the transport and folds the
-// incoming segment first-s-1 into data with op, so a segment's partial
+// lends segment first-s (indices mod Size()) to the transport and adds the
+// incoming segment first-s-1 into data, data the first operand, so a segment's partial
 // result travels up the ring picking up one rank's contribution per hop, and
 // when the pass returns this rank holds the fully reduced segment first+1
 // (every other segment of data is a partial sum). A segment is folded into at
@@ -140,7 +140,7 @@ func (c *Communicator) copyIn(dst []float64, t *tensor.Tensor) {
 // keeps the values as they were, not as they were shipped, since the pass
 // never reads the segment again and a gather half overwrites it with the
 // reduced values.
-func (c *Communicator) reducePass(base int, data []float64, off []int, first int, op Op, res []float64) error {
+func (c *Communicator) reducePass(base int, data []float64, off []int, first int, res []float64) error {
 	n := c.Size()
 	si := (first%n + n) % n
 	for s := 0; s < n-1; s++ {
@@ -153,7 +153,7 @@ func (c *Communicator) reducePass(base int, data []float64, off []int, first int
 			return c.settle(err)
 		}
 		h := obs.TrackTid(scCollReduce, c.self())
-		op.combine(dst, t.Data())
+		tensor.AddSlice(dst, dst, t.Data())
 		h.StopBytes(int64(len(dst)) * 8)
 		tensor.Recycle(t)
 		si = ri
@@ -217,48 +217,6 @@ func (c *Communicator) AllGatherInto(dst, shard *tensor.Tensor) error {
 		return nil
 	}
 	return c.gatherPass(base, data, c.evenOffsets(n*stride), c.rank)
-}
-
-// BroadcastInto distributes root's tensor in place: on the root, t is the
-// source; on every other rank, t is rank-private mutable storage of the same
-// shape that receives the payload. The transfer is a chunked pipelined ring:
-// the root lends Size() chunks of t to its successor and each intermediate
-// rank copies an incoming chunk into t and lends that part of t onward (the
-// last rank in the chain only copies), so total time approaches one tensor
-// transfer instead of Size()-1 sequential hops. t is not written after a
-// chunk of it is lent, and the call settles before it returns.
-func (c *Communicator) BroadcastInto(t *tensor.Tensor, root int) error {
-	n := c.Size()
-	base := c.opWindow() // consumed even on fast paths to keep ranks in lockstep
-	if root < 0 || root >= n {
-		return fmt.Errorf("collective: broadcast root %d out of range for group of %d", root, n)
-	}
-	if t == nil {
-		return fmt.Errorf("collective: BroadcastInto needs a destination tensor on every rank")
-	}
-	if n == 1 {
-		return nil
-	}
-	dist := ((c.rank-root)%n + n) % n
-	if dist > 0 && t.Borrowed() {
-		return fmt.Errorf("collective: BroadcastInto destination is a borrowed view")
-	}
-	data := t.Data()
-	for k := 0; k < n; k++ {
-		lo, hi := chunkRange(len(data), n, k)
-		if dist > 0 {
-			in, err := c.recv(c.prev(), base+k, hi-lo)
-			if err != nil {
-				return c.settle(err)
-			}
-			c.copyIn(data[lo:hi], in)
-			tensor.Recycle(in)
-		}
-		if dist < n-1 {
-			c.send(c.next(), base+k, data[lo:hi], nil)
-		}
-	}
-	return c.settle(nil)
 }
 
 // barrierToken is the shared payload of every barrier message: barriers

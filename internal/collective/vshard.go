@@ -83,7 +83,7 @@ func (c *Communicator) ReduceScatterVInto(dst, data *tensor.Tensor, counts []int
 		sub := full[blo:bhi]
 		// first = rank-1 (the NCCL ReduceScatter layout): after the pass rank
 		// r holds the fully reduced segment r of this bucket.
-		if err := c.reducePass(c.opWindow(), sub, off, c.rank-1, op, nil); err != nil {
+		if err := c.reducePass(c.opWindow(), sub, off, c.rank-1, nil); err != nil {
 			return fmt.Errorf("collective: ReduceScatterV bucket %d: %w", b, err)
 		}
 		mine := sub[off[c.rank]:off[c.rank+1]]

@@ -137,14 +137,13 @@ type Transport struct {
 }
 
 // peerLink is one outgoing connection: a lazily dialed conn plus the sender
-// worker that owns all writes to it, through w, the link's buffered writer.
-// lentHdr and vec are the worker's vectored-write scratch, pacer its shaping
-// model (nil on an unshaped link, fixed at dial) — touched only on the worker
-// goroutine.
+// worker that owns all writes to it, through the link's buffered writer,
+// which only the worker's closure holds. lentHdr and vec are the worker's
+// vectored-write scratch, pacer its shaping model (nil on an unshaped link,
+// fixed at dial) — touched only on the worker goroutine.
 type peerLink struct {
 	mb       *Mailbox[outFrame]
 	pacer    *pacer
-	w        *bufio.Writer
 	c        net.Conn
 	lentHdr  [lentHdrLen]byte
 	vecStore [3][]byte
@@ -384,7 +383,7 @@ func (t *Transport) link(to int) (*peerLink, error) {
 		return existing, nil
 	}
 	w := bufio.NewWriterSize(conn, 1<<16)
-	pl := &peerLink{w: w, c: conn, settled: make(chan struct{}, 1)}
+	pl := &peerLink{c: conn, settled: make(chan struct{}, 1)}
 	if t.shape.enabled() {
 		pl.pacer = newPacer(t.shape, t.Rank(), to)
 	}

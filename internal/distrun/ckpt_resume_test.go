@@ -406,3 +406,23 @@ func TestLocalResumeAcrossHoistedTransposes(t *testing.T) {
 	}
 	requireResumedSuffix(t, rep, ref, 5)
 }
+
+// TestRestoreRefusesWrongSizeParameter restores a checkpoint whose manifest
+// matches the job (stages, width, parameter count) while a parameter entry
+// has another size: restoreState must fail with an error naming it, not
+// panic copying it over the job's parameter.
+func TestRestoreRefusesWrongSizeParameter(t *testing.T) {
+	spec := JobSpec{Stages: 2, NumMB: 2, MBRows: 2, Width: 4, Steps: 4, LR: 0.1, Schedule: "1f1b", CkptDir: t.TempDir()}
+	entries := []*tensor.Tensor{tensor.New(4, 4), tensor.New(3, 4)}
+	if err := ckpt.WriteShard(spec.CkptDir, 2, 0, entries, ckpt.Owned(0, 1, len(entries))); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteManifest(spec.CkptDir, ckpt.NewManifest(2, 1, spec.Stages, spec.Width, len(entries), 0)); err != nil {
+		t.Fatal(err)
+	}
+	params, _ := initModel(spec, -1)
+	_, err := restoreState(spec, 0, params, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint parameter 1 has 12 elements, the job's has 16") {
+		t.Fatalf("restore of a wrong-size parameter: %v", err)
+	}
+}

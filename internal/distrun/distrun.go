@@ -180,7 +180,7 @@ func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 // spells it) and its value. A spec enters the program from outside — the
 // rendezvous payload and the -resume state file through UnmarshalJobSpec,
 // jaxpp-train's flags before any mode runs, the elastic coordinator's spec in
-// RunElasticCoordinator, and RunLocal's callers through CompileHosted — and
+// RunElasticCoordinator, and RunLocal's callers through Compile — and
 // each door calls this first, so a bad value fails the job with an error
 // instead of dividing by zero in InitModel, training to NaN, panicking while
 // the payload is marshalled (JSON has no NaN), or running silently as a
@@ -352,21 +352,17 @@ func initModel(spec JobSpec, stage int) (params, batch []*jaxpp.Tensor) {
 // Compile builds the training step for a spec over the given transport
 // (nil compiles onto a fresh in-process cluster), materializing every actor.
 func Compile(spec JobSpec, tr transport.Transport) (*jaxpp.TrainStep, error) {
-	return CompileHosted(spec, tr, nil)
+	return compile(spec, tr, nil, nil)
 }
 
-// CompileHosted is Compile with a hosted-actor filter: a distributed rank
-// passes its own actor ID so the process materializes one actor's store and
-// compiled programs instead of all World()'s — actor and loss/gradient owners
-// are derived from the shared program metadata, which every rank compiles
+// compile is Compile with a hosted-actor filter and the gradient epilogue
+// Run puts in the DP all-reduce's place (jaxpp.CompileSpec.GradSync; nil
+// keeps the all-reduce). A distributed rank passes its own actor ID as
+// hostActors so the process materializes one actor's store and compiled
+// programs instead of all World()'s — actor and loss/gradient owners are
+// derived from the shared program metadata, which every rank compiles
 // identically, so nothing about peers needs to exist locally. nil hosts every
 // actor.
-func CompileHosted(spec JobSpec, tr transport.Transport, hostActors []int) (*jaxpp.TrainStep, error) {
-	return compile(spec, tr, hostActors, nil)
-}
-
-// compile is CompileHosted with the gradient epilogue Run puts in the DP
-// all-reduce's place (jaxpp.CompileSpec.GradSync; nil keeps the all-reduce).
 func compile(spec JobSpec, tr transport.Transport, hostActors []int, gradSync func(actor int, grads []*jaxpp.Tensor) error) (*jaxpp.TrainStep, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -509,6 +505,9 @@ func restoreState(spec JobSpec, rank int, params []*jaxpp.Tensor, plan *shardPla
 		return 0, fmt.Errorf("distrun: rank %d: %w", rank, err)
 	}
 	for i, p := range params {
+		if entries[i].Size() != p.Size() {
+			return 0, fmt.Errorf("distrun: rank %d: checkpoint parameter %d has %d elements, the job's has %d", rank, i, entries[i].Size(), p.Size())
+		}
 		p.CopyFrom(entries[i].Data())
 	}
 	if spec.Momentum != 0 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -388,5 +389,90 @@ func TestJobHonoursTheLendingRule(t *testing.T) {
 	requireBitIdentical(t, got, local)
 	if check.Lends() == 0 {
 		t.Fatal("the job lent nothing")
+	}
+}
+
+// recvLog records every receive of the rank whose transport it wraps, in
+// order: peer, tag and elements.
+type recvLog struct {
+	transport.Transport
+	mu   sync.Mutex
+	recv []recvd
+}
+
+type recvd struct{ from, tag, elems int }
+
+func (l *recvLog) Recv(to, from, tag int) (*tensor.Tensor, error) {
+	t, err := l.Transport.Recv(to, from, tag)
+	if err == nil {
+		l.mu.Lock()
+		l.recv = append(l.recv, recvd{from, tag, t.Size()})
+		l.mu.Unlock()
+	}
+	return t, err
+}
+
+// TestCollectionIsOneMessagePerResult pins what rank 0 receives after its
+// last step: one message per parameter it does not host, from that stage's
+// replica-0 rank, then one loss history per other loss-owning rank, under
+// the tags of finalGroupID's window counted per sender — exactly that, in
+// that order, and nothing else once the first of them has arrived. Their
+// payloads are the parameters' and the histories' elements, 8 bytes each.
+func TestCollectionIsOneMessagePerResult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"dp2x2", JobSpec{Stages: 2, NumMB: 2, MBRows: 4, Width: 16, Steps: 3, LR: 0.05, Momentum: 0.9, Schedule: "1f1b", DataParallel: 2, Seed: 4}},
+		{"pp4", JobSpec{Stages: 4, NumMB: 4, MBRows: 4, Width: 16, Steps: 3, LR: 0.05, Schedule: "1f1b", Seed: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, pp := tc.spec, tc.spec.Stages
+			local, err := RunLocal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &recvLog{}
+			got, _ := launchWorldRunning(t, spec, func(sess *dist.Session, spec JobSpec) (*Report, error) {
+				tr := sess.Transport
+				if sess.Rank != 0 {
+					return runOver(sess, tr, spec, []int{sess.Rank})
+				}
+				log.Transport = tr
+				return runOver(sess, log, spec, []int{sess.Rank})
+			})
+			requireBitIdentical(t, got, local)
+
+			// The model has one width×width parameter per stage; a loss
+			// history is a step's microbatches for every step.
+			lo, hi := collective.GroupTagRange(finalGroupID)
+			var want []recvd
+			for s := 1; s < pp; s++ {
+				want = append(want, recvd{s, lo, spec.Width * spec.Width})
+			}
+			for r := pp - 1; r < spec.World(); r += pp {
+				tag := lo
+				if r < pp {
+					tag++ // after its stage's parameter
+				}
+				want = append(want, recvd{r, tag, spec.Steps * spec.NumMB})
+			}
+			first := slices.IndexFunc(log.recv, func(m recvd) bool { return m.tag >= lo && m.tag < hi })
+			if first < 0 {
+				t.Fatal("rank 0 received nothing in the collection's window")
+			}
+			tail := log.recv[first:]
+			if !slices.Equal(tail, want) {
+				t.Fatalf("rank 0 received %v after its last step, want %v", tail, want)
+			}
+			bytes, wantBytes := 0, 8*((pp-1)*spec.Width*spec.Width+spec.Replicas()*spec.Steps*spec.NumMB)
+			for _, m := range tail {
+				bytes += 8 * m.elems
+			}
+			if bytes != wantBytes {
+				t.Fatalf("collection payload %d bytes, want %d", bytes, wantBytes)
+			}
+			t.Logf("%d messages, %d payload bytes", len(tail), bytes)
+		})
 	}
 }

@@ -51,7 +51,7 @@ func runnableSpec() JobSpec {
 
 // payloadOK reports whether json can carry the spec: NaN and ±Inf cannot
 // travel in a payload (Marshal panics), so those rows reach Validate through
-// CompileHosted only.
+// Compile only.
 func payloadOK(s JobSpec) bool {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	return finite(s.LR) && finite(s.Momentum) && (s.Shape == nil || finite(s.Shape.BandwidthGBs) && finite(s.Shape.LossProb))

@@ -37,9 +37,10 @@ const dpBucketBytes = 0
 // gradient frames and nothing else: parameters must never quantize, or every
 // rank's weights would degrade once per step regardless of error feedback.
 // Replica groups of different stages share no rank and reuse the two IDs.
-// finalGroupID is the window of the end-of-job collection of parameters and
-// losses (collectResults): the two-rank groups {r, 0} of every rank r that
-// is a stage's replica-0 rank or owns losses. No group spans the world.
+// finalGroupID's window holds the tags of the end-of-job collection
+// (collectResults), which is plain point-to-point traffic to rank 0, not a
+// collective: the i-th message a rank sends there goes under the window's
+// tag i. No group spans the world.
 //
 // DP-sync groups derived from the actor mesh use IDs 0..pp-1 (data axis) and
 // pp..pp+replicas-1 (pipe axis, if anyone builds them), so IDs far above any
@@ -52,16 +53,6 @@ const (
 	paramGroupID = 1<<10 + 2
 	finalGroupID = 1<<10 + 3
 )
-
-// commOn returns the communicator of the transport actor `rank` on a process
-// group over the given actors.
-func commOn(tr transport.Transport, actors []int, groupID, rank int) (*collective.Communicator, error) {
-	group, err := collective.NewGroup(tr, actors, groupID)
-	if err != nil {
-		return nil, err
-	}
-	return group.CommForActor(rank)
-}
 
 // shardPlan is the owner-major flat layout of the gradient/parameter vector:
 // gradient tensors ordered by producing actor (the replica-0 stage actors,
@@ -216,11 +207,18 @@ func newStageEpilogue(spec JobSpec, tr transport.Transport, plan *shardPlan, par
 	for r := range peers {
 		peers[r] = r*pp + rank%pp
 	}
+	comm := func(groupID int) (*collective.Communicator, error) {
+		group, err := collective.NewGroup(tr, peers, groupID)
+		if err != nil {
+			return nil, err
+		}
+		return group.Comm(rank / pp)
+	}
 	var err error
-	if e.grads, err = commOn(tr, peers, gradGroupID, rank); err != nil {
+	if e.grads, err = comm(gradGroupID); err != nil {
 		return nil, err
 	}
-	if e.gather, err = commOn(tr, peers, paramGroupID, rank); err != nil {
+	if e.gather, err = comm(paramGroupID); err != nil {
 		return nil, err
 	}
 	heldBytes := 0
@@ -327,36 +325,51 @@ func (e *stageEpilogue) finish(res *jaxpp.ActorResults) error {
 }
 
 // collectResults hands rank 0 what it reports after the last of steps steps,
-// over the two-rank groups {r, 0}: first, for every stage rank 0 does not
-// host, that stage's replica-0 rank streams the stage's parameters into
-// rank 0's list (a two-rank broadcast per tensor); then every loss-owning
-// rank other than 0 its loss history (one broadcast). The order is the
-// program's gradient order, then rank order, on every rank alike. losses is
-// this rank's history, step-major in lossesByRank[rank] order. On rank 0 the
-// result holds every rank's history by rank (nil where a rank owns no loss);
-// every other rank gets nil.
+// as point-to-point messages: first, for every stage rank 0 does not host,
+// that stage's replica-0 rank sends rank 0 each of the stage's parameters
+// (one message per tensor), which rank 0 copies into its list; then every
+// loss-owning rank other than 0 sends its loss history (one message), which
+// rank 0 keeps. The order is the program's gradient order, then rank order,
+// on every rank alike, and a rank's i-th message goes under tag i of
+// finalGroupID's window (a rank sends at most a stage's parameters and one
+// history, far fewer than the window's tags). losses is this rank's history,
+// step-major in lossesByRank[rank] order. On rank 0 the result holds every
+// rank's history by rank (nil where a rank owns no loss); every other rank
+// gets nil.
 func collectResults(tr transport.Transport, plan *shardPlan, params []*jaxpp.Tensor, lossesByRank [][]int, losses []float64, steps, rank int) ([][]float64, error) {
-	comms := map[int]*collective.Communicator{}
-	commWith := func(r int) (*collective.Communicator, error) {
-		if comms[r] == nil {
-			comm, err := commOn(tr, []int{r, 0}, finalGroupID, rank)
-			if err != nil {
-				return nil, err
-			}
-			comms[r] = comm
+	tag, _ := collective.GroupTagRange(finalGroupID)
+	sent := make([]int, len(lossesByRank)) // messages each rank has sent rank 0
+	// exchange moves rank r's next message: on rank r it sends t, on rank 0
+	// it returns the received tensor, of want elements, which rank 0 then
+	// owns.
+	exchange := func(r int, t *tensor.Tensor, want int, what string) (*tensor.Tensor, error) {
+		msg := tag + sent[r]
+		sent[r]++
+		if rank == r {
+			tr.Send(r, 0, msg, t)
+			return nil, nil
 		}
-		return comms[r], nil
+		got, err := tr.Recv(0, r, msg)
+		if err != nil {
+			return nil, fmt.Errorf("distrun: rank 0 collecting %s from rank %d: %w", what, r, err)
+		}
+		if got.Size() != want {
+			tensor.Recycle(got)
+			return nil, fmt.Errorf("distrun: rank 0 collected %d elements of %s from rank %d, want %d", got.Size(), what, r, want)
+		}
+		return got, nil
 	}
 	for gi, owner := range plan.owners {
 		if owner == 0 || (rank != 0 && rank != owner) {
 			continue
 		}
-		comm, err := commWith(owner)
+		got, err := exchange(owner, params[gi], params[gi].Size(), fmt.Sprintf("parameter %d", gi))
 		if err != nil {
 			return nil, err
 		}
-		if err := comm.BroadcastInto(params[gi], 0); err != nil {
-			return nil, fmt.Errorf("distrun: rank %d collecting parameter %d from rank %d: %w", rank, gi, owner, err)
+		if got != nil {
+			params[gi].CopyFrom(got.Data())
+			tensor.Recycle(got)
 		}
 	}
 	var histories [][]float64
@@ -374,21 +387,12 @@ func collectResults(tr transport.Transport, plan *shardPlan, params []*jaxpp.Ten
 			histories[0] = losses
 			continue
 		}
-		var h *tensor.Tensor
-		if r == rank {
-			h = tensor.View(losses, len(losses))
-		} else {
-			h = tensor.New(steps * len(mbs))
-		}
-		comm, err := commWith(r)
+		got, err := exchange(r, tensor.View(losses, len(losses)), steps*len(mbs), "the losses")
 		if err != nil {
 			return nil, err
 		}
-		if err := comm.BroadcastInto(h, 0); err != nil {
-			return nil, fmt.Errorf("distrun: rank %d collecting the losses of rank %d: %w", rank, r, err)
-		}
-		if rank == 0 {
-			histories[r] = h.Data()
+		if got != nil {
+			histories[r] = got.Data()
 		}
 	}
 	return histories, nil

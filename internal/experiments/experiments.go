@@ -26,7 +26,6 @@ type Row struct {
 	GPUs          int
 	PP, TP        int
 	DP            int
-	FSDP          int
 	MBS           int
 	CR            int
 	Result        *sim.Result
@@ -167,7 +166,7 @@ func Table1() ([]Row, error) {
 		res, err := baselines.JaxPPSimulate(cfg)
 		if err := add(Row{
 			Figure: "table1", System: "JaxPP", Label: "GPT-3 175B",
-			GBS: jr.gbs, GA: 32, GPUs: jr.gpus, PP: 8, TP: 8, DP: jr.dp, FSDP: 1, MBS: mbs, CR: 6,
+			GBS: jr.gbs, GA: 32, GPUs: jr.gpus, PP: 8, TP: 8, DP: jr.dp, MBS: mbs, CR: 6,
 			Result: res, PaperStepTime: jr.stepS, PaperTFLOPS: jr.tflops,
 		}, err); err != nil {
 			return nil, err
@@ -188,7 +187,7 @@ func Table1() ([]Row, error) {
 		})
 		if err := add(Row{
 			Figure: "table1", System: "JAX FSDP", Label: "GPT-3 175B",
-			GBS: fr.gbs, GA: 1, GPUs: fr.gpus, PP: 1, TP: 1, DP: fr.gpus / fr.dp, FSDP: fr.dp,
+			GBS: fr.gbs, GA: 1, GPUs: fr.gpus, PP: 1, TP: 1, DP: fr.gpus / fr.dp,
 			MBS: fr.gbs / fr.gpus, Result: res, PaperStepTime: fr.stepS, PaperTFLOPS: fr.tflops,
 		}, err); err != nil {
 			return nil, err
@@ -201,7 +200,7 @@ func Table1() ([]Row, error) {
 		res, err := baselines.SPMDPPSimulate(cfg)
 		if err := add(Row{
 			Figure: "table1", System: "JAX SPMD PP", Label: "GPT-3 175B",
-			GBS: 256, GA: 128, GPUs: 128, PP: 16, TP: 4, DP: 2, FSDP: 1, MBS: 1, CR: 1,
+			GBS: 256, GA: 128, GPUs: 128, PP: 16, TP: 4, DP: 2, MBS: 1, CR: 1,
 			Result: res, PaperStepTime: 13.96, PaperTFLOPS: 316,
 		}, err); err != nil {
 			return nil, err
@@ -214,7 +213,7 @@ func Table1() ([]Row, error) {
 		res, err := baselines.NeMoSimulate(cfg)
 		if err := add(Row{
 			Figure: "table1", System: "NeMo", Label: "GPT-3 175B",
-			GBS: 256, GA: 64, GPUs: 128, PP: 8, TP: 4, DP: 4, FSDP: 1, MBS: 1, CR: 6,
+			GBS: 256, GA: 64, GPUs: 128, PP: 8, TP: 4, DP: 4, MBS: 1, CR: 6,
 			Result: res, PaperStepTime: 9.78, PaperTFLOPS: 500,
 		}, err); err != nil {
 			return nil, err
@@ -227,7 +226,7 @@ func Table1() ([]Row, error) {
 		res, err := baselines.JaxPPSimulate(cfg)
 		if err := add(Row{
 			Figure: "table1", System: "JaxPP", Label: "Llama2 70B",
-			GBS: 128, GA: 16, GPUs: 64, PP: 4, TP: 8, DP: 2, FSDP: 1, MBS: 4, CR: 1,
+			GBS: 128, GA: 16, GPUs: 64, PP: 4, TP: 8, DP: 2, MBS: 4, CR: 1,
 			Result: res, PaperStepTime: 8.42, PaperTFLOPS: 432,
 		}, err); err != nil {
 			return nil, err
@@ -239,7 +238,7 @@ func Table1() ([]Row, error) {
 		})
 		if err := add(Row{
 			Figure: "table1", System: "JAX FSDP", Label: "Llama2 70B",
-			GBS: 128, GA: 1, GPUs: 64, PP: 1, TP: 1, DP: 1, FSDP: 64, MBS: 2,
+			GBS: 128, GA: 1, GPUs: 64, PP: 1, TP: 1, DP: 1, MBS: 2,
 			Result: res, PaperStepTime: 8.44, PaperTFLOPS: 431,
 		}, err); err != nil {
 			return nil, err
@@ -250,7 +249,7 @@ func Table1() ([]Row, error) {
 		res, err := baselines.NeMoSimulate(cfg)
 		if err := add(Row{
 			Figure: "table1", System: "NeMo", Label: "Llama2 70B",
-			GBS: 128, GA: 32, GPUs: 64, PP: 4, TP: 4, DP: 4, FSDP: 1, MBS: 1, CR: 5,
+			GBS: 128, GA: 32, GPUs: 64, PP: 4, TP: 4, DP: 4, MBS: 1, CR: 5,
 			Result: res, PaperStepTime: 7.02, PaperTFLOPS: 519,
 		}, err); err != nil {
 			return nil, err

@@ -82,8 +82,7 @@ type GradPartial struct {
 // loop commuting a tied-weight gradient has several partials, summed once
 // after the accumulation loop instead of per microbatch.
 type GradOutput struct {
-	OutputIdx int // index into the original graph outputs
-	Partials  []GradPartial
+	Partials []GradPartial
 }
 
 // Split is the result of stage splitting a microbatch grad graph.
@@ -171,7 +170,7 @@ func SplitGraph(g *ir.Graph, opts Options) (*Split, error) {
 		} else {
 			partials = []GradPartial{{ValueID: out.ID, Seg: valueSeg(prod, seg, out.ID)}}
 		}
-		s.Grads = append(s.Grads, GradOutput{OutputIdx: oi, Partials: partials})
+		s.Grads = append(s.Grads, GradOutput{Partials: partials})
 	}
 	s.CommutedAdds = len(commuted)
 	for ei := range commuted {

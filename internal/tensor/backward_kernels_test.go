@@ -83,11 +83,11 @@ func TestMulReLUMaskMatchesUnfused(t *testing.T) {
 	})
 }
 
-// TestAddIntoKernelMatchesScalar holds AddInto's same-shape path, the
-// AVX-512 blocks where the CPU has them, to addScalar bit for bit: every
-// length from 0 to 70 (every n%8 tail and n%32 pass), operands at odd
-// offsets, NaNs with different payloads meeting in one add, and the result
-// written fresh and in place over either operand.
+// TestAddIntoKernelMatchesScalar holds AddInto's same-shape path and
+// AddSlice, the AVX-512 blocks where the CPU has them, to addScalar bit for
+// bit: every length from 0 to 70 (every n%8 tail and n%32 pass), operands at
+// odd offsets, NaNs with different payloads meeting in one add, and the
+// result written fresh and in place over either operand.
 func TestAddIntoKernelMatchesScalar(t *testing.T) {
 	var kernels []string
 	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
@@ -108,6 +108,9 @@ func TestAddIntoKernelMatchesScalar(t *testing.T) {
 				sameBitsExact(t, what+" in place over a", x.data, want)
 				AddInto(y, a, y)
 				sameBitsExact(t, what+" in place over b", y.data, want)
+				z := a.Clone()
+				AddSlice(z.data, z.data, b.data)
+				sameBitsExact(t, what+" AddSlice in place over a", z.data, want)
 			}
 		}
 	})

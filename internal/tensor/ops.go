@@ -115,6 +115,16 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
+// AddSlice stores a[i] + b[i] into dst[i] (dst may be a or b itself) with
+// AddInto's kernel and bits, a the first operand of every add: the form for
+// callers that hold flat buffers, not tensors. The three must be as long.
+func AddSlice(dst, a, b []float64) {
+	if len(dst) != len(a) || len(b) != len(a) {
+		panic(fmt.Sprintf("tensor: AddSlice of %d and %d elements into %d", len(a), len(b), len(dst)))
+	}
+	addSame(dst, a, b)
+}
+
 // addScalar stores a[i] + b[i] into out[i], a the first operand of every
 // add: the loop the vector form of addSame must equal bit for bit.
 func addScalar(out, a, b []float64) {
