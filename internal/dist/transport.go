@@ -129,7 +129,6 @@ type Transport struct {
 
 	sent      atomic.Int64
 	sentBytes atomic.Int64
-	recvd     atomic.Int64
 
 	// yield: a send that queues a frame gives up the P once (see above). Set
 	// when the endpoint is made, cleared by NewLocalMesh before any send.
@@ -339,7 +338,6 @@ func (t *Transport) readLoop(conn net.Conn) {
 				tensor.Recycle(ten) // poisoned while delivering; undelivered payload goes back to the pool
 				return
 			}
-			t.recvd.Add(1)
 		}
 	}
 }

@@ -42,10 +42,10 @@ const dpBucketBytes = 0
 // collective: the i-th message a rank sends there goes under the window's
 // tag i. No group spans the world.
 //
-// DP-sync groups derived from the actor mesh use IDs 0..pp-1 (data axis) and
-// pp..pp+replicas-1 (pipe axis, if anyone builds them), so IDs far above any
-// realistic stage or replica count keep the windows disjoint; their values
-// are fixed, because a frame's tag carries them. The calibration window
+// The in-process DP-sync groups (installDPSync) use IDs 0..pp-1, one per
+// pipeline position; no group along the pipe axis is built. IDs far above
+// any realistic stage count keep the windows disjoint; their values are
+// fixed, because a frame's tag carries them. The calibration window
 // (TagSpaceBase/2) and pipeline P2P tags (small sequential ints) are below
 // every group window by construction.
 const (

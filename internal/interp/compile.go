@@ -14,9 +14,8 @@ import (
 //
 //   - free dead intermediates into the tensor scratch pool the moment their
 //     last consumer runs (steady-state steps allocate almost nothing),
-//   - execute elementwise ops (including gradient-accumulation adds) in
-//     place on dying operands it owns,
-//   - fuse MatMul→ReLU and MatMul→Add→ReLU chains into single kernels,
+//   - execute binary elementwise ops (the gradient-accumulation adds, the
+//     ReLU backward's multiply) in place on a dying operand it owns,
 //   - never materialise a Transpose whose one consumer is the right operand
 //     of a MatMul: the pair runs as tensor.MatMulNTInto on the untransposed
 //     operand (the ct·Wᵀ of a backward pass whose Wᵀ the step does not
@@ -121,8 +120,8 @@ func NewProgram(g *ir.Graph) (*Program, error) {
 		}
 	}
 
-	for i := 0; i < len(g.Eqns); i++ {
-		i = c.emit(i)
+	for i := range g.Eqns {
+		c.emit(i)
 	}
 
 	p := &Program{g: g, nSlots: n, instrs: c.instrs, accAt: c.accAt}
@@ -153,23 +152,15 @@ func (c *compiler) raiseRootLast(r, last int) {
 }
 
 // push appends an instruction and schedules recycling of every involved
-// owned root whose lifetime ends at or before eqn index at (fused chains can
-// retire an operand at an interior, fused-away equation). fusedAway slots are
-// intermediates that never materialized and must not be freed.
-func (c *compiler) push(at int, eval func([]*tensor.Tensor) error, involved []int, fusedAway ...int) {
+// owned root whose lifetime ends at or before eqn index at.
+func (c *compiler) push(at int, eval func([]*tensor.Tensor) error, involved []int) {
 	var free []int
 	for _, s := range involved {
 		r := c.root[s]
 		if !c.owned[r] || c.freed[r] {
 			continue
 		}
-		fused := false
-		for _, f := range fusedAway {
-			if r == f {
-				fused = true
-			}
-		}
-		if !fused && c.rootLast[r] <= at {
+		if c.rootLast[r] <= at {
 			free = append(free, r)
 			c.freed[r] = true
 		}
@@ -199,9 +190,8 @@ func (c *compiler) adopt(i, argSlot, outSlot int) {
 	c.raiseRootLast(r, i) // at minimum the storage lives through this eqn
 }
 
-// emit compiles eqn i (possibly fusing followers) and returns the index of
-// the last equation consumed.
-func (c *compiler) emit(i int) int {
+// emit compiles eqn i.
+func (c *compiler) emit(i int) {
 	e := c.g.Eqns[i]
 	out := c.slot(e.Outputs[0])
 	args := make([]int, len(e.Inputs))
@@ -223,7 +213,6 @@ func (c *compiler) emit(i int) int {
 			env[out] = tensor.Reshape(env[a], shape...)
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpYield:
 		// Identity marking a stage boundary: alias the operand instead of
@@ -238,15 +227,12 @@ func (c *compiler) emit(i int) int {
 			env[out] = env[a]
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpMatMul:
 		a, b := args[0], args[1]
 		if src, ok := c.ntSrc[b]; ok {
 			// b is a Transpose that was never run: multiply against its
-			// operand's rows where they lie. This wins over the ReLU fusions
-			// below — a following ReLU then runs in place on the product,
-			// one pass over (m,n) against a pass over the whole of b.
+			// operand's rows where they lie.
 			c.freshOut(i, out)
 			c.push(i, func(env []*tensor.Tensor) error {
 				dst := tensor.GetScratchShaped(outShape...)
@@ -254,10 +240,7 @@ func (c *compiler) emit(i int) int {
 				env[out] = dst
 				return nil
 			}, []int{a, src, out})
-			return i
-		}
-		if j, fused := c.tryFuseMatMul(i, e, args, out); fused {
-			return j
+			return
 		}
 		c.freshOut(i, out)
 		o, folds := c.accOut[out]
@@ -275,7 +258,6 @@ func (c *compiler) emit(i int) int {
 			env[out] = dst
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul:
 		into := tensor.AddInto
@@ -288,11 +270,11 @@ func (c *compiler) emit(i int) int {
 		a, b := args[0], args[1]
 		if h, ok := c.maskSrc[b]; ok && e.Op == ir.OpMul {
 			c.emitMulReLUMask(i, a, h, out, false, e.Inputs[0].Shape, outShape)
-			return i
+			return
 		}
 		if h, ok := c.maskSrc[a]; ok && e.Op == ir.OpMul {
 			c.emitMulReLUMask(i, b, h, out, true, e.Inputs[1].Shape, outShape)
-			return i
+			return
 		}
 		// Prefer writing into a dying operand (gradient-accumulation adds hit
 		// this path); the kernels are index-local, so the other operand may
@@ -323,7 +305,6 @@ func (c *compiler) emit(i int) int {
 				return nil
 			}, involved)
 		}
-		return i
 
 	case ir.OpScale, ir.OpReLU, ir.OpReLUMask, ir.OpSoftmax:
 		if j := c.soleMaskFactorOf(e); j >= 0 {
@@ -331,7 +312,7 @@ func (c *compiler) emit(i int) int {
 			// operand the mask is read from lives on until j.
 			c.maskSrc[out] = args[0]
 			c.raiseRootLast(c.root[args[0]], j)
-			return i
+			return
 		}
 		factor := e.Attrs.Factor
 		var into func(dst, a *tensor.Tensor)
@@ -345,25 +326,16 @@ func (c *compiler) emit(i int) int {
 		case ir.OpSoftmax:
 			into = tensor.SoftmaxInto
 		}
+		// Into fresh scratch, never in place: in a value-and-grad graph the
+		// backward reads a ReLU's operand again, so it never dies here.
 		a := args[0]
-		if c.adoptable(i, a, e.Inputs[0].Shape, outShape) {
-			c.adopt(i, a, out)
-			c.push(i, func(env []*tensor.Tensor) error {
-				t := env[a]
-				into(t, t)
-				env[out] = t
-				return nil
-			}, involved)
-		} else {
-			c.freshOut(i, out)
-			c.push(i, func(env []*tensor.Tensor) error {
-				dst := tensor.GetScratchShaped(outShape...)
-				into(dst, env[a])
-				env[out] = dst
-				return nil
-			}, involved)
-		}
-		return i
+		c.freshOut(i, out)
+		c.push(i, func(env []*tensor.Tensor) error {
+			dst := tensor.GetScratchShaped(outShape...)
+			into(dst, env[a])
+			env[out] = dst
+			return nil
+		}, involved)
 
 	case ir.OpXent:
 		l, y := args[0], args[1]
@@ -390,7 +362,6 @@ func (c *compiler) emit(i int) int {
 			}
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpXentGrad:
 		a, b := args[0], args[1]
@@ -400,27 +371,16 @@ func (c *compiler) emit(i int) int {
 				tensor.CrossEntropyGradOfSoftmaxInto(t, t, env[b])
 				return nil
 			}, involved)
-			return i
+			return
 		}
-		// dst may alias the logits but never the targets.
-		if c.adoptable(i, a, e.Inputs[0].Shape, outShape) && c.root[b] != c.root[a] {
-			c.adopt(i, a, out)
-			c.push(i, func(env []*tensor.Tensor) error {
-				t := env[a]
-				tensor.CrossEntropyGradInto(t, t, env[b])
-				env[out] = t
-				return nil
-			}, involved)
-		} else {
-			c.freshOut(i, out)
-			c.push(i, func(env []*tensor.Tensor) error {
-				dst := tensor.GetScratchShaped(outShape...)
-				tensor.CrossEntropyGradInto(dst, env[a], env[b])
-				env[out] = dst
-				return nil
-			}, involved)
-		}
-		return i
+		// No xent shares its softmax: a graph with the gradient alone.
+		c.freshOut(i, out)
+		c.push(i, func(env []*tensor.Tensor) error {
+			dst := tensor.GetScratchShaped(outShape...)
+			tensor.CrossEntropyGradInto(dst, env[a], env[b])
+			env[out] = dst
+			return nil
+		}, involved)
 
 	case ir.OpTranspose:
 		a := args[0]
@@ -430,7 +390,7 @@ func (c *compiler) emit(i int) int {
 			// might have died at this equation — lives on until j reads it.
 			c.ntSrc[out] = a
 			c.raiseRootLast(c.root[a], j)
-			return i
+			return
 		}
 		c.freshOut(i, out)
 		c.push(i, func(env []*tensor.Tensor) error {
@@ -439,7 +399,6 @@ func (c *compiler) emit(i int) int {
 			env[out] = dst
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpSumAxis0:
 		a := args[0]
@@ -450,7 +409,6 @@ func (c *compiler) emit(i int) int {
 			env[out] = dst
 			return nil
 		}, involved)
-		return i
 
 	case ir.OpZeros:
 		c.freshOut(i, out)
@@ -458,7 +416,7 @@ func (c *compiler) emit(i int) int {
 			env[out] = tensor.GetScratchZero(outShape...)
 			return nil
 		}, involved)
-		return i
+		return
 
 	default:
 		// Generic fallback: the reference Apply. Results are fresh tensors
@@ -479,7 +437,6 @@ func (c *compiler) emit(i int) int {
 			env[out] = t
 			return nil
 		}, involved)
-		return i
 	}
 }
 
@@ -558,64 +515,6 @@ func (c *compiler) emitMulReLUMask(i, ct, h, out int, maskLeft bool, ctShape, ou
 		env[out] = dst
 		return nil
 	}, involved)
-}
-
-// tryFuseMatMul fuses MatMul→ReLU and MatMul→Add→ReLU chains when the
-// intermediate values have no other consumer. Returns the index of the last
-// fused equation.
-func (c *compiler) tryFuseMatMul(i int, e *ir.Equation, args []int, out int) (int, bool) {
-	eqns := c.g.Eqns
-	a, b := args[0], args[1]
-	mmShape := e.Outputs[0].Shape
-
-	// MatMul → ReLU
-	if i+1 < len(eqns) {
-		f := eqns[i+1]
-		if f.Op == ir.OpReLU && f.Inputs[0].ID == e.Outputs[0].ID && c.lastUse[out] == i+1 {
-			fOut := c.slot(f.Outputs[0])
-			c.freshOut(i+1, fOut)
-			shape := f.Outputs[0].Shape
-			c.push(i+1, func(env []*tensor.Tensor) error {
-				dst := tensor.GetScratchShaped(shape...)
-				tensor.MatMulReLUInto(dst, env[a], env[b])
-				env[fOut] = dst
-				return nil
-			}, []int{a, b, fOut}, out)
-			return i + 1, true
-		}
-		// MatMul → Add → ReLU (bias before activation)
-		if i+2 < len(eqns) && f.Op == ir.OpAdd && c.lastUse[out] == i+1 {
-			var cIn *ir.Value
-			if f.Inputs[0].ID == e.Outputs[0].ID {
-				cIn = f.Inputs[1]
-			} else if f.Inputs[1].ID == e.Outputs[0].ID {
-				cIn = f.Inputs[0]
-			}
-			// Add(mm, mm) offers no bias operand: the fused kernel would
-			// read the never-materialized MatMul slot.
-			if cIn != nil && cIn.ID == e.Outputs[0].ID {
-				cIn = nil
-			}
-			g := eqns[i+2]
-			fOut := c.slot(f.Outputs[0])
-			if cIn != nil && g.Op == ir.OpReLU && g.Inputs[0].ID == f.Outputs[0].ID &&
-				c.lastUse[fOut] == i+2 &&
-				(tensor.ShapeEq(cIn.Shape, mmShape) || len(cIn.Shape) == 0) {
-				cSlot := c.slot(cIn)
-				gOut := c.slot(g.Outputs[0])
-				c.freshOut(i+2, gOut)
-				shape := g.Outputs[0].Shape
-				c.push(i+2, func(env []*tensor.Tensor) error {
-					dst := tensor.GetScratchShaped(shape...)
-					tensor.MatMulAddReLUInto(dst, env[a], env[b], env[cSlot])
-					env[gOut] = dst
-					return nil
-				}, []int{a, b, cSlot, gOut}, out, fOut)
-				return i + 2, true
-			}
-		}
-	}
-	return i, false
 }
 
 // NumOutputs returns the number of output tensors a run produces.

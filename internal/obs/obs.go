@@ -421,7 +421,7 @@ const (
 // Class maps a scope name to its breakdown class.
 func Class(name string) string {
 	switch {
-	case hasPrefix(name, "seg/"), name == "actor/accum", name == "actor/add", name == "step/sgd":
+	case hasPrefix(name, "seg/"), name == "actor/accum", name == "step/sgd":
 		return ClassCompute
 	case name == "actor/recv", name == "coll/wait":
 		return ClassIdle

@@ -17,7 +17,6 @@ import (
 var (
 	scRecv  = obs.Scope("actor/recv")
 	scAccum = obs.Scope("actor/accum")
-	scAdd   = obs.Scope("actor/add")
 )
 
 // Actor is one long-lived execution unit over one device: it owns an object
@@ -217,20 +216,6 @@ func (a *Actor) exec(pc int, in taskgraph.Instr) error {
 		err := a.Store.Accumulate(in.Dst, in.Buf, in.Last)
 		h.Stop()
 		return err
-
-	case taskgraph.OpAdd:
-		x, err := a.Store.Get(in.A)
-		if err != nil {
-			return err
-		}
-		y, err := a.Store.Get(in.B)
-		if err != nil {
-			return err
-		}
-		h := obs.TrackTid(scAdd, a.ID)
-		a.Store.Put(in.Dst, tensor.Add(x, y))
-		h.Stop()
-		return nil
 
 	case taskgraph.OpDelete:
 		a.Store.Delete(in.Buf)

@@ -37,8 +37,6 @@ const (
 	// is dead (§4.3). A send ahead of it has nothing left to read: the
 	// transport captured the buffer before OpSend returned.
 	OpDelete
-	// OpAdd computes Dst = A + B (post-loop merge of commuted partials).
-	OpAdd
 )
 
 func (k InstrKind) String() string {
@@ -53,8 +51,6 @@ func (k InstrKind) String() string {
 		return "accum"
 	case OpDelete:
 		return "delete"
-	case OpAdd:
-		return "add"
 	}
 	return "?"
 }
@@ -71,8 +67,7 @@ type Instr struct {
 
 	// Communication / memory fields.
 	Buf  BufID // OpSend/OpRecv/OpDelete subject; OpAccum source
-	Dst  BufID // OpAccum / OpAdd destination
-	A, B BufID // OpAdd operands
+	Dst  BufID // OpAccum destination
 	Peer int   // OpSend destination actor / OpRecv source actor
 	Tag  int   // unique send/recv matching tag
 
@@ -97,8 +92,6 @@ func (in Instr) String() string {
 		return fmt.Sprintf("accum(dst=%d, src=%d)", in.Dst, in.Buf)
 	case OpDelete:
 		return fmt.Sprintf("delete(buf=%d)", in.Buf)
-	case OpAdd:
-		return fmt.Sprintf("add(dst=%d, a=%d, b=%d)", in.Dst, in.A, in.B)
 	}
 	return "?"
 }

@@ -169,10 +169,6 @@ func recvPrecedesUse(t *testing.T, p *Program) {
 			case OpAccum:
 				check(in.Buf)
 				avail[in.Dst] = true
-			case OpAdd:
-				check(in.A)
-				check(in.B)
-				avail[in.Dst] = true
 			case OpDelete:
 				delete(avail, in.Buf)
 			}
@@ -212,8 +208,6 @@ func TestNoUseAfterDelete(t *testing.T) {
 				reads(in.Buf)
 			case OpAccum:
 				reads(in.Buf, in.Dst)
-			case OpAdd:
-				reads(in.A, in.B)
 			case OpDelete:
 				deleted[in.Buf] = true
 			}

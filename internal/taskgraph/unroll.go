@@ -165,7 +165,8 @@ func (c *compiler) expand(actor int, e schedule.Entry) error {
 // finalMerges emits the post-loop additions for commuted tied-weight
 // gradients (§3.4): each stage accumulated its own partial across
 // microbatches; one transfer per extra partial (instead of per microbatch)
-// brings them to the weight owner's actor, where they are summed.
+// brings them to the weight owner's actor, where an OpAccum adds each into
+// the owner's own partial in place, that partial the first operand.
 func (c *compiler) finalMerges() {
 	c.prog.Grads = make([]Placement, len(c.split.Grads))
 	for gi, gr := range c.split.Grads {
@@ -192,9 +193,7 @@ func (c *compiler) finalMerges() {
 				src = c.newBuf()
 				c.emit(owner, Instr{Kind: OpRecv, Buf: src, Peer: acc.Actor, Tag: tag})
 			}
-			dst := c.newBuf()
-			c.emit(owner, Instr{Kind: OpAdd, Dst: dst, A: cur.Buf, B: src})
-			cur = Placement{Actor: owner, Buf: dst}
+			c.emit(owner, Instr{Kind: OpAccum, Dst: cur.Buf, Buf: src})
 		}
 		c.prog.Grads[gi] = cur
 	}
@@ -234,8 +233,6 @@ func (c *compiler) insertDeletions() {
 				return []BufID{in.Buf}
 			case OpAccum:
 				return []BufID{in.Buf, in.Dst}
-			case OpAdd:
-				return []BufID{in.A, in.B}
 			}
 			return nil
 		}
@@ -246,8 +243,6 @@ func (c *compiler) insertDeletions() {
 			case OpRecv:
 				return []BufID{in.Buf}
 			case OpAccum:
-				return []BufID{in.Dst}
-			case OpAdd:
 				return []BufID{in.Dst}
 			}
 			return nil

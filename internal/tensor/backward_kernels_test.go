@@ -135,11 +135,10 @@ func reluRow(r *rand.Rand, off, n int) []float64 {
 
 // TestReLUKernelsMatchScalar holds the ReLU family's AVX-512 blocks, where
 // the CPU has them, to the scalar loops bit for bit, NaN payloads included:
-// relu (ReLUInto, MatMulReLUInto's epilogue), reluMask, mulReLUMask in both
-// operand orders, and addRelu over a full and a broadcast addend
-// (MatMulAddReLUInto's epilogue). Every length from 0 to 70 (every n%8
-// tail), operands at odd offsets, the edges of positiveBits' compare, and
-// each result written fresh and in place over each operand it may alias.
+// relu (ReLUInto), reluMask (ReLUMaskInto) and mulReLUMask (MulReLUMaskInto)
+// in both operand orders. Every length from 0 to 70 (every n%8 tail),
+// operands at odd offsets, the edges of positiveBits' compare, and each
+// result written fresh and in place over each operand it may alias.
 func TestReLUKernelsMatchScalar(t *testing.T) {
 	var kernels []string
 	forEachKernel(func(kernel string) { kernels = append(kernels, kernel) })
@@ -176,15 +175,6 @@ func TestReLUKernelsMatchScalar(t *testing.T) {
 					sameBitsExact(t, what+" "+name, got, want)
 					inPlace(name+" over ct", func(x, y []float64) []float64 { mulReLUMask(x, x, y, maskLeft); return x })
 					inPlace(name+" over h", func(x, y []float64) []float64 { mulReLUMask(y, x, y, maskLeft); return y })
-				}
-
-				copy(want, a)
-				addReluScalar(want, b)
-				inPlace("addRelu", func(x, y []float64) []float64 { addRelu(x, y); return x })
-				for _, c := range append([]float64{r.NormFloat64()}, specialValues...) {
-					copy(want, a)
-					addReluBroadcastScalar(want, c)
-					inPlace(fmt.Sprintf("addReluBroadcast(%v)", c), func(x, _ []float64) []float64 { addReluBroadcast(x, c); return x })
 				}
 			}
 		}
@@ -249,8 +239,6 @@ func TestKernelsRefuseOverlappingDestination(t *testing.T) {
 		{"MatMulInto over b", func() { MatMulInto(w, x, w) }},
 		{"MatMulNTInto over a", func() { MatMulNTInto(x, x, w) }},
 		{"MatMulNTInto over b, shifted", func() { MatMulNTInto(shifted(3), x, shifted(0)) }},
-		{"MatMulReLUInto over a", func() { MatMulReLUInto(x, x, w) }},
-		{"MatMulAddReLUInto over c", func() { MatMulAddReLUInto(y, x, w, y) }},
 		{"TransposeInto over a", func() { TransposeInto(y, y) }},
 		{"TransposeInto over a, shifted", func() { TransposeInto(shifted(1), shifted(0)) }},
 		{"MulReLUMaskInto over ct, shifted", func() { MulReLUMaskInto(shifted(1), shifted(0), y, false) }},

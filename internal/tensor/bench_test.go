@@ -124,30 +124,6 @@ func BenchmarkMatMulNT(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulFused compares the fused matmul+bias+relu kernel against
-// its unfused composition.
-func BenchmarkMatMulFused(b *testing.B) {
-	const size = 256
-	r := rand.New(rand.NewSource(1))
-	x := rnd(r, size, size)
-	y := rnd(r, size, size)
-	c := rnd(r, size, size)
-	dst := New(size, size)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulAddReLUInto(dst, x, y, c)
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t := MatMul(x, y)
-			t = Add(t, c)
-			t = ReLU(t)
-			dst = t
-		}
-	})
-}
-
 // BenchmarkElementwise measures the specialized elementwise loops, pure vs
 // destination-passing, at 1 024 elements (a pp4-small gradient, which
 // Store.Accumulate adds), 32 768 (a pp4-compute activation) and 65 536.
@@ -173,7 +149,7 @@ func BenchmarkElementwise(b *testing.B) {
 
 // BenchmarkReLU measures the ReLU loops on half-negative data, where a
 // compare-and-branch per element mispredicts half the time, on every kernel:
-// ReLUInto, ReLUMaskInto, and addRelu, MatMulAddReLUInto's epilogue.
+// ReLUInto and ReLUMaskInto.
 func BenchmarkReLU(b *testing.B) {
 	const n = 128 * 256
 	x := rnd(rand.New(rand.NewSource(1)), n)
@@ -185,7 +161,6 @@ func BenchmarkReLU(b *testing.B) {
 		}{
 			{"ReLUInto", ReLUInto},
 			{"ReLUMaskInto", ReLUMaskInto},
-			{"addRelu", func(dst, a *Tensor) { addRelu(dst.data, a.data) }},
 		} {
 			b.Run(k.name+"/"+kernel, func(b *testing.B) {
 				b.SetBytes(8 * n)

@@ -118,8 +118,8 @@ func TestIntoKernelsMatchPure(t *testing.T) {
 	}
 }
 
-// TestMatMulKernels checks MatMul and the fused variants against a naive
-// reference over the benchmark size range.
+// TestMatMulKernels checks MatMul against a naive reference over the
+// benchmark size range.
 func TestMatMulKernels(t *testing.T) {
 	naive := func(a, b *Tensor) *Tensor {
 		m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
@@ -142,20 +142,6 @@ func TestMatMulKernels(t *testing.T) {
 		want := naive(a, b)
 		if got := MatMul(a, b); !AllClose(got, want, 1e-9, 1e-9) {
 			t.Fatalf("MatMul(%d) mismatch", size)
-		}
-		// Fused variants over scratch garbage destinations.
-		relu := GetScratchShaped(size, size)
-		MatMulReLUInto(relu, a, b)
-		if !AllClose(relu, ReLU(want), 1e-9, 1e-9) {
-			t.Fatalf("MatMulReLUInto(%d) mismatch", size)
-		}
-		c := rnd(r, size, size)
-		fused := GetScratchShaped(size, size)
-		if MatMulAddReLUInto(fused, a, b, c); !AllClose(fused, ReLU(Add(want, c)), 1e-9, 1e-9) {
-			t.Fatalf("MatMulAddReLUInto(%d) mismatch", size)
-		}
-		if MatMulAddReLUInto(fused, a, b, Scalar(0.5)); !AllClose(fused, ReLU(Add(want, Scalar(0.5))), 1e-9, 1e-9) {
-			t.Fatalf("MatMulAddReLUInto(%d, scalar) mismatch", size)
 		}
 	}
 }

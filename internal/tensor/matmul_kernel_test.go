@@ -332,112 +332,51 @@ func TestMatMulNTBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulFusedRouteThroughKernel pins that the fused entry points are the
-// same kernel plus their epilogue, on a shape with column tails and half of
-// a's entries zero.
-func TestMatMulFusedRouteThroughKernel(t *testing.T) {
-	c := kernelCase{m: 96, k: 70, n: 67, seed: 5, zeroPct: 50}
-	a, b := c.build()
-	bias := rnd(rand.New(rand.NewSource(6)), c.m, c.n)
-	want := New(c.m, c.n)
-	naiveMatMul(want.data, a.data, b.data, c.m, c.k, c.n)
-	forEachKernel(func(kernel string) {
-		got := GetScratchShaped(c.m, c.n)
-		MatMulReLUInto(got, a, b)
-		if !AllClose(got, ReLU(want), 0, 0) {
-			t.Errorf("%s kernel: MatMulReLUInto differs from relu(reference)", kernel)
-		}
-		MatMulAddReLUInto(got, a, b, bias)
-		if !AllClose(got, ReLU(Add(want, bias)), 0, 0) {
-			t.Errorf("%s kernel: MatMulAddReLUInto differs from relu(reference + c)", kernel)
-		}
-		Recycle(got)
-	})
-}
-
-// TestFusedReLUMatchesUnfused holds the fused epilogues to ReLUInto byte
-// for byte: MatMulReLUInto to ReLUInto(MatMulInto), MatMulAddReLUInto to
-// ReLUInto(AddInto(MatMulInto, c)) with c full and scalar, where b holds NaN
-// and ±Inf (so products are NaN and infinite) and the bias -0 — on a few
-// rows and on many.
-func TestFusedReLUMatchesUnfused(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, m := range []int{3, 96} {
-		const k, n = 70, 67
-		a, b, bias := rnd(r, m, k), rnd(r, k, n), rnd(r, m, n)
-		for i := range a.data {
-			if r.Intn(3) == 0 {
-				a.data[i] = 0
-			}
-		}
-		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-		for i := range b.data {
-			if r.Intn(40) == 0 {
-				b.data[i] = specials[r.Intn(len(specials))]
-			}
-		}
-		for i := range bias.data {
-			if r.Intn(4) == 0 {
-				bias.data[i] = math.Copysign(0, -1)
-			}
-		}
-		mm := New(m, n)
-		MatMulInto(mm, a, b)
-		same := func(name string, got, want *Tensor) {
-			t.Helper()
-			for i, w := range want.data {
-				if math.Float64bits(got.data[i]) != math.Float64bits(w) {
-					t.Fatalf("m=%d %s element %d = %#x, unfused %#x", m, name, i, math.Float64bits(got.data[i]), math.Float64bits(w))
-				}
-			}
-		}
-		fused, want := New(m, n), New(m, n)
-		MatMulReLUInto(fused, a, b)
-		ReLUInto(want, mm)
-		same("MatMulReLUInto", fused, want)
-		for _, c := range []*Tensor{bias, Scalar(math.Copysign(0, -1)), Scalar(math.NaN())} {
-			MatMulAddReLUInto(fused, a, b, c)
-			AddInto(want, mm, c)
-			ReLUInto(want, want)
-			same(fmt.Sprintf("MatMulAddReLUInto (bias %v)", c.Shape()), fused, want)
-		}
-	}
-}
-
 // TestMatMulInlinePathAllocFree pins 0 allocs/op for every matmul entry
-// point under every kernel, on shapes up to the benchmark workloads' forward
-// and dW ones, dense and with half of a zero: each runs inline on its caller,
-// the non-zero list lives on the stack and never escapes into the assembly
-// call, and the few-row a @ bᵀ recycles its lists.
+// point under every kernel, dense and with half of a zero, on the benchmark
+// workloads' shapes — pp4-small's and dp2x2's forward and dW, pp4-compute's
+// dW (its forward, 128x256x256, takes the same paths at the same cost, and
+// under -race a shape that size is most of this test's time) — and two
+// narrower ones: each runs inline on its caller, the non-zero list lives on
+// the stack and never escapes into the assembly call, and the pooled scratch
+// of the accumulating form and of the few-row a @ bᵀ goes back to its pool.
 func TestMatMulInlinePathAllocFree(t *testing.T) {
 	type op struct {
 		name string
 		runs int
 		run  func()
 	}
-	shapes := [][3]int{{8, 32, 32}, {1, 256, 256}, {2, 600, 24},
-		{256, 256, 256}, {512, 4, 512}, {4, 512, 512}, {128, 256, 256}}
+	// pooledRuns is the call count of a row that takes scratch from a
+	// sync.Pool and puts it back. Under -race a Put is dropped one time in
+	// four, and the next call then allocates the item again: two
+	// allocations, a Tensor and its storage or a list and its entries.
+	// AllocsPerRun reads the floor of the mean, so n calls read 1 once n/2
+	// of their n counted puts drop, a Binomial(n, 1/4) tail: 7.8% at n = 10,
+	// over some 40 pooled rows a run. At 64 it is 1.5e-5 a row, 6e-4 a run.
+	// A call that allocates for itself reads 1 or more whatever drops.
+	pooledRuns := 10
+	if raceEnabled {
+		pooledRuns = 64
+	}
+	shapes := [][3]int{{8, 32, 32}, {32, 8, 32}, {1, 256, 256}, {2, 600, 24},
+		{256, 128, 256}, {4, 512, 512}, {512, 4, 512}}
 	for _, s := range shapes {
 		for _, zeroPct := range []int{0, 50} {
 			c := kernelCase{m: s[0], k: s[1], n: s[2], seed: 1, zeroPct: zeroPct}
 			a, b := c.build()
 			dst := New(c.m, c.n)
-			bias := rnd(rand.New(rand.NewSource(2)), c.m, c.n)
 			bn := Transpose(b)
 			ops := []op{
 				{"MatMulInto", 5, func() { MatMulInto(dst, a, b) }},
-				{"MatMulReLUInto", 5, func() { MatMulReLUInto(dst, a, b) }},
-				{"MatMulAddReLUInto", 5, func() { MatMulAddReLUInto(dst, a, b, bias) }},
-				// The product block is scratch: -race drops a quarter of the
-				// pool's puts, and ten calls losing all ten is one in a million.
-				{"MatMulAccInto", 10, func() { MatMulAccInto(dst, a, b) }},
+				// The product block, where the tiles do not hold a row, is
+				// pooled scratch.
+				{"MatMulAccInto", pooledRuns, func() { MatMulAccInto(dst, a, b) }},
 			}
 			if c.m <= ntDotRows {
-				// The dot form's lists come from a sync.Pool of their own.
-				// -race drops a quarter of its puts, so the count is
-				// averaged over more calls (the transposed b above
-				// ntDotRows is pooled too, and is left out).
-				ops = append(ops, op{"MatMulNTInto", 50, func() { MatMulNTInto(dst, a, bn) }})
+				// The dot form's lists come from a sync.Pool of their own
+				// (the transposed b above ntDotRows is pooled too, and is
+				// left out).
+				ops = append(ops, op{"MatMulNTInto", pooledRuns, func() { MatMulNTInto(dst, a, bn) }})
 			}
 			forEachKernel(func(kernel string) {
 				for _, o := range ops {

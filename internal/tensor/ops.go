@@ -446,71 +446,6 @@ func MatMulNTInto(dst, a, b *Tensor) {
 	Recycle(bt)
 }
 
-// MatMulReLUInto stores relu(a @ b) into dst — the fused matmul+activation
-// kernel the interpreter emits when the IR permits. dst must not overlap a
-// or b.
-func MatMulReLUInto(dst, a, b *Tensor) {
-	m, k, n := matMulShapes(a, b)
-	checkDst2("MatMulReLUInto", dst, m, n)
-	checkApart("MatMulReLUInto", dst, a)
-	checkApart("MatMulReLUInto", dst, b)
-	matMulRows(dst.data, a.data, b.data, m, k, n)
-	relu(dst.data[:m*n], dst.data[:m*n])
-}
-
-// MatMulAddReLUInto stores relu(a @ b + c) into dst, fusing the projection,
-// bias add, and activation in one pass over the output. c must either match
-// the (m,n) result shape or be a scalar. dst must not overlap a, b, or c.
-func MatMulAddReLUInto(dst, a, b, c *Tensor) {
-	m, k, n := matMulShapes(a, b)
-	checkDst2("MatMulAddReLUInto", dst, m, n)
-	checkApart("MatMulAddReLUInto", dst, a)
-	checkApart("MatMulAddReLUInto", dst, b)
-	checkApart("MatMulAddReLUInto", dst, c)
-	if c.Rank() != 0 && (len(c.shape) != 2 || c.shape[0] != m || c.shape[1] != n) {
-		panic(fmt.Sprintf("tensor: MatMulAddReLUInto addend shape %v, want %v or scalar", c.shape, []int{m, n}))
-	}
-	matMulRows(dst.data, a.data, b.data, m, k, n)
-	addReluSpan(dst.data[:m*n], c)
-}
-
-// addReluSpan stores relu(span+c) over span in place, with c either matching
-// span's extent or a scalar; relu is ReLUInto's.
-func addReluSpan(span []float64, c *Tensor) {
-	if c.Rank() == 0 {
-		addReluBroadcast(span, c.data[0])
-		return
-	}
-	addRelu(span, c.data[:len(span)])
-}
-
-// addReluBroadcastScalar stores relu(span[i]+cv) into span[i]. The AVX-512
-// kernel reproduces it.
-func addReluBroadcastScalar(span []float64, cv float64) {
-	for i, x := range span {
-		bits := math.Float64bits(x + cv)
-		var r uint64
-		if positiveBits(bits) {
-			r = bits
-		}
-		span[i] = math.Float64frombits(r)
-	}
-}
-
-// addReluScalar stores relu(span[i]+cs[i]) into span[i]. The AVX-512 kernel
-// reproduces it.
-func addReluScalar(span, cs []float64) {
-	cs = cs[:len(span)]
-	for i, x := range span {
-		bits := math.Float64bits(x + cs[i])
-		var r uint64
-		if positiveBits(bits) {
-			r = bits
-		}
-		span[i] = math.Float64frombits(r)
-	}
-}
-
 // Transpose returns the rank-2 transpose of a.
 func Transpose(a *Tensor) *Tensor {
 	if a.Rank() != 2 {

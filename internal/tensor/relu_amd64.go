@@ -11,12 +11,6 @@ func reluMaskBlocksAVX512(dst, src *float64, n int)
 //go:noescape
 func mulReLUMaskBlocksAVX512(dst, ct, h *float64, n int)
 
-//go:noescape
-func addReluBlocksAVX512(span, c *float64, n int)
-
-//go:noescape
-func addReluBroadcastBlocksAVX512(span *float64, n int, c float64)
-
 // relu is reluScalar, its leading blocks in reluBlocksAVX512.
 func relu(out, a []float64) {
 	if j := avx512Blocks(len(a)); j > 0 {
@@ -43,23 +37,4 @@ func mulReLUMask(out, ct, h []float64, maskLeft bool) {
 		out, ct, h = out[j:], ct[j:], h[j:]
 	}
 	mulReLUMaskScalar(out, ct, h, maskLeft)
-}
-
-// addRelu is addReluScalar, its leading blocks in addReluBlocksAVX512.
-func addRelu(span, cs []float64) {
-	if j := avx512Blocks(len(span)); j > 0 {
-		addReluBlocksAVX512(&span[0], &cs[0], j)
-		span, cs = span[j:], cs[j:]
-	}
-	addReluScalar(span, cs)
-}
-
-// addReluBroadcast is addReluBroadcastScalar, its leading blocks in
-// addReluBroadcastBlocksAVX512.
-func addReluBroadcast(span []float64, cv float64) {
-	if j := avx512Blocks(len(span)); j > 0 {
-		addReluBroadcastBlocksAVX512(&span[0], j, cv)
-		span = span[j:]
-	}
-	addReluBroadcastScalar(span, cv)
 }

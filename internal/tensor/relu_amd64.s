@@ -103,54 +103,3 @@ xblock:
 xdone:
 	VZEROUPPER
 	RET
-
-// func addReluBlocksAVX512(span, c *float64, n int)
-//
-// span[i] = relu(span[i] + c[i]): addReluSpan's loop over a full c, the add
-// a VADDPD with span first. A NaN sum is +0 whichever payload it carries.
-TEXT ·addReluBlocksAVX512(SB), NOSPLIT, $0-24
-	MOVQ span+0(FP), DI
-	MOVQ c+8(FP), SI
-	RELUSETUP
-
-ablock:
-	CMPQ AX, CX
-	JGE  adone
-	VMOVUPD (DI)(AX*8), Z0
-	VADDPD  (SI)(AX*8), Z0, Z0
-	POSITIVE(Z0, Z1, K1)
-	VMOVDQU64.Z Z0, K1, Z0
-	VMOVDQU64 Z0, (DI)(AX*8)
-	ADDQ $8, AX
-	JMP  ablock
-
-adone:
-	VZEROUPPER
-	RET
-
-// func addReluBroadcastBlocksAVX512(span *float64, n int, c float64)
-//
-// span[i] = relu(span[i] + c): addReluSpan's loop over a scalar c.
-TEXT ·addReluBroadcastBlocksAVX512(SB), NOSPLIT, $0-24
-	MOVQ span+0(FP), DI
-	MOVQ n+8(FP), CX
-	ANDQ $~7, CX
-	XORQ AX, AX
-	VPBROADCASTQ reluconst<>+0(SB), Z14
-	VPBROADCASTQ reluconst<>+8(SB), Z15
-	VBROADCASTSD c+16(FP), Z13
-
-sblock:
-	CMPQ AX, CX
-	JGE  sdone
-	VMOVUPD (DI)(AX*8), Z0
-	VADDPD  Z13, Z0, Z0
-	POSITIVE(Z0, Z1, K1)
-	VMOVDQU64.Z Z0, K1, Z0
-	VMOVDQU64 Z0, (DI)(AX*8)
-	ADDQ $8, AX
-	JMP  sblock
-
-sdone:
-	VZEROUPPER
-	RET

@@ -12,9 +12,3 @@ func reluMask(out, a []float64) { reluMaskScalar(out, a) }
 
 // mulReLUMask is mulReLUMaskScalar.
 func mulReLUMask(out, ct, h []float64, maskLeft bool) { mulReLUMaskScalar(out, ct, h, maskLeft) }
-
-// addRelu is addReluScalar.
-func addRelu(span, cs []float64) { addReluScalar(span, cs) }
-
-// addReluBroadcast is addReluBroadcastScalar.
-func addReluBroadcast(span []float64, cv float64) { addReluBroadcastScalar(span, cv) }

@@ -97,7 +97,7 @@ func eventGlyph(name string) byte {
 		return '~'
 	case name == "step/dp_sync":
 		return 's'
-	case name == "actor/accum", name == "actor/add":
+	case name == "actor/accum":
 		return '+'
 	}
 	return '-'
